@@ -16,8 +16,8 @@
 //   threads — the fast configuration at 1/2/4/8 worker threads, each point
 //             carrying its scaling_efficiency (speedup / threads) plus the
 //             parallel backend's cost telemetry (route-snapshot warmup,
-//             replica builds, worker busy spread, ring/merge stats);
-//   merge   — the streaming SPSC merge measured end-to-end: the full
+//             replica builds, worker busy spread);
+//   merge   — the post-join k-way merge measured end-to-end: the full
 //             workload with the global reply stream collected, at 1 and 8
 //             threads, with an order-sensitive checksum over the merged
 //             stream. The two checksums must match bit-for-bit (the
@@ -184,16 +184,6 @@ struct Measured {
     for (const auto& w : workers) b = std::max(b, w.busy_seconds);
     return b;
   }
-  [[nodiscard]] std::uint64_t ring_stalls() const {
-    std::uint64_t s = 0;
-    for (const auto& w : workers) s += w.ring_stalls;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t ring_high_water() const {
-    std::uint64_t hw = 0;
-    for (const auto& w : workers) hw = std::max(hw, w.ring_high_water);
-    return hw;
-  }
 };
 
 std::uint64_t checksum_replies(const std::vector<campaign::ShardReply>& rs) {
@@ -340,10 +330,10 @@ int main(int argc, char** argv) {
                  sweep.back().m.pps() / fast.pps() / threads);
   }
 
-  // Streamed-merge gate: the full workload with the global reply stream
+  // Merged-stream gate: the full workload with the global reply stream
   // collected, at 1 and 8 threads. The merged streams must be
-  // bit-identical in canonical order — the SPSC rings and the frontier
-  // gating may change only the wall-clock.
+  // bit-identical in canonical order — which worker ran which unit may
+  // change only the wall-clock.
   const auto merged_1t =
       run_pipeline(world, sets, simnet::NetworkParams{}, 1, /*collect=*/true);
   const auto merged_8t =
@@ -353,12 +343,12 @@ int main(int argc, char** argv) {
       merged_1t.reply_checksum == merged_8t.reply_checksum &&
       merged_1t.net_stats == merged_8t.net_stats;
   std::fprintf(stderr,
-               "streamed merge: %llu replies, checksum %016llx @1t / %016llx "
-               "@8t, drain %.3fs (tail %.3fs) @8t %s\n",
+               "merged stream: %llu replies, checksum %016llx @1t / %016llx "
+               "@8t, merge %.3fs @8t %s\n",
                static_cast<unsigned long long>(merged_8t.replies),
                static_cast<unsigned long long>(merged_1t.reply_checksum),
                static_cast<unsigned long long>(merged_8t.reply_checksum),
-               merged_8t.merge.drain_seconds, merged_8t.merge.tail_seconds,
+               merged_8t.merge.drain_seconds,
                merge_deterministic ? "" : "DETERMINISM MISMATCH");
 
   // Sub-shard scheduler guard: one giant shard (every target in one yarrp6
@@ -562,36 +552,26 @@ int main(int argc, char** argv) {
                sweep.back().m.pps() / fast.pps() / 8.0, hw_threads);
   std::fprintf(out,
                "  \"streamed_merge\": {\"desc\": \"full workload with the "
-               "global reply stream collected: per-worker SPSC rings drained "
-               "by the caller into the canonical order during the run; the "
+               "global reply stream collected: per-unit sorted runs k-way "
+               "merged into the canonical order after the workers join; the "
                "1t and 8t streams must be bit-identical\", "
                "\"replies\": %llu, \"checksum_1t\": \"%016llx\", "
                "\"checksum_8t\": \"%016llx\", \"thread_invariant\": %s, "
                "\"seconds_1t\": %.3f, \"seconds_8t\": %.3f, "
                "\"merge_drain_seconds_8t\": %.3f, "
                "\"merge_tail_seconds_8t\": %.3f, "
-               "\"ring_stalls_8t\": %llu, \"ring_high_water_max_8t\": %llu, "
                "\"workers_8t\": [",
                static_cast<unsigned long long>(merged_8t.replies),
                static_cast<unsigned long long>(merged_1t.reply_checksum),
                static_cast<unsigned long long>(merged_8t.reply_checksum),
                merge_deterministic ? "true" : "false", merged_1t.seconds,
                merged_8t.seconds, merged_8t.merge.drain_seconds,
-               merged_8t.merge.tail_seconds,
-               static_cast<unsigned long long>(merged_8t.ring_stalls()),
-               static_cast<unsigned long long>(merged_8t.ring_high_water()));
+               merged_8t.merge.tail_seconds);
   for (std::size_t w = 0; w < merged_8t.workers.size(); ++w)
-    std::fprintf(out,
-                 "%s{\"units_run\": %llu, \"busy_seconds\": %.3f, "
-                 "\"ring_pushes\": %llu, \"ring_stalls\": %llu, "
-                 "\"ring_high_water\": %llu}",
+    std::fprintf(out, "%s{\"units_run\": %llu, \"busy_seconds\": %.3f}",
                  w ? ", " : "",
                  static_cast<unsigned long long>(merged_8t.workers[w].units_run),
-                 merged_8t.workers[w].busy_seconds,
-                 static_cast<unsigned long long>(merged_8t.workers[w].ring_pushes),
-                 static_cast<unsigned long long>(merged_8t.workers[w].ring_stalls),
-                 static_cast<unsigned long long>(
-                     merged_8t.workers[w].ring_high_water));
+                 merged_8t.workers[w].busy_seconds);
   std::fprintf(out, "]},\n");
   std::fprintf(out,
                "  \"giant_shard\": {\"desc\": \"one yarrp6 campaign over all "
@@ -684,7 +664,7 @@ int main(int argc, char** argv) {
   }
   if (!merge_deterministic) {
     std::fprintf(stderr,
-                 "FAIL: streamed merge produced different reply streams at 1 "
+                 "FAIL: merged stream produced different reply streams at 1 "
                  "and 8 threads (the canonical-order contract is broken)\n");
     return 1;
   }
@@ -715,7 +695,7 @@ int main(int argc, char** argv) {
   }
   // Scaling red gate: on real multi-core hardware, 8 worker threads must
   // never be slower than 1 — negative scaling was the bug this backend's
-  // shared-snapshot/arena/ring architecture exists to fix. On a 1-thread
+  // shared-snapshot/arena architecture exists to fix. On a 1-thread
   // machine the sweep cannot measure scaling at all, so warn instead.
   if (sweep.back().m.pps() < fast.pps()) {
     if (hw_threads >= 2) {

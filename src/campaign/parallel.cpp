@@ -1,19 +1,18 @@
 #include "campaign/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <deque>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <thread>
+#include <utility>
 
 #include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
-#include "netbase/flat_map.hpp"
-#include "netbase/rng.hpp"
-#include "netbase/spsc_ring.hpp"
 
 namespace beholder6::campaign {
 
@@ -43,46 +42,22 @@ struct WorkUnit {
   ProbeSource* source = nullptr;  // borrowed (unsplit) or owned by `owned`
   std::size_t parent = 0;         // index into the shard list
   std::uint32_t subshard = 0;     // canonical index within the parent
-  bool record = false;            // stream this unit's replies to the merger
+  bool record = false;            // append this unit's replies to its run
   bool live_sink = false;         // deliver the parent sink per reply, inline
-  bool sink_on_merge = false;     // merger delivers the parent sink instead
+  bool sink_on_merge = false;     // the post-join merge delivers it instead
   std::int32_t family = -1;       // epoch family index, -1 = free-running
 };
 
-/// Stats one unit's run produces, keyed by unit index — workers share
-/// nothing mutable but the scheduler's queue state (under its mutex) and
-/// their own reply rings.
+/// What one unit's run produces, keyed by unit index — workers share
+/// nothing mutable but the scheduler's queue state (under its mutex).
 struct UnitResult {
   ProbeStats stats;
   simnet::NetworkStats net;
+  /// Recorded replies in arrival order. A unit's clock only moves forward
+  /// (an epoch unit keeps its replica across barriers), so virtual_us never
+  /// decreases along the run: every run is already sorted for the merge.
+  std::vector<ShardReply> run;
 };
-
-/// One item of a worker's reply ring. Replies carry their merge timestamp;
-/// watermarks promise "no future reply of this unit is earlier than
-/// virtual_us" so the merger can advance its frontier past quiet units;
-/// done markers retire a unit from frontier gating entirely. Every item of
-/// one unit carries a strictly increasing `seq` from the unit's own
-/// counter: an epoch unit migrates between workers (and therefore rings)
-/// across barriers, so the merger re-serializes its items by seq instead
-/// of trusting cross-ring pop order.
-struct RingItem {
-  enum class Kind : std::uint8_t { kReply, kWatermark, kDone };
-  Kind kind = Kind::kReply;
-  std::uint32_t unit = 0;
-  std::uint64_t seq = 0;
-  std::uint64_t virtual_us = 0;
-  wire::DecodedReply reply;  // kReply only
-};
-
-/// How many ring slots each worker gets. Full ring = producer backpressure
-/// (it yields until the merger drains), so this bounds memory, not
-/// correctness; WorkerPerf::ring_stalls reports how often it binds.
-constexpr std::size_t kRingCapacity = 1024;
-
-/// How many runner steps between watermarks. Watermarks only bound how
-/// stale the merger's view of a quiet unit can get — any value is correct;
-/// smaller = smoother streaming, larger = less ring traffic.
-constexpr std::uint64_t kWatermarkEvery = 1024;
 
 /// Per-worker mutable arena: the worker's private Network replica
 /// (constructed once, on first claim, and reset() between the units it
@@ -94,20 +69,15 @@ struct alignas(64) WorkerArena {
   WorkerPerf perf;
 };
 
-/// Replica + runner + stream bookkeeping that must survive across a
-/// unit's epochs. Free units use their worker's arena; only epoch-family
-/// units pay for a persistent context (created lazily, on the worker that
-/// first claims the unit, and handed between workers through the
-/// scheduler mutex). `ring`/`perf` point at the *current* driving
-/// worker's ring and counters — rebound before every epoch, because the
-/// unit migrates.
-struct EpochUnitContext {
-  std::unique_ptr<simnet::Network> net;
-  std::unique_ptr<CampaignRunner> runner;
-  netbase::SpscRing<RingItem>* ring = nullptr;
-  WorkerPerf* perf = nullptr;
-  std::uint64_t seq = 0;       // next ring-item seq for this unit
-  std::uint64_t steps = 0;     // steps since the last watermark
+/// A unit's runner and the replica it drives. A free-running unit borrows
+/// its worker's arena replica for the one claim that runs it to
+/// exhaustion; an epoch-family unit owns a replica that persists across
+/// its epochs and travels with it between workers (created lazily by the
+/// first claimant, handed over through the scheduler mutex).
+struct UnitContext {
+  std::unique_ptr<simnet::Network> own_net;  // epoch-family units only
+  simnet::Network* net = nullptr;
+  std::unique_ptr<CampaignRunner> runner;  // borrows *net
 };
 
 /// One split family driven in lockstep epochs. `arrived`/`active` are
@@ -135,7 +105,7 @@ struct EpochFamily {
 /// B6_GUARDED_BY annotations make the Clang thread-safety pass
 /// (CI `thread-safety` job) prove that every touch of the queue, the
 /// arrival flags, and the error slot happens under the mutex. Per-unit
-/// state (unit_results, epoch_ctx) deliberately stays outside: exactly one
+/// state (unit_results, contexts) deliberately stays outside: exactly one
 /// worker owns a unit between claim() and report(), and the mutex
 /// hand-off in those two calls is what publishes its writes to the next
 /// claimant — a transfer the analysis cannot express, so the contract
@@ -229,30 +199,6 @@ class Scheduler {
   std::exception_ptr error_ B6_GUARDED_BY(mu_);
 };
 
-/// FlatSet hasher for route keys (warmup dedup).
-struct RouteKeyHash {
-  std::size_t operator()(const simnet::RouteKey& k) const {
-    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
-  }
-};
-
-/// The merger's view of one recording unit: in-order replies awaiting
-/// emission, the re-serialization state (next expected seq + out-of-order
-/// holdback, see RingItem::seq), and the frontier bound. Only units with
-/// WorkUnit::record participate.
-struct UnitBuf {
-  struct Pending {
-    std::uint64_t seq = 0;
-    std::uint64_t virtual_us = 0;
-    wire::DecodedReply reply;
-  };
-  std::deque<Pending> buf;           // seq order == arrival order
-  std::vector<RingItem> held;        // out-of-order items, any order
-  std::uint64_t next_seq = 0;        // first seq not yet serialized
-  std::uint64_t lb = 0;              // no future reply is earlier than this
-  bool done = false;                 // retired from frontier gating
-};
-
 }  // namespace
 
 ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
@@ -264,8 +210,8 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // ---- Deterministic over-decomposition -----------------------------------
   // Expand every shard into work units up front. A split shard's sink
   // cannot run live (its subshards execute concurrently), so such units
-  // stream their replies to the merger, which delivers the sink in
-  // canonical order from the caller thread. Split children that share an
+  // record their replies and the post-join merge delivers the sink in
+  // canonical order on the caller thread. Split children that share an
   // EpochBarrier form an epoch family, scheduled in lockstep epochs.
   std::vector<std::unique_ptr<ProbeSource>> owned;
   std::vector<WorkUnit> units;
@@ -302,7 +248,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     }
   }
   std::vector<UnitResult> unit_results(units.size());
-  std::vector<EpochUnitContext> epoch_ctx(units.size());
+  std::vector<UnitContext> contexts(units.size());
 
   // ---- The shared immutable tier: warm the route snapshot once -----------
   // Before any worker exists, resolve every route the campaign will hit
@@ -314,27 +260,17 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // of workers hit it lock-free. route_cache_entries == 0 means "this
   // campaign wants no route caching at all" (the legacy-path benchmark
   // measures exactly that), so it disables the snapshot too.
+  const std::size_t max_threads =
+      n_threads_ ? n_threads_ : std::max(1u, std::thread::hardware_concurrency());
   std::shared_ptr<const simnet::RouteCache> snapshot;
   if (options.share_route_snapshot && params_->route_cache_entries != 0 &&
       !units.empty()) {
     const auto warm_t0 = PerfClock::now();
-    // Key collection: one probe encode per (endpoint, target) recovers the
-    // exact RouteKey every probe to that target resolves under — the wire
-    // format keeps the transport bytes that feed the ECMP flow hash
-    // per-target constant (the paper's checksum fudge), so ttl 1 at time 0
-    // stands in for the whole trace.
     std::vector<simnet::Network::ProbeRouteKey> keys;
-    netbase::FlatSet<simnet::RouteKey, RouteKeyHash> seen;
-    std::vector<std::uint8_t> encode_buf;
-    for (const Shard& shard : shards) {
-      for (const auto& target : shard.source->route_warm_targets()) {
-        wire::encode_probe_into(probe_spec_at(shard.endpoint, target, 1, 0),
-                                encode_buf);
-        const auto key = simnet::Network::probe_route_key(topo_, encode_buf);
-        if (!key) continue;
-        if (seen.insert(key->key).second) keys.push_back(*key);
-      }
-    }
+    RouteKeyCollector collector{topo_};
+    for (const Shard& shard : shards)
+      collector.collect(shard.endpoint, shard.source->route_warm_targets(),
+                        keys);
     if (!keys.empty()) {
       // Fork-join path resolution: Topology::path is const and internally
       // synchronized (the annotated as_path memo), so the expensive
@@ -342,9 +278,8 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       // inserts then run serially in canonical key order, keeping the
       // snapshot layout deterministic.
       std::vector<simnet::Path> paths(keys.size());
-      const unsigned hw0 = std::max(1u, std::thread::hardware_concurrency());
       const std::size_t resolvers = std::min<std::size_t>(
-          {n_threads_ ? n_threads_ : hw0, keys.size() / 512 + 1, 64});
+          {max_threads, keys.size() / 512 + 1, 64});
       auto resolve_range = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
           const auto& pk = keys[k];
@@ -355,12 +290,11 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       if (resolvers <= 1) {
         resolve_range(0, keys.size());
       } else {
-        std::vector<std::thread> pool;
+        std::vector<std::jthread> pool;  // joins on scope exit
         pool.reserve(resolvers);
         for (std::size_t t = 0; t < resolvers; ++t)
           pool.emplace_back(resolve_range, keys.size() * t / resolvers,
                             keys.size() * (t + 1) / resolvers);
-        for (auto& th : pool) th.join();
       }
       auto cache = std::make_shared<simnet::RouteCache>();
       for (std::size_t k = 0; k < keys.size(); ++k)
@@ -371,160 +305,74 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     result.warmup_seconds = secs_since(warm_t0);
   }
 
-  // ---- Worker pool over per-worker arenas and reply rings -----------------
+  // ---- Worker pool over per-worker arenas --------------------------------
   Scheduler sched{units, std::move(families)};
 
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const std::size_t workers =
-      std::min<std::size_t>(units.size(), n_threads_ ? n_threads_ : hw);
+      std::max<std::size_t>(1, std::min(units.size(), max_threads));
+  std::vector<WorkerArena> arenas(workers);
 
-  bool need_merge = false;
-  std::vector<std::uint32_t> rec_units;
-  for (std::uint32_t u = 0; u < units.size(); ++u)
-    if (units[u].record) rec_units.push_back(u);
-  need_merge = !rec_units.empty();
-
-  std::vector<WorkerArena> arenas(std::max<std::size_t>(1, workers));
-  std::vector<std::unique_ptr<netbase::SpscRing<RingItem>>> rings;
-  if (need_merge) {
-    rings.reserve(arenas.size());
-    for (std::size_t w = 0; w < arenas.size(); ++w)
-      rings.push_back(
-          std::make_unique<netbase::SpscRing<RingItem>>(kRingCapacity));
-  }
-  std::atomic<std::size_t> active_workers{std::max<std::size_t>(1, workers)};
-
-  // The worker body. `w` indexes the worker's arena and ring. Claims
-  // units, runs them over the arena replica (constructed on first claim,
-  // reset() afterwards — the immutable tier makes reset cheap because the
-  // warmed routes never leave the shared snapshot), and streams recorded
-  // replies into its SPSC ring.
+  // The worker body. `w` indexes the worker's arena. Claims units and
+  // drives each over a replica: a free unit over the arena's (constructed
+  // on first claim, reset() afterwards — the immutable tier makes reset
+  // cheap because the warmed routes never leave the shared snapshot), an
+  // epoch-family unit over its own.
   auto worker = [&](std::size_t w) {
     WorkerArena& arena = arenas[w];
-    netbase::SpscRing<RingItem>* ring = need_merge ? rings[w].get() : nullptr;
 
-    auto push = [&](const RingItem& item) {
-      while (!ring->try_push(item)) {
-        ++arena.perf.ring_stalls;
-        std::this_thread::yield();
-      }
-      ++arena.perf.ring_pushes;
-    };
-
-    // One free-running unit, start to finish. Recording units step
-    // manually so watermarks interleave (behaviour-identical to run():
-    // CampaignRunner::run is exactly the step loop).
-    auto run_free_unit = [&](std::size_t u) {
+    // Drive a unit until it exhausts (true: its results are final) or
+    // pauses at its epoch barrier (false). A free unit is simply one that
+    // never pauses, so its first claim runs it to exhaustion.
+    auto drive_unit = [&](std::size_t u) -> bool {
       const WorkUnit& unit = units[u];
       const Shard& shard = shards[unit.parent];
-      if (!arena.net) {
-        arena.net.emplace(topo_, params_);
-        arena.net->set_shared_routes(snapshot);
-      } else {
-        arena.net->reset();
-      }
-      simnet::Network& net = *arena.net;
-      CampaignRunner runner{net};
-      auto& out = unit_results[u];
-      std::uint64_t seq = 0;
-      if (unit.record) {
-        runner.add(*unit.source, shard.endpoint, shard.pacing,
-                   [&](const wire::DecodedReply& r) {
-                     RingItem item;
-                     item.kind = RingItem::Kind::kReply;
-                     item.unit = static_cast<std::uint32_t>(u);
-                     item.seq = seq++;
-                     item.virtual_us = net.now_us();
-                     item.reply = r;
-                     push(item);
-                     if (unit.live_sink) shard.sink(r);
-                   });
-        std::uint64_t steps = 0;
-        while (!runner.done()) {
-          runner.step();
-          if (++steps == kWatermarkEvery) {
-            steps = 0;
-            push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                  seq++, net.now_us(), {}});
-          }
-        }
-        push({RingItem::Kind::kDone, static_cast<std::uint32_t>(u), seq++,
-              net.now_us(), {}});
-        out.stats = runner.stats()[0];
-      } else {
-        runner.add(*unit.source, shard.endpoint, shard.pacing,
-                   unit.live_sink ? shard.sink : ResponseSink{});
-        out.stats = runner.run()[0];
-      }
-      out.net = net.stats();
-    };
-
-    // Drive an epoch-family unit for one epoch: resume it if paused, step
-    // until the next epoch boundary or exhaustion. Returns true once the
-    // unit is exhausted (its results are then final). The persistent
-    // context travels with the unit between workers (published by the
-    // scheduler mutex); only its ring/perf bindings are ours.
-    auto drive_epoch_unit = [&](std::size_t u) -> bool {
-      const WorkUnit& unit = units[u];
-      const Shard& shard = shards[unit.parent];
-      auto& ctx = epoch_ctx[u];
-      auto& out = unit_results[u];
+      UnitContext& ctx = contexts[u];
+      UnitResult& out = unit_results[u];
       if (!ctx.runner) {
-        ctx.net = std::make_unique<simnet::Network>(topo_, params_);
-        ctx.net->set_shared_routes(snapshot);
-        ctx.runner = std::make_unique<CampaignRunner>(*ctx.net);
-        EpochUnitContext* c = &ctx;
-        simnet::Network* net = ctx.net.get();
-        if (unit.record) {
-          ctx.runner->add(
-              *unit.source, shard.endpoint, shard.pacing,
-              [&unit, &shard, c, net, u](const wire::DecodedReply& r) {
-                RingItem item;
-                item.kind = RingItem::Kind::kReply;
-                item.unit = static_cast<std::uint32_t>(u);
-                item.seq = c->seq++;
-                item.virtual_us = net->now_us();
-                item.reply = r;
-                while (!c->ring->try_push(item)) {
-                  ++c->perf->ring_stalls;
-                  std::this_thread::yield();
-                }
-                ++c->perf->ring_pushes;
-                if (unit.live_sink) shard.sink(r);
-              });
+        if (unit.family >= 0) {
+          ctx.own_net = std::make_unique<simnet::Network>(topo_, params_);
+          ctx.own_net->set_shared_routes(snapshot);
+          ctx.net = ctx.own_net.get();
         } else {
-          ctx.runner->add(*unit.source, shard.endpoint, shard.pacing,
-                          unit.live_sink ? shard.sink : ResponseSink{});
+          if (!arena.net) {
+            arena.net.emplace(topo_, params_);
+            arena.net->set_shared_routes(snapshot);
+          } else {
+            arena.net->reset();
+          }
+          ctx.net = &*arena.net;
         }
+        ctx.runner = std::make_unique<CampaignRunner>(*ctx.net);
+        ResponseSink sink;
+        if (unit.record) {
+          sink = [&unit, &shard, &out,
+                  net = ctx.net](const wire::DecodedReply& r) {
+            out.run.push_back({net->now_us(),
+                               static_cast<std::uint32_t>(unit.parent),
+                               unit.subshard, r});
+            if (unit.live_sink) shard.sink(r);
+          };
+        } else if (unit.live_sink) {
+          sink = shard.sink;
+        }
+        ctx.runner->add(*unit.source, shard.endpoint, shard.pacing,
+                        std::move(sink));
       }
-      ctx.ring = ring;
-      ctx.perf = &arena.perf;
       if (unit.source->epoch_paused()) unit.source->epoch_resume();
       while (!ctx.runner->done()) {
         ctx.runner->step();
-        if (unit.record && ++ctx.steps == kWatermarkEvery) {
-          ctx.steps = 0;
-          push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                ctx.seq++, ctx.net->now_us(), {}});
-        }
         if (unit.source->epoch_paused()) {
-          // Barrier arrival. The pause watermark keeps the merger's
-          // frontier moving while the family waits for its laggards.
-          if (unit.record)
-            push({RingItem::Kind::kWatermark, static_cast<std::uint32_t>(u),
-                  ctx.seq++, ctx.net->now_us(), {}});
-          return false;
+          B6_DCHECK(unit.family >= 0,
+                    "a free-running unit paused at an epoch barrier");
+          return false;  // barrier arrival
         }
       }
       out.stats = ctx.runner->stats()[0];
       out.net = ctx.net->stats();
-      if (unit.record)
-        push({RingItem::Kind::kDone, static_cast<std::uint32_t>(u), ctx.seq++,
-              ctx.net->now_us(), {}});
-      // Release the persistent replica as early as the free-unit path does
-      // (runner first — it borrows the network).
+      // Release the runner and any owned replica as soon as the unit is
+      // done (runner first — it borrows the network).
       ctx.runner.reset();
-      ctx.net.reset();
+      ctx.own_net.reset();
       return true;
     };
 
@@ -533,12 +381,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       const auto unit_t0 = PerfClock::now();
       bool done = false;
       try {
-        if (units[u].family < 0) {
-          run_free_unit(u);
-          done = true;
-        } else {
-          done = drive_epoch_unit(u);
-        }
+        done = drive_unit(u);
       } catch (...) {
         sched.fail(std::current_exception());
         break;
@@ -547,152 +390,54 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       arena.perf.busy_seconds += secs_since(unit_t0);
       sched.report(u, done);
     }
-    active_workers.fetch_sub(1, std::memory_order_release);
   };
 
-  if (!need_merge && workers <= 1) {
-    // Classic inline path: nothing to merge, one worker — run on the
-    // caller, no threads, no rings.
-    worker(0);
+  if (workers == 1) {
+    worker(0);  // one worker: run on the caller, no threads
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(std::max<std::size_t>(1, workers));
-    for (std::size_t w = 0; w < std::max<std::size_t>(1, workers); ++w)
-      pool.emplace_back(worker, w);
-
-    if (need_merge) {
-      // ---- The streaming merge (caller thread) --------------------------
-      // Drain every worker's ring continuously and emit the canonical
-      // (virtual time, shard, subshard, arrival) order incrementally.
-      // Units are expanded parent-major, so the unit index order IS the
-      // (shard, subshard) lexicographic order and the frontier key is
-      // simply (virtual_us, unit).
-      //
-      // Emission rule: the earliest buffered head may be emitted iff its
-      // key is strictly below (lb[w], w) for every recording unit w that
-      // is not done and has nothing buffered — any future item of w is at
-      // or past that bound, and keys never collide across units (the unit
-      // component differs), so nothing earlier can still arrive. The
-      // merger never blocks producers: it keeps draining rings even while
-      // emission is gated, buffering into unbounded per-unit queues, so a
-      // full ring always empties and the pool cannot deadlock.
-      const auto merge_t0 = PerfClock::now();
-      std::vector<UnitBuf> bufs(units.size());
-      std::uint64_t merged = 0;
-
-      auto serialize = [&](const RingItem& item) {
-        // Re-serialize per unit by seq: an epoch unit's items can surface
-        // from two rings out of order around a barrier migration.
-        UnitBuf& b = bufs[item.unit];
-        auto apply = [&](const RingItem& it) {
-          switch (it.kind) {
-            case RingItem::Kind::kReply:
-              b.buf.push_back({it.seq, it.virtual_us, it.reply});
-              if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-              break;
-            case RingItem::Kind::kWatermark:
-              if (it.virtual_us > b.lb) b.lb = it.virtual_us;
-              break;
-            case RingItem::Kind::kDone:
-              b.done = true;
-              break;
-          }
-          ++b.next_seq;
-        };
-        if (item.seq != b.next_seq) {
-          b.held.push_back(item);
-          return;
-        }
-        apply(item);
-        while (!b.held.empty()) {
-          bool found = false;
-          for (std::size_t h = 0; h < b.held.size(); ++h) {
-            if (b.held[h].seq == b.next_seq) {
-              apply(b.held[h]);
-              b.held[h] = b.held.back();
-              b.held.pop_back();
-              found = true;
-              break;
-            }
-          }
-          if (!found) break;
-        }
-      };
-
-      auto drain_rings = [&]() -> bool {
-        bool any = false;
-        RingItem item;
-        for (auto& r : rings)
-          while (r->try_pop(item)) {
-            any = true;
-            serialize(item);
-          }
-        return any;
-      };
-
-      auto emit_ready = [&](bool final_flush) {
-        for (;;) {
-          std::size_t best = units.size();
-          for (const auto u : rec_units) {
-            if (bufs[u].buf.empty()) continue;
-            if (best == units.size() ||
-                bufs[u].buf.front().virtual_us <
-                    bufs[best].buf.front().virtual_us)
-              best = u;  // ties keep the earlier unit: rec_units ascends
-          }
-          if (best == units.size()) return;
-          const auto& head = bufs[best].buf.front();
-          if (!final_flush) {
-            bool gated = false;
-            for (const auto w : rec_units) {
-              if (w == best || bufs[w].done || !bufs[w].buf.empty()) continue;
-              if (head.virtual_us > bufs[w].lb ||
-                  (head.virtual_us == bufs[w].lb && best > w)) {
-                gated = true;
-                break;
-              }
-            }
-            if (gated) return;
-          }
-          const WorkUnit& unit = units[best];
-          if (unit.sink_on_merge) shards[unit.parent].sink(head.reply);
-          if (options.collect_replies)
-            result.replies.push_back({head.virtual_us,
-                                      static_cast<std::uint32_t>(unit.parent),
-                                      unit.subshard, head.reply});
-          ++merged;
-          bufs[best].buf.pop_front();
-        }
-      };
-
-      double tail_seconds = 0.0;
-      while (active_workers.load(std::memory_order_acquire) != 0) {
-        const bool progressed = drain_rings();
-        emit_ready(false);
-        if (!progressed) std::this_thread::yield();
-      }
-      {
-        // Workers are gone: everything is in the rings or already
-        // buffered. This tail is the only non-overlapped merge work.
-        const auto tail_t0 = PerfClock::now();
-        drain_rings();
-        emit_ready(true);
-        tail_seconds = secs_since(tail_t0);
-      }
-      result.merge_perf.drain_seconds = secs_since(merge_t0);
-      result.merge_perf.tail_seconds = tail_seconds;
-      result.merge_perf.replies_merged = merged;
-    }
-
-    for (auto& t : pool) t.join();
+    std::vector<std::jthread> pool;  // joins on scope exit
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
   }
   if (const auto error = sched.error()) std::rethrow_exception(error);
 
-  result.worker_perf.resize(arenas.size());
-  for (std::size_t w = 0; w < arenas.size(); ++w) {
-    result.worker_perf[w] = arenas[w].perf;
-    if (w < rings.size() && rings[w])
-      result.worker_perf[w].ring_high_water = rings[w]->high_water();
+  result.worker_perf.reserve(workers);
+  for (const auto& arena : arenas) result.worker_perf.push_back(arena.perf);
+
+  // ---- The post-join k-way merge (caller thread) --------------------------
+  // Every recording unit left one run, sorted by virtual_us. Units are
+  // expanded parent-major, so the unit index order IS the (shard,
+  // subshard) lexicographic order, and a min-heap over the run heads keyed
+  // on (virtual_us, unit) emits the canonical (virtual time, shard,
+  // subshard, arrival) order: ties at one instant go to the lower unit,
+  // and each unit's replies leave in arrival order. Split shards' sinks
+  // fire here, after the pool has joined, so a throwing sink propagates out
+  // of run() like any other error.
+  std::size_t recorded = 0;
+  for (const auto& out : unit_results) recorded += out.run.size();
+  if (recorded != 0) {
+    const auto merge_t0 = PerfClock::now();
+    if (options.collect_replies) result.replies.reserve(recorded);
+    using Head = std::pair<std::uint64_t, std::size_t>;  // (virtual_us, unit)
+    std::priority_queue<Head, std::vector<Head>, std::greater<>> heads;
+    std::vector<std::size_t> next(units.size(), 0);
+    for (std::size_t u = 0; u < units.size(); ++u)
+      if (!unit_results[u].run.empty())
+        heads.emplace(unit_results[u].run.front().virtual_us, u);
+    while (!heads.empty()) {
+      const std::size_t u = heads.top().second;
+      heads.pop();
+      auto& run = unit_results[u].run;
+      const ShardReply& rep = run[next[u]++];
+      if (units[u].sink_on_merge) shards[units[u].parent].sink(rep.reply);
+      if (options.collect_replies) result.replies.push_back(rep);
+      if (next[u] < run.size())
+        heads.emplace(run[next[u]].virtual_us, u);
+      else
+        std::vector<ShardReply>().swap(run);  // drained: free it now
+    }
+    const double merge_seconds = secs_since(merge_t0);
+    result.merge_perf = {merge_seconds, merge_seconds, recorded};
   }
 
   // ---- Canonical-order stats fold ----------------------------------------
@@ -714,7 +459,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
 #if BEHOLDER6_DCHECK_LEVEL >= 2
   // Expensive sweep: the documented total order — (vtime, shard,
   // subshard, arrival) strictly nondecreasing — must hold over the whole
-  // streamed merge, exactly as it had to over the old post-hoc sort.
+  // merged stream.
   for (std::size_t r = 1; r < result.replies.size(); ++r) {
     const ShardReply& p = result.replies[r - 1];
     const ShardReply& q = result.replies[r];

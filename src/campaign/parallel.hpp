@@ -38,10 +38,9 @@
 // caller before any worker starts (ParallelRunOptions::share_route_snapshot)
 // — while each *worker* owns one cache-line-padded arena holding its
 // mutable Network replica, constructed once and reset() between the work
-// units it steals. Recorded replies stream out through one bounded
-// lock-free SPSC ring per worker (netbase/spsc_ring.hpp), drained by the
-// run() caller, which emits the canonical-order merged stream *during*
-// the run instead of sorting after the workers join.
+// units it steals. Each recording unit appends its replies to its own run,
+// already sorted because a unit's clock only moves forward; once the pool
+// joins, the run() caller k-way merges the runs into the canonical stream.
 //
 // Network dynamics ride the immutable tier: NetworkParams::dynamics is a
 // shared_ptr'd DynamicsSchedule, so every worker's replica carries the
@@ -96,11 +95,10 @@ namespace beholder6::campaign {
 ///     the shard's worker thread, per reply, exactly as before;
 ///   * split: the shard's subshards run concurrently, so live delivery
 ///     would race — the sink instead runs on the thread that called run(),
-///     which drains the workers' reply rings *during* the run and delivers
-///     the shard's replies in canonical (virtual time, subshard, arrival)
-///     order as the merge frontier passes them. Same replies,
-///     deterministic order, at any thread count; delivery just starts
-///     while workers are still probing instead of after they join.
+///     after every worker has joined, fed by the merge in canonical
+///     (virtual time, subshard, arrival) order. Same replies,
+///     deterministic order, at any thread count; an exception it throws
+///     propagates out of run().
 struct Shard {
   ProbeSource* source = nullptr;  ///< order generator; must outlive run()
   Endpoint endpoint;              ///< wire identity probes leave with
@@ -123,20 +121,21 @@ struct ShardReply {
 struct alignas(64) WorkerPerf {
   std::uint64_t units_run = 0;      ///< work-unit claims this worker ran
   double busy_seconds = 0.0;        ///< wall time inside unit runs
-  std::uint64_t ring_pushes = 0;    ///< replies pushed into the reply ring
-  std::uint64_t ring_stalls = 0;    ///< full-ring backpressure yields
-  std::uint64_t ring_high_water = 0;  ///< deepest ring fill observed
+  /// Always 0: workers no longer stream through a bounded reply ring.
+  /// Kept so existing telemetry readers still compile.
+  std::uint64_t ring_stalls = 0;
+  std::uint64_t ring_high_water = 0;  ///< always 0, like ring_stalls
 };
 
-/// Wall-clock telemetry for the streaming merge (the run() caller thread).
+/// Wall-clock telemetry for the post-join merge (the run() caller thread).
 struct MergePerf {
-  /// Wall time the caller spent draining rings and emitting the canonical
-  /// stream, from first worker spawn to final flush. Overlaps the
-  /// workers' probing almost entirely — the post-join tail is what the
-  /// old post-hoc sort used to serialize.
+  /// Wall time of the k-way merge after the pool joined, split-shard sink
+  /// delivery included. Nothing overlaps the workers any more, so
+  /// drain_seconds and tail_seconds both equal it.
   double drain_seconds = 0.0;
-  /// Of which: after the last worker exited (the non-overlapped tail).
   double tail_seconds = 0.0;
+  /// Replies the merge emitted; equals replies.size() when
+  /// ParallelRunOptions::collect_replies is on.
   std::uint64_t replies_merged = 0;
 };
 
@@ -165,7 +164,7 @@ struct ParallelResult {
   /// entries; a run that stayed inline on the caller reports one entry).
   /// Cost reporting only — never compared by the determinism gates.
   std::vector<WorkerPerf> worker_perf;
-  /// Streaming-merge telemetry (zeros when nothing was recorded).
+  /// Merge telemetry (zeros when nothing was recorded).
   MergePerf merge_perf;
   /// Wall time spent warming the shared route snapshot before workers
   /// started, and how many routes it holds (0/0 when sharing was off or
@@ -178,10 +177,10 @@ struct ParallelResult {
 struct ParallelRunOptions {
   /// Collect the deterministically merged global reply stream. Campaigns
   /// that consume only per-shard sinks and stats can turn this off to skip
-  /// the per-reply recording and the serial merge sort entirely
+  /// the per-reply recording and the post-join merge entirely
   /// (ParallelResult::replies comes back empty; everything else is
   /// unchanged and still bit-identical across thread counts). Split shards
-  /// with sinks still record internally — their post-hoc sink delivery
+  /// with sinks still record and merge — their post-join sink delivery
   /// needs the canonical order — but the global stream stays empty.
   bool collect_replies = true;
   /// Deterministic over-decomposition: every shard's source is asked to

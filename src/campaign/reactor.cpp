@@ -47,33 +47,28 @@ CampaignReactor::CampaignReactor(const simnet::Topology& topo,
                                  ReactorOptions options)
     : topo_(topo),
       params_(std::make_shared<const simnet::NetworkParams>(std::move(params))),
-      options_(options) {}
+      options_(options),
+      route_keys_(topo) {}
 
 CampaignReactor::~CampaignReactor() = default;
 
 // ---- Admission --------------------------------------------------------------
 
 void CampaignReactor::warm_routes(const CampaignSpec& spec) {
-  if (!options_.share_route_snapshot || params_->route_cache_entries == 0)
-    return;
-  const auto targets = spec.source->route_warm_targets();
-  if (targets.empty()) return;
+  if (params_->route_cache_entries == 0) return;
+  warm_keys_.clear();
+  route_keys_.collect(spec.endpoint, spec.source->route_warm_targets(),
+                      warm_keys_);
+  if (warm_keys_.empty()) return;
   if (!warm_cache_) {
     warm_cache_ = std::make_shared<simnet::RouteCache>();
     snapshot_ = warm_cache_;
   }
-  // Same key recovery as the parallel backend's warmup: one probe encode
-  // per target pins the exact RouteKey all probes to it resolve under.
-  for (const auto& target : targets) {
-    wire::encode_probe_into(probe_spec_at(spec.endpoint, target, 1, 0),
-                            encode_buf_);
-    const auto key = simnet::Network::probe_route_key(topo_, encode_buf_);
-    if (!key || !seen_.insert(key->key).second) continue;
-    const auto path = topo_.path(topo_.vantages()[key->vantage_index],
-                                 key->dst, key->flow_variant, key->next_header);
-    (void)warm_cache_->insert(key->key, path);
-    ++warmed_routes_;
-  }
+  for (const auto& key : warm_keys_)
+    (void)warm_cache_->insert(
+        key.key, topo_.path(topo_.vantages()[key.vantage_index], key.dst,
+                            key.flow_variant, key.next_header));
+  warmed_routes_ += warm_keys_.size();
 }
 
 Admission CampaignReactor::submit(const CampaignSpec& spec) {

@@ -48,20 +48,11 @@
 
 #include "campaign/probe_source.hpp"
 #include "campaign/runner.hpp"
-#include "netbase/flat_map.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route_cache.hpp"
 #include "simnet/token_bucket.hpp"
 
 namespace beholder6::campaign {
-
-/// FlatSet hasher for route keys (snapshot-warmup dedup; the same mix the
-/// parallel backend uses).
-struct ReactorRouteKeyHash {
-  std::size_t operator()(const simnet::RouteKey& k) const {
-    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
-  }
-};
 
 /// One tenant's campaign submission: identity, work, pacing, service-level
 /// throttle and probe budget. The source must be pristine (constructed,
@@ -164,10 +155,6 @@ struct ReactorOptions {
   /// sinks fire either way; large services stream per tenant and turn
   /// this off.
   bool collect_merged = true;
-  /// Warm submitted sources' route_warm_targets into one read-only route
-  /// snapshot shared by every tenant replica (the PR 8 immutable tier).
-  /// Purely a performance seam; never changes results.
-  bool share_route_snapshot = true;
 };
 
 /// The multi-tenant campaign service core. Control plane (submit, pause,
@@ -350,11 +337,11 @@ class CampaignReactor {
   // control plane at submit (never concurrently with probe traffic) and
   // read lock-free by every replica. Entries are exactly Topology::path
   // results, so growth never changes any tenant's replies — only hit
-  // rates. seen_ dedups keys across submits.
+  // rates. route_keys_ dedups keys across submits; warm_keys_ is scratch.
   std::shared_ptr<simnet::RouteCache> warm_cache_;
   std::shared_ptr<const simnet::RouteCache> snapshot_;
-  netbase::FlatSet<simnet::RouteKey, ReactorRouteKeyHash> seen_;
-  std::vector<std::uint8_t> encode_buf_;
+  RouteKeyCollector route_keys_;
+  std::vector<simnet::Network::ProbeRouteKey> warm_keys_;
   std::uint64_t warmed_routes_ = 0;
 };
 

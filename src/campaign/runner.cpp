@@ -176,6 +176,16 @@ std::vector<ProbeStats> CampaignRunner::run() {
   return stats_;
 }
 
+void RouteKeyCollector::collect(
+    const Endpoint& endpoint, std::span<const Ipv6Addr> targets,
+    std::vector<simnet::Network::ProbeRouteKey>& out) {
+  for (const auto& target : targets) {
+    wire::encode_probe_into(probe_spec_at(endpoint, target, 1, 0), encode_buf_);
+    const auto key = simnet::Network::probe_route_key(topo_, encode_buf_);
+    if (key && seen_.insert(key->key).second) out.push_back(*key);
+  }
+}
+
 ProbeStats CampaignRunner::run_one(simnet::Network& net, ProbeSource& source,
                                    const Endpoint& endpoint,
                                    const PacingPolicy& pacing, ResponseSink sink) {

@@ -27,7 +27,9 @@
 #include <vector>
 
 #include "campaign/probe_source.hpp"
+#include "netbase/flat_map.hpp"
 #include "simnet/network.hpp"
+#include "simnet/route_cache.hpp"
 
 namespace beholder6::campaign {
 
@@ -53,6 +55,29 @@ inline simnet::Packet encode_probe_at(const Endpoint& endpoint,
                                       std::uint64_t now_us) {
   return wire::encode_probe(probe_spec_at(endpoint, target, ttl, now_us));
 }
+
+/// Route warm-up keys, shared by every front end that warms a route
+/// snapshot (ParallelCampaignRunner::run, CampaignReactor::submit). One
+/// probe encode per (endpoint, target) recovers the exact RouteKey every
+/// probe to that target resolves under — the wire format keeps the
+/// transport bytes that feed the ECMP flow hash per-target constant (the
+/// paper's checksum fudge), so ttl 1 at time 0 stands in for the whole
+/// trace. Keys dedup across every collect() on one collector, first seen
+/// wins, so the key order is a pure function of the collect() sequence.
+class RouteKeyCollector {
+ public:
+  explicit RouteKeyCollector(const simnet::Topology& topo) : topo_(topo) {}
+
+  /// Append the key of every target in `targets` probed from `endpoint`
+  /// that this collector has not seen yet to `out`, in target order.
+  void collect(const Endpoint& endpoint, std::span<const Ipv6Addr> targets,
+               std::vector<simnet::Network::ProbeRouteKey>& out);
+
+ private:
+  const simnet::Topology& topo_;
+  netbase::FlatSet<simnet::RouteKey, simnet::RouteKeyHash> seen_;
+  std::vector<std::uint8_t> encode_buf_;
+};
 
 /// Decode each raw reply at virtual time `now_us`, filter on the endpoint's
 /// instance id, and hand survivors to `on_reply`. Returns true if at least

@@ -49,6 +49,14 @@ struct RouteKey {
   friend bool operator==(const RouteKey&, const RouteKey&) = default;
 };
 
+/// The one RouteKey hash: RouteCache's probe sequence and every FlatSet of
+/// keys (route warm-up dedup) use it.
+struct RouteKeyHash {
+  std::size_t operator()(const RouteKey& k) const {
+    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
+  }
+};
+
 class RouteCache {
  public:
   /// What the inject path needs of one hop.
@@ -91,7 +99,7 @@ class RouteCache {
   [[nodiscard]] std::optional<Resolved> find(const RouteKey& key) const {
     if (slots_.empty()) return std::nullopt;
     const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+    for (std::size_t i = RouteKeyHash{}(key) & mask;; i = (i + 1) & mask) {
       const Slot& s = slots_[i];
       if (s.meta == kVacant) return std::nullopt;
       if (s.meta == key.meta && s.cell == key.cell) return resolved(s);
@@ -102,7 +110,7 @@ class RouteCache {
   /// Read-only and purely advisory; never changes results.
   void touch(const RouteKey& key) const {
     if (slots_.empty()) return;
-    __builtin_prefetch(&slots_[hash(key) & (slots_.size() - 1)]);
+    __builtin_prefetch(&slots_[RouteKeyHash{}(key) & (slots_.size() - 1)]);
   }
 
   /// Memoize a freshly resolved path and return its view. Cold gate: this
@@ -209,10 +217,6 @@ class RouteCache {
     std::int32_t next = -1;
   };
 
-  [[nodiscard]] static std::size_t hash(const RouteKey& k) {
-    return static_cast<std::size_t>(splitmix64(k.cell ^ splitmix64(k.meta)));
-  }
-
   [[nodiscard]] Resolved resolved(const Slot& s) const {
     return Resolved{chain_pool_.data() + s.chain, s.chain_len, s.tail,
                     s.has_tail != 0, s.end, s.firewall_code, s.dest_asn};
@@ -260,7 +264,7 @@ class RouteCache {
               "RouteCache::place on a full table — the grow() threshold "
               "was bypassed and the probe loop below cannot terminate");
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hash({s.cell, s.meta}) & mask;
+    std::size_t i = RouteKeyHash{}({s.cell, s.meta}) & mask;
     while (slots_[i].meta != kVacant) i = (i + 1) & mask;
     slots_[i] = s;
   }

@@ -3,18 +3,24 @@
 // (virtual time, shard, arrival)-ordered reply stream are bit-identical at
 // 1/2/8 workers), a parallel run must equal running the shards serially on
 // replicas, and Network::reset() must make run → reset → run byte-identical
-// (the cross-campaign state-leak regression).
+// (the cross-campaign state-leak regression). A worker failure — a source
+// throwing mid-run, alone or inside an epoch family parked at its barrier —
+// must surface from run() at every thread count.
 #include "campaign/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <thread>
 #include <tuple>
 
 #include "prober/multivantage.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
+#include "support/throwing_source.hpp"
 
 namespace beholder6::campaign {
 namespace {
@@ -231,6 +237,117 @@ TEST_F(ParallelCampaignTest, RunResetRunIsByteIdentical) {
   // The fragment byte streams embed the Identification counters: any
   // cross-campaign leak shifts them.
   EXPECT_EQ(std::get<2>(first), std::get<2>(second));
+}
+
+TEST_F(ParallelCampaignTest, ThrowingSourceFailsTheRun) {
+  // One shard's source throws halfway through while its siblings probe on;
+  // run() must rethrow it, with the merged stream collected, at any pool
+  // size (1 = inline on the caller, 2 and 8 = real worker threads).
+  const auto t = targets(8);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    std::vector<std::unique_ptr<test_support::ThrowingSource>> sources;
+    std::vector<Shard> shards;
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      sources.push_back(std::make_unique<test_support::ThrowingSource>(
+          t[i], 200, i == 3 ? 100 : 0));
+      shards.push_back({sources.back().get(), {topo_.vantages()[0].src},
+                        PacingPolicy::uniform(1000), {}});
+    }
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    EXPECT_THROW((void)runner.run(shards, {.collect_replies = true}),
+                 std::runtime_error)
+        << threads << " threads";
+  }
+}
+
+/// A splittable stub whose children form one epoch family. Each child
+/// probes its own target for two epochs of kPerEpoch probes, pausing at
+/// the barrier in between. The last child is the thrower: halfway through
+/// its first epoch it waits until every sibling has paused at the barrier,
+/// then throws from next(). Being last, it is claimed after its siblings,
+/// so a single worker has parked them all before it runs, and with more
+/// workers the siblings park on threads of their own.
+class EpochFamilyWithThrower final : public ProbeSource {
+ public:
+  explicit EpochFamilyWithThrower(std::vector<Ipv6Addr> targets)
+      : targets_(std::move(targets)) {}
+
+  Poll next(std::uint64_t) override { return Poll::exhausted(); }
+
+  [[nodiscard]] std::vector<std::unique_ptr<ProbeSource>> split(
+      std::uint64_t k) const override {
+    const std::size_t n = std::min<std::size_t>(k, targets_.size());
+    auto barrier = std::make_shared<Barrier>();
+    std::vector<std::unique_ptr<ProbeSource>> children;
+    for (std::size_t j = 0; j < n; ++j)
+      children.push_back(
+          std::make_unique<Child>(targets_[j], j + 1 == n, n - 1, barrier));
+    return children;
+  }
+
+ private:
+  static constexpr std::uint64_t kPerEpoch = 40;
+
+  struct Barrier final : EpochBarrier {
+    void merge_epoch() override {}
+    std::atomic<std::size_t> parked{0};  // siblings paused at barrier 1
+  };
+
+  class Child final : public ProbeSource {
+   public:
+    Child(const Ipv6Addr& target, bool thrower, std::size_t siblings,
+          std::shared_ptr<Barrier> barrier)
+        : target_(target), thrower_(thrower), siblings_(siblings),
+          barrier_(std::move(barrier)) {}
+
+    Poll next(std::uint64_t) override {
+      if (thrower_ && sent_ == kPerEpoch / 2) {
+        while (barrier_->parked.load() < siblings_) std::this_thread::yield();
+        throw std::runtime_error{"epoch-family member failed mid-epoch"};
+      }
+      if (sent_ == kPerEpoch && !closed_first_epoch_) {
+        closed_first_epoch_ = true;
+        paused_ = true;
+        ++barrier_->parked;
+        return Poll::round_end();
+      }
+      if (sent_ == 2 * kPerEpoch) return Poll::exhausted();
+      ++sent_;
+      return Poll::emit({target_, static_cast<std::uint8_t>(1 + sent_ % 8)});
+    }
+    [[nodiscard]] EpochBarrier* epoch_barrier() const override {
+      return barrier_.get();
+    }
+    [[nodiscard]] bool epoch_paused() const override { return paused_; }
+    void epoch_resume() override { paused_ = false; }
+
+   private:
+    Ipv6Addr target_;
+    bool thrower_;
+    std::size_t siblings_;
+    std::shared_ptr<Barrier> barrier_;
+    std::uint64_t sent_ = 0;
+    bool closed_first_epoch_ = false;
+    bool paused_ = false;
+  };
+
+  std::vector<Ipv6Addr> targets_;
+};
+
+TEST_F(ParallelCampaignTest, ThrowingEpochFamilyMemberFailsTheRun) {
+  // The thrower's siblings sit parked at a barrier that can now never
+  // complete: run() must still rethrow instead of waiting on it.
+  const auto t = targets(4);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    EpochFamilyWithThrower family{t};
+    const std::vector<Shard> shards{{&family, {topo_.vantages()[0].src},
+                                     PacingPolicy::uniform(1000), {}}};
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    EXPECT_THROW((void)runner.run(shards, {.collect_replies = true,
+                                           .split_factor = t.size()}),
+                 std::runtime_error)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

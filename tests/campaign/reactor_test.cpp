@@ -3,7 +3,8 @@
 // refunding the in-flight probe-budget reservation, byte-identity of a
 // reactor run to N serial CampaignRunner runs of the same specs, identical
 // replay after reset(), parallel drain() equal to the serial step() loop,
-// and incremental per-tenant streaming through io/trace_io-backed sinks.
+// incremental per-tenant streaming through io/trace_io-backed sinks, and a
+// failing tenant surfacing from a parallel drain().
 #include "campaign/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -11,11 +12,13 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "io/trace_io.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/throwing_source.hpp"
 
 namespace beholder6::campaign {
 namespace {
@@ -382,6 +385,23 @@ TEST_F(ReactorTest, StreamsIncrementallyThroughTraceIoSinks) {
   };
   expect_stream(text_records.records, 21);
   expect_stream(*binary_records, 22);
+}
+
+TEST_F(ReactorTest, ParallelDrainRethrowsAWorkerFailure) {
+  // One tenant's source throws mid-campaign on a drain worker while three
+  // healthy tenants run beside it: drain() must rethrow after the join.
+  CampaignReactor reactor{topo_, simnet::NetworkParams{}, {.n_threads = 2}};
+  for (std::uint64_t t = 1; t <= 3; ++t)
+    ASSERT_TRUE(reactor.submit(make_spec(t, 12)).admitted());
+  const auto target = targets(1).front();
+  test_support::ThrowingSource failing{target, 200, 20};
+  CampaignSpec spec;
+  spec.tenant = 4;
+  spec.source = &failing;
+  spec.endpoint = {topo_.vantages()[0].src};
+  spec.pacing = PacingPolicy::uniform(3000);
+  ASSERT_TRUE(reactor.submit(spec).admitted());
+  EXPECT_THROW((void)reactor.drain(), std::runtime_error);
 }
 
 }  // namespace

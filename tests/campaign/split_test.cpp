@@ -4,12 +4,13 @@
 // sharding), results at a fixed split_factor must be bit-identical across
 // 1/2/8 worker threads (including post-hoc sink delivery for split shards),
 // unsplittable sources must fall back to whole-shard runs, sequential must
-// partition its target range exactly, and empty/one-probe subshards must be
-// harmless.
+// partition its target range exactly, empty/one-probe subshards must be
+// harmless, and a split shard's throwing sink must fail run() cleanly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "campaign/parallel.hpp"
@@ -363,6 +364,28 @@ TEST_F(SplitCampaignTest, SplitSinkOnlyCampaignIsDeterministic) {
   EXPECT_EQ(logs[0], logs[2]);
   EXPECT_EQ(stats[0], stats[1]);
   EXPECT_EQ(stats[0], stats[2]);
+}
+
+// A split shard's sink runs on the caller thread after the pool has
+// joined, so an exception it throws must propagate out of run() — never
+// unwind past a joinable std::thread (which would std::terminate).
+TEST_F(SplitCampaignTest, ThrowingSplitShardSinkFailsTheRun) {
+  const auto t = targets(40);
+  const auto cfg = yarrp_cfg();
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    prober::Yarrp6Source source{cfg, t};
+    std::size_t delivered = 0;
+    const std::vector<Shard> shards{
+        {&source, cfg.endpoint(), cfg.pacing(),
+         [&delivered](const wire::DecodedReply&) {
+           if (++delivered == 50) throw std::runtime_error{"sink failed"};
+         }}};
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    EXPECT_THROW((void)runner.run(shards, {.split_factor = 4}),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_EQ(delivered, 50u) << threads << " threads";
+  }
 }
 
 }  // namespace
