@@ -8,7 +8,7 @@
 // arrival)-ordered reply stream must be bit-identical at every thread
 // count. Reports virtual-probe throughput and speedup over the 1-thread
 // pass. Expect near-linear scaling up to the core count (shards share
-// nothing but the topology's lock-guarded BFS memo); on a 1-core host the
+// nothing but the immutable topology); on a 1-core host the
 // determinism check still runs but speedup stays ~1×.
 #include <chrono>
 #include <cstdio>

@@ -272,33 +272,11 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       collector.collect(shard.endpoint, shard.source->route_warm_targets(),
                         keys);
     if (!keys.empty()) {
-      // Fork-join path resolution: Topology::path is const and internally
-      // synchronized (the annotated as_path memo), so the expensive
-      // resolutions fan out across threads into per-key slots; the cache
-      // inserts then run serially in canonical key order, keeping the
-      // snapshot layout deterministic.
-      std::vector<simnet::Path> paths(keys.size());
-      const std::size_t resolvers = std::min<std::size_t>(
-          {max_threads, keys.size() / 512 + 1, 64});
-      auto resolve_range = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const auto& pk = keys[k];
-          paths[k] = topo_.path(topo_.vantages()[pk.vantage_index], pk.dst,
-                                pk.flow_variant, pk.next_header);
-        }
-      };
-      if (resolvers <= 1) {
-        resolve_range(0, keys.size());
-      } else {
-        std::vector<std::jthread> pool;  // joins on scope exit
-        pool.reserve(resolvers);
-        for (std::size_t t = 0; t < resolvers; ++t)
-          pool.emplace_back(resolve_range, keys.size() * t / resolvers,
-                            keys.size() * (t + 1) / resolvers);
-      }
+      // Serial, through the warm-up the reactor uses: Topology::path_into
+      // copies a precomputed chain into one reused scratch Path, so no
+      // per-key Path is held and no thread pool is needed to resolve.
       auto cache = std::make_shared<simnet::RouteCache>();
-      for (std::size_t k = 0; k < keys.size(); ++k)
-        (void)cache->insert(keys[k].key, paths[k]);
+      warm_route_cache(topo_, keys, *cache);
       snapshot = std::move(cache);
     }
     result.warmed_routes = keys.size();

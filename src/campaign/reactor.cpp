@@ -64,10 +64,7 @@ void CampaignReactor::warm_routes(const CampaignSpec& spec) {
     warm_cache_ = std::make_shared<simnet::RouteCache>();
     snapshot_ = warm_cache_;
   }
-  for (const auto& key : warm_keys_)
-    (void)warm_cache_->insert(
-        key.key, topo_.path(topo_.vantages()[key.vantage_index], key.dst,
-                            key.flow_variant, key.next_header));
+  warm_route_cache(topo_, warm_keys_, *warm_cache_);
   warmed_routes_ += warm_keys_.size();
 }
 

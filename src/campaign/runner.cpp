@@ -186,6 +186,17 @@ void RouteKeyCollector::collect(
   }
 }
 
+void warm_route_cache(const simnet::Topology& topo,
+                      std::span<const simnet::Network::ProbeRouteKey> keys,
+                      simnet::RouteCache& cache) {
+  simnet::Path path;
+  for (const auto& key : keys) {
+    topo.path_into(topo.vantages()[key.vantage_index], key.dst, key.flow_variant,
+                   key.next_header, path);
+    (void)cache.insert(key.key, path);
+  }
+}
+
 ProbeStats CampaignRunner::run_one(simnet::Network& net, ProbeSource& source,
                                    const Endpoint& endpoint,
                                    const PacingPolicy& pacing, ResponseSink sink) {

@@ -79,6 +79,14 @@ class RouteKeyCollector {
   std::vector<std::uint8_t> encode_buf_;
 };
 
+/// Resolve each collected key's path and insert it into `cache`, in key
+/// order, so the snapshot layout is a pure function of the key sequence.
+/// One scratch Path is reused throughout: after the first few keys every
+/// resolution is allocation-free (Topology::path_into).
+void warm_route_cache(const simnet::Topology& topo,
+                      std::span<const simnet::Network::ProbeRouteKey> keys,
+                      simnet::RouteCache& cache);
+
 /// Decode each raw reply at virtual time `now_us`, filter on the endpoint's
 /// instance id, and hand survivors to `on_reply`. Returns true if at least
 /// one reply passed the filter. Templated on the callback so hot paths pay

@@ -8,7 +8,7 @@
 // REQUIRES-annotated call on the wrong side of a lock, and any
 // acquire/release imbalance. Under GCC (the local toolchain) every macro
 // expands to nothing and the wrappers are exactly std::mutex /
-// std::shared_mutex / std::condition_variable — zero runtime difference.
+// std::condition_variable — zero runtime difference.
 //
 // Usage pattern (see campaign/parallel.cpp for the full worked example):
 //
@@ -34,7 +34,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // Clang exposes the analysis via __attribute__((...)); the macro layer
 // makes every annotation vanish on GCC and MSVC.
@@ -85,19 +84,6 @@ class B6_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// std::shared_mutex carrying the `capability` attribute: exclusive for
-/// writers, shared for readers.
-class B6_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  void lock() B6_ACQUIRE() { mu_.lock(); }
-  void unlock() B6_RELEASE() { mu_.unlock(); }
-  void lock_shared() B6_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() B6_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 /// Scoped exclusive lock over Mutex, relockable (lock()/unlock() pairs mid
 /// scope) — the shape the condition-variable wait protocol needs.
 class B6_SCOPED_CAPABILITY MutexLock {
@@ -118,30 +104,6 @@ class B6_SCOPED_CAPABILITY MutexLock {
 
  private:
   std::unique_lock<std::mutex> lock_;
-};
-
-/// Scoped shared (reader) lock over SharedMutex.
-class B6_SCOPED_CAPABILITY SharedLock {
- public:
-  explicit SharedLock(SharedMutex& mu) B6_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~SharedLock() B6_RELEASE() { mu_.unlock_shared(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped exclusive (writer) lock over SharedMutex.
-class B6_SCOPED_CAPABILITY SharedMutexWriterLock {
- public:
-  explicit SharedMutexWriterLock(SharedMutex& mu) B6_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexWriterLock() B6_RELEASE() { mu_.unlock(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable paired with Mutex/MutexLock. wait() must be called

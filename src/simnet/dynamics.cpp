@@ -12,11 +12,12 @@ std::vector<std::uint64_t> churn_candidate_routers(
     std::span<const Ipv6Addr> sample_targets) {
   std::vector<std::uint64_t> ids;
   const auto proto = static_cast<std::uint8_t>(wire::Proto::kIcmp6);
+  Path path;
   for (const auto& target : sample_targets) {
     // Both ECMP variants: a width-2 hop exposes a different sibling per
     // variant, and failing either is a legitimate scenario.
     for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
-      const auto path = topo.path(vantage, target, variant, proto);
+      topo.path_into(vantage, target, variant, proto, path);
       // Skip the premise chain (every probe of this vantage crosses it, so
       // failing it silences the whole campaign — a degenerate scenario)
       // and keep genuinely mid-path infrastructure.

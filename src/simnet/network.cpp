@@ -77,8 +77,7 @@ std::optional<Network::ProbeRouteKey> Network::probe_route_key(
     return std::nullopt;
   const auto* vantage = topo.vantage_by_src(ip->src);
   if (!vantage) return std::nullopt;
-  const auto vidx =
-      static_cast<std::uint64_t>(vantage - topo.vantages().data());
+  const auto vidx = static_cast<std::uint64_t>(*topo.vantage_index(*vantage));
   const auto flow_hash =
       flow_hash_of(*ip, probe.subspan(Ipv6Header::kSize));
   const auto variant = flow_hash % kEcmpVariantPeriod;
@@ -93,10 +92,10 @@ std::optional<Network::ProbeRouteKey> Network::probe_route_key(
 RouteCache::Resolved Network::resolve_path(const VantageInfo& vantage,
                                            const Ipv6Header& ip,
                                            std::uint64_t flow_hash) {
-  const auto vidx =
-      static_cast<std::uint64_t>(&vantage - topo_.vantages().data());
+  const auto vidx = topo_.vantage_index(vantage);
+  B6_DCHECK(vidx.has_value(), "resolve_path: vantage is not in topology().vantages()");
   const RouteKey key{ip.dst.hi(),
-                     (vidx << 16) |
+                     (static_cast<std::uint64_t>(*vidx) << 16) |
                          (static_cast<std::uint64_t>(ip.next_header) << 8) |
                          (flow_hash % kEcmpVariantPeriod)};
   // ECMP re-convergence bump for this cell. The key stays bump-free on
@@ -122,14 +121,14 @@ RouteCache::Resolved Network::resolve_path(const VantageInfo& vantage,
     }
   }
   if (params_->route_cache_entries == 0) {
-    uncached_path_ = topo_.path(vantage, ip.dst, eff_flow, ip.next_header);
+    topo_.path_into(vantage, ip.dst, eff_flow, ip.next_header, path_scratch_);
     uncached_hops_.clear();
-    for (const auto& hop : uncached_path_.hops)
+    for (const auto& hop : path_scratch_.hops)
       uncached_hops_.push_back({hop.iface, hop.router_id});
     return RouteCache::Resolved{
         uncached_hops_.data(), static_cast<std::uint32_t>(uncached_hops_.size()),
-        RouteCache::CompactHop{}, false, uncached_path_.end,
-        uncached_path_.firewall_code, uncached_path_.dest_asn};
+        RouteCache::CompactHop{}, false, path_scratch_.end,
+        path_scratch_.firewall_code, path_scratch_.dest_asn};
   }
   if (const auto hit = route_cache_.find(key)) {
     ++stats_.route_cache_hits;
@@ -140,8 +139,8 @@ RouteCache::Resolved Network::resolve_path(const VantageInfo& vantage,
   // probe sequence alone either way (a cached path equals the recomputed
   // one); the capacity is sized so campaigns stay inside it.
   if (route_cache_.size() >= params_->route_cache_entries) route_cache_.clear();
-  return route_cache_.insert(key,
-                             topo_.path(vantage, ip.dst, eff_flow, ip.next_header));
+  topo_.path_into(vantage, ip.dst, eff_flow, ip.next_header, path_scratch_);
+  return route_cache_.insert(key, path_scratch_);
 }
 
 void Network::make_icmp_error(const Ipv6Addr& from, const Ipv6Addr& to,

@@ -317,8 +317,7 @@ class Network {
     if (params_->route_cache_entries == 0 && !shared_routes_) return;
     const auto* vantage = topo_.vantage_by_src(vantage_src);
     if (!vantage) return;
-    const auto vidx =
-        static_cast<std::uint64_t>(vantage - topo_.vantages().data());
+    const auto vidx = static_cast<std::uint64_t>(*topo_.vantage_index(*vantage));
     const auto meta = (vidx << 16) |
                       (static_cast<std::uint64_t>(proto) << 8);
     // The ECMP flow variant of the future probe is unknown; touch both.
@@ -406,8 +405,8 @@ class Network {
   [[nodiscard]] static std::uint64_t flow_hash_of(
       const wire::Ipv6Header& ip, std::span<const std::uint8_t> transport);
   /// The resolved path for this probe: route-cache lookup, falling back to
-  /// Topology::path on a miss (or always, when caching is disabled). The
-  /// view is valid until the next resolve_path call.
+  /// Topology::path_into on a miss (or always, when caching is disabled).
+  /// The view is valid until the next resolve_path call.
   RouteCache::Resolved resolve_path(const VantageInfo& vantage,
                                     const wire::Ipv6Header& ip,
                                     std::uint64_t flow_hash);
@@ -454,8 +453,9 @@ class Network {
   double rate_scale_ = 1.0;      // kRateLimitScale multiplier on bucket rates
   double loss_override_ = -1.0;  // kLossModel reply loss; <0 = use params
   double dup_prob_ = 0.0;        // kLossModel reply duplication probability
-  // Scratch for cache-disabled resolution (capacity reused across probes).
-  Path uncached_path_;
+  // Scratch for path resolution on a miss or with caching disabled
+  // (capacity reused across probes).
+  Path path_scratch_;
   std::vector<RouteCache::CompactHop> uncached_hops_;
   BatchReplies batch_;   // reply pool behind inject_view / inject_batch_view
   bool in_inject_ = false;  // reentrancy guard: observers must not inject

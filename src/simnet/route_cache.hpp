@@ -114,7 +114,7 @@ class RouteCache {
   }
 
   /// Memoize a freshly resolved path and return its view. Cold gate: this
-  /// is the miss path (it only runs after Topology::path already resolved
+  /// is the miss path (it only runs after Topology::path_into resolved
   /// the route), so it may allocate — B6_COLDPATH keeps it outlined as a
   /// named allowlisted node for tools/check_noalloc.py, off the hit path's
   /// hot text.

@@ -1,7 +1,6 @@
 #include "simnet/topology.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 
@@ -11,6 +10,9 @@ namespace {
 
 constexpr Asn kBaseAsn = 64500;
 constexpr std::uint64_t kInfraRegion = 0xffULL;  // region byte reserved for infra
+// Per-target hops after the destination border: region, PoP, aggregation,
+// gateway.
+constexpr std::size_t kMaxTargetHops = 4;
 
 /// Primary /32 of AS index i: 2001:(0100+i)::/32.
 std::uint64_t primary_hi(unsigned i) { return (0x20010100ULL + i) << 32; }
@@ -52,8 +54,12 @@ AddrFields fields_of(const Ipv6Addr& a) {
 }  // namespace
 
 Topology::Topology(const TopologyParams& params) : params_(params) {
+  // build_graph draws every uplink modulo these two counts.
+  if (params_.num_tier1 == 0 || params_.num_transit == 0)
+    throw std::invalid_argument("Topology: needs a tier-1 and a transit AS");
   build_ases();
   build_graph();
+  build_route_chains();
 }
 
 void Topology::build_ases() {
@@ -440,17 +446,7 @@ Hop Topology::infra_hop(const AsInfo& as, unsigned chain, unsigned idx,
   return Hop{Ipv6Addr::from_halves(hi, iid), rid, width};
 }
 
-std::vector<Asn> Topology::as_path(Asn from, Asn to) const {
-  const auto src = static_cast<std::uint32_t>(from - kBaseAsn);
-  const auto dst = static_cast<std::uint32_t>(to - kBaseAsn);
-  if (src >= ases_.size() || dst >= ases_.size()) return {};
-  if (src == dst) return {from};
-  const std::uint64_t cache_key = (static_cast<std::uint64_t>(src) << 32) | dst;
-  {
-    netbase::SharedLock lock{as_path_mu_};
-    if (const auto it = as_path_cache_.find(cache_key); it != as_path_cache_.end())
-      return it->second;
-  }
+std::vector<std::int32_t> Topology::bfs_tree(std::uint32_t src) const {
   std::vector<std::int32_t> parent(ases_.size(), -1);
   std::queue<std::uint32_t> q;
   q.push(src);
@@ -458,13 +454,21 @@ std::vector<Asn> Topology::as_path(Asn from, Asn to) const {
   while (!q.empty()) {
     const auto u = q.front();
     q.pop();
-    if (u == dst) break;
     for (const auto v : adj_[u]) {
       if (parent[v] != -1) continue;
       parent[v] = static_cast<std::int32_t>(u);
       q.push(v);
     }
   }
+  return parent;
+}
+
+std::vector<Asn> Topology::as_path(Asn from, Asn to) const {
+  const auto src = static_cast<std::uint32_t>(from - kBaseAsn);
+  const auto dst = static_cast<std::uint32_t>(to - kBaseAsn);
+  if (src >= ases_.size() || dst >= ases_.size()) return {};
+  if (src == dst) return {from};
+  const auto parent = bfs_tree(src);
   if (parent[dst] == -1) return {};
   std::vector<Asn> path;
   for (std::uint32_t v = dst;; v = static_cast<std::uint32_t>(parent[v])) {
@@ -472,39 +476,32 @@ std::vector<Asn> Topology::as_path(Asn from, Asn to) const {
     if (v == src) break;
   }
   std::reverse(path.begin(), path.end());
-  {
-    // Losing a concurrent race just recomputes the same deterministic BFS;
-    // emplace keeps the first insertion either way.
-    netbase::SharedMutexWriterLock lock{as_path_mu_};
-    as_path_cache_.emplace(cache_key, path);
-  }
   return path;
 }
 
-Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,
-                    std::uint64_t flow_hash, std::uint8_t proto) const {
-  Path out;
-  const auto* vas = as(vantage.asn);
+Asn Topology::upstream_of(Asn vantage_asn) const {
+  const auto toward_core = as_path(vantage_asn, kBaseAsn);  // toward tier-1 0
+  if (toward_core.size() < 2)
+    throw std::invalid_argument("Topology: vantage AS " + std::to_string(vantage_asn) +
+                                " has no upstream toward AS " +
+                                std::to_string(kBaseAsn));
+  return toward_core[1];
+}
 
+void Topology::append_premise(const VantageInfo& vantage, std::vector<Hop>& hops) const {
+  const auto* vas = as(vantage.asn);
   // On-premise chain, shared by every trace from this vantage.
   for (unsigned k = 0; k < vantage.premise_hops; ++k)
-    out.hops.push_back(infra_hop(*vas, 0, (vantage.asn << 4) + k, 0, 1, vantage.asn));
-  out.hops.push_back(infra_hop(*vas, 1, vantage.asn, 0, 1, vantage.asn));  // vantage border
+    hops.push_back(infra_hop(*vas, 0, (vantage.asn << 4) + k, 0, 1, vantage.asn));
+  hops.push_back(infra_hop(*vas, 1, vantage.asn, 0, 1, vantage.asn));  // vantage border
+}
 
-  const auto dest_asn = origin(target);
-  if (!dest_asn) {
-    // Unrouted: the first upstream core router answers "no route".
-    const auto upstream = as_path(vantage.asn, kBaseAsn)[1];  // toward tier-1 0
-    out.hops.push_back(infra_hop(*as(upstream), 2, 0, 0, 1, vantage.asn));
-    out.end = PathEnd::kUnrouted;
-    return out;
-  }
-  out.dest_asn = *dest_asn;
-  const auto* das = as(*dest_asn);
-
+void Topology::append_route_chain(const VantageInfo& vantage,
+                                  std::span<const Asn> asp, std::uint64_t flow_hash,
+                                  std::vector<Hop>& hops) const {
+  append_premise(vantage, hops);
   // Inter-AS core: each intermediate AS contributes 1-2 hops, some of which
   // are ECMP groups resolved by the flow hash.
-  const auto asp = as_path(vantage.asn, *dest_asn);
   for (std::size_t i = 1; i + 1 < asp.size(); ++i) {
     const auto* tas = as(asp[i]);
     const unsigned nhops = 1 + static_cast<unsigned>(h(asp[i], 0xc0de) % 2);
@@ -512,36 +509,82 @@ Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,
       const unsigned width = (h(asp[i], 0xec9, k) % 2) ? 2 : 1;
       const unsigned variant =
           width > 1 ? static_cast<unsigned>(flow_hash % width) : 0;
-      out.hops.push_back(infra_hop(*tas, 2, k, variant, width, asp[i - 1]));
+      hops.push_back(infra_hop(*tas, 2, k, variant, width, asp[i - 1]));
     }
   }
-  if (*dest_asn != vantage.asn)
-    out.hops.push_back(infra_hop(*das, 1, *dest_asn, 0, 1, asp[asp.size() - 2]));  // dest border
+  if (asp.size() >= 2)  // destination border, unless the vantage's own AS
+    hops.push_back(infra_hop(*as(asp.back()), 1, asp.back(), 0, 1, asp[asp.size() - 2]));
+}
+
+void Topology::append_unrouted_chain(const VantageInfo& vantage,
+                                     std::vector<Hop>& hops) const {
+  append_premise(vantage, hops);
+  // Unrouted: the first upstream core router answers "no route".
+  hops.push_back(infra_hop(*as(upstream_of(vantage.asn)), 2, 0, 0, 1, vantage.asn));
+}
+
+void Topology::build_route_chains() {
+  // The chain appended since `offset`.
+  auto chain_since = [&](std::size_t offset) {
+    return ChainRef{static_cast<std::uint32_t>(offset),
+                    static_cast<std::uint32_t>(chain_hops_.size() - offset)};
+  };
+  for (const auto& v : vantages_) {
+    if (!as(v.asn))
+      throw std::invalid_argument("Topology: vantage " + v.name +
+                                  " lies outside every AS");
+    for (const auto& dest : ases_) {
+      const auto asp = as_path(v.asn, dest.asn);
+      if (asp.empty())
+        throw std::invalid_argument("Topology: AS " + std::to_string(dest.asn) +
+                                    " is unreachable from vantage " + v.name);
+      for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
+        const auto offset = chain_hops_.size();
+        append_route_chain(v, asp, variant, chain_hops_);
+        route_chains_.push_back(chain_since(offset));
+      }
+    }
+    const auto offset = chain_hops_.size();
+    append_unrouted_chain(v, chain_hops_);
+    unrouted_chains_.push_back(chain_since(offset));
+  }
+}
+
+void Topology::finish_path(std::optional<Asn> dest_asn, const Ipv6Addr& target,
+                           std::uint8_t proto, Path& out) const {
+  out.firewall_code = 1;
+  if (!dest_asn) {
+    out.dest_asn = 0;
+    out.end = PathEnd::kUnrouted;
+    return;
+  }
+  out.dest_asn = *dest_asn;
+  const auto* das = as(*dest_asn);
 
   // Transport policy applies at the destination border.
   if (proto != 58 && das->transport != TransportPolicy::kAllowAll) {
     out.end = PathEnd::kTransportDenied;
     out.firewall_code =
         das->transport == TransportPolicy::kRejectUdpTcp ? 1 : 0xff;
-    return out;
+    return;
   }
 
   const auto f = fields_of(target);
   if (!f.in_extra48) {
     if (f.region >= das->regions || f.region == kInfraRegion) {
       out.end = PathEnd::kNoRoute;
-      return out;
+      return;
     }
     out.hops.push_back(infra_hop(*das, 3, f.region, 0, 1, das->asn));  // region router
     if (!pop_exists(*das, target)) {
       out.end = PathEnd::kNoRoute;
-      return out;
+      return;
     }
     out.hops.push_back(infra_hop(*das, 4, (f.region << 8) | f.pop, 0, 1, das->asn));
   } else {
     if (!pop_exists(*das, target)) {  // extra /48s always exist as PoPs
       out.end = PathEnd::kNoRoute;
-      return out;
+      return;
     }
     out.hops.push_back(infra_hop(*das, 4, 0x10000u + f.extra_idx, 0, 1, das->asn));
   }
@@ -549,13 +592,13 @@ Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,
   if (firewalled(*das, target)) {
     out.end = PathEnd::kFirewalled;
     out.firewall_code = (h(das->asn, 0xfc, target.masked(48).hi()) % 3) ? 1 : 6;
-    return out;
+    return;
   }
 
   if (das->agg_density != 0) {
     if (!agg_exists(*das, target)) {
       out.end = PathEnd::kNoRoute;
-      return out;
+      return;
     }
     const auto agg_idx = static_cast<unsigned>(
         h(das->asn, 0xa99, target.masked(56).hi()) & 0xffff);
@@ -564,12 +607,53 @@ Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,
 
   if (!subnet_exists(*das, target)) {
     out.end = PathEnd::kNoRoute;
-    return out;
+    return;
   }
   const Prefix p64{target, 64};
   const auto gw = gateway_iface(*das, p64);
   out.hops.push_back(Hop{gw, h(das->asn, 0x9a7e, gw.hi(), gw.lo()), 1});
   out.end = PathEnd::kDelivered;
+}
+
+void Topology::direct_path_into(const VantageInfo& vantage, const Ipv6Addr& target,
+                                std::uint64_t flow_hash, std::uint8_t proto,
+                                Path& out) const {
+  if (!as(vantage.asn))
+    throw std::invalid_argument("Topology: vantage " + vantage.name +
+                                " lies outside every AS");
+  out.hops.clear();
+  const auto dest_asn = origin(target);
+  if (dest_asn)
+    append_route_chain(vantage, as_path(vantage.asn, *dest_asn), flow_hash, out.hops);
+  else
+    append_unrouted_chain(vantage, out.hops);
+  finish_path(dest_asn, target, proto, out);
+}
+
+void Topology::path_into(const VantageInfo& vantage, const Ipv6Addr& target,
+                         std::uint64_t flow_hash, std::uint8_t proto,
+                         Path& out) const {
+  const auto vi = vantage_index(vantage);
+  if (!vi) {
+    direct_path_into(vantage, target, flow_hash, proto, out);
+    return;
+  }
+  const auto dest_asn = origin(target);
+  const ChainRef chain =
+      dest_asn ? route_chains_[(*vi * ases_.size() + (*dest_asn - kBaseAsn)) *
+                                   kEcmpVariantPeriod +
+                               flow_hash % kEcmpVariantPeriod]
+               : unrouted_chains_[*vi];
+  const Hop* head = chain_hops_.data() + chain.offset;
+  out.hops.reserve(chain.len + kMaxTargetHops);
+  out.hops.assign(head, head + chain.len);
+  finish_path(dest_asn, target, proto, out);
+}
+
+Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,
+                    std::uint64_t flow_hash, std::uint8_t proto) const {
+  Path out;
+  path_into(vantage, target, flow_hash, proto, out);
   return out;
 }
 

@@ -22,13 +22,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "netbase/annotated_mutex.hpp"
+#include "netbase/attr.hpp"
 #include "netbase/eui64.hpp"
-#include "netbase/flat_map.hpp"
 #include "netbase/ipv6.hpp"
 #include "netbase/prefix.hpp"
 #include "netbase/radix_trie.hpp"
@@ -151,6 +152,10 @@ struct VantageInfo {
 class Topology {
  public:
   explicit Topology(const TopologyParams& params);
+  // Vantages are identified by address (see vantage_index), so a copy's
+  // vantages() would be foreign to the original and vice versa.
+  Topology(const Topology&) = delete;
+  Topology& operator=(const Topology&) = delete;
 
   [[nodiscard]] const TopologyParams& params() const { return params_; }
   [[nodiscard]] const std::vector<AsInfo>& ases() const { return ases_; }
@@ -158,6 +163,16 @@ class Topology {
   [[nodiscard]] const RadixTrie<Asn>& bgp() const { return bgp_; }
   [[nodiscard]] const std::vector<VantageInfo>& vantages() const { return vantages_; }
   [[nodiscard]] const VantageInfo* vantage_by_src(const Ipv6Addr& src) const;
+  /// Position of `v` in vantages(), or nullopt if `v` is not an element of
+  /// it. Identity is by address, not value: a copy of a vantage, even an
+  /// unaltered one, is foreign. Route-cache keys and path_into's
+  /// precomputed chains both index vantages through this.
+  [[nodiscard]] std::optional<std::size_t> vantage_index(const VantageInfo& v) const {
+    const std::less<const VantageInfo*> before;  // total order across objects
+    const VantageInfo* first = vantages_.data();
+    if (before(&v, first) || !before(&v, first + vantages_.size())) return std::nullopt;
+    return static_cast<std::size_t>(&v - first);
+  }
 
   /// BGP origin lookup (longest prefix match), nullopt if unrouted.
   [[nodiscard]] std::optional<Asn> origin(const Ipv6Addr& a) const;
@@ -204,12 +219,26 @@ class Topology {
   /// proto): every existence/firewall/gateway oracle consulted here reads
   /// only the /64 cell, and ECMP variants repeat with the period. That
   /// four-tuple is the complete key Network's route cache memoizes on
-  /// (asserted by tests/simnet/route_cache_test.cpp).
+  /// (asserted by tests/simnet/route_cache_test.cpp). Allocating
+  /// convenience over path_into().
   [[nodiscard]] Path path(const VantageInfo& vantage, const Ipv6Addr& target,
                           std::uint64_t flow_hash, std::uint8_t proto) const;
 
+  /// path() into caller-owned storage: `out` is overwritten whole and its
+  /// hop capacity reused, so a warm scratch Path makes this
+  /// allocation-free. For an element of vantages(), the hops up to and
+  /// including the destination border come from a chain precomputed at
+  /// construction (they depend only on the vantage, the destination AS and
+  /// flow_hash % kEcmpVariantPeriod); only the per-target descent is
+  /// computed per call. Any other VantageInfo (say, a copy with different
+  /// premise_hops) is resolved directly from the AS graph. Takes no lock:
+  /// the Topology is immutable after construction.
+  void path_into(const VantageInfo& vantage, const Ipv6Addr& target,
+                 std::uint64_t flow_hash, std::uint8_t proto, Path& out) const;
+
   /// AS-level path (BFS shortest, deterministic tie-break), including both
-  /// endpoints. Empty if disconnected (cannot happen for valid input).
+  /// endpoints. Empty if disconnected (the constructor rejects worlds
+  /// where a vantage cannot reach some AS).
   [[nodiscard]] std::vector<Asn> as_path(Asn from, Asn to) const;
 
  private:
@@ -232,21 +261,51 @@ class Topology {
   [[nodiscard]] HostInfo host_j(const AsInfo& as, std::uint64_t key, unsigned j) const;
   void build_ases();
   void build_graph();
+  void build_route_chains();
+
+  /// BFS parent links over adj_ from AS index `src`: parent[src] == src,
+  /// -1 marks an unreachable AS.
+  [[nodiscard]] std::vector<std::int32_t> bfs_tree(std::uint32_t src) const;
+  /// The AS a vantage's unrouted probes die at: the next AS toward tier-1
+  /// AS 0. Throws std::invalid_argument if there is none.
+  [[nodiscard]] Asn upstream_of(Asn vantage_asn) const;
+  /// The vantage's premise chain and border router, which start every path.
+  void append_premise(const VantageInfo& vantage, std::vector<Hop>& hops) const;
+  /// Target-independent head of a routed path: premise, inter-AS core
+  /// (ECMP resolved by flow_hash) and destination border. `asp` is the AS
+  /// path from the vantage to the destination.
+  void append_route_chain(const VantageInfo& vantage, std::span<const Asn> asp,
+                          std::uint64_t flow_hash, std::vector<Hop>& hops) const;
+  /// Head of an unrouted path: premise and the upstream core router.
+  void append_unrouted_chain(const VantageInfo& vantage,
+                             std::vector<Hop>& hops) const;
+  /// Everything after the head: origin ASN, transport policy, the
+  /// per-target region/PoP/aggregation/gateway descent and the end state.
+  void finish_path(std::optional<Asn> dest_asn, const Ipv6Addr& target,
+                   std::uint8_t proto, Path& out) const;
+  /// path_into for a VantageInfo that is not an element of vantages().
+  B6_COLDPATH void direct_path_into(const VantageInfo& vantage,
+                                    const Ipv6Addr& target,
+                                    std::uint64_t flow_hash, std::uint8_t proto,
+                                    Path& out) const;
+
+  /// A precomputed hop chain: chain_hops_[offset, offset + len).
+  struct ChainRef {
+    std::uint32_t offset = 0;
+    std::uint32_t len = 0;
+  };
 
   TopologyParams params_;
   std::vector<AsInfo> ases_;
   RadixTrie<Asn> bgp_;
   std::vector<VantageInfo> vantages_;
   std::vector<std::vector<std::uint32_t>> adj_;  // index-based adjacency
-  // BFS results are memoized: the path oracle runs once per route-cache
-  // miss. One Topology is shared by every Network replica of a parallel
-  // campaign, so the memo is guarded (read-mostly; misses recompute
-  // deterministically). FlatMap keeps the read path one probe sequence in
-  // contiguous memory instead of a node chase per lookup. The B6_GUARDED_BY
-  // makes the guard compiler-checked (CI `thread-safety` job).
-  mutable netbase::SharedMutex as_path_mu_;
-  mutable netbase::FlatMap<std::uint64_t, std::vector<Asn>> as_path_cache_
-      B6_GUARDED_BY(as_path_mu_);
+  // Built once in the constructor and read-only afterwards, so any number
+  // of threads resolve paths concurrently without a lock.
+  std::vector<Hop> chain_hops_;  // every chain's hops
+  // Routed chains, indexed (vantage * ases + dest index) * period + variant.
+  std::vector<ChainRef> route_chains_;
+  std::vector<ChainRef> unrouted_chains_;  // one per vantage
 };
 
 }  // namespace beholder6::simnet

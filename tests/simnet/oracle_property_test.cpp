@@ -137,7 +137,7 @@ TEST_P(OracleProperty, PathEndsAreConsistentWithOracles) {
   EXPECT_GT(noroute, topo_.ases().size() / 2);
 }
 
-TEST_P(OracleProperty, AsPathsAreStableSymmetricLengthAndCached) {
+TEST_P(OracleProperty, AsPathsAreStableAndSymmetricInLength) {
   const auto& ases = topo_.ases();
   for (std::size_t i = 0; i < ases.size(); i += 7) {
     for (std::size_t j = 1; j < ases.size(); j += 11) {

@@ -41,8 +41,9 @@ How it works
    stops there: gates are the functions allowed to allocate because they
    are off the steady-state path *by construction* — amortized growth
    (`FlatTable::rehash`, libstdc++ `_M_realloc_insert` and friends, pool
-   warm-up), the route-cache **miss** path (`Topology::path`,
-   `RouteCache::insert`), and abort/throw error paths. Source-side, the
+   warm-up), the route-cache **miss** path's `RouteCache::insert` (the
+   path oracle before it, `Topology::path_into`, is itself checked), and
+   abort/throw error paths. Source-side, the
    in-repo gates wear `B6_COLDPATH` (src/netbase/attr.hpp), which keeps
    them outlined even in fully-inlining optimized builds.
 5. `--report FILE` writes a JSON call-graph report (entries, every gate
@@ -59,7 +60,7 @@ because the allocator itself is always an external symbol.
 Entry points (demangled-name regex, `--entry` to extend):
     Network::inject_view, Network::inject_batch_view, Network::inject_impl,
     RouteCache::find, Network::resolve_path, wire::encode_probe_into,
-    wire::decode_reply, Topology::host_at
+    wire::decode_reply, Topology::host_at, Topology::path_into
 Entries that were inlined out of existence (header-only RouteCache::find
 usually is) are reported as notes, not errors — their bodies are covered
 through their callers.
@@ -70,7 +71,12 @@ Self-test
 verifies the analysis on known ground truth: a hot entry reaching a
 deliberate allocation through two helper frames must be flagged with the
 full chain; a hot entry allocating only through a gate-named function must
-pass; a pure-arithmetic entry must pass.
+pass; a pure-arithmetic entry must pass; a relocated tail call must reach
+its real callee and not the allocating function objdump labels its
+unpatched displacement with; a jump into a function's body must resolve to
+that function; a call relocation that no function covers must be reported
+as unresolved (a reachable one fails the real check, since the
+walk cannot follow it).
 
 Exit codes: 0 clean (or self-test pass, or graceful skip when objdump is
 missing), 1 findings (or self-test fail), 2 usage/setup error.
@@ -109,18 +115,18 @@ DEFAULT_GATES: list[tuple[str, str]] = [
      "amortized table growth; pre-reserved tables never re-enter it "
      "(B6_COLDPATH keeps it outlined)"),
     (r"beholder6::simnet::RouteCache::insert\(",
-     "route-cache miss path: runs only after Topology::path resolved a "
-     "route the cache lacked (B6_COLDPATH)"),
+     "route-cache miss path: runs only after Topology::path_into resolved "
+     "a route the cache lacked (B6_COLDPATH)"),
     (r"beholder6::simnet::RouteCache::grow\(",
      "route-cache table growth (B6_COLDPATH)"),
     (r"beholder6::simnet::PacketPool::grow_slots\(",
      "packet-pool warm-up: slot storage persists across clear() "
      "(B6_COLDPATH)"),
-    (r"beholder6::simnet::Topology::path\(",
-     "the full path oracle is the route-cache *miss* resolver; hits never "
-     "reach it"),
-    (r"beholder6::simnet::Topology::as_path\(",
-     "BFS memo fill behind the shared_mutex; memoized after first touch"),
+    (r"beholder6::simnet::Topology::direct_path_into\(",
+     "path oracle for a VantageInfo that is not an element of vantages() "
+     "(tests, ad-hoc callers): it runs the AS-level BFS. Network only "
+     "resolves for its Topology's own vantages, which copy a precomputed "
+     "chain instead (B6_COLDPATH)"),
     (r"beholder6::simnet::Network::apply_dynamics_event\(",
      "scheduled churn application: runs once per DynamicsEvent (a handful "
      "per campaign), never on the eventless fast path — the inline "
@@ -183,6 +189,7 @@ DEFAULT_ENTRIES: list[str] = [
     r"beholder6::wire::encode_probe_into\(",
     r"beholder6::wire::decode_reply\(",
     r"beholder6::simnet::Topology::host_at\(",
+    r"beholder6::simnet::Topology::path_into\(",
 ]
 
 DEFINE_RE = re.compile(r"^[0-9a-f]+ <(.+)>:\s*$")
@@ -192,14 +199,15 @@ DEFINE_RE = re.compile(r"^[0-9a-f]+ <(.+)>:\s*$")
 # disassembly header shows only one of them while call sites may reference
 # the other — without the symbol table those edges would dangle.
 SYMTAB_RE = re.compile(
-    r"^([0-9a-f]+)\s+\S+\s+F\s+(\S+)\s+[0-9a-f]+\s+(?:\.hidden\s+)?(\S+)$")
+    r"^([0-9a-f]+)\s+\S+\s+F\s+(\S+)\s+([0-9a-f]+)\s+(?:\.hidden\s+)?(\S+)$")
 # `call 12ab <sym+0x10>` / `jmp 0 <sym>` — same-object resolved targets.
 CALL_RE = re.compile(
     r"\b(?:call|jmp)[a-z]*\s+[0-9a-f]+\s+<([^>+]+)(?:\+0x[0-9a-f]+)?>")
 # Interleaved relocation lines — cross-object / external targets. The
 # operand is either `symbol-0x4` (target = symbol) or, for calls to local
-# functions in another section, `.text+0x1a0` (target = the function at
-# section offset addend+4, resolved via the symbol table).
+# functions in another section, `.text+0x1a0` (target = the function that
+# starts at, or else contains, section offset addend+4, resolved via the
+# symbol table).
 RELOC_RE = re.compile(
     r"^\s+[0-9a-f]+:\s+R_X86_64_(?:PLT32|PC32)\s+(\S+?)(?:([+-])0x([0-9a-f]+))?$")
 
@@ -214,6 +222,10 @@ class CallGraph:
         self.edges: dict[str, set[str]] = {}   # mangled -> mangled callees
         self.defined: set[str] = set()
         self.alias: dict[str, str] = {}        # co-located symbol -> primary
+        # Section-relative call relocations that name no function symbol:
+        # mangled caller -> relocation operands. An edge the walk cannot
+        # follow could hide an allocation, so reachable ones are reported.
+        self.unresolved: dict[str, list[str]] = {}
 
     def add_object(self, obj: Path) -> None:
         # Symbol table first: group function symbols by (section, address)
@@ -222,15 +234,39 @@ class CallGraph:
         # resolve to the same node.
         colocated: dict[tuple[str, str], list[str]] = {}
         by_offset: dict[tuple[str, int], str] = {}
+        spans: dict[str, list[tuple[int, int, str]]] = {}
         for line in run(["objdump", "-t", str(obj)]).splitlines():
             sm = SYMTAB_RE.match(line)
             if sm:
-                addr, section, name = sm.groups()
+                addr, section, size, name = sm.groups()
                 colocated.setdefault((section, addr), []).append(name)
                 by_offset.setdefault((section, int(addr, 16)), name)
+                spans.setdefault(section, []).append(
+                    (int(addr, 16), int(size, 16), name))
+
+        def function_at(section: str, off: int) -> str | None:
+            if (section, off) in by_offset:
+                return by_offset[(section, off)]
+            # A jump into a function's body (a `.cold` fragment resuming
+            # its parent) is control flow within that function.
+            for start, size, name in spans.get(section, ()):
+                if start <= off < start + size:
+                    return name
+            return None
+
         out = run(["objdump", "-dr", "--no-show-raw-insn", str(obj)])
         current: str | None = None
+        # A call's displayed target is only real if no relocation follows
+        # it: an unrelocated call shows its placeholder displacement, which
+        # objdump labels with whatever symbol sits at that offset (often
+        # some unrelated `.cold` clone) — a phantom edge.
+        pending: str | None = None
         for line in out.splitlines():
+            rm = RELOC_RE.match(line)
+            if pending is not None and not rm and not pending.startswith(".L"):
+                self.edges[current].add(pending)
+            after_call = pending is not None
+            pending = None
             dm = DEFINE_RE.match(line)
             if dm:
                 current = dm.group(1)
@@ -240,7 +276,6 @@ class CallGraph:
                 continue
             if current is None:
                 continue
-            rm = RELOC_RE.match(line)
             if rm:
                 base, sign, addend = rm.groups()
                 if base.startswith("."):
@@ -248,15 +283,20 @@ class CallGraph:
                     # addend + 4 (the PC32 addend folds in the -4 of the
                     # call encoding) within that section.
                     off = int(addend or "0", 16) * (-1 if sign == "-" else 1)
-                    target = by_offset.get((base, off + 4))
+                    target = function_at(base, off + 4)
                     if target is not None:
                         self.edges[current].add(target)
+                    elif after_call:
+                        self.unresolved.setdefault(current, []).append(
+                            line.split()[-1])
                 else:
                     self.edges[current].add(base)
                 continue
             cm = CALL_RE.search(line)
-            if cm and not cm.group(1).startswith(".L"):
-                self.edges[current].add(cm.group(1))
+            if cm:
+                pending = cm.group(1)
+        if pending is not None and not pending.startswith(".L"):
+            self.edges[current].add(pending)
         for group in colocated.values():
             primaries = [n for n in group if n in self.defined]
             if primaries:
@@ -325,8 +365,11 @@ def analyze(objects: list[Path], entry_patterns: list[str],
             cur = parent[cur]
         return list(reversed(chain))
 
+    unresolved: list[dict] = []
     while queue:
         sym = queue.popleft()
+        for operand in graph.unresolved.get(sym, ()):
+            unresolved.append({"relocation": operand, "chain": chain_of(sym)})
         for callee in sorted(graph.canon(c) for c in graph.edges.get(sym, ())):
             if callee in ALLOC_SYMBOLS:
                 findings.append({
@@ -366,6 +409,7 @@ def analyze(objects: list[Path], entry_patterns: list[str],
         "reachable_functions": len(parent),
         "cold_gates_hit": gates_hit,
         "findings": unique,
+        "unresolved_calls": unresolved,
     }
 
 
@@ -396,6 +440,11 @@ def print_report(rep: dict, verbose: bool) -> None:
         print("  FINDING: hot path reaches an allocator outside every "
               "cold gate:")
         for i, frame in enumerate(f["chain"]):
+            print(f"    {'  ' * min(i, 8)}{frame}")
+    for u in rep["unresolved_calls"]:
+        print(f"  UNRESOLVED: call relocation {u['relocation']} names no "
+              f"function symbol; the walk cannot follow it from:")
+        for i, frame in enumerate(u["chain"]):
             print(f"    {'  ' * min(i, 8)}{frame}")
 
 
@@ -450,6 +499,28 @@ def run_self_test() -> int:
         failures += 1
     else:
         print("self-test: clean entry produced no findings [ok]")
+    far = [g for name, g in rep["cold_gates_hit"].items()
+           if "cold_gate_far" in name]
+    if any("hot_entry_reloc" in c for c in chains):
+        print(f"self-test: FAIL — a phantom edge from an unpatched call "
+              f"displacement was followed: {chains}")
+        failures += 1
+    elif not far or "hot_entry_reloc" not in far[0]["witness_chain"][0]:
+        print("self-test: FAIL — the section-relative call relocation did "
+              "not reach cold_gate_far")
+        failures += 1
+    else:
+        print("self-test: relocated call reached its real callee, no "
+              "phantom edge [ok]")
+    unresolved = [" -> ".join(u["chain"]) for u in rep["unresolved_calls"]]
+    if len(unresolved) != 1 or "hot_entry_unresolved" not in unresolved[0]:
+        print(f"self-test: FAIL — expected exactly one unresolved call, "
+              f"from hot_entry_unresolved (hot_entry_resume must resolve "
+              f"to the function it jumps into): {unresolved}")
+        failures += 1
+    else:
+        print("self-test: call into a function body resolved, call to no "
+              "function reported [ok]")
     if failures:
         print(f"self-test: {failures} mismatch(es)", file=sys.stderr)
         return 1
@@ -508,6 +579,11 @@ def main(argv: list[str]) -> int:
               f"allocation(s). Move the allocation behind a B6_COLDPATH "
               f"gate (src/netbase/attr.hpp) if it is genuinely one-time "
               f"setup, or make the path allocation-free.")
+        return 1
+    if rep["unresolved_calls"]:
+        print(f"\ncheck_noalloc: {len(rep['unresolved_calls'])} reachable "
+              f"call(s) resolve to no function symbol, so the analysis "
+              f"cannot prove them allocation-free.")
         return 1
     print("check_noalloc: hot paths are allocation-free outside the "
           "declared cold gates")

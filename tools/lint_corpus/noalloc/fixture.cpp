@@ -16,10 +16,24 @@
 //       disassembly header names one, the call site references the
 //       other, and without objdump -t alias resolution the edge dangles
 //       and the allocation silently escapes the walk.
+//   hot_entry_reloc  -> cold_gate_far -> operator new
+//       MUST pass, with cold_gate_far reached. Its last instruction is a
+//       relocated jump into another section; objdump labels the unpatched
+//       displacement with the function laid out next, alloc_neighbour,
+//       which allocates. Following that label would be a phantom edge and
+//       a false finding; the relocation names the real callee.
+//   hot_entry_resume -> a jump into the body of cold_gate_far, the way a
+//       `.cold` fragment resumes its parent
+//       MUST resolve to cold_gate_far, not be reported as unresolved.
+//   hot_entry_unresolved -> a jump into another section at an offset
+//       no function covers
+//       MUST be reported as unresolved: the walk cannot follow it.
 //
 // The noinline attributes play the role B6_COLDPATH plays in the library:
 // they keep each frame outlined so it exists as a call-graph node at -O2.
 // The volatile sink keeps the optimizer from deleting the allocations.
+// The two relocation cases are x86-64 assembly, since they depend on exact
+// instruction and section layout that no compiler flag pins down.
 
 #include <cstddef>
 
@@ -71,6 +85,46 @@ __attribute__((noinline)) int hot_entry_clean(int x) {
 }
 
 }  // namespace noalloc_fixture
+
+#if defined(__x86_64__) && defined(__ELF__)
+// Mangled names: noalloc_fixture::cold_gate_far(), ::hot_entry_reloc(),
+// ::alloc_neighbour(), ::hot_entry_unresolved(), ::hot_entry_resume().
+asm(R"(
+  .section .text.noalloc_fixture_far,"ax",@progbits
+  .type _ZN15noalloc_fixture13cold_gate_farEv, @function
+_ZN15noalloc_fixture13cold_gate_farEv:
+  nop
+.Lnoalloc_fixture_far_body:
+  jmp _Znwm
+  .size _ZN15noalloc_fixture13cold_gate_farEv, .-_ZN15noalloc_fixture13cold_gate_farEv
+.Lnoalloc_fixture_no_function:
+  ret
+
+  .section .text.noalloc_fixture_near,"ax",@progbits
+  .globl _ZN15noalloc_fixture15hot_entry_relocEv
+  .type _ZN15noalloc_fixture15hot_entry_relocEv, @function
+_ZN15noalloc_fixture15hot_entry_relocEv:
+  jmp _ZN15noalloc_fixture13cold_gate_farEv
+  .size _ZN15noalloc_fixture15hot_entry_relocEv, .-_ZN15noalloc_fixture15hot_entry_relocEv
+  .type _ZN15noalloc_fixture15alloc_neighbourEv, @function
+_ZN15noalloc_fixture15alloc_neighbourEv:
+  jmp _Znwm
+  .size _ZN15noalloc_fixture15alloc_neighbourEv, .-_ZN15noalloc_fixture15alloc_neighbourEv
+
+  .globl _ZN15noalloc_fixture20hot_entry_unresolvedEv
+  .type _ZN15noalloc_fixture20hot_entry_unresolvedEv, @function
+_ZN15noalloc_fixture20hot_entry_unresolvedEv:
+  jmp .Lnoalloc_fixture_no_function
+  .size _ZN15noalloc_fixture20hot_entry_unresolvedEv, .-_ZN15noalloc_fixture20hot_entry_unresolvedEv
+
+  .globl _ZN15noalloc_fixture16hot_entry_resumeEv
+  .type _ZN15noalloc_fixture16hot_entry_resumeEv, @function
+_ZN15noalloc_fixture16hot_entry_resumeEv:
+  jmp .Lnoalloc_fixture_far_body
+  .size _ZN15noalloc_fixture16hot_entry_resumeEv, .-_ZN15noalloc_fixture16hot_entry_resumeEv
+  .text
+)");
+#endif
 
 int fixture_main(int x) {
   using namespace noalloc_fixture;
