@@ -43,7 +43,7 @@ int main() {
             wire::finalize_transport_checksum(pkt);
           }
           ++probes;
-          for (const auto& r : net.inject(pkt)) {
+          for (const auto& r : net.inject_view(pkt)) {
             const auto dec = wire::decode_reply(r, 0);
             if (dec)
               responders[{dec->probe.target, dec->probe.ttl}].insert(dec->responder);

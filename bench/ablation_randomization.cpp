@@ -35,7 +35,7 @@ int main() {
     spec.target = target;
     spec.ttl = ttl;
     spec.elapsed_us = static_cast<std::uint32_t>(net.now_us());
-    for (const auto& r : net.inject(wire::encode_probe(spec)))
+    for (const auto& r : net.inject_view(wire::encode_probe(spec)))
       if (const auto dec =
               wire::decode_reply(r, static_cast<std::uint32_t>(net.now_us())))
         c.on_reply(*dec);

@@ -261,8 +261,8 @@ AllocCheck check_steady_state_allocations(const bench::World& world) {
   probes.reserve(n_targets * 16);
   for (std::size_t i = 0; i < n_targets; ++i)
     for (std::uint8_t ttl = 1; ttl <= 16; ++ttl)
-      probes.push_back(campaign::encode_probe_at(endpoint, ns.set.addrs[i], ttl,
-                                                 ttl * 1000));
+      probes.push_back(wire::encode_probe(
+          campaign::probe_spec_at(endpoint, ns.set.addrs[i], ttl, ttl * 1000)));
 
   simnet::Network net{world.topo};
   auto sweep = [&] {

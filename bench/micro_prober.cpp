@@ -98,38 +98,12 @@ void BM_EndToEndProbe(benchmark::State& state) {
     spec.target = Ipv6Addr::from_halves(as.prefixes[0].base().hi() | (x & 0xffffff), 1);
     spec.ttl = 1 + static_cast<std::uint8_t>(x % 16);
     spec.elapsed_us = static_cast<std::uint32_t>(net.now_us());
-    benchmark::DoNotOptimize(net.inject(wire::encode_probe(spec)));
+    benchmark::DoNotOptimize(net.inject_view(wire::encode_probe(spec)));
     net.advance_us(1);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EndToEndProbe);
-
-void BM_EndToEndProbeBatch(benchmark::State& state) {
-  // The batched-injection hook: same per-probe semantics as BM_EndToEndProbe,
-  // amortizing the call overhead across a line-rate burst.
-  static simnet::Topology topo{simnet::TopologyParams{}};
-  simnet::NetworkParams np;
-  np.unlimited = true;
-  simnet::Network net{topo, np};
-  wire::ProbeSpec spec;
-  spec.src = topo.vantages()[0].src;
-  std::uint64_t x = 3;
-  std::vector<simnet::Packet> burst;
-  for (int i = 0; i < 64; ++i) {
-    x = splitmix64(x);
-    const auto& as = topo.ases()[x % topo.ases().size()];
-    spec.target = Ipv6Addr::from_halves(as.prefixes[0].base().hi() | (x & 0xffffff), 1);
-    spec.ttl = 1 + static_cast<std::uint8_t>(x % 16);
-    burst.push_back(wire::encode_probe(spec));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net.inject_batch(burst));
-    net.advance_us(64);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 64);
-}
-BENCHMARK(BM_EndToEndProbeBatch);
 
 void BM_CampaignEngine(benchmark::State& state) {
   // Full engine cycle: permutation walk -> encode -> inject -> decode ->

@@ -69,7 +69,7 @@ bool shares_counter(const IdSeries& a, const IdSeries& b) {
 std::optional<std::uint32_t> SpeedtrapResolver::probe_once(simnet::Network& net,
                                                            const Ipv6Addr& iface) {
   ++probes_sent_;
-  const auto replies = net.inject(
+  const auto replies = net.inject_view(
       make_big_echo(cfg_.src, iface, cfg_.echo_payload,
                     static_cast<std::uint16_t>(probes_sent_ & 0xffff)));
   net.advance_us(cfg_.gap_us);

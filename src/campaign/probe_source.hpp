@@ -12,9 +12,9 @@
 // slot comes due. The source answers with a probe, a round boundary (bursty
 // sources only — it tells the pacer to idle out the rest of the round's
 // rate budget), or exhaustion. After injecting a probe the runner feeds
-// every decoded reply to on_reply() and then calls on_probe_done(), so a
-// source can steer its future order from what came back — which is all a
-// stateful prober fundamentally is.
+// every decoded reply to on_reply() and then calls on_probe_done(), both
+// before it polls the source again, so a source can steer its future order
+// from what came back — which is all a stateful prober fundamentally is.
 #pragma once
 
 #include <cstdint>
@@ -94,7 +94,10 @@ struct PacingPolicy {
   };
   Kind kind = Kind::kUniform;
   double pps = 1000.0;
-  std::uint64_t line_rate_gap_us = 1;  // kBurst only
+  /// kBurst only: virtual microseconds between in-round probes. 0 puts a
+  /// whole round on one send instant; the runner still emits its probes one
+  /// at a time, each with its feedback delivered before the next poll.
+  std::uint64_t line_rate_gap_us = 1;
 
   static PacingPolicy uniform(double pps) {
     return {Kind::kUniform, pps, 0};
@@ -150,14 +153,17 @@ class ProbeSource {
   virtual Poll next(std::uint64_t now_us) = 0;
 
   /// One decoded, instance-filtered reply to the most recent probe. Called
-  /// before the clock advances past the send slot.
+  /// before the clock advances past the send slot and before next() is
+  /// called again, so "the most recent probe" is always the one `probe`
+  /// names — sources may track it with a cursor.
   virtual void on_reply(const Probe& probe, const wire::DecodedReply& reply,
                         std::uint64_t now_us) {
     (void)probe, (void)reply, (void)now_us;
   }
 
   /// The most recent probe's replies have all been delivered; `answered`
-  /// says whether there was at least one.
+  /// says whether there was at least one. Like on_reply, called before
+  /// next() is called again.
   virtual void on_probe_done(const Probe& probe, bool answered,
                              std::uint64_t now_us) {
     (void)probe, (void)answered, (void)now_us;

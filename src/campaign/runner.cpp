@@ -66,49 +66,6 @@ void CampaignRunner::emit(Member& m, ProbeStats& stats, const Probe& probe) {
     net_.prime_route(m.endpoint.src, *hint, m.endpoint.proto);
 }
 
-Poll CampaignRunner::drain_zero_gap_window(Member& m, ProbeStats& stats,
-                                           const Probe& first) {
-  // A zero-gap burst window shares one send instant, so no reply can steer
-  // a probe behind it in the same window — at line rate the packets are
-  // already on the wire. That licenses batching: poll the source's whole
-  // window up front, inject it through Network::inject_batch, then deliver
-  // on_reply/on_probe_done per probe, in probe order, after the batch
-  // lands. Reply bytes, dispatch order, and network counters are identical
-  // to the probe-at-a-time path (inject_batch is semantically a loop of
-  // inject); only the feedback timing moves, and that is the defined
-  // semantics of a same-instant burst.
-  window_buf_.clear();
-  window_buf_.push_back(first);
-  Poll terminal;
-  for (;;) {
-    terminal = m.source->next(net_.now_us());
-    if (terminal.status != Poll::Status::kProbe) break;
-    window_buf_.push_back(terminal.probe);
-  }
-
-  window_packets_.clear();
-  for (const auto& p : window_buf_)
-    wire::encode_probe_into(
-        probe_spec_at(m.endpoint, p.target, p.ttl, net_.now_us()),
-        window_packets_.acquire());
-  const auto& replies = net_.inject_batch_view(window_packets_.view());
-
-  for (std::size_t i = 0; i < window_buf_.size(); ++i) {
-    const auto& probe = window_buf_[i];
-    ++stats.probes_sent;
-    if (probe.fill) ++stats.fills;
-    const bool answered = dispatch_replies(
-        replies.of(i), m.endpoint, net_.now_us(), [&](const wire::DecodedReply& dec) {
-          ++stats.replies;
-          if (m.sink) m.sink(dec);
-          m.source->on_reply(probe, dec, net_.now_us());
-        });
-    m.source->on_probe_done(probe, answered, net_.now_us());
-  }
-  m.round_sent += window_buf_.size();
-  return terminal;
-}
-
 bool CampaignRunner::step() {
   if (queue_.empty()) return false;
   const auto slot = queue_.top();
@@ -122,14 +79,7 @@ bool CampaignRunner::step() {
     m.source->begin(net_.now_us());
   }
 
-  auto poll = m.source->next(net_.now_us());
-  if (poll.status == Poll::Status::kProbe &&
-      m.pacing.kind == PacingPolicy::Kind::kBurst &&
-      m.pacing.line_rate_gap_us == 0) {
-    // Whole same-instant window in one event; ends in kRoundEnd/kExhausted.
-    poll = drain_zero_gap_window(m, stats, poll.probe);
-  }
-
+  const auto poll = m.source->next(net_.now_us());
   switch (poll.status) {
     case Poll::Status::kProbe:
       emit(m, stats, poll.probe);

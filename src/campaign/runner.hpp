@@ -34,7 +34,7 @@
 namespace beholder6::campaign {
 
 /// The wire identity of one probe at virtual time `now_us` — the spec
-/// every campaign injection path shares.
+/// every campaign encode site shares.
 inline wire::ProbeSpec probe_spec_at(const Endpoint& endpoint,
                                      const Ipv6Addr& target, std::uint8_t ttl,
                                      std::uint64_t now_us) {
@@ -46,14 +46,6 @@ inline wire::ProbeSpec probe_spec_at(const Endpoint& endpoint,
   spec.elapsed_us = static_cast<std::uint32_t>(now_us);
   spec.instance = endpoint.instance;
   return spec;
-}
-
-/// Allocating convenience: encode one probe with the endpoint's wire
-/// identity. The runner's hot loop encodes into a reused buffer instead.
-inline simnet::Packet encode_probe_at(const Endpoint& endpoint,
-                                      const Ipv6Addr& target, std::uint8_t ttl,
-                                      std::uint64_t now_us) {
-  return wire::encode_probe(probe_spec_at(endpoint, target, ttl, now_us));
 }
 
 /// Route warm-up keys, shared by every front end that warms a route
@@ -104,19 +96,6 @@ bool dispatch_replies(std::span<const simnet::Packet> replies,
     on_reply(*dec);
   }
   return answered;
-}
-
-/// The one injection contract every campaign path shares: encode the probe
-/// at the current virtual time, inject it, decode each reply and filter on
-/// the endpoint's instance id, handing survivors to `on_reply`. Returns
-/// true if at least one reply passed the filter.
-template <typename ReplyFn>
-bool inject_probe(simnet::Network& net, const Endpoint& endpoint,
-                  const Ipv6Addr& target, std::uint8_t ttl, ReplyFn&& on_reply) {
-  const auto replies =
-      net.inject_view(encode_probe_at(endpoint, target, ttl, net.now_us()));
-  return dispatch_replies(replies, endpoint, net.now_us(),
-                          std::forward<ReplyFn>(on_reply));
 }
 
 /// The event-driven scheduling core: drives any number of ProbeSources
@@ -194,18 +173,15 @@ class CampaignRunner {
 
   void schedule(std::size_t idx);
   void emit(Member& m, ProbeStats& stats, const Probe& probe);
-  Poll drain_zero_gap_window(Member& m, ProbeStats& stats, const Probe& first);
 
   simnet::Network& net_;
   std::vector<Member> members_;
   std::vector<ProbeStats> stats_;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> queue_;
   std::uint64_t seq_ = 0;
-  // Per-runner scratch: probe encoding and burst windows reuse these
-  // buffers, so the steady-state emit path allocates nothing.
+  // Per-runner scratch: every probe is encoded into this reused buffer, so
+  // the steady-state emit path allocates nothing.
   simnet::Packet probe_buf_;
-  std::vector<Probe> window_buf_;
-  simnet::PacketPool window_packets_;
 };
 
 }  // namespace beholder6::campaign

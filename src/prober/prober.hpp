@@ -6,7 +6,7 @@
 // and statistics. The differences between them — probe *order* and clock
 // *pacing* — are exactly the variables the paper's §4.2 experiments
 // isolate. This header re-exports the shared campaign vocabulary under the
-// legacy prober:: names and keeps the one-shot send_probe helper.
+// legacy prober:: names.
 #pragma once
 
 #include <algorithm>
@@ -60,10 +60,5 @@ struct LockstepConfig : ProbeConfig {
     return campaign::PacingPolicy::burst(pps, line_rate_gap_us);
   }
 };
-
-/// Encode, inject and decode one probe; returns true if a reply came back
-/// (the reply is forwarded to `sink` first). Pacing is the caller's job.
-bool send_probe(simnet::Network& net, const ProbeConfig& cfg, const Ipv6Addr& target,
-                std::uint8_t ttl, const ResponseSink& sink);
 
 }  // namespace beholder6::prober

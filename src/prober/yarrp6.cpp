@@ -6,14 +6,6 @@
 
 namespace beholder6::prober {
 
-bool send_probe(simnet::Network& net, const ProbeConfig& cfg, const Ipv6Addr& target,
-                std::uint8_t ttl, const ResponseSink& sink) {
-  return campaign::inject_probe(net, cfg.endpoint(), target, ttl,
-                                [&](const wire::DecodedReply& dec) {
-                                  if (sink) sink(dec);
-                                });
-}
-
 void Yarrp6Source::begin(std::uint64_t now_us) {
   if (targets_.empty() || cfg_.max_ttl == 0) {
     exhausted_ = true;

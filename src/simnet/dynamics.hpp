@@ -8,7 +8,7 @@
 // scenario: a sorted list of virtual-time-stamped events (link failure and
 // recovery, ECMP re-convergence, rate-limiter budget changes, loss/dup
 // model swaps) that a Network applies on its virtual-clock boundary inside
-// inject_view/inject_batch_view.
+// inject_view.
 //
 // Determinism contract. Every event is a pure function of (schedule,
 // virtual time): the schedule is immutable after construction, rides in

@@ -213,55 +213,17 @@ void Network::reply_to_interface_echo(const wire::Ipv6Header& ip,
 
 std::span<const Packet> Network::inject_view(const Packet& probe) {
   B6_DCHECK(!in_inject_,
-            "Network::inject* is not reentrant: replies alias the shared "
+            "Network::inject_view is not reentrant: replies alias the shared "
             "pool; do not inject from an observer");
   in_inject_ = true;
   apply_due_dynamics();
-  batch_.reset();
-  inject_impl(probe, batch_.pool());
-  if (dup_prob_ > 0.0) duplicate_replies(probe, batch_.pool(), 0);
-  const auto replies = batch_.pool().view();
+  replies_.clear();
+  inject_impl(probe, replies_);
+  if (dup_prob_ > 0.0) duplicate_replies(probe, replies_);
+  const auto replies = replies_.view();
   if (observer_) observer_(probe, replies);
   in_inject_ = false;
   return replies;
-}
-
-std::vector<Packet> Network::inject(const Packet& probe) {
-  const auto replies = inject_view(probe);
-  return {replies.begin(), replies.end()};
-}
-
-const BatchReplies& Network::inject_batch_view(std::span<const Packet> probes) {
-  B6_DCHECK(!in_inject_,
-            "Network::inject* is not reentrant: replies alias the shared "
-            "pool; do not inject from an observer");
-  in_inject_ = true;
-  // One dynamics check for the whole burst: the batch shares one send
-  // instant, so this is semantically identical to the per-call check the
-  // inject_view loop equivalent would make.
-  apply_due_dynamics();
-  batch_.reset();
-  for (const auto& p : probes) {
-    const auto before = batch_.pool().size();
-    inject_impl(p, batch_.pool());
-    if (dup_prob_ > 0.0) duplicate_replies(p, batch_.pool(), before);
-    batch_.end_probe();
-    if (observer_) observer_(p, batch_.pool().view().subspan(before));
-  }
-  in_inject_ = false;
-  return batch_;
-}
-
-std::vector<std::vector<Packet>> Network::inject_batch(
-    const std::vector<Packet>& probes) {
-  const auto& batch = inject_batch_view(probes);
-  std::vector<std::vector<Packet>> out;
-  out.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto replies = batch.of(i);
-    out.emplace_back(replies.begin(), replies.end());
-  }
-  return out;
 }
 
 void Network::inject_impl(const Packet& probe, PacketPool& out) {
@@ -528,14 +490,13 @@ void Network::apply_dynamics_event(const DynamicsEvent& ev) {
   }
 }
 
-void Network::duplicate_replies(const Packet& probe, PacketPool& out,
-                                std::size_t first) {
+void Network::duplicate_replies(const Packet& probe, PacketPool& out) {
   // In-flight duplication: each reply the probe just produced is copied
   // with probability dup_prob_, keyed deterministically off (virtual time,
   // reply ordinal, probe content) — the same discipline as reply loss.
   const std::size_t produced = out.size();
-  for (std::size_t i = first; i < produced; ++i) {
-    std::uint64_t key = splitmix64(now_us_ ^ 0xd0bb1e ^ (i - first + 1));
+  for (std::size_t i = 0; i < produced; ++i) {
+    std::uint64_t key = splitmix64(now_us_ ^ 0xd0bb1e ^ (i + 1));
     for (std::size_t b = 0; b < probe.size(); b += 7)
       key = splitmix64(key ^ probe[b]);
     if (static_cast<double>(key % 1000000) >= dup_prob_ * 1000000.0) continue;

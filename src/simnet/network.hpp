@@ -22,9 +22,8 @@
 //     dependencies of Topology::path, see its contract — with hit/miss
 //     counters in NetworkStats and deterministic whole-cache eviction;
 //   * replies are built into a PacketPool whose buffers persist across
-//     probes; inject_view/inject_batch_view return views into it, and the
-//     allocating inject/inject_batch signatures remain as compatibility
-//     shims;
+//     probes; inject_view, the one way a probe enters the network, returns
+//     a view into it;
 //   * the mutable lookup state (token buckets, learned interfaces,
 //     fragment-id counters, negative caches) lives in open-addressing
 //     FlatMap/FlatSet tables instead of node-based containers.
@@ -93,7 +92,7 @@ struct NetworkParams {
   /// Mid-campaign network dynamics: a schedule of virtual-time-stamped
   /// events (link failure/recovery, ECMP re-convergence, rate-limiter
   /// budget changes, loss-model swaps) the network applies on its
-  /// virtual-clock boundary inside inject_view/inject_batch_view. Shared
+  /// virtual-clock boundary inside inject_view. Shared
   /// and immutable like the rest of this block: every replica of a
   /// parallel campaign replays the identical event stream against its own
   /// clock, so churn is part of the campaign spec and the bit-identical
@@ -205,9 +204,11 @@ class Network {
   void advance_us(std::uint64_t us) { now_us_ += us; }
 
   /// Inject one wire-format probe; returns a view of zero or more
-  /// wire-format replies, valid until the next inject*/reset call on this
-  /// Network. The packet's source address selects the vantage (must be
-  /// registered in the topology). This is the allocation-free fast path.
+  /// wire-format replies, valid until the next inject_view/reset call on
+  /// this Network. The packet's source address selects the vantage (must be
+  /// registered in the topology). This is the only way a probe enters the
+  /// network, and it allocates nothing in the steady state; a caller that
+  /// holds replies across a second inject copies them out first.
   ///
   /// Non-reentrancy rule: the returned span (and the observer's reply span)
   /// aliases this Network's shared packet pool, so a ResponseSink, probe
@@ -215,21 +216,6 @@ class Network {
   /// same Network — that would recycle the buffers mid-dispatch. Asserted in
   /// debug builds; observe, record, steer from callbacks, inject later.
   std::span<const Packet> inject_view(const Packet& probe);
-
-  /// Compatibility shim over inject_view: copies the replies out.
-  std::vector<Packet> inject(const Packet& probe);
-
-  /// Inject a burst of probes that share one send instant; replies are
-  /// grouped per probe, in order, over one shared packet pool. Semantically
-  /// identical to calling inject_view() in a loop — this is the batching
-  /// hook for backends that amortize per-call overhead (and for line-rate
-  /// burst emitters). The returned view is valid until the next
-  /// inject*/reset call, and the same non-reentrancy rule as inject_view
-  /// applies: callbacks must not inject into this Network.
-  const BatchReplies& inject_batch_view(std::span<const Packet> probes);
-
-  /// Compatibility shim over inject_batch_view (copies everything out).
-  std::vector<std::vector<Packet>> inject_batch(const std::vector<Packet>& probes);
 
   /// Per-probe observation hook: called after every injected probe with the
   /// probe and its replies, before they reach the caller. The reply view is
@@ -257,7 +243,7 @@ class Network {
     iface_router_.clear();
     frag_id_.clear();
     route_cache_.clear();
-    batch_.reset();
+    replies_.clear();
     // Dynamics state: rewind the schedule cursor and undo every applied
     // event — a reset network replays the schedule from virtual time zero,
     // which is what makes run → reset → run byte-identical with churn
@@ -367,9 +353,9 @@ class Network {
  private:
   void inject_impl(const Packet& probe, PacketPool& out);
   /// Apply every schedule event whose at_us has been reached by the virtual
-  /// clock. Called on the clock boundary of inject_view / inject_batch_view
-  /// (a batch shares one send instant, so one check covers it). The hot-path
-  /// cost with no schedule is one null check; with one, a cursor compare.
+  /// clock. Called on the clock boundary at the top of inject_view. The
+  /// hot-path cost with no schedule is one null check; with one, a cursor
+  /// compare.
   void apply_due_dynamics() {
     const auto* sched = params_->dynamics.get();
     if (!sched) return;
@@ -393,8 +379,7 @@ class Network {
   /// Probabilistically duplicate the replies a probe just produced (the
   /// kLossModel reply_dup knob): deterministic in (virtual time, probe
   /// bytes), appends value-copies to the pool.
-  B6_COLDPATH void duplicate_replies(const Packet& probe, PacketPool& out,
-                                     std::size_t first);
+  B6_COLDPATH void duplicate_replies(const Packet& probe, PacketPool& out);
   void reply_to_interface_echo(const wire::Ipv6Header& ip,
                                std::uint64_t router_id, const Packet& probe,
                                PacketPool& out);
@@ -457,7 +442,7 @@ class Network {
   // (capacity reused across probes).
   Path path_scratch_;
   std::vector<RouteCache::CompactHop> uncached_hops_;
-  BatchReplies batch_;   // reply pool behind inject_view / inject_batch_view
+  PacketPool replies_;   // reply pool behind inject_view
   bool in_inject_ = false;  // reentrancy guard: observers must not inject
   Packet frag_scratch_;  // staging for the (rare) oversized-echo path
 };

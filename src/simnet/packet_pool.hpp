@@ -64,34 +64,4 @@ class PacketPool {
   std::size_t live_ = 0;
 };
 
-/// Per-probe grouping over one shared PacketPool: the flat reply stream of
-/// an injected batch plus the [first, last) slot range of each probe.
-class BatchReplies {
- public:
-  /// Number of probes in the batch.
-  [[nodiscard]] std::size_t size() const { return ends_.size(); }
-
-  /// Replies to the i-th probe, in arrival order.
-  [[nodiscard]] std::span<const Packet> of(std::size_t i) const {
-    B6_DCHECK(i < ends_.size(), "BatchReplies::of past the last probe");
-    const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
-    return pool_.view().subspan(begin, ends_[i] - begin);
-  }
-
-  /// Every reply of the batch, in probe-then-arrival order.
-  [[nodiscard]] std::span<const Packet> all() const { return pool_.view(); }
-
-  // -- producer side (Network) --
-  PacketPool& pool() { return pool_; }
-  void reset() {
-    pool_.clear();
-    ends_.clear();
-  }
-  void end_probe() { ends_.push_back(static_cast<std::uint32_t>(pool_.size())); }
-
- private:
-  PacketPool pool_;
-  std::vector<std::uint32_t> ends_;  // cumulative reply count per probe
-};
-
 }  // namespace beholder6::simnet

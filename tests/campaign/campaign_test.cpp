@@ -312,29 +312,5 @@ TEST_F(CampaignTest, ProbeStatsAccumulate) {
   EXPECT_EQ(n1.rate_limited, 5u);
 }
 
-TEST_F(CampaignTest, BatchedInjectMatchesSequentialInject) {
-  const auto t = targets(10);
-  prober::Yarrp6Config cfg;
-  cfg.src = topo_.vantages()[0].src;
-
-  std::vector<simnet::Packet> probes;
-  for (const auto& target : t) {
-    wire::ProbeSpec spec;
-    spec.src = cfg.src;
-    spec.target = target;
-    spec.ttl = 3;
-    spec.instance = cfg.instance;
-    probes.push_back(wire::encode_probe(spec));
-  }
-  simnet::Network net_loop{topo_, unlimited()};
-  std::vector<std::vector<simnet::Packet>> loop_replies;
-  for (const auto& p : probes) loop_replies.push_back(net_loop.inject(p));
-
-  simnet::Network net_batch{topo_, unlimited()};
-  const auto batch_replies = net_batch.inject_batch(probes);
-  EXPECT_EQ(batch_replies, loop_replies);
-  EXPECT_EQ(net_batch.stats(), net_loop.stats());
-}
-
 }  // namespace
 }  // namespace beholder6::campaign

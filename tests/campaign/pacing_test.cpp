@@ -7,9 +7,8 @@
 //  * integral gaps stay bit-identical to the classic loops;
 //  * a round boundary under uniform pacing is pacing-neutral by definition
 //    (no clock advance, no division by pps);
-//  * zero-gap burst windows go out through Network::inject_batch with the
-//    whole window sharing one send instant and the round budget idling the
-//    clock afterwards.
+//  * a zero-gap burst round shares one send instant, its probes still go
+//    out one at a time, and the round budget idles the clock afterwards.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -151,8 +150,8 @@ TEST_F(PacingTest, BurstRoundBudgetIsExactAcrossRounds) {
 }
 
 TEST_F(PacingTest, ZeroGapBurstWindowSharesOneInstantAndIdlesBudget) {
-  // line_rate_gap_us = 0: each round's probes share one send instant (the
-  // inject_batch path) and the round budget alone advances the clock.
+  // line_rate_gap_us = 0: each round's probes share one send instant and
+  // the round budget alone advances the clock.
   std::vector<Poll> script;
   const auto window = probes(5);
   for (int round = 0; round < 2; ++round) {
@@ -166,13 +165,13 @@ TEST_F(PacingTest, ZeroGapBurstWindowSharesOneInstantAndIdlesBudget) {
     EXPECT_EQ(sent_at[i], 0u) << "round 1 is one instant";
     EXPECT_EQ(sent_at[5 + i], 5000u) << "round 2 starts after the 5-probe budget";
   }
-  EXPECT_GT(stats.replies, 0u) << "batched replies must still dispatch";
+  EXPECT_GT(stats.replies, 0u) << "same-instant replies must still dispatch";
 }
 
 TEST_F(PacingTest, ZeroGapBurstMatchesPerProbeInjectionCounts) {
-  // inject_batch is semantically a loop of inject: the same window probed
-  // with a 1 µs in-burst gap must see identical probe and reply counts on
-  // an unlimited network (only timestamps differ).
+  // A zero gap only moves send instants: the same window probed with a
+  // 1 µs in-burst gap must see identical probe and reply counts on an
+  // unlimited network (only timestamps differ).
   std::vector<Poll> script;
   for (int round = 0; round < 3; ++round) {
     for (const auto& p : probes(4)) script.push_back(p);

@@ -214,8 +214,9 @@ TEST_F(ParallelCampaignTest, RunResetRunIsByteIdentical) {
     std::sort(ifaces.begin(), ifaces.end());
     std::vector<simnet::Packet> frags;
     for (const auto& iface : ifaces)
-      for (auto& f : net.inject(test_support::make_big_echo(cfg.src, iface)))
-        frags.push_back(std::move(f));
+      for (const auto& f :
+           net.inject_view(test_support::make_big_echo(cfg.src, iface)))
+        frags.push_back(f);
     return std::tuple{stats, replies, frags, net.stats(), net.now_us()};
   };
 

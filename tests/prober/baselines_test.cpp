@@ -2,6 +2,9 @@
 // Doubletree's stop-set behaviour, including the rate-limiting pathology.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "campaign/runner.hpp"
 #include "prober/doubletree.hpp"
 #include "prober/sequential.hpp"
 #include "prober/yarrp6.hpp"
@@ -10,9 +13,41 @@
 namespace beholder6::prober {
 namespace {
 
+/// One reply as the lockstep order sees it: (target, ttl, responder, type).
+using ReplyKey = std::tuple<Ipv6Addr, std::uint8_t, Ipv6Addr, wire::Icmp6Type>;
+
+struct CappedRun {
+  ProbeStats stats;  // elapsed_virtual_us zeroed: it depends on the gap
+  std::vector<ReplyKey> replies;
+  bool finished = false;
+};
+
 class BaselineTest : public ::testing::Test {
  protected:
   BaselineTest() : topo_(simnet::TopologyParams{}) {}
+
+  /// Run `source` alone on an unlimited network under `pacing`, stopping
+  /// after a step budget far above what the campaign needs, so a source
+  /// that never exhausts fails the test instead of hanging it.
+  CappedRun run_capped(campaign::ProbeSource& source,
+                       const campaign::Endpoint& endpoint,
+                       const campaign::PacingPolicy& pacing) {
+    simnet::NetworkParams np;
+    np.unlimited = true;
+    simnet::Network net{topo_, np};
+    CappedRun out;
+    campaign::CampaignRunner runner{net};
+    runner.add(source, endpoint, pacing, [&](const wire::DecodedReply& r) {
+      out.replies.emplace_back(r.probe.target, r.probe.ttl, r.responder, r.type);
+    });
+    constexpr std::size_t kStepCap = 10'000;
+    for (std::size_t steps = 0; steps < kStepCap && runner.step(); ++steps) {
+    }
+    out.finished = runner.done();
+    out.stats = runner.stats()[0];
+    out.stats.elapsed_virtual_us = 0;
+    return out;
+  }
 
   std::vector<Ipv6Addr> university_targets(std::size_t n) {
     std::vector<Ipv6Addr> out;
@@ -169,6 +204,57 @@ TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
   EXPECT_GT(y, s);
   EXPECT_GE(d, s) << "Doubletree should suffer less than plain sequential";
   EXPECT_GE(y, d) << "randomization should still win";
+}
+
+// A zero in-burst gap puts a whole lockstep round on one send instant but
+// must not change what the source sees: each probe's feedback still lands
+// before the next poll, so on an unlimited network (no time-dependent
+// replies) gap 0 and gap 1 give the same probes, replies and stop set.
+TEST_F(BaselineTest, SequentialZeroGapMatchesUnitGap) {
+  const auto targets = university_targets(40);
+  ASSERT_GE(targets.size(), 20u);
+  SequentialConfig cfg;
+  cfg.src = topo_.vantages()[0].src;
+  cfg.pps = 500;
+  cfg.max_ttl = 14;
+
+  auto run_at = [&](std::uint64_t gap_us) {
+    cfg.line_rate_gap_us = gap_us;
+    SequentialSource source{cfg, targets};
+    return run_capped(source, cfg.endpoint(), cfg.pacing());
+  };
+  const auto zero = run_at(0);
+  const auto unit = run_at(1);
+  ASSERT_TRUE(unit.finished);
+  ASSERT_TRUE(zero.finished) << "zero-gap campaign did not exhaust";
+  EXPECT_GT(unit.stats.replies, 0u);
+  EXPECT_EQ(zero.stats, unit.stats);
+  EXPECT_EQ(zero.replies, unit.replies);
+}
+
+TEST_F(BaselineTest, DoubletreeZeroGapMatchesUnitGap) {
+  const auto targets = university_targets(40);
+  ASSERT_GE(targets.size(), 20u);
+  DoubletreeConfig cfg;
+  cfg.src = topo_.vantages()[0].src;
+  cfg.pps = 500;
+  cfg.max_ttl = 14;
+  cfg.start_ttl = 6;
+
+  auto run_at = [&](std::uint64_t gap_us, StopSet& stop_set) {
+    cfg.line_rate_gap_us = gap_us;
+    DoubletreeSource source{cfg, targets, stop_set};
+    return run_capped(source, cfg.endpoint(), cfg.pacing());
+  };
+  StopSet zero_stop, unit_stop;
+  const auto zero = run_at(0, zero_stop);
+  const auto unit = run_at(1, unit_stop);
+  ASSERT_TRUE(unit.finished);
+  ASSERT_TRUE(zero.finished) << "zero-gap campaign did not exhaust";
+  EXPECT_GT(unit_stop.size(), 0u);
+  EXPECT_EQ(zero.stats, unit.stats);
+  EXPECT_EQ(zero.replies, unit.replies);
+  EXPECT_EQ(zero_stop.size(), unit_stop.size());
 }
 
 }  // namespace

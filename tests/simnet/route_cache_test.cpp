@@ -115,7 +115,8 @@ TEST_F(RouteCacheTest, Yarrp6CacheOnOffByteIdentical) {
 }
 
 TEST_F(RouteCacheTest, SequentialBurstCacheOnOffByteIdentical) {
-  // Burst pacing drives the inject_batch_view path as well.
+  // Burst pacing at the default 1 us in-burst gap: lockstep rounds with
+  // one send instant per probe.
   const auto t = targets(60);
   prober::SequentialConfig cfg;
   cfg.src = topo_.vantages()[1].src;
@@ -328,11 +329,11 @@ TEST_F(RouteCacheTest, TerminalUnreachablesSuppressPerFullAddress) {
     return wire::encode_probe(spec);
   };
 
-  EXPECT_EQ(net.inject(probe_of(*dead_a)).size(), 1u) << "first DU answered";
-  EXPECT_EQ(net.inject(probe_of(*dead_a)).size(), 0u) << "repeat suppressed";
-  EXPECT_EQ(net.inject(probe_of(*dead_b)).size(), 1u)
+  EXPECT_EQ(net.inject_view(probe_of(*dead_a)).size(), 1u) << "first DU answered";
+  EXPECT_EQ(net.inject_view(probe_of(*dead_a)).size(), 0u) << "repeat suppressed";
+  EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 1u)
       << "a distinct target must not be suppressed by its neighbour";
-  EXPECT_EQ(net.inject(probe_of(*dead_b)).size(), 0u);
+  EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 0u);
 }
 
 }  // namespace

@@ -58,9 +58,9 @@ new direct `operator new` call inside a hot function is still visible
 because the allocator itself is always an external symbol.
 
 Entry points (demangled-name regex, `--entry` to extend):
-    Network::inject_view, Network::inject_batch_view, Network::inject_impl,
-    RouteCache::find, Network::resolve_path, wire::encode_probe_into,
-    wire::decode_reply, Topology::host_at, Topology::path_into
+    Network::inject_view, Network::inject_impl, RouteCache::find,
+    Network::resolve_path, wire::encode_probe_into, wire::decode_reply,
+    Topology::host_at, Topology::path_into
 Entries that were inlined out of existence (header-only RouteCache::find
 usually is) are reported as notes, not errors — their bodies are covered
 through their callers.
@@ -182,7 +182,6 @@ DEFAULT_GATES: list[tuple[str, str]] = [
 
 DEFAULT_ENTRIES: list[str] = [
     r"beholder6::simnet::Network::inject_view\(",
-    r"beholder6::simnet::Network::inject_batch_view\(",
     r"beholder6::simnet::Network::inject_impl\(",
     r"beholder6::simnet::Network::resolve_path\(",
     r"beholder6::simnet::RouteCache::find\(",
