@@ -6,11 +6,6 @@
 // mode) run as shards of a ParallelCampaignRunner, each feeding a
 // shard-private TraceCollector. Three measurements:
 //
-//   legacy  — the pre-PR pipeline shape on today's code: route cache
-//             disabled (every probe re-resolves its path) and the merged
-//             global reply stream collected and sorted (pre-PR had no way
-//             to opt out). Kept alive by the compatibility shims, so the
-//             comparison stays honest as the fast path evolves;
 //   fast    — the current engine: route cache, pooled packet buffers,
 //             span inject, collectors only (1 worker thread);
 //   threads — the fast configuration at 1/2/4/8 worker threads, each point
@@ -52,10 +47,6 @@
 // if even one probe allocates. CI runs this in Release and fails on a
 // crash or malformed BENCH_hotpath.json — never on absolute numbers,
 // which are machine-dependent.
-//
-// The pre-PR baseline recorded in the JSON was measured at commit 32f3281
-// (before the route cache / packet pools / FlatMap collector): the same
-// probing phase, same workload, same machine as the committed numbers.
 //
 // Usage: bench_hotpath [scale] [out.json]   (defaults: 0.6 BENCH_hotpath.json)
 #include <atomic>
@@ -130,9 +121,6 @@ namespace {
 
 using namespace beholder6;
 using Clock = std::chrono::steady_clock;
-
-/// Probes/sec the pre-PR code sustained on this workload (see header).
-constexpr double kPrePrBaselineProbesPerSec = 180563.0;
 
 double secs_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -303,17 +291,9 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(alloc_check.probes),
                static_cast<unsigned long long>(alloc_check.allocations));
 
-  simnet::NetworkParams legacy_params;
-  legacy_params.route_cache_entries = 0;  // pre-PR: re-resolve every probe
-  const auto legacy =
-      run_pipeline(world, sets, legacy_params, 1, /*collect_replies=*/true);
-  std::fprintf(stderr, "legacy: %.0f probes/sec\n", legacy.pps());
-
   const auto fast =
       run_pipeline(world, sets, simnet::NetworkParams{}, 1, /*collect=*/false);
-  std::fprintf(stderr, "fast:   %.0f probes/sec (%.2fx legacy, %.2fx pre-PR)\n",
-               fast.pps(), fast.pps() / legacy.pps(),
-               fast.pps() / kPrePrBaselineProbesPerSec);
+  std::fprintf(stderr, "fast: %.0f probes/sec\n", fast.pps());
 
   struct SweepPoint {
     unsigned threads;
@@ -505,19 +485,6 @@ int main(int argc, char** argv) {
                "not scaling\"},\n",
                hw_threads);
   std::fprintf(out,
-               "  \"pre_pr_baseline\": {\"probes_per_sec\": %.0f, \"note\": "
-               "\"commit 32f3281 (before route cache, packet pools, FlatMap "
-               "state); identical probing phase, scale 0.6, same machine as "
-               "the committed numbers — compare like scales and machines "
-               "only\"},\n",
-               kPrePrBaselineProbesPerSec);
-  std::fprintf(out,
-               "  \"legacy_path\": {\"desc\": \"pre-PR pipeline shape on "
-               "today's code: route cache off + merged reply stream\", "
-               "\"probes\": %llu, \"seconds\": %.3f, \"probes_per_sec\": %.0f},\n",
-               static_cast<unsigned long long>(legacy.probes), legacy.seconds,
-               legacy.pps());
-  std::fprintf(out,
                "  \"fast_path\": {\"desc\": \"route cache + packet pools + span "
                "inject + flat collector state\", \"probes\": %llu, \"seconds\": "
                "%.3f, \"probes_per_sec\": %.0f, \"route_cache_hits\": %llu, "
@@ -525,9 +492,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(fast.probes), fast.seconds,
                fast.pps(), static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses), hit_rate);
-  std::fprintf(out, "  \"speedup_vs_legacy\": %.2f,\n", fast.pps() / legacy.pps());
-  std::fprintf(out, "  \"speedup_vs_pre_pr_baseline\": %.2f,\n",
-               fast.pps() / kPrePrBaselineProbesPerSec);
   std::fprintf(out, "  \"threads_sweep\": [\n");
   for (std::size_t i = 0; i < sweep.size(); ++i)
     std::fprintf(out,

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
 
-#include "netbase/annotated_mutex.hpp"
+#include "campaign/unit.hpp"
 #include "netbase/dcheck.hpp"
 
 namespace beholder6::campaign {
@@ -29,27 +26,23 @@ double secs_since(PerfClock::time_point t0) {
   return std::chrono::duration<double>(PerfClock::now() - t0).count();
 }
 
-/// One stealable work unit: a whole (sub)shard. Free-running units are run
-/// start-to-finish on whichever worker claims them. Units of an *epoch
-/// family* (split children sharing an EpochBarrier) are claimed the same
-/// way but run one epoch at a time: a worker drives the unit until it
-/// pauses at its epoch boundary (or exhausts), and the family's last
-/// arrival performs the canonical barrier merge and requeues the rest.
-/// Units are expanded deterministically before any worker starts, so the
-/// unit list — like the shard list — is part of the fixed campaign spec,
-/// and the claim order never touches results.
+/// One stealable work unit: one member of a shard's split family. The pool
+/// runs a free-running unit start-to-finish on whichever worker claims it,
+/// and an epoch-family unit one epoch per claim. Units are expanded
+/// deterministically before any worker starts, so the unit list — like the
+/// shard list — is part of the fixed campaign spec, and the claim order
+/// never touches results.
 struct WorkUnit {
-  ProbeSource* source = nullptr;  // borrowed (unsplit) or owned by `owned`
+  ProbeSource* source = nullptr;  // a member of the shard's SplitFamily
   std::size_t parent = 0;         // index into the shard list
   std::uint32_t subshard = 0;     // canonical index within the parent
   bool record = false;            // append this unit's replies to its run
   bool live_sink = false;         // deliver the parent sink per reply, inline
   bool sink_on_merge = false;     // the post-join merge delivers it instead
-  std::int32_t family = -1;       // epoch family index, -1 = free-running
 };
 
 /// What one unit's run produces, keyed by unit index — workers share
-/// nothing mutable but the scheduler's queue state (under its mutex).
+/// nothing mutable but the pool's queue state (under its mutex).
 struct UnitResult {
   ProbeStats stats;
   simnet::NetworkStats net;
@@ -65,138 +58,8 @@ struct UnitResult {
 /// runs) plus its perf counters. Cache-line alignment keeps one worker's
 /// live counters off its neighbours' lines.
 struct alignas(64) WorkerArena {
-  std::optional<simnet::Network> net;
+  std::unique_ptr<simnet::Network> net;
   WorkerPerf perf;
-};
-
-/// A unit's runner and the replica it drives. A free-running unit borrows
-/// its worker's arena replica for the one claim that runs it to
-/// exhaustion; an epoch-family unit owns a replica that persists across
-/// its epochs and travels with it between workers (created lazily by the
-/// first claimant, handed over through the scheduler mutex).
-struct UnitContext {
-  std::unique_ptr<simnet::Network> own_net;  // epoch-family units only
-  simnet::Network* net = nullptr;
-  std::unique_ptr<CampaignRunner> runner;  // borrows *net
-};
-
-/// One split family driven in lockstep epochs. `arrived`/`active` are
-/// touched only under the scheduler mutex; the merge itself runs with
-/// every member quiescent, so the family's shared stop-set state needs no
-/// locking of its own.
-struct EpochFamily {
-  EpochBarrier* barrier = nullptr;
-  std::vector<std::size_t> members;  // unit indexes, canonical order
-  std::size_t arrived = 0;           // members paused/exhausted this epoch
-  // Barrier-protocol invariant (DCHECK): each *live* member arrives exactly
-  // once per epoch. Indexed by the unit's subshard (stable across the
-  // exhausted-member erasures that shrink `members`).
-  std::vector<char> arrived_flags;
-};
-
-/// Scheduler: a FIFO of claimable unit indexes plus the epoch-barrier
-/// bookkeeping, everything mutable guarded by one mutex. Free units leave
-/// the queue once; epoch units cycle through it once per epoch, re-enqueued
-/// by their family's barrier merge. The claim order never touches results
-/// (free units are independent; epoch merges are ordered by the barrier
-/// protocol, not by arrival).
-///
-/// This is the class form of what used to be loose locals in run(): the
-/// B6_GUARDED_BY annotations make the Clang thread-safety pass
-/// (CI `thread-safety` job) prove that every touch of the queue, the
-/// arrival flags, and the error slot happens under the mutex. Per-unit
-/// state (unit_results, contexts) deliberately stays outside: exactly one
-/// worker owns a unit between claim() and report(), and the mutex
-/// hand-off in those two calls is what publishes its writes to the next
-/// claimant — a transfer the analysis cannot express, so the contract
-/// lives here in words instead of an annotation.
-class Scheduler {
- public:
-  /// `units` must outlive the scheduler and is immutable during the run.
-  Scheduler(const std::vector<WorkUnit>& units,
-            std::vector<EpochFamily> families)
-      : units_(units),
-        families_(std::move(families)),
-        unfinished_(units.size()),
-        exhausted_(units.size(), 0) {
-    for (std::size_t u = 0; u < units_.size(); ++u) ready_.push_back(u);
-  }
-
-  /// Claim the next ready unit; blocks while the queue is empty. Returns
-  /// nullopt once the campaign is finished or a worker has failed.
-  std::optional<std::size_t> claim() B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    // Explicit wait loop: the guarded reads must sit in this annotated
-    // method, not in a wait-predicate lambda (lambda bodies are analyzed
-    // as separate functions with no capability context).
-    while (ready_.empty() && unfinished_ != 0 && !error_) cv_.wait(lock);
-    if (error_ || unfinished_ == 0) return std::nullopt;
-    const std::size_t u = ready_.front();
-    ready_.pop_front();
-    return u;
-  }
-
-  /// Report a claimed unit back: exhausted (`done`) or paused at its epoch
-  /// barrier. The family's last arrival merges the epoch deltas (every
-  /// sibling is quiescent — it paused or exhausted before reporting in
-  /// under this mutex, which is also what makes its delta writes visible
-  /// here) and requeues the survivors.
-  void report(std::size_t u, bool done) B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    if (done) {
-      exhausted_[u] = 1;
-      --unfinished_;
-    }
-    if (units_[u].family >= 0) {
-      EpochFamily& fam = families_[static_cast<std::size_t>(units_[u].family)];
-      B6_DCHECK(fam.arrived_flags[units_[u].subshard] == 0,
-                "epoch-family unit reported a barrier arrival twice in one "
-                "epoch — the EpochBarrier schedule is broken");
-      fam.arrived_flags[units_[u].subshard] = 1;
-      B6_DCHECK(fam.arrived < fam.members.size(),
-                "more barrier arrivals than live family members");
-      if (++fam.arrived == fam.members.size()) {
-        fam.barrier->merge_epoch();
-        fam.arrived = 0;
-        // Drop exhausted members in place (a lambda for erase_if would
-        // fall outside the analysis' capability context).
-        std::size_t keep = 0;
-        for (const std::size_t m : fam.members)
-          if (exhausted_[m] == 0) fam.members[keep++] = m;
-        fam.members.resize(keep);
-        for (const std::size_t m : fam.members) {
-          fam.arrived_flags[units_[m].subshard] = 0;
-          ready_.push_back(m);
-        }
-      }
-    }
-    cv_.notify_all();
-  }
-
-  /// Record the first failure and wake everyone so the pool drains.
-  void fail(std::exception_ptr e) B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    if (!error_) error_ = std::move(e);
-    cv_.notify_all();
-  }
-
-  /// The first failure, if any. Meant for after the pool has joined, but
-  /// takes the mutex so it is safe (and provably so) at any point.
-  [[nodiscard]] std::exception_ptr error() B6_EXCLUDES(mu_) {
-    netbase::MutexLock lock{mu_};
-    return error_;
-  }
-
- private:
-  const std::vector<WorkUnit>& units_;  // immutable during the run
-
-  netbase::Mutex mu_;
-  netbase::CondVar cv_;
-  std::deque<std::size_t> ready_ B6_GUARDED_BY(mu_);
-  std::vector<EpochFamily> families_ B6_GUARDED_BY(mu_);
-  std::size_t unfinished_ B6_GUARDED_BY(mu_);
-  std::vector<char> exhausted_ B6_GUARDED_BY(mu_);
-  std::exception_ptr error_ B6_GUARDED_BY(mu_);
 };
 
 }  // namespace
@@ -208,47 +71,34 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   result.per_shard_net.resize(shards.size());
 
   // ---- Deterministic over-decomposition -----------------------------------
-  // Expand every shard into work units up front. A split shard's sink
-  // cannot run live (its subshards execute concurrently), so such units
-  // record their replies and the post-join merge delivers the sink in
-  // canonical order on the caller thread. Split children that share an
-  // EpochBarrier form an epoch family, scheduled in lockstep epochs.
-  std::vector<std::unique_ptr<ProbeSource>> owned;
+  // Every shard becomes one split family (family index = shard index) and
+  // every family member one work unit. A split shard's sink cannot run
+  // live (its subshards execute concurrently), so such units record their
+  // replies and the post-join merge delivers the sink in canonical order
+  // on the caller thread. The members of an epoch-coupled family are held
+  // back by the pool between epochs.
+  std::vector<SplitFamily> families;
+  families.reserve(shards.size());
   std::vector<WorkUnit> units;
-  std::vector<EpochFamily> families;
+  std::vector<PoolUnit> pool_units;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& shard = shards[i];
-    auto children = options.split_factor > 1
-                        ? shard.source->split(options.split_factor)
-                        : std::vector<std::unique_ptr<ProbeSource>>{};
-    if (children.empty()) {
-      units.push_back({shard.source, i, 0, options.collect_replies,
-                       shard.sink != nullptr, false, -1});
-    } else {
-      // A single-child "split" is still one unit: its sink stays live.
-      const bool split = children.size() > 1;
-      // Epoch-coupled children all return their family's one barrier; a
-      // mixed family would be a broken split() implementation.
-      EpochBarrier* barrier = children[0]->epoch_barrier();
-      std::int32_t family = -1;
-      if (barrier != nullptr) {
-        family = static_cast<std::int32_t>(families.size());
-        families.push_back(
-            {barrier, {}, 0, std::vector<char>(children.size(), 0)});
-      }
-      for (std::uint32_t j = 0; j < children.size(); ++j) {
-        if (family >= 0)
-          families.back().members.push_back(units.size());
-        const bool merge_sink = split && shard.sink != nullptr;
-        units.push_back({children[j].get(), i, j,
-                         options.collect_replies || merge_sink,
-                         !split && shard.sink != nullptr, merge_sink, family});
-        owned.push_back(std::move(children[j]));
-      }
+    const SplitFamily& family =
+        families.emplace_back(*shard.source, options.split_factor);
+    // A single-member family is still one unit: its sink stays live.
+    const bool split = family.size() > 1;
+    const bool merge_sink = split && shard.sink != nullptr;
+    const std::int32_t epoch =
+        family.barrier() != nullptr ? static_cast<std::int32_t>(i) : -1;
+    for (std::uint32_t j = 0; j < family.size(); ++j) {
+      units.push_back({&family.member(j), i, j,
+                       options.collect_replies || merge_sink,
+                       !split && shard.sink != nullptr, merge_sink});
+      pool_units.push_back({epoch, j});
     }
   }
   std::vector<UnitResult> unit_results(units.size());
-  std::vector<UnitContext> contexts(units.size());
+  std::vector<MemberRunner> contexts(units.size());
 
   // ---- The shared immutable tier: warm the route snapshot once -----------
   // Before any worker exists, resolve every route the campaign will hit
@@ -257,127 +107,79 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // list (keys are collected in canonical shard/target order, first seen
   // wins), its entries are exactly what Topology::path returns, and after
   // this block it is never written again — which is what lets any number
-  // of workers hit it lock-free. route_cache_entries == 0 means "this
-  // campaign wants no route caching at all" (the legacy-path benchmark
-  // measures exactly that), so it disables the snapshot too.
-  const std::size_t max_threads =
-      n_threads_ ? n_threads_ : std::max(1u, std::thread::hardware_concurrency());
+  // of workers hit it lock-free. The warm-up is the reactor's, serial
+  // (RouteWarmer). route_cache_entries == 0 means "this campaign wants no
+  // route caching at all", so it disables the snapshot too; sources that
+  // name no warm targets leave it null by themselves.
   std::shared_ptr<const simnet::RouteCache> snapshot;
-  if (options.share_route_snapshot && params_->route_cache_entries != 0 &&
-      !units.empty()) {
+  if (params_->route_cache_entries != 0 && !units.empty()) {
     const auto warm_t0 = PerfClock::now();
-    std::vector<simnet::Network::ProbeRouteKey> keys;
-    RouteKeyCollector collector{topo_};
+    RouteWarmer warmer{topo_};
     for (const Shard& shard : shards)
-      collector.collect(shard.endpoint, shard.source->route_warm_targets(),
-                        keys);
-    if (!keys.empty()) {
-      // Serial, through the warm-up the reactor uses: Topology::path_into
-      // copies a precomputed chain into one reused scratch Path, so no
-      // per-key Path is held and no thread pool is needed to resolve.
-      auto cache = std::make_shared<simnet::RouteCache>();
-      warm_route_cache(topo_, keys, *cache);
-      snapshot = std::move(cache);
-    }
-    result.warmed_routes = keys.size();
+      result.warmed_routes +=
+          warmer.add(shard.endpoint, shard.source->route_warm_targets());
+    snapshot = warmer.snapshot();
     result.warmup_seconds = secs_since(warm_t0);
   }
 
   // ---- Worker pool over per-worker arenas --------------------------------
-  Scheduler sched{units, std::move(families)};
-
+  const std::size_t max_threads =
+      n_threads_ ? n_threads_ : std::max(1u, std::thread::hardware_concurrency());
   const std::size_t workers =
       std::max<std::size_t>(1, std::min(units.size(), max_threads));
   std::vector<WorkerArena> arenas(workers);
 
-  // The worker body. `w` indexes the worker's arena. Claims units and
-  // drives each over a replica: a free unit over the arena's (constructed
-  // on first claim, reset() afterwards — the immutable tier makes reset
-  // cheap because the warmed routes never leave the shared snapshot), an
-  // epoch-family unit over its own.
-  auto worker = [&](std::size_t w) {
+  // Drive unit `u` on worker `w` until it exhausts (true: its results are
+  // final) or pauses at its epoch barrier (false). A free unit never
+  // pauses, so its one claim runs it to exhaustion over the worker's arena
+  // replica (constructed on first claim, reset() afterwards — the immutable
+  // tier makes reset cheap because the warmed routes never leave the
+  // shared snapshot); an epoch-family unit owns a replica that persists
+  // across its epochs and travels with it between workers.
+  auto drive_unit = [&](std::size_t w, std::size_t u) -> bool {
     WorkerArena& arena = arenas[w];
-
-    // Drive a unit until it exhausts (true: its results are final) or
-    // pauses at its epoch barrier (false). A free unit is simply one that
-    // never pauses, so its first claim runs it to exhaustion.
-    auto drive_unit = [&](std::size_t u) -> bool {
-      const WorkUnit& unit = units[u];
-      const Shard& shard = shards[unit.parent];
-      UnitContext& ctx = contexts[u];
-      UnitResult& out = unit_results[u];
-      if (!ctx.runner) {
-        if (unit.family >= 0) {
-          ctx.own_net = std::make_unique<simnet::Network>(topo_, params_);
-          ctx.own_net->set_shared_routes(snapshot);
-          ctx.net = ctx.own_net.get();
-        } else {
-          if (!arena.net) {
-            arena.net.emplace(topo_, params_);
-            arena.net->set_shared_routes(snapshot);
-          } else {
-            arena.net->reset();
-          }
-          ctx.net = &*arena.net;
-        }
-        ctx.runner = std::make_unique<CampaignRunner>(*ctx.net);
-        ResponseSink sink;
-        if (unit.record) {
-          sink = [&unit, &shard, &out,
-                  net = ctx.net](const wire::DecodedReply& r) {
-            out.run.push_back({net->now_us(),
-                               static_cast<std::uint32_t>(unit.parent),
-                               unit.subshard, r});
-            if (unit.live_sink) shard.sink(r);
-          };
-        } else if (unit.live_sink) {
-          sink = shard.sink;
-        }
-        ctx.runner->add(*unit.source, shard.endpoint, shard.pacing,
-                        std::move(sink));
+    const auto unit_t0 = PerfClock::now();
+    const WorkUnit& unit = units[u];
+    const Shard& shard = shards[unit.parent];
+    MemberRunner& ctx = contexts[u];
+    UnitResult& out = unit_results[u];
+    const bool epoch = pool_units[u].family >= 0;
+    if (!ctx.runner) {
+      if (!epoch) {  // free units borrow the arena replica
+        if (arena.net) arena.net->reset();
+        else arena.net = make_replica(topo_, params_, snapshot);
       }
-      if (unit.source->epoch_paused()) unit.source->epoch_resume();
-      while (!ctx.runner->done()) {
-        ctx.runner->step();
-        if (unit.source->epoch_paused()) {
-          B6_DCHECK(unit.family >= 0,
-                    "a free-running unit paused at an epoch barrier");
-          return false;  // barrier arrival
-        }
+      ResponseSink sink;
+      if (unit.record) {
+        sink = [&unit, &shard, &out, &ctx](const wire::DecodedReply& r) {
+          out.run.push_back({ctx.net->now_us(),
+                             static_cast<std::uint32_t>(unit.parent),
+                             unit.subshard, r});
+          if (unit.live_sink) shard.sink(r);
+        };
+      } else if (unit.live_sink) {
+        sink = shard.sink;
       }
+      ctx.start(topo_, params_, snapshot, epoch ? nullptr : arena.net.get(),
+                *unit.source, shard.endpoint, shard.pacing, std::move(sink));
+    }
+    // Step until exhaustion or an epoch pause (a barrier arrival).
+    while (!ctx.runner->done() && !unit.source->epoch_paused())
+      ctx.runner->step();
+    const bool done = !unit.source->epoch_paused();
+    B6_DCHECK(done || epoch, "a free-running unit paused at an epoch barrier");
+    if (done) {
       out.stats = ctx.runner->stats()[0];
       out.net = ctx.net->stats();
       // Release the runner and any owned replica as soon as the unit is
-      // done (runner first — it borrows the network).
-      ctx.runner.reset();
-      ctx.own_net.reset();
-      return true;
-    };
-
-    while (const auto claimed = sched.claim()) {
-      const std::size_t u = *claimed;
-      const auto unit_t0 = PerfClock::now();
-      bool done = false;
-      try {
-        done = drive_unit(u);
-      } catch (...) {
-        sched.fail(std::current_exception());
-        break;
-      }
-      ++arena.perf.units_run;
-      arena.perf.busy_seconds += secs_since(unit_t0);
-      sched.report(u, done);
+      // done.
+      ctx.release();
     }
+    ++arena.perf.units_run;
+    arena.perf.busy_seconds += secs_since(unit_t0);
+    return done;
   };
-
-  if (workers == 1) {
-    worker(0);  // one worker: run on the caller, no threads
-  } else {
-    std::vector<std::jthread> pool;  // joins on scope exit
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
-  }
-  if (const auto error = sched.error()) std::rethrow_exception(error);
+  run_pool(pool_units, families, workers, drive_unit);
 
   result.worker_perf.reserve(workers);
   for (const auto& arena : arenas) result.worker_perf.push_back(arena.perf);

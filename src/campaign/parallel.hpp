@@ -20,27 +20,26 @@
 // queue workers steal from, so one giant shard no longer bounds the
 // campaign's wall-clock — its subshards drain across all threads.
 //
-// Epoch families: split children that share barrier-merged snapshot state
-// (ProbeSource::epoch_barrier, e.g. Doubletree's SnapshotStopSet) are
-// scheduled in lockstep epochs rather than free-run to exhaustion. A
-// worker drives such a unit until it pauses at its epoch boundary
-// (ProbeSource::epoch_paused, checked after every CampaignRunner::step)
-// or exhausts; once every family member has arrived, the last arrival
-// calls EpochBarrier::merge_epoch — single-threaded, all siblings
-// quiescent — and requeues the survivors. The barrier is cooperative (no
-// blocked threads), so a family larger than the worker pool still makes
-// progress, and a pool of one drives it round-robin. Free-running units
-// and unsplit shards are scheduled exactly as before.
+// Epoch families — split children sharing barrier-merged state
+// (ProbeSource::epoch_barrier, e.g. Doubletree's SnapshotStopSet) — run in
+// lockstep epochs: a worker drives such a unit until it pauses at its
+// epoch boundary or exhausts, and the family's last arrival merges and
+// requeues the survivors. The barrier is cooperative (no blocked threads),
+// so a family larger than the pool still progresses. Shard families, the
+// member builder and the worker pool are the work-unit machinery shared
+// with CampaignReactor (campaign/unit.hpp).
 //
 // Scaling architecture (see docs/ARCHITECTURE.md "The parallel backend"):
 // replicas share an immutable tier — the Topology, one shared_ptr'd
 // NetworkParams block, and a read-only route snapshot warmed once by the
-// caller before any worker starts (ParallelRunOptions::share_route_snapshot)
-// — while each *worker* owns one cache-line-padded arena holding its
-// mutable Network replica, constructed once and reset() between the work
-// units it steals. Each recording unit appends its replies to its own run,
-// already sorted because a unit's clock only moves forward; once the pool
-// joins, the run() caller k-way merges the runs into the canonical stream.
+// caller before any worker starts from the sources'
+// ProbeSource::route_warm_targets() (skipped when none name any, or when
+// NetworkParams::route_cache_entries is 0) — while each *worker* owns one
+// cache-line-padded arena holding its mutable Network replica, constructed
+// once and reset() between the work units it steals. Each recording unit
+// appends its replies to its own run, already sorted because a unit's
+// clock only moves forward; once the pool joins, the run() caller k-way
+// merges the runs into the canonical stream.
 //
 // Network dynamics ride the immutable tier: NetworkParams::dynamics is a
 // shared_ptr'd DynamicsSchedule, so every worker's replica carries the
@@ -167,8 +166,8 @@ struct ParallelResult {
   /// Merge telemetry (zeros when nothing was recorded).
   MergePerf merge_perf;
   /// Wall time spent warming the shared route snapshot before workers
-  /// started, and how many routes it holds (0/0 when sharing was off or
-  /// no source reported warm targets).
+  /// started, and how many routes it holds (0/0 when route caching is
+  /// off; 0 routes when no source reported warm targets).
   double warmup_seconds = 0.0;
   std::uint64_t warmed_routes = 0;
 };
@@ -191,16 +190,6 @@ struct ParallelRunOptions {
   /// (deterministic) respecification. 1 — and any source that reports
   /// unsplittable — keeps the classic one-unit-per-shard behavior.
   std::uint64_t split_factor = 1;
-  /// Warm a read-only route snapshot once, before any worker starts, from
-  /// the shards' ProbeSource::route_warm_targets(), and share it across
-  /// every replica (simnet::Network::set_shared_routes). Replicas then
-  /// start with every route hot instead of each re-resolving the same
-  /// paths into cold private caches. Purely a performance knob: the
-  /// snapshot holds exactly what Topology::path would return, so results
-  /// are bit-identical with it on or off (a test asserts this). Off skips
-  /// the warmup pass entirely — useful when sources cannot cheaply name
-  /// their targets or a campaign is too small to amortize it.
-  bool share_route_snapshot = true;
 };
 
 /// Scales campaigns across OS threads: expands shards into deterministic

@@ -249,7 +249,7 @@ class ProbeSource {
   [[nodiscard]] virtual bool epoch_paused() const { return false; }
 
   /// Clear the epoch pause after the family's barrier merge. Called by the
-  /// backend, on the worker that resumes the child, before its next poll.
+  /// backend's merging thread, before the child's next poll.
   virtual void epoch_resume() {}
 };
 

@@ -1,12 +1,8 @@
 #include "campaign/reactor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
 #include <utility>
 
-#include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
 
 namespace beholder6::campaign {
@@ -23,23 +19,6 @@ bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   return a.seq < b.seq;
 }
 
-/// A campaign-local heap entry for parallel drains: one campaign's members
-/// ordered exactly as the global heap would order them among themselves —
-/// tenant is constant within a campaign, so (due, member) is the same
-/// relative order. That identity is what makes a worker driving the whole
-/// campaign reproduce the serial interleaving of its members.
-struct LSlot {
-  std::uint64_t due_us = 0;
-  std::uint32_t member = 0;
-  std::uint64_t gen = 0;
-  bool operator>(const LSlot& o) const {
-    if (due_us != o.due_us) return due_us > o.due_us;
-    return member > o.member;
-  }
-};
-
-using LocalQueue = std::priority_queue<LSlot, std::vector<LSlot>, std::greater<LSlot>>;
-
 }  // namespace
 
 CampaignReactor::CampaignReactor(const simnet::Topology& topo,
@@ -48,25 +27,11 @@ CampaignReactor::CampaignReactor(const simnet::Topology& topo,
     : topo_(topo),
       params_(std::make_shared<const simnet::NetworkParams>(std::move(params))),
       options_(options),
-      route_keys_(topo) {}
+      warmer_(topo) {}
 
 CampaignReactor::~CampaignReactor() = default;
 
 // ---- Admission --------------------------------------------------------------
-
-void CampaignReactor::warm_routes(const CampaignSpec& spec) {
-  if (params_->route_cache_entries == 0) return;
-  warm_keys_.clear();
-  route_keys_.collect(spec.endpoint, spec.source->route_warm_targets(),
-                      warm_keys_);
-  if (warm_keys_.empty()) return;
-  if (!warm_cache_) {
-    warm_cache_ = std::make_shared<simnet::RouteCache>();
-    snapshot_ = warm_cache_;
-  }
-  warm_route_cache(topo_, warm_keys_, *warm_cache_);
-  warmed_routes_ += warm_keys_.size();
-}
 
 Admission CampaignReactor::submit(const CampaignSpec& spec) {
   if (spec.source == nullptr || spec.pacing.pps <= 0.0)
@@ -80,75 +45,52 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
 
   // Grow the shared snapshot before any member exists: every replica of
   // this (and any later) campaign starts with these routes hot.
-  warm_routes(spec);
+  if (params_->route_cache_entries != 0)
+    warmed_routes_ +=
+        warmer_.add(spec.endpoint, spec.source->route_warm_targets());
 
-  auto owner = std::make_unique<Campaign>();
+  // Members: the source whole, or its split children as one campaign —
+  // an epoch-coupled family if they share a barrier.
+  auto owner = std::make_unique<Campaign>(spec);
   Campaign& c = *owner;
-  c.spec = spec;
   c.index = static_cast<std::uint32_t>(campaigns_.size());
-  c.nonce = static_cast<std::uint64_t>(campaigns_.size()) + 1;
   c.start_us = now_us_;
   c.throttled = spec.rate_limit_pps > 0.0;
   if (c.throttled)
     c.bucket = simnet::TokenBucket{spec.rate_limit_pps,
                                    std::max(1.0, spec.rate_limit_burst)};
 
-  // Members: the source whole, or its split children as one campaign. An
-  // epoch-coupled family (shared barrier) is the second EpochBarrier
-  // client after the parallel backend, driven with the same protocol.
-  std::vector<std::unique_ptr<ProbeSource>> children;
-  if (spec.split_factor > 1) children = spec.source->split(spec.split_factor);
-  const std::size_t n_members = children.empty() ? 1 : children.size();
-  c.members.resize(n_members);
-  for (std::size_t i = 0; i < n_members; ++i) {
-    Member& m = c.members[i];
-    if (children.empty()) {
-      m.source = spec.source;
-    } else {
-      m.owned = std::move(children[i]);
-      m.source = m.owned.get();
-    }
-    m.net = std::make_unique<simnet::Network>(topo_, params_);
-    if (snapshot_) m.net->set_shared_routes(snapshot_);
-    m.runner = std::make_unique<CampaignRunner>(*m.net);
-    Campaign* cp = &c;
-    const auto mi = static_cast<std::uint32_t>(i);
-    m.runner->add(*m.source, spec.endpoint, spec.pacing,
-                  [cp, mi](const wire::DecodedReply& r) {
-                    Member& mm = cp->members[mi];
-                    if (mm.out != nullptr)
-                      mm.out->push_back({mm.slot_due, cp->spec.tenant, mi,
-                                         mm.next_seq, mm.net->now_us(), r});
-                    ++mm.next_seq;
-                    if (cp->spec.sink) cp->spec.sink(r);
-                  });
-  }
-  if (!children.empty()) c.barrier = c.members[0].source->epoch_barrier();
-  c.live = static_cast<std::uint32_t>(n_members);
-  c.waiting = c.live;
-
-  // Seed every member's first global slot.
-  for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-    Member& m = c.members[i];
-    const auto local = m.runner->next_due_us();
-    B6_DCHECK(local.has_value(), "fresh runner with no pending slot");
-    std::uint64_t due = c.start_us + *local;
-    if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
-    push_global(c, i, due);
+  // Build every member, then seed its first global slot.
+  c.members.resize(c.family.size());
+  for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
+    c.members[mi].start(topo_, params_, warmer_.snapshot(), nullptr,
+                        c.family.member(mi), spec.endpoint, spec.pacing,
+                        [cp = &c, mi](const wire::DecodedReply& r) {
+                          Member& m = cp->members[mi];
+                          if (m.out != nullptr)
+                            m.out->push_back({m.slot_due, cp->spec.tenant, mi,
+                                              m.next_seq, m.net->now_us(), r});
+                          ++m.next_seq;
+                          if (cp->spec.sink) cp->spec.sink(r);
+                        });
+    reschedule_member(c, mi, [&](std::uint32_t i, std::uint64_t due) {
+      push_global(c, i, due);
+    });
   }
 
   tenant_index_.emplace(spec.tenant, c.index);
   ++active_;
   reserved_ += spec.probe_budget;
   campaigns_.push_back(std::move(owner));
-  return {AdmitResult::kAdmitted, {spec.tenant, c.nonce}};
+  return {AdmitResult::kAdmitted, {spec.tenant, nonce_base_ + c.index + 1}};
 }
 
 // ---- Handle lookup and control ops ------------------------------------------
 
 CampaignReactor::Campaign* CampaignReactor::find(CampaignHandle h) const {
-  if (h.nonce == 0 || h.nonce > campaigns_.size()) return nullptr;
-  Campaign* c = campaigns_[h.nonce - 1].get();
+  if (h.nonce <= nonce_base_ || h.nonce - nonce_base_ > campaigns_.size())
+    return nullptr;
+  Campaign* c = campaigns_[h.nonce - nonce_base_ - 1].get();
   return c->spec.tenant == h.tenant ? c : nullptr;
 }
 
@@ -170,11 +112,10 @@ bool CampaignReactor::resume(CampaignHandle h) {
   Campaign* c = find(h);
   if (c == nullptr || c->state != CampaignState::kPaused) return false;
   c->state = CampaignState::kRunning;
-  for (std::uint32_t i = 0; i < c->members.size(); ++i) {
-    Member& m = c->members[i];
-    if (m.exhausted || m.parked) continue;
-    push_global(*c, i, m.due_global);  // the saved due: global-time shift only
-  }
+  // The saved dues: a global-time shift only. Parked members wait for
+  // their family's barrier instead.
+  for (std::uint32_t i = 0; i < c->members.size(); ++i)
+    if (c->family.active(i)) push_global(*c, i, c->members[i].due_global);
   return true;
 }
 
@@ -195,8 +136,7 @@ void CampaignReactor::retire(Campaign& c, CampaignState state) {
       m.in_heap = false;
       --pending_;
     }
-    ++m.gen;       // stale-out any heap copy, global or campaign-local
-    m.parked = false;  // a retired family owes its barrier nothing
+    ++m.gen;  // stale-out any heap copy, global or campaign-local
   }
 }
 
@@ -239,27 +179,6 @@ void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi,
 }
 
 template <typename PushFn>
-void CampaignReactor::family_arrival(Campaign& c, PushFn&& push) {
-  B6_DCHECK(c.waiting > 0, "epoch-family member arrived twice in one epoch "
-                           "— the EpochBarrier schedule is broken");
-  --c.waiting;
-  if (c.waiting != 0) return;
-  // Last arrival: every member is parked or exhausted, i.e. quiescent —
-  // the single-threaded merge window of the EpochBarrier protocol. The
-  // merge runs even when the last arrival is the last exhaustion, which is
-  // what publishes a Doubletree family's final stop set.
-  c.barrier->merge_epoch();
-  c.waiting = c.live;
-  for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-    Member& m = c.members[i];
-    if (!m.parked) continue;
-    m.parked = false;
-    m.source->epoch_resume();
-    reschedule_member(c, i, push);
-  }
-}
-
-template <typename PushFn>
 void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
                                std::uint64_t slot_due,
                                std::vector<ReactorReply>* out, PushFn&& push) {
@@ -283,18 +202,15 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
     return;
   }
 
-  if (m.runner->done()) {
-    m.exhausted = true;
-    B6_DCHECK(c.live > 0, "member exhausted twice");
-    --c.live;
-    if (c.barrier != nullptr) family_arrival(c, push);
-    if (c.live == 0 && c.state == CampaignState::kRunning)
+  // A family arrival — exhaustion, or a park at the epoch barrier — runs
+  // the barrier protocol, whose last arrival merges and names the parked
+  // members to resume.
+  const bool exhausted = m.runner->done();
+  if (exhausted || c.family.at_barrier(mi)) {
+    for (const std::uint32_t r : c.family.arrive(mi, exhausted))
+      reschedule_member(c, r, push);
+    if (c.family.live() == 0 && c.state == CampaignState::kRunning)
       c.state = CampaignState::kFinished;
-    return;
-  }
-  if (c.barrier != nullptr && m.source->epoch_paused()) {
-    m.parked = true;
-    family_arrival(c, push);
     return;
   }
   reschedule_member(c, mi, push);
@@ -321,107 +237,81 @@ bool CampaignReactor::step() {
 
 // ---- Drains -----------------------------------------------------------------
 
-std::size_t CampaignReactor::drain_serial() {
-  std::size_t n = 0;
-  while (step()) ++n;
-  return n;
-}
-
 std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
-  // Claimable work: whole running campaigns. Campaigns are
-  // scheduling-independent (every scheduling input is tenant-local), so a
-  // worker driving one campaign with a campaign-local heap reproduces
-  // exactly the member interleaving the global heap would have given it —
-  // (due, member) and (due, tenant, member) agree within one tenant.
+  // Claimable work: whole running campaigns, each detached from the global
+  // heap onto a campaign-local one. Campaigns are scheduling-independent
+  // (every scheduling input is tenant-local), and a local heap orders
+  // slots exactly as the global heap orders them among themselves — the
+  // tenant is constant — so the worker driving a campaign reproduces the
+  // serial interleaving of its members, family arrivals included.
   struct Unit {
-    std::uint32_t campaign = 0;
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> seeds;  // (member, due)
+    Campaign* campaign = nullptr;
+    SlotQueue heap;
+    std::vector<ReactorReply> buf;
+    std::uint64_t max_due = 0;
+    std::size_t slots = 0;
   };
   std::vector<Unit> units;
   for (const auto& owner : campaigns_) {
     Campaign& c = *owner;
     if (c.state != CampaignState::kRunning) continue;
     Unit u;
-    u.campaign = c.index;
+    u.campaign = &c;
     for (std::uint32_t i = 0; i < c.members.size(); ++i) {
       Member& m = c.members[i];
       if (!m.in_heap) continue;
-      u.seeds.emplace_back(i, m.due_global);
-      // Detach from the global heap: the campaign now lives on a worker.
       m.in_heap = false;
-      ++m.gen;
       --pending_;
+      u.heap.push(GSlot{m.due_global, c.spec.tenant, i, c.index, ++m.gen});
     }
-    if (!u.seeds.empty()) units.push_back(std::move(u));
+    if (!u.heap.empty()) units.push_back(std::move(u));
   }
   if (units.empty()) return 0;
 
-  std::vector<std::vector<ReactorReply>> bufs(units.size());
-  std::vector<std::uint64_t> max_due(units.size(), 0);
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> slots{0};
-  std::exception_ptr first_error;
-  netbase::Mutex error_mu;
-
-  auto drive = [&](std::size_t ui) {
-    Campaign& c = *campaigns_[units[ui].campaign];
-    std::vector<ReactorReply>* out =
-        options_.collect_merged ? &bufs[ui] : nullptr;
-    LocalQueue lq;
+  // Each unit runs start-to-finish on one worker, which alone touches its
+  // campaign and its Unit until the pool joins.
+  auto drive = [&](std::size_t /*worker*/, std::size_t ui) {
+    Unit& u = units[ui];
+    Campaign& c = *u.campaign;
+    auto* out = options_.collect_merged ? &u.buf : nullptr;
     auto push = [&](std::uint32_t mi, std::uint64_t due) {
-      lq.push(LSlot{due, mi, c.members[mi].gen});
+      u.heap.push(GSlot{due, c.spec.tenant, mi, c.index, c.members[mi].gen});
     };
-    for (const auto& [mi, due] : units[ui].seeds) push(mi, due);
-    std::size_t n = 0;
-    while (!lq.empty()) {
-      const LSlot s = lq.top();
-      lq.pop();
-      Member& m = c.members[s.member];
-      if (s.gen != m.gen) continue;  // retired mid-drive (budget cap)
-      if (s.due_us > max_due[ui]) max_due[ui] = s.due_us;
+    while (!u.heap.empty()) {
+      const GSlot s = u.heap.top();
+      u.heap.pop();
+      if (s.gen != c.members[s.member].gen) continue;  // retired mid-drive
+      u.max_due = std::max(u.max_due, s.due_us);
       run_slot(c, s.member, s.due_us, out, push);
-      ++n;
+      ++u.slots;
     }
-    slots.fetch_add(n, std::memory_order_relaxed);
+    return true;
   };
-
-  const std::size_t workers = std::min<std::size_t>(units.size(), n_threads);
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&] {
-      for (;;) {
-        const std::size_t ui = next.fetch_add(1, std::memory_order_relaxed);
-        if (ui >= units.size()) return;
-        try {
-          drive(ui);
-        } catch (...) {
-          netbase::MutexLock lock{error_mu};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
+  const std::vector<PoolUnit> whole_campaigns(units.size());
+  run_pool(whole_campaigns, {}, std::min<std::size_t>(units.size(), n_threads),
+           drive);
 
   // Post-join, back on the control plane: merge records (any append order —
   // merged() sorts canonically), advance the clock to the latest slot run,
   // and settle retirements in campaign index order.
-  for (std::size_t ui = 0; ui < units.size(); ++ui) {
-    if (!bufs[ui].empty()) {
-      merged_.insert(merged_.end(), bufs[ui].begin(), bufs[ui].end());
+  std::size_t slots = 0;
+  for (Unit& unit : units) {
+    if (!unit.buf.empty()) {
+      merged_.insert(merged_.end(), unit.buf.begin(), unit.buf.end());
       merged_dirty_ = true;
     }
-    if (max_due[ui] > now_us_) now_us_ = max_due[ui];
-    settle(*campaigns_[units[ui].campaign]);
+    now_us_ = std::max(now_us_, unit.max_due);
+    settle(*unit.campaign);
+    slots += unit.slots;
   }
-  return slots.load(std::memory_order_relaxed);
+  return slots;
 }
 
 std::size_t CampaignReactor::drain() {
-  if (options_.n_threads <= 1) return drain_serial();
-  return drain_parallel(options_.n_threads);
+  if (options_.n_threads > 1) return drain_parallel(options_.n_threads);
+  std::size_t n = 0;
+  while (step()) ++n;
+  return n;
 }
 
 // ---- Observation ------------------------------------------------------------
@@ -462,6 +352,7 @@ const std::vector<ReactorReply>& CampaignReactor::merged() {
 }
 
 void CampaignReactor::reset() {
+  nonce_base_ += campaigns_.size();  // keeps every older handle stale
   campaigns_.clear();
   tenant_index_.clear();
   queue_ = {};

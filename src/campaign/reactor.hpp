@@ -13,9 +13,10 @@
 //
 // Architecture: every campaign gets its own Network replica (shared
 // immutable tier — Topology, params block, warmed read-only route
-// snapshot — per-tenant mutable state), its own CampaignRunner, and its
-// own *local* virtual clock starting at 0. The reactor schedules tenants
-// against each other on the global clock:
+// snapshot — per-tenant mutable state), its own CampaignRunner, both built
+// by the work-unit machinery shared with ParallelCampaignRunner
+// (campaign/unit.hpp), and its own *local* virtual clock starting at 0.
+// The reactor schedules tenants against each other on the global clock:
 //
 //   global due = admission offset + runner-local due,
 //                deferred to the tenant's token-bucket ready time.
@@ -48,6 +49,7 @@
 
 #include "campaign/probe_source.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/unit.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route_cache.hpp"
 #include "simnet/token_bucket.hpp"
@@ -90,9 +92,10 @@ struct CampaignSpec {
   std::uint64_t split_factor = 1;
 };
 
-/// Ticket for one admitted campaign. `nonce` is the admission generation:
-/// a handle stays dead after its campaign retires even if the tenant id is
-/// reused, so stale handles can never alias a newer campaign.
+/// Ticket for one admitted campaign. `nonce` is the admission generation,
+/// counted across reset(): a handle stays dead after its campaign retires
+/// even if the tenant id is reused, so stale handles never alias a newer
+/// campaign.
 struct CampaignHandle {
   std::uint64_t tenant = 0;
   std::uint64_t nonce = 0;  // 0 = invalid
@@ -178,10 +181,11 @@ struct ReactorOptions {
 ///     submits (tie-breaks use tenant ids, never admission sequence), and
 ///     of thread count.
 ///
-/// Epoch-coupled families (the second EpochBarrier client after the
-/// parallel backend): members park at epoch boundaries; the family's last
-/// arrival — a park or an exhaustion — runs merge_epoch() with every
-/// member quiescent, then resumes survivors at their saved dues.
+/// Epoch-coupled families drive the same SplitFamily as the parallel
+/// backend (campaign/unit.hpp): members park at epoch boundaries; the
+/// family's last arrival — a park or an exhaustion — runs merge_epoch()
+/// with every member quiescent, then the survivors are rescheduled at
+/// their saved dues.
 class CampaignReactor {
  public:
   /// The reactor builds one Network replica per campaign from `topo` +
@@ -255,11 +259,8 @@ class CampaignReactor {
   [[nodiscard]] const std::vector<ReactorReply>& merged();
 
  private:
-  struct Member {
-    ProbeSource* source = nullptr;
-    std::unique_ptr<ProbeSource> owned;  // split children; else unowned
-    std::unique_ptr<simnet::Network> net;
-    std::unique_ptr<CampaignRunner> runner;
+  /// A family member's runner and replica plus its scheduling state.
+  struct Member : MemberRunner {
     std::vector<ReactorReply>* out = nullptr;  // record target for the step
     std::uint64_t slot_due = 0;    // the executing slot's scheduled due
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
@@ -267,28 +268,26 @@ class CampaignReactor {
     std::uint64_t probes_seen = 0; // runner probes already accounted
     std::uint64_t gen = 0;         // slot generation; mismatches are stale
     bool in_heap = false;          // a live slot sits in the *global* heap
-    bool parked = false;           // at the family's epoch barrier
-    bool exhausted = false;
   };
 
   struct Campaign {
+    explicit Campaign(const CampaignSpec& s)
+        : spec(s), family(*s.source, s.split_factor) {}
     CampaignSpec spec;
+    SplitFamily family;  // members' sources and their barrier bookkeeping
     std::uint32_t index = 0;
-    std::uint64_t nonce = 0;
     CampaignState state = CampaignState::kRunning;
     std::uint64_t start_us = 0;  // global admission offset
     simnet::TokenBucket bucket;
     bool throttled = false;
     bool settled = false;  // terminal bookkeeping (ledger release) done
-    EpochBarrier* barrier = nullptr;
-    std::uint32_t live = 0;     // members not yet exhausted
-    std::uint32_t waiting = 0;  // live members not yet at the barrier
     std::uint64_t probes_sent = 0;
     std::vector<Member> members;
   };
 
-  /// A global-heap entry. Ordering is the fair-share policy: (due, tenant,
-  /// member) — never a submission sequence number.
+  /// A heap entry, global or campaign-local (parallel drains). Ordering is
+  /// the fair-share policy: (due, tenant, member) — never a submission
+  /// sequence number.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;
@@ -301,20 +300,18 @@ class CampaignReactor {
       return member > o.member;
     }
   };
+  using SlotQueue =
+      std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>>;
 
   template <typename PushFn>
   void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due,
                 std::vector<ReactorReply>* out, PushFn&& push);
   template <typename PushFn>
-  void family_arrival(Campaign& c, PushFn&& push);
-  template <typename PushFn>
   void reschedule_member(Campaign& c, std::uint32_t mi, PushFn&& push);
   void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
   void push_global(Campaign& c, std::uint32_t mi, std::uint64_t due);
-  void warm_routes(const CampaignSpec& spec);
   Campaign* find(CampaignHandle h) const;
-  std::size_t drain_serial();
   std::size_t drain_parallel(unsigned n_threads);
   void sort_merged();
 
@@ -323,8 +320,11 @@ class CampaignReactor {
   ReactorOptions options_;
 
   std::vector<std::unique_ptr<Campaign>> campaigns_;
+  // Handles issued before the last reset(): campaign i of this run has
+  // nonce nonce_base_ + i + 1, so an older handle never resolves.
+  std::uint64_t nonce_base_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> tenant_index_;  // active only
-  std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>> queue_;
+  SlotQueue queue_;
   std::size_t pending_ = 0;  // live (non-stale) slots in the heap
   std::uint64_t now_us_ = 0;
   std::size_t active_ = 0;
@@ -337,11 +337,8 @@ class CampaignReactor {
   // control plane at submit (never concurrently with probe traffic) and
   // read lock-free by every replica. Entries are exactly Topology::path
   // results, so growth never changes any tenant's replies — only hit
-  // rates. route_keys_ dedups keys across submits; warm_keys_ is scratch.
-  std::shared_ptr<simnet::RouteCache> warm_cache_;
-  std::shared_ptr<const simnet::RouteCache> snapshot_;
-  RouteKeyCollector route_keys_;
-  std::vector<simnet::Network::ProbeRouteKey> warm_keys_;
+  // rates. The warmer dedups keys across submits.
+  RouteWarmer warmer_;
   std::uint64_t warmed_routes_ = 0;
 };
 

@@ -126,25 +126,20 @@ std::vector<ProbeStats> CampaignRunner::run() {
   return stats_;
 }
 
-void RouteKeyCollector::collect(
-    const Endpoint& endpoint, std::span<const Ipv6Addr> targets,
-    std::vector<simnet::Network::ProbeRouteKey>& out) {
+std::size_t RouteWarmer::add(const Endpoint& endpoint,
+                             std::span<const Ipv6Addr> targets) {
+  std::size_t added = 0;
   for (const auto& target : targets) {
     wire::encode_probe_into(probe_spec_at(endpoint, target, 1, 0), encode_buf_);
     const auto key = simnet::Network::probe_route_key(topo_, encode_buf_);
-    if (key && seen_.insert(key->key).second) out.push_back(*key);
+    if (!key || !seen_.insert(key->key).second) continue;
+    if (!cache_) cache_ = std::make_shared<simnet::RouteCache>();
+    topo_.path_into(topo_.vantages()[key->vantage_index], key->dst,
+                    key->flow_variant, key->next_header, path_);
+    (void)cache_->insert(key->key, path_);
+    ++added;
   }
-}
-
-void warm_route_cache(const simnet::Topology& topo,
-                      std::span<const simnet::Network::ProbeRouteKey> keys,
-                      simnet::RouteCache& cache) {
-  simnet::Path path;
-  for (const auto& key : keys) {
-    topo.path_into(topo.vantages()[key.vantage_index], key.dst, key.flow_variant,
-                   key.next_header, path);
-    (void)cache.insert(key.key, path);
-  }
+  return added;
 }
 
 ProbeStats CampaignRunner::run_one(simnet::Network& net, ProbeSource& source,

@@ -48,36 +48,37 @@ inline wire::ProbeSpec probe_spec_at(const Endpoint& endpoint,
   return spec;
 }
 
-/// Route warm-up keys, shared by every front end that warms a route
-/// snapshot (ParallelCampaignRunner::run, CampaignReactor::submit). One
-/// probe encode per (endpoint, target) recovers the exact RouteKey every
-/// probe to that target resolves under — the wire format keeps the
+/// Route warm-up into a read-only snapshot, shared by every front end
+/// that warms one (ParallelCampaignRunner::run, CampaignReactor::submit).
+/// One probe encode per (endpoint, target) recovers the exact RouteKey
+/// every probe to that target resolves under — the wire format keeps the
 /// transport bytes that feed the ECMP flow hash per-target constant (the
 /// paper's checksum fudge), so ttl 1 at time 0 stands in for the whole
-/// trace. Keys dedup across every collect() on one collector, first seen
-/// wins, so the key order is a pure function of the collect() sequence.
-class RouteKeyCollector {
+/// trace. Keys dedup across every add(), first seen wins, and resolve in
+/// that order, so the snapshot layout is a pure function of the add()
+/// sequence. One scratch Path is reused throughout: after the first few
+/// keys every resolution is allocation-free (Topology::path_into).
+class RouteWarmer {
  public:
-  explicit RouteKeyCollector(const simnet::Topology& topo) : topo_(topo) {}
+  explicit RouteWarmer(const simnet::Topology& topo) : topo_(topo) {}
 
-  /// Append the key of every target in `targets` probed from `endpoint`
-  /// that this collector has not seen yet to `out`, in target order.
-  void collect(const Endpoint& endpoint, std::span<const Ipv6Addr> targets,
-               std::vector<simnet::Network::ProbeRouteKey>& out);
+  /// Resolve the route of every target in `targets` probed from
+  /// `endpoint` that is not in the snapshot yet, in target order; returns
+  /// how many routes were added.
+  std::size_t add(const Endpoint& endpoint, std::span<const Ipv6Addr> targets);
+
+  /// The snapshot to attach to replicas; null until a route is added.
+  [[nodiscard]] std::shared_ptr<const simnet::RouteCache> snapshot() const {
+    return cache_;
+  }
 
  private:
   const simnet::Topology& topo_;
   netbase::FlatSet<simnet::RouteKey, simnet::RouteKeyHash> seen_;
   std::vector<std::uint8_t> encode_buf_;
+  simnet::Path path_;
+  std::shared_ptr<simnet::RouteCache> cache_;
 };
-
-/// Resolve each collected key's path and insert it into `cache`, in key
-/// order, so the snapshot layout is a pure function of the key sequence.
-/// One scratch Path is reused throughout: after the first few keys every
-/// resolution is allocation-free (Topology::path_into).
-void warm_route_cache(const simnet::Topology& topo,
-                      std::span<const simnet::Network::ProbeRouteKey> keys,
-                      simnet::RouteCache& cache);
 
 /// Decode each raw reply at virtual time `now_us`, filter on the endpoint's
 /// instance id, and hand survivors to `on_reply`. Returns true if at least

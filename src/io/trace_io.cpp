@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <charconv>
+#include <ios>
 #include <sstream>
 
 namespace beholder6::io {
+
+namespace {
+
+/// Streaming writers never count a record the stream did not take: any
+/// failed write, header included, throws instead.
+void check_written(const std::ostream& out) {
+  if (!out) throw std::ios_base::failure{"trace stream write failed"};
+}
+
+}  // namespace
 
 std::string to_text_line(const TraceRecord& rec) {
   std::string out;
@@ -51,10 +62,12 @@ std::optional<TraceRecord> from_text_line(const std::string& line) {
 
 TextWriter::TextWriter(std::ostream& out) : out_(out) {
   out_ << "# beholder6 trace: target ttl responder type code rtt_us instance\n";
+  check_written(out_);
 }
 
 void TextWriter::write(const TraceRecord& rec) {
   out_ << to_text_line(rec) << '\n';
+  check_written(out_);
   ++count_;
 }
 
@@ -149,7 +162,10 @@ std::optional<std::vector<TraceRecord>> read_binary(std::istream& in) {
     }
     return records;
   }
-  records.reserve(*count);
+  // The count is unchecked input (a bare header can claim ~4G records):
+  // reserve a modest prefix at most; records actually read grow the rest.
+  constexpr std::uint32_t kMaxReserve = 1u << 16;
+  records.reserve(std::min(*count, kMaxReserve));
   for (std::uint32_t i = 0; i < *count; ++i) {
     const auto rec = get_record(in);
     if (!rec) return std::nullopt;
@@ -162,10 +178,12 @@ BinaryStreamWriter::BinaryStreamWriter(std::ostream& out) : out_(out) {
   put_u32(out_, kBinaryMagic);
   put_u32(out_, kBinaryVersion);
   put_u32(out_, kBinaryStreamCount);
+  check_written(out_);
 }
 
 void BinaryStreamWriter::write(const TraceRecord& rec) {
   put_record(out_, rec);
+  check_written(out_);
   ++count_;
 }
 

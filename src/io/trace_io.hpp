@@ -68,7 +68,9 @@ struct TraceRecord {
 /// Parse one line; nullopt on malformed input.
 [[nodiscard]] std::optional<TraceRecord> from_text_line(const std::string& line);
 
-/// Stream writer; one line per record, '#' comment header.
+/// Stream writer; one line per record, '#' comment header. Any failed
+/// write, the header's included, throws std::ios_base::failure: a record
+/// counts as written only once the stream has taken it.
 class TextWriter {
  public:
   explicit TextWriter(std::ostream& out);
@@ -111,7 +113,8 @@ void write_binary(std::ostream& out, const std::vector<TraceRecord>& records);
 /// fixed-width record per write(), nothing buffered beyond the ostream's
 /// own buffer — an interrupted campaign keeps every record already
 /// written, which is the contract that lets the campaign reactor stream
-/// results per tenant instead of delivering them at exhaustion.
+/// results per tenant instead of delivering them at exhaustion. Fails
+/// like TextWriter: a failed write throws std::ios_base::failure.
 class BinaryStreamWriter {
  public:
   explicit BinaryStreamWriter(std::ostream& out);
@@ -129,7 +132,10 @@ class BinaryStreamWriter {
 /// campaign::ResponseSink is expected (this header cannot name that type —
 /// io sits below campaign in the layering — but the call signature is the
 /// contract). The usual sink rules apply: it observes and records, and
-/// must not inject into the campaign's own network.
+/// must not inject into the campaign's own network. A failed stream throws
+/// from the call, so the error surfaces from the campaign driving the sink
+/// (CampaignRunner::step, and through it the parallel and reactor front
+/// ends) instead of dropping records silently.
 class StreamingTraceSink {
  public:
   enum class Format : std::uint8_t { kText, kBinary };

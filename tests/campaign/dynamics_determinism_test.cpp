@@ -239,11 +239,12 @@ TEST_F(DynamicsDeterminismTest, SnapshotSharingNeverChangesResultsUnderChurn) {
   const auto params = churn_params(t, 15000);
   auto warm_set = make_shards(t, 4);
   auto cold_set = make_shards(t, 4);
+  auto cold_params = params;
+  cold_params.route_cache_entries = 0;  // the cold reference: no cache tier
   const ParallelCampaignRunner runner{topo_, params, 8};
-  const auto warm = runner.run(
-      warm_set.shards, {.split_factor = 2, .share_route_snapshot = true});
-  const auto cold = runner.run(
-      cold_set.shards, {.split_factor = 2, .share_route_snapshot = false});
+  const ParallelCampaignRunner cold_runner{topo_, cold_params, 8};
+  const auto warm = runner.run(warm_set.shards, {.split_factor = 2});
+  const auto cold = cold_runner.run(cold_set.shards, {.split_factor = 2});
   EXPECT_GT(warm.probe_stats.probes_sent, 0u);
   EXPECT_GT(warm.warmed_routes, 0u);
   EXPECT_GT(warm.net_stats.dynamics_events, 0u);

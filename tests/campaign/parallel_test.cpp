@@ -105,19 +105,20 @@ TEST_F(ParallelCampaignTest, ThreadCountNeverChangesResults) {
 }
 
 TEST_F(ParallelCampaignTest, RouteSnapshotSharingNeverChangesResults) {
-  // The warmed shared route snapshot (ParallelRunOptions::share_route_snapshot)
-  // is a pure performance tier: on or off, at any thread count, with or
-  // without splitting, the ParallelResult must be bit-identical. Only the
-  // cost telemetry may differ — warm runs report warmed routes and one
-  // replica build per worker arena.
+  // The warmed shared route snapshot is a pure performance tier: against a
+  // cold reference with every cache tier off (route_cache_entries = 0), at
+  // any thread count, with or without splitting, the ParallelResult must
+  // be bit-identical. Only the cost telemetry may differ — warm runs
+  // report warmed routes and one replica build per worker arena.
   const auto t = targets(50);
   auto warm_set = make_shards(t, 4);
   auto cold_set = make_shards(t, 4);
+  simnet::NetworkParams cold_params;
+  cold_params.route_cache_entries = 0;
   const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, 8};
-  const auto warm = runner.run(
-      warm_set.shards, {.split_factor = 2, .share_route_snapshot = true});
-  const auto cold = runner.run(
-      cold_set.shards, {.split_factor = 2, .share_route_snapshot = false});
+  const ParallelCampaignRunner cold_runner{topo_, cold_params, 8};
+  const auto warm = runner.run(warm_set.shards, {.split_factor = 2});
+  const auto cold = cold_runner.run(cold_set.shards, {.split_factor = 2});
   EXPECT_GT(warm.probe_stats.probes_sent, 0u);
   expect_identical(warm, cold);
   // The snapshot really was warmed and consulted.

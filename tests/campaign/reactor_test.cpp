@@ -2,14 +2,16 @@
 // deterministic rejection, submit/pause/resume/cancel mid-run, cancel
 // refunding the in-flight probe-budget reservation, byte-identity of a
 // reactor run to N serial CampaignRunner runs of the same specs, identical
-// replay after reset(), parallel drain() equal to the serial step() loop,
-// incremental per-tenant streaming through io/trace_io-backed sinks, and a
-// failing tenant surfacing from a parallel drain().
+// replay after reset() with pre-reset handles staying dead, parallel
+// drain() equal to the serial step() loop, incremental per-tenant
+// streaming through io/trace_io-backed sinks, and a failing tenant or sink
+// stream surfacing from drain().
 #include "campaign/reactor.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ios>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -283,6 +285,28 @@ TEST_F(ReactorTest, ReplaysIdenticallyAfterReset) {
   EXPECT_EQ(first.second, second.second);
 }
 
+TEST_F(ReactorTest, StaleHandlesStayDeadAfterReset) {
+  // A replay re-admits the same tenant first, so its campaign lands in the
+  // slot the old one held: a handle from before reset() must still
+  // resolve to nothing.
+  CampaignReactor reactor{topo_};
+  const auto old = reactor.submit(make_spec(1, 8)).handle;
+  ASSERT_TRUE(old.valid());
+  reactor.drain();
+  reactor.reset();
+  const auto fresh = reactor.submit(make_spec(1, 8)).handle;
+  ASSERT_TRUE(fresh.valid());
+  EXPECT_NE(fresh, old);
+  EXPECT_FALSE(reactor.state(old).has_value());
+  EXPECT_FALSE(reactor.stats(old).has_value());
+  EXPECT_FALSE(reactor.pause(old));
+  EXPECT_FALSE(reactor.resume(old));
+  EXPECT_FALSE(reactor.cancel(old));
+  EXPECT_EQ(reactor.state(fresh), CampaignState::kRunning);
+  reactor.drain();
+  EXPECT_EQ(reactor.state(fresh), CampaignState::kFinished);
+}
+
 TEST_F(ReactorTest, ParallelDrainMatchesSerialStep) {
   auto run = [&](unsigned n_threads) {
     ReactorOptions options;
@@ -385,6 +409,28 @@ TEST_F(ReactorTest, StreamsIncrementallyThroughTraceIoSinks) {
   };
   expect_stream(text_records.records, 21);
   expect_stream(*binary_records, 22);
+}
+
+TEST_F(ReactorTest, FailedSinkStreamSurfacesFromDrain) {
+  // A tenant streaming into an ostream that has gone bad: the writer
+  // throws from the sink, and the error leaves drain() — serially through
+  // step(), in parallel after the pool joins — instead of records
+  // vanishing while healthy tenants finish.
+  for (const unsigned n_threads : {1u, 2u}) {
+    CampaignReactor reactor{topo_, simnet::NetworkParams{},
+                            {.n_threads = n_threads}};
+    for (std::uint64_t t = 1; t <= 3; ++t)
+      ASSERT_TRUE(reactor.submit(make_spec(t, 10)).admitted());
+    std::ostringstream out;
+    io::StreamingTraceSink sink{out, io::StreamingTraceSink::Format::kBinary};
+    out.setstate(std::ios::badbit);
+    auto spec = make_spec(4, 10);
+    spec.sink = [&](const wire::DecodedReply& r) { sink(r); };
+    ASSERT_TRUE(reactor.submit(spec).admitted());
+    EXPECT_THROW((void)reactor.drain(), std::ios_base::failure)
+        << n_threads << " threads";
+    EXPECT_EQ(sink.written(), 0u);
+  }
 }
 
 TEST_F(ReactorTest, ParallelDrainRethrowsAWorkerFailure) {

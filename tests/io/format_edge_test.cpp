@@ -1,7 +1,9 @@
 // Edge-case and property tests for the campaign persistence formats.
 #include <gtest/gtest.h>
 
+#include <ios>
 #include <sstream>
+#include <string>
 
 #include "io/trace_io.hpp"
 #include "netbase/rng.hpp"
@@ -136,6 +138,43 @@ TEST(BinaryFormatEdge, TrailingGarbageAfterRecordsDetected) {
   // cases the decoded records must be exactly what was written.
   if (got) {
     EXPECT_EQ(*got, recs);
+  }
+}
+
+TEST(BinaryFormatEdge, HostileHeaderCountFailsCleanly) {
+  // A bare 12-byte header claiming 0xfffffffe records: the count is
+  // unchecked input, never an allocation size. The read must come back
+  // empty-handed (truncated), not throw std::bad_alloc.
+  const std::string header("B6TR\x00\x00\x00\x01\xff\xff\xff\xfe", 12);
+  std::stringstream in(header);
+  EXPECT_FALSE(read_binary(in).has_value());
+  // The same claim ahead of one real record is still truncation.
+  Rng rng{8};
+  std::stringstream one;
+  write_binary(one, {random_record(rng)});
+  std::string bytes = one.str();
+  bytes.replace(8, 4, "\xff\xff\xff\xfe");
+  std::stringstream claimed(bytes);
+  EXPECT_FALSE(read_binary(claimed).has_value());
+}
+
+TEST(StreamingSinkEdge, FailedStreamThrowsInsteadOfDroppingRecords) {
+  wire::DecodedReply reply;
+  reply.probe.target = Ipv6Addr::must_parse("2001:db8::1");
+  reply.responder = Ipv6Addr::must_parse("2001:db8::fe");
+  for (const auto format : {StreamingTraceSink::Format::kText,
+                            StreamingTraceSink::Format::kBinary}) {
+    std::ostringstream out;
+    StreamingTraceSink sink{out, format};
+    sink(reply);
+    EXPECT_EQ(sink.written(), 1u);
+    out.setstate(std::ios::badbit);
+    EXPECT_THROW(sink(reply), std::ios_base::failure);
+    EXPECT_EQ(sink.written(), 1u) << "a record the stream refused was counted";
+    // The header is a write too.
+    std::ostringstream dead;
+    dead.setstate(std::ios::badbit);
+    EXPECT_THROW((StreamingTraceSink{dead, format}), std::ios_base::failure);
   }
 }
 
