@@ -45,7 +45,7 @@ int main() {
               input.size());
   bench::rule('=');
   std::printf("%-12s %9s %9s %9s %10s %12s\n", "generator", "targets",
-              "probes", "ifaces", "ifc/1kprb", "routed%%");
+              "probes", "ifaces", "ifc/1kprb", "routed%");
   bench::rule();
   for (auto& c : contenders) {
     if (c.set.addrs.size() > budget) c.set.addrs.resize(budget);

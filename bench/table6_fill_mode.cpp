@@ -26,7 +26,7 @@ int main() {
               vantage.name.c_str());
   bench::rule('=');
   std::printf("%-8s %12s %10s %12s %9s\n", "MaxTTL", "Probes", "Fills",
-              "IntAddrs", "Yield%%");
+              "IntAddrs", "Yield%");
   bench::rule();
 
   double best_yield = 0;

@@ -1,9 +1,11 @@
 #include "campaign/reactor.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "netbase/dcheck.hpp"
+#include "netbase/prefetch.hpp"
 
 namespace beholder6::campaign {
 
@@ -17,6 +19,22 @@ bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   if (a.tenant != b.tenant) return a.tenant < b.tenant;
   if (a.member != b.member) return a.member < b.member;
   return a.seq < b.seq;
+}
+
+/// The slot heaps are binary min-heaps over std::greater: h[0] runs next
+/// and its children h[1], h[2] hold the runner-up.
+template <typename Slot>
+void push_slot(std::vector<Slot>& heap, const Slot& s) {
+  heap.push_back(s);
+  std::push_heap(heap.begin(), heap.end(), std::greater<Slot>{});
+}
+
+template <typename Slot>
+Slot pop_slot(std::vector<Slot>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), std::greater<Slot>{});
+  const Slot s = heap.back();
+  heap.pop_back();
+  return s;
 }
 
 }  // namespace
@@ -63,6 +81,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   // Build every member, then seed its first global slot.
   c.members.resize(c.family.size());
   for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
+    c.members[mi].campaign = &c;
     c.members[mi].start(topo_, params_, warmer_.snapshot(), nullptr,
                         c.family.member(mi), spec.endpoint, spec.pacing,
                         [cp = &c, mi](const wire::DecodedReply& r) {
@@ -159,7 +178,7 @@ void CampaignReactor::push_global(Campaign& c, std::uint32_t mi,
                                   std::uint64_t due) {
   Member& m = c.members[mi];
   m.due_global = due;
-  queue_.push(GSlot{due, c.spec.tenant, mi, c.index, m.gen});
+  push_slot(heap_, GSlot{due, c.spec.tenant, m.gen, &m, mi});
   m.in_heap = true;
   ++pending_;
 }
@@ -216,16 +235,54 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   reschedule_member(c, mi, push);
 }
 
+// The lookahead pipeline. Right before slot k runs, h[0] is slot k+1,
+// the lesser of h[0]'s children is k+2, and k+3 is the least of k+2's
+// sibling and k+2's children. Each stage reads only lines an earlier
+// stage requested one step ago, so every hint has a whole slot's run
+// time to land:
+//   A (slot k+3): its Member, through the slot's direct locator — no
+//     dependent load;
+//   B (slot k+2, whose Member stage A warmed): the Campaign,
+//     CampaignRunner and Network objects the Member points at;
+//   C (slot k+1, whose objects stage B warmed): the inner arrays they
+//     point at — the runner's member record, stats, heap and probe
+//     buffer, the replica's reply pool and table headers.
+// A guess is wrong only when a reschedule lands ahead of a predicted
+// slot, and then the hints cost a few wasted line fills. Stale slots are
+// warmed like live ones: their members are alive until reset().
+void CampaignReactor::warm_lookahead() const {
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // The earlier of two heap positions; out-of-range positions lose.
+  auto earlier = [&](std::size_t i, std::size_t j) {
+    if (j >= n) return i;
+    if (i >= n) return j;
+    return heap_[i] > heap_[j] ? j : i;
+  };
+  const std::size_t k2 = earlier(1, 2);
+  const std::size_t k3 = earlier(3 - k2, earlier(2 * k2 + 1, 2 * k2 + 2));
+  if (k3 < n) netbase::prefetch_object(heap_[k3].loc);
+  if (k2 < n) {
+    const Member& b = *heap_[k2].loc;
+    netbase::prefetch_object(b.campaign);
+    netbase::prefetch_object(b.runner.get());
+    netbase::prefetch_object(b.net);
+  }
+  const Member& c = *heap_[0].loc;
+  if (c.runner) c.runner->prefetch_state();
+  if (c.net != nullptr) c.net->prefetch_state();
+}
+
 bool CampaignReactor::step() {
-  while (!queue_.empty()) {
-    const GSlot s = queue_.top();
-    queue_.pop();
-    Campaign& c = *campaigns_[s.campaign];
-    Member& m = c.members[s.member];
+  while (!heap_.empty()) {
+    const GSlot s = pop_slot(heap_);
+    Member& m = *s.loc;
     if (s.gen != m.gen) continue;  // paused, cancelled, or retired: stale
+    Campaign& c = *m.campaign;
     m.in_heap = false;
     --pending_;
     if (s.due_us > now_us_) now_us_ = s.due_us;
+    warm_lookahead();
     run_slot(c, s.member, s.due_us, options_.collect_merged ? &merged_ : nullptr,
              [&](std::uint32_t mi, std::uint64_t due) { push_global(c, mi, due); });
     merged_dirty_ = true;
@@ -246,7 +303,7 @@ std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
   // serial interleaving of its members, family arrivals included.
   struct Unit {
     Campaign* campaign = nullptr;
-    SlotQueue heap;
+    SlotHeap heap;
     std::vector<ReactorReply> buf;
     std::uint64_t max_due = 0;
     std::size_t slots = 0;
@@ -262,7 +319,7 @@ std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
       if (!m.in_heap) continue;
       m.in_heap = false;
       --pending_;
-      u.heap.push(GSlot{m.due_global, c.spec.tenant, i, c.index, ++m.gen});
+      push_slot(u.heap, GSlot{m.due_global, c.spec.tenant, ++m.gen, &m, i});
     }
     if (!u.heap.empty()) units.push_back(std::move(u));
   }
@@ -275,12 +332,12 @@ std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
     Campaign& c = *u.campaign;
     auto* out = options_.collect_merged ? &u.buf : nullptr;
     auto push = [&](std::uint32_t mi, std::uint64_t due) {
-      u.heap.push(GSlot{due, c.spec.tenant, mi, c.index, c.members[mi].gen});
+      Member& m = c.members[mi];
+      push_slot(u.heap, GSlot{due, c.spec.tenant, m.gen, &m, mi});
     };
     while (!u.heap.empty()) {
-      const GSlot s = u.heap.top();
-      u.heap.pop();
-      if (s.gen != c.members[s.member].gen) continue;  // retired mid-drive
+      const GSlot s = pop_slot(u.heap);
+      if (s.gen != s.loc->gen) continue;  // retired mid-drive
       u.max_due = std::max(u.max_due, s.due_us);
       run_slot(c, s.member, s.due_us, out, push);
       ++u.slots;
@@ -355,7 +412,7 @@ void CampaignReactor::reset() {
   nonce_base_ += campaigns_.size();  // keeps every older handle stale
   campaigns_.clear();
   tenant_index_.clear();
-  queue_ = {};
+  heap_ = {};
   pending_ = 0;
   now_us_ = 0;
   active_ = 0;

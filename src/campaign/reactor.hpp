@@ -26,6 +26,15 @@
 // fair-share policy: earliest virtual deadline first, ties broken by
 // tenant identity, never by submission sequence or arrival interleaving.
 //
+// Lookahead: with thousands of tenants each step serves one whose state
+// went cold while the others ran, so an unaided step() mostly waits on
+// memory. The heap already names the next three tenants, and
+// step() warms their state in stages before each slot runs (see
+// warm_lookahead in reactor.cpp). The stages issue prefetch hints only:
+// they load no value the schedule or a tenant reads, so they cannot
+// change any result. drain()'s parallel path does not use them — a worker
+// drives one campaign at a time, whose state stays hot.
+//
 // Determinism argument (the load-bearing property): every quantity above
 // is computed from the tenant's own history alone. The runner-local due is
 // pure per tenant (CampaignRunner's contract); the token bucket is debited
@@ -43,7 +52,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -259,8 +267,11 @@ class CampaignReactor {
   [[nodiscard]] const std::vector<ReactorReply>& merged();
 
  private:
+  struct Campaign;
+
   /// A family member's runner and replica plus its scheduling state.
   struct Member : MemberRunner {
+    Campaign* campaign = nullptr;  // owner; how the lookahead reaches it
     std::vector<ReactorReply>* out = nullptr;  // record target for the step
     std::uint64_t slot_due = 0;    // the executing slot's scheduled due
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
@@ -287,21 +298,25 @@ class CampaignReactor {
 
   /// A heap entry, global or campaign-local (parallel drains). Ordering is
   /// the fair-share policy: (due, tenant, member) — never a submission
-  /// sequence number.
+  /// sequence number. `loc` locates the member directly, so the lookahead
+  /// can warm it without first loading anything else. Members live until
+  /// reset(), which empties every heap, so `loc` never dangles.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;
-    std::uint32_t member = 0;
-    std::uint32_t campaign = 0;  // index into campaigns_ (lookup only)
     std::uint64_t gen = 0;
+    Member* loc = nullptr;
+    std::uint32_t member = 0;
     bool operator>(const GSlot& o) const {
       if (due_us != o.due_us) return due_us > o.due_us;
       if (tenant != o.tenant) return tenant > o.tenant;
       return member > o.member;
     }
   };
-  using SlotQueue =
-      std::priority_queue<GSlot, std::vector<GSlot>, std::greater<GSlot>>;
+  /// A binary min-heap under std::greater<GSlot> (see push_slot/pop_slot
+  /// in reactor.cpp). An explicit vector rather than a priority_queue so
+  /// the lookahead can read h[0..2], the next slots to run.
+  using SlotHeap = std::vector<GSlot>;
 
   template <typename PushFn>
   void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due,
@@ -311,6 +326,7 @@ class CampaignReactor {
   void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
   void push_global(Campaign& c, std::uint32_t mi, std::uint64_t due);
+  void warm_lookahead() const;
   Campaign* find(CampaignHandle h) const;
   std::size_t drain_parallel(unsigned n_threads);
   void sort_merged();
@@ -324,7 +340,7 @@ class CampaignReactor {
   // nonce nonce_base_ + i + 1, so an older handle never resolves.
   std::uint64_t nonce_base_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> tenant_index_;  // active only
-  SlotQueue queue_;
+  SlotHeap heap_;
   std::size_t pending_ = 0;  // live (non-stale) slots in the heap
   std::uint64_t now_us_ = 0;
   std::size_t active_ = 0;

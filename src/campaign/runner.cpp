@@ -59,11 +59,6 @@ void CampaignRunner::emit(Member& m, ProbeStats& stats, const Probe& probe) {
         m.source->on_reply(probe, dec, net_.now_us());
       });
   m.source->on_probe_done(probe, answered, net_.now_us());
-  // Warm the network's route lookup for the source's likely next probe —
-  // the feedback above has settled, so the hint is as good as it gets. A
-  // latency hint only: results never depend on it.
-  if (const auto hint = m.source->next_target_hint())
-    net_.prime_route(m.endpoint.src, *hint, m.endpoint.proto);
 }
 
 bool CampaignRunner::step() {

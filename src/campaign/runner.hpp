@@ -28,6 +28,7 @@
 
 #include "campaign/probe_source.hpp"
 #include "netbase/flat_map.hpp"
+#include "netbase/prefetch.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route_cache.hpp"
 
@@ -139,6 +140,18 @@ class CampaignRunner {
   [[nodiscard]] std::optional<std::uint64_t> next_due_us() const {
     if (queue_.empty()) return std::nullopt;
     return queue_.top().due_us;
+  }
+
+  /// Memory-latency hint: start pulling what the next step() reads besides
+  /// the runner object itself — the first source's member record and
+  /// stats (all of them for a single-source runner, which is every
+  /// reactor member), the slot-heap head and the probe buffer — into
+  /// cache. Read-only and result-neutral.
+  void prefetch_state() const {
+    netbase::prefetch_object(members_.data());
+    netbase::prefetch_object(stats_.data());
+    if (!queue_.empty()) netbase::prefetch_line(&queue_.top());
+    netbase::prefetch_range(probe_buf_.data(), probe_buf_.size());
   }
 
   /// Stats so far (complete only for exhausted sources' private counters).

@@ -4,7 +4,8 @@
 #include <array>
 #include <charconv>
 #include <ios>
-#include <sstream>
+#include <optional>
+#include <string_view>
 
 namespace beholder6::io {
 
@@ -14,6 +15,21 @@ namespace {
 /// failed write, header included, throws instead.
 void check_written(const std::ostream& out) {
   if (!out) throw std::ios_base::failure{"trace stream write failed"};
+}
+
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
+/// A decimal field of digits only, at most `max`.
+std::optional<std::uint64_t> parse_decimal(std::string_view s,
+                                           std::uint64_t max) {
+  std::uint64_t v = 0;
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || p != s.data() + s.size() || v > max)
+    return std::nullopt;
+  return v;
 }
 
 }  // namespace
@@ -38,25 +54,40 @@ std::string to_text_line(const TraceRecord& rec) {
 }
 
 std::optional<TraceRecord> from_text_line(const std::string& line) {
-  std::istringstream in{line};
-  std::string target, responder;
-  unsigned ttl = 0, type = 0, code = 0, instance = 0;
-  std::uint64_t rtt = 0;
-  if (!(in >> target >> ttl >> responder >> type >> code >> rtt >> instance))
-    return std::nullopt;
-  const auto t = Ipv6Addr::parse(target);
-  const auto r = Ipv6Addr::parse(responder);
-  if (!t || !r || ttl > 255 || type > 255 || code > 255 || instance > 255 ||
-      rtt > 0xffffffffULL)
+  // Split into exactly seven fields first: stream extraction would read
+  // "213ffff::1" as ttl 213 followed by an address, and would ignore
+  // trailing junk, accepting mangled lines.
+  std::array<std::string_view, 7> f;
+  std::size_t n = 0;
+  const std::string_view text{line};
+  for (std::size_t i = 0; i < text.size();) {
+    if (is_space(text[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t start = i;
+    while (i < text.size() && !is_space(text[i])) ++i;
+    if (n == f.size()) return std::nullopt;
+    f[n++] = text.substr(start, i - start);
+  }
+  if (n != f.size()) return std::nullopt;
+  const auto t = Ipv6Addr::parse(f[0]);
+  const auto ttl = parse_decimal(f[1], 255);
+  const auto r = Ipv6Addr::parse(f[2]);
+  const auto type = parse_decimal(f[3], 255);
+  const auto code = parse_decimal(f[4], 255);
+  const auto rtt = parse_decimal(f[5], 0xffffffffULL);
+  const auto instance = parse_decimal(f[6], 255);
+  if (!t || !ttl || !r || !type || !code || !rtt || !instance)
     return std::nullopt;
   TraceRecord rec;
   rec.target = *t;
   rec.responder = *r;
-  rec.ttl = static_cast<std::uint8_t>(ttl);
-  rec.type = static_cast<std::uint8_t>(type);
-  rec.code = static_cast<std::uint8_t>(code);
-  rec.instance = static_cast<std::uint8_t>(instance);
-  rec.rtt_us = static_cast<std::uint32_t>(rtt);
+  rec.ttl = static_cast<std::uint8_t>(*ttl);
+  rec.type = static_cast<std::uint8_t>(*type);
+  rec.code = static_cast<std::uint8_t>(*code);
+  rec.instance = static_cast<std::uint8_t>(*instance);
+  rec.rtt_us = static_cast<std::uint32_t>(*rtt);
   return rec;
 }
 

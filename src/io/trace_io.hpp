@@ -65,7 +65,9 @@ struct TraceRecord {
 /// Serialize one record as a single line (no trailing newline).
 [[nodiscard]] std::string to_text_line(const TraceRecord& rec);
 
-/// Parse one line; nullopt on malformed input.
+/// Parse one line: exactly seven whitespace-separated fields, the numeric
+/// ones plain decimal digits within their field's range. Nullopt on
+/// anything else.
 [[nodiscard]] std::optional<TraceRecord> from_text_line(const std::string& line);
 
 /// Stream writer; one line per record, '#' comment header. Any failed

@@ -34,6 +34,7 @@
 
 #include "netbase/attr.hpp"
 #include "netbase/huge_alloc.hpp"
+#include "netbase/prefetch.hpp"
 #include "netbase/rng.hpp"
 
 namespace beholder6::netbase {
@@ -79,6 +80,13 @@ class FlatTable {
 
   /// Rebuild at the current size's natural capacity, purging tombstones.
   void rehash() { rehash(0); }
+
+  /// Memory-latency hint: start pulling the head of the slot-state array,
+  /// which every probe sequence reads, into cache — the whole array for a
+  /// table of up to 64 slots. Read-only and result-neutral.
+  void prefetch() const {
+    if (!state_.empty()) prefetch_line(state_.data());
+  }
 
   template <typename Table, typename E>
   class Iter {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "campaign/runner.hpp"
+#include "netbase/prefetch.hpp"
 
 namespace beholder6::prober {
 
@@ -45,11 +46,10 @@ campaign::Poll Yarrp6Source::next(std::uint64_t now_us) {
       // target line: the permuted walk visits targets in random order over
       // arrays far larger than caches naturally hold, and a prefetch
       // issued a whole probe early is free to complete in the background.
-      // The value also feeds next_target_hint(), which lets the campaign
-      // runner warm the network's route lookup the same way.
+      // The value also feeds next_target_hint().
       pending_v_ = perm_->map(index_);
       pending_valid_ = true;
-      __builtin_prefetch(&targets_[pending_v_ / cfg_.max_ttl]);
+      netbase::prefetch_line(&targets_[pending_v_ / cfg_.max_ttl]);
     }
     const auto& target = targets_[v / cfg_.max_ttl];
     const auto ttl = static_cast<std::uint8_t>(v % cfg_.max_ttl + 1);

@@ -202,9 +202,7 @@ void Network::reply_to_interface_echo(const wire::Ipv6Header& ip,
       router_id, static_cast<std::uint32_t>(splitmix64(router_id) & 0xffffff));
   const auto id = it->second++;
   // Fragments are encoded straight into pool slots: a warm pool keeps the
-  // fragmentation reply path allocation-free (the vector-returning
-  // wire::fragment_packet here put fresh per-fragment vectors on the
-  // inject fast path — caught by tools/check_noalloc.py).
+  // fragmentation reply path allocation-free (tools/check_noalloc.py).
   frag_scratch_ = reply;
   out.drop_last();
   wire::fragment_packet_into(std::span(frag_scratch_), id, wire::kMinMtu,

@@ -293,25 +293,18 @@ class Network {
   /// fraction)? Exposed so experiments can account for expected gaps.
   [[nodiscard]] bool router_silent(std::uint64_t router_id) const;
 
-  /// Memory-latency hint: begin pulling the route-cache state for a probe
-  /// from `vantage_src` toward `dst` into cache, roughly one probe ahead
-  /// of its inject. Read-only and result-neutral — a wrong or stale hint
-  /// costs a few loads and nothing else. The campaign runner wires
-  /// ProbeSource::next_target_hint() into this.
-  void prime_route(const Ipv6Addr& vantage_src, const Ipv6Addr& dst,
-                   wire::Proto proto) {
-    if (params_->route_cache_entries == 0 && !shared_routes_) return;
-    const auto* vantage = topo_.vantage_by_src(vantage_src);
-    if (!vantage) return;
-    const auto vidx = static_cast<std::uint64_t>(*topo_.vantage_index(*vantage));
-    const auto meta = (vidx << 16) |
-                      (static_cast<std::uint64_t>(proto) << 8);
-    // The ECMP flow variant of the future probe is unknown; touch both.
-    for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
-      const RouteKey key{dst.hi(), meta | variant};
-      if (shared_routes_) shared_routes_->touch(key);
-      if (params_->route_cache_entries != 0) route_cache_.touch(key);
-    }
+  /// Memory-latency hint: start pulling the per-probe mutable state of
+  /// this replica — the reply pool and the headers of the lookup tables
+  /// inject_view consults — into cache ahead of its next inject.
+  /// Read-only and result-neutral. CampaignReactor::step issues it for the
+  /// tenant it serves next, whose replica has gone cold while thousands of
+  /// others ran.
+  void prefetch_state() const {
+    replies_.prefetch();
+    buckets_.prefetch();
+    iface_router_.prefetch();
+    du_sent_.prefetch();
+    nd_negative_cache_.prefetch();
   }
 
   /// Attach a read-only, fully warmed route snapshot. resolve_path consults

@@ -19,6 +19,7 @@
 
 #include "netbase/attr.hpp"
 #include "netbase/dcheck.hpp"
+#include "netbase/prefetch.hpp"
 
 namespace beholder6::simnet {
 
@@ -53,6 +54,14 @@ class PacketPool {
 
   /// Forget the live packets but keep every slot's storage for reuse.
   void clear() { live_ = 0; }
+
+  /// Memory-latency hint: start pulling the slot headers the next
+  /// acquire()s rebuild into cache. The pool holds as many slots as the
+  /// most replies one probe ever produced, so this is a line or two.
+  /// Read-only and result-neutral.
+  void prefetch() const {
+    netbase::prefetch_range(slots_.data(), slots_.size() * sizeof(Packet));
+  }
 
  private:
   // Cold gate: the warm-up-only allocating half of acquire(), outlined

@@ -106,13 +106,6 @@ class RouteCache {
     }
   }
 
-  /// Start pulling the slot line a future find(key) will read into cache.
-  /// Read-only and purely advisory; never changes results.
-  void touch(const RouteKey& key) const {
-    if (slots_.empty()) return;
-    __builtin_prefetch(&slots_[RouteKeyHash{}(key) & (slots_.size() - 1)]);
-  }
-
   /// Memoize a freshly resolved path and return its view. Cold gate: this
   /// is the miss path (it only runs after Topology::path_into resolved
   /// the route), so it may allocate — B6_COLDPATH keeps it outlined as a

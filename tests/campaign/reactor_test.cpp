@@ -2,10 +2,11 @@
 // deterministic rejection, submit/pause/resume/cancel mid-run, cancel
 // refunding the in-flight probe-budget reservation, byte-identity of a
 // reactor run to N serial CampaignRunner runs of the same specs, identical
-// replay after reset() with pre-reset handles staying dead, parallel
-// drain() equal to the serial step() loop, incremental per-tenant
-// streaming through io/trace_io-backed sinks, and a failing tenant or sink
-// stream surfacing from drain().
+// replay after reset() with pre-reset handles staying dead, step()'s
+// lookahead prefetch changing no result when the slots it warms go stale
+// or are destroyed, parallel drain() equal to the serial step() loop,
+// incremental per-tenant streaming through io/trace_io-backed sinks, and a
+// failing tenant or sink stream surfacing from drain().
 #include "campaign/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +88,20 @@ class ReactorTest : public ::testing::Test {
     for (const auto& r : merged)
       if (r.tenant == tenant) out.push_back(r);
     return out;
+  }
+
+  /// A campaign run alone in its own reactor: the reference a tenant's
+  /// results must equal however crowded its own reactor is.
+  struct SoloRun {
+    std::vector<ReactorReply> records;
+    ProbeStats stats;
+    CampaignState state = CampaignState::kRunning;
+  };
+  SoloRun solo_run(const CampaignSpec& spec) {
+    CampaignReactor solo{topo_};
+    const auto h = solo.submit(spec).handle;
+    solo.drain();
+    return {solo.merged(), *solo.stats(h), *solo.state(h)};
   }
 
   simnet::Topology topo_;
@@ -305,6 +320,79 @@ TEST_F(ReactorTest, StaleHandlesStayDeadAfterReset) {
   EXPECT_EQ(reactor.state(fresh), CampaignState::kRunning);
   reactor.drain();
   EXPECT_EQ(reactor.state(fresh), CampaignState::kFinished);
+}
+
+TEST_F(ReactorTest, LookaheadOverStaleSlotsChangesNoResult) {
+  // step() warms the three slots queued behind the one it runs. Here
+  // those go stale right before a step. Eight tenants at one rate,
+  // admitted together, are served round-robin in tenant order (ties
+  // resolve on the tenant id), so the tenants next in line are known.
+  // Tenant 3 is a two-member family: member 1 spends the last of its
+  // budget in round 20, which leaves member 0's round-21 slot stale in the
+  // heap while the steps before it warm that slot.
+  auto spec_of = [&](std::uint64_t t) {
+    auto spec = make_spec(t, 8, 3000);
+    if (t == 3) {
+      spec.split_factor = 2;
+      spec.probe_budget = 40;
+    }
+    return spec;
+  };
+  CampaignReactor reactor{topo_};
+  std::vector<CampaignHandle> h(9);
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    const auto adm = reactor.submit(spec_of(t));
+    ASSERT_TRUE(adm.admitted());
+    h[t] = adm.handle;
+  }
+  // The first round serves 1, 2, 3/0, 3/1, 4, 5, ...: after four steps
+  // tenant 4 runs next and 5, 6 and 7 sit behind it at h[0..2].
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(reactor.step());
+  EXPECT_EQ(reactor.stats(h[3])->probes_sent, 2u);
+  EXPECT_EQ(reactor.stats(h[4])->probes_sent, 0u);
+  ASSERT_TRUE(reactor.pause(h[5]));
+  ASSERT_TRUE(reactor.pause(h[6]));
+  ASSERT_TRUE(reactor.cancel(h[7]));
+  ASSERT_TRUE(reactor.step());  // tenant 4, warming three stale slots
+  EXPECT_EQ(reactor.stats(h[4])->probes_sent, 1u);
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(reactor.step());
+  ASSERT_TRUE(reactor.resume(h[5]));
+  ASSERT_TRUE(reactor.resume(h[6]));
+  reactor.drain();
+
+  EXPECT_EQ(reactor.state(h[3]), CampaignState::kBudgetExhausted);
+  EXPECT_EQ(reactor.state(h[7]), CampaignState::kCancelled);
+  EXPECT_EQ(reactor.stats(h[7])->probes_sent, 0u);
+  for (std::uint64_t t = 1; t <= 8; ++t) {
+    if (t == 7) continue;
+    const auto solo = solo_run(spec_of(t));
+    EXPECT_EQ(reactor.state(h[t]), solo.state) << "tenant " << t;
+    EXPECT_EQ(reactor.stats(h[t]), solo.stats) << "tenant " << t;
+    expect_identical(tenant_records(reactor.merged(), t), solo.records);
+  }
+}
+
+TEST_F(ReactorTest, ResetMidRunThenResubmitEqualsSoloRuns) {
+  // reset() with slots still queued destroys every member the lookahead
+  // could warm, and the heap empties with them: the resubmitted run warms
+  // only live members (the asan-ubsan leg checks the "only"), and every
+  // tenant's results equal its solo run.
+  CampaignReactor reactor{topo_};
+  for (std::uint64_t t = 1; t <= 6; ++t)
+    ASSERT_TRUE(reactor.submit(make_spec(t, 8, 3000)).admitted());
+  for (int i = 0; i < 25; ++i) ASSERT_TRUE(reactor.step());
+  reactor.reset();
+
+  std::vector<CampaignHandle> handles;
+  for (std::uint64_t t = 1; t <= 6; ++t)
+    handles.push_back(reactor.submit(make_spec(t, 8, 3000)).handle);
+  reactor.drain();
+  for (std::uint64_t t = 1; t <= 6; ++t) {
+    const auto solo = solo_run(make_spec(t, 8, 3000));
+    EXPECT_EQ(reactor.state(handles[t - 1]), CampaignState::kFinished);
+    EXPECT_EQ(reactor.stats(handles[t - 1]), solo.stats) << "tenant " << t;
+    expect_identical(tenant_records(reactor.merged(), t), solo.records);
+  }
 }
 
 TEST_F(ReactorTest, ParallelDrainMatchesSerialStep) {

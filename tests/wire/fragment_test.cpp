@@ -20,6 +20,17 @@ std::vector<std::uint8_t> make_packet(std::size_t payload) {
   return pkt;
 }
 
+/// The fragments of `pkt`, each encoded into a fresh buffer.
+std::vector<std::vector<std::uint8_t>> fragments(
+    const std::vector<std::uint8_t>& pkt, std::uint32_t identification) {
+  std::vector<std::vector<std::uint8_t>> out;
+  fragment_packet_into(std::span(pkt), identification, kMinMtu,
+                       [&]() -> std::vector<std::uint8_t>& {
+                         return out.emplace_back();
+                       });
+  return out;
+}
+
 TEST(FragmentHeaderCodec, RoundTrip) {
   FragmentHeader h;
   h.next_header = 58;
@@ -39,7 +50,7 @@ TEST(FragmentHeaderCodec, RoundTrip) {
 
 TEST(Fragmentation, SmallPacketPassesThrough) {
   const auto pkt = make_packet(100);
-  const auto frags = fragment_packet(pkt, 42);
+  const auto frags = fragments(pkt, 42);
   ASSERT_EQ(frags.size(), 1u);
   EXPECT_EQ(frags[0], pkt);
   EXPECT_FALSE(fragment_of(frags[0]));
@@ -47,7 +58,7 @@ TEST(Fragmentation, SmallPacketPassesThrough) {
 
 TEST(Fragmentation, BigPacketSplitsWithSharedId) {
   const auto pkt = make_packet(2000);
-  const auto frags = fragment_packet(pkt, 777);
+  const auto frags = fragments(pkt, 777);
   ASSERT_GE(frags.size(), 2u);
   for (const auto& f : frags) {
     EXPECT_LE(f.size(), kMinMtu);
@@ -66,7 +77,7 @@ TEST(Fragmentation, BigPacketSplitsWithSharedId) {
 
 TEST(Fragmentation, ReassemblyRestoresOriginal) {
   const auto pkt = make_packet(3000);
-  auto frags = fragment_packet(pkt, 9);
+  auto frags = fragments(pkt, 9);
   // Shuffle to prove order-independence.
   std::rotate(frags.begin(), frags.begin() + 1, frags.end());
   const auto whole = reassemble(frags);
@@ -76,7 +87,7 @@ TEST(Fragmentation, ReassemblyRestoresOriginal) {
 
 TEST(Fragmentation, ReassemblyRejectsGapsAndMixedIds) {
   const auto pkt = make_packet(3000);
-  auto frags = fragment_packet(pkt, 9);
+  auto frags = fragments(pkt, 9);
   ASSERT_GE(frags.size(), 3u);
   {
     auto missing = frags;
@@ -85,19 +96,17 @@ TEST(Fragmentation, ReassemblyRejectsGapsAndMixedIds) {
   }
   {
     auto mixed = frags;
-    auto other = fragment_packet(pkt, 10);
+    auto other = fragments(pkt, 10);
     mixed[1] = other[1];
     EXPECT_FALSE(reassemble(mixed));
   }
   EXPECT_FALSE(reassemble({}));
 }
 
-// Regression for the hot-path form: tools/check_noalloc.py caught the
-// simnet reply path building fresh per-fragment vectors through the
-// vector-returning fragment_packet; it now encodes into caller-provided
-// buffers. The two forms must stay byte-identical, and a warm buffer set
-// must be reused in place (no reallocation on the second pass).
-TEST(Fragmentation, IntoBuffersMatchesVectorFormAndReusesCapacity) {
+// The simnet reply path encodes fragments into reused pool slots: reused
+// buffers must hold exactly the bytes fresh ones get, and a warm buffer
+// set must be reused in place (no reallocation on the second pass).
+TEST(Fragmentation, ReusedBuffersMatchFreshOnesAndKeepCapacity) {
   // Pool-like acquire: reuse buffers in order, clearing but keeping storage.
   std::vector<std::vector<std::uint8_t>> bufs;
   std::size_t next = 0;
@@ -110,7 +119,7 @@ TEST(Fragmentation, IntoBuffersMatchesVectorFormAndReusesCapacity) {
 
   for (std::size_t payload : {100u, 2000u, 4096u}) {
     const auto pkt = make_packet(payload);
-    const auto expect = fragment_packet(pkt, 321);
+    const auto expect = fragments(pkt, 321);
     next = 0;
     const auto n = fragment_packet_into(std::span(pkt), 321, kMinMtu, acquire);
     ASSERT_EQ(n, expect.size()) << payload;
@@ -148,7 +157,7 @@ TEST(Fragmentation, IntoBuffersRejectsMalformedWithoutAcquiring) {
 TEST(Fragmentation, ParametrizedSizesRoundTrip) {
   for (std::size_t payload : {1241u, 1500u, 2459u, 4096u, 9000u}) {
     const auto pkt = make_packet(payload);
-    const auto frags = fragment_packet(pkt, 5);
+    const auto frags = fragments(pkt, 5);
     const auto whole = reassemble(frags);
     ASSERT_TRUE(whole) << payload;
     EXPECT_EQ(*whole, pkt) << payload;
