@@ -31,8 +31,7 @@ struct NamedSet {
 };
 
 /// The Table 7 campaign configuration (pps 1000, 16 TTLs, fill mode) from
-/// vantage `src` — the one workload bench_table7_campaigns, bench_hotpath
-/// and bench_parallel_campaigns must all measure identically.
+/// vantage `src`.
 [[nodiscard]] inline prober::Yarrp6Config table7_campaign_cfg(const Ipv6Addr& src) {
   prober::Yarrp6Config cfg;
   cfg.src = src;
@@ -43,8 +42,7 @@ struct NamedSet {
 }
 
 /// Order-sensitive digest of a merged reply stream — the determinism
-/// fingerprint the parallel-backend benches compare across thread counts.
-/// One definition so every bench's gate covers the same fields.
+/// fingerprint bench_table7_campaigns compares across thread counts.
 [[nodiscard]] inline std::uint64_t reply_digest(
     const std::vector<campaign::ShardReply>& replies) {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
@@ -58,16 +56,6 @@ struct NamedSet {
     h = splitmix64(h ^ r.reply.rtt_us);
   }
   return h;
-}
-
-/// Concatenate every set's targets: the giant-single-shard workload (one
-/// yarrp6 walk over everything) used to check the sub-shard scheduler.
-[[nodiscard]] inline std::vector<Ipv6Addr> concat_targets(
-    const std::vector<NamedSet>& sets) {
-  std::vector<Ipv6Addr> all;
-  for (const auto& ns : sets)
-    all.insert(all.end(), ns.set.addrs.begin(), ns.set.addrs.end());
-  return all;
 }
 
 /// The reproducible experiment world.

@@ -49,7 +49,7 @@
 // order units are stolen — churn is part of the campaign spec, like
 // split_factor, and the bit-identical thread/split gates hold with a
 // schedule active (tests/campaign/dynamics_determinism_test.cpp pins
-// this; bench_hotpath's `churn` section gates it at scale). One caveat
+// this, and that the schedule really invalidated routes). One caveat
 // the snapshot warmup respects: a warmed route snapshot holds pre-event
 // paths, so Network::resolve_path skips it for any cell an ECMP
 // re-convergence has touched.

@@ -45,7 +45,7 @@
 // run whole campaigns on worker threads and still merge the exact stream
 // the serial step() loop produces. The canonical merged order is
 // (slot_us, tenant, member, seq); tests/campaign/reactor_test.cpp and
-// bench/reactor.cpp hold the 1/2/8-thread bit-identical gate.
+// reactor_property_test.cpp hold the thread and submission-order gates.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 // a page walk — per dereference, which on large-LLC machines dominates the
 // fetch itself. Backing allocations above a threshold with 2 MB-aligned
 // memory and MADV_HUGEPAGE keeps the whole table under a handful of TLB
-// entries (bench/hotpath.cpp is the regression harness that shows the
+// entries (benchmark/run.py is the regression harness that shows the
 // difference).
 //
 // Stateless std-allocator; small allocations fall through to operator new,
@@ -39,8 +39,8 @@ struct HugePageAllocator {
     if (bytes >= kHugeThreshold) {
       const std::size_t padded = (bytes + kHugeAlign - 1) & ~(kHugeAlign - 1);
       // Via aligned operator new (not aligned_alloc) so binaries that
-      // replace the global allocator — bench/hotpath.cpp's counting hook —
-      // observe this path too.
+      // replace the global allocator — the counting hook in
+      // tests/simnet/steady_state_alloc_test.cpp — observe this path too.
       void* p = ::operator new(padded, std::align_val_t{kHugeAlign});
 #ifdef __linux__
       ::madvise(p, padded, MADV_HUGEPAGE);

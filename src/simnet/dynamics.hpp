@@ -145,7 +145,7 @@ struct ChurnParams {
 /// failure/recovery pairs on harvested mid-path routers, scoped and global
 /// ECMP re-convergences, a rate-limiter budget change, and a loss-model
 /// swap. A pure function of (topology, vantage, sample_targets, params) —
-/// bench_hotpath's churn gate and the campaign churn tests share it.
+/// the campaign churn tests and benchmark/'s doubletree_churn share it.
 [[nodiscard]] DynamicsSchedule make_churn_schedule(
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets, const ChurnParams& params);

@@ -15,8 +15,8 @@
 //
 // Fast path. The paper's contribution is probing *volume*, so the
 // steady-state inject cost is a first-class concern. Three mechanisms keep
-// it allocation-free (bench/hotpath.cpp counts allocations to hold the
-// line):
+// it allocation-free (tests/simnet/steady_state_alloc_test.cpp counts
+// allocations to hold the line):
 //   * a route cache memoizes resolved Paths keyed by (vantage, target /64
 //     cell, ECMP flow variant, protocol) — the exact functional
 //     dependencies of Topology::path, see its contract — with hit/miss

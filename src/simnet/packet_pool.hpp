@@ -7,7 +7,7 @@
 // 3-5 heap allocations on that path. A PacketPool instead hands out slots
 // whose heap storage persists across clear(): after a short warm-up every
 // acquire() is a size reset into capacity that already exists, so the
-// steady state allocates nothing (bench/hotpath.cpp counts this).
+// steady state allocates nothing (tests/simnet/steady_state_alloc_test).
 //
 // Views returned from the pool are invalidated by the next acquire()/
 // clear() — exactly the lifetime Network::inject_view documents.

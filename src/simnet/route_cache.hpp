@@ -16,7 +16,7 @@
 // distinct chains, not hundreds of thousands — stays small enough to live
 // in cache and under a handful of TLB entries, and both arrays sit on
 // 2 MB-page allocations (netbase::HugePageAllocator) so lookups skip the
-// page-walk tax where the kernel cooperates. bench/hotpath.cpp is the
+// page-walk tax where the kernel cooperates. benchmark/run.py is the
 // regression harness for all of this.
 //
 // Only what the inject path consumes is kept (interface, router id,

@@ -121,8 +121,8 @@ class DynamicsDeterminismTest : public ::testing::Test {
 
 // The headline gate: yarrp6 shards under churn are bit-identical across
 // 1/2/8 worker threads at a fixed split factor — and the churn really
-// happened (events fired in every work unit, and the reply behaviour
-// differs from a static network's).
+// happened (events fired, link events invalidated cached routes, and the
+// reply behaviour differs from a static network's).
 TEST_F(DynamicsDeterminismTest, ThreadCountInvariantWithActiveSchedule) {
   const auto t = targets(50);
   const auto params = churn_params(t, 15000);
@@ -136,6 +136,7 @@ TEST_F(DynamicsDeterminismTest, ThreadCountInvariantWithActiveSchedule) {
   EXPECT_GT(results[0].probe_stats.probes_sent, 0u);
   EXPECT_GT(results[0].replies.size(), 0u);
   EXPECT_GT(results[0].net_stats.dynamics_events, 0u);
+  EXPECT_GT(results[0].net_stats.route_invalidations, 0u);
   expect_identical(results[0], results[1]);
   expect_identical(results[0], results[2]);
 

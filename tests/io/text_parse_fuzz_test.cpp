@@ -1,24 +1,27 @@
-// Robustness fuzzing for the text parsers that read untrusted input:
-// Ipv6Addr::parse, Prefix::parse and io::from_text_line (which calls the
-// first on every trace line it reads). Deterministic mutational fuzz over
-// fixed Rng seeds, like tests/wire/fuzz_test.cpp: valid seed strings are
-// mutated by flips, inserts, deletes, duplications and truncations, and
-// every result must
+// Robustness fuzzing for the parsers that read untrusted input:
+// Ipv6Addr::parse, Prefix::parse, io::from_text_line (which calls the
+// first on every trace line it reads), and the two whole-trace readers,
+// io::read_text and io::read_binary (both framings). Deterministic
+// mutational fuzz over fixed Rng seeds, like tests/wire/fuzz_test.cpp:
+// valid seed inputs are mutated by flips, inserts, deletes, duplications
+// and truncations, and every result must
 //   * parse without crashing (the asan-ubsan leg runs this binary),
 //   * be accepted exactly when an independent oracle calls it valid — so
-//     a mutated invalid string is never accepted — and
+//     a mutated invalid input is never accepted — and
 //   * round-trip when accepted: printing and re-parsing gives the same
-//     value.
+//     value, and a re-encoded trace reproduces the bytes it was read from.
 // The address oracle is the C library's inet_pton(AF_INET6), minus the
 // dotted-quad IPv4 tails Ipv6Addr::parse rejects by design.
 #include <arpa/inet.h>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cstdint>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -104,6 +107,48 @@ std::optional<TraceRecord> oracle_line(std::string_view line) {
   return rec;
 }
 
+/// The oracle's reading of a whole text trace, split into lines as
+/// std::getline does: blank and '#' lines skipped, every other line one
+/// record or one malformed count.
+TextReadResult oracle_text(std::string_view text) {
+  TextReadResult out;
+  while (!text.empty()) {
+    const auto end = std::min(text.find('\n'), text.size());
+    const auto line = text.substr(0, end);
+    text.remove_prefix(std::min(end + 1, text.size()));
+    const auto first = line.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos || line[first] == '#') continue;
+    if (const auto rec = oracle_line(line))
+      out.records.push_back(*rec);
+    else
+      ++out.malformed;
+  }
+  return out;
+}
+
+/// The number of records read_binary must return for `bytes`, or nullopt:
+/// a "B6TR" version-1 header, then at least `count` 40-byte records, or,
+/// under the open-ended kBinaryStreamCount framing, whole records to EOF.
+std::optional<std::size_t> oracle_binary_count(std::string_view bytes) {
+  constexpr std::size_t kHeader = 12;
+  constexpr std::size_t kRecord = 40;
+  if (bytes.size() < kHeader) return std::nullopt;
+  auto u32 = [&](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i)
+      v = (v << 8) | static_cast<std::uint8_t>(bytes[at + i]);
+    return v;
+  };
+  if (u32(0) != kBinaryMagic || u32(4) != kBinaryVersion) return std::nullopt;
+  const auto whole = (bytes.size() - kHeader) / kRecord;
+  if (u32(8) == kBinaryStreamCount) {
+    if (whole * kRecord != bytes.size() - kHeader) return std::nullopt;
+    return whole;
+  }
+  if (whole < u32(8)) return std::nullopt;
+  return u32(8);
+}
+
 /// One random edit of `s`: characters are drawn mostly from the parsers'
 /// own alphabet, so mutants sit near the valid/invalid boundary.
 std::string mutate(std::string s, Rng& rng) {
@@ -153,6 +198,19 @@ const std::vector<std::string>& addr_seeds() {
       "2a00:1450:4001:82b::200e",
   };
   return seeds;
+}
+
+TraceRecord random_record(Rng& rng) {
+  TraceRecord rec;
+  rec.target = *Ipv6Addr::parse(addr_seeds()[rng.below(addr_seeds().size())]);
+  rec.responder =
+      *Ipv6Addr::parse(addr_seeds()[rng.below(addr_seeds().size())]);
+  rec.ttl = static_cast<std::uint8_t>(rng.below(256));
+  rec.type = static_cast<std::uint8_t>(rng.below(256));
+  rec.code = static_cast<std::uint8_t>(rng.below(256));
+  rec.instance = static_cast<std::uint8_t>(rng.below(256));
+  rec.rtt_us = static_cast<std::uint32_t>(rng());
+  return rec;
 }
 
 class TextParseFuzz : public ::testing::TestWithParam<std::uint64_t> {};
@@ -206,16 +264,7 @@ TEST_P(TextParseFuzz, TraceLineParseMatchesOracleAndRoundTrips) {
   Rng rng{GetParam()};
   std::size_t accepted = 0;
   for (int round = 0; round < kRounds; ++round) {
-    TraceRecord seed;
-    seed.target = *Ipv6Addr::parse(addr_seeds()[rng.below(addr_seeds().size())]);
-    seed.responder =
-        *Ipv6Addr::parse(addr_seeds()[rng.below(addr_seeds().size())]);
-    seed.ttl = static_cast<std::uint8_t>(rng.below(256));
-    seed.type = static_cast<std::uint8_t>(rng.below(256));
-    seed.code = static_cast<std::uint8_t>(rng.below(256));
-    seed.instance = static_cast<std::uint8_t>(rng.below(256));
-    seed.rtt_us = static_cast<std::uint32_t>(rng());
-    const auto text = mutate(to_text_line(seed), rng);
+    const auto text = mutate(to_text_line(random_record(rng)), rng);
     const auto got = from_text_line(text);
     const auto want = oracle_line(text);
     ASSERT_EQ(got.has_value(), want.has_value()) << '"' << text << '"';
@@ -225,6 +274,74 @@ TEST_P(TextParseFuzz, TraceLineParseMatchesOracleAndRoundTrips) {
     const auto again = from_text_line(to_text_line(*got));
     ASSERT_TRUE(again.has_value()) << to_text_line(*got);
     EXPECT_EQ(*again, *got) << '"' << text << '"';
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, static_cast<std::size_t>(kRounds));
+}
+
+TEST_P(TextParseFuzz, ReadTextMatchesOracleAndReencodes) {
+  Rng rng{GetParam()};
+  std::size_t records = 0;
+  std::size_t malformed = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::ostringstream out;
+    TextWriter writer{out};
+    for (auto n = rng.below(5); n > 0; --n) {
+      writer.write(random_record(rng));
+      if (rng.below(4) == 0) out << "\n  # note\n";
+    }
+    const auto text = mutate(out.str(), rng);
+    std::istringstream in{text};
+    const auto got = read_text(in);
+    const auto want = oracle_text(text);
+    ASSERT_EQ(got.records, want.records) << '"' << text << '"';
+    ASSERT_EQ(got.malformed, want.malformed) << '"' << text << '"';
+    records += got.records.size();
+    malformed += got.malformed;
+
+    std::ostringstream again;
+    TextWriter rewriter{again};
+    for (const auto& rec : got.records) rewriter.write(rec);
+    std::istringstream reread{again.str()};
+    const auto back = read_text(reread);
+    EXPECT_EQ(back.records, got.records);
+    EXPECT_EQ(back.malformed, 0u);
+  }
+  EXPECT_GT(records, 0u);
+  EXPECT_GT(malformed, 0u);
+}
+
+TEST_P(TextParseFuzz, ReadBinaryMatchesFramingOracleAndReencodes) {
+  Rng rng{GetParam()};
+  std::size_t accepted = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<TraceRecord> records(rng.below(5));
+    for (auto& rec : records) rec = random_record(rng);
+    std::ostringstream out;
+    write_binary(out, records);
+    std::string bytes = out.str();
+    // Header count: honest, the open-ended sentinel, or hostile.
+    auto count = static_cast<std::uint32_t>(records.size());
+    if (const auto pick = rng.below(4); pick == 0)
+      count = kBinaryStreamCount;
+    else if (pick == 1)
+      count = static_cast<std::uint32_t>(rng());
+    for (std::size_t i = 0; i < 4; ++i)
+      bytes[8 + i] = static_cast<char>(count >> (24 - 8 * i));
+    bytes = mutate(std::move(bytes), rng);
+
+    std::istringstream in{bytes};
+    const auto got = read_binary(in);
+    const auto want = oracle_binary_count(bytes);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "round " << round;
+    if (!got) continue;
+    ++accepted;
+    ASSERT_EQ(got->size(), *want) << "round " << round;
+    std::ostringstream again;
+    write_binary(again, *got);
+    EXPECT_EQ(again.str().substr(0, 8), bytes.substr(0, 8));
+    EXPECT_EQ(again.str().substr(12), bytes.substr(12, 40 * got->size()))
+        << "round " << round;
   }
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, static_cast<std::size_t>(kRounds));

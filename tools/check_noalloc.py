@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Static no-alloc checker for the beholder6 hot path.
 
-bench/hotpath.cpp proves at *runtime* — via a counting `operator new`
-hook — that the steady-state inject→resolve→reply path allocates exactly
-zero bytes. That proof only covers the paths the bench workload happens to
-exercise. This tool promotes the contract to a *build-time* guarantee: it
+tests/simnet/steady_state_alloc_test.cpp proves at *runtime* — via a
+counting `operator new` hook — that the steady-state inject→resolve→reply
+path allocates exactly zero bytes. That proof only covers the paths the
+test's probe set happens to exercise. This tool promotes the contract to a *build-time* guarantee: it
 walks the static call graph of the optimized build's object files from the
 designated hot-path entry points and fails if any path reaches an
 allocator, except through a short allowlist of named cold gates.
