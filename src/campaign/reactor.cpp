@@ -79,11 +79,11 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
                                    std::max(1.0, spec.rate_limit_burst)};
 
   // Build every member, then seed its first global slot.
-  c.members.resize(c.family.size());
+  c.members.resize(c.family->size());
   for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
     c.members[mi].campaign = &c;
     c.members[mi].start(topo_, params_, warmer_.snapshot(), nullptr,
-                        c.family.member(mi), spec.endpoint, spec.pacing,
+                        c.family->member(mi), spec.endpoint, spec.pacing,
                         [cp = &c, mi](const wire::DecodedReply& r) {
                           Member& m = cp->members[mi];
                           if (m.out != nullptr)
@@ -134,7 +134,7 @@ bool CampaignReactor::resume(CampaignHandle h) {
   // The saved dues: a global-time shift only. Parked members wait for
   // their family's barrier instead.
   for (std::uint32_t i = 0; i < c->members.size(); ++i)
-    if (c->family.active(i)) push_global(*c, i, c->members[i].due_global);
+    if (c->family->active(i)) push_global(*c, i, c->members[i].due_global);
   return true;
 }
 
@@ -163,6 +163,7 @@ void CampaignReactor::settle(Campaign& c) {
   if (c.settled) return;
   if (c.state == CampaignState::kRunning || c.state == CampaignState::kPaused)
     return;
+  B6_DCHECK(!c.executing, "settling a campaign mid-slot (cancel from a sink?)");
   c.settled = true;
   B6_DCHECK(active_ > 0, "settling a campaign the ledger never admitted");
   --active_;
@@ -170,6 +171,13 @@ void CampaignReactor::settle(Campaign& c) {
   const auto it = tenant_index_.find(c.spec.tenant);
   if (it != tenant_index_.end() && it->second == c.index)
     tenant_index_.erase(it);
+  // Freeze the totals, then free what only a live campaign reads.
+  for (Member& m : c.members) {
+    c.totals += m.runner->stats()[0];
+    m.release();
+  }
+  c.family.reset();
+  c.spec.sink = nullptr;
 }
 
 // ---- The scheduling core ----------------------------------------------------
@@ -204,6 +212,9 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   Member& m = c.members[mi];
   m.slot_due = slot_due;
   m.out = out;
+  // settle()'s DCHECK reads the flag; a throwing step clears it too.
+  struct Clear { bool& flag; ~Clear() { flag = false; } } clear{c.executing};
+  c.executing = true;
   (void)m.runner->step();
   m.out = nullptr;
 
@@ -225,10 +236,10 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   // the barrier protocol, whose last arrival merges and names the parked
   // members to resume.
   const bool exhausted = m.runner->done();
-  if (exhausted || c.family.at_barrier(mi)) {
-    for (const std::uint32_t r : c.family.arrive(mi, exhausted))
+  if (exhausted || c.family->at_barrier(mi)) {
+    for (const std::uint32_t r : c.family->arrive(mi, exhausted))
       reschedule_member(c, r, push);
-    if (c.family.live() == 0 && c.state == CampaignState::kRunning)
+    if (c.family->live() == 0 && c.state == CampaignState::kRunning)
       c.state = CampaignState::kFinished;
     return;
   }
@@ -249,7 +260,8 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
 //     buffer, the replica's reply pool and table headers.
 // A guess is wrong only when a reschedule lands ahead of a predicted
 // slot, and then the hints cost a few wasted line fills. Stale slots are
-// warmed like live ones: their members are alive until reset().
+// warmed like live ones: their Member shells are alive until reset(), and
+// a settled member's null runner and replica pointers hint nothing.
 void CampaignReactor::warm_lookahead() const {
   const std::size_t n = heap_.size();
   if (n == 0) return;
@@ -382,6 +394,7 @@ std::optional<CampaignState> CampaignReactor::state(CampaignHandle h) const {
 std::optional<ProbeStats> CampaignReactor::stats(CampaignHandle h) const {
   const Campaign* c = find(h);
   if (c == nullptr) return std::nullopt;
+  if (c->settled) return c->totals;
   ProbeStats sum;
   for (const Member& m : c->members) sum += m.runner->stats()[0];
   return sum;

@@ -16,7 +16,10 @@
 // snapshot — per-tenant mutable state), its own CampaignRunner, both built
 // by the work-unit machinery shared with ParallelCampaignRunner
 // (campaign/unit.hpp), and its own *local* virtual clock starting at 0.
-// The reactor schedules tenants against each other on the global clock:
+// Runner and replica live exactly as long as the campaign: retirement
+// frees them, so the reactor's memory follows its live tenants, not every
+// tenant it ever admitted. The reactor schedules tenants against each
+// other on the global clock:
 //
 //   global due = admission offset + runner-local due,
 //                deferred to the tenant's token-bucket ready time.
@@ -130,7 +133,8 @@ struct Admission {
 };
 
 /// Campaign lifecycle. Running/paused are live; the rest are terminal
-/// (budget reservation released, slots retired, stats frozen).
+/// (budget reservation released, slots retired, stats frozen, runners and
+/// replicas freed).
 enum class CampaignState : std::uint8_t {
   kRunning,
   kPaused,
@@ -224,7 +228,8 @@ class CampaignReactor {
   /// Retire a campaign immediately and refund its in-flight probe-budget
   /// reservation (admission reopens at once). Members parked at an epoch
   /// barrier are released with the rest — a cancelled family never leaves
-  /// the barrier waiting on a member that will not come.
+  /// the barrier waiting on a member that will not come. A step boundary
+  /// op: never call it from the campaign's own sink.
   bool cancel(CampaignHandle h);
 
   /// Serial drive: pop and run the earliest due slot. Returns false when
@@ -257,8 +262,9 @@ class CampaignReactor {
   /// Lifecycle of a campaign, or nullopt for a stale/unknown handle.
   [[nodiscard]] std::optional<CampaignState> state(CampaignHandle h) const;
 
-  /// Stats summed over the campaign's members (complete once terminal;
-  /// partial — probes so far — while live). Nullopt for stale handles.
+  /// Stats summed over the campaign's members (complete, and frozen at
+  /// retirement, once terminal; partial — probes so far — while live).
+  /// Nullopt for stale handles.
   [[nodiscard]] std::optional<ProbeStats> stats(CampaignHandle h) const;
 
   /// The canonical merged stream, sorted by (slot_us, tenant, member,
@@ -281,26 +287,33 @@ class CampaignReactor {
     bool in_heap = false;          // a live slot sits in the *global* heap
   };
 
+  /// Once settled, a campaign keeps only what handles and stale heap slots
+  /// read: the Member shells (a GSlot::loc must not dangle before reset()),
+  /// the state and ledger fields, and the frozen totals. settle() frees the
+  /// members' runners and replicas, the split children and the sink copy.
   struct Campaign {
     explicit Campaign(const CampaignSpec& s)
-        : spec(s), family(*s.source, s.split_factor) {}
+        : spec(s), family(std::in_place, *s.source, s.split_factor) {}
     CampaignSpec spec;
-    SplitFamily family;  // members' sources and their barrier bookkeeping
+    // Members' sources and their barrier bookkeeping; empty once settled.
+    std::optional<SplitFamily> family;
     std::uint32_t index = 0;
     CampaignState state = CampaignState::kRunning;
     std::uint64_t start_us = 0;  // global admission offset
     simnet::TokenBucket bucket;
     bool throttled = false;
-    bool settled = false;  // terminal bookkeeping (ledger release) done
+    bool settled = false;    // terminal bookkeeping and release done
+    bool executing = false;  // a member's slot is running (settle's DCHECK)
     std::uint64_t probes_sent = 0;
+    ProbeStats totals;  // members' stats, frozen at settle
     std::vector<Member> members;
   };
 
   /// A heap entry, global or campaign-local (parallel drains). Ordering is
   /// the fair-share policy: (due, tenant, member) — never a submission
   /// sequence number. `loc` locates the member directly, so the lookahead
-  /// can warm it without first loading anything else. Members live until
-  /// reset(), which empties every heap, so `loc` never dangles.
+  /// can warm it without first loading anything else. Member shells live
+  /// until reset(), which empties every heap, so `loc` never dangles.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;

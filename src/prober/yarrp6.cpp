@@ -16,6 +16,7 @@ void Yarrp6Source::begin(std::uint64_t now_us) {
   perm_.emplace(domain_, cfg_.permutation_key);
   index_ = cfg_.shard;
   stride_ = cfg_.shard_count ? cfg_.shard_count : 1;
+  if (!cfg_.neighborhood) return;  // the per-TTL tables serve only it
   last_new_us_.assign(cfg_.max_ttl + 1u, now_us);
   seen_at_ttl_.assign(cfg_.max_ttl + 1u, {});
 }

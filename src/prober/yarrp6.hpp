@@ -105,7 +105,8 @@ class Yarrp6Source final : public campaign::ProbeSource {
   // so its target line is in cache (and hintable) before it is needed.
   bool pending_valid_ = false;
   std::uint64_t pending_v_ = 0;
-  // Neighborhood-mode bookkeeping, indexed by TTL.
+  // Neighborhood-mode bookkeeping, indexed by TTL; begin() allocates the
+  // tables only in neighborhood mode.
   std::uint64_t skips_ = 0;
   std::vector<std::uint64_t> last_new_us_;
   std::vector<std::unordered_set<Ipv6Addr, Ipv6AddrHash>> seen_at_ttl_;

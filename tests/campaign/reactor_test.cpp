@@ -2,11 +2,14 @@
 // deterministic rejection, submit/pause/resume/cancel mid-run, cancel
 // refunding the in-flight probe-budget reservation, byte-identity of a
 // reactor run to N serial CampaignRunner runs of the same specs, identical
-// replay after reset() with pre-reset handles staying dead, step()'s
-// lookahead prefetch changing no result when the slots it warms go stale
-// or are destroyed, parallel drain() equal to the serial step() loop,
-// incremental per-tenant streaming through io/trace_io-backed sinks, and a
-// failing tenant or sink stream surfacing from drain().
+// replay after reset() with pre-reset handles staying dead, retired
+// campaigns' stats and state unchanged by the release of their runners
+// and replicas (and a sink cancelling its own campaign caught by a
+// DCHECK), step()'s lookahead prefetch changing no result when the slots
+// it warms go stale, released or destroyed, parallel drain() equal to the
+// serial step() loop, incremental per-tenant streaming through
+// io/trace_io-backed sinks, and a failing tenant or sink stream surfacing
+// from drain().
 #include "campaign/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -259,6 +262,77 @@ TEST_F(ReactorTest, BudgetCapRetiresDeterministically) {
   EXPECT_EQ(run(3), run(3));
 }
 
+TEST_F(ReactorTest, ReleasedCampaignsKeepTheirStatsAndState) {
+  // Retirement frees a campaign's runners and replicas; what stats() and
+  // state() answer must not change with it. The references are computed
+  // outside the reactor: a finished tenant's stats are its CampaignRunner
+  // run, a budget-capped one's are a runner stepped to the cap, and a
+  // cancelled one's are what stats() said just before the cancel.
+  ProbeStats ref_finish;
+  ProbeStats ref_budget;
+  {
+    const auto spec = make_spec(1, 10);
+    simnet::Network net{topo_};
+    ref_finish =
+        CampaignRunner::run_one(net, *spec.source, spec.endpoint, spec.pacing);
+  }
+  {
+    const auto spec = make_spec(2, 10);
+    simnet::Network net{topo_};
+    CampaignRunner runner{net};
+    runner.add(*spec.source, spec.endpoint, spec.pacing);
+    while (runner.stats()[0].probes_sent < 25) ASSERT_TRUE(runner.step());
+    ref_budget = runner.stats()[0];
+  }
+
+  for (const unsigned n_threads : {1u, 2u}) {
+    auto spec_finish = make_spec(1, 10);
+    auto spec_budget = make_spec(2, 10);
+    spec_budget.probe_budget = 25;
+    const auto spec_cancel = make_spec(3, 10);
+    CampaignReactor reactor{topo_, {}, {.n_threads = n_threads}};
+    // The reactor's copy of a sink goes with the rest: once retired, only
+    // the test holds the token.
+    const auto token = std::make_shared<int>(0);
+    spec_finish.sink = [token](const wire::DecodedReply&) {};
+    const auto finish = reactor.submit(spec_finish).handle;
+    spec_finish.sink = nullptr;
+    const auto budget = reactor.submit(spec_budget).handle;
+    const auto cancel = reactor.submit(spec_cancel).handle;
+    EXPECT_EQ(token.use_count(), 2);
+    for (int i = 0; i < 30; ++i) ASSERT_TRUE(reactor.step());
+    const auto live = reactor.stats(cancel);
+    ASSERT_TRUE(reactor.cancel(cancel));
+    EXPECT_EQ(reactor.stats(cancel), live);
+    reactor.drain();
+
+    EXPECT_EQ(token.use_count(), 1) << n_threads << " threads";
+    EXPECT_EQ(reactor.state(finish), CampaignState::kFinished);
+    EXPECT_EQ(reactor.state(budget), CampaignState::kBudgetExhausted);
+    EXPECT_EQ(reactor.state(cancel), CampaignState::kCancelled);
+    EXPECT_EQ(reactor.stats(finish), ref_finish) << n_threads << " threads";
+    EXPECT_EQ(reactor.stats(budget), ref_budget) << n_threads << " threads";
+    EXPECT_EQ(reactor.stats(cancel), live) << n_threads << " threads";
+  }
+}
+
+#if BEHOLDER6_DCHECK_LEVEL >= 1
+TEST_F(ReactorTest, CancelFromOwnSinkTripsTheStepBoundaryCheck) {
+  // Control ops run at step boundaries. A sink that cancels its own
+  // campaign would free the runner mid-step; settle() aborts instead.
+  EXPECT_DEATH(
+      {
+        CampaignReactor reactor{topo_};
+        CampaignHandle self;
+        auto spec = make_spec(1, 10);
+        spec.sink = [&](const wire::DecodedReply&) { reactor.cancel(self); };
+        self = reactor.submit(spec).handle;
+        reactor.drain();
+      },
+      "settling a campaign mid-slot");
+}
+#endif
+
 TEST_F(ReactorTest, DeterministicAdmissionRejections) {
   ReactorOptions options;
   options.max_campaigns = 2;
@@ -327,9 +401,13 @@ TEST_F(ReactorTest, LookaheadOverStaleSlotsChangesNoResult) {
   // those go stale right before a step. Eight tenants at one rate,
   // admitted together, are served round-robin in tenant order (ties
   // resolve on the tenant id), so the tenants next in line are known.
-  // Tenant 3 is a two-member family: member 1 spends the last of its
-  // budget in round 20, which leaves member 0's round-21 slot stale in the
-  // heap while the steps before it warm that slot.
+  // Tenants 5 and 6 are cancelled, which frees their runners and
+  // replicas, so the stages that follow a member's runner and replica
+  // pointers meet released members (the asan-ubsan leg checks that none
+  // of them reads freed memory). Tenant 3 is a two-member family: member
+  // 1 spends the last of its budget in round 20, which releases the
+  // family and leaves member 0's round-21 slot stale in the heap while
+  // the steps before it warm that slot.
   auto spec_of = [&](std::uint64_t t) {
     auto spec = make_spec(t, 8, 3000);
     if (t == 3) {
@@ -350,21 +428,24 @@ TEST_F(ReactorTest, LookaheadOverStaleSlotsChangesNoResult) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(reactor.step());
   EXPECT_EQ(reactor.stats(h[3])->probes_sent, 2u);
   EXPECT_EQ(reactor.stats(h[4])->probes_sent, 0u);
-  ASSERT_TRUE(reactor.pause(h[5]));
-  ASSERT_TRUE(reactor.pause(h[6]));
-  ASSERT_TRUE(reactor.cancel(h[7]));
+  const auto live5 = reactor.stats(h[5]);
+  const auto live6 = reactor.stats(h[6]);
+  ASSERT_TRUE(reactor.cancel(h[5]));
+  ASSERT_TRUE(reactor.cancel(h[6]));
+  ASSERT_TRUE(reactor.pause(h[7]));
   ASSERT_TRUE(reactor.step());  // tenant 4, warming three stale slots
   EXPECT_EQ(reactor.stats(h[4])->probes_sent, 1u);
   for (int i = 0; i < 40; ++i) ASSERT_TRUE(reactor.step());
-  ASSERT_TRUE(reactor.resume(h[5]));
-  ASSERT_TRUE(reactor.resume(h[6]));
+  ASSERT_TRUE(reactor.resume(h[7]));
   reactor.drain();
 
   EXPECT_EQ(reactor.state(h[3]), CampaignState::kBudgetExhausted);
-  EXPECT_EQ(reactor.state(h[7]), CampaignState::kCancelled);
-  EXPECT_EQ(reactor.stats(h[7])->probes_sent, 0u);
+  EXPECT_EQ(reactor.state(h[5]), CampaignState::kCancelled);
+  EXPECT_EQ(reactor.state(h[6]), CampaignState::kCancelled);
+  EXPECT_EQ(reactor.stats(h[5]), live5);
+  EXPECT_EQ(reactor.stats(h[6]), live6);
   for (std::uint64_t t = 1; t <= 8; ++t) {
-    if (t == 7) continue;
+    if (t == 5 || t == 6) continue;
     const auto solo = solo_run(spec_of(t));
     EXPECT_EQ(reactor.state(h[t]), solo.state) << "tenant " << t;
     EXPECT_EQ(reactor.stats(h[t]), solo.stats) << "tenant " << t;
