@@ -51,8 +51,10 @@ int main() {
         cfg.max_ttl = 16;
         cfg.gap_limit = 16;  // keep probing: per-hop stats need full sweeps
         topology::TraceCollector c;
-        prober::SequentialProber{cfg}.run(
-            net, set.set.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+        prober::SequentialSource src{cfg, set.set.addrs};
+        campaign::CampaignRunner::run_one(
+            net, src, cfg.endpoint(), cfg.pacing(),
+            [&](const wire::DecodedReply& r) { c.on_reply(r); });
         const auto frac = per_hop_response(c, set.set.size());
         std::printf("sequential %6.0fpps  ", pps);
         for (int hop = 1; hop <= 16; ++hop) std::printf(" %4.2f", frac[hop]);
@@ -60,15 +62,11 @@ int main() {
       }
       // Randomized (yarrp6).
       {
-        simnet::Network net{world.topo, simnet::NetworkParams{}};
         prober::Yarrp6Config cfg;
-        cfg.src = vantage->src;
         cfg.pps = pps;
         cfg.max_ttl = 16;
-        topology::TraceCollector c;
-        prober::Yarrp6Prober{cfg}.run(
-            net, set.set.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
-        const auto frac = per_hop_response(c, set.set.size());
+        const auto run = bench::run_yarrp(world.topo, *vantage, set.set.addrs, cfg);
+        const auto frac = per_hop_response(run.collector, set.set.size());
         std::printf("yarrp      %6.0fpps  ", pps);
         for (int hop = 1; hop <= 16; ++hop) std::printf(" %4.2f", frac[hop]);
         std::printf("\n");

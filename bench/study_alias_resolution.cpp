@@ -24,7 +24,9 @@ int main() {
     cfg.src = vantage.src;
     cfg.pps = 100000;
     cfg.max_ttl = 16;
-    const auto stats = prober::Yarrp6Prober{cfg}.run(net, set.set.addrs, nullptr);
+    prober::Yarrp6Source src{cfg, set.set.addrs};
+    const auto stats = campaign::CampaignRunner::run_one(net, src, cfg.endpoint(),
+                                                         cfg.pacing(), nullptr);
     traces += stats.traces;
   }
   const auto& learned = net.learned_interfaces();

@@ -33,17 +33,14 @@ int main() {
 
   for (const double pps : {20.0, 1000.0}) {
     {
-      simnet::Network net{world.topo, simnet::NetworkParams{}};
       prober::Yarrp6Config cfg;
-      cfg.src = vantage.src;
       cfg.pps = pps;
-      topology::TraceCollector c;
-      const auto st = prober::Yarrp6Prober{cfg}.run(
-          net, set.set.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+      const auto run = bench::run_yarrp(world.topo, vantage, set.set.addrs, cfg);
+      const auto& c = run.collector;
       std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s\n", "yarrp6", pps,
-                  bench::human(static_cast<double>(st.probes_sent)).c_str(),
+                  bench::human(static_cast<double>(run.probe_stats.probes_sent)).c_str(),
                   c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
-                  bench::human(static_cast<double>(net.stats().rate_limited)).c_str());
+                  bench::human(static_cast<double>(run.net_stats.rate_limited)).c_str());
     }
     {
       simnet::Network net{world.topo, simnet::NetworkParams{}};
@@ -51,8 +48,10 @@ int main() {
       cfg.src = vantage.src;
       cfg.pps = pps;
       topology::TraceCollector c;
-      const auto st = prober::SequentialProber{cfg}.run(
-          net, set.set.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+      prober::SequentialSource src{cfg, set.set.addrs};
+      const auto st = campaign::CampaignRunner::run_one(
+          net, src, cfg.endpoint(), cfg.pacing(),
+          [&](const wire::DecodedReply& r) { c.on_reply(r); });
       std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s\n", "sequential", pps,
                   bench::human(static_cast<double>(st.probes_sent)).c_str(),
                   c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
@@ -65,15 +64,17 @@ int main() {
       cfg.pps = pps;
       cfg.start_ttl = 6;
       topology::TraceCollector c;
-      prober::DoubletreeProber dt{cfg};
-      const auto st = dt.run(net, set.set.addrs,
-                             [&](const wire::DecodedReply& r) { c.on_reply(r); });
+      prober::StopSet stop_set;
+      prober::DoubletreeSource src{cfg, set.set.addrs, stop_set};
+      const auto st = campaign::CampaignRunner::run_one(
+          net, src, cfg.endpoint(), cfg.pacing(),
+          [&](const wire::DecodedReply& r) { c.on_reply(r); });
       std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s  (stop set: %zu)\n",
                   "doubletree", pps,
                   bench::human(static_cast<double>(st.probes_sent)).c_str(),
                   c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
                   bench::human(static_cast<double>(net.stats().rate_limited)).c_str(),
-                  dt.stop_set_size());
+                  stop_set.size());
     }
   }
   bench::rule();

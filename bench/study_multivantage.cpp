@@ -45,17 +45,13 @@ int main() {
 
   std::set<Ipv6Addr> single_ifaces;
   {
-    simnet::Network net{world.topo, simnet::NetworkParams{}};
-    topology::TraceCollector c;
-    prober::Yarrp6Config c1 = cfg;
-    c1.src = world.topo.vantages()[0].src;
-    const auto st = prober::Yarrp6Prober{c1}.run(
-        net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    const auto run = bench::run_yarrp(world.topo, world.topo.vantages()[0], targets, cfg);
+    const auto& c = run.collector;
     single_ifaces.insert(c.interfaces().begin(), c.interfaces().end());
     std::printf("%-26s %10s %12zu %10s %9.0f%%\n", "single (US-EDU-1)",
-                bench::human(static_cast<double>(st.probes_sent)).c_str(),
+                bench::human(static_cast<double>(run.probe_stats.probes_sent)).c_str(),
                 c.interfaces().size(),
-                bench::human(static_cast<double>(net.stats().rate_limited)).c_str(),
+                bench::human(static_cast<double>(run.net_stats.rate_limited)).c_str(),
                 hop1(c));
   }
   {
@@ -91,9 +87,10 @@ int main() {
     for (const auto& v : world.topo.vantages()) {
       prober::Yarrp6Config cv = cfg;
       cv.src = v.src;
-      probes += prober::Yarrp6Prober{cv}
-                    .run(net, targets,
-                         [&](const wire::DecodedReply& r) { c.on_reply(r); })
+      prober::Yarrp6Source src{cv, targets};
+      probes += campaign::CampaignRunner::run_one(
+                    net, src, cv.endpoint(), cv.pacing(),
+                    [&](const wire::DecodedReply& r) { c.on_reply(r); })
                     .probes_sent;
     }
     std::size_t exclusive = 0;

@@ -32,8 +32,10 @@ int main() {
     cfg.src = v.src;
     cfg.pps = 100000;
     cfg.max_ttl = 16;
-    prober::Yarrp6Prober{cfg}.run(
-        net, targets, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+    prober::Yarrp6Source src{cfg, targets};
+    campaign::CampaignRunner::run_one(
+        net, src, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { collector.on_reply(r); });
   }
 
   const auto graph = topology::LinkGraph::from_traces(collector);

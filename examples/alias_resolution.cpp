@@ -10,6 +10,7 @@
 #include <map>
 
 #include "alias/speedtrap.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/sources.hpp"
 #include "simnet/network.hpp"
@@ -36,8 +37,10 @@ int main() {
     cfg.src = vantage.src;
     cfg.pps = 100000;
     cfg.max_ttl = 16;
-    prober::Yarrp6Prober{cfg}.run(
-        net, targets.addrs, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+    prober::Yarrp6Source src{cfg, targets.addrs};
+    campaign::CampaignRunner::run_one(
+        net, src, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { collector.on_reply(r); });
   }
   const auto graph = topology::LinkGraph::from_traces(collector);
   std::printf("discovery : %zu interfaces, %zu interface-level links\n",

@@ -7,6 +7,7 @@
 //   $ ./examples/rate_limit_tuning
 #include <cstdio>
 
+#include "campaign/runner.hpp"
 #include "prober/sequential.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/sources.hpp"
@@ -48,8 +49,10 @@ int main() {
       cfg.src = vantage.src;
       cfg.pps = pps;
       topology::TraceCollector c;
-      const auto st = prober::Yarrp6Prober{cfg}.run(
-          net, targets.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+      prober::Yarrp6Source src{cfg, targets.addrs};
+      const auto st = campaign::CampaignRunner::run_one(
+          net, src, cfg.endpoint(), cfg.pacing(),
+          [&](const wire::DecodedReply& r) { c.on_reply(r); });
       std::printf("%-12s %8.0f %10llu %7.0f%% %7.0f%% %7.0f%% %10zu\n",
                   "yarrp6", pps, static_cast<unsigned long long>(st.probes_sent),
                   100 * hop_response(c, targets.size(), 1),
@@ -64,8 +67,10 @@ int main() {
       cfg.pps = pps;
       cfg.gap_limit = 16;
       topology::TraceCollector c;
-      const auto st = prober::SequentialProber{cfg}.run(
-          net, targets.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+      prober::SequentialSource src{cfg, targets.addrs};
+      const auto st = campaign::CampaignRunner::run_one(
+          net, src, cfg.endpoint(), cfg.pacing(),
+          [&](const wire::DecodedReply& r) { c.on_reply(r); });
       std::printf("%-12s %8.0f %10llu %7.0f%% %7.0f%% %7.0f%% %10zu\n",
                   "sequential", pps, static_cast<unsigned long long>(st.probes_sent),
                   100 * hop_response(c, targets.size(), 1),

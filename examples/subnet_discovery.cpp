@@ -10,6 +10,7 @@
 
 #include "analysis/pathdiv.hpp"
 #include "analysis/validate.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/network.hpp"
 #include "target/synthesis.hpp"
@@ -40,8 +41,10 @@ int main() {
   cfg.max_ttl = 20;
   cfg.fill_mode = true;
   topology::TraceCollector collector;
-  prober::Yarrp6Prober{cfg}.run(
-      net, targets, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+  prober::Yarrp6Source src{cfg, targets};
+  campaign::CampaignRunner::run_one(
+      net, src, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { collector.on_reply(r); });
 
   const auto result = analysis::discover_by_path_div(collector, topo, vantage);
   const auto prefixes = result.distinct_prefixes();

@@ -6,10 +6,19 @@
 //
 //   $ ./examples/yarrp6sim --seeds cdn-k32 --zn 64 --pps 1000 --max-ttl 16
 //         --fill --vantage EU-NET --output /tmp/campaign.trace
+//
+// Hostile input fails before any probing, with exit status 2: a number
+// that does not parse whole or lies outside its range, an unknown
+// protocol, vantage or seed list, or an output file that cannot be opened.
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "campaign/runner.hpp"
 #include "io/trace_io.hpp"
@@ -27,11 +36,27 @@ namespace {
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s [--seeds NAME] [--zn 48|64] [--pps N] [--max-ttl N] [--fill]\n"
+      "usage: %s [--seeds NAME] [--zn 1..64] [--pps N] [--max-ttl N] [--fill]\n"
       "          [--neighborhood] [--proto icmp6|udp|tcp] [--vantage NAME]\n"
       "          [--seed N] [--scale F] [--output FILE]\n"
       "seeds: caida dnsdb fiebig fdns_any cdn-k256 cdn-k32 6gen tum random\n",
       argv0);
+}
+
+/// Parse all of `text` as a number in [lo, hi], or exit 2 naming `flag`.
+template <typename T>
+T parse_number(const char* flag, std::string_view text, T lo, T hi) {
+  T value{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size() ||
+      !(value >= lo && value <= hi)) {
+    std::fprintf(stderr, "%s: expected a number in [%g, %g], got '%.*s'\n",
+                 flag, static_cast<double>(lo), static_cast<double>(hi),
+                 static_cast<int>(text.size()), text.data());
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -51,24 +76,44 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") seeds_name = next();
-    else if (arg == "--zn") zn = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--pps") pps = std::atof(next());
-    else if (arg == "--max-ttl") max_ttl = static_cast<unsigned>(std::atoi(next()));
+    else if (arg == "--zn") zn = parse_number(arg.c_str(), next(), 1u, 64u);
+    else if (arg == "--pps") pps = parse_number(arg.c_str(), next(), 1.0, 1e8);
+    else if (arg == "--max-ttl")
+      max_ttl = parse_number(arg.c_str(), next(), 1u, 255u);
     else if (arg == "--fill") fill = true;
     else if (arg == "--neighborhood") neighborhood = true;
     else if (arg == "--vantage") vantage_name = next();
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--scale") scale = std::atof(next());
+    else if (arg == "--seed")
+      seed = parse_number<std::uint64_t>(arg.c_str(), next(), 0, UINT64_MAX);
+    else if (arg == "--scale")
+      scale = parse_number(arg.c_str(), next(), 1e-3, 100.0);
     else if (arg == "--output") output = next();
     else if (arg == "--proto") {
       const std::string p = next();
-      proto = p == "udp" ? wire::Proto::kUdp
-              : p == "tcp" ? wire::Proto::kTcp
-                           : wire::Proto::kIcmp6;
+      if (p == "icmp6") proto = wire::Proto::kIcmp6;
+      else if (p == "udp") proto = wire::Proto::kUdp;
+      else if (p == "tcp") proto = wire::Proto::kTcp;
+      else {
+        std::fprintf(stderr, "unknown protocol %s\n", p.c_str());
+        usage(argv[0]);
+        return 2;
+      }
     } else {
       usage(argv[0]);
       return 2;
     }
+  }
+
+  // Open the output before any work: a bad path must not cost a campaign.
+  std::ofstream out_file;
+  std::optional<io::TextWriter> writer;
+  if (!output.empty()) {
+    out_file.open(output);
+    if (!out_file) {
+      std::fprintf(stderr, "cannot open %s for writing\n", output.c_str());
+      return 2;
+    }
+    writer.emplace(out_file);
   }
 
   simnet::Topology topo{simnet::TopologyParams{.seed = seed}};
@@ -104,22 +149,19 @@ int main(int argc, char** argv) {
   cfg.fill_mode = fill;
   cfg.neighborhood = neighborhood;
 
-  std::ofstream out_file;
-  std::ostream* out = nullptr;
-  if (!output.empty()) {
-    out_file.open(output);
-    out = &out_file;
-  }
-  std::optional<io::TextWriter> writer;
-  if (out) writer.emplace(*out);
-
   topology::TraceCollector collector;
   prober::Yarrp6Source source{cfg, targets.addrs};
-  const auto stats = campaign::CampaignRunner::run_one(
-      net, source, cfg.endpoint(), cfg.pacing(), [&](const wire::DecodedReply& r) {
-        collector.on_reply(r);
-        if (writer) writer->write(io::TraceRecord::from_reply(r));
-      });
+  campaign::ProbeStats stats;
+  try {
+    stats = campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(), [&](const wire::DecodedReply& r) {
+          collector.on_reply(r);
+          if (writer) writer->write(io::TraceRecord::from_reply(r));
+        });
+  } catch (const std::exception& e) {  // e.g. the trace write failed
+    std::fprintf(stderr, "campaign failed: %s\n", e.what());
+    return 1;
+  }
 
   std::fprintf(stderr,
                "done: %llu probes (%llu fills), %llu replies, %zu interfaces,"

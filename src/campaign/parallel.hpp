@@ -212,15 +212,6 @@ class ParallelCampaignRunner {
             std::move(params))),
         n_threads_(n_threads) {}
 
-  /// Convenience: shard over replicas of an existing network's topology
-  /// and parameters (the network's dynamic state is not inherited; the
-  /// immutable parameter block is shared, not copied).
-  explicit ParallelCampaignRunner(const simnet::Network& prototype,
-                                  unsigned n_threads = 0)
-      : topo_(prototype.topology()),
-        params_(prototype.params_ptr()),
-        n_threads_(n_threads) {}
-
   /// Expand shards into (parent, subshard) work units per
   /// options.split_factor, drive every unit to exhaustion across the worker
   /// pool, and merge in canonical order. Sources must be distinct, pristine

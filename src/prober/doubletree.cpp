@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "campaign/runner.hpp"
 #include "netbase/dcheck.hpp"
 
 namespace beholder6::prober {
@@ -217,14 +216,6 @@ std::vector<std::unique_ptr<campaign::ProbeSource>> DoubletreeSource::split(
         cfg_, targets_.subspan(lo, hi - lo), snap, static_cast<std::size_t>(i)));
   }
   return children;
-}
-
-ProbeStats DoubletreeProber::run(simnet::Network& net,
-                                 const std::vector<Ipv6Addr>& targets,
-                                 const ResponseSink& sink) {
-  DoubletreeSource source{cfg_, targets, stop_set_};
-  return campaign::CampaignRunner::run_one(net, source, cfg_.endpoint(),
-                                           cfg_.pacing(), sink);
 }
 
 }  // namespace beholder6::prober

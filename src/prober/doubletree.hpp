@@ -15,8 +15,8 @@
 // fundamental limitations in the paper.
 //
 // DoubletreeSource emits the lockstep forward/backward order through the
-// pull API (burst pacing, like the sequential prober); DoubletreeProber is
-// the legacy one-campaign shim and keeps the cross-campaign stop set.
+// pull API (burst pacing, like the sequential prober). The caller owns the
+// StopSet it reads and grows, so one set can span several campaigns.
 //
 // Sub-shard parallelism: the stop set used to make Doubletree the one
 // unsplittable ProbeSource (every trace reads and grows shared feedback
@@ -51,11 +51,11 @@ struct DoubletreeConfig : LockstepConfig {
 };
 
 /// Shared stop-set type: interfaces already observed by some trace. This
-/// is the *legacy, serial* form — one mutable set read and grown by every
-/// trace as it runs, shareable across campaigns (DoubletreeProber keeps
-/// one across run() calls, Doubletree's original cooperating-monitor
-/// design). Split families use SnapshotStopSet instead and publish back
-/// into this set when they finish.
+/// is the *serial* form — one mutable set read and grown by every trace as
+/// it runs, which the caller may keep across campaigns (Doubletree's
+/// original cooperating-monitor design). Split families use
+/// SnapshotStopSet instead and publish back into this set when they
+/// finish.
 using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
 
 /// Epoch-snapshotted stop set: the shared state of a split Doubletree
@@ -78,16 +78,16 @@ using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
 ///     deterministic respecification, exactly like split_factor itself.
 ///   * Serial fixpoint: with k = 1 the sole child reads "frozen ∪ its own
 ///     delta", which is every insertion ever made — so a single-child
-///     family reproduces the legacy serial stop set byte-for-byte at ANY
+///     family reproduces the serial stop set byte-for-byte at ANY
 ///     epoch length, including the degenerate epoch of one trace.
 ///   * The paper's rate-limiting pathology is preserved per epoch: a
 ///     rate-limited hop answers nothing, so it enters no delta and no
 ///     frozen set, and backward probing keeps draining it — within an
 ///     epoch by the same trace window, and across epochs forever.
 ///   * When the last child exhausts, the final barrier merge publishes the
-///     union into the legacy StopSet the parent was constructed over, so
-///     cross-campaign accumulation (DoubletreeProber::stop_set_size) sees
-///     the same aggregate a serial run would have produced.
+///     union into the caller's StopSet the parent was constructed over, so
+///     a set kept across campaigns holds the same aggregate a serial run
+///     would have produced.
 ///
 /// Storage is netbase::FlatSet (open addressing, no per-node allocations):
 /// reads on the probe path are one hash probe into the frozen table and at
@@ -111,7 +111,7 @@ class SnapshotStopSet final : public campaign::EpochBarrier {
   [[nodiscard]] bool contains(std::size_t child, const Ipv6Addr& addr) const;
 
   /// Child `child` has exhausted its slice; once every child has, the next
-  /// merge_epoch() publishes the union into the legacy StopSet.
+  /// merge_epoch() publishes the union into the serial StopSet.
   void mark_exhausted(std::size_t child);
 
   /// The barrier merge (campaign::EpochBarrier): fold deltas into the
@@ -136,7 +136,7 @@ class SnapshotStopSet final : public campaign::EpochBarrier {
 
   Flat frozen_;                // immutable during an epoch
   std::vector<Delta> deltas_;  // delta j written only by child j
-  StopSet* publish_;           // legacy set to fold into at the end
+  StopSet* publish_;           // serial set to fold into at the end
   std::uint64_t epoch_no_ = 0;
   bool published_ = false;
 };
@@ -183,7 +183,7 @@ class DoubletreeSource final : public campaign::ProbeSource {
       std::uint64_t k) const override;
 
   /// Epoch coupling (campaign::ProbeSource protocol): children report
-  /// their family's SnapshotStopSet; a legacy serial source reports none.
+  /// their family's SnapshotStopSet; a serial source reports none.
   [[nodiscard]] campaign::EpochBarrier* epoch_barrier() const override {
     return snap_.get();
   }
@@ -208,7 +208,7 @@ class DoubletreeSource final : public campaign::ProbeSource {
       : cfg_(cfg), targets_(targets), snap_(std::move(snap)), child_(child) {}
 
   void start_window();
-  /// Record `addr` in the stop set (legacy or snapshot view); returns true
+  /// Record `addr` in the stop set (serial or snapshot view); returns true
   /// if it was already known to this source.
   bool stop_insert(const Ipv6Addr& addr);
 
@@ -232,22 +232,6 @@ class DoubletreeSource final : public campaign::ProbeSource {
   std::size_t epoch_done_ = 0;    // traces completed this epoch
   bool epoch_paused_ = false;     // at a boundary, awaiting the merge
   bool reported_exhausted_ = false;
-};
-
-/// Legacy facade preserving the old run() signature and exact behaviour.
-class DoubletreeProber {
- public:
-  explicit DoubletreeProber(const DoubletreeConfig& cfg) : cfg_(cfg) {}
-
-  ProbeStats run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                 const ResponseSink& sink);
-
-  /// Interfaces accumulated in the global (backward) stop set.
-  [[nodiscard]] std::size_t stop_set_size() const { return stop_set_.size(); }
-
- private:
-  DoubletreeConfig cfg_;
-  StopSet stop_set_;
 };
 
 }  // namespace beholder6::prober

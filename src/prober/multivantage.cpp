@@ -25,35 +25,6 @@ MultiVantageResult run_multi_vantage(simnet::Network& net,
     result.collector.on_reply(r);
   };
 
-  if (options.n_threads > 0) {
-    // Parallel backend: one shard per vantage, each over a private replica
-    // of the caller's network. Shard collectors are worker-thread-private
-    // and merge deterministically in vantage order afterwards.
-    std::vector<topology::TraceCollector> collectors(vantages.size());
-    std::vector<campaign::Shard> shards;
-    shards.reserve(vantages.size());
-    for (std::size_t i = 0; i < vantages.size(); ++i) {
-      const auto cfg = make_source(i);
-      shards.push_back({sources.back().get(), cfg.endpoint(), cfg.pacing(),
-                        [&collectors, i](const wire::DecodedReply& r) {
-                          collectors[i].on_reply(r);
-                        }});
-    }
-    campaign::ParallelCampaignRunner parallel{net, options.n_threads};
-    // Replies flow through the per-shard collectors; skip the merged stream.
-    // (With split_factor > 1 each vantage's collector is fed post-hoc in
-    // canonical subshard order — still deterministic at any thread count.
-    // This holds for every source kind the backend schedules, including
-    // epoch-coupled families such as split Doubletree, whose barrier
-    // merges are canonical-order too; vantages here are yarrp6 walks, the
-    // free-running case.)
-    auto merged = parallel.run(shards, {.collect_replies = false,
-                                        .split_factor = options.split_factor});
-    result.per_vantage = std::move(merged.per_shard);
-    for (const auto& c : collectors) result.collector.merge(c);
-    return result;
-  }
-
   if (options.interleave) {
     // One event queue: the vantages probe concurrently in virtual time.
     campaign::CampaignRunner runner{net};

@@ -20,16 +20,14 @@
 //                 concurrently in virtual time, k·pps aggregate — the
 //                 truly simultaneous deployment the engine makes
 //                 first-class.
-//   parallel    — n_threads > 0: every vantage runs on its own OS thread
-//                 over a private Network replica (campaign::
-//                 ParallelCampaignRunner), the physically distributed
-//                 deployment. Per-vantage results and the merged collector
-//                 are bit-identical for any thread count.
+//
+// The physically distributed deployment, every vantage on its own worker
+// over a private Network replica, is campaign::ParallelCampaignRunner with
+// one Yarrp6Source shard per vantage (bench/table7_campaigns.cpp).
 #pragma once
 
 #include <vector>
 
-#include "campaign/parallel.hpp"
 #include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "topology/collector.hpp"
@@ -41,19 +39,6 @@ struct MultiVantageOptions {
   /// time. Off by default: sequential scheduling preserves the classic
   /// per-vantage pacing profile (and its rate-limiter interaction).
   bool interleave = false;
-  /// 0: classic schedules above, on the caller's (shared) network. > 0:
-  /// the sharded parallel backend — one worker thread pool of this size,
-  /// one Network replica per vantage (replicated from the caller's
-  /// topology and params; the caller's network state is untouched). The
-  /// thread count changes wall-clock only, never results; `interleave` is
-  /// ignored, as replica shards are independent by construction.
-  unsigned n_threads = 0;
-  /// Parallel backend only (n_threads > 0): over-decompose every vantage's
-  /// walk into this many deterministic subshards
-  /// (campaign::ParallelRunOptions::split_factor), so fewer vantages than
-  /// threads still fill the pool. Part of the campaign spec, like the
-  /// vantage count: results are thread-count-invariant at any fixed value.
-  std::uint64_t split_factor = 1;
 };
 
 struct MultiVantageResult {

@@ -5,13 +5,13 @@
 // campaign::CampaignRunner, which owns pacing, injection, reply dispatch
 // and statistics. The differences between them — probe *order* and clock
 // *pacing* — are exactly the variables the paper's §4.2 experiments
-// isolate. This header re-exports the shared campaign vocabulary under the
-// legacy prober:: names.
+// isolate. A campaign is therefore `XSource src{cfg, targets};
+// campaign::CampaignRunner::run_one(net, src, cfg.endpoint(), cfg.pacing(),
+// sink)`. This header holds the configuration the probers share.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "campaign/probe_source.hpp"
@@ -20,9 +20,6 @@
 #include "wire/probe.hpp"
 
 namespace beholder6::prober {
-
-/// Called for every decoded reply, in arrival order.
-using ResponseSink = campaign::ResponseSink;
 
 /// What a probing campaign reports about itself.
 using ProbeStats = campaign::ProbeStats;

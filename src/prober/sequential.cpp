@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "campaign/runner.hpp"
-
 namespace beholder6::prober {
 
 void SequentialSource::begin(std::uint64_t) {
@@ -90,14 +88,6 @@ std::vector<std::unique_ptr<campaign::ProbeSource>> SequentialSource::split(
         std::make_unique<SequentialSource>(cfg_, targets_.subspan(lo, hi - lo)));
   }
   return children;
-}
-
-ProbeStats SequentialProber::run(simnet::Network& net,
-                                 const std::vector<Ipv6Addr>& targets,
-                                 const ResponseSink& sink) {
-  SequentialSource source{cfg_, targets};
-  return campaign::CampaignRunner::run_one(net, source, cfg_.endpoint(),
-                                           cfg_.pacing(), sink);
 }
 
 }  // namespace beholder6::prober

@@ -13,8 +13,8 @@
 // fields per target), and per-trace state lets it stop early at the
 // destination or after `gap_limit` consecutive silent hops — the classic
 // traceroute optimizations yarrp6 deliberately gives up. SequentialSource
-// expresses that order through the pull API; SequentialProber is the
-// legacy one-campaign shim.
+// expresses that order through the pull API, for campaign::CampaignRunner
+// to drive at SequentialConfig::pacing().
 #pragma once
 
 #include <span>
@@ -76,20 +76,6 @@ class SequentialSource final : public campaign::ProbeSource {
   bool round_open_ = false;    // a probe was emitted since the last RoundEnd
   bool terminal_ = false;      // in-flight probe drew a terminal response
   bool exhausted_ = false;
-};
-
-/// Legacy facade preserving the old run() signature and exact behaviour.
-class SequentialProber {
- public:
-  explicit SequentialProber(const SequentialConfig& cfg) : cfg_(cfg) {}
-
-  ProbeStats run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                 const ResponseSink& sink);
-
-  [[nodiscard]] const SequentialConfig& config() const { return cfg_; }
-
- private:
-  SequentialConfig cfg_;
 };
 
 }  // namespace beholder6::prober

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "campaign/runner.hpp"
 #include "netbase/prefetch.hpp"
 
 namespace beholder6::prober {
@@ -129,13 +128,6 @@ std::optional<Ipv6Addr> Yarrp6Source::next_target_hint() const {
   if (fill_pending_) return fill_target_;
   if (pending_valid_) return targets_[pending_v_ / cfg_.max_ttl];
   return std::nullopt;
-}
-
-ProbeStats Yarrp6Prober::run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                             const ResponseSink& sink) {
-  Yarrp6Source source{cfg_, targets};
-  return campaign::CampaignRunner::run_one(net, source, cfg_.endpoint(),
-                                           cfg_.pacing(), sink);
 }
 
 }  // namespace beholder6::prober

@@ -13,9 +13,8 @@
 //                    below a threshold, stop probing a TTL whose recent
 //                    probes stopped yielding *new* interface addresses.
 //
-// Yarrp6Source emits that order through the pull API; Yarrp6Prober is the
-// legacy single-campaign facade, now a thin shim over CampaignRunner that
-// preserves the old run() signature and its exact probe/clock sequence.
+// Yarrp6Source emits that order through the pull API; a campaign is one
+// source driven by campaign::CampaignRunner at Yarrp6Config::pacing().
 #pragma once
 
 #include <optional>
@@ -110,23 +109,6 @@ class Yarrp6Source final : public campaign::ProbeSource {
   std::uint64_t skips_ = 0;
   std::vector<std::uint64_t> last_new_us_;
   std::vector<std::unordered_set<Ipv6Addr, Ipv6AddrHash>> seen_at_ttl_;
-};
-
-/// Legacy facade: one full campaign per run() call, driven by an internal
-/// CampaignRunner. Probe order, clock advancement and stats are identical
-/// to the pre-engine implementation.
-class Yarrp6Prober {
- public:
-  explicit Yarrp6Prober(const Yarrp6Config& cfg) : cfg_(cfg) {}
-
-  /// Probe every (target, ttl) pair in permuted order; returns stats.
-  ProbeStats run(simnet::Network& net, const std::vector<Ipv6Addr>& targets,
-                 const ResponseSink& sink);
-
-  [[nodiscard]] const Yarrp6Config& config() const { return cfg_; }
-
- private:
-  Yarrp6Config cfg_;
 };
 
 }  // namespace beholder6::prober

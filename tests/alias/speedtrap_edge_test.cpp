@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "alias/speedtrap.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/network.hpp"
 
@@ -81,7 +82,9 @@ class SpeedtrapNetTest : public ::testing::Test {
       cfg.src = v.src;
       cfg.pps = 100000;
       cfg.max_ttl = 12;
-      prober::Yarrp6Prober{cfg}.run(net_, t, nullptr);
+      prober::Yarrp6Source source{cfg, t};
+      campaign::CampaignRunner::run_one(
+          net_, source, cfg.endpoint(), cfg.pacing());
     }
     for (const auto& [iface, rid] : net_.learned_interfaces())
       ifaces.push_back(iface);

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "wire/fragment.hpp"
 
@@ -32,7 +33,9 @@ class SpeedtrapTest : public ::testing::Test {
       cfg.src = v.src;
       cfg.max_ttl = 16;
       cfg.pps = 100000;
-      prober::Yarrp6Prober{cfg}.run(net_, targets, nullptr);
+      prober::Yarrp6Source source{cfg, targets};
+      campaign::CampaignRunner::run_one(
+          net_, source, cfg.endpoint(), cfg.pacing());
     }
   }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/validate.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "target/synthesis.hpp"
 
@@ -28,8 +29,10 @@ class PathDivTest : public ::testing::Test {
     cfg.max_ttl = 24;
     cfg.pps = 10000;
     TraceCollector c;
-    prober::Yarrp6Prober{cfg}.run(
-        net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    prober::Yarrp6Source source{cfg, targets};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     return c;
   }
 

@@ -1,7 +1,6 @@
 // Tests for the campaign engine: the pull-based ProbeSource API and the
-// event-driven CampaignRunner. Covers the compatibility contract (the
-// legacy prober shims and a hand-assembled runner produce byte-identical
-// statistics), shard partition exactness at the engine level, true
+// event-driven CampaignRunner. Covers the pinned golden sequence of each
+// prober's source, shard partition exactness at the engine level, true
 // multi-vantage interleaving, pause/resume stepping, and mixed-source
 // campaigns.
 #include "campaign/runner.hpp"
@@ -43,7 +42,10 @@ class CampaignTest : public ::testing::Test {
   simnet::Topology topo_;
 };
 
-TEST_F(CampaignTest, Yarrp6ShimAndRunnerProduceIdenticalStats) {
+// Golden sequences, captured from the pre-engine prober loops at the
+// engine's introduction: any drift here is a reproducibility break, not a
+// refactor.
+TEST_F(CampaignTest, Yarrp6RunPinsGoldenSequence) {
   const auto t = targets(60);
   prober::Yarrp6Config cfg;
   cfg.src = topo_.vantages()[0].src;
@@ -53,55 +55,35 @@ TEST_F(CampaignTest, Yarrp6ShimAndRunnerProduceIdenticalStats) {
   cfg.neighborhood = true;
   cfg.neighborhood_window_us = 300'000;
 
-  simnet::Network net_shim{topo_, simnet::NetworkParams{}};
-  const auto shim = prober::Yarrp6Prober{cfg}.run(net_shim, t, nullptr);
-
-  simnet::Network net_engine{topo_, simnet::NetworkParams{}};
+  simnet::Network net{topo_, simnet::NetworkParams{}};
   prober::Yarrp6Source source{cfg, t};
-  const auto engine = CampaignRunner::run_one(net_engine, source, cfg.endpoint(),
-                                              cfg.pacing());
-  EXPECT_EQ(shim, engine);
-  EXPECT_EQ(net_shim.stats(), net_engine.stats());
-  EXPECT_EQ(net_shim.now_us(), net_engine.now_us());
-
-  // Golden sequence, captured from the pre-engine prober loop at the
-  // engine's introduction: any drift here is a reproducibility break, not
-  // a refactor.
-  EXPECT_EQ(engine.probes_sent, 643u);
-  EXPECT_EQ(engine.replies, 577u);
-  EXPECT_EQ(engine.fills, 24u);
-  EXPECT_EQ(engine.neighborhood_skips, 101u);
-  EXPECT_EQ(engine.elapsed_virtual_us, 643'000u);
-  EXPECT_EQ(net_engine.stats().time_exceeded, 517u);
-  EXPECT_EQ(net_engine.stats().rate_limited, 24u);
+  const auto stats = CampaignRunner::run_one(net, source, cfg.endpoint(), cfg.pacing());
+  EXPECT_EQ(stats.probes_sent, 643u);
+  EXPECT_EQ(stats.replies, 577u);
+  EXPECT_EQ(stats.fills, 24u);
+  EXPECT_EQ(stats.neighborhood_skips, 101u);
+  EXPECT_EQ(stats.elapsed_virtual_us, 643'000u);
+  EXPECT_EQ(net.stats().time_exceeded, 517u);
+  EXPECT_EQ(net.stats().rate_limited, 24u);
 }
 
-TEST_F(CampaignTest, SequentialShimAndRunnerProduceIdenticalStats) {
+TEST_F(CampaignTest, SequentialRunPinsGoldenSequence) {
   const auto t = targets(50);
   prober::SequentialConfig cfg;
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 500;
   cfg.max_ttl = 14;
 
-  simnet::Network net_shim{topo_, simnet::NetworkParams{}};
-  const auto shim = prober::SequentialProber{cfg}.run(net_shim, t, nullptr);
-
-  simnet::Network net_engine{topo_, simnet::NetworkParams{}};
+  simnet::Network net{topo_, simnet::NetworkParams{}};
   prober::SequentialSource source{cfg, t};
-  const auto engine = CampaignRunner::run_one(net_engine, source, cfg.endpoint(),
-                                              cfg.pacing());
-  EXPECT_EQ(shim, engine);
-  EXPECT_EQ(net_shim.stats(), net_engine.stats());
-  EXPECT_EQ(net_shim.now_us(), net_engine.now_us());
-
-  // Golden sequence (see the yarrp6 test above).
-  EXPECT_EQ(engine.probes_sent, 513u);
-  EXPECT_EQ(engine.replies, 349u);
-  EXPECT_EQ(engine.elapsed_virtual_us, 1'026'000u);
-  EXPECT_EQ(net_engine.stats().rate_limited, 162u);
+  const auto stats = CampaignRunner::run_one(net, source, cfg.endpoint(), cfg.pacing());
+  EXPECT_EQ(stats.probes_sent, 513u);
+  EXPECT_EQ(stats.replies, 349u);
+  EXPECT_EQ(stats.elapsed_virtual_us, 1'026'000u);
+  EXPECT_EQ(net.stats().rate_limited, 162u);
 }
 
-TEST_F(CampaignTest, DoubletreeShimAndRunnerProduceIdenticalStats) {
+TEST_F(CampaignTest, DoubletreeRunPinsGoldenSequence) {
   const auto t = targets(50);
   prober::DoubletreeConfig cfg;
   cfg.src = topo_.vantages()[0].src;
@@ -109,23 +91,13 @@ TEST_F(CampaignTest, DoubletreeShimAndRunnerProduceIdenticalStats) {
   cfg.max_ttl = 14;
   cfg.start_ttl = 5;
 
-  simnet::Network net_shim{topo_, simnet::NetworkParams{}};
-  prober::DoubletreeProber shim_prober{cfg};
-  const auto shim = shim_prober.run(net_shim, t, nullptr);
-
-  simnet::Network net_engine{topo_, simnet::NetworkParams{}};
+  simnet::Network net{topo_, simnet::NetworkParams{}};
   prober::StopSet stop_set;
   prober::DoubletreeSource source{cfg, t, stop_set};
-  const auto engine = CampaignRunner::run_one(net_engine, source, cfg.endpoint(),
-                                              cfg.pacing());
-  EXPECT_EQ(shim, engine);
-  EXPECT_EQ(net_shim.stats(), net_engine.stats());
-  EXPECT_EQ(shim_prober.stop_set_size(), stop_set.size());
-
-  // Golden sequence (see the yarrp6 test above).
-  EXPECT_EQ(engine.probes_sent, 457u);
-  EXPECT_EQ(engine.replies, 416u);
-  EXPECT_EQ(engine.elapsed_virtual_us, 914'000u);
+  const auto stats = CampaignRunner::run_one(net, source, cfg.endpoint(), cfg.pacing());
+  EXPECT_EQ(stats.probes_sent, 457u);
+  EXPECT_EQ(stats.replies, 416u);
+  EXPECT_EQ(stats.elapsed_virtual_us, 914'000u);
   EXPECT_EQ(stop_set.size(), 52u);
 }
 

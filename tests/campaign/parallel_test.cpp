@@ -17,7 +17,6 @@
 #include <thread>
 #include <tuple>
 
-#include "prober/multivantage.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
 #include "support/throwing_source.hpp"
@@ -159,32 +158,6 @@ TEST_F(ParallelCampaignTest, ParallelEqualsSerialReplicaRuns) {
     EXPECT_EQ(net.stats(), parallel.per_shard_net[i]) << "shard " << i;
   }
   EXPECT_EQ(parallel.net_stats.probes, parallel.probe_stats.probes_sent);
-}
-
-TEST_F(ParallelCampaignTest, MultiVantageParallelIsThreadCountInvariant) {
-  const auto t = targets(40);
-  prober::Yarrp6Config cfg;
-  cfg.pps = 1000;
-  cfg.max_ttl = 10;
-  simnet::Network net{topo_, simnet::NetworkParams{}};
-
-  std::vector<prober::MultiVantageResult> results;
-  for (const unsigned threads : {1u, 2u, 8u})
-    results.push_back(prober::run_multi_vantage(net, topo_.vantages(), t, cfg,
-                                                {.n_threads = threads}));
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    ASSERT_EQ(results[r].per_vantage.size(), results[0].per_vantage.size());
-    for (std::size_t i = 0; i < results[0].per_vantage.size(); ++i)
-      EXPECT_EQ(results[r].per_vantage[i], results[0].per_vantage[i]);
-    EXPECT_EQ(results[r].collector.interfaces(), results[0].collector.interfaces());
-    EXPECT_EQ(results[r].collector.traces().size(),
-              results[0].collector.traces().size());
-    EXPECT_EQ(results[r].collector.te_responses(),
-              results[0].collector.te_responses());
-  }
-  // The caller's network is a prototype only: replicas leave it untouched.
-  EXPECT_EQ(net.stats().probes, 0u);
-  EXPECT_EQ(net.now_us(), 0u);
 }
 
 TEST_F(ParallelCampaignTest, RunResetRunIsByteIdentical) {

@@ -8,6 +8,7 @@
 #include "alias/speedtrap.hpp"
 #include "analysis/mra.hpp"
 #include "analysis/pathdiv.hpp"
+#include "campaign/runner.hpp"
 #include "io/trace_io.hpp"
 #include "prober/multivantage.hpp"
 #include "prober/yarrp6.hpp"
@@ -49,8 +50,10 @@ TEST_F(CrossModuleTest, RouterGraphNeverLargerThanInterfaceGraph) {
     cfg.src = v.src;
     cfg.pps = 100000;
     cfg.max_ttl = 14;
-    prober::Yarrp6Prober{cfg}.run(
-        net, t, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+    prober::Yarrp6Source source{cfg, t};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { collector.on_reply(r); });
   }
   const auto graph = topology::LinkGraph::from_traces(collector);
 
@@ -88,10 +91,13 @@ TEST_F(CrossModuleTest, PersistedCampaignAnalyzesIdenticallyToLive) {
   topology::TraceCollector live;
   std::stringstream text;
   io::TextWriter writer{text};
-  prober::Yarrp6Prober{cfg}.run(net, t, [&](const wire::DecodedReply& r) {
-    live.on_reply(r);
-    writer.write(io::TraceRecord::from_reply(r));
-  });
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
+        live.on_reply(r);
+        writer.write(io::TraceRecord::from_reply(r));
+      });
 
   topology::TraceCollector replayed;
   const auto read = io::read_text(text);
@@ -127,8 +133,10 @@ TEST_F(CrossModuleTest, ShardedCampaignRepliesAreSubsetOfFullCampaign) {
     cfg.pps = 100000;
     cfg.max_ttl = 8;
     cfg.permutation_key = key;
-    prober::Yarrp6Prober{cfg}.run(
-        net, t, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    prober::Yarrp6Source source{cfg, t};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     return c;
   };
   const auto full = run_full(0x59a9);
@@ -144,8 +152,10 @@ TEST_F(CrossModuleTest, ShardedCampaignRepliesAreSubsetOfFullCampaign) {
     cfg.permutation_key = 0x59a9;
     cfg.shard = shard;
     cfg.shard_count = 4;
-    prober::Yarrp6Prober{cfg}.run(
-        net, t, [&](const wire::DecodedReply& r) { sharded.on_reply(r); });
+    prober::Yarrp6Source source{cfg, t};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { sharded.on_reply(r); });
   }
   EXPECT_EQ(sharded.interfaces(), full.interfaces());
   EXPECT_EQ(sharded.traces().size(), full.traces().size());
@@ -163,8 +173,10 @@ TEST_F(CrossModuleTest, MraOfDiscoveredInterfacesSeparatesInfraFromEdge) {
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 100000;
   cfg.max_ttl = 16;
-  prober::Yarrp6Prober{cfg}.run(
-      net, t, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { collector.on_reply(r); });
 
   std::vector<Ipv6Addr> ifaces(collector.interfaces().begin(),
                                collector.interfaces().end());

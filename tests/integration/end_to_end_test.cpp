@@ -7,6 +7,7 @@
 
 #include "analysis/pathdiv.hpp"
 #include "analysis/validate.hpp"
+#include "campaign/runner.hpp"
 #include "io/trace_io.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/classify.hpp"
@@ -45,8 +46,10 @@ TEST_F(EndToEndTest, FullPipelineProducesConsistentArtifacts) {
   cfg.fill_mode = true;
   topology::TraceCollector collector;
   std::vector<io::TraceRecord> persisted;
-  const auto stats = prober::Yarrp6Prober{cfg}.run(
-      net, targets.addrs, [&](const wire::DecodedReply& r) {
+  prober::Yarrp6Source source{cfg, targets.addrs};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
         collector.on_reply(r);
         persisted.push_back(io::TraceRecord::from_reply(r));
       });
@@ -93,10 +96,12 @@ TEST_F(EndToEndTest, SameSeedSameCampaignByteForByte) {
     cfg.src = topo_.vantages()[0].src;
     cfg.pps = 1000;
     std::vector<io::TraceRecord> records;
-    prober::Yarrp6Prober{cfg}.run(net, targets.addrs,
-                                  [&](const wire::DecodedReply& r) {
-                                    records.push_back(io::TraceRecord::from_reply(r));
-                                  });
+    prober::Yarrp6Source source{cfg, targets.addrs};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) {
+          records.push_back(io::TraceRecord::from_reply(r));
+        });
     return records;
   };
   EXPECT_EQ(run_once(), run_once()) << "whole campaigns must be reproducible";
@@ -117,8 +122,10 @@ TEST_F(EndToEndTest, VantagesAgreeOnFarTopologyDifferOnNear) {
     cfg.src = v.src;
     cfg.pps = 100000;
     topology::TraceCollector c;
-    prober::Yarrp6Prober{cfg}.run(
-        net, targets.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    prober::Yarrp6Source source{cfg, targets.addrs};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     return c;
   };
   const auto c1 = interfaces_of(topo_.vantages()[0]);
@@ -158,8 +165,10 @@ TEST_F(EndToEndTest, DiscoveredInterfaceClassificationIsPlausible) {
   cfg.pps = 100000;
   cfg.max_ttl = 20;
   topology::TraceCollector c;
-  prober::Yarrp6Prober{cfg}.run(
-      net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  prober::Yarrp6Source source{cfg, targets};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   const auto rep = c.eui64_report();
   EXPECT_GT(rep.eui64_interfaces, 50u);
@@ -192,8 +201,10 @@ TEST_F(EndToEndTest, CharacterizationMatchesCampaignReality) {
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 100000;
   topology::TraceCollector c;
-  prober::Yarrp6Prober{cfg}.run(
-      net, targets.addrs, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  prober::Yarrp6Source source{cfg, targets.addrs};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   // Traces to unrouted targets never elicit responses from inside any
   // edge AS (only the core "no route" router).

@@ -2,6 +2,7 @@
 // Doubletree's stop-set behaviour, including the rate-limiting pathology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "campaign/runner.hpp"
@@ -75,8 +76,10 @@ TEST_F(BaselineTest, SequentialTracesCompleteAtLowRate) {
   cfg.pps = 20;
   cfg.max_ttl = 16;
   topology::TraceCollector c;
-  const auto stats = SequentialProber{cfg}.run(
-      net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  SequentialSource source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
   EXPECT_GT(stats.replies, 0u);
   for (const auto& [t, tr] : c.traces()) {
     // Hops must be contiguous from TTL 1 to the path end (no rate loss).
@@ -95,7 +98,9 @@ TEST_F(BaselineTest, SequentialStopsAtDestination) {
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 20;
   cfg.max_ttl = 32;
-  const auto stats = SequentialProber{cfg}.run(net, targets, nullptr);
+  SequentialSource source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   EXPECT_LT(stats.probes_sent, targets.size() * 32u);
 }
 
@@ -110,7 +115,9 @@ TEST_F(BaselineTest, SequentialGapLimitEndsDeadTraces) {
   cfg.pps = 20;
   cfg.max_ttl = 64;
   cfg.gap_limit = 4;
-  const auto stats = SequentialProber{cfg}.run(net, dead, nullptr);
+  SequentialSource source{cfg, dead};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   // Path to the "no route" router is ~6 hops; traces end well before 64.
   EXPECT_LT(stats.probes_sent, dead.size() * 24u);
 }
@@ -127,23 +134,29 @@ TEST_F(BaselineTest, DoubletreeUsesStopSet) {
   cfg.pps = 20;
   cfg.max_ttl = 16;
   cfg.start_ttl = 6;
-  DoubletreeProber dt{cfg};
-  const auto stats = dt.run(net, targets, nullptr);
-  EXPECT_GT(dt.stop_set_size(), 0u);
+  StopSet stop_set;
+  DoubletreeSource source{cfg, targets, stop_set};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
+  EXPECT_GT(stop_set.size(), 0u);
   SequentialConfig scfg;
   scfg.src = cfg.src;
   scfg.pps = 20;
   scfg.max_ttl = 16;
   simnet::Network net2{topo_, simnet::NetworkParams{}};
-  const auto sstats = SequentialProber{scfg}.run(net2, targets, nullptr);
+  SequentialSource ssource{scfg, targets};
+  const auto sstats = campaign::CampaignRunner::run_one(
+      net2, ssource, scfg.endpoint(), scfg.pacing());
   EXPECT_LT(stats.probes_sent, sstats.probes_sent);
 }
 
 TEST_F(BaselineTest, DoubletreeKeepsDrainingSilentHopsBackward) {
   // The paper's observed pathology: at high rate, a rate-limited hop never
-  // enters the stop set, so backward probing continues through it. We
-  // detect it as backward probes hitting TTLs 1..2 even late in the run.
-  simnet::Network net{topo_, simnet::NetworkParams{}};
+  // answers, so it never enters the stop set and backward probing keeps
+  // walking down through it. Measured as probes with hop limit <= 2 sent in
+  // the second half of the run: with a functioning stop set (unlimited
+  // buckets, near hops answer early) there are none; with drained buckets
+  // traces keep reaching TTLs 1..2 late into the campaign.
   std::vector<Ipv6Addr> targets;
   for (const auto& as : topo_.ases()) {
     if (as.type != simnet::AsType::kEyeballIsp) continue;
@@ -156,16 +169,26 @@ TEST_F(BaselineTest, DoubletreeKeepsDrainingSilentHopsBackward) {
   cfg.pps = 2000;  // heavy rate limiting
   cfg.max_ttl = 16;
   cfg.start_ttl = 6;
-  std::size_t deep_backward_probes = 0;
-  // Count replies at TTL 1 in the second half of the run as a proxy: with a
-  // functioning stop set they would be rare; with drained buckets the
-  // prober keeps probing TTL 1 regardless of answers.
-  DoubletreeProber dt{cfg};
-  const auto stats = dt.run(net, targets, nullptr);
-  // Each trace got its own TTL-1 probe (no early stop on silence).
-  (void)deep_backward_probes;
-  EXPECT_GT(stats.probes_sent, targets.size() * 6u)
-      << "backward probing should not be curtailed by silent hops";
+
+  auto late_shallow_probes = [&](const simnet::NetworkParams& params) {
+    simnet::Network net{topo_, params};
+    std::vector<std::uint8_t> hop_limits;  // IPv6 header byte 7, per probe
+    net.set_probe_observer(
+        [&](const simnet::Packet& probe, std::span<const simnet::Packet>) {
+          hop_limits.push_back(probe[7]);
+        });
+    StopSet stop_set;
+    DoubletreeSource source{cfg, targets, stop_set};
+    campaign::CampaignRunner::run_one(net, source, cfg.endpoint(), cfg.pacing());
+    return std::count_if(hop_limits.begin() + hop_limits.size() / 2,
+                         hop_limits.end(), [](std::uint8_t h) { return h <= 2; });
+  };
+  simnet::NetworkParams unlimited;
+  unlimited.unlimited = true;
+  const auto drained = late_shallow_probes(simnet::NetworkParams{});
+  const auto healthy = late_shallow_probes(unlimited);
+  EXPECT_GT(drained, 150) << "backward probing should keep draining silent hops";
+  EXPECT_LT(healthy, 20) << "answered near hops should stop backward probing";
 }
 
 TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
@@ -180,10 +203,12 @@ TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
   }
   targets.resize(std::min<std::size_t>(targets.size(), 400));
 
-  auto run_collect = [&](auto prober) {
+  auto run_collect = [&](campaign::ProbeSource& source, const auto& cfg) {
     simnet::Network net{topo_, simnet::NetworkParams{}};
     topology::TraceCollector c;
-    prober.run(net, targets, [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     return c.interfaces().size();
   };
 
@@ -198,9 +223,13 @@ TEST_F(BaselineTest, DoubletreeDiscoveryFallsBetweenSequentialAndYarrp) {
   dcfg.pps = 1000;
   dcfg.start_ttl = 6;
 
-  const auto y = run_collect(Yarrp6Prober{ycfg});
-  const auto s = run_collect(SequentialProber{scfg});
-  const auto d = run_collect(DoubletreeProber{dcfg});
+  Yarrp6Source ysource{ycfg, targets};
+  SequentialSource ssource{scfg, targets};
+  StopSet stop_set;
+  DoubletreeSource dsource{dcfg, targets, stop_set};
+  const auto y = run_collect(ysource, ycfg);
+  const auto s = run_collect(ssource, scfg);
+  const auto d = run_collect(dsource, dcfg);
   EXPECT_GT(y, s);
   EXPECT_GE(d, s) << "Doubletree should suffer less than plain sequential";
   EXPECT_GE(y, d) << "randomization should still win";

@@ -69,8 +69,10 @@ TEST_F(MultiVantageTest, CoverageAtLeastSingleVantageForSameBudget) {
   {
     Yarrp6Config c1 = cfg;
     c1.src = topo_.vantages()[0].src;
-    Yarrp6Prober{c1}.run(net1, t,
-                         [&](const wire::DecodedReply& r) { single.on_reply(r); });
+    Yarrp6Source source{c1, t};
+    campaign::CampaignRunner::run_one(
+        net1, source, c1.endpoint(), c1.pacing(),
+        [&](const wire::DecodedReply& r) { single.on_reply(r); });
   }
   simnet::Network netk{topo_, simnet::NetworkParams{}};
   const auto multi = run_multi_vantage(netk, topo_.vantages(), t, cfg);

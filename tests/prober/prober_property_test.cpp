@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/network.hpp"
 
@@ -49,7 +50,9 @@ TEST_P(ProberProperty, ShardsPartitionExactlyForAnyShardCount) {
       cfg.permutation_key = key;
       cfg.shard = shard;
       cfg.shard_count = k;
-      total += Yarrp6Prober{cfg}.run(net, t, nullptr).probes_sent;
+      Yarrp6Source source{cfg, t};
+      total += campaign::CampaignRunner::run_one(
+          net, source, cfg.endpoint(), cfg.pacing()).probes_sent;
     }
     EXPECT_EQ(total, t.size() * 5) << "k=" << k << " key=" << key;
   }
@@ -64,9 +67,12 @@ TEST_P(ProberProperty, PermutationKeyPreservesCoverage) {
   cfg.max_ttl = 4;
   cfg.permutation_key = GetParam();
   std::map<Ipv6Addr, std::set<std::uint8_t>> seen;
-  Yarrp6Prober{cfg}.run(net, t, [&](const wire::DecodedReply& r) {
-    seen[r.probe.target].insert(r.probe.ttl);
-  });
+  Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
+        seen[r.probe.target].insert(r.probe.ttl);
+      });
   // With unlimited buckets every (target, ttl <= path len) answers; at the
   // very least each target's TTL-1 probe must have been made and answered.
   EXPECT_EQ(seen.size(), t.size());
@@ -100,7 +106,9 @@ class ProberEdge : public ::testing::Test {
 TEST_F(ProberEdge, EmptyTargetsSendNothing) {
   Yarrp6Config cfg;
   cfg.src = topo_.vantages()[0].src;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, {}, nullptr);
+  Yarrp6Source source{cfg, {}};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.probes_sent, 0u);
   EXPECT_EQ(stats.replies, 0u);
 }
@@ -109,7 +117,10 @@ TEST_F(ProberEdge, ZeroMaxTtlSendsNothing) {
   Yarrp6Config cfg;
   cfg.src = topo_.vantages()[0].src;
   cfg.max_ttl = 0;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, one_target(), nullptr);
+  const auto t = one_target();
+  Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.probes_sent, 0u);
 }
 
@@ -122,9 +133,12 @@ TEST_F(ProberEdge, FillCapBoundsFillDepth) {
   cfg.fill_mode = true;
   cfg.fill_cap = 5;
   std::uint8_t max_seen = 0;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, t, [&](const wire::DecodedReply& r) {
-    max_seen = std::max(max_seen, r.probe.ttl);
-  });
+  Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
+        max_seen = std::max(max_seen, r.probe.ttl);
+      });
   EXPECT_LE(max_seen, 5);
   EXPECT_LE(stats.probes_sent, 2u + 3u);  // ttl 1,2 + fills 3,4,5
   EXPECT_GT(stats.fills, 0u);
@@ -138,7 +152,9 @@ TEST_F(ProberEdge, FillCapEqualToMaxTtlMeansNoFills) {
   cfg.max_ttl = 4;
   cfg.fill_mode = true;
   cfg.fill_cap = 4;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, t, nullptr);
+  Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.fills, 0u);
   EXPECT_EQ(stats.probes_sent, 4u);
 }
@@ -154,10 +170,13 @@ TEST_F(ProberEdge, InstanceMismatchedRepliesAreDropped) {
   cfg.max_ttl = 6;
   cfg.instance = 7;
   std::size_t n = 0;
-  Yarrp6Prober{cfg}.run(net_, t, [&](const wire::DecodedReply& r) {
-    ++n;
-    EXPECT_EQ(r.probe.instance, 7);
-  });
+  Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
+        ++n;
+        EXPECT_EQ(r.probe.instance, 7);
+      });
   EXPECT_GT(n, 0u);
 }
 
@@ -167,7 +186,9 @@ TEST_F(ProberEdge, StatsElapsedMatchesPacing) {
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 100;  // 10ms per probe
   cfg.max_ttl = 10;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, t, nullptr);
+  Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.probes_sent, 10u);
   EXPECT_EQ(stats.elapsed_virtual_us, 10u * 10000u);
 }
@@ -187,9 +208,12 @@ TEST_F(ProberEdge, NeighborhoodNeverSkipsBeyondThreshold) {
   cfg.neighborhood_ttl = 2;
   cfg.neighborhood_window_us = 1;  // aggressive: everything near goes stale
   std::set<std::uint8_t> answered_ttls;
-  const auto stats = Yarrp6Prober{cfg}.run(net_, t, [&](const wire::DecodedReply& r) {
-    answered_ttls.insert(r.probe.ttl);
-  });
+  Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net_, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) {
+        answered_ttls.insert(r.probe.ttl);
+      });
   EXPECT_GT(stats.neighborhood_skips, 0u);
   // TTLs above the threshold are never skipped: deep hops must still appear.
   EXPECT_TRUE(answered_ttls.contains(3));

@@ -1,11 +1,13 @@
-// Tests for Yarrp6Prober: permutation coverage, pacing, fill mode,
-// neighborhood mode, and the rate-limiting advantage over bursty probing.
+// Tests for Yarrp6Source driven by the campaign engine: permutation
+// coverage, pacing, fill mode, neighborhood mode, and the rate-limiting
+// advantage over bursty probing.
 #include "prober/yarrp6.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "campaign/runner.hpp"
 #include "prober/sequential.hpp"
 #include "topology/collector.hpp"
 
@@ -47,8 +49,9 @@ TEST_F(Yarrp6Test, ProbesEveryTargetTtlPairExactlyOnce) {
   ASSERT_GE(targets.size(), 10u);
   auto cfg = base_config();
   cfg.max_ttl = 8;
-  Yarrp6Prober prober{cfg};
-  const auto stats = prober.run(net, targets, nullptr);
+  Yarrp6Source source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.probes_sent, targets.size() * 8);
   EXPECT_EQ(stats.traces, targets.size());
   EXPECT_EQ(net.stats().probes, stats.probes_sent);
@@ -62,8 +65,9 @@ TEST_F(Yarrp6Test, PacingAdvancesVirtualClockAtPps) {
   auto cfg = base_config();
   cfg.pps = 100;  // 10ms per probe
   cfg.max_ttl = 4;
-  Yarrp6Prober prober{cfg};
-  const auto stats = prober.run(net, targets, nullptr);
+  Yarrp6Source source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.elapsed_virtual_us, stats.probes_sent * 10'000);
 }
 
@@ -73,9 +77,11 @@ TEST_F(Yarrp6Test, RepliesAreDecodedAndForwarded) {
   simnet::Network net{topo_, np};
   const auto targets = eyeball_targets(10);
   topology::TraceCollector collector;
-  Yarrp6Prober prober{base_config()};
-  const auto stats = prober.run(
-      net, targets, [&](const wire::DecodedReply& r) { collector.on_reply(r); });
+  const auto cfg = base_config();
+  Yarrp6Source source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { collector.on_reply(r); });
   EXPECT_GT(stats.replies, targets.size() * 4);
   EXPECT_GT(collector.interfaces().size(), 5u);
   // Every reassembled trace belongs to a probed target.
@@ -96,10 +102,12 @@ TEST_F(Yarrp6Test, PermutationKeyChangesOrderNotCoverage) {
     cfg.permutation_key = key;
     auto& order = key == 1 ? order_a : order_b;
     topology::TraceCollector c;
-    Yarrp6Prober prober{cfg};
-    prober.run(net, targets, [&](const wire::DecodedReply& r) {
-      order.push_back(Ipv6AddrHash{}(r.probe.target) ^ r.probe.ttl);
-    });
+    Yarrp6Source source{cfg, targets};
+    campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) {
+          order.push_back(Ipv6AddrHash{}(r.probe.target) ^ r.probe.ttl);
+        });
   }
   ASSERT_EQ(order_a.size(), order_b.size()) << "coverage must not depend on key";
   EXPECT_NE(order_a, order_b) << "order must depend on key";
@@ -116,14 +124,18 @@ TEST_F(Yarrp6Test, FillModeExtendsPastMaxTtl) {
   cfg.fill_mode = true;
   simnet::Network net{topo_, np};
   topology::TraceCollector with_fill;
-  const auto stats_fill = Yarrp6Prober{cfg}.run(
-      net, targets, [&](const wire::DecodedReply& r) { with_fill.on_reply(r); });
+  Yarrp6Source fill_source{cfg, targets};
+  const auto stats_fill = campaign::CampaignRunner::run_one(
+      net, fill_source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { with_fill.on_reply(r); });
 
   cfg.fill_mode = false;
   simnet::Network net2{topo_, np};
   topology::TraceCollector no_fill;
-  const auto stats_nofill = Yarrp6Prober{cfg}.run(
-      net2, targets, [&](const wire::DecodedReply& r) { no_fill.on_reply(r); });
+  Yarrp6Source nofill_source{cfg, targets};
+  const auto stats_nofill = campaign::CampaignRunner::run_one(
+      net2, nofill_source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { no_fill.on_reply(r); });
 
   EXPECT_GT(stats_fill.fills, 0u);
   EXPECT_EQ(stats_nofill.fills, 0u);
@@ -147,7 +159,9 @@ TEST_F(Yarrp6Test, FillModeStopsAtUnresponsiveHop) {
   cfg.max_ttl = 4;
   cfg.fill_mode = true;
   cfg.fill_cap = 32;
-  const auto stats = Yarrp6Prober{cfg}.run(net, targets, nullptr);
+  Yarrp6Source source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   EXPECT_LE(stats.probes_sent,
             targets.size() * 4 + targets.size() * 28);
   EXPECT_GT(stats.fills, 0u);
@@ -164,7 +178,9 @@ TEST_F(Yarrp6Test, NeighborhoodModeSkipsStaleNearTtls) {
   cfg.neighborhood = true;
   cfg.neighborhood_ttl = 3;
   cfg.neighborhood_window_us = 200'000;  // 200ms without novelty
-  const auto stats = Yarrp6Prober{cfg}.run(net, targets, nullptr);
+  Yarrp6Source source{cfg, targets};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing());
   EXPECT_GT(stats.neighborhood_skips, 100u);
   EXPECT_LT(stats.probes_sent, targets.size() * 16);
 }
@@ -178,8 +194,11 @@ TEST_F(Yarrp6Test, RandomizedBeatsSequentialUnderRateLimiting) {
 
   simnet::Network net_y{topo_, simnet::NetworkParams{}};
   topology::TraceCollector cy;
-  Yarrp6Prober{base_config()}.run(
-      net_y, targets, [&](const wire::DecodedReply& r) { cy.on_reply(r); });
+  const auto ycfg = base_config();
+  Yarrp6Source ysource{ycfg, targets};
+  campaign::CampaignRunner::run_one(
+      net_y, ysource, ycfg.endpoint(), ycfg.pacing(),
+      [&](const wire::DecodedReply& r) { cy.on_reply(r); });
 
   SequentialConfig scfg;
   scfg.src = topo_.vantages()[0].src;
@@ -187,8 +206,10 @@ TEST_F(Yarrp6Test, RandomizedBeatsSequentialUnderRateLimiting) {
   scfg.pps = 1000;
   simnet::Network net_s{topo_, simnet::NetworkParams{}};
   topology::TraceCollector cs;
-  SequentialProber{scfg}.run(
-      net_s, targets, [&](const wire::DecodedReply& r) { cs.on_reply(r); });
+  SequentialSource ssource{scfg, targets};
+  campaign::CampaignRunner::run_one(
+      net_s, ssource, scfg.endpoint(), scfg.pacing(),
+      [&](const wire::DecodedReply& r) { cs.on_reply(r); });
 
   // Hop-1 responsiveness: yarrp6 near-perfect, sequential starved.
   auto hop1_rate = [&](const topology::TraceCollector& c) {

@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "analysis/pathdiv.hpp"
+#include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/dynamics.hpp"
 #include "simnet/network.hpp"
@@ -48,8 +49,11 @@ class FailureInjectionTest : public ::testing::Test {
     cfg.pps = 100000;
     cfg.max_ttl = 16;
     topology::TraceCollector c;
-    const auto stats = prober::Yarrp6Prober{cfg}.run(
-        net, university_targets(60), [&](const wire::DecodedReply& r) { c.on_reply(r); });
+    const auto targets = university_targets(60);
+    prober::Yarrp6Source source{cfg, targets};
+    const auto stats = campaign::CampaignRunner::run_one(
+        net, source, cfg.endpoint(), cfg.pacing(),
+        [&](const wire::DecodedReply& r) { c.on_reply(r); });
     if (stats_out) *stats_out = stats;
     last_net_stats_ = net.stats();
     return c;

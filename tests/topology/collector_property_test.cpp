@@ -2,6 +2,7 @@
 // conservation laws and internal consistency that every bench relies on.
 #include <gtest/gtest.h>
 
+#include "campaign/runner.hpp"
 #include "netbase/eui64.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/network.hpp"
@@ -35,8 +36,11 @@ TEST_P(CollectorCampaign, ConservationAcrossProberNetworkCollector) {
   cfg.pps = 1000;
   cfg.max_ttl = 16;
   TraceCollector c;
-  const auto stats = prober::Yarrp6Prober{cfg}.run(
-      net, targets(120), [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  const auto t = targets(120);
+  prober::Yarrp6Source source{cfg, t};
+  const auto stats = campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   EXPECT_EQ(stats.probes_sent, net.stats().probes);
   EXPECT_EQ(stats.replies, net.stats().responses());
@@ -58,8 +62,11 @@ TEST_P(CollectorCampaign, TracesAreInternallyConsistent) {
   cfg.pps = 100000;
   cfg.max_ttl = 16;
   TraceCollector c;
-  prober::Yarrp6Prober{cfg}.run(net, targets(100),
-                                [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  const auto t = targets(100);
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   for (const auto& [target, tr] : c.traces()) {
     EXPECT_EQ(tr.target, target);
@@ -89,8 +96,11 @@ TEST_P(CollectorCampaign, DiscoveryCurveEndsAtFinalInterfaceCount) {
   cfg.pps = 100000;
   cfg.max_ttl = 12;
   TraceCollector c;
-  prober::Yarrp6Prober{cfg}.run(net, targets(150),
-                                [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  const auto t = targets(150);
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
   const auto& curve = c.discovery_curve();
   ASSERT_FALSE(curve.empty());
   std::uint64_t prev_probes = 0, prev_ifaces = 0;
@@ -120,8 +130,10 @@ TEST_P(CollectorCampaign, Eui64ReportAgreesWithDirectClassification) {
       t.push_back(s.base() | Ipv6Addr::from_halves(0, 0x1234567812345678ULL));
   }
   ASSERT_GT(t.size(), 50u);
-  prober::Yarrp6Prober{cfg}.run(net, t,
-                                [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   std::size_t direct = 0;
   for (const auto& iface : c.interfaces()) direct += is_eui64(iface);
@@ -145,8 +157,11 @@ TEST_P(CollectorCampaign, PercentilesAreOrderedAndBounded) {
   cfg.pps = 100000;
   cfg.max_ttl = 16;
   TraceCollector c;
-  prober::Yarrp6Prober{cfg}.run(net, targets(100),
-                                [&](const wire::DecodedReply& r) { c.on_reply(r); });
+  const auto t = targets(100);
+  prober::Yarrp6Source source{cfg, t};
+  campaign::CampaignRunner::run_one(
+      net, source, cfg.endpoint(), cfg.pacing(),
+      [&](const wire::DecodedReply& r) { c.on_reply(r); });
   const auto p50 = c.path_len_percentile(0.5);
   const auto p95 = c.path_len_percentile(0.95);
   EXPECT_LE(p50, p95);
