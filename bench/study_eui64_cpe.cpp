@@ -15,8 +15,9 @@
 
 using namespace beholder6;
 
-int main() {
-  bench::World world;
+int main(int argc, char** argv) {
+  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  bench::World world{scale};
   const auto& vantage = world.topo.vantages()[0];
 
   std::set<Ipv6Addr> eui_ifaces;

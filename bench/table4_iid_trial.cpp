@@ -49,8 +49,9 @@ void print_row(const char* label, const Dist& a, const Dist& b, const Dist& c,
 
 }  // namespace
 
-int main() {
-  bench::World world;
+int main(int argc, char** argv) {
+  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  bench::World world{scale};
 
   // (a)/(b): cdn-k256, z64, lowbyte1 vs fixediid.
   const target::SeedList* cdn = nullptr;

@@ -5,8 +5,9 @@
 
 using namespace beholder6;
 
-int main() {
-  bench::World world;
+int main(int argc, char** argv) {
+  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  bench::World world{scale};
   auto sets = world.all_sets(/*include_random=*/false);
 
   // Per the paper, exclusivity is computed over the independent lists only:

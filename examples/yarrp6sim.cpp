@@ -10,7 +10,6 @@
 // Hostile input fails before any probing, with exit status 2: a number
 // that does not parse whole or lies outside its range, an unknown
 // protocol, vantage or seed list, or an output file that cannot be opened.
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +17,6 @@
 #include <exception>
 #include <fstream>
 #include <string>
-#include <string_view>
 
 #include "campaign/runner.hpp"
 #include "io/trace_io.hpp"
@@ -27,9 +25,11 @@
 #include "simnet/network.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
+#include "tools/parse_number.hpp"
 #include "topology/collector.hpp"
 
 using namespace beholder6;
+using cli::parse_number;
 
 namespace {
 
@@ -41,22 +41,6 @@ void usage(const char* argv0) {
       "          [--seed N] [--scale F] [--output FILE]\n"
       "seeds: caida dnsdb fiebig fdns_any cdn-k256 cdn-k32 6gen tum random\n",
       argv0);
-}
-
-/// Parse all of `text` as a number in [lo, hi], or exit 2 naming `flag`.
-template <typename T>
-T parse_number(const char* flag, std::string_view text, T lo, T hi) {
-  T value{};
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size() ||
-      !(value >= lo && value <= hi)) {
-    std::fprintf(stderr, "%s: expected a number in [%g, %g], got '%.*s'\n",
-                 flag, static_cast<double>(lo), static_cast<double>(hi),
-                 static_cast<int>(text.size()), text.data());
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace

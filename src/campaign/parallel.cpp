@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <span>
 #include <thread>
 #include <utility>
 
 #include "campaign/unit.hpp"
+#include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
 
 namespace beholder6::campaign {
@@ -61,6 +66,119 @@ struct alignas(64) WorkerArena {
   std::unique_ptr<simnet::Network> net;
   WorkerPerf perf;
 };
+
+/// A pool unit's split family: its index in run_pool's `families` (-1: a
+/// free-running unit) and its member index. A family's members are
+/// consecutive units, member 0 first.
+struct PoolUnit {
+  std::int32_t family = -1;
+  std::uint32_t member = 0;
+};
+
+/// drive(worker, unit) runs a claimed unit until it exhausts (true) or
+/// parks at its family's epoch barrier (false).
+using UnitDrive = std::function<bool(std::size_t worker, std::size_t unit)>;
+
+/// A FIFO of claimable unit indexes plus the families' barrier arrivals.
+/// The B6_GUARDED_BY annotations make the Clang thread-safety pass (CI
+/// `thread-safety` job) prove every touch of the queue, the families and
+/// the error slot happens under the mutex. Per-unit state (run()'s unit
+/// results and runners) stays outside: one worker owns a unit between
+/// claim() and report(), and the mutex hand-off in those calls publishes
+/// its writes to the next claimant — a transfer the analysis cannot
+/// express, so the contract lives here in words.
+class Scheduler {
+ public:
+  Scheduler(std::span<const PoolUnit> units, std::span<SplitFamily> families)
+      : units_(units), families_(families), unfinished_(units.size()) {
+    for (std::size_t u = 0; u < units_.size(); ++u) ready_.push_back(u);
+  }
+
+  /// Claim the next ready unit; blocks while the queue is empty. Returns
+  /// nullopt once every unit has exhausted or a worker has failed.
+  std::optional<std::size_t> claim() B6_EXCLUDES(mu_) {
+    netbase::MutexLock lock{mu_};
+    // Explicit wait loop: the guarded reads must sit in this annotated
+    // method, not in a wait-predicate lambda (lambda bodies are analyzed
+    // as separate functions with no capability context).
+    while (ready_.empty() && unfinished_ != 0 && !error_) cv_.wait(lock);
+    if (error_ || unfinished_ == 0) return std::nullopt;
+    const std::size_t u = ready_.front();
+    ready_.pop_front();
+    return u;
+  }
+
+  /// Report a claimed unit back, exhausted (`done`) or parked. A family
+  /// unit's report is its barrier arrival: every sibling reported in under
+  /// this mutex, so the last arrival's merge is single-threaded and sees
+  /// the siblings' delta writes.
+  void report(std::size_t u, bool done) B6_EXCLUDES(mu_) {
+    netbase::MutexLock lock{mu_};
+    if (done) --unfinished_;
+    const PoolUnit& pu = units_[u];
+    if (pu.family >= 0) {
+      SplitFamily& family = families_[static_cast<std::size_t>(pu.family)];
+      for (const std::uint32_t m : family.arrive(pu.member, done))
+        ready_.push_back(u - pu.member + m);
+    }
+    cv_.notify_all();
+  }
+
+  /// Record the first failure and wake everyone so the pool drains.
+  void fail(std::exception_ptr e) B6_EXCLUDES(mu_) {
+    netbase::MutexLock lock{mu_};
+    if (!error_) error_ = std::move(e);
+    cv_.notify_all();
+  }
+
+  /// The first failure, if any. Meant for after the pool has joined, but
+  /// takes the mutex so it is safe (and provably so) at any point.
+  [[nodiscard]] std::exception_ptr error() B6_EXCLUDES(mu_) {
+    netbase::MutexLock lock{mu_};
+    return error_;
+  }
+
+ private:
+  const std::span<const PoolUnit> units_;  // immutable during the run
+
+  netbase::Mutex mu_;
+  netbase::CondVar cv_;
+  std::deque<std::size_t> ready_ B6_GUARDED_BY(mu_);
+  std::span<SplitFamily> families_ B6_GUARDED_BY(mu_);
+  std::size_t unfinished_ B6_GUARDED_BY(mu_);
+  std::exception_ptr error_ B6_GUARDED_BY(mu_);
+};
+
+/// The worker pool: `workers` workers (inline on the caller when there is
+/// one, else std::jthreads) claim units in index order from a FIFO; a
+/// parked unit is requeued when its family's last arrival resumes it.
+/// Returns once every unit has exhausted, or rethrows the first failure
+/// after the join. The claim order never touches results: free units are
+/// independent, and epoch merges follow the barrier protocol.
+void run_pool(std::span<const PoolUnit> units, std::span<SplitFamily> families,
+              std::size_t workers, const UnitDrive& drive) {
+  Scheduler sched{units, families};
+  auto worker = [&](std::size_t w) {
+    while (const auto claimed = sched.claim()) {
+      bool done = false;
+      try {
+        done = drive(w, *claimed);
+      } catch (...) {
+        sched.fail(std::current_exception());
+        break;
+      }
+      sched.report(*claimed, done);
+    }
+  };
+  if (workers <= 1) {
+    worker(0);  // one worker: run on the caller, no threads
+  } else {
+    std::vector<std::jthread> pool;  // joins on scope exit
+    pool.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker, w);
+  }
+  if (const auto error = sched.error()) std::rethrow_exception(error);
+}
 
 }  // namespace
 
@@ -175,7 +293,6 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       // done.
       ctx.release();
     }
-    ++arena.perf.units_run;
     arena.perf.busy_seconds += secs_since(unit_t0);
     return done;
   };

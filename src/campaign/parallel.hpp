@@ -118,8 +118,7 @@ struct ShardReply {
 /// it so scaling regressions are visible, and the cache-line alignment
 /// keeps the live counters of adjacent workers off each other's lines.
 struct alignas(64) WorkerPerf {
-  std::uint64_t units_run = 0;      ///< work-unit claims this worker ran
-  double busy_seconds = 0.0;        ///< wall time inside unit runs
+  double busy_seconds = 0.0;  ///< wall time inside unit runs
   /// Always 0: workers no longer stream through a bounded reply ring.
   /// Kept so existing telemetry readers still compile.
   std::uint64_t ring_stalls = 0;
@@ -219,9 +218,6 @@ class ParallelCampaignRunner {
   /// in its place).
   [[nodiscard]] ParallelResult run(const std::vector<Shard>& shards,
                                    ParallelRunOptions options = {}) const;
-
-  /// Configured worker-pool size (0 = hardware concurrency at run time).
-  [[nodiscard]] unsigned n_threads() const { return n_threads_; }
 
  private:
   const simnet::Topology& topo_;

@@ -13,28 +13,12 @@ namespace {
 
 /// Canonical merged-stream order: (slot_us, tenant, member, seq). The key
 /// is unique — seq is monotone per (tenant, member) — so this is a strict
-/// total order and any drain mode sorting by it produces one stream.
+/// total order and sorting by it yields one stream.
 bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   if (a.slot_us != b.slot_us) return a.slot_us < b.slot_us;
   if (a.tenant != b.tenant) return a.tenant < b.tenant;
   if (a.member != b.member) return a.member < b.member;
   return a.seq < b.seq;
-}
-
-/// The slot heaps are binary min-heaps over std::greater: h[0] runs next
-/// and its children h[1], h[2] hold the runner-up.
-template <typename Slot>
-void push_slot(std::vector<Slot>& heap, const Slot& s) {
-  heap.push_back(s);
-  std::push_heap(heap.begin(), heap.end(), std::greater<Slot>{});
-}
-
-template <typename Slot>
-Slot pop_slot(std::vector<Slot>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<Slot>{});
-  const Slot s = heap.back();
-  heap.pop_back();
-  return s;
 }
 
 }  // namespace
@@ -82,6 +66,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   c.members.resize(c.family->size());
   for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
     c.members[mi].campaign = &c;
+    c.members[mi].out = options_.collect_merged ? &merged_ : nullptr;
     c.members[mi].start(topo_, params_, warmer_.snapshot(), nullptr,
                         c.family->member(mi), spec.endpoint, spec.pacing,
                         [cp = &c, mi](const wire::DecodedReply& r) {
@@ -92,9 +77,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
                           ++m.next_seq;
                           if (cp->spec.sink) cp->spec.sink(r);
                         });
-    reschedule_member(c, mi, [&](std::uint32_t i, std::uint64_t due) {
-      push_global(c, i, due);
-    });
+    reschedule_member(c, mi);
   }
 
   tenant_index_.emplace(spec.tenant, c.index);
@@ -155,7 +138,7 @@ void CampaignReactor::retire(Campaign& c, CampaignState state) {
       m.in_heap = false;
       --pending_;
     }
-    ++m.gen;  // stale-out any heap copy, global or campaign-local
+    ++m.gen;  // stale-out any heap copy
   }
 }
 
@@ -186,41 +169,34 @@ void CampaignReactor::push_global(Campaign& c, std::uint32_t mi,
                                   std::uint64_t due) {
   Member& m = c.members[mi];
   m.due_global = due;
-  push_slot(heap_, GSlot{due, c.spec.tenant, m.gen, &m, mi});
+  heap_.push_back(GSlot{due, c.spec.tenant, m.gen, &m, mi});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
   m.in_heap = true;
   ++pending_;
 }
 
-template <typename PushFn>
-void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi,
-                                        PushFn&& push) {
-  Member& m = c.members[mi];
-  const auto local = m.runner->next_due_us();
+void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi) {
+  const auto local = c.members[mi].runner->next_due_us();
   B6_DCHECK(local.has_value(), "rescheduling an exhausted runner");
   std::uint64_t due = c.start_us + *local;
   // The service throttle defers the *global* slot only; the local clock
   // (and with it every reply) is untouched — per-tenant byte-identity.
   if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
-  m.due_global = due;
-  push(mi, due);
+  push_global(c, mi, due);
 }
 
-template <typename PushFn>
 void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
-                               std::uint64_t slot_due,
-                               std::vector<ReactorReply>* out, PushFn&& push) {
+                               std::uint64_t slot_due) {
   Member& m = c.members[mi];
   m.slot_due = slot_due;
-  m.out = out;
   // settle()'s DCHECK reads the flag; a throwing step clears it too.
   struct Clear { bool& flag; ~Clear() { flag = false; } } clear{c.executing};
   c.executing = true;
   (void)m.runner->step();
-  m.out = nullptr;
 
   // Account this step's probes against the tenant's bucket and budget, at
   // the slot's own due time — tenant-local arithmetic only, which is what
-  // keeps a parallel drain's per-campaign replay exact.
+  // keeps every tenant's timeline equal to its solo run.
   const std::uint64_t sent = m.runner->stats()[0].probes_sent;
   const std::uint64_t delta = sent - m.probes_seen;
   m.probes_seen = sent;
@@ -238,12 +214,12 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   const bool exhausted = m.runner->done();
   if (exhausted || c.family->at_barrier(mi)) {
     for (const std::uint32_t r : c.family->arrive(mi, exhausted))
-      reschedule_member(c, r, push);
+      reschedule_member(c, r);
     if (c.family->live() == 0 && c.state == CampaignState::kRunning)
       c.state = CampaignState::kFinished;
     return;
   }
-  reschedule_member(c, mi, push);
+  reschedule_member(c, mi);
 }
 
 // The lookahead pipeline. Right before slot k runs, h[0] is slot k+1,
@@ -287,7 +263,9 @@ void CampaignReactor::warm_lookahead() const {
 
 bool CampaignReactor::step() {
   while (!heap_.empty()) {
-    const GSlot s = pop_slot(heap_);
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
+    const GSlot s = heap_.back();
+    heap_.pop_back();
     Member& m = *s.loc;
     if (s.gen != m.gen) continue;  // paused, cancelled, or retired: stale
     Campaign& c = *m.campaign;
@@ -295,8 +273,7 @@ bool CampaignReactor::step() {
     --pending_;
     if (s.due_us > now_us_) now_us_ = s.due_us;
     warm_lookahead();
-    run_slot(c, s.member, s.due_us, options_.collect_merged ? &merged_ : nullptr,
-             [&](std::uint32_t mi, std::uint64_t due) { push_global(c, mi, due); });
+    run_slot(c, s.member, s.due_us);
     merged_dirty_ = true;
     settle(c);
     return true;
@@ -304,80 +281,7 @@ bool CampaignReactor::step() {
   return false;
 }
 
-// ---- Drains -----------------------------------------------------------------
-
-std::size_t CampaignReactor::drain_parallel(unsigned n_threads) {
-  // Claimable work: whole running campaigns, each detached from the global
-  // heap onto a campaign-local one. Campaigns are scheduling-independent
-  // (every scheduling input is tenant-local), and a local heap orders
-  // slots exactly as the global heap orders them among themselves — the
-  // tenant is constant — so the worker driving a campaign reproduces the
-  // serial interleaving of its members, family arrivals included.
-  struct Unit {
-    Campaign* campaign = nullptr;
-    SlotHeap heap;
-    std::vector<ReactorReply> buf;
-    std::uint64_t max_due = 0;
-    std::size_t slots = 0;
-  };
-  std::vector<Unit> units;
-  for (const auto& owner : campaigns_) {
-    Campaign& c = *owner;
-    if (c.state != CampaignState::kRunning) continue;
-    Unit u;
-    u.campaign = &c;
-    for (std::uint32_t i = 0; i < c.members.size(); ++i) {
-      Member& m = c.members[i];
-      if (!m.in_heap) continue;
-      m.in_heap = false;
-      --pending_;
-      push_slot(u.heap, GSlot{m.due_global, c.spec.tenant, ++m.gen, &m, i});
-    }
-    if (!u.heap.empty()) units.push_back(std::move(u));
-  }
-  if (units.empty()) return 0;
-
-  // Each unit runs start-to-finish on one worker, which alone touches its
-  // campaign and its Unit until the pool joins.
-  auto drive = [&](std::size_t /*worker*/, std::size_t ui) {
-    Unit& u = units[ui];
-    Campaign& c = *u.campaign;
-    auto* out = options_.collect_merged ? &u.buf : nullptr;
-    auto push = [&](std::uint32_t mi, std::uint64_t due) {
-      Member& m = c.members[mi];
-      push_slot(u.heap, GSlot{due, c.spec.tenant, m.gen, &m, mi});
-    };
-    while (!u.heap.empty()) {
-      const GSlot s = pop_slot(u.heap);
-      if (s.gen != s.loc->gen) continue;  // retired mid-drive
-      u.max_due = std::max(u.max_due, s.due_us);
-      run_slot(c, s.member, s.due_us, out, push);
-      ++u.slots;
-    }
-    return true;
-  };
-  const std::vector<PoolUnit> whole_campaigns(units.size());
-  run_pool(whole_campaigns, {}, std::min<std::size_t>(units.size(), n_threads),
-           drive);
-
-  // Post-join, back on the control plane: merge records (any append order —
-  // merged() sorts canonically), advance the clock to the latest slot run,
-  // and settle retirements in campaign index order.
-  std::size_t slots = 0;
-  for (Unit& unit : units) {
-    if (!unit.buf.empty()) {
-      merged_.insert(merged_.end(), unit.buf.begin(), unit.buf.end());
-      merged_dirty_ = true;
-    }
-    now_us_ = std::max(now_us_, unit.max_due);
-    settle(*unit.campaign);
-    slots += unit.slots;
-  }
-  return slots;
-}
-
 std::size_t CampaignReactor::drain() {
-  if (options_.n_threads > 1) return drain_parallel(options_.n_threads);
   std::size_t n = 0;
   while (step()) ++n;
   return n;
@@ -403,10 +307,13 @@ std::optional<ProbeStats> CampaignReactor::stats(CampaignHandle h) const {
 void CampaignReactor::sort_merged() {
   if (!merged_dirty_) return;
   merged_dirty_ = false;
+  // Appends follow execution order, which is not canonical: resume() and
+  // barrier resumes push dues earlier than slots that already ran.
   std::sort(merged_.begin(), merged_.end(), merged_less);
 #if BEHOLDER6_DCHECK_LEVEL >= 2
   // Expensive sweep: per-(tenant, member) seq must be strictly increasing
-  // in canonical order — a violation means two drain modes could not agree.
+  // in canonical order — a violation means a member's slots ran out of
+  // due order.
   for (std::size_t i = 1; i < merged_.size(); ++i) {
     const auto& a = merged_[i - 1];
     const auto& b = merged_[i];

@@ -8,13 +8,13 @@
 // (submit/pause/resume/cancel), shapes each tenant's share of the service
 // with a per-tenant token bucket, and streams results incrementally per
 // tenant — while keeping the repo's One Rule: results are a pure function
-// of the submitted specs, never of wall-clock, submission order among
-// simultaneous submits, or thread count.
+// of the submitted specs, never of wall-clock or submission order among
+// simultaneous submits.
 //
 // Architecture: every campaign gets its own Network replica (shared
 // immutable tier — Topology, params block, warmed read-only route
 // snapshot — per-tenant mutable state), its own CampaignRunner, both built
-// by the work-unit machinery shared with ParallelCampaignRunner
+// by the member builder shared with ParallelCampaignRunner
 // (campaign/unit.hpp), and its own *local* virtual clock starting at 0.
 // Runner and replica live exactly as long as the campaign: retirement
 // frees them, so the reactor's memory follows its live tenants, not every
@@ -35,8 +35,7 @@
 // step() warms their state in stages before each slot runs (see
 // warm_lookahead in reactor.cpp). The stages issue prefetch hints only:
 // they load no value the schedule or a tenant reads, so they cannot
-// change any result. drain()'s parallel path does not use them — a worker
-// drives one campaign at a time, whose state stays hot.
+// change any result.
 //
 // Determinism argument (the load-bearing property): every quantity above
 // is computed from the tenant's own history alone. The runner-local due is
@@ -44,11 +43,10 @@
 // at the tenant's own slot times; barrier merges inside a split family
 // fire at the family's own arrival slots. No scheduling input ever reads
 // the global clock or another tenant's state, so each tenant's slot/reply
-// timeline is a pure function of its spec — which is what lets drain()
-// run whole campaigns on worker threads and still merge the exact stream
-// the serial step() loop produces. The canonical merged order is
+// timeline is a pure function of its spec: the same as its solo run,
+// however many tenants share the clock. The canonical merged order is
 // (slot_us, tenant, member, seq); tests/campaign/reactor_test.cpp and
-// reactor_property_test.cpp hold the thread and submission-order gates.
+// reactor_property_test.cpp hold the solo-run and submission-order gates.
 #pragma once
 
 #include <cstdint>
@@ -80,9 +78,7 @@ struct CampaignSpec {
   PacingPolicy pacing;
   /// Per-tenant incremental delivery, called for every decoded reply in
   /// arrival order (io::StreamingTraceSink is the intended adapter). The
-  /// usual sink contract applies — observe and record, never inject — and
-  /// under a parallel drain() it runs on the worker driving this tenant,
-  /// so it must touch only tenant-local state.
+  /// usual sink contract applies — observe and record, never inject.
   ResponseSink sink;
   /// Service-level throttle: this tenant's share of the *global* virtual
   /// clock, as a token bucket (tokens/s, capacity). <= 0 disables. The
@@ -144,9 +140,10 @@ enum class CampaignState : std::uint8_t {
 };
 
 /// One merged-stream element. `slot_us` is the *scheduled* global send
-/// slot (not the clamped execution instant), which is what makes the
-/// stream reconstructible by any drain mode; `local_us` is the tenant
-/// replica's own virtual time at delivery. Canonical order — and the
+/// slot (not the clamped execution instant), which is what lets merged()
+/// restore canonical order by sort after resume() re-pushes dues earlier
+/// than slots that already ran; `local_us` is the tenant replica's own
+/// virtual time at delivery. Canonical order — and the
 /// bit-identical gate's comparison key — is (slot_us, tenant, member, seq).
 struct ReactorReply {
   std::uint64_t slot_us = 0;
@@ -157,26 +154,23 @@ struct ReactorReply {
   wire::DecodedReply reply;
 };
 
-/// Service configuration: admission ceilings and drain parallelism.
+/// Service configuration: admission ceilings and merged-stream collection.
 struct ReactorOptions {
   /// Admission control: campaigns in flight (a family counts once).
   std::size_t max_campaigns = std::numeric_limits<std::size_t>::max();
   /// Admission control: sum of in-flight probe_budget reservations.
   std::uint64_t max_reserved_probes = std::numeric_limits<std::uint64_t>::max();
-  /// drain() worker threads. Wall-clock only: any value yields the same
-  /// merged stream, stats, and states (the bit-identical contract).
-  unsigned n_threads = 1;
   /// Keep the canonical merged stream in memory (merged()). Per-tenant
   /// sinks fire either way; large services stream per tenant and turn
   /// this off.
   bool collect_merged = true;
 };
 
-/// The multi-tenant campaign service core. Control plane (submit, pause,
-/// resume, cancel, accessors) and serial step() are single-threaded by
-/// design — external synchronization, like every driver in this repo;
-/// drain() may fan campaigns out over ReactorOptions::n_threads workers
-/// internally, returning only when the reactor is quiescent again.
+/// The multi-tenant campaign service core: one serial event loop. Control
+/// plane (submit, pause, resume, cancel, accessors), step() and drain() all
+/// run on the caller and need external synchronization, like every driver
+/// in this repo; ParallelCampaignRunner is the repo's one multi-threaded
+/// front end.
 ///
 /// Scheduling contract (the documented fair-share policy):
 ///   * Slots execute in (global due, tenant id, member index) order —
@@ -189,9 +183,8 @@ struct ReactorOptions {
 ///     pacing-and-bucket arithmetic time, independent of load — the
 ///     property suite asserts the equality, not just the bound.
 ///   * Scheduling is a pure function of the admitted specs: independent of
-///     submission wall-clock, of submission order among simultaneous
-///     submits (tie-breaks use tenant ids, never admission sequence), and
-///     of thread count.
+///     submission wall-clock and of submission order among simultaneous
+///     submits (tie-breaks use tenant ids, never admission sequence).
 ///
 /// Epoch-coupled families drive the same SplitFamily as the parallel
 /// backend (campaign/unit.hpp): members park at epoch boundaries; the
@@ -237,11 +230,7 @@ class CampaignReactor {
   /// may interleave at any step boundary.
   bool step();
 
-  /// Drive every runnable campaign to quiescence, over n_threads workers
-  /// when the options ask for it, and return the number of slots run.
-  /// Thread count is wall-clock only: campaigns are scheduling-independent
-  /// (see the class comment), so workers drive whole campaigns and the
-  /// canonical merge reproduces the serial stream bit-identically.
+  /// step() until no slot is runnable; returns the number of slots run.
   std::size_t drain();
 
   /// Forget every campaign and rewind the global clock to 0. The warmed
@@ -278,7 +267,7 @@ class CampaignReactor {
   /// A family member's runner and replica plus its scheduling state.
   struct Member : MemberRunner {
     Campaign* campaign = nullptr;  // owner; how the lookahead reaches it
-    std::vector<ReactorReply>* out = nullptr;  // record target for the step
+    std::vector<ReactorReply>* out = nullptr;  // &merged_ or null, from admission
     std::uint64_t slot_due = 0;    // the executing slot's scheduled due
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
     std::uint64_t next_seq = 0;    // per-member reply arrival index
@@ -309,11 +298,11 @@ class CampaignReactor {
     std::vector<Member> members;
   };
 
-  /// A heap entry, global or campaign-local (parallel drains). Ordering is
-  /// the fair-share policy: (due, tenant, member) — never a submission
-  /// sequence number. `loc` locates the member directly, so the lookahead
-  /// can warm it without first loading anything else. Member shells live
-  /// until reset(), which empties every heap, so `loc` never dangles.
+  /// A heap entry. Ordering is the fair-share policy: (due, tenant, member)
+  /// — never a submission sequence number. `loc` locates the member
+  /// directly, so the lookahead can warm it without first loading anything
+  /// else. Member shells live until reset(), which empties the heap, so
+  /// `loc` never dangles.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;
@@ -326,22 +315,14 @@ class CampaignReactor {
       return member > o.member;
     }
   };
-  /// A binary min-heap under std::greater<GSlot> (see push_slot/pop_slot
-  /// in reactor.cpp). An explicit vector rather than a priority_queue so
-  /// the lookahead can read h[0..2], the next slots to run.
-  using SlotHeap = std::vector<GSlot>;
 
-  template <typename PushFn>
-  void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due,
-                std::vector<ReactorReply>* out, PushFn&& push);
-  template <typename PushFn>
-  void reschedule_member(Campaign& c, std::uint32_t mi, PushFn&& push);
+  void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due);
+  void reschedule_member(Campaign& c, std::uint32_t mi);
   void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
   void push_global(Campaign& c, std::uint32_t mi, std::uint64_t due);
   void warm_lookahead() const;
   Campaign* find(CampaignHandle h) const;
-  std::size_t drain_parallel(unsigned n_threads);
   void sort_merged();
 
   const simnet::Topology& topo_;
@@ -353,7 +334,10 @@ class CampaignReactor {
   // nonce nonce_base_ + i + 1, so an older handle never resolves.
   std::uint64_t nonce_base_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> tenant_index_;  // active only
-  SlotHeap heap_;
+  // A binary min-heap under std::greater<GSlot> (push_global, step). An
+  // explicit vector rather than a priority_queue so the lookahead can read
+  // h[0..2], the next slots to run.
+  std::vector<GSlot> heap_;
   std::size_t pending_ = 0;  // live (non-stale) slots in the heap
   std::uint64_t now_us_ = 0;
   std::size_t active_ = 0;

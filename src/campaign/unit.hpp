@@ -1,15 +1,14 @@
-// campaign/unit.hpp — the work-unit machinery both campaign front ends share.
+// campaign/unit.hpp — the member machinery both campaign front ends share.
 //
 // ParallelCampaignRunner (parallel.hpp) and CampaignReactor (reactor.hpp)
-// drive the same three mechanisms; this header holds the one copy of each:
-// SplitFamily (a source whole or split, with its EpochBarrier bookkeeping),
-// MemberRunner (the member builder: a CampaignRunner over a replica on the
-// shared route snapshot) and run_pool (the worker pool). Internal to the
-// campaign layer: neither front end's public API names these types.
+// drive sources the same way; this header holds the one copy of each
+// piece: SplitFamily (a source whole or split, with its EpochBarrier
+// bookkeeping) and MemberRunner with make_replica (the member builder: a
+// CampaignRunner over a replica on the shared route snapshot). Internal to
+// the campaign layer: neither front end's public API names these types.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -23,8 +22,8 @@ namespace beholder6::campaign {
 /// keeps the barrier's arrival bookkeeping: each live member arrives once
 /// per epoch, by parking at its epoch boundary or by exhausting, and the
 /// last arrival runs merge_epoch() with every member quiescent. Not
-/// thread-safe: the caller serializes arrivals (the pool's mutex, or the
-/// one worker driving a reactor campaign).
+/// thread-safe: the caller serializes arrivals (the parallel pool's mutex,
+/// or the reactor's serial loop).
 class SplitFamily {
  public:
   /// Members: `source` whole when `k` <= 1 or the source is unsplittable,
@@ -99,26 +98,5 @@ struct MemberRunner {
     net = nullptr;
   }
 };
-
-/// A pool unit's split family: its index in run_pool's `families` (-1: a
-/// free-running unit) and its member index. A family's members are
-/// consecutive units, member 0 first.
-struct PoolUnit {
-  std::int32_t family = -1;
-  std::uint32_t member = 0;
-};
-
-/// drive(worker, unit) runs a claimed unit until it exhausts (true) or
-/// parks at its family's epoch barrier (false).
-using UnitDrive = std::function<bool(std::size_t worker, std::size_t unit)>;
-
-/// The one worker pool: `workers` workers (inline on the caller when there
-/// is one, else std::jthreads) claim units in index order from a FIFO; a
-/// parked unit is requeued when its family's last arrival resumes it.
-/// Returns once every unit has exhausted, or rethrows the first failure
-/// after the join. The claim order never touches results: free units are
-/// independent, and epoch merges follow the barrier protocol.
-void run_pool(std::span<const PoolUnit> units, std::span<SplitFamily> families,
-              std::size_t workers, const UnitDrive& drive);
 
 }  // namespace beholder6::campaign

@@ -226,7 +226,6 @@ class Network {
   void set_probe_observer(ProbeObserver observer) { observer_ = std::move(observer); }
 
   [[nodiscard]] const NetworkStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = {}; }
 
   /// Reset all dynamic state between campaigns: buckets, caches (including
   /// the route cache), clock, stats, learned interfaces, and the per-router

@@ -5,9 +5,9 @@
 // competing for the same service. The reactor drives the same barrier
 // protocol as the parallel backend (exhaustion counts as arrival, the
 // final merge publishes the stop set), so these tests pin the protocol's
-// edges: thread-count invariance with families in the mix, families
-// isolated from load, cancel/pause landing mid-epoch with members parked,
-// and the all-exhausted final publish.
+// edges: families isolated from load and all finishing, cancel/pause
+// landing mid-epoch with members parked, and the all-exhausted final
+// publish.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -120,42 +120,17 @@ class BarrierStressTest : public ::testing::Test {
   std::vector<std::unique_ptr<prober::DoubletreeSource>> sources_;
 };
 
-TEST_F(BarrierStressTest, HeterogeneousFamiliesAreThreadCountInvariant) {
-  auto run = [&](unsigned n_threads) {
-    ReactorOptions options;
-    options.n_threads = n_threads;
-    CampaignReactor reactor{topo_, {}, options};
-    std::vector<CampaignHandle> handles;
-    for (const auto& shape : stress_shapes())
-      handles.push_back(reactor.submit(make_family(shape)).handle);
-    reactor.drain();
-    std::vector<ProbeStats> stats;
-    for (const auto& h : handles) {
-      EXPECT_EQ(reactor.state(h), CampaignState::kFinished);
-      stats.push_back(*reactor.stats(h));
-    }
-    return std::make_tuple(reactor.merged(), stats, reactor.now_us());
-  };
-  const auto serial = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  ASSERT_GT(std::get<0>(serial).size(), 0u);
-  expect_identical(std::get<0>(serial), std::get<0>(two), "1 vs 2 threads");
-  expect_identical(std::get<0>(serial), std::get<0>(eight), "1 vs 8 threads");
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(two));
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(eight));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(two));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(eight));
-}
-
 TEST_F(BarrierStressTest, FamiliesUnderLoadMatchSoloFamilies) {
   // Barrier parking must stay a tenant-local affair: a family competing
-  // with five other families produces the same records — global slot
-  // times included — as the same family alone on the service.
+  // with five other families finishes and produces the same records —
+  // global slot times included — as the same family alone on the service.
   CampaignReactor mixed{topo_};
+  std::vector<CampaignHandle> handles;
   for (const auto& shape : stress_shapes())
-    ASSERT_TRUE(mixed.submit(make_family(shape)).admitted());
+    handles.push_back(mixed.submit(make_family(shape)).handle);
   mixed.drain();
+  for (const auto& h : handles)
+    EXPECT_EQ(mixed.state(h), CampaignState::kFinished);
 
   for (const auto& shape : stress_shapes()) {
     CampaignReactor solo{topo_};
@@ -169,34 +144,17 @@ TEST_F(BarrierStressTest, FamiliesUnderLoadMatchSoloFamilies) {
 
 TEST_F(BarrierStressTest, FinalMergePublishesEveryFamilyStopSet) {
   // The all-exhausted final merge must publish each family's discovered
-  // interfaces into its legacy stop set — and what it publishes must be
-  // thread-count invariant.
-  auto run = [&](unsigned n_threads) {
-    target_lists_.clear();
-    stop_sets_.clear();
-    sources_.clear();
-    ReactorOptions options;
-    options.n_threads = n_threads;
-    CampaignReactor reactor{topo_, {}, options};
-    for (const auto& shape : stress_shapes())
-      EXPECT_TRUE(reactor.submit(make_family(shape)).admitted());
-    reactor.drain();
-    std::vector<std::vector<Ipv6Addr>> published;
-    for (const auto& set : stop_sets_) {
-      std::vector<Ipv6Addr> sorted{set->begin(), set->end()};
-      std::sort(sorted.begin(), sorted.end());
-      published.push_back(std::move(sorted));
-    }
-    return published;
-  };
-  const auto serial = run(1);
-  const auto parallel = run(8);
-  ASSERT_EQ(serial.size(), stress_shapes().size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
+  // interfaces into its legacy stop set.
+  CampaignReactor reactor{topo_};
+  for (const auto& shape : stress_shapes())
+    EXPECT_TRUE(reactor.submit(make_family(shape)).admitted());
+  reactor.drain();
+  ASSERT_EQ(stop_sets_.size(), stress_shapes().size());
+  for (std::size_t i = 0; i < stop_sets_.size(); ++i) {
     // Every *split* family publishes at its final merge. (The unsplit
     // singleton uses the legacy serial path, which grows the set live.)
-    EXPECT_GT(serial[i].size(), 0u) << "family " << i << " published nothing";
-    EXPECT_EQ(serial[i], parallel[i]) << "family " << i;
+    EXPECT_GT(stop_sets_[i]->size(), 0u)
+        << "family " << i << " published nothing";
   }
 }
 

@@ -148,20 +148,18 @@ TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
   // campaign here, the reactor's high-water heap capacity included. Kept
   // replicas and runners would leave about 6.6 KiB per campaign, and
   // yarrp6's per-TTL tables outside neighborhood mode about 1.1 KiB more.
-  for (const unsigned n_threads : {1u, 2u}) {
-    CampaignReactor reactor{topo_, simnet::NetworkParams{},
-                            {.n_threads = n_threads, .collect_merged = false}};
-    // The first round grows the shared route snapshot and the reactor's
-    // campaign and tenant tables, which reset() keeps; the second round
-    // then retains only what its settled campaigns hold.
-    (void)retained_per_campaign(reactor);
-    reactor.reset();
-    const double retained = retained_per_campaign(reactor);
-    EXPECT_LT(retained, 768.0) << n_threads << " threads";
-    std::uint64_t probes = 0;
-    for (const auto& h : handles_) probes += reactor.stats(h)->probes_sent;
-    EXPECT_EQ(probes, kCampaigns * kTargets * 16) << n_threads << " threads";
-  }
+  CampaignReactor reactor{topo_, simnet::NetworkParams{},
+                          {.collect_merged = false}};
+  // The first round grows the shared route snapshot and the reactor's
+  // campaign and tenant tables, which reset() keeps; the second round
+  // then retains only what its settled campaigns hold.
+  (void)retained_per_campaign(reactor);
+  reactor.reset();
+  const double retained = retained_per_campaign(reactor);
+  EXPECT_LT(retained, 768.0);
+  std::uint64_t probes = 0;
+  for (const auto& h : handles_) probes += reactor.stats(h)->probes_sent;
+  EXPECT_EQ(probes, kCampaigns * kTargets * 16);
 }
 
 TEST_F(ReactorMemoryTest, Yarrp6BeginAllocatesTablesOnlyForNeighborhood) {

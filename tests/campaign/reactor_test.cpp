@@ -6,10 +6,9 @@
 // campaigns' stats and state unchanged by the release of their runners
 // and replicas (and a sink cancelling its own campaign caught by a
 // DCHECK), step()'s lookahead prefetch changing no result when the slots
-// it warms go stale, released or destroyed, parallel drain() equal to the
-// serial step() loop, incremental per-tenant streaming through
-// io/trace_io-backed sinks, and a failing tenant or sink stream surfacing
-// from drain().
+// it warms go stale, released or destroyed, incremental per-tenant
+// streaming through io/trace_io-backed sinks, and a failing tenant or sink
+// stream surfacing from drain().
 #include "campaign/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +18,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "io/trace_io.hpp"
@@ -285,35 +284,33 @@ TEST_F(ReactorTest, ReleasedCampaignsKeepTheirStatsAndState) {
     ref_budget = runner.stats()[0];
   }
 
-  for (const unsigned n_threads : {1u, 2u}) {
-    auto spec_finish = make_spec(1, 10);
-    auto spec_budget = make_spec(2, 10);
-    spec_budget.probe_budget = 25;
-    const auto spec_cancel = make_spec(3, 10);
-    CampaignReactor reactor{topo_, {}, {.n_threads = n_threads}};
-    // The reactor's copy of a sink goes with the rest: once retired, only
-    // the test holds the token.
-    const auto token = std::make_shared<int>(0);
-    spec_finish.sink = [token](const wire::DecodedReply&) {};
-    const auto finish = reactor.submit(spec_finish).handle;
-    spec_finish.sink = nullptr;
-    const auto budget = reactor.submit(spec_budget).handle;
-    const auto cancel = reactor.submit(spec_cancel).handle;
-    EXPECT_EQ(token.use_count(), 2);
-    for (int i = 0; i < 30; ++i) ASSERT_TRUE(reactor.step());
-    const auto live = reactor.stats(cancel);
-    ASSERT_TRUE(reactor.cancel(cancel));
-    EXPECT_EQ(reactor.stats(cancel), live);
-    reactor.drain();
+  auto spec_finish = make_spec(1, 10);
+  auto spec_budget = make_spec(2, 10);
+  spec_budget.probe_budget = 25;
+  const auto spec_cancel = make_spec(3, 10);
+  CampaignReactor reactor{topo_};
+  // The reactor's copy of a sink goes with the rest: once retired, only
+  // the test holds the token.
+  const auto token = std::make_shared<int>(0);
+  spec_finish.sink = [token](const wire::DecodedReply&) {};
+  const auto finish = reactor.submit(spec_finish).handle;
+  spec_finish.sink = nullptr;
+  const auto budget = reactor.submit(spec_budget).handle;
+  const auto cancel = reactor.submit(spec_cancel).handle;
+  EXPECT_EQ(token.use_count(), 2);
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(reactor.step());
+  const auto live = reactor.stats(cancel);
+  ASSERT_TRUE(reactor.cancel(cancel));
+  EXPECT_EQ(reactor.stats(cancel), live);
+  reactor.drain();
 
-    EXPECT_EQ(token.use_count(), 1) << n_threads << " threads";
-    EXPECT_EQ(reactor.state(finish), CampaignState::kFinished);
-    EXPECT_EQ(reactor.state(budget), CampaignState::kBudgetExhausted);
-    EXPECT_EQ(reactor.state(cancel), CampaignState::kCancelled);
-    EXPECT_EQ(reactor.stats(finish), ref_finish) << n_threads << " threads";
-    EXPECT_EQ(reactor.stats(budget), ref_budget) << n_threads << " threads";
-    EXPECT_EQ(reactor.stats(cancel), live) << n_threads << " threads";
-  }
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(reactor.state(finish), CampaignState::kFinished);
+  EXPECT_EQ(reactor.state(budget), CampaignState::kBudgetExhausted);
+  EXPECT_EQ(reactor.state(cancel), CampaignState::kCancelled);
+  EXPECT_EQ(reactor.stats(finish), ref_finish);
+  EXPECT_EQ(reactor.stats(budget), ref_budget);
+  EXPECT_EQ(reactor.stats(cancel), live);
 }
 
 #if BEHOLDER6_DCHECK_LEVEL >= 1
@@ -476,37 +473,6 @@ TEST_F(ReactorTest, ResetMidRunThenResubmitEqualsSoloRuns) {
   }
 }
 
-TEST_F(ReactorTest, ParallelDrainMatchesSerialStep) {
-  auto run = [&](unsigned n_threads) {
-    ReactorOptions options;
-    options.n_threads = n_threads;
-    CampaignReactor reactor{topo_, {}, options};
-    std::vector<CampaignHandle> handles;
-    for (std::uint64_t t = 1; t <= 6; ++t) {
-      auto spec = make_spec(t, 10, 1500 + 250 * static_cast<double>(t));
-      if (t % 2 == 0) {  // half the tenants service-throttled
-        spec.rate_limit_pps = 900;
-        spec.rate_limit_burst = 4;
-      }
-      handles.push_back(reactor.submit(spec).handle);
-    }
-    reactor.drain();
-    std::vector<ProbeStats> stats;
-    for (const auto& h : handles) stats.push_back(*reactor.stats(h));
-    return std::make_tuple(reactor.merged(), stats, reactor.now_us());
-  };
-  const auto serial = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  EXPECT_GT(std::get<0>(serial).size(), 0u);
-  expect_identical(std::get<0>(serial), std::get<0>(two));
-  expect_identical(std::get<0>(serial), std::get<0>(eight));
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(two));
-  EXPECT_EQ(std::get<1>(serial), std::get<1>(eight));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(two));
-  EXPECT_EQ(std::get<2>(serial), std::get<2>(eight));
-}
-
 TEST_F(ReactorTest, ThrottleShapesGlobalTimeOnly) {
   // Service throttle below the tenant's own pacing rate: global slots are
   // deferred, but the tenant's local timeline — and every reply — is
@@ -582,30 +548,25 @@ TEST_F(ReactorTest, StreamsIncrementallyThroughTraceIoSinks) {
 
 TEST_F(ReactorTest, FailedSinkStreamSurfacesFromDrain) {
   // A tenant streaming into an ostream that has gone bad: the writer
-  // throws from the sink, and the error leaves drain() — serially through
-  // step(), in parallel after the pool joins — instead of records
+  // throws from the sink, and the error leaves drain() instead of records
   // vanishing while healthy tenants finish.
-  for (const unsigned n_threads : {1u, 2u}) {
-    CampaignReactor reactor{topo_, simnet::NetworkParams{},
-                            {.n_threads = n_threads}};
-    for (std::uint64_t t = 1; t <= 3; ++t)
-      ASSERT_TRUE(reactor.submit(make_spec(t, 10)).admitted());
-    std::ostringstream out;
-    io::StreamingTraceSink sink{out, io::StreamingTraceSink::Format::kBinary};
-    out.setstate(std::ios::badbit);
-    auto spec = make_spec(4, 10);
-    spec.sink = [&](const wire::DecodedReply& r) { sink(r); };
-    ASSERT_TRUE(reactor.submit(spec).admitted());
-    EXPECT_THROW((void)reactor.drain(), std::ios_base::failure)
-        << n_threads << " threads";
-    EXPECT_EQ(sink.written(), 0u);
-  }
+  CampaignReactor reactor{topo_};
+  for (std::uint64_t t = 1; t <= 3; ++t)
+    ASSERT_TRUE(reactor.submit(make_spec(t, 10)).admitted());
+  std::ostringstream out;
+  io::StreamingTraceSink sink{out, io::StreamingTraceSink::Format::kBinary};
+  out.setstate(std::ios::badbit);
+  auto spec = make_spec(4, 10);
+  spec.sink = [&](const wire::DecodedReply& r) { sink(r); };
+  ASSERT_TRUE(reactor.submit(spec).admitted());
+  EXPECT_THROW((void)reactor.drain(), std::ios_base::failure);
+  EXPECT_EQ(sink.written(), 0u);
 }
 
-TEST_F(ReactorTest, ParallelDrainRethrowsAWorkerFailure) {
-  // One tenant's source throws mid-campaign on a drain worker while three
-  // healthy tenants run beside it: drain() must rethrow after the join.
-  CampaignReactor reactor{topo_, simnet::NetworkParams{}, {.n_threads = 2}};
+TEST_F(ReactorTest, SourceFailureSurfacesFromDrain) {
+  // One tenant's source throws mid-campaign while three healthy tenants
+  // run beside it: the error must leave drain().
+  CampaignReactor reactor{topo_};
   for (std::uint64_t t = 1; t <= 3; ++t)
     ASSERT_TRUE(reactor.submit(make_spec(t, 12)).admitted());
   const auto target = targets(1).front();

@@ -10,8 +10,13 @@
 //
 // --stats prints a characterization (size, routed share, DPL distribution,
 // IID class mix, MRA clustering) instead of the raw list.
+//
+// Hostile input fails before any work, with exit status 2: a number that
+// does not parse whole or lies outside its range, an unknown IID strategy
+// or an unknown seed list.
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
 
 #include "analysis/mra.hpp"
@@ -21,14 +26,16 @@
 #include "target/characterize.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
+#include "tools/parse_number.hpp"
 
 using namespace beholder6;
+using cli::parse_number;
 
 namespace {
 
 void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--seeds NAME] [--zn 48|64] [--iid fixed|lowbyte|known]\n"
+               "usage: %s [--seeds NAME] [--zn 1..64] [--iid fixed|lowbyte|known]\n"
                "          [--seed N] [--scale F] [--stats]\n"
                "seeds: caida dnsdb fiebig fdns_any cdn-k256 cdn-k32 6gen tum random\n",
                argv0);
@@ -50,10 +57,18 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--seeds") seeds_name = next();
-    else if (arg == "--zn") zn = static_cast<unsigned>(std::atoi(next()));
-    else if (arg == "--iid") iid = next();
-    else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
-    else if (arg == "--scale") scale = std::atof(next());
+    else if (arg == "--zn") zn = parse_number(arg.c_str(), next(), 1u, 64u);
+    else if (arg == "--iid") {
+      iid = next();
+      if (iid != "fixed" && iid != "lowbyte" && iid != "known") {
+        std::fprintf(stderr, "unknown IID strategy %s\n", iid.c_str());
+        usage(argv[0]);
+        return 2;
+      }
+    } else if (arg == "--seed")
+      seed = parse_number<std::uint64_t>(arg.c_str(), next(), 0, UINT64_MAX);
+    else if (arg == "--scale")
+      scale = parse_number(arg.c_str(), next(), 1e-3, 100.0);
     else if (arg == "--stats") stats = true;
     else { usage(argv[0]); return 2; }
   }
