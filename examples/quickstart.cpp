@@ -69,13 +69,16 @@ int main() {
   std::printf("traces           : %zu (median path length %d)\n\n",
               collector.traces().size(), collector.path_len_percentile(0.5));
 
-  // Print one reassembled trace.
-  for (const auto& [target, trace] : collector.traces()) {
-    if (trace.hops.size() < 6) continue;
-    std::printf("trace to %s:\n", target.to_string().c_str());
-    for (const auto& [ttl, hop] : trace.hops)
+  // Print one reassembled trace: the lowest-addressed target with at least
+  // six responding hops (traces() iterates in table order, which is not
+  // meaningful, so pick by address).
+  const topology::Trace* shown = nullptr;
+  for (const auto& [target, trace] : collector.traces())
+    if (trace.hops.size() >= 6 && (!shown || target < shown->target)) shown = &trace;
+  if (shown) {
+    std::printf("trace to %s:\n", shown->target.to_string().c_str());
+    for (const auto& [ttl, hop] : shown->hops)
       std::printf("  %2d  %s\n", ttl, hop.iface.to_string().c_str());
-    break;
   }
   return 0;
 }

@@ -7,11 +7,16 @@
 // topology seed the campaign ran against — subnet discovery with ground-
 // truth validation.
 //
+// A malformed --seed, an unknown --vantage (when subnet discovery is on) or
+// an unexpected argument exits 2 before the trace file is read.
+//
 //   $ ./examples/yarrp6sim --seeds cdn-k32 --output /tmp/c.trace
 //   $ ./tools/b6-analyze /tmp/c.trace --seed 20180514 --vantage US-EDU-1
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "analysis/pathdiv.hpp"
@@ -21,6 +26,7 @@
 #include "seeds/classify.hpp"
 #include "topology/collector.hpp"
 #include "topology/graph.hpp"
+#include "tools/parse_number.hpp"
 
 using namespace beholder6;
 
@@ -70,7 +76,8 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) { usage(argv[0]); std::exit(2); }
       return argv[++i];
     };
-    if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
+    if (arg == "--seed")
+      seed = cli::parse_number<std::uint64_t>(arg.c_str(), next(), 0, UINT64_MAX);
     else if (arg == "--vantage") vantage_name = next();
     else if (arg == "--no-subnets") subnets = false;
     else if (!arg.starts_with("--") && path.empty()) path = arg;
@@ -79,6 +86,20 @@ int main(int argc, char** argv) {
   if (path.empty()) {
     usage(argv[0]);
     return 2;
+  }
+
+  // Subnet discovery needs the campaign's topology and vantage; resolve
+  // both before the (possibly large) trace file is read.
+  std::optional<simnet::Topology> topo;
+  const simnet::VantageInfo* vantage = nullptr;
+  if (subnets) {
+    topo.emplace(simnet::TopologyParams{.seed = seed});
+    for (const auto& v : topo->vantages())
+      if (v.name == vantage_name) vantage = &v;
+    if (!vantage) {
+      std::fprintf(stderr, "unknown vantage %s\n", vantage_name.c_str());
+      return 2;
+    }
   }
 
   const auto records = load(path);
@@ -120,20 +141,11 @@ int main(int argc, char** argv) {
   std::printf("ia hack:    %zu /64 gateway pinnings\n", ia.size());
 
   if (subnets) {
-    simnet::Topology topo{simnet::TopologyParams{.seed = seed}};
-    const simnet::VantageInfo* vantage = nullptr;
-    for (const auto& v : topo.vantages())
-      if (v.name == vantage_name) vantage = &v;
-    if (!vantage) {
-      std::fprintf(stderr, "unknown vantage %s (skipping subnet discovery)\n",
-                   vantage_name.c_str());
-      return 0;
-    }
-    const auto res = analysis::discover_by_path_div(collector, topo, *vantage);
+    const auto res = analysis::discover_by_path_div(collector, *topo, *vantage);
     std::printf("subnets:    %zu candidates from %zu divergent pairs "
                 "(%zu pairs examined)\n",
                 res.candidates.size(), res.pairs_divergent, res.pairs_examined);
-    const auto val = analysis::validate_candidates(res.candidates, topo);
+    const auto val = analysis::validate_candidates(res.candidates, *topo);
     std::printf("validated:  %zu exact, %zu more-specific, %zu short-by-1, "
                 "%zu short-by-2, %zu other\n",
                 val.exact_matches, val.more_specific, val.one_bit_short,
