@@ -87,7 +87,7 @@ namespace beholder6::campaign {
 /// replicas, one per subshard, when the source splits).
 ///
 /// The optional sink must touch only shard-private state (e.g. a per-shard
-/// TraceCollector merged after the run) — the merged reply stream in
+/// TraceCollector read after the run) — the merged reply stream in
 /// ParallelResult is the thread-safe way to observe the whole campaign.
 /// Delivery depends on whether the shard split:
 ///   * unsplit (split_factor 1, or an unsplittable source): invoked live on

@@ -1,4 +1,5 @@
-// netbase/huge_alloc.hpp — 2 MB-page backing for large hot tables.
+// netbase/huge_alloc.hpp — page-level allocators for large buffers: 2 MB
+// pages for hot tables, and prompt page release for bulk buffers.
 //
 // The simnet's per-campaign state (route cache, negative caches, learned
 // interfaces) reaches tens to hundreds of megabytes and is accessed in
@@ -15,10 +16,12 @@
 
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #ifdef __linux__
 #include <sys/mman.h>
+#include <unistd.h>
 #endif
 
 namespace beholder6::netbase {
@@ -65,6 +68,40 @@ struct HugePageAllocator {
 
   template <typename U>
   friend bool operator==(const HugePageAllocator&, const HugePageAllocator<U>&) {
+    return true;
+  }
+};
+
+/// Std-allocator for bulk buffers that are dropped in one go while the
+/// process runs on: the trace collector's reply log, freed as the traces
+/// it folds into are built. glibc keeps a freed block inside a heap
+/// resident (it trims only a heap's top), so such a log would still count
+/// toward peak RSS beside its traces. deallocate() first hands the block's
+/// whole pages back to the kernel, as malloc_trim does for free blocks.
+/// Allocation is plain operator new, so allocation-counting hooks see it.
+template <typename T>
+struct PageReleasingAllocator {
+  using value_type = T;
+
+  PageReleasingAllocator() = default;
+  template <typename U>
+  PageReleasingAllocator(const PageReleasingAllocator<U>&) {}
+
+  T* allocate(std::size_t n) { return static_cast<T*>(::operator new(n * sizeof(T))); }
+
+  void deallocate(T* p, std::size_t n) noexcept {
+#ifdef __linux__
+    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    void* first = p;
+    std::size_t bytes = n * sizeof(T);
+    if (std::align(page, page, first, bytes))
+      ::madvise(first, bytes / page * page, MADV_DONTNEED);
+#endif
+    ::operator delete(p);
+  }
+
+  template <typename U>
+  friend bool operator==(const PageReleasingAllocator&, const PageReleasingAllocator<U>&) {
     return true;
   }
 };

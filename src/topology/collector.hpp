@@ -2,21 +2,23 @@
 //
 // Yarrp6 decouples probing from topology construction: replies to one
 // target arrive in no particular order, interleaved with every other
-// target's. The TraceCollector reassembles them into per-target traces and
-// maintains the campaign-level aggregates the paper reports (Table 7,
-// Figures 6 and 7): unique interface addresses (sources of Time Exceeded),
-// discovery-vs-probes curves, reached-target rate, path lengths, and the
-// EUI-64 interface analysis with path offsets.
+// target's. The TraceCollector keeps that decoupling. on_reply appends each
+// reply to a log and updates only what the campaign must see live: the
+// unique interface addresses (sources of Time Exceeded), the reply counters
+// and the discovery curve (Figure 7). The first read of a derived view
+// folds the log into per-target traces and the campaign-level aggregates
+// the paper reports (Table 7, Figure 6): reached-target rate, path lengths,
+// responders, and the EUI-64 interface analysis with path offsets.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "netbase/flat_map.hpp"
+#include "netbase/huge_alloc.hpp"
 #include "netbase/ipv6.hpp"
 #include "wire/probe.hpp"
 
@@ -30,26 +32,22 @@ struct TraceHop {
   std::uint32_t rtt_us = 0;
 };
 
-/// The hops of one trace, keyed and iterated by originating TTL. A trace
-/// has at most a few dozen hops, so a sorted inline vector replaces the
-/// node-per-hop std::map this once was: same ordered-map interface, no
-/// allocation per hop, contiguous iteration — on_reply sits on the
-/// campaign hot path, once per reply.
+/// The hops of one trace, keyed and iterated by originating TTL: a
+/// read-only view of a slice of the owning collector's hop array, sorted by
+/// TTL. It stays valid until the collector is destroyed or a read folds in
+/// replies fed after it.
 class TtlHopMap {
  public:
   using value_type = std::pair<std::uint8_t, TraceHop>;
   using const_iterator = const value_type*;
 
-  /// Insert unless the TTL is present (first response per TTL wins).
-  std::pair<const_iterator, bool> emplace(std::uint8_t ttl, const TraceHop& hop) {
-    const auto it = lower_bound(ttl);
-    if (it != v_.end() && it->first == ttl) return {&*it, false};
-    return {&*v_.insert(it, {ttl, hop}), true};
-  }
+  TtlHopMap() = default;
 
   [[nodiscard]] const_iterator find(std::uint8_t ttl) const {
-    const auto it = lower_bound(ttl);
-    return it != v_.end() && it->first == ttl ? &*it : end();
+    const auto it = std::lower_bound(
+        begin(), end(), ttl,
+        [](const value_type& e, std::uint8_t t) { return e.first < t; });
+    return it != end() && it->first == ttl ? it : end();
   }
   [[nodiscard]] bool contains(std::uint8_t ttl) const { return find(ttl) != end(); }
   [[nodiscard]] const TraceHop& at(std::uint8_t ttl) const {
@@ -58,25 +56,18 @@ class TtlHopMap {
     return it->second;
   }
 
-  [[nodiscard]] const_iterator begin() const { return v_.data(); }
-  [[nodiscard]] const_iterator end() const { return v_.data() + v_.size(); }
-  [[nodiscard]] std::size_t size() const { return v_.size(); }
-  [[nodiscard]] bool empty() const { return v_.empty(); }
+  [[nodiscard]] const_iterator begin() const { return first_; }
+  [[nodiscard]] const_iterator end() const { return first_ + n_; }
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] bool empty() const { return n_ == 0; }
 
  private:
-  [[nodiscard]] std::vector<value_type>::const_iterator lower_bound(
-      std::uint8_t ttl) const {
-    return std::lower_bound(
-        v_.begin(), v_.end(), ttl,
-        [](const value_type& e, std::uint8_t t) { return e.first < t; });
-  }
-  [[nodiscard]] std::vector<value_type>::iterator lower_bound(std::uint8_t ttl) {
-    return std::lower_bound(
-        v_.begin(), v_.end(), ttl,
-        [](const value_type& e, std::uint8_t t) { return e.first < t; });
-  }
+  friend class TraceCollector;
+  TtlHopMap(const value_type* first, std::size_t n)
+      : first_(first), n_(static_cast<std::uint32_t>(n)) {}
 
-  std::vector<value_type> v_;  // sorted by TTL
+  const value_type* first_ = nullptr;
+  std::uint32_t n_ = 0;
 };
 
 /// A reassembled trace toward one target. Hops are keyed by originating
@@ -110,52 +101,50 @@ struct DiscoverySample {
 };
 
 // Threading: TraceCollector is deliberately unsynchronized
-// (thread-compatible, like std containers). During a parallel campaign
-// every instance is private to one worker; instances cross threads only at
-// the pool-join edge inside ParallelCampaignRunner::run, after which
-// merge() runs on a single thread. That is why the Clang thread-safety
-// pass (netbase/annotated_mutex.hpp) has no annotations here: there is no
-// guarded state, and the join is the publication point. Sharing one
-// collector across live workers would be a bug the *sink wiring* must
-// prevent — see prober/multivantage.cpp for the worker-private pattern.
+// (thread-compatible, like std containers), and the first derived read
+// after an on_reply is a write: it folds the log. During a parallel
+// campaign every instance is private to one worker; instances cross
+// threads only at the pool-join edge inside ParallelCampaignRunner::run,
+// and every read happens after it, on one thread. That is why the Clang
+// thread-safety pass (netbase/annotated_mutex.hpp) has no annotations
+// here: there is no guarded state, and the join is the publication point.
+// Sharing one collector across live workers would be a bug the *sink
+// wiring* must prevent — see prober/multivantage.cpp for the
+// worker-private pattern.
 class TraceCollector {
  public:
   /// Feed one decoded reply. `probes_so_far` timestamps the discovery curve.
+  /// Appends the reply to the log; traces are built at the next read.
   void on_reply(const wire::DecodedReply& reply, std::uint64_t probes_so_far);
 
   /// Convenience sink binding (keeps a probe counter internally if the
   /// prober's count is not at hand).
   void on_reply(const wire::DecodedReply& reply) { on_reply(reply, ++auto_counter_); }
 
-  /// Fold another collector into this one — the reduction step of parallel
-  /// campaigns, where each shard feeds a private collector on its worker
-  /// thread and the shard collectors merge afterwards, in shard order, on
-  /// one thread. Deterministic: merging the same collectors in the same
-  /// order always yields the same state. Traces merge per (target, TTL)
-  /// with this collector's existing hop winning a conflict (mirroring
-  /// on_reply's first-response-per-TTL rule under shard order);
-  /// interface/responder sets union; reply counters sum. The discovery
-  /// curve is left as this collector's own: per-shard curves are sampled
-  /// against per-shard probe counters and do not compose — replay a merged
-  /// reply stream into a fresh collector when a global curve is wanted.
-  void merge(const TraceCollector& other);
+  // Derived views: the first read after an on_reply folds the pending
+  // replies in and releases them. A trace's first response per TTL wins
+  // (arrival order, across folds too), and any reply from the target
+  // itself marks it reached. Folding invalidates references into an
+  // earlier traces().
 
   [[nodiscard]] const netbase::FlatMap<Ipv6Addr, Trace, Ipv6AddrHash>& traces() const {
-    return traces_;
+    fold();
+    return folded_.traces;
   }
   /// Unique router interface addresses: sources of ICMPv6 Time Exceeded
-  /// (the paper's headline metric).
+  /// (the paper's headline metric). Live: no fold.
   [[nodiscard]] const netbase::FlatSet<Ipv6Addr, Ipv6AddrHash>& interfaces() const {
     return interfaces_;
   }
   /// Sources of any ICMPv6 response (interfaces ∪ hosts ∪ gateways).
   [[nodiscard]] const netbase::FlatSet<Ipv6Addr, Ipv6AddrHash>& responders() const {
+    fold();
     return responders_;
   }
   [[nodiscard]] std::uint64_t non_te_responses() const { return non_te_; }
   [[nodiscard]] std::uint64_t te_responses() const { return te_; }
 
-  /// Discovery curve sampled at (roughly) logarithmic probe counts.
+  /// Discovery curve sampled at (roughly) logarithmic probe counts. Live.
   [[nodiscard]] const std::vector<DiscoverySample>& discovery_curve() const {
     return curve_;
   }
@@ -178,11 +167,45 @@ class TraceCollector {
   [[nodiscard]] Eui64Report eui64_report() const;
 
  private:
-  // Open-addressing tables: reply handling is once-per-reply hot, and
-  // node-based containers cost an allocation plus a pointer chase there.
-  netbase::FlatMap<Ipv6Addr, Trace, Ipv6AddrHash> traces_;
+  /// One reply as the log keeps it.
+  struct LoggedReply {
+    Ipv6Addr target;
+    Ipv6Addr responder;
+    std::uint32_t rtt_us;
+    std::uint8_t ttl;
+    wire::Icmp6Type type;
+    std::uint8_t code;
+  };
+  // Log storage gives its pages back when freed (netbase/huge_alloc.hpp):
+  // the log is released while the traces built from it are allocated.
+  using ReplyBuffer = std::vector<LoggedReply, netbase::PageReleasingAllocator<LoggedReply>>;
+
+  /// The folded traces. Each trace's hops are a slice of `hops`, one array
+  /// for the whole collector: a move keeps it, and a copy re-points the
+  /// copied views at the copy's own array.
+  struct Folded {
+    netbase::FlatMap<Ipv6Addr, Trace, Ipv6AddrHash> traces;
+    std::vector<TtlHopMap::value_type> hops;
+
+    Folded() = default;
+    Folded(const Folded& o);
+    Folded(Folded&&) noexcept = default;
+    Folded& operator=(const Folded& o) { return *this = Folded{o}; }
+    Folded& operator=(Folded&&) noexcept = default;
+  };
+
+  void grow_log();
+  void fold() const;
+
+  // The reply log, in arrival order: chunks of at most kChunk replies, so
+  // appending never moves what is logged. Empty once folded.
+  static constexpr std::size_t kChunk = 4096;
+  mutable std::vector<ReplyBuffer> log_;
+  mutable Folded folded_;
+  mutable netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> responders_;
+  // Open-addressing table: interface discovery is once-per-reply hot, and
+  // a node-based set costs an allocation plus a pointer chase there.
   netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> interfaces_;
-  netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> responders_;
   std::vector<DiscoverySample> curve_;
   std::uint64_t te_ = 0;
   std::uint64_t non_te_ = 0;

@@ -115,8 +115,12 @@ TEST(CollectorMemoryTest, LiveBytesPerReplyBeforeAndAfterTheFirstRead) {
   for (const auto& [target, tr] : c.traces()) hops += tr.hops.size();
   EXPECT_EQ(hops, kReplies);
   EXPECT_NEAR(c.reached_fraction(), 2.0 / 3.0, 1e-3);
-  EXPECT_GT(fed, 0.0);
-  EXPECT_GT(read, 0.0);
+  // A collector that reassembled each reply into one hop vector per trace
+  // held 66.6 bytes per reply here, fed or read. The log holds 46.1 until
+  // the first read and the built traces 45.1 after it; keeping the log
+  // beside them would double that.
+  EXPECT_LT(fed, 56.0);
+  EXPECT_LT(read, 56.0);
 }
 
 }  // namespace
