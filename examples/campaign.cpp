@@ -7,7 +7,7 @@
 // the way a real multi-vantage deployment runs. Prints a per-set,
 // per-vantage discovery summary.
 //
-//   $ ./examples/campaign [scale]
+//   $ ./examples/campaign [scale]    (0.001..100, default 0.4; exit 2 otherwise)
 #include <cstdio>
 #include <set>
 
@@ -18,12 +18,14 @@
 #include "simnet/network.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
+#include "tools/parse_number.hpp"
 #include "topology/collector.hpp"
 
 using namespace beholder6;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.4;
+  const double scale =
+      argc > 1 ? cli::parse_number("scale", argv[1], 1e-3, 100.0) : 0.4;
   simnet::Topology topo{simnet::TopologyParams{.seed = 20180514}};
   seeds::SeedScale sc;
   sc.scale = scale;

@@ -68,18 +68,35 @@ struct alignas(64) WorkerArena {
 };
 
 /// A pool unit's split family: its index in run_pool's `families` (-1: a
-/// free-running unit) and its member index. A family's members are
-/// consecutive units, member 0 first.
+/// free-running unit), its member index, and its estimated work (its parent
+/// shard's warm-target count over the family size), which orders the first
+/// claims. A family's members are consecutive units, member 0 first.
 struct PoolUnit {
   std::int32_t family = -1;
   std::uint32_t member = 0;
+  std::size_t work = 0;
 };
+
+/// The warm targets every member of a split family names, compared by
+/// value; empty for a family of one and for members that name different
+/// targets (children that partition their parent's list).
+std::span<const Ipv6Addr> shared_warm_targets(const SplitFamily& family) {
+  if (family.size() < 2) return {};
+  const auto targets = family.member(0).route_warm_targets();
+  for (std::size_t j = 1; j < family.size(); ++j)
+    if (!std::ranges::equal(family.member(j).route_warm_targets(), targets))
+      return {};
+  return targets;
+}
 
 /// drive(worker, unit) runs a claimed unit until it exhausts (true) or
 /// parks at its family's epoch barrier (false).
 using UnitDrive = std::function<bool(std::size_t worker, std::size_t unit)>;
 
 /// A FIFO of claimable unit indexes plus the families' barrier arrivals.
+/// The queue starts largest unit first (Graham's LPT rule, ties to the
+/// lower unit index), so no long unit is left to run alone at the end;
+/// units a barrier merge resumes rejoin at the back, in member order.
 /// The B6_GUARDED_BY annotations make the Clang thread-safety pass (CI
 /// `thread-safety` job) prove every touch of the queue, the families and
 /// the error slot happens under the mutex. Per-unit state (run()'s unit
@@ -92,6 +109,10 @@ class Scheduler {
   Scheduler(std::span<const PoolUnit> units, std::span<SplitFamily> families)
       : units_(units), families_(families), unfinished_(units.size()) {
     for (std::size_t u = 0; u < units_.size(); ++u) ready_.push_back(u);
+    std::ranges::sort(ready_, [this](std::size_t a, std::size_t b) {
+      const std::size_t wa = units_[a].work, wb = units_[b].work;
+      return wa != wb ? wa > wb : a < b;
+    });
   }
 
   /// Claim the next ready unit; blocks while the queue is empty. Returns
@@ -150,8 +171,9 @@ class Scheduler {
 };
 
 /// The worker pool: `workers` workers (inline on the caller when there is
-/// one, else std::jthreads) claim units in index order from a FIFO; a
-/// parked unit is requeued when its family's last arrival resumes it.
+/// one, else std::jthreads) claim units from a FIFO that starts largest
+/// unit first; a parked unit is requeued when its family's last arrival
+/// resumes it.
 /// Returns once every unit has exhausted, or rethrows the first failure
 /// after the join. The claim order never touches results: free units are
 /// independent, and epoch merges follow the barrier protocol.
@@ -208,36 +230,40 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     const bool merge_sink = split && shard.sink != nullptr;
     const std::int32_t epoch =
         family.barrier() != nullptr ? static_cast<std::int32_t>(i) : -1;
+    const std::size_t work =
+        shard.source->route_warm_targets().size() / family.size();
     for (std::uint32_t j = 0; j < family.size(); ++j) {
       units.push_back({&family.member(j), i, j,
                        options.collect_replies || merge_sink,
                        !split && shard.sink != nullptr, merge_sink});
-      pool_units.push_back({epoch, j});
+      pool_units.push_back({epoch, j, work});
     }
   }
   std::vector<UnitResult> unit_results(units.size());
   std::vector<MemberRunner> contexts(units.size());
 
-  // ---- The shared immutable tier: warm the route snapshot once -----------
-  // Before any worker exists, resolve every route the campaign will hit
-  // into one read-only RouteCache and hand a shared_ptr-to-const of it to
-  // every replica. The snapshot's content is a pure function of the shard
-  // list (keys are collected in canonical shard/target order, first seen
-  // wins), its entries are exactly what Topology::path returns, and after
-  // this block it is never written again — which is what lets any number
-  // of workers hit it lock-free. The warm-up is the reactor's, serial
-  // (RouteWarmer). route_cache_entries == 0 means "this campaign wants no
-  // route caching at all", so it disables the snapshot too; sources that
-  // name no warm targets leave it null by themselves.
+  // ---- The shared immutable tier: a route snapshot where replicas share it
+  // A snapshot pays only when two or more replicas read the same routes,
+  // i.e. for split families whose members all name the same warm targets
+  // (shared_warm_targets); every other route resolves on demand into the
+  // reading replica's private cache. Before any worker exists, those
+  // families' routes resolve serially (RouteWarmer, as in the reactor)
+  // into one read-only RouteCache that every replica reads through a
+  // shared_ptr-to-const. Its content is a pure function of the shard list
+  // and split_factor (keys collected in canonical shard/target order,
+  // first seen wins), its entries are exactly what Topology::path returns,
+  // and it is never written again, so any number of workers hit it
+  // lock-free. route_cache_entries == 0 means "no route caching at all",
+  // so it disables the snapshot too.
   std::shared_ptr<const simnet::RouteCache> snapshot;
-  if (params_->route_cache_entries != 0 && !units.empty()) {
+  if (params_->route_cache_entries != 0) {
     const auto warm_t0 = PerfClock::now();
     RouteWarmer warmer{topo_};
-    for (const Shard& shard : shards)
+    for (std::size_t i = 0; i < shards.size(); ++i)
       result.warmed_routes +=
-          warmer.add(shard.endpoint, shard.source->route_warm_targets());
+          warmer.add(shards[i].endpoint, shared_warm_targets(families[i]));
     snapshot = warmer.snapshot();
-    result.warmup_seconds = secs_since(warm_t0);
+    if (snapshot) result.warmup_seconds = secs_since(warm_t0);
   }
 
   // ---- Worker pool over per-worker arenas --------------------------------
@@ -250,9 +276,9 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   // Drive unit `u` on worker `w` until it exhausts (true: its results are
   // final) or pauses at its epoch barrier (false). A free unit never
   // pauses, so its one claim runs it to exhaustion over the worker's arena
-  // replica (constructed on first claim, reset() afterwards — the immutable
-  // tier makes reset cheap because the warmed routes never leave the
-  // shared snapshot); an epoch-family unit owns a replica that persists
+  // replica (constructed on first claim, reset() afterwards, which also
+  // empties its private route cache, so that cache holds only the current
+  // unit's routes); an epoch-family unit owns a replica that persists
   // across its epochs and travels with it between workers.
   auto drive_unit = [&](std::size_t w, std::size_t u) -> bool {
     WorkerArena& arena = arenas[w];

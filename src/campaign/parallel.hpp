@@ -18,7 +18,11 @@
 // target range, Doubletree its target range over an epoch-snapshotted
 // stop set). The expanded (parent shard, subshard) work-unit list is the
 // queue workers steal from, so one giant shard no longer bounds the
-// campaign's wall-clock — its subshards drain across all threads.
+// campaign's wall-clock — its subshards drain across all threads. The
+// queue starts largest unit first (Graham's LPT rule: a unit's estimated
+// work is its parent's route_warm_targets() count over the family size,
+// ties to the lower unit index), so no long unit is claimed last and left
+// to run alone while the other workers idle.
 //
 // Epoch families — split children sharing barrier-merged state
 // (ProbeSource::epoch_barrier, e.g. Doubletree's SnapshotStopSet) — run in
@@ -32,14 +36,18 @@
 // Scaling architecture (see docs/ARCHITECTURE.md "The parallel backend"):
 // replicas share an immutable tier — the Topology, one shared_ptr'd
 // NetworkParams block, and a read-only route snapshot warmed once by the
-// caller before any worker starts from the sources'
-// ProbeSource::route_warm_targets() (skipped when none name any, or when
-// NetworkParams::route_cache_entries is 0) — while each *worker* owns one
+// caller before any worker starts — while each *worker* owns one
 // cache-line-padded arena holding its mutable Network replica, constructed
-// once and reset() between the work units it steals. Each recording unit
-// appends its replies to its own run, already sorted because a unit's
-// clock only moves forward; once the pool joins, the run() caller k-way
-// merges the runs into the canonical stream.
+// once and reset() between the work units it steals. A snapshot pays only
+// where two or more replicas read the same routes, so it is warmed only
+// from split families whose members all name the same
+// ProbeSource::route_warm_targets() (yarrp6 children re-walk their
+// parent's list; Doubletree and sequential children partition it), and
+// not at all when NetworkParams::route_cache_entries is 0. Every other
+// route resolves on demand into the reading replica's private cache.
+// Each recording unit appends its replies to its own run, already sorted
+// because a unit's clock only moves forward; once the pool joins, the
+// run() caller k-way merges the runs into the canonical stream.
 //
 // Network dynamics ride the immutable tier: NetworkParams::dynamics is a
 // shared_ptr'd DynamicsSchedule, so every worker's replica carries the
@@ -165,8 +173,10 @@ struct ParallelResult {
   /// Merge telemetry (zeros when nothing was recorded).
   MergePerf merge_perf;
   /// Wall time spent warming the shared route snapshot before workers
-  /// started, and how many routes it holds (0/0 when route caching is
-  /// off; 0 routes when no source reported warm targets).
+  /// started, and how many routes it holds. Both are 0 when no split
+  /// family's members share their warm targets (unsplit shards, and
+  /// families that partition their parent's targets), and when route
+  /// caching is off.
   double warmup_seconds = 0.0;
   std::uint64_t warmed_routes = 0;
 };

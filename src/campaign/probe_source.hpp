@@ -186,12 +186,17 @@ class ProbeSource {
 
   /// The whole-campaign analogue of next_target_hint: every target this
   /// source may ever probe, if cheaply known up front. The parallel backend
-  /// uses it to warm a shared read-only route snapshot once, before any
-  /// worker runs, so replicas start with every route hot. Purely a
-  /// performance seam with the same contract as the hint — an empty span
-  /// (the default, meaning "not cheaply known"), a partial answer, or
-  /// extra addresses never change any result, only how much of the
-  /// campaign runs out of the snapshot. Valid for the source's lifetime.
+  /// sizes work units by its length (largest claimed first) and warms a
+  /// shared read-only route snapshot, before any worker runs, from split
+  /// families whose members all name the same targets; the reactor warms
+  /// one at every submit. Split children that re-probe their parent's
+  /// targets (yarrp6) name the parent's whole list; children that
+  /// partition the targets (sequential, Doubletree) name only their own
+  /// part. Purely a performance seam with the same contract as the hint —
+  /// an empty span (the default, meaning "not cheaply known"), a partial
+  /// answer, or extra addresses never change any result, only the claim
+  /// order and how much of the campaign runs out of a snapshot. Valid for
+  /// the source's lifetime.
   [[nodiscard]] virtual std::span<const Ipv6Addr> route_warm_targets() const {
     return {};
   }

@@ -5,7 +5,9 @@
 // replicas, and Network::reset() must make run → reset → run byte-identical
 // (the cross-campaign state-leak regression). A worker failure — a source
 // throwing mid-run, alone or inside an epoch family parked at its barrier —
-// must surface from run() at every thread count.
+// must surface from run() at every thread count. The pool claims the
+// largest units first, and only a split family whose members share their
+// warm targets is warmed into the route snapshot.
 #include "campaign/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <thread>
 #include <tuple>
 
+#include "prober/doubletree.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
 #include "support/throwing_source.hpp"
@@ -124,6 +127,111 @@ TEST_F(ParallelCampaignTest, RouteSnapshotSharingNeverChangesResults) {
   EXPECT_GT(warm.warmed_routes, 0u);
   EXPECT_EQ(cold.warmed_routes, 0u);
   EXPECT_GT(warm.net_stats.route_cache_hits, cold.net_stats.route_cache_hits);
+}
+
+/// Forwards to a source and records, in `log`, its id when it begins.
+class BeginOrderSource final : public ProbeSource {
+ public:
+  BeginOrderSource(ProbeSource& inner, std::size_t id,
+                   std::vector<std::size_t>& log)
+      : inner_(inner), id_(id), log_(log) {}
+
+  void begin(std::uint64_t now_us) override {
+    log_.push_back(id_);
+    inner_.begin(now_us);
+  }
+  Poll next(std::uint64_t now_us) override { return inner_.next(now_us); }
+  void on_reply(const Probe& probe, const wire::DecodedReply& reply,
+                std::uint64_t now_us) override {
+    inner_.on_reply(probe, reply, now_us);
+  }
+  void on_probe_done(const Probe& probe, bool answered,
+                     std::uint64_t now_us) override {
+    inner_.on_probe_done(probe, answered, now_us);
+  }
+  void finish(ProbeStats& stats) const override { inner_.finish(stats); }
+  [[nodiscard]] std::span<const Ipv6Addr> route_warm_targets() const override {
+    return inner_.route_warm_targets();
+  }
+
+ private:
+  ProbeSource& inner_;
+  std::size_t id_;
+  std::vector<std::size_t>& log_;
+};
+
+TEST_F(ParallelCampaignTest, LargestUnitsAreClaimedFirst) {
+  // One worker claims units in the pool's initial order: descending
+  // estimated work (warm-target count), ties to the lower shard index.
+  const auto t = targets(12);
+  const std::vector<std::size_t> sizes{3, 7, 5, 7, 1, 12};
+  prober::Yarrp6Config cfg;
+  cfg.src = topo_.vantages()[0].src;
+  cfg.max_ttl = 4;
+  std::vector<std::unique_ptr<prober::Yarrp6Source>> inner;
+  std::vector<std::unique_ptr<BeginOrderSource>> sources;
+  std::vector<std::size_t> begun;
+  std::vector<Shard> shards;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    inner.push_back(std::make_unique<prober::Yarrp6Source>(
+        cfg, std::span<const Ipv6Addr>{t}.first(sizes[i])));
+    sources.push_back(std::make_unique<BeginOrderSource>(*inner.back(), i, begun));
+    shards.push_back({sources.back().get(), cfg.endpoint(), cfg.pacing(), {}});
+  }
+  const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, 1};
+  const auto result = runner.run(shards);
+  EXPECT_GT(result.probe_stats.probes_sent, 0u);
+  EXPECT_EQ(begun, (std::vector<std::size_t>{5, 1, 3, 2, 0, 4}));
+}
+
+TEST_F(ParallelCampaignTest, UnsplitShardsResolveRoutesOnDemand) {
+  // No two replicas read the same routes, so nothing is warmed; results
+  // still equal the cold reference (route_cache_entries = 0).
+  const auto t = targets(50);
+  simnet::NetworkParams cold_params;
+  cold_params.route_cache_entries = 0;
+  auto cold_set = make_shards(t, 4);
+  const auto cold =
+      ParallelCampaignRunner{topo_, cold_params, 8}.run(cold_set.shards);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    auto set = make_shards(t, 4);
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    const auto warm = runner.run(set.shards);
+    EXPECT_EQ(warm.warmed_routes, 0u) << threads << " threads";
+    EXPECT_EQ(warm.warmup_seconds, 0.0) << threads << " threads";
+    EXPECT_GT(warm.net_stats.route_cache_hits, 0u) << threads << " threads";
+    expect_identical(warm, cold);
+  }
+}
+
+TEST_F(ParallelCampaignTest, DoubletreeFamilyResolvesRoutesOnDemand) {
+  // Doubletree children partition their parent's targets, so no route is
+  // shared between replicas and nothing is warmed.
+  const auto t = targets(40);
+  prober::DoubletreeConfig cfg;
+  cfg.src = topo_.vantages()[1].src;
+  cfg.pps = 2000;
+  cfg.max_ttl = 10;
+  cfg.start_ttl = 6;
+  cfg.window = 4;
+  const auto run = [&](const simnet::NetworkParams& params, unsigned threads) {
+    prober::StopSet stop_set;
+    prober::DoubletreeSource source{cfg, t, stop_set};
+    const std::vector<Shard> shards{
+        {&source, cfg.endpoint(), cfg.pacing(), {}}};
+    return ParallelCampaignRunner{topo_, params, threads}.run(
+        shards, {.split_factor = 4});
+  };
+  simnet::NetworkParams cold_params;
+  cold_params.route_cache_entries = 0;
+  const auto cold = run(cold_params, 8);
+  EXPECT_GT(cold.probe_stats.probes_sent, 0u);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const auto warm = run(simnet::NetworkParams{}, threads);
+    EXPECT_EQ(warm.warmed_routes, 0u) << threads << " threads";
+    EXPECT_EQ(warm.warmup_seconds, 0.0) << threads << " threads";
+    expect_identical(warm, cold);
+  }
 }
 
 TEST_F(ParallelCampaignTest, MergedReplyStreamIsTotallyOrdered) {

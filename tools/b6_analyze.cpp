@@ -8,7 +8,9 @@
 // truth validation.
 //
 // A malformed --seed, an unknown --vantage (when subnet discovery is on) or
-// an unexpected argument exits 2 before the trace file is read.
+// an unexpected argument exits 2 before the trace file is read. A corrupt
+// trace file (a binary one that does not decode, or a text one with
+// malformed lines, e.g. one truncated mid-line) exits 1.
 //
 //   $ ./examples/yarrp6sim --seeds cdn-k32 --output /tmp/c.trace
 //   $ ./tools/b6-analyze /tmp/c.trace --seed 20180514 --vantage US-EDU-1
@@ -58,8 +60,11 @@ std::vector<io::TraceRecord> load(const std::string& path) {
     return *recs;
   }
   const auto res = io::read_text(in);
-  if (res.malformed)
-    std::fprintf(stderr, "warning: %zu malformed lines skipped\n", res.malformed);
+  if (res.malformed) {
+    std::fprintf(stderr, "corrupt text trace file: %zu malformed lines\n",
+                 res.malformed);
+    std::exit(1);
+  }
   return res.records;
 }
 
