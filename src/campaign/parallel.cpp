@@ -57,13 +57,24 @@ struct UnitResult {
   std::vector<ShardReply> run;
 };
 
+/// A unit's execution state between claims: the Pacer driving its source
+/// (built on first claim, dropped once the unit exhausts) and, for an
+/// epoch-family unit, the replica it owns across epochs. A free unit runs
+/// over its worker's arena replica instead.
+struct UnitState {
+  std::unique_ptr<simnet::Network> own_net;
+  std::optional<Pacer> pacer;
+};
+
 /// Per-worker mutable arena: the worker's private Network replica
 /// (constructed once, on first claim, and reset() between the units it
 /// steals — so one worker pays one replica build however many units it
-/// runs) plus its perf counters. Cache-line alignment keeps one worker's
-/// live counters off its neighbours' lines.
+/// runs), the probe buffer every unit it drives encodes into, and its perf
+/// counters. Cache-line alignment keeps one worker's live counters off its
+/// neighbours' lines.
 struct alignas(64) WorkerArena {
   std::unique_ptr<simnet::Network> net;
+  simnet::Packet probe_buf;
   WorkerPerf perf;
 };
 
@@ -100,7 +111,7 @@ using UnitDrive = std::function<bool(std::size_t worker, std::size_t unit)>;
 /// The B6_GUARDED_BY annotations make the Clang thread-safety pass (CI
 /// `thread-safety` job) prove every touch of the queue, the families and
 /// the error slot happens under the mutex. Per-unit state (run()'s unit
-/// results and runners) stays outside: one worker owns a unit between
+/// results and states) stays outside: one worker owns a unit between
 /// claim() and report(), and the mutex hand-off in those calls publishes
 /// its writes to the next claimant — a transfer the analysis cannot
 /// express, so the contract lives here in words.
@@ -240,7 +251,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     }
   }
   std::vector<UnitResult> unit_results(units.size());
-  std::vector<MemberRunner> contexts(units.size());
+  std::vector<UnitState> states(units.size());
 
   // ---- The shared immutable tier: a route snapshot where replicas share it
   // A snapshot pays only when two or more replicas read the same routes,
@@ -285,18 +296,22 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     const auto unit_t0 = PerfClock::now();
     const WorkUnit& unit = units[u];
     const Shard& shard = shards[unit.parent];
-    MemberRunner& ctx = contexts[u];
+    UnitState& state = states[u];
     UnitResult& out = unit_results[u];
     const bool epoch = pool_units[u].family >= 0;
-    if (!ctx.runner) {
-      if (!epoch) {  // free units borrow the arena replica
-        if (arena.net) arena.net->reset();
-        else arena.net = make_replica(topo_, params_, snapshot);
+    auto& replica = epoch ? state.own_net : arena.net;
+    if (!state.pacer) {
+      if (replica) {
+        replica->reset();  // only an arena replica outlives a unit
+      } else {
+        replica = std::make_unique<simnet::Network>(topo_, params_);
+        replica->set_shared_routes(snapshot);
       }
       ResponseSink sink;
       if (unit.record) {
-        sink = [&unit, &shard, &out, &ctx](const wire::DecodedReply& r) {
-          out.run.push_back({ctx.net->now_us(),
+        sink = [&unit, &shard, &out,
+                net = replica.get()](const wire::DecodedReply& r) {
+          out.run.push_back({net->now_us(),
                              static_cast<std::uint32_t>(unit.parent),
                              unit.subshard, r});
           if (unit.live_sink) shard.sink(r);
@@ -304,20 +319,22 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       } else if (unit.live_sink) {
         sink = shard.sink;
       }
-      ctx.start(topo_, params_, snapshot, epoch ? nullptr : arena.net.get(),
-                *unit.source, shard.endpoint, shard.pacing, std::move(sink));
+      state.pacer.emplace(*unit.source, shard.endpoint, shard.pacing,
+                          std::move(sink), 0);  // a fresh replica's clock
     }
+    simnet::Network& net = *replica;
+    Pacer& pacer = *state.pacer;
     // Step until exhaustion or an epoch pause (a barrier arrival).
-    while (!ctx.runner->done() && !unit.source->epoch_paused())
-      ctx.runner->step();
+    while (!pacer.done() && !unit.source->epoch_paused())
+      pacer.step(net, arena.probe_buf);
     const bool done = !unit.source->epoch_paused();
     B6_DCHECK(done || epoch, "a free-running unit paused at an epoch barrier");
     if (done) {
-      out.stats = ctx.runner->stats()[0];
-      out.net = ctx.net->stats();
-      // Release the runner and any owned replica as soon as the unit is
+      out.stats = pacer.stats();
+      out.net = net.stats();
+      // Release the Pacer and any owned replica as soon as the unit is
       // done.
-      ctx.release();
+      state = {};
     }
     arena.perf.busy_seconds += secs_since(unit_t0);
     return done;

@@ -4,7 +4,7 @@
 // by partitioning a campaign into shards. Each shard is one ProbeSource
 // (typically one cell of a target-space partition, e.g. a yarrp6
 // shard/shard_count walk, or one vantage of a multi-vantage deployment)
-// driven by its own single-threaded CampaignRunner over a *private*
+// driven by its own Pacer (campaign/runner.hpp) over a *private*
 // simnet::Network replica: same Topology, same NetworkParams, pristine
 // dynamic state. Replica-per-shard is not an approximation dodge — it is
 // the real-world semantics of distributed vantage points, which never share
@@ -29,16 +29,17 @@
 // lockstep epochs: a worker drives such a unit until it pauses at its
 // epoch boundary or exhausts, and the family's last arrival merges and
 // requeues the survivors. The barrier is cooperative (no blocked threads),
-// so a family larger than the pool still progresses. Shard families, the
-// member builder and the worker pool are the work-unit machinery shared
-// with CampaignReactor (campaign/unit.hpp).
+// so a family larger than the pool still progresses. The family
+// bookkeeping (SplitFamily, campaign/unit.hpp) is shared with
+// CampaignReactor; the worker pool is private to parallel.cpp.
 //
 // Scaling architecture (see docs/ARCHITECTURE.md "The parallel backend"):
 // replicas share an immutable tier — the Topology, one shared_ptr'd
 // NetworkParams block, and a read-only route snapshot warmed once by the
 // caller before any worker starts — while each *worker* owns one
 // cache-line-padded arena holding its mutable Network replica, constructed
-// once and reset() between the work units it steals. A snapshot pays only
+// once and reset() between the work units it steals, and the probe buffer
+// every unit it drives encodes into. A snapshot pays only
 // where two or more replicas read the same routes, so it is warmed only
 // from split families whose members all name the same
 // ProbeSource::route_warm_targets() (yarrp6 children re-walk their
@@ -202,8 +203,8 @@ struct ParallelRunOptions {
 };
 
 /// Scales campaigns across OS threads: expands shards into deterministic
-/// (parent, subshard) work units via ProbeSource::split, runs each unit on
-/// its own CampaignRunner over a private Network replica, and merges in
+/// (parent, subshard) work units via ProbeSource::split, drives each unit's
+/// Pacer over a private Network replica, and merges in
 /// canonical order — so the shard list + split_factor fix the results and
 /// the thread count fixes only the wall-clock (see the file header for the
 /// full contract).

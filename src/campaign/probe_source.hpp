@@ -3,15 +3,15 @@
 // The paper's §4.2 experiments isolate exactly two variables: probe *order*
 // and clock *pacing*. This layer factors the prober accordingly. A
 // ProbeSource owns only the order (and any feedback-driven state such as
-// yarrp6 fill chains or Doubletree stop sets); the CampaignRunner owns
+// yarrp6 fill chains or Doubletree stop sets); its Pacer (runner.hpp) owns
 // everything else — pacing, virtual-clock advancement, encode/inject,
-// reply decode and dispatch, per-campaign statistics, and the event-driven
-// interleaving of many sources over one simnet::Network.
+// reply decode and dispatch, per-source statistics — and CampaignRunner
+// interleaves many Pacers over one simnet::Network.
 //
-// The protocol: the runner polls next() whenever the source's virtual send
+// The protocol: the Pacer polls next() whenever the source's virtual send
 // slot comes due. The source answers with a probe, a round boundary (bursty
-// sources only — it tells the pacer to idle out the rest of the round's
-// rate budget), or exhaustion. After injecting a probe the runner feeds
+// sources only — it tells the Pacer to idle out the rest of the round's
+// rate budget), or exhaustion. After injecting a probe the Pacer feeds
 // every decoded reply to on_reply() and then calls on_probe_done(), both
 // before it polls the source again, so a source can steer its future order
 // from what came back — which is all a stateful prober fundamentally is.
@@ -55,7 +55,7 @@ struct ProbeStats {
   friend bool operator==(const ProbeStats&, const ProbeStats&) = default;
 };
 
-/// One probe the runner should emit next.
+/// One probe the Pacer should emit next.
 struct Probe {
   Ipv6Addr target;
   std::uint8_t ttl = 0;
@@ -86,7 +86,7 @@ struct Endpoint {
   std::uint8_t instance = 1;
 };
 
-/// How the runner advances the virtual clock around a source's probes.
+/// How the Pacer advances the virtual clock around a source's probes.
 struct PacingPolicy {
   enum class Kind : std::uint8_t {
     kUniform,  // every probe is followed by a 1e6/pps gap (yarrp6)
@@ -95,7 +95,7 @@ struct PacingPolicy {
   Kind kind = Kind::kUniform;
   double pps = 1000.0;
   /// kBurst only: virtual microseconds between in-round probes. 0 puts a
-  /// whole round on one send instant; the runner still emits its probes one
+  /// whole round on one send instant; the Pacer still emits its probes one
   /// at a time, each with its feedback delivered before the next poll.
   std::uint64_t line_rate_gap_us = 1;
 
@@ -177,9 +177,9 @@ class ProbeSource {
   /// memory-latency hint for a driver that warms its own state one probe
   /// ahead, so a wrong (or absent) guess costs nothing and changes
   /// nothing. Sources whose next target depends on pending feedback may
-  /// simply return their most likely candidate. CampaignRunner does not
-  /// consume it: a route-cache prefetch one probe ahead bought no step
-  /// latency and made step times spread more from run to run.
+  /// simply return their most likely candidate. No driver consumes it: a
+  /// route-cache prefetch one probe ahead bought no step latency and made
+  /// step times spread more from run to run.
   [[nodiscard]] virtual std::optional<Ipv6Addr> next_target_hint() const {
     return std::nullopt;
   }
@@ -251,7 +251,7 @@ class ProbeSource {
   /// has run and the backend clears the pause via epoch_resume(). The flag
   /// only ever becomes true at a Poll boundary (next() sets it while
   /// returning a round end or exhaustion), so a driver that checks it
-  /// after every CampaignRunner::step never lets a probe cross an epoch.
+  /// after every Pacer::step never lets a probe cross an epoch.
   /// Free-running sources always report false.
   [[nodiscard]] virtual bool epoch_paused() const { return false; }
 

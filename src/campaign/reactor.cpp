@@ -1,6 +1,7 @@
 #include "campaign/reactor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <utility>
 
@@ -36,7 +37,8 @@ CampaignReactor::~CampaignReactor() = default;
 // ---- Admission --------------------------------------------------------------
 
 Admission CampaignReactor::submit(const CampaignSpec& spec) {
-  if (spec.source == nullptr || spec.pacing.pps <= 0.0)
+  if (spec.source == nullptr || !std::isfinite(spec.pacing.pps) ||
+      spec.pacing.pps <= 0.0)
     return {AdmitResult::kRejectedBadSpec, {}};
   if (tenant_index_.find(spec.tenant) != tenant_index_.end())
     return {AdmitResult::kRejectedDuplicateTenant, {}};
@@ -62,21 +64,27 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
     c.bucket = simnet::TokenBucket{spec.rate_limit_pps,
                                    std::max(1.0, spec.rate_limit_burst)};
 
-  // Build every member, then seed its first global slot.
+  // Build every member — a fresh replica, whose clock starts at 0, and
+  // the Pacer driving the member's source over it — then seed its first
+  // global slot.
   c.members.resize(c.family->size());
   for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
-    c.members[mi].campaign = &c;
-    c.members[mi].out = options_.collect_merged ? &merged_ : nullptr;
-    c.members[mi].start(topo_, params_, warmer_.snapshot(), nullptr,
-                        c.family->member(mi), spec.endpoint, spec.pacing,
-                        [cp = &c, mi](const wire::DecodedReply& r) {
-                          Member& m = cp->members[mi];
-                          if (m.out != nullptr)
-                            m.out->push_back({m.slot_due, cp->spec.tenant, mi,
-                                              m.next_seq, m.net->now_us(), r});
-                          ++m.next_seq;
-                          if (cp->spec.sink) cp->spec.sink(r);
-                        });
+    Member& m = c.members[mi];
+    m.campaign = &c;
+    m.live = std::make_unique<Live>(
+        topo_, params_,
+        Pacer{c.family->member(mi), spec.endpoint, spec.pacing,
+              [cp = &c, mi](const wire::DecodedReply& r) {
+                Live& l = *cp->members[mi].live;
+                if (l.out != nullptr)
+                  l.out->push_back({l.slot_due, cp->spec.tenant, mi,
+                                    l.next_seq, l.net.now_us(), r});
+                ++l.next_seq;
+                if (cp->spec.sink) cp->spec.sink(r);
+              },
+              0});
+    m.live->net.set_shared_routes(warmer_.snapshot());
+    m.live->out = options_.collect_merged ? &merged_ : nullptr;
     reschedule_member(c, mi);
   }
 
@@ -156,8 +164,8 @@ void CampaignReactor::settle(Campaign& c) {
     tenant_index_.erase(it);
   // Freeze the totals, then free what only a live campaign reads.
   for (Member& m : c.members) {
-    c.totals += m.runner->stats()[0];
-    m.release();
+    c.totals += m.live->pacer.stats();
+    m.live.reset();
   }
   c.family.reset();
   c.spec.sink = nullptr;
@@ -176,9 +184,9 @@ void CampaignReactor::push_global(Campaign& c, std::uint32_t mi,
 }
 
 void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi) {
-  const auto local = c.members[mi].runner->next_due_us();
-  B6_DCHECK(local.has_value(), "rescheduling an exhausted runner");
-  std::uint64_t due = c.start_us + *local;
+  const Pacer& pacer = c.members[mi].live->pacer;
+  B6_DCHECK(!pacer.done(), "rescheduling an exhausted member");
+  std::uint64_t due = c.start_us + pacer.due_us();
   // The service throttle defers the *global* slot only; the local clock
   // (and with it every reply) is untouched — per-tenant byte-identity.
   if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
@@ -187,19 +195,18 @@ void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi) {
 
 void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
                                std::uint64_t slot_due) {
-  Member& m = c.members[mi];
-  m.slot_due = slot_due;
+  Live& l = *c.members[mi].live;
+  l.slot_due = slot_due;
   // settle()'s DCHECK reads the flag; a throwing step clears it too.
   struct Clear { bool& flag; ~Clear() { flag = false; } } clear{c.executing};
   c.executing = true;
-  (void)m.runner->step();
+  const std::uint64_t sent = l.pacer.stats().probes_sent;
+  const bool exhausted = !l.pacer.step(l.net, probe_buf_);
 
   // Account this step's probes against the tenant's bucket and budget, at
   // the slot's own due time — tenant-local arithmetic only, which is what
   // keeps every tenant's timeline equal to its solo run.
-  const std::uint64_t sent = m.runner->stats()[0].probes_sent;
-  const std::uint64_t delta = sent - m.probes_seen;
-  m.probes_seen = sent;
+  const std::uint64_t delta = l.pacer.stats().probes_sent - sent;
   c.probes_sent += delta;
   if (c.throttled && delta != 0)
     c.bucket.debit(static_cast<double>(delta), slot_due);
@@ -211,7 +218,6 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   // A family arrival — exhaustion, or a park at the epoch barrier — runs
   // the barrier protocol, whose last arrival merges and names the parked
   // members to resume.
-  const bool exhausted = m.runner->done();
   if (exhausted || c.family->at_barrier(mi)) {
     for (const std::uint32_t r : c.family->arrive(mi, exhausted))
       reschedule_member(c, r);
@@ -229,15 +235,14 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
 // time to land:
 //   A (slot k+3): its Member, through the slot's direct locator — no
 //     dependent load;
-//   B (slot k+2, whose Member stage A warmed): the Campaign,
-//     CampaignRunner and Network objects the Member points at;
-//   C (slot k+1, whose objects stage B warmed): the inner arrays they
-//     point at — the runner's member record, stats, heap and probe
-//     buffer, the replica's reply pool and table headers.
+//   B (slot k+2, whose Member stage A warmed): the Campaign and the Live
+//     block (replica and Pacer) the Member points at;
+//   C (slot k+1, whose Live block stage B warmed): the replica's reply
+//     pool and table headers.
 // A guess is wrong only when a reschedule lands ahead of a predicted
 // slot, and then the hints cost a few wasted line fills. Stale slots are
 // warmed like live ones: their Member shells are alive until reset(), and
-// a settled member's null runner and replica pointers hint nothing.
+// a settled member's null Live pointer hints nothing.
 void CampaignReactor::warm_lookahead() const {
   const std::size_t n = heap_.size();
   if (n == 0) return;
@@ -253,12 +258,9 @@ void CampaignReactor::warm_lookahead() const {
   if (k2 < n) {
     const Member& b = *heap_[k2].loc;
     netbase::prefetch_object(b.campaign);
-    netbase::prefetch_object(b.runner.get());
-    netbase::prefetch_object(b.net);
+    netbase::prefetch_object(b.live.get());
   }
-  const Member& c = *heap_[0].loc;
-  if (c.runner) c.runner->prefetch_state();
-  if (c.net != nullptr) c.net->prefetch_state();
+  if (const Live* c = heap_[0].loc->live.get()) c->net.prefetch_state();
 }
 
 bool CampaignReactor::step() {
@@ -300,7 +302,7 @@ std::optional<ProbeStats> CampaignReactor::stats(CampaignHandle h) const {
   if (c == nullptr) return std::nullopt;
   if (c->settled) return c->totals;
   ProbeStats sum;
-  for (const Member& m : c->members) sum += m.runner->stats()[0];
+  for (const Member& m : c->members) sum += m.live->pacer.stats();
   return sum;
 }
 

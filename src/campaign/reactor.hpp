@@ -11,17 +11,17 @@
 // of the submitted specs, never of wall-clock or submission order among
 // simultaneous submits.
 //
-// Architecture: every campaign gets its own Network replica (shared
+// Architecture: every campaign member gets its own Network replica (shared
 // immutable tier — Topology, params block, warmed read-only route
-// snapshot — per-tenant mutable state), its own CampaignRunner, both built
-// by the member builder shared with ParallelCampaignRunner
-// (campaign/unit.hpp), and its own *local* virtual clock starting at 0.
-// Runner and replica live exactly as long as the campaign: retirement
-// frees them, so the reactor's memory follows its live tenants, not every
-// tenant it ever admitted. The reactor schedules tenants against each
+// snapshot — per-tenant mutable state) and the Pacer (campaign/runner.hpp)
+// driving its source over it, in one block, with its own *local* virtual
+// clock starting at 0. The block lives exactly as long as the campaign:
+// retirement frees it, so the reactor's memory follows its live tenants,
+// not every tenant it ever admitted. The reactor pushes each Pacer's due
+// straight into its one global heap, scheduling tenants against each
 // other on the global clock:
 //
-//   global due = admission offset + runner-local due,
+//   global due = admission offset + Pacer-local due,
 //                deferred to the tenant's token-bucket ready time.
 //
 // The heap orders slots by (global due, tenant id, member index) — virtual
@@ -38,8 +38,8 @@
 // change any result.
 //
 // Determinism argument (the load-bearing property): every quantity above
-// is computed from the tenant's own history alone. The runner-local due is
-// pure per tenant (CampaignRunner's contract); the token bucket is debited
+// is computed from the tenant's own history alone. The Pacer-local due is
+// pure per tenant (the Pacer's contract); the token bucket is debited
 // at the tenant's own slot times; barrier merges inside a split family
 // fire at the family's own arrival slots. No scheduling input ever reads
 // the global clock or another tenant's state, so each tenant's slot/reply
@@ -115,7 +115,7 @@ struct CampaignHandle {
 /// the submit — never of wall-clock or heap state.
 enum class AdmitResult : std::uint8_t {
   kAdmitted,
-  kRejectedBadSpec,          // null source, non-positive pps
+  kRejectedBadSpec,          // null source, non-finite or non-positive pps
   kRejectedDuplicateTenant,  // tenant id already in flight
   kRejectedCampaignLimit,    // would exceed max_campaigns
   kRejectedBudgetLimit,      // would exceed max_reserved_probes
@@ -129,7 +129,7 @@ struct Admission {
 };
 
 /// Campaign lifecycle. Running/paused are live; the rest are terminal
-/// (budget reservation released, slots retired, stats frozen, runners and
+/// (budget reservation released, slots retired, stats frozen, Pacers and
 /// replicas freed).
 enum class CampaignState : std::uint8_t {
   kRunning,
@@ -175,7 +175,7 @@ struct ReactorOptions {
 /// Scheduling contract (the documented fair-share policy):
 ///   * Slots execute in (global due, tenant id, member index) order —
 ///     earliest virtual deadline first, stable spec-supplied tie-breaks.
-///   * A tenant's global due is its admission offset plus its runner-local
+///   * A tenant's global due is its admission offset plus its Pacer-local
 ///     due, deferred to its token bucket's ready time. Buckets are debited
 ///     one token per probe at the tenant's own slot times.
 ///   * Progress bound (no starvation): a pending slot due at T runs before
@@ -264,14 +264,26 @@ class CampaignReactor {
  private:
   struct Campaign;
 
-  /// A family member's runner and replica plus its scheduling state.
-  struct Member : MemberRunner {
+  /// What only a live member reads: its Network replica, the Pacer driving
+  /// its source over it, and the reply-recording state its sink uses, in
+  /// one allocation that settle() frees.
+  struct Live {
+    Live(const simnet::Topology& topo,
+         std::shared_ptr<const simnet::NetworkParams> params, Pacer p)
+        : net(topo, std::move(params)), pacer(std::move(p)) {}
+    simnet::Network net;
+    Pacer pacer;
+    std::vector<ReactorReply>* out = nullptr;  // &merged_ or null
+    std::uint64_t slot_due = 0;  // the executing slot's scheduled due
+    std::uint64_t next_seq = 0;  // per-member reply arrival index
+  };
+
+  /// A family member's scheduling state. The shell outlives the member's
+  /// Live block, which is null once the campaign is settled.
+  struct Member {
     Campaign* campaign = nullptr;  // owner; how the lookahead reaches it
-    std::vector<ReactorReply>* out = nullptr;  // &merged_ or null, from admission
-    std::uint64_t slot_due = 0;    // the executing slot's scheduled due
+    std::unique_ptr<Live> live;
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
-    std::uint64_t next_seq = 0;    // per-member reply arrival index
-    std::uint64_t probes_seen = 0; // runner probes already accounted
     std::uint64_t gen = 0;         // slot generation; mismatches are stale
     bool in_heap = false;          // a live slot sits in the *global* heap
   };
@@ -279,7 +291,7 @@ class CampaignReactor {
   /// Once settled, a campaign keeps only what handles and stale heap slots
   /// read: the Member shells (a GSlot::loc must not dangle before reset()),
   /// the state and ledger fields, and the frozen totals. settle() frees the
-  /// members' runners and replicas, the split children and the sink copy.
+  /// members' Live blocks, the split children and the sink copy.
   struct Campaign {
     explicit Campaign(const CampaignSpec& s)
         : spec(s), family(std::in_place, *s.source, s.split_factor) {}
@@ -345,6 +357,9 @@ class CampaignReactor {
 
   std::vector<ReactorReply> merged_;
   bool merged_dirty_ = false;
+
+  // Every member's probes are encoded into this one reused buffer.
+  simnet::Packet probe_buf_;
 
   // The shared immutable tier: one read-only route snapshot, grown on the
   // control plane at submit (never concurrently with probe traffic) and

@@ -1,17 +1,17 @@
 // campaign/runner.hpp — the event-driven scheduling core.
 //
-// One CampaignRunner drives any number of ProbeSources over one
-// simnet::Network. Each source is an event stream: the runner keeps a
-// min-heap of (due virtual time, sequence) send slots, pops the earliest,
-// advances the shared virtual clock to it, polls the owning source, emits
-// the probe (encode → inject → decode → dispatch) and reschedules the
-// source per its pacing policy. With one source this reduces exactly to
-// the classic prober loop (probe, advance, probe, ...); with several it
-// interleaves them in virtual time, which is what makes multi-vantage and
-// mixed-protocol campaigns first-class scenarios rather than per-prober
-// reimplementations.
+// A Pacer is one source's send schedule: when its slot comes due it
+// advances the virtual clock to the slot, polls the source, emits the
+// probe (encode → inject → decode → dispatch) and moves its due time on
+// per its pacing policy. One CampaignRunner drives any number of Pacers
+// over one simnet::Network from a min-heap of (due virtual time,
+// sequence) send slots, popping the earliest each step. With one source
+// this reduces exactly to the classic prober loop (probe, advance, probe,
+// ...); with several it interleaves them in virtual time, which is what
+// makes multi-vantage and mixed-protocol campaigns first-class scenarios
+// rather than per-prober reimplementations.
 //
-// The runner owns the per-campaign ProbeStats: probes sent, fills, replies
+// Each Pacer owns its source's ProbeStats: probes sent, fills, replies
 // (instance-filtered), elapsed virtual time; sources contribute their
 // private counters via ProbeSource::finish().
 //
@@ -21,14 +21,12 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
 
 #include "campaign/probe_source.hpp"
 #include "netbase/flat_map.hpp"
-#include "netbase/prefetch.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route_cache.hpp"
 
@@ -81,32 +79,61 @@ class RouteWarmer {
   std::shared_ptr<simnet::RouteCache> cache_;
 };
 
-/// Decode each raw reply at virtual time `now_us`, filter on the endpoint's
-/// instance id, and hand survivors to `on_reply`. Returns true if at least
-/// one reply passed the filter. Templated on the callback so hot paths pay
-/// no std::function construction per probe. The span may view the network's
-/// reply pool, so `on_reply` must not inject into that network.
-template <typename ReplyFn>
-bool dispatch_replies(std::span<const simnet::Packet> replies,
-                      const Endpoint& endpoint, std::uint64_t now_us,
-                      ReplyFn&& on_reply) {
-  bool answered = false;
-  for (const auto& r : replies) {
-    const auto dec = wire::decode_reply(r, static_cast<std::uint32_t>(now_us));
-    if (!dec || dec->probe.instance != endpoint.instance) continue;
-    answered = true;
-    on_reply(*dec);
-  }
-  return answered;
-}
+/// One source's send schedule: the pacing state of a single ProbeSource —
+/// its exact per-probe gap, Bresenham carry, next due time and burst round
+/// — plus its ProbeStats and the one emit path (encode → inject → decode →
+/// dispatch). A Pacer is the scheduling primitive every front end drives:
+/// CampaignRunner keeps a heap of them over one Network, CampaignReactor
+/// pushes each member's Pacer straight into its global heap, and a
+/// ParallelCampaignRunner work unit drives one over its replica. The Pacer
+/// holds no Network and no buffer; the driver passes both to every step(),
+/// so one probe buffer serves every Pacer a driver owns.
+class Pacer {
+ public:
+  /// Schedule `source` for its first send slot at `first_due_us`. The
+  /// source (and sink) must outlive the Pacer.
+  Pacer(ProbeSource& source, const Endpoint& endpoint,
+        const PacingPolicy& pacing, ResponseSink sink,
+        std::uint64_t first_due_us);
 
-/// The event-driven scheduling core: drives any number of ProbeSources
-/// over one simnet::Network from a min-heap of (due virtual time, sequence)
-/// send slots, owning pacing, encode/inject, reply decode + dispatch, and
-/// per-campaign ProbeStats. Deterministic: results are a pure function of
-/// (sources, endpoints, pacing, network); heap ties resolve in add() order.
-/// One runner is single-threaded by design — parallelism lives a layer up,
-/// in ParallelCampaignRunner, which runs one of these per work unit.
+  /// Process exactly one due event over `net`: advance its clock to the
+  /// slot, poll the source, then emit the probe (encoded into `probe_buf`)
+  /// or close the round. Returns false when the source is exhausted; its
+  /// stats are then final. Must not be called once done().
+  bool step(simnet::Network& net, simnet::Packet& probe_buf);
+
+  /// The virtual time of the next send slot on the driven network's clock.
+  [[nodiscard]] std::uint64_t due_us() const { return due_us_; }
+  /// True once step() has reported exhaustion.
+  [[nodiscard]] bool done() const { return done_; }
+  /// Stats so far (complete once done(): the source's private counters
+  /// fold in at exhaustion).
+  [[nodiscard]] const ProbeStats& stats() const { return stats_; }
+
+ private:
+  void emit(simnet::Network& net, simnet::Packet& probe_buf,
+            const Probe& probe);
+
+  ProbeSource* source_;
+  Endpoint endpoint_;
+  PacingPolicy pacing_;
+  ResponseSink sink_;
+  double gap_exact_us_;          // ideal per-probe budget, 1e6/pps
+  double pace_carry_ = 0.0;      // Bresenham remainder, in [0, 1)
+  std::uint64_t due_us_;         // next send slot
+  std::uint64_t start_us_ = 0;
+  std::uint64_t round_sent_ = 0; // burst pacing: probes this round
+  bool begun_ = false;
+  bool done_ = false;
+  ProbeStats stats_;
+};
+
+/// The event-driven scheduling core for many sources over one
+/// simnet::Network: a min-heap of (due virtual time, sequence) send slots
+/// over one Pacer per source. Deterministic: results are a pure function
+/// of (sources, endpoints, pacing, network); heap ties resolve in add()
+/// order. Single-threaded by design — parallelism lives a layer up, in
+/// ParallelCampaignRunner.
 class CampaignRunner {
  public:
   /// The runner injects into (and advances the clock of) `net`, which must
@@ -131,31 +158,9 @@ class CampaignRunner {
   /// True when every registered source has been driven to exhaustion.
   [[nodiscard]] bool done() const { return queue_.empty(); }
 
-  /// The virtual due time of the next pending send slot (the heap head), or
-  /// nullopt once every source is exhausted. This is the seam that exposes
-  /// the step loop to a layer above: CampaignReactor maps each tenant
-  /// runner's local due time onto its own global clock and pops the
-  /// earliest slot across tenants, so many runners interleave in one
-  /// virtual order without the runner knowing it has siblings.
-  [[nodiscard]] std::optional<std::uint64_t> next_due_us() const {
-    if (queue_.empty()) return std::nullopt;
-    return queue_.top().due_us;
-  }
-
-  /// Memory-latency hint: start pulling what the next step() reads besides
-  /// the runner object itself — the first source's member record and
-  /// stats (all of them for a single-source runner, which is every
-  /// reactor member), the slot-heap head and the probe buffer — into
-  /// cache. Read-only and result-neutral.
-  void prefetch_state() const {
-    netbase::prefetch_object(members_.data());
-    netbase::prefetch_object(stats_.data());
-    if (!queue_.empty()) netbase::prefetch_line(&queue_.top());
-    netbase::prefetch_range(probe_buf_.data(), probe_buf_.size());
-  }
-
-  /// Stats so far (complete only for exhausted sources' private counters).
-  [[nodiscard]] const std::vector<ProbeStats>& stats() const { return stats_; }
+  /// Per-source stats so far, parallel to add() order (complete only for
+  /// exhausted sources' private counters).
+  [[nodiscard]] std::vector<ProbeStats> stats() const;
 
   /// Convenience: run a single source on `net` and return its stats.
   static ProbeStats run_one(simnet::Network& net, ProbeSource& source,
@@ -163,19 +168,6 @@ class CampaignRunner {
                             ResponseSink sink = {});
 
  private:
-  struct Member {
-    ProbeSource* source = nullptr;
-    Endpoint endpoint;
-    PacingPolicy pacing;
-    ResponseSink sink;
-    double gap_exact_us = 0.0;       // ideal per-probe budget, 1e6/pps
-    double pace_carry = 0.0;         // Bresenham remainder, in [0, 1)
-    std::uint64_t due_us = 0;        // next send slot
-    std::uint64_t start_us = 0;
-    std::uint64_t round_sent = 0;    // burst pacing: probes this round
-    bool begun = false;
-  };
-
   struct Slot {
     std::uint64_t due_us;
     std::uint64_t seq;
@@ -186,15 +178,13 @@ class CampaignRunner {
   };
 
   void schedule(std::size_t idx);
-  void emit(Member& m, ProbeStats& stats, const Probe& probe);
 
   simnet::Network& net_;
-  std::vector<Member> members_;
-  std::vector<ProbeStats> stats_;
+  std::vector<Pacer> pacers_;
   std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> queue_;
   std::uint64_t seq_ = 0;
-  // Per-runner scratch: every probe is encoded into this reused buffer, so
-  // the steady-state emit path allocates nothing.
+  // Every probe is encoded into this reused buffer, so the steady-state
+  // emit path allocates nothing.
   simnet::Packet probe_buf_;
 };
 

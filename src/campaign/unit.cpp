@@ -43,25 +43,4 @@ std::span<const std::uint32_t> SplitFamily::arrive(std::size_t i,
   return resumed_;
 }
 
-std::unique_ptr<simnet::Network> make_replica(
-    const simnet::Topology& topo,
-    const std::shared_ptr<const simnet::NetworkParams>& params,
-    const std::shared_ptr<const simnet::RouteCache>& snapshot) {
-  auto net = std::make_unique<simnet::Network>(topo, params);
-  net->set_shared_routes(snapshot);
-  return net;
-}
-
-void MemberRunner::start(
-    const simnet::Topology& topo,
-    const std::shared_ptr<const simnet::NetworkParams>& params,
-    const std::shared_ptr<const simnet::RouteCache>& snapshot,
-    simnet::Network* borrowed, ProbeSource& source, const Endpoint& endpoint,
-    const PacingPolicy& pacing, ResponseSink sink) {
-  if (borrowed == nullptr) own_net = make_replica(topo, params, snapshot);
-  net = borrowed != nullptr ? borrowed : own_net.get();
-  runner = std::make_unique<CampaignRunner>(*net);
-  runner->add(source, endpoint, pacing, std::move(sink));
-}
-
 }  // namespace beholder6::campaign

@@ -1,11 +1,11 @@
 // campaign/unit.hpp — the member machinery both campaign front ends share.
 //
 // ParallelCampaignRunner (parallel.hpp) and CampaignReactor (reactor.hpp)
-// drive sources the same way; this header holds the one copy of each
-// piece: SplitFamily (a source whole or split, with its EpochBarrier
-// bookkeeping) and MemberRunner with make_replica (the member builder: a
-// CampaignRunner over a replica on the shared route snapshot). Internal to
-// the campaign layer: neither front end's public API names these types.
+// drive sources the same way: each family member is one Pacer
+// (runner.hpp) over a Network replica. This header holds the piece
+// of that they share: SplitFamily, a source whole or split, with its
+// EpochBarrier bookkeeping. Internal to the campaign layer: neither front
+// end's public API names it.
 #pragma once
 
 #include <cstdint>
@@ -65,38 +65,6 @@ class SplitFamily {
   std::size_t live_ = 0;     // members not yet exhausted
   std::size_t waiting_ = 0;  // live members yet to arrive this epoch
   std::vector<std::uint32_t> resumed_;
-};
-
-/// A Network replica of (`topo`, `params`) reading the shared read-only
-/// route `snapshot` (null: none).
-[[nodiscard]] std::unique_ptr<simnet::Network> make_replica(
-    const simnet::Topology& topo,
-    const std::shared_ptr<const simnet::NetworkParams>& params,
-    const std::shared_ptr<const simnet::RouteCache>& snapshot);
-
-/// One family member's execution state: a CampaignRunner over a Network
-/// replica that is either owned or borrowed (a parallel worker's arena).
-struct MemberRunner {
-  std::unique_ptr<simnet::Network> own_net;  ///< null while borrowing
-  simnet::Network* net = nullptr;            ///< the replica driven
-  std::unique_ptr<CampaignRunner> runner;    ///< borrows *net
-
-  /// The member builder: drive `source` over `*borrowed` or, if that is
-  /// null, over an owned make_replica(topo, params, snapshot), delivering
-  /// replies to the front end's recording `sink`.
-  void start(const simnet::Topology& topo,
-             const std::shared_ptr<const simnet::NetworkParams>& params,
-             const std::shared_ptr<const simnet::RouteCache>& snapshot,
-             simnet::Network* borrowed, ProbeSource& source,
-             const Endpoint& endpoint, const PacingPolicy& pacing,
-             ResponseSink sink);
-
-  /// Drop the runner, then the replica if owned.
-  void release() {
-    runner.reset();
-    own_net.reset();
-    net = nullptr;
-  }
 };
 
 }  // namespace beholder6::campaign

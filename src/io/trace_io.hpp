@@ -136,8 +136,8 @@ class BinaryStreamWriter {
 /// contract). The usual sink rules apply: it observes and records, and
 /// must not inject into the campaign's own network. A failed stream throws
 /// from the call, so the error surfaces from the campaign driving the sink
-/// (CampaignRunner::step, and through it the parallel and reactor front
-/// ends) instead of dropping records silently.
+/// (Pacer::step, and through it every campaign front end) instead of
+/// dropping records silently.
 class StreamingTraceSink {
  public:
   enum class Format : std::uint8_t { kText, kBinary };

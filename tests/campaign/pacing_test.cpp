@@ -1,4 +1,6 @@
-// Pacing correctness tests for the CampaignRunner clock arithmetic:
+// Pacing correctness tests for the Pacer clock arithmetic. Every case
+// drives its script twice, through CampaignRunner::run_one and as a bare
+// Pacer loop, and the two must agree exactly:
 //  * pps >= 1e6 must still advance the virtual clock (the legacy integer
 //    truncation yielded a 0 µs gap, freezing the clock so buckets never
 //    refilled);
@@ -55,20 +57,40 @@ class PacingTest : public ::testing::Test {
     return script;
   }
 
-  /// Run a script at the given pacing; returns (stats, send times in µs
+  using Outcome = std::pair<ProbeStats, std::vector<std::uint32_t>>;
+
+  /// Run a script at the given pacing through CampaignRunner::run_one or,
+  /// if `bare`, a Pacer stepped directly; returns (stats, send times in µs
   /// decoded from the emitted probes themselves).
-  std::pair<ProbeStats, std::vector<std::uint32_t>> run(std::vector<Poll> script,
-                                                        const PacingPolicy& pacing) {
+  Outcome drive(const std::vector<Poll>& script, const PacingPolicy& pacing,
+                bool bare) {
     simnet::Network net{topo_, unlimited()};
     std::vector<std::uint32_t> sent_at;
     net.set_probe_observer(
         [&](const simnet::Packet& probe, std::span<const simnet::Packet>) {
           sent_at.push_back(wire::decode_probe(probe)->elapsed_us);
         });
-    ScriptSource source{std::move(script)};
+    ScriptSource source{script};
     Endpoint endpoint{topo_.vantages()[0].src, wire::Proto::kIcmp6, 1};
-    const auto stats = CampaignRunner::run_one(net, source, endpoint, pacing);
-    return {stats, std::move(sent_at)};
+    if (!bare)
+      return {CampaignRunner::run_one(net, source, endpoint, pacing),
+              std::move(sent_at)};
+    Pacer pacer{source, endpoint, pacing, {}, net.now_us()};
+    simnet::Packet probe_buf;
+    while (pacer.step(net, probe_buf)) {
+    }
+    EXPECT_TRUE(pacer.done());
+    return {pacer.stats(), std::move(sent_at)};
+  }
+
+  /// drive() both ways; the results must be equal.
+  Outcome run(const std::vector<Poll>& script, const PacingPolicy& pacing) {
+    auto via_runner = drive(script, pacing, false);
+    const auto via_pacer = drive(script, pacing, true);
+    EXPECT_EQ(via_runner.first, via_pacer.first) << "bare Pacer stats differ";
+    EXPECT_EQ(via_runner.second, via_pacer.second)
+        << "bare Pacer send times differ";
+    return via_runner;
   }
 
   simnet::Topology topo_;

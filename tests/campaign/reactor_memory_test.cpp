@@ -1,6 +1,6 @@
 // The reactor's memory follows its live tenants. A settled campaign keeps
 // only a small shell (handle state, ledger fields, frozen stats), not the
-// Network replica and CampaignRunner it ran on, and a yarrp6 source
+// Network replica and Pacer it ran on, and a yarrp6 source
 // outside neighborhood mode allocates no per-TTL tables. The check
 // replaces the global operator new/delete with versions that count live
 // bytes, which is why it is a test binary of its own.
@@ -144,9 +144,9 @@ class ReactorMemoryTest : public ::testing::Test {
 };
 
 TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
-  // A settled campaign keeps its Campaign and Member shells: 464 bytes per
+  // A settled campaign keeps its Campaign and Member shells: 416 bytes per
   // campaign here, the reactor's high-water heap capacity included. Kept
-  // replicas and runners would leave about 6.6 KiB per campaign, and
+  // replicas and Pacers would leave several KiB per campaign, and
   // yarrp6's per-TTL tables outside neighborhood mode about 1.1 KiB more.
   CampaignReactor reactor{topo_, simnet::NetworkParams{},
                           {.collect_merged = false}};

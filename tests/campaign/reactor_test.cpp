@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <ios>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -346,6 +347,13 @@ TEST_F(ReactorTest, DeterministicAdmissionRejections) {
   CampaignSpec null_source;
   null_source.tenant = 9;
   EXPECT_EQ(reactor.submit(null_source).result, AdmitResult::kRejectedBadSpec);
+  // Non-finite pacing: a NaN pps must not be paced at a silent 1 pps, nor
+  // +inf at a zero gap.
+  for (const double pps : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+    EXPECT_EQ(reactor.submit(make_spec(9, 6, pps)).result,
+              AdmitResult::kRejectedBadSpec)
+        << "pps " << pps;
   // Retirement reopens both the tenant id and the campaign slot.
   reactor.drain();
   EXPECT_TRUE(reactor.submit(make_spec(1, 6)).admitted());

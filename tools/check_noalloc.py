@@ -61,8 +61,8 @@ Entry points (demangled-name regex, `--entry` to extend):
     Network::inject_view, Network::inject_impl, RouteCache::find,
     Network::resolve_path, wire::encode_probe_into, wire::decode_reply,
     Topology::host_at, Topology::path_into, and the prefetch hints —
-    CampaignReactor::warm_lookahead, CampaignRunner::prefetch_state,
-    Network::prefetch_state, PacketPool::prefetch, FlatTable::prefetch
+    CampaignReactor::warm_lookahead, Network::prefetch_state,
+    PacketPool::prefetch, FlatTable::prefetch
     (hints run on every step and must stay as free as the path they warm)
 Entries that were inlined out of existence (header-only RouteCache::find
 usually is) are reported as notes, not errors — their bodies are covered
@@ -193,7 +193,6 @@ DEFAULT_ENTRIES: list[str] = [
     r"beholder6::simnet::Topology::host_at\(",
     r"beholder6::simnet::Topology::path_into\(",
     r"beholder6::campaign::CampaignReactor::warm_lookahead\(",
-    r"beholder6::campaign::CampaignRunner::prefetch_state\(",
     r"beholder6::simnet::Network::prefetch_state\(",
     r"beholder6::simnet::PacketPool::prefetch\(",
     r"beholder6::netbase::detail::FlatTable<.*>::prefetch\(",
