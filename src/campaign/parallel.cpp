@@ -12,7 +12,6 @@
 #include <thread>
 #include <utility>
 
-#include "campaign/unit.hpp"
 #include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
 
@@ -30,6 +29,75 @@ using PerfClock = std::chrono::steady_clock;
 double secs_since(PerfClock::time_point t0) {
   return std::chrono::duration<double>(PerfClock::now() - t0).count();
 }
+
+/// One split family: a shard's source run whole, or the children of its
+/// split(k), owned here and epoch-coupled if they return an EpochBarrier.
+/// The family keeps the barrier's arrival bookkeeping: each live member
+/// arrives once per epoch, by parking at its epoch boundary or by
+/// exhausting, and the last arrival runs merge_epoch() with every member
+/// quiescent. Not thread-safe: the Scheduler serializes arrivals under its
+/// mutex.
+class SplitFamily {
+ public:
+  /// Members: `source` whole when `k` <= 1 or the source is unsplittable,
+  /// else the children of `source.split(k)`.
+  SplitFamily(ProbeSource& source, std::uint64_t k) : whole_(&source) {
+    if (k > 1) owned_ = source.split(k);
+    // Epoch-coupled children all return their family's one barrier; a
+    // mixed family would be a broken split() implementation.
+    if (!owned_.empty()) barrier_ = owned_[0]->epoch_barrier();
+    state_.assign(std::max<std::size_t>(1, owned_.size()), kActive);
+    live_ = waiting_ = state_.size();
+    if (barrier_ != nullptr) resumed_.reserve(state_.size());
+  }
+
+  [[nodiscard]] std::size_t size() const { return state_.size(); }
+  [[nodiscard]] ProbeSource& member(std::size_t i) const {
+    return owned_.empty() ? *whole_ : *owned_[i];
+  }
+  /// The children's shared barrier; null for a free-running family.
+  [[nodiscard]] EpochBarrier* barrier() const { return barrier_; }
+
+  /// Member `i` arrives, `exhausted` or parked. The epoch's last arrival
+  /// runs merge_epoch() — even as the last exhaustion, which publishes a
+  /// Doubletree family's final stop set — clears the parked members'
+  /// pauses and returns their indexes in member order, for the caller to
+  /// reschedule; any other arrival returns an empty span.
+  std::span<const std::uint32_t> arrive(std::size_t i, bool exhausted) {
+    B6_DCHECK(state_[i] == kActive, "split-family member arrived twice in "
+                                     "one epoch — the barrier schedule broke");
+    B6_DCHECK(exhausted || barrier_ != nullptr,
+              "a free-running member parked at an epoch barrier");
+    B6_DCHECK(waiting_ > 0, "more barrier arrivals than live family members");
+    state_[i] = exhausted ? kExhausted : kParked;
+    if (exhausted) --live_;
+    if (--waiting_ != 0) return {};
+    // Last arrival: every member is parked or exhausted, i.e. quiescent —
+    // the single-threaded merge window of the EpochBarrier protocol.
+    waiting_ = live_;
+    resumed_.clear();
+    if (barrier_ == nullptr) return {};
+    barrier_->merge_epoch();
+    for (std::uint32_t m = 0; m < state_.size(); ++m) {
+      if (state_[m] != kParked) continue;
+      state_[m] = kActive;
+      member(m).epoch_resume();
+      resumed_.push_back(m);
+    }
+    return resumed_;
+  }
+
+ private:
+  enum State : std::uint8_t { kActive, kParked, kExhausted };
+
+  ProbeSource* whole_;                               // run when unsplit
+  std::vector<std::unique_ptr<ProbeSource>> owned_;  // split children
+  EpochBarrier* barrier_ = nullptr;
+  std::vector<State> state_;
+  std::size_t live_ = 0;     // members not yet exhausted
+  std::size_t waiting_ = 0;  // live members yet to arrive this epoch
+  std::vector<std::uint32_t> resumed_;
+};
 
 /// One stealable work unit: one member of a shard's split family. The pool
 /// runs a free-running unit start-to-finish on whichever worker claims it,

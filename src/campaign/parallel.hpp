@@ -30,8 +30,7 @@
 // epoch boundary or exhausts, and the family's last arrival merges and
 // requeues the survivors. The barrier is cooperative (no blocked threads),
 // so a family larger than the pool still progresses. The family
-// bookkeeping (SplitFamily, campaign/unit.hpp) is shared with
-// CampaignReactor; the worker pool is private to parallel.cpp.
+// bookkeeping and the worker pool are private to parallel.cpp.
 //
 // Scaling architecture (see docs/ARCHITECTURE.md "The parallel backend"):
 // replicas share an immutable tier — the Topology, one shared_ptr'd

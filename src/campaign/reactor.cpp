@@ -12,13 +12,12 @@ namespace beholder6::campaign {
 
 namespace {
 
-/// Canonical merged-stream order: (slot_us, tenant, member, seq). The key
-/// is unique — seq is monotone per (tenant, member) — so this is a strict
-/// total order and sorting by it yields one stream.
+/// Canonical merged-stream order: (slot_us, tenant, seq). The key is
+/// unique — seq is monotone per tenant — so this is a strict total order
+/// and sorting by it yields one stream.
 bool merged_less(const ReactorReply& a, const ReactorReply& b) {
   if (a.slot_us != b.slot_us) return a.slot_us < b.slot_us;
   if (a.tenant != b.tenant) return a.tenant < b.tenant;
-  if (a.member != b.member) return a.member < b.member;
   return a.seq < b.seq;
 }
 
@@ -47,14 +46,12 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   if (spec.probe_budget > options_.max_reserved_probes - reserved_)
     return {AdmitResult::kRejectedBudgetLimit, {}};
 
-  // Grow the shared snapshot before any member exists: every replica of
+  // Grow the shared snapshot before the replica exists: every replica of
   // this (and any later) campaign starts with these routes hot.
   if (params_->route_cache_entries != 0)
     warmed_routes_ +=
         warmer_.add(spec.endpoint, spec.source->route_warm_targets());
 
-  // Members: the source whole, or its split children as one campaign —
-  // an epoch-coupled family if they share a barrier.
   auto owner = std::make_unique<Campaign>(spec);
   Campaign& c = *owner;
   c.index = static_cast<std::uint32_t>(campaigns_.size());
@@ -64,29 +61,23 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
     c.bucket = simnet::TokenBucket{spec.rate_limit_pps,
                                    std::max(1.0, spec.rate_limit_burst)};
 
-  // Build every member — a fresh replica, whose clock starts at 0, and
-  // the Pacer driving the member's source over it — then seed its first
-  // global slot.
-  c.members.resize(c.family->size());
-  for (std::uint32_t mi = 0; mi < c.members.size(); ++mi) {
-    Member& m = c.members[mi];
-    m.campaign = &c;
-    m.live = std::make_unique<Live>(
-        topo_, params_,
-        Pacer{c.family->member(mi), spec.endpoint, spec.pacing,
-              [cp = &c, mi](const wire::DecodedReply& r) {
-                Live& l = *cp->members[mi].live;
-                if (l.out != nullptr)
-                  l.out->push_back({l.slot_due, cp->spec.tenant, mi,
-                                    l.next_seq, l.net.now_us(), r});
-                ++l.next_seq;
-                if (cp->spec.sink) cp->spec.sink(r);
-              },
-              0});
-    m.live->net.set_shared_routes(warmer_.snapshot());
-    m.live->out = options_.collect_merged ? &merged_ : nullptr;
-    reschedule_member(c, mi);
-  }
+  // Build a fresh replica, whose clock starts at 0, and the Pacer driving
+  // the source over it, then seed the first global slot.
+  c.live = std::make_unique<Live>(
+      topo_, params_,
+      Pacer{*spec.source, spec.endpoint, spec.pacing,
+            [cp = &c](const wire::DecodedReply& r) {
+              Live& l = *cp->live;
+              if (l.out != nullptr)
+                l.out->push_back({l.slot_due, cp->spec.tenant, l.next_seq,
+                                  l.net.now_us(), r});
+              ++l.next_seq;
+              if (cp->spec.sink) cp->spec.sink(r);
+            },
+            0});
+  c.live->net.set_shared_routes(warmer_.snapshot());
+  c.live->out = options_.collect_merged ? &merged_ : nullptr;
+  reschedule(c);
 
   tenant_index_.emplace(spec.tenant, c.index);
   ++active_;
@@ -107,14 +98,11 @@ CampaignReactor::Campaign* CampaignReactor::find(CampaignHandle h) const {
 bool CampaignReactor::pause(CampaignHandle h) {
   Campaign* c = find(h);
   if (c == nullptr || c->state != CampaignState::kRunning) return false;
-  c->state = CampaignState::kPaused;
-  for (Member& m : c->members) {
-    if (!m.in_heap) continue;  // parked or exhausted; nothing to pull
-    // due_global already holds the slot's due; the heap copy goes stale.
-    m.in_heap = false;
-    ++m.gen;
-    --pending_;
-  }
+  // Mid-slot, run_slot would reschedule the campaign right after this.
+  B6_DCHECK(!c->executing, "pausing a campaign mid-slot (pause from a sink?)");
+  // retire()'s heap pull without the settle that would make it final:
+  // due_global keeps the slot's due, and the heap copy goes stale.
+  retire(*c, CampaignState::kPaused);
   return true;
 }
 
@@ -122,10 +110,8 @@ bool CampaignReactor::resume(CampaignHandle h) {
   Campaign* c = find(h);
   if (c == nullptr || c->state != CampaignState::kPaused) return false;
   c->state = CampaignState::kRunning;
-  // The saved dues: a global-time shift only. Parked members wait for
-  // their family's barrier instead.
-  for (std::uint32_t i = 0; i < c->members.size(); ++i)
-    if (c->family->active(i)) push_global(*c, i, c->members[i].due_global);
+  // The saved due: a global-time shift only.
+  push_global(*c, c->due_global);
   return true;
 }
 
@@ -141,21 +127,18 @@ bool CampaignReactor::cancel(CampaignHandle h) {
 
 void CampaignReactor::retire(Campaign& c, CampaignState state) {
   c.state = state;
-  for (Member& m : c.members) {
-    if (m.in_heap) {
-      m.in_heap = false;
-      --pending_;
-    }
-    ++m.gen;  // stale-out any heap copy
+  if (c.in_heap) {
+    c.in_heap = false;
+    --pending_;
   }
+  ++c.gen;  // stale-out any heap copy
 }
 
 void CampaignReactor::settle(Campaign& c) {
-  if (c.settled) return;
+  if (!c.live) return;  // settled already
   if (c.state == CampaignState::kRunning || c.state == CampaignState::kPaused)
     return;
   B6_DCHECK(!c.executing, "settling a campaign mid-slot (cancel from a sink?)");
-  c.settled = true;
   B6_DCHECK(active_ > 0, "settling a campaign the ledger never admitted");
   --active_;
   reserved_ -= c.spec.probe_budget;  // cancel refunds the in-flight remainder
@@ -163,41 +146,36 @@ void CampaignReactor::settle(Campaign& c) {
   if (it != tenant_index_.end() && it->second == c.index)
     tenant_index_.erase(it);
   // Freeze the totals, then free what only a live campaign reads.
-  for (Member& m : c.members) {
-    c.totals += m.live->pacer.stats();
-    m.live.reset();
-  }
-  c.family.reset();
+  c.totals = c.live->pacer.stats();
+  c.live.reset();
   c.spec.sink = nullptr;
 }
 
 // ---- The scheduling core ----------------------------------------------------
 
-void CampaignReactor::push_global(Campaign& c, std::uint32_t mi,
-                                  std::uint64_t due) {
-  Member& m = c.members[mi];
-  m.due_global = due;
-  heap_.push_back(GSlot{due, c.spec.tenant, m.gen, &m, mi});
+void CampaignReactor::push_global(Campaign& c, std::uint64_t due) {
+  c.due_global = due;
+  heap_.push_back(GSlot{due, c.spec.tenant, c.gen, &c});
   std::push_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
-  m.in_heap = true;
+  c.in_heap = true;
   ++pending_;
 }
 
-void CampaignReactor::reschedule_member(Campaign& c, std::uint32_t mi) {
-  const Pacer& pacer = c.members[mi].live->pacer;
-  B6_DCHECK(!pacer.done(), "rescheduling an exhausted member");
+void CampaignReactor::reschedule(Campaign& c) {
+  const Pacer& pacer = c.live->pacer;
+  B6_DCHECK(!pacer.done(), "rescheduling an exhausted campaign");
   std::uint64_t due = c.start_us + pacer.due_us();
   // The service throttle defers the *global* slot only; the local clock
   // (and with it every reply) is untouched — per-tenant byte-identity.
   if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
-  push_global(c, mi, due);
+  push_global(c, due);
 }
 
-void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
-                               std::uint64_t slot_due) {
-  Live& l = *c.members[mi].live;
+void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
+  Live& l = *c.live;
   l.slot_due = slot_due;
-  // settle()'s DCHECK reads the flag; a throwing step clears it too.
+  // The step-boundary DCHECKs (pause, settle) read the flag; a throwing
+  // step clears it too.
   struct Clear { bool& flag; ~Clear() { flag = false; } } clear{c.executing};
   c.executing = true;
   const std::uint64_t sent = l.pacer.stats().probes_sent;
@@ -206,26 +184,15 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
   // Account this step's probes against the tenant's bucket and budget, at
   // the slot's own due time — tenant-local arithmetic only, which is what
   // keeps every tenant's timeline equal to its solo run.
-  const std::uint64_t delta = l.pacer.stats().probes_sent - sent;
-  c.probes_sent += delta;
-  if (c.throttled && delta != 0)
-    c.bucket.debit(static_cast<double>(delta), slot_due);
-  if (c.spec.probe_budget != 0 && c.probes_sent >= c.spec.probe_budget) {
+  const std::uint64_t probes = l.pacer.stats().probes_sent;
+  if (c.throttled && probes != sent)
+    c.bucket.debit(static_cast<double>(probes - sent), slot_due);
+  if (c.spec.probe_budget != 0 && probes >= c.spec.probe_budget)
     retire(c, CampaignState::kBudgetExhausted);
-    return;
-  }
-
-  // A family arrival — exhaustion, or a park at the epoch barrier — runs
-  // the barrier protocol, whose last arrival merges and names the parked
-  // members to resume.
-  if (exhausted || c.family->at_barrier(mi)) {
-    for (const std::uint32_t r : c.family->arrive(mi, exhausted))
-      reschedule_member(c, r);
-    if (c.family->live() == 0 && c.state == CampaignState::kRunning)
-      c.state = CampaignState::kFinished;
-    return;
-  }
-  reschedule_member(c, mi);
+  else if (exhausted)
+    retire(c, CampaignState::kFinished);
+  else
+    reschedule(c);
 }
 
 // The lookahead pipeline. Right before slot k runs, h[0] is slot k+1,
@@ -233,16 +200,16 @@ void CampaignReactor::run_slot(Campaign& c, std::uint32_t mi,
 // sibling and k+2's children. Each stage reads only lines an earlier
 // stage requested one step ago, so every hint has a whole slot's run
 // time to land:
-//   A (slot k+3): its Member, through the slot's direct locator — no
+//   A (slot k+3): its Campaign, through the slot's direct locator — no
 //     dependent load;
-//   B (slot k+2, whose Member stage A warmed): the Campaign and the Live
-//     block (replica and Pacer) the Member points at;
+//   B (slot k+2, whose Campaign stage A warmed): the Live block (replica
+//     and Pacer) the Campaign points at;
 //   C (slot k+1, whose Live block stage B warmed): the replica's reply
 //     pool and table headers.
 // A guess is wrong only when a reschedule lands ahead of a predicted
 // slot, and then the hints cost a few wasted line fills. Stale slots are
-// warmed like live ones: their Member shells are alive until reset(), and
-// a settled member's null Live pointer hints nothing.
+// warmed like live ones: their Campaigns are alive until reset(), and a
+// settled campaign's null Live pointer hints nothing.
 void CampaignReactor::warm_lookahead() const {
   const std::size_t n = heap_.size();
   if (n == 0) return;
@@ -255,11 +222,7 @@ void CampaignReactor::warm_lookahead() const {
   const std::size_t k2 = earlier(1, 2);
   const std::size_t k3 = earlier(3 - k2, earlier(2 * k2 + 1, 2 * k2 + 2));
   if (k3 < n) netbase::prefetch_object(heap_[k3].loc);
-  if (k2 < n) {
-    const Member& b = *heap_[k2].loc;
-    netbase::prefetch_object(b.campaign);
-    netbase::prefetch_object(b.live.get());
-  }
+  if (k2 < n) netbase::prefetch_object(heap_[k2].loc->live.get());
   if (const Live* c = heap_[0].loc->live.get()) c->net.prefetch_state();
 }
 
@@ -268,14 +231,13 @@ bool CampaignReactor::step() {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
     const GSlot s = heap_.back();
     heap_.pop_back();
-    Member& m = *s.loc;
-    if (s.gen != m.gen) continue;  // paused, cancelled, or retired: stale
-    Campaign& c = *m.campaign;
-    m.in_heap = false;
+    Campaign& c = *s.loc;
+    if (s.gen != c.gen) continue;  // paused, cancelled, or retired: stale
+    c.in_heap = false;
     --pending_;
     if (s.due_us > now_us_) now_us_ = s.due_us;
     warm_lookahead();
-    run_slot(c, s.member, s.due_us);
+    run_slot(c, s.due_us);
     merged_dirty_ = true;
     settle(c);
     return true;
@@ -300,27 +262,24 @@ std::optional<CampaignState> CampaignReactor::state(CampaignHandle h) const {
 std::optional<ProbeStats> CampaignReactor::stats(CampaignHandle h) const {
   const Campaign* c = find(h);
   if (c == nullptr) return std::nullopt;
-  if (c->settled) return c->totals;
-  ProbeStats sum;
-  for (const Member& m : c->members) sum += m.live->pacer.stats();
-  return sum;
+  return c->live ? c->live->pacer.stats() : c->totals;
 }
 
 void CampaignReactor::sort_merged() {
   if (!merged_dirty_) return;
   merged_dirty_ = false;
-  // Appends follow execution order, which is not canonical: resume() and
-  // barrier resumes push dues earlier than slots that already ran.
+  // Appends follow execution order, which is not canonical: resume()
+  // pushes dues earlier than slots that already ran.
   std::sort(merged_.begin(), merged_.end(), merged_less);
 #if BEHOLDER6_DCHECK_LEVEL >= 2
-  // Expensive sweep: per-(tenant, member) seq must be strictly increasing
-  // in canonical order — a violation means a member's slots ran out of
-  // due order.
+  // Expensive sweep: per-tenant seq must be strictly increasing in
+  // canonical order — a violation means a tenant's slots ran out of due
+  // order.
   for (std::size_t i = 1; i < merged_.size(); ++i) {
     const auto& a = merged_[i - 1];
     const auto& b = merged_[i];
-    if (a.tenant == b.tenant && a.member == b.member)
-      B6_DCHECK2(a.seq < b.seq, "merged stream: non-monotone per-member seq");
+    if (a.tenant == b.tenant)
+      B6_DCHECK2(a.seq < b.seq, "merged stream: non-monotone per-tenant seq");
   }
 #endif
 }

@@ -11,10 +11,10 @@
 // of the submitted specs, never of wall-clock or submission order among
 // simultaneous submits.
 //
-// Architecture: every campaign member gets its own Network replica (shared
-// immutable tier — Topology, params block, warmed read-only route
+// Architecture: every campaign is one source with its own Network replica
+// (shared immutable tier — Topology, params block, warmed read-only route
 // snapshot — per-tenant mutable state) and the Pacer (campaign/runner.hpp)
-// driving its source over it, in one block, with its own *local* virtual
+// driving the source over it, in one block, with its own *local* virtual
 // clock starting at 0. The block lives exactly as long as the campaign:
 // retirement frees it, so the reactor's memory follows its live tenants,
 // not every tenant it ever admitted. The reactor pushes each Pacer's due
@@ -24,8 +24,8 @@
 //   global due = admission offset + Pacer-local due,
 //                deferred to the tenant's token-bucket ready time.
 //
-// The heap orders slots by (global due, tenant id, member index) — virtual
-// time first, stable spec-supplied tie-breaks after — which is the entire
+// The heap orders slots by (global due, tenant id) — virtual time first,
+// the stable spec-supplied tenant id after — which is the entire
 // fair-share policy: earliest virtual deadline first, ties broken by
 // tenant identity, never by submission sequence or arrival interleaving.
 //
@@ -40,12 +40,11 @@
 // Determinism argument (the load-bearing property): every quantity above
 // is computed from the tenant's own history alone. The Pacer-local due is
 // pure per tenant (the Pacer's contract); the token bucket is debited
-// at the tenant's own slot times; barrier merges inside a split family
-// fire at the family's own arrival slots. No scheduling input ever reads
+// at the tenant's own slot times. No scheduling input ever reads
 // the global clock or another tenant's state, so each tenant's slot/reply
 // timeline is a pure function of its spec: the same as its solo run,
 // however many tenants share the clock. The canonical merged order is
-// (slot_us, tenant, member, seq); tests/campaign/reactor_test.cpp and
+// (slot_us, tenant, seq); tests/campaign/reactor_test.cpp and
 // reactor_property_test.cpp hold the solo-run and submission-order gates.
 #pragma once
 
@@ -58,7 +57,6 @@
 
 #include "campaign/probe_source.hpp"
 #include "campaign/runner.hpp"
-#include "campaign/unit.hpp"
 #include "simnet/network.hpp"
 #include "simnet/route_cache.hpp"
 #include "simnet/token_bucket.hpp"
@@ -92,11 +90,6 @@ struct CampaignSpec {
   /// retirement (cancel refunds the in-flight remainder), and enforced as
   /// a hard cap: reaching it retires the campaign deterministically.
   std::uint64_t probe_budget = 0;
-  /// > 1: adopt ProbeSource::split(split_factor) children as one campaign
-  /// (an epoch-coupled family if the source returns an EpochBarrier). The
-  /// family counts as one campaign for admission and shares the tenant's
-  /// bucket and budget.
-  std::uint64_t split_factor = 1;
 };
 
 /// Ticket for one admitted campaign. `nonce` is the admission generation,
@@ -134,7 +127,7 @@ struct Admission {
 enum class CampaignState : std::uint8_t {
   kRunning,
   kPaused,
-  kFinished,          // every member exhausted
+  kFinished,          // the source exhausted
   kBudgetExhausted,   // probe_budget cap hit: deterministic forced retirement
   kCancelled,
 };
@@ -144,19 +137,18 @@ enum class CampaignState : std::uint8_t {
 /// restore canonical order by sort after resume() re-pushes dues earlier
 /// than slots that already ran; `local_us` is the tenant replica's own
 /// virtual time at delivery. Canonical order — and the
-/// bit-identical gate's comparison key — is (slot_us, tenant, member, seq).
+/// bit-identical gate's comparison key — is (slot_us, tenant, seq).
 struct ReactorReply {
   std::uint64_t slot_us = 0;
   std::uint64_t tenant = 0;
-  std::uint32_t member = 0;   // family member index; 0 for unsplit campaigns
-  std::uint64_t seq = 0;      // arrival index within (tenant, member)
+  std::uint64_t seq = 0;      // arrival index within the tenant
   std::uint64_t local_us = 0;
   wire::DecodedReply reply;
 };
 
 /// Service configuration: admission ceilings and merged-stream collection.
 struct ReactorOptions {
-  /// Admission control: campaigns in flight (a family counts once).
+  /// Admission control: campaigns in flight.
   std::size_t max_campaigns = std::numeric_limits<std::size_t>::max();
   /// Admission control: sum of in-flight probe_budget reservations.
   std::uint64_t max_reserved_probes = std::numeric_limits<std::uint64_t>::max();
@@ -173,8 +165,8 @@ struct ReactorOptions {
 /// front end.
 ///
 /// Scheduling contract (the documented fair-share policy):
-///   * Slots execute in (global due, tenant id, member index) order —
-///     earliest virtual deadline first, stable spec-supplied tie-breaks.
+///   * Slots execute in (global due, tenant id) order — earliest virtual
+///     deadline first, ties broken by the spec-supplied tenant id.
 ///   * A tenant's global due is its admission offset plus its Pacer-local
 ///     due, deferred to its token bucket's ready time. Buckets are debited
 ///     one token per probe at the tenant's own slot times.
@@ -186,11 +178,8 @@ struct ReactorOptions {
 ///     submission wall-clock and of submission order among simultaneous
 ///     submits (tie-breaks use tenant ids, never admission sequence).
 ///
-/// Epoch-coupled families drive the same SplitFamily as the parallel
-/// backend (campaign/unit.hpp): members park at epoch boundaries; the
-/// family's last arrival — a park or an exhaustion — runs merge_epoch()
-/// with every member quiescent, then the survivors are rescheduled at
-/// their saved dues.
+/// A campaign is one source, run whole: split families (epoch-coupled or
+/// not) are the parallel backend's, where their members run concurrently.
 class CampaignReactor {
  public:
   /// The reactor builds one Network replica per campaign from `topo` +
@@ -208,21 +197,20 @@ class CampaignReactor {
   /// scheduled immediately.
   Admission submit(const CampaignSpec& spec);
 
-  /// Park a running campaign at its next step boundary: pending slots are
-  /// pulled from the heap, saved dues intact. Returns false for stale
+  /// Park a running campaign at its next step boundary: its pending slot
+  /// is pulled from the heap, its due saved. Returns false for stale
   /// handles or non-running campaigns. Pause/resume move the campaign in
   /// *global* time only — its local timeline, and therefore its results,
-  /// are unchanged (reactor_test pins the byte-identity).
+  /// are unchanged (reactor_test pins the byte-identity). A step boundary
+  /// op: never call it from the campaign's own sink.
   bool pause(CampaignHandle h);
 
-  /// Reschedule a paused campaign at its saved dues.
+  /// Reschedule a paused campaign at its saved due.
   bool resume(CampaignHandle h);
 
   /// Retire a campaign immediately and refund its in-flight probe-budget
-  /// reservation (admission reopens at once). Members parked at an epoch
-  /// barrier are released with the rest — a cancelled family never leaves
-  /// the barrier waiting on a member that will not come. A step boundary
-  /// op: never call it from the campaign's own sink.
+  /// reservation (admission reopens at once). A step boundary op: never
+  /// call it from the campaign's own sink.
   bool cancel(CampaignHandle h);
 
   /// Serial drive: pop and run the earliest due slot. Returns false when
@@ -251,22 +239,20 @@ class CampaignReactor {
   /// Lifecycle of a campaign, or nullopt for a stale/unknown handle.
   [[nodiscard]] std::optional<CampaignState> state(CampaignHandle h) const;
 
-  /// Stats summed over the campaign's members (complete, and frozen at
-  /// retirement, once terminal; partial — probes so far — while live).
+  /// The campaign's stats (complete, and frozen at retirement, once
+  /// terminal; partial — probes so far — while live).
   /// Nullopt for stale handles.
   [[nodiscard]] std::optional<ProbeStats> stats(CampaignHandle h) const;
 
-  /// The canonical merged stream, sorted by (slot_us, tenant, member,
-  /// seq). Empty when ReactorOptions::collect_merged is off. Valid until
-  /// the next step()/drain()/reset().
+  /// The canonical merged stream, sorted by (slot_us, tenant, seq). Empty
+  /// when ReactorOptions::collect_merged is off. Valid until the next
+  /// step()/drain()/reset().
   [[nodiscard]] const std::vector<ReactorReply>& merged();
 
  private:
-  struct Campaign;
-
-  /// What only a live member reads: its Network replica, the Pacer driving
-  /// its source over it, and the reply-recording state its sink uses, in
-  /// one allocation that settle() frees.
+  /// What only a live campaign reads: its Network replica, the Pacer
+  /// driving its source over it, and the reply-recording state its sink
+  /// uses, in one allocation that settle() frees.
   struct Live {
     Live(const simnet::Topology& topo,
          std::shared_ptr<const simnet::NetworkParams> params, Pacer p)
@@ -275,64 +261,51 @@ class CampaignReactor {
     Pacer pacer;
     std::vector<ReactorReply>* out = nullptr;  // &merged_ or null
     std::uint64_t slot_due = 0;  // the executing slot's scheduled due
-    std::uint64_t next_seq = 0;  // per-member reply arrival index
+    std::uint64_t next_seq = 0;  // per-tenant reply arrival index
   };
 
-  /// A family member's scheduling state. The shell outlives the member's
-  /// Live block, which is null once the campaign is settled.
-  struct Member {
-    Campaign* campaign = nullptr;  // owner; how the lookahead reaches it
+  /// A campaign's scheduling and ledger state. Once settled it keeps only
+  /// what handles and stale heap slots read (a GSlot::loc must not dangle
+  /// before reset()): the state and ledger fields and the frozen totals.
+  /// settle() frees the Live block and the sink copy; a null `live` marks
+  /// a settled campaign.
+  struct Campaign {
+    explicit Campaign(const CampaignSpec& s) : spec(s) {}
+    CampaignSpec spec;
     std::unique_ptr<Live> live;
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
     std::uint64_t gen = 0;         // slot generation; mismatches are stale
-    bool in_heap = false;          // a live slot sits in the *global* heap
-  };
-
-  /// Once settled, a campaign keeps only what handles and stale heap slots
-  /// read: the Member shells (a GSlot::loc must not dangle before reset()),
-  /// the state and ledger fields, and the frozen totals. settle() frees the
-  /// members' Live blocks, the split children and the sink copy.
-  struct Campaign {
-    explicit Campaign(const CampaignSpec& s)
-        : spec(s), family(std::in_place, *s.source, s.split_factor) {}
-    CampaignSpec spec;
-    // Members' sources and their barrier bookkeeping; empty once settled.
-    std::optional<SplitFamily> family;
+    std::uint64_t start_us = 0;    // global admission offset
+    simnet::TokenBucket bucket;
+    ProbeStats totals;  // the Pacer's stats, frozen at settle
     std::uint32_t index = 0;
     CampaignState state = CampaignState::kRunning;
-    std::uint64_t start_us = 0;  // global admission offset
-    simnet::TokenBucket bucket;
     bool throttled = false;
-    bool settled = false;    // terminal bookkeeping and release done
-    bool executing = false;  // a member's slot is running (settle's DCHECK)
-    std::uint64_t probes_sent = 0;
-    ProbeStats totals;  // members' stats, frozen at settle
-    std::vector<Member> members;
+    bool in_heap = false;    // a live slot sits in the heap
+    bool executing = false;  // its slot is running (the step-boundary DCHECKs)
   };
 
-  /// A heap entry. Ordering is the fair-share policy: (due, tenant, member)
-  /// — never a submission sequence number. `loc` locates the member
+  /// A heap entry. Ordering is the fair-share policy: (due, tenant) —
+  /// never a submission sequence number. `loc` locates the campaign
   /// directly, so the lookahead can warm it without first loading anything
-  /// else. Member shells live until reset(), which empties the heap, so
-  /// `loc` never dangles.
+  /// else. Campaigns live until reset(), which empties the heap, so `loc`
+  /// never dangles.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;
     std::uint64_t gen = 0;
-    Member* loc = nullptr;
-    std::uint32_t member = 0;
+    Campaign* loc = nullptr;
     bool operator>(const GSlot& o) const {
       if (due_us != o.due_us) return due_us > o.due_us;
-      if (tenant != o.tenant) return tenant > o.tenant;
-      return member > o.member;
+      return tenant > o.tenant;
     }
   };
 
-  void run_slot(Campaign& c, std::uint32_t mi, std::uint64_t slot_due);
-  void reschedule_member(Campaign& c, std::uint32_t mi);
+  void run_slot(Campaign& c, std::uint64_t slot_due);
+  void reschedule(Campaign& c);
   void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
-  void push_global(Campaign& c, std::uint32_t mi, std::uint64_t due);
+  void push_global(Campaign& c, std::uint64_t due);
   void warm_lookahead() const;
   Campaign* find(CampaignHandle h) const;
   void sort_merged();
@@ -358,7 +331,7 @@ class CampaignReactor {
   std::vector<ReactorReply> merged_;
   bool merged_dirty_ = false;
 
-  // Every member's probes are encoded into this one reused buffer.
+  // Every campaign's probes are encoded into this one reused buffer.
   simnet::Packet probe_buf_;
 
   // The shared immutable tier: one read-only route snapshot, grown on the

@@ -84,7 +84,7 @@ class RouteWarmer {
 /// — plus its ProbeStats and the one emit path (encode → inject → decode →
 /// dispatch). A Pacer is the scheduling primitive every front end drives:
 /// CampaignRunner keeps a heap of them over one Network, CampaignReactor
-/// pushes each member's Pacer straight into its global heap, and a
+/// pushes each campaign's Pacer straight into its global heap, and a
 /// ParallelCampaignRunner work unit drives one over its replica. The Pacer
 /// holds no Network and no buffer; the driver passes both to every step(),
 /// so one probe buffer serves every Pacer a driver owns.

@@ -1,33 +1,62 @@
-// EpochBarrier stress under the CampaignReactor: many concurrent
-// heterogeneous Doubletree families (different split factors, epoch
-// lengths, windows, rates, target counts — including more children than
-// targets) all parking and merging on their SnapshotStopSets while
-// competing for the same service. The reactor drives the same barrier
-// protocol as the parallel backend (exhaustion counts as arrival, the
-// final merge publishes the stop set), so these tests pin the protocol's
-// edges: families isolated from load and all finishing, cancel/pause
-// landing mid-epoch with members parked, and the all-exhausted final
-// publish.
+// EpochBarrier stress under the ParallelCampaignRunner: heterogeneous
+// Doubletree shards — different epoch lengths, windows, rates, TTL ranges
+// and target counts, including a shard with fewer targets than the split
+// factor (the split clamps) and a one-target shard — run as the split
+// families of one run, so their members park and merge on their
+// SnapshotStopSets concurrently across the worker pool. These tests pin
+// the protocol's edges: the thread count never changes a result (stats,
+// merged stream, sink logs, published stop sets), heterogeneous families
+// sharing the pool stay isolated from each other (each shard equals its
+// solo run), and the all-exhausted final merge publishes every family's
+// stop set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 #include <vector>
 
-#include "campaign/reactor.hpp"
+#include "campaign/parallel.hpp"
 #include "prober/doubletree.hpp"
+#include "support/conservation.hpp"
 
 namespace beholder6::campaign {
 namespace {
 
-struct FamilyShape {
-  std::uint64_t tenant = 0;
+struct ShardShape {
+  std::uint64_t id = 0;  // picks the vantage, instance and target slice
   std::size_t n_targets = 0;
-  std::uint64_t split = 1;
   std::size_t epoch_traces = 0;  // 0 = derive from window
+  std::size_t window = 0;        // 0 = derive from pps
   double pps = 2000;
   std::uint8_t start_ttl = 5;
   std::uint8_t max_ttl = 8;
+};
+
+/// The heterogeneous stress population: epoch lengths 1..3 plus
+/// window-derived, explicit and pps-derived windows, a 3-target shard
+/// (which split factor 5 clamps) and a 1-target shard.
+std::vector<ShardShape> stress_shapes() {
+  return {
+      {.id = 11, .n_targets = 18, .epoch_traces = 2, .window = 2, .pps = 2500},
+      {.id = 12, .n_targets = 24, .epoch_traces = 1, .pps = 4000,
+       .start_ttl = 4, .max_ttl = 7},
+      {.id = 13, .n_targets = 10, .epoch_traces = 3, .window = 5, .pps = 1500},
+      {.id = 14, .n_targets = 3, .epoch_traces = 1, .pps = 2000},
+      {.id = 15, .n_targets = 20, .epoch_traces = 0, .window = 3, .pps = 3000,
+       .start_ttl = 6, .max_ttl = 9},
+      {.id = 16, .n_targets = 1, .epoch_traces = 0, .pps = 2000},
+  };
+}
+
+using SinkLog = std::vector<std::tuple<Ipv6Addr, std::uint8_t, std::uint32_t>>;
+
+/// Everything one run produces: the merged result, each shard's sink log
+/// and each shard's published stop set (sorted, so sets compare by value).
+struct StressRun {
+  ParallelResult result;
+  std::vector<SinkLog> logs;
+  std::vector<std::vector<Ipv6Addr>> stop_sets;
 };
 
 class BarrierStressTest : public ::testing::Test {
@@ -50,174 +79,113 @@ class BarrierStressTest : public ::testing::Test {
     return out;
   }
 
-  /// A Doubletree family spec. Each family gets a private legacy stop set
-  /// (the final merge publishes into it; sharing one across concurrently
-  /// draining families would race and break determinism).
-  CampaignSpec make_family(const FamilyShape& shape) {
-    target_lists_.push_back(std::make_unique<std::vector<Ipv6Addr>>(
-        targets(shape.n_targets, 5 * static_cast<std::size_t>(shape.tenant % 67))));
-    stop_sets_.push_back(std::make_unique<prober::StopSet>());
-    prober::DoubletreeConfig cfg;
-    cfg.src = topo_.vantages()[shape.tenant % topo_.vantages().size()].src;
-    cfg.pps = shape.pps;
-    cfg.max_ttl = shape.max_ttl;
-    cfg.start_ttl = shape.start_ttl;
-    cfg.epoch_traces = shape.epoch_traces;
-    cfg.instance = static_cast<std::uint8_t>(1 + shape.tenant % 200);
-    sources_.push_back(std::make_unique<prober::DoubletreeSource>(
-        cfg, *target_lists_.back(), *stop_sets_.back()));
-    CampaignSpec spec;
-    spec.tenant = shape.tenant;
-    spec.source = sources_.back().get();
-    spec.endpoint = cfg.endpoint();
-    spec.pacing = cfg.pacing();
-    spec.split_factor = shape.split;
-    return spec;
-  }
-
-  /// The heterogeneous stress population: split factors 2..5, epoch
-  /// lengths 1..3 plus window-derived, a family with more children than
-  /// targets (split clamps), and one unsplit singleton (no barrier at
-  /// all) sharing the service.
-  std::vector<FamilyShape> stress_shapes() {
-    return {
-        {.tenant = 11, .n_targets = 18, .split = 3, .epoch_traces = 2, .pps = 2500},
-        {.tenant = 12, .n_targets = 24, .split = 4, .epoch_traces = 1, .pps = 4000,
-         .start_ttl = 4, .max_ttl = 7},
-        {.tenant = 13, .n_targets = 10, .split = 2, .epoch_traces = 3, .pps = 1500},
-        {.tenant = 14, .n_targets = 3, .split = 5, .epoch_traces = 1, .pps = 2000},
-        {.tenant = 15, .n_targets = 20, .split = 5, .epoch_traces = 0, .pps = 3000,
-         .start_ttl = 6, .max_ttl = 9},
-        {.tenant = 16, .n_targets = 12, .split = 1, .epoch_traces = 0, .pps = 2000},
-    };
-  }
-
-  static std::vector<ReactorReply> tenant_records(
-      const std::vector<ReactorReply>& merged, std::uint64_t tenant) {
-    std::vector<ReactorReply> out;
-    for (const auto& r : merged)
-      if (r.tenant == tenant) out.push_back(r);
+  /// Run `shapes` as the shards of one run at `split` and `threads`. Each
+  /// shard gets a private legacy stop set for its final merge to publish
+  /// into (a shared one would be grown by concurrently finishing families).
+  StressRun run(const std::vector<ShardShape>& shapes, std::uint64_t split,
+                unsigned threads) {
+    std::vector<std::vector<Ipv6Addr>> target_lists;
+    std::vector<prober::StopSet> stop_sets(shapes.size());
+    std::vector<std::unique_ptr<prober::DoubletreeSource>> sources;
+    StressRun out;
+    out.logs.resize(shapes.size());
+    target_lists.reserve(shapes.size());
+    std::vector<Shard> shards;
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const ShardShape& shape = shapes[i];
+      target_lists.push_back(
+          targets(shape.n_targets, 5 * static_cast<std::size_t>(shape.id % 67)));
+      prober::DoubletreeConfig cfg;
+      cfg.src = topo_.vantages()[shape.id % topo_.vantages().size()].src;
+      cfg.pps = shape.pps;
+      cfg.window = shape.window;
+      cfg.max_ttl = shape.max_ttl;
+      cfg.start_ttl = shape.start_ttl;
+      cfg.epoch_traces = shape.epoch_traces;
+      cfg.instance = static_cast<std::uint8_t>(1 + shape.id % 200);
+      sources.push_back(std::make_unique<prober::DoubletreeSource>(
+          cfg, target_lists.back(), stop_sets[i]));
+      shards.push_back({sources.back().get(), cfg.endpoint(), cfg.pacing(),
+                        [&log = out.logs[i]](const wire::DecodedReply& r) {
+                          log.emplace_back(r.responder, r.probe.ttl, r.rtt_us);
+                        }});
+    }
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    out.result = runner.run(shards, {.split_factor = split});
+    test_support::expect_parallel_conserved(out.result, true);
+    for (const auto& set : stop_sets) {
+      out.stop_sets.emplace_back(set.begin(), set.end());
+      std::ranges::sort(out.stop_sets.back());
+    }
     return out;
   }
 
-  static void expect_identical(const std::vector<ReactorReply>& a,
-                               const std::vector<ReactorReply>& b,
-                               const char* what) {
-    ASSERT_EQ(a.size(), b.size()) << what;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i].slot_us, b[i].slot_us) << what << " record " << i;
-      ASSERT_EQ(a[i].tenant, b[i].tenant) << what << " record " << i;
-      ASSERT_EQ(a[i].member, b[i].member) << what << " record " << i;
-      ASSERT_EQ(a[i].seq, b[i].seq) << what << " record " << i;
-      ASSERT_EQ(a[i].local_us, b[i].local_us) << what << " record " << i;
-      ASSERT_EQ(a[i].reply, b[i].reply) << what << " record " << i;
+  static void expect_identical(const StressRun& a, const StressRun& b) {
+    EXPECT_EQ(a.result.per_shard, b.result.per_shard);
+    EXPECT_EQ(a.result.per_shard_net, b.result.per_shard_net);
+    EXPECT_EQ(a.result.probe_stats, b.result.probe_stats);
+    EXPECT_EQ(a.result.net_stats, b.result.net_stats);
+    EXPECT_EQ(a.result.elapsed_virtual_us, b.result.elapsed_virtual_us);
+    ASSERT_EQ(a.result.replies.size(), b.result.replies.size());
+    for (std::size_t i = 0; i < a.result.replies.size(); ++i) {
+      const auto& x = a.result.replies[i];
+      const auto& y = b.result.replies[i];
+      ASSERT_EQ(x.virtual_us, y.virtual_us) << "reply " << i;
+      ASSERT_EQ(x.shard, y.shard) << "reply " << i;
+      ASSERT_EQ(x.subshard, y.subshard) << "reply " << i;
+      ASSERT_EQ(x.reply, y.reply) << "reply " << i;
     }
+    EXPECT_EQ(a.logs, b.logs);
+    EXPECT_EQ(a.stop_sets, b.stop_sets);
   }
 
   simnet::Topology topo_;
-  std::vector<std::unique_ptr<std::vector<Ipv6Addr>>> target_lists_;
-  std::vector<std::unique_ptr<prober::StopSet>> stop_sets_;
-  std::vector<std::unique_ptr<prober::DoubletreeSource>> sources_;
 };
 
-TEST_F(BarrierStressTest, FamiliesUnderLoadMatchSoloFamilies) {
-  // Barrier parking must stay a tenant-local affair: a family competing
-  // with five other families finishes and produces the same records —
-  // global slot times included — as the same family alone on the service.
-  CampaignReactor mixed{topo_};
-  std::vector<CampaignHandle> handles;
-  for (const auto& shape : stress_shapes())
-    handles.push_back(mixed.submit(make_family(shape)).handle);
-  mixed.drain();
-  for (const auto& h : handles)
-    EXPECT_EQ(mixed.state(h), CampaignState::kFinished);
+TEST_F(BarrierStressTest, ThreadCountNeverChangesHeterogeneousFamilies) {
+  // Families of every shape park and merge concurrently at 2 and 8
+  // workers; the result must equal the one-worker run bit for bit.
+  for (const std::uint64_t split : {2u, 5u}) {
+    const auto one = run(stress_shapes(), split, 1);
+    EXPECT_GT(one.result.replies.size(), 0u) << "split " << split;
+    for (const unsigned threads : {2u, 8u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "split " << split << ", " << threads << " threads");
+      expect_identical(one, run(stress_shapes(), split, threads));
+    }
+  }
+}
 
-  for (const auto& shape : stress_shapes()) {
-    CampaignReactor solo{topo_};
-    ASSERT_TRUE(solo.submit(make_family(shape)).admitted());
-    solo.drain();
-    const auto under_load = tenant_records(mixed.merged(), shape.tenant);
-    ASSERT_GT(under_load.size(), 0u) << "tenant " << shape.tenant;
-    expect_identical(under_load, solo.merged(), "family timeline");
+TEST_F(BarrierStressTest, FamiliesSharingThePoolMatchSoloFamilies) {
+  // Barrier parking must stay a family-local affair: a shard whose family
+  // shares the pool with five others produces the same stats and sink log
+  // as the same shard run alone.
+  const auto shapes = stress_shapes();
+  for (const std::uint64_t split : {2u, 5u}) {
+    const auto mixed = run(shapes, split, 8);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "split " << split << ", shard " << shapes[i].id);
+      const auto solo = run({shapes[i]}, split, 8);
+      EXPECT_EQ(mixed.result.per_shard[i], solo.result.per_shard[0]);
+      EXPECT_EQ(mixed.result.per_shard_net[i], solo.result.per_shard_net[0]);
+      EXPECT_EQ(mixed.logs[i], solo.logs[0]);
+      EXPECT_EQ(mixed.stop_sets[i], solo.stop_sets[0]);
+    }
   }
 }
 
 TEST_F(BarrierStressTest, FinalMergePublishesEveryFamilyStopSet) {
-  // The all-exhausted final merge must publish each family's discovered
-  // interfaces into its legacy stop set.
-  CampaignReactor reactor{topo_};
-  for (const auto& shape : stress_shapes())
-    EXPECT_TRUE(reactor.submit(make_family(shape)).admitted());
-  reactor.drain();
-  ASSERT_EQ(stop_sets_.size(), stress_shapes().size());
-  for (std::size_t i = 0; i < stop_sets_.size(); ++i) {
-    // Every *split* family publishes at its final merge. (The unsplit
-    // singleton uses the legacy serial path, which grows the set live.)
-    EXPECT_GT(stop_sets_[i]->size(), 0u)
-        << "family " << i << " published nothing";
+  // The all-exhausted final merge publishes each family's discovered
+  // interfaces into its legacy stop set — the clamped and one-target
+  // families included.
+  for (const std::uint64_t split : {2u, 5u}) {
+    const auto r = run(stress_shapes(), split, 2);
+    ASSERT_EQ(r.stop_sets.size(), stress_shapes().size());
+    for (std::size_t i = 0; i < r.stop_sets.size(); ++i)
+      EXPECT_GT(r.stop_sets[i].size(), 0u)
+          << "split " << split << ", shard " << i << " published nothing";
   }
-}
-
-TEST_F(BarrierStressTest, CancelMidEpochNeverWedgesTheService) {
-  // Cancel a family while some members are parked at the barrier and
-  // others still hold heap slots: the whole family retires, the barrier
-  // never fires again, and the surviving tenants drain to byte-identical
-  // results — regression against a cancelled family leaving the barrier
-  // waiting on members that will never arrive.
-  CampaignReactor ref{topo_};
-  const auto survivors = stress_shapes();
-  for (std::size_t i = 1; i < survivors.size(); ++i)
-    ASSERT_TRUE(ref.submit(make_family(survivors[i])).admitted());
-  ref.drain();
-
-  CampaignReactor reactor{topo_};
-  const auto victim = reactor.submit(make_family(survivors[0])).handle;
-  std::vector<CampaignHandle> rest;
-  for (std::size_t i = 1; i < survivors.size(); ++i)
-    rest.push_back(reactor.submit(make_family(survivors[i])).handle);
-  // Step deep enough that epoch_traces=2 children have parked at least
-  // once, then cancel with the family mid-flight.
-  for (int i = 0; i < 400; ++i) ASSERT_TRUE(reactor.step());
-  ASSERT_TRUE(reactor.cancel(victim));
-  EXPECT_EQ(reactor.state(victim), CampaignState::kCancelled);
-  reactor.drain();
-  EXPECT_TRUE(reactor.idle());
-  for (const auto& h : rest) EXPECT_EQ(reactor.state(h), CampaignState::kFinished);
-
-  for (std::size_t i = 1; i < survivors.size(); ++i)
-    expect_identical(tenant_records(reactor.merged(), survivors[i].tenant),
-                     tenant_records(ref.merged(), survivors[i].tenant),
-                     "survivor after cancel");
-}
-
-TEST_F(BarrierStressTest, PauseResumeAcrossEpochsChangesNothing) {
-  // Pause a family repeatedly — including while members sit parked at the
-  // barrier — and resume it; records must match the uninterrupted run
-  // exactly, slot times included, because resume restores saved dues and
-  // parked members simply stay parked until their family merges.
-  CampaignReactor ref{topo_};
-  for (const auto& shape : stress_shapes())
-    ASSERT_TRUE(ref.submit(make_family(shape)).admitted());
-  ref.drain();
-
-  CampaignReactor reactor{topo_};
-  std::vector<CampaignHandle> handles;
-  for (const auto& shape : stress_shapes())
-    handles.push_back(reactor.submit(make_family(shape)).handle);
-  // Interleave stepping with pause/resume cycles of alternating families.
-  for (int cycle = 0; cycle < 6; ++cycle) {
-    const auto& h = handles[static_cast<std::size_t>(cycle) % handles.size()];
-    const bool paused = reactor.pause(h);
-    for (int i = 0; i < 120; ++i)
-      if (!reactor.step()) break;
-    if (paused) {
-      ASSERT_TRUE(reactor.resume(h));
-    }
-  }
-  reactor.drain();
-  expect_identical(reactor.merged(), ref.merged(), "pause/resume stress");
-  for (const auto& h : handles)
-    EXPECT_EQ(reactor.state(h), CampaignState::kFinished);
 }
 
 }  // namespace

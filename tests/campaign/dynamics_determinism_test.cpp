@@ -20,6 +20,7 @@
 #include "prober/doubletree.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/dynamics.hpp"
+#include "support/conservation.hpp"
 
 namespace beholder6::campaign {
 namespace {
@@ -137,6 +138,7 @@ TEST_F(DynamicsDeterminismTest, ThreadCountInvariantWithActiveSchedule) {
   EXPECT_GT(results[0].replies.size(), 0u);
   EXPECT_GT(results[0].net_stats.dynamics_events, 0u);
   EXPECT_GT(results[0].net_stats.route_invalidations, 0u);
+  test_support::expect_parallel_conserved(results[0], true);
   expect_identical(results[0], results[1]);
   expect_identical(results[0], results[2]);
 
@@ -172,6 +174,7 @@ TEST_F(DynamicsDeterminismTest, DoubletreeEpochsUnderChurnAreThreadInvariant) {
   EXPECT_GT(results[0].replies.size(), 0u);
   EXPECT_GT(results[0].net_stats.dynamics_events, 0u);
   EXPECT_GT(logs[0].size(), 0u);
+  test_support::expect_parallel_conserved(results[0], true);
   expect_identical(results[0], results[1]);
   expect_identical(results[0], results[2]);
   EXPECT_EQ(logs[0], logs[1]);

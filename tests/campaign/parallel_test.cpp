@@ -22,6 +22,7 @@
 #include "prober/doubletree.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
+#include "support/conservation.hpp"
 #include "support/throwing_source.hpp"
 
 namespace beholder6::campaign {
@@ -102,6 +103,7 @@ TEST_F(ParallelCampaignTest, ThreadCountNeverChangesResults) {
   ASSERT_EQ(results.size(), 3u);
   EXPECT_GT(results[0].probe_stats.probes_sent, 0u);
   EXPECT_GT(results[0].replies.size(), 0u);
+  test_support::expect_parallel_conserved(results[0], true);
   expect_identical(results[0], results[1]);
   expect_identical(results[0], results[2]);
 }

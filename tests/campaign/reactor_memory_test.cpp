@@ -144,8 +144,8 @@ class ReactorMemoryTest : public ::testing::Test {
 };
 
 TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
-  // A settled campaign keeps its Campaign and Member shells: 416 bytes per
-  // campaign here, the reactor's high-water heap capacity included. Kept
+  // A settled campaign keeps its Campaign shell: 248 bytes per campaign
+  // here, the reactor's high-water heap capacity included. Kept
   // replicas and Pacers would leave several KiB per campaign, and
   // yarrp6's per-TTL tables outside neighborhood mode about 1.1 KiB more.
   CampaignReactor reactor{topo_, simnet::NetworkParams{},

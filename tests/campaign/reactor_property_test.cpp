@@ -119,7 +119,6 @@ class ReactorPropertyTest : public ::testing::Test {
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].slot_us, b[i].slot_us) << what << " record " << i;
       ASSERT_EQ(a[i].tenant, b[i].tenant) << what << " record " << i;
-      ASSERT_EQ(a[i].member, b[i].member) << what << " record " << i;
       ASSERT_EQ(a[i].seq, b[i].seq) << what << " record " << i;
       ASSERT_EQ(a[i].local_us, b[i].local_us) << what << " record " << i;
       ASSERT_EQ(a[i].reply, b[i].reply) << what << " record " << i;

@@ -3,9 +3,9 @@
 // refunding the in-flight probe-budget reservation, byte-identity of a
 // reactor run to N serial CampaignRunner runs of the same specs, identical
 // replay after reset() with pre-reset handles staying dead, retired
-// campaigns' stats and state unchanged by the release of their runners
-// and replicas (and a sink cancelling its own campaign caught by a
-// DCHECK), step()'s lookahead prefetch changing no result when the slots
+// campaigns' stats and state unchanged by the release of their Pacers
+// and replicas (and a sink cancelling or pausing its own campaign caught
+// by a DCHECK), step()'s lookahead prefetch changing no result when the slots
 // it warms go stale, released or destroyed, incremental per-tenant
 // streaming through io/trace_io-backed sinks, and a failing tenant or sink
 // stream surfacing from drain().
@@ -24,6 +24,7 @@
 
 #include "io/trace_io.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/conservation.hpp"
 #include "support/throwing_source.hpp"
 
 namespace beholder6::campaign {
@@ -78,7 +79,6 @@ class ReactorTest : public ::testing::Test {
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].slot_us, b[i].slot_us) << "record " << i;
       ASSERT_EQ(a[i].tenant, b[i].tenant) << "record " << i;
-      ASSERT_EQ(a[i].member, b[i].member) << "record " << i;
       ASSERT_EQ(a[i].seq, b[i].seq) << "record " << i;
       ASSERT_EQ(a[i].local_us, b[i].local_us) << "record " << i;
       ASSERT_EQ(a[i].reply, b[i].reply) << "record " << i;
@@ -137,11 +137,12 @@ TEST_F(ReactorTest, RunsManyTenantsToCompletion) {
   for (std::size_t i = 1; i < merged.size(); ++i) {
     const auto& a = merged[i - 1];
     const auto& b = merged[i];
-    EXPECT_LE(std::tie(a.slot_us, a.tenant, a.member, a.seq),
-              std::tie(b.slot_us, b.tenant, b.member, b.seq));
+    EXPECT_LE(std::tie(a.slot_us, a.tenant, a.seq),
+              std::tie(b.slot_us, b.tenant, b.seq));
   }
   for (std::uint64_t t = 1; t <= 5; ++t)
     EXPECT_GT(tenant_records(merged, t).size(), 0u) << "tenant " << t;
+  test_support::expect_reactor_conserved(reactor, handles);
 }
 
 TEST_F(ReactorTest, ReactorRunEqualsSerialRunnersPerTenant) {
@@ -329,6 +330,22 @@ TEST_F(ReactorTest, CancelFromOwnSinkTripsTheStepBoundaryCheck) {
       },
       "settling a campaign mid-slot");
 }
+
+TEST_F(ReactorTest, PauseFromOwnSinkTripsTheStepBoundaryCheck) {
+  // The same rule for pause: mid-slot, run_slot would reschedule the
+  // campaign right after the pause, leaving it running while it reports
+  // kPaused, and resume() would then strand it in the admission ledger.
+  EXPECT_DEATH(
+      {
+        CampaignReactor reactor{topo_};
+        CampaignHandle self;
+        auto spec = make_spec(1, 10);
+        spec.sink = [&](const wire::DecodedReply&) { reactor.pause(self); };
+        self = reactor.submit(spec).handle;
+        reactor.drain();
+      },
+      "pausing a campaign mid-slot");
+}
 #endif
 
 TEST_F(ReactorTest, DeterministicAdmissionRejections) {
@@ -406,19 +423,14 @@ TEST_F(ReactorTest, LookaheadOverStaleSlotsChangesNoResult) {
   // those go stale right before a step. Eight tenants at one rate,
   // admitted together, are served round-robin in tenant order (ties
   // resolve on the tenant id), so the tenants next in line are known.
-  // Tenants 5 and 6 are cancelled, which frees their runners and
-  // replicas, so the stages that follow a member's runner and replica
-  // pointers meet released members (the asan-ubsan leg checks that none
-  // of them reads freed memory). Tenant 3 is a two-member family: member
-  // 1 spends the last of its budget in round 20, which releases the
-  // family and leaves member 0's round-21 slot stale in the heap while
-  // the steps before it warm that slot.
+  // Tenants 5 and 6 are cancelled, which frees their Pacers and
+  // replicas, so the stages that follow a campaign's Live pointer meet
+  // released campaigns (the asan-ubsan leg checks that none of them reads
+  // freed memory). Tenant 3 spends the last of its budget in round 20
+  // and is released mid-run.
   auto spec_of = [&](std::uint64_t t) {
     auto spec = make_spec(t, 8, 3000);
-    if (t == 3) {
-      spec.split_factor = 2;
-      spec.probe_budget = 40;
-    }
+    if (t == 3) spec.probe_budget = 20;
     return spec;
   };
   CampaignReactor reactor{topo_};
@@ -428,10 +440,10 @@ TEST_F(ReactorTest, LookaheadOverStaleSlotsChangesNoResult) {
     ASSERT_TRUE(adm.admitted());
     h[t] = adm.handle;
   }
-  // The first round serves 1, 2, 3/0, 3/1, 4, 5, ...: after four steps
-  // tenant 4 runs next and 5, 6 and 7 sit behind it at h[0..2].
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(reactor.step());
-  EXPECT_EQ(reactor.stats(h[3])->probes_sent, 2u);
+  // The first round serves 1, 2, 3, 4, 5, ...: after three steps tenant
+  // 4 runs next and 5, 6 and 7 sit behind it at h[0..2].
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(reactor.step());
+  EXPECT_EQ(reactor.stats(h[3])->probes_sent, 1u);
   EXPECT_EQ(reactor.stats(h[4])->probes_sent, 0u);
   const auto live5 = reactor.stats(h[5]);
   const auto live6 = reactor.stats(h[6]);

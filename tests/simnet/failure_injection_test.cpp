@@ -13,6 +13,7 @@
 #include "prober/yarrp6.hpp"
 #include "simnet/dynamics.hpp"
 #include "simnet/network.hpp"
+#include "support/conservation.hpp"
 #include "target/synthesis.hpp"
 #include "topology/collector.hpp"
 #include "wire/probe.hpp"
@@ -56,6 +57,7 @@ class FailureInjectionTest : public ::testing::Test {
         [&](const wire::DecodedReply& r) { c.on_reply(r); });
     if (stats_out) *stats_out = stats;
     last_net_stats_ = net.stats();
+    test_support::expect_campaign_conserved(stats, last_net_stats_);
     return c;
   }
 

@@ -1,0 +1,68 @@
+// tests/support/conservation.hpp — conservation identities over the
+// network's and the campaign front ends' counters. Every probe the
+// network takes ends in exactly one outcome, every reply a source sees is
+// a response the network built or a duplicate it injected, and every
+// merge emits each recorded reply exactly once. A counter that drops or
+// double-counts an outcome breaks one of these sums even while every
+// run-against-run equality gate still holds.
+#pragma once
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <span>
+
+#include "campaign/parallel.hpp"
+#include "campaign/reactor.hpp"
+#include "simnet/network.hpp"
+
+namespace beholder6::test_support {
+
+/// Every probe ends as a response, a rate-limited response, a silent
+/// drop, an in-flight loss or a malformed packet.
+inline void expect_network_conserved(const simnet::NetworkStats& n) {
+  EXPECT_EQ(n.probes, n.responses() + n.rate_limited + n.silent_drops +
+                          n.lost_replies + n.malformed)
+      << "probes " << n.probes << " = responses " << n.responses()
+      << " + rate_limited " << n.rate_limited << " + silent_drops "
+      << n.silent_drops << " + lost_replies " << n.lost_replies
+      << " + malformed " << n.malformed;
+}
+
+/// The network identity, plus: a campaign's sources saw every response
+/// once and every injected duplicate once more.
+inline void expect_campaign_conserved(const campaign::ProbeStats& p,
+                                      const simnet::NetworkStats& n) {
+  expect_network_conserved(n);
+  EXPECT_EQ(p.replies, n.responses() + n.dup_replies)
+      << "replies " << p.replies << " = responses " << n.responses()
+      << " + dup_replies " << n.dup_replies;
+}
+
+/// The campaign identities per shard and in total, plus the merge's: with
+/// ParallelRunOptions::collect_replies on, the merged stream holds every
+/// reply exactly once.
+inline void expect_parallel_conserved(const campaign::ParallelResult& r,
+                                      bool collect_replies) {
+  for (std::size_t i = 0; i < r.per_shard.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "shard " << i);
+    expect_campaign_conserved(r.per_shard[i], r.per_shard_net[i]);
+  }
+  expect_campaign_conserved(r.probe_stats, r.net_stats);
+  if (!collect_replies) return;
+  EXPECT_EQ(r.replies.size(), r.probe_stats.replies);
+  EXPECT_EQ(r.merge_perf.replies_merged, r.probe_stats.replies);
+}
+
+/// With ReactorOptions::collect_merged on, the merged stream holds every
+/// reply of `handles` exactly once; they must be every campaign admitted
+/// since the reactor's last reset().
+inline void expect_reactor_conserved(
+    campaign::CampaignReactor& reactor,
+    std::span<const campaign::CampaignHandle> handles) {
+  std::uint64_t replies = 0;
+  for (const auto& h : handles) replies += reactor.stats(h)->replies;
+  EXPECT_EQ(reactor.merged().size(), replies);
+}
+
+}  // namespace beholder6::test_support

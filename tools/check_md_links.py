@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fail on broken relative links or anchors in the repository's Markdown.
+"""Fail on broken relative links, anchors or line references in Markdown.
 
 The docs CI job runs this from anywhere (paths resolve against the repo
 root, one directory above this script). Checks every `[text](target)`
@@ -12,6 +12,12 @@ and `![alt](target)` whose target is not an absolute URL:
     the referenced document, using GitHub's anchor slug rules (rendered
     heading text lowercased, punctuation dropped, spaces to hyphens,
     `-N` suffixes for duplicates).
+
+It also checks every backticked source line reference, `path:line` or
+`path:first-last` (`src/campaign/reactor.cpp:120`): the path, relative
+to the repo root or to the Markdown file's directory, must name a file
+with at least that many lines. CHANGES.md and ISSUE.md describe earlier
+trees, so their line references are not checked.
 
 Fenced code blocks are skipped, so quoted/quarantined content cannot
 trip it.
@@ -31,6 +37,11 @@ HEADING_RE = re.compile(r"^ {0,3}(#{1,6})\s+(.*?)\s*#*\s*$")
 INLINE_LINK_RE = re.compile(r"\[([^\]]*)\]\([^)]*\)")
 MARKUP_RE = re.compile(r"[`*]")
 NON_SLUG_RE = re.compile(r"[^\w\- ]", re.UNICODE)
+# `path:line` or `path:first-last` inside a code span; the path must end
+# in a letter-led extension, so host:port and version strings never match.
+LINE_REF_RE = re.compile(
+    r"`([\w./+-]*\.[A-Za-z][A-Za-z0-9]*):(\d+)(?:-(\d+))?`")
+LINE_REF_SKIP = ("CHANGES.md", "ISSUE.md")
 
 
 def body_lines(md: Path):
@@ -52,6 +63,14 @@ def links_in(md: Path):
     for lineno, line in body_lines(md):
         for match in LINK_RE.finditer(line):
             yield lineno, match.group(1)
+
+
+def line_refs_in(md: Path):
+    """Yield (line number, reference, path, last cited line)."""
+    for lineno, line in body_lines(md):
+        for match in LINE_REF_RE.finditer(line):
+            last = int(match.group(3) or match.group(2))
+            yield lineno, match.group(0), match.group(1), last
 
 
 def slugify(heading: str) -> str:
@@ -113,9 +132,25 @@ def main() -> int:
                         f"(no heading slugs to '#{fragment}' in "
                         f"{dest.relative_to(root)})"
                     )
+        if rel.name in LINE_REF_SKIP:
+            continue
+        for lineno, ref, path, last in line_refs_in(md):
+            checked += 1
+            dest = next((d for d in (root / path, md.parent / path)
+                         if d.is_file()), None)
+            if dest is None:
+                broken.append(f"{rel}:{lineno}: line reference {ref} "
+                              f"names no file")
+                continue
+            with dest.open("rb") as f:
+                lines = sum(1 for _ in f)
+            if last > lines:
+                broken.append(f"{rel}:{lineno}: line reference {ref} is "
+                              f"past the end of {path} ({lines} lines)")
     for line in broken:
         print(line)
-    print(f"checked {checked} relative links/anchors, {len(broken)} broken")
+    print(f"checked {checked} relative links/anchors/line references, "
+          f"{len(broken)} broken")
     return 1 if broken else 0
 
 
