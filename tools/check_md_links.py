@@ -16,8 +16,9 @@ and `![alt](target)` whose target is not an absolute URL:
 It also checks every backticked source line reference, `path:line` or
 `path:first-last` (`src/campaign/reactor.cpp:120`): the path, relative
 to the repo root or to the Markdown file's directory, must name a file
-with at least that many lines. CHANGES.md and ISSUE.md describe earlier
-trees, so their line references are not checked.
+with at least that many lines. CHANGES.md describes earlier trees, so
+its line references are not checked, and neither is a reference quoted
+as an example inside a double-backtick span (`` `file.cpp:12` ``).
 
 Fenced code blocks are skipped, so quoted/quarantined content cannot
 trip it.
@@ -41,7 +42,9 @@ NON_SLUG_RE = re.compile(r"[^\w\- ]", re.UNICODE)
 # in a letter-led extension, so host:port and version strings never match.
 LINE_REF_RE = re.compile(
     r"`([\w./+-]*\.[A-Za-z][A-Za-z0-9]*):(\d+)(?:-(\d+))?`")
-LINE_REF_SKIP = ("CHANGES.md", "ISSUE.md")
+LINE_REF_SKIP = ("CHANGES.md",)
+# A double-backtick span quotes backticked text literally: an example.
+QUOTED_SPAN_RE = re.compile(r"``.*?``")
 
 
 def body_lines(md: Path):
@@ -68,7 +71,7 @@ def links_in(md: Path):
 def line_refs_in(md: Path):
     """Yield (line number, reference, path, last cited line)."""
     for lineno, line in body_lines(md):
-        for match in LINE_REF_RE.finditer(line):
+        for match in LINE_REF_RE.finditer(QUOTED_SPAN_RE.sub("", line)):
             last = int(match.group(3) or match.group(2))
             yield lineno, match.group(0), match.group(1), last
 
