@@ -14,6 +14,7 @@
 
 #include "netbase/annotated_mutex.hpp"
 #include "netbase/dcheck.hpp"
+#include "netbase/huge_alloc.hpp"
 
 namespace beholder6::campaign {
 
@@ -122,7 +123,10 @@ struct UnitResult {
   /// Recorded replies in arrival order. A unit's clock only moves forward
   /// (an epoch unit keeps its replica across barriers), so virtual_us never
   /// decreases along the run: every run is already sorted for the merge.
-  std::vector<ShardReply> run;
+  /// A run past 1 MB is its own mapping, so its pages leave RSS as soon as
+  /// the merge drains it.
+  using ReplyRun = std::vector<ShardReply, netbase::HugePageAllocator<ShardReply>>;
+  ReplyRun run;
 };
 
 /// A unit's execution state between claims: the Pacer driving its source
@@ -442,7 +446,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
       if (next[u] < run.size())
         heads.emplace(run[next[u]].virtual_us, u);
       else
-        std::vector<ShardReply>().swap(run);  // drained: free it now
+        UnitResult::ReplyRun().swap(run);  // drained: unmap it now
     }
     const double merge_seconds = secs_since(merge_t0);
     result.merge_perf = {merge_seconds, merge_seconds, recorded};

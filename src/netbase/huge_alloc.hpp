@@ -10,11 +10,24 @@
 // entries (benchmark/run.py is the regression harness that shows the
 // difference).
 //
+// Each such block is its own anonymous mapping, not a glibc chunk. glibc
+// serves a large request by mmap too, but when it frees an mmapped chunk
+// it raises its mmap threshold to that chunk's size (up to 32 MB). Once a
+// table had grown and freed its old storage, later tables of that size
+// came from the per-thread malloc arenas, where freed tables stay
+// resident, so peak RSS depended on which worker freed which table when.
+// A block mapped here goes back to the kernel on deallocate, at once.
+//
+// Mapped blocks bypass operator new, so allocation-counting hooks do not
+// see them; mapped_bytes() and mappings() count them instead.
+//
 // Stateless std-allocator; small allocations fall through to operator new,
 // and non-Linux builds compile to exactly that fallback plus alignment.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -26,12 +39,74 @@
 
 namespace beholder6::netbase {
 
+inline constexpr std::size_t kHugeThreshold = std::size_t{1} << 20;  // 1 MB
+inline constexpr std::size_t kHugeAlign = std::size_t{2} << 20;      // 2 MB
+
+namespace detail {
+inline std::atomic<std::size_t> g_mapped_bytes{0};
+inline std::atomic<std::uint64_t> g_mappings{0};
+}  // namespace detail
+
+/// Bytes held in mappings made by HugePageAllocator right now (whole
+/// 2 MB-padded extents). Always 0 off Linux.
+inline std::size_t mapped_bytes() {
+  return detail::g_mapped_bytes.load(std::memory_order_relaxed);
+}
+
+/// Mappings HugePageAllocator has ever made. Always 0 off Linux.
+inline std::uint64_t mappings() {
+  return detail::g_mappings.load(std::memory_order_relaxed);
+}
+
+namespace detail {
+
+inline std::size_t huge_extent(std::size_t bytes) {
+  return (bytes + kHugeAlign - 1) & ~(kHugeAlign - 1);
+}
+
+/// Map a 2 MB-aligned extent of huge_extent(bytes): map one alignment more
+/// than that, then unmap the misaligned head and the rest of the slack.
+inline void* map_huge(std::size_t bytes) {
+#ifdef __linux__
+  const std::size_t extent = huge_extent(bytes);
+  std::size_t space = extent + kHugeAlign;
+  void* const raw = ::mmap(nullptr, space, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc{};
+  void* p = raw;
+  std::align(kHugeAlign, extent, p, space);  // the slack always suffices
+  const auto head =
+      static_cast<std::size_t>(static_cast<char*>(p) - static_cast<char*>(raw));
+  if (head != 0) ::munmap(raw, head);
+  ::munmap(static_cast<char*>(p) + extent, kHugeAlign - head);
+  ::madvise(p, extent, MADV_HUGEPAGE);
+  g_mapped_bytes.fetch_add(extent, std::memory_order_relaxed);
+  g_mappings.fetch_add(1, std::memory_order_relaxed);
+  return p;
+#else
+  return ::operator new(bytes, std::align_val_t{kHugeAlign});
+#endif
+}
+
+inline void unmap_huge(void* p, std::size_t bytes) noexcept {
+#ifdef __linux__
+  const std::size_t extent = huge_extent(bytes);
+  ::munmap(p, extent);
+  g_mapped_bytes.fetch_sub(extent, std::memory_order_relaxed);
+#else
+  (void)bytes;
+  ::operator delete(p, std::align_val_t{kHugeAlign});
+#endif
+}
+
+}  // namespace detail
+
+/// Std-allocator for the large hot tables: a block of kHugeThreshold
+/// bytes or more is a 2 MB-aligned mapping of its own with MADV_HUGEPAGE,
+/// unmapped on deallocate; smaller blocks come from operator new.
 template <typename T>
 struct HugePageAllocator {
   using value_type = T;
-
-  static constexpr std::size_t kHugeThreshold = std::size_t{1} << 20;  // 1 MB
-  static constexpr std::size_t kHugeAlign = std::size_t{2} << 20;      // 2 MB
 
   HugePageAllocator() = default;
   template <typename U>
@@ -39,17 +114,7 @@ struct HugePageAllocator {
 
   T* allocate(std::size_t n) {
     const std::size_t bytes = n * sizeof(T);
-    if (bytes >= kHugeThreshold) {
-      const std::size_t padded = (bytes + kHugeAlign - 1) & ~(kHugeAlign - 1);
-      // Via aligned operator new (not aligned_alloc) so binaries that
-      // replace the global allocator — the counting hook in
-      // tests/simnet/steady_state_alloc_test.cpp — observe this path too.
-      void* p = ::operator new(padded, std::align_val_t{kHugeAlign});
-#ifdef __linux__
-      ::madvise(p, padded, MADV_HUGEPAGE);
-#endif
-      return static_cast<T*>(p);
-    }
+    if (bytes >= kHugeThreshold) return static_cast<T*>(detail::map_huge(bytes));
     if constexpr (alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__)
       return static_cast<T*>(::operator new(bytes, std::align_val_t{alignof(T)}));
     else
@@ -57,8 +122,9 @@ struct HugePageAllocator {
   }
 
   void deallocate(T* p, std::size_t n) noexcept {
-    if (n * sizeof(T) >= kHugeThreshold) {
-      ::operator delete(p, std::align_val_t{kHugeAlign});
+    const std::size_t bytes = n * sizeof(T);
+    if (bytes >= kHugeThreshold) {
+      detail::unmap_huge(p, bytes);
     } else if constexpr (alignof(T) > __STDCPP_DEFAULT_NEW_ALIGNMENT__) {
       ::operator delete(p, std::align_val_t{alignof(T)});
     } else {

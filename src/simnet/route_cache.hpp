@@ -154,13 +154,17 @@ class RouteCache {
   /// Drop every entry whose cell matches (cell & mask) == base — the
   /// scoped invalidation ECMP re-convergence events use — and return how
   /// many were dropped. (base, mask) == (0, 0) matches everything and
-  /// degrades to clear(). Open addressing cannot tombstone-free delete in
-  /// place, so survivors are collected and re-placed: a cold event-path
-  /// cost (it allocates a scratch vector — allowlisted in
-  /// tools/check_noalloc.py), never a per-probe one. Interned chains of
-  /// dropped entries stay in the pool until the next clear(); that leak is
-  /// bounded by the chain pool's pre-invalidation size and costs memory,
-  /// not correctness — surviving locators keep pointing at valid storage.
+  /// degrades to clear(). Dropped slots turn vacant, which can cut a
+  /// survivor off from its home slot, so one walk then re-places every
+  /// survivor in place. It starts just after a slot that was vacant before
+  /// the drop (a slot the drop vacated can sit inside a wrapped cluster):
+  /// no probe path crosses that slot, so each survivor is re-placed after
+  /// every slot of its path and can only move back along it. A cold
+  /// event-path cost (B6_COLDPATH) that allocates nothing.
+  /// Interned chains of dropped entries stay in the pool until the next
+  /// clear(); that leak is bounded by the chain pool's pre-invalidation
+  /// size and costs memory, not correctness — surviving locators keep
+  /// pointing at valid storage.
   B6_COLDPATH std::size_t invalidate_cells(std::uint64_t base,
                                            std::uint64_t mask) {
     if (n_entries_ == 0) return 0;
@@ -169,19 +173,25 @@ class RouteCache {
       clear();
       return dropped;
     }
-    std::vector<Slot> survivors;
-    survivors.reserve(n_entries_);
+    const std::size_t slot_mask = slots_.size() - 1;
+    std::size_t start = 0;  // the load bound leaves a vacant slot
+    while (slots_[start].meta != kVacant) ++start;
     std::size_t dropped = 0;
     for (auto& s : slots_) {
-      if (s.meta == kVacant) continue;
-      if ((s.cell & mask) == base)
+      if (s.meta != kVacant && (s.cell & mask) == base) {
+        s.meta = kVacant;
         ++dropped;
-      else
-        survivors.push_back(s);
-      s.meta = kVacant;
+      }
     }
-    n_entries_ = survivors.size();
-    for (const auto& s : survivors) place(s);
+    if (dropped == 0) return 0;
+    n_entries_ -= dropped;
+    for (std::size_t k = 1; k < slots_.size(); ++k) {
+      Slot& s = slots_[(start + k) & slot_mask];
+      if (s.meta == kVacant) continue;
+      const Slot moved = s;
+      s.meta = kVacant;
+      place(moved);
+    }
     return dropped;
   }
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "campaign/reactor.hpp"
+#include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
 
 namespace {
@@ -52,8 +53,9 @@ void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
-// Over-aligned forms: the route cache's alignas(64) slots and the
-// huge-page tables (netbase::HugePageAllocator) allocate through these.
+// Over-aligned forms: the route cache's alignas(64) slots allocate
+// through these. Tables of 1 MB or more are mappings of their own
+// (netbase::HugePageAllocator); live_bytes() adds netbase::mapped_bytes().
 void* operator new(std::size_t n, std::align_val_t al) {
   const auto a = static_cast<std::size_t>(al);
   return counted(std::aligned_alloc(a, (n + a - 1) & ~(a - 1)));
@@ -76,7 +78,8 @@ namespace beholder6::campaign {
 namespace {
 
 std::int64_t live_bytes() {
-  return g_live_bytes.load(std::memory_order_relaxed);
+  return g_live_bytes.load(std::memory_order_relaxed) +
+         static_cast<std::int64_t>(netbase::mapped_bytes());
 }
 
 class ReactorMemoryTest : public ::testing::Test {

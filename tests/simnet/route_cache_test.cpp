@@ -7,6 +7,7 @@
 // target /64 cell, flow_hash % kEcmpVariantPeriod, proto).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -334,6 +335,64 @@ TEST_F(RouteCacheTest, TerminalUnreachablesSuppressPerFullAddress) {
   EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 1u)
       << "a distinct target must not be suppressed by its neighbour";
   EXPECT_EQ(net.inject_view(probe_of(*dead_b)).size(), 0u);
+}
+
+TEST(RouteCacheTable, ScopedInvalidationKeepsWrappedClustersFindable) {
+  // 700 keys stay under the 3/4 load bound of the first 1,024-slot table.
+  // A fifth of them hash into its last 24 slots, so the cluster there
+  // wraps past the end into the keys homed at its start. Cells of group g
+  // are (g << 32 | i), and each invalidation drops one group out of every
+  // cluster, which forces survivors back along their probe paths. Which
+  // third of the keys lands in which group rotates: a re-placement walk
+  // that starts inside the wrapped cluster, at slot 0 or just after a
+  // dropped slot, loses survivors under the rotations 1 and 2.
+  constexpr std::size_t kSlots = 1024;
+  constexpr std::uint64_t kGroupMask = ~std::uint64_t{0} << 32;
+  auto path_of = [](const RouteKey& key) {
+    Path path;
+    path.hops = {{Ipv6Addr::from_halves(0x2001'0db8ULL << 32, 1), 7},
+                 {Ipv6Addr::from_halves(key.cell, 1), key.cell}};
+    path.dest_asn = static_cast<Asn>(key.cell);
+    return path;
+  };
+  for (const std::uint64_t rotation : {0, 1, 2}) {
+    SCOPED_TRACE(rotation);
+    std::vector<RouteKey> keys;
+    std::size_t at_end = 0;
+    for (std::uint64_t i = 0; keys.size() < 700; ++i) {
+      const RouteKey key{(i + rotation) % 3 << 32 | i, 5};
+      const bool end_home = (RouteKeyHash{}(key) & (kSlots - 1)) >= kSlots - 24;
+      if (end_home ? at_end == 140 : keys.size() - at_end == 560) continue;
+      at_end += end_home;
+      keys.push_back(key);
+    }
+    RouteCache cache;
+    for (const auto& key : keys) cache.insert(key, path_of(key));
+    ASSERT_EQ(cache.size(), keys.size());
+
+    std::size_t live = keys.size();
+    for (const std::uint64_t group : {1, 2}) {
+      const auto in_group = [&](const RouteKey& k) { return (k.cell >> 32) == group; };
+      const auto expect_dropped = static_cast<std::size_t>(
+          std::count_if(keys.begin(), keys.end(), in_group));
+      EXPECT_EQ(cache.invalidate_cells(group << 32, kGroupMask), expect_dropped);
+      live -= expect_dropped;
+      EXPECT_EQ(cache.size(), live);
+      for (const auto& key : keys) {
+        const auto found = cache.find(key);
+        if ((key.cell >> 32) != 0 && (key.cell >> 32) <= group) {
+          EXPECT_FALSE(found.has_value()) << "dropped cell " << key.cell;
+          continue;
+        }
+        ASSERT_TRUE(found.has_value()) << "survivor cell " << key.cell;
+        EXPECT_EQ(found->dest_asn(), static_cast<Asn>(key.cell));
+        ASSERT_EQ(found->n_hops(), 2u);
+        EXPECT_EQ(found->hop(1).router_id, key.cell);
+      }
+    }
+    EXPECT_EQ(cache.invalidate_cells(1ULL << 32, kGroupMask), 0u) << "nothing left to drop";
+    EXPECT_EQ(cache.size(), live);
+  }
 }
 
 }  // namespace

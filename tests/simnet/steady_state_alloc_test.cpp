@@ -1,10 +1,11 @@
 // Zero-allocation steady state of the injection path. A Network warmed by
 // one pass of a probe set (route cache, token buckets, learned interfaces,
 // negative caches, reply pool) must answer an identical second pass
-// through inject_view without touching the heap. The check replaces the
-// global operator new/delete with counting versions, which is why it is a
-// test binary of its own. tools/check_noalloc.py proves the same property
-// statically over the call graph; this test proves it at runtime.
+// through inject_view without touching the heap or mapping a page. The
+// check replaces the global operator new/delete with counting versions,
+// which is why it is a test binary of its own. tools/check_noalloc.py
+// proves the same property statically over the call graph; this test
+// proves it at runtime.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/sources.hpp"
 #include "simnet/network.hpp"
@@ -42,8 +44,9 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
-// Over-aligned forms: the route cache's alignas(64) slots and the
-// huge-page tables (netbase::HugePageAllocator) allocate through these.
+// Over-aligned forms: the route cache's alignas(64) slots allocate
+// through these. Tables of 1 MB or more are mappings of their own
+// (netbase::HugePageAllocator) and are counted by netbase::mappings().
 void* operator new(std::size_t n, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
@@ -100,9 +103,12 @@ TEST(SteadyStateAlloc, WarmInjectViewSweepAllocatesNothing) {
   };
   sweep();  // warm-up: every cache, pool and table reaches steady state
   const auto before = g_allocs.load(std::memory_order_relaxed);
+  const auto mappings_before = netbase::mappings();
   sweep();
   const auto allocations = g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocations, 0u) << "over " << probes.size() << " warm probes";
+  EXPECT_EQ(netbase::mappings(), mappings_before)
+      << "a table of 1 MB or more grew during the warm sweep";
   EXPECT_GT(replies, 0u);
 }
 

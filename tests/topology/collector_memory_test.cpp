@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "netbase/huge_alloc.hpp"
 #include "topology/collector.hpp"
 
 namespace {
@@ -47,8 +48,8 @@ void operator delete[](void* p) noexcept { counted_free(p); }
 void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
-// Over-aligned forms: the huge-page tables (netbase::HugePageAllocator)
-// allocate through these.
+// Over-aligned forms. Tables of 1 MB or more are mappings of their own
+// (netbase::HugePageAllocator); live_bytes() adds netbase::mapped_bytes().
 void* operator new(std::size_t n, std::align_val_t al) {
   const auto a = static_cast<std::size_t>(al);
   return counted(std::aligned_alloc(a, (n + a - 1) & ~(a - 1)));
@@ -70,7 +71,10 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace beholder6::topology {
 namespace {
 
-std::int64_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed) +
+         static_cast<std::int64_t>(netbase::mapped_bytes());
+}
 
 constexpr std::uint64_t kTargets = 8000;
 constexpr std::uint64_t kTtls = 15;

@@ -36,7 +36,9 @@ How it works
    edges are seen).
 3. Demangle everything through `c++filt`, pick the entry points by
    demangled-name pattern, and BFS outward.
-4. A walk that reaches `operator new` / `malloc` & friends is a finding,
+4. A walk that reaches `operator new` / `malloc` & friends, or a page
+   mapping (`mmap`, `mremap`: netbase::HugePageAllocator maps every
+   block of 1 MB or more itself), is a finding,
    reported with the full call chain. A walk that reaches a **cold gate**
    stops there: gates are the functions allowed to allocate because they
    are off the steady-state path *by construction* — amortized growth
@@ -74,9 +76,10 @@ Self-test
 verifies the analysis on known ground truth: a hot entry reaching a
 deliberate allocation through two helper frames must be flagged with the
 full chain; a hot entry allocating only through a gate-named function must
-pass; a pure-arithmetic entry must pass; a relocated tail call must reach
-its real callee and not the allocating function objdump labels its
-unpatched displacement with; a jump into a function's body must resolve to
+pass; a hot entry calling mmap must be flagged, and the same call behind a
+gate-named function must pass; a pure-arithmetic entry must pass; a
+relocated tail call must reach its real callee and not the allocating
+function objdump labels its unpatched displacement with; a jump into a function's body must resolve to
 that function; a call relocation that no function covers must be reported
 as unresolved (a reachable one fails the real check, since the
 walk cannot follow it).
@@ -109,6 +112,7 @@ ALLOC_SYMBOLS = {
     "_ZnwmSt11align_val_tRKSt9nothrow_t", "_ZnamSt11align_val_tRKSt9nothrow_t",
     "malloc", "calloc", "realloc", "aligned_alloc", "posix_memalign",
     "valloc", "memalign", "strdup", "strndup",
+    "mmap", "mmap64", "mremap",                # page mappings (large tables)
 }
 
 # Cold gates, matched against *demangled* names. Each entry carries its
@@ -137,9 +141,6 @@ DEFAULT_GATES: list[tuple[str, str]] = [
     (r"beholder6::simnet::Network::duplicate_replies\(",
      "reply duplication under a kLossModel swap: dup_prob_ is 0.0 with no "
      "schedule, so the steady state never enters it (B6_COLDPATH)"),
-    (r"beholder6::simnet::RouteCache::invalidate_cells\(",
-     "ECMP re-convergence invalidation: survivor collection allocates a "
-     "scratch vector, once per re-convergence event (B6_COLDPATH)"),
     (r"beholder6::simnet::Topology::hosts_in\(",
      "per-/64 host enumeration, used by seed generation and the gateway "
      "oracle's cold half — host_at is the hot-path liveness oracle and "
@@ -473,13 +474,21 @@ def run_self_test() -> int:
                     "fixture gate: marked cold by name")] + DEFAULT_GATES)
     failures = 0
     chains = [" -> ".join(f["chain"]) for f in rep["findings"]]
-    if len(rep["findings"]) != 2:
-        print(f"self-test: FAIL — expected exactly 2 findings, got "
+    if len(rep["findings"]) != 3:
+        print(f"self-test: FAIL — expected exactly 3 findings, got "
               f"{len(rep['findings'])}: {chains}")
         failures += 1
     else:
         dirty = [c for c in chains if "hot_entry_dirty" in c]
         ctor = [c for c in chains if "hot_entry_ctor" in c]
+        mapped = [c for c in chains if "hot_entry_map" in c]
+        if len(mapped) != 1 or "hot_entry_map(" not in mapped[0] \
+                or not mapped[0].endswith("mmap"):
+            print(f"self-test: FAIL — the seeded mmap call was not flagged "
+                  f"(or its gated twin was): {chains}")
+            failures += 1
+        else:
+            print(f"self-test: seeded mapping flagged: {mapped[0]}")
         if not dirty or "helper_two" not in dirty[0]:
             print(f"self-test: FAIL — the helper-chain finding misses its "
                   f"seeded frames: {chains}")
@@ -499,6 +508,12 @@ def run_self_test() -> int:
         failures += 1
     else:
         print("self-test: gated path stopped at cold_gate_refill [ok]")
+    if not any("cold_gate_map" in g for g in rep["cold_gates_hit"]):
+        print("self-test: FAIL — the gated mapping did not stop at "
+              "cold_gate_map")
+        failures += 1
+    else:
+        print("self-test: gated mapping stopped at cold_gate_map [ok]")
     if any("hot_entry_clean" in "\n".join(f["chain"])
            for f in rep["findings"]):
         print("self-test: FAIL — the clean entry was flagged")

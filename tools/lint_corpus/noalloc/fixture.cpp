@@ -10,6 +10,10 @@
 //       gate pattern `noalloc_fixture::cold_gate_`).
 //   hot_entry_clean  -> arithmetic only
 //       MUST pass.
+//   hot_entry_map    -> mmap
+//       MUST be flagged: a page mapping is an allocation too.
+//   hot_entry_map_gated -> cold_gate_map -> mmap
+//       MUST pass: the same mapping behind a gate.
 //   hot_entry_ctor   -> Buf::Buf (out-of-line ctor) -> operator new
 //       MUST be flagged. This covers the constructor-alias trap: GCC
 //       emits Buf::Buf as a C1/C2 symbol *pair* at one address; the
@@ -34,6 +38,8 @@
 // The volatile sink keeps the optimizer from deleting the allocations.
 // The two relocation cases are x86-64 assembly, since they depend on exact
 // instruction and section layout that no compiler flag pins down.
+
+#include <sys/mman.h>
 
 #include <cstddef>
 
@@ -76,6 +82,22 @@ __attribute__((noinline)) int hot_entry_ctor(int x) {
     sink = b.p_;
   }
   return x * 7;
+}
+
+__attribute__((noinline)) int hot_entry_map(int x) {
+  if (x > 1000)
+    sink = ::mmap(nullptr, static_cast<std::size_t>(x), PROT_READ,
+                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);  // seeded mapping
+  return x * 11;
+}
+
+__attribute__((noinline)) void cold_gate_map(std::size_t n) {
+  sink = ::mmap(nullptr, n, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+}
+
+__attribute__((noinline)) int hot_entry_map_gated(int x) {
+  if (x > 1000) cold_gate_map(static_cast<std::size_t>(x));
+  return x * 13;
 }
 
 __attribute__((noinline)) int hot_entry_clean(int x) {
@@ -129,5 +151,5 @@ _ZN15noalloc_fixture16hot_entry_resumeEv:
 int fixture_main(int x) {
   using namespace noalloc_fixture;
   return hot_entry_dirty(x) + hot_entry_gated(x) + hot_entry_clean(x) +
-         hot_entry_ctor(x);
+         hot_entry_ctor(x) + hot_entry_map(x) + hot_entry_map_gated(x);
 }
