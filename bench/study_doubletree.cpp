@@ -6,15 +6,58 @@
 
 #include "prober/doubletree.hpp"
 #include "prober/sequential.hpp"
+#include "wire/headers.hpp"
 
 using namespace beholder6;
 
 namespace {
 
-double hop1_rate(const topology::TraceCollector& c, std::size_t traces) {
-  std::size_t have = 0;
-  for (const auto& [t, tr] : c.traces()) have += tr.hops.contains(1);
-  return static_cast<double>(have) / static_cast<double>(traces);
+/// One method's campaign. Hop1Resp is the share of hop-1 probes that drew
+/// a reply and RateLtd the share of all probes whose reply a router's
+/// bucket suppressed, so methods that send different numbers of probes
+/// compare directly.
+struct Row {
+  std::uint64_t probes = 0;
+  std::size_t interfaces = 0;
+  std::uint64_t hop1_sent = 0;
+  std::uint64_t hop1_answered = 0;
+  std::uint64_t rate_limited = 0;
+};
+
+Row run(const simnet::Topology& topo, campaign::ProbeSource& source,
+        const campaign::Endpoint& endpoint, const campaign::PacingPolicy& pacing) {
+  Row row;
+  simnet::Network net{topo, simnet::NetworkParams{}};
+  net.set_probe_observer([&row](const simnet::Packet& probe,
+                                std::span<const simnet::Packet> replies) {
+    const auto ip = wire::Ipv6Header::decode(probe);
+    if (!ip || ip->hop_limit != 1) return;
+    ++row.hop1_sent;
+    row.hop1_answered += !replies.empty();
+  });
+  topology::TraceCollector c;
+  row.probes = campaign::CampaignRunner::run_one(
+                   net, source, endpoint, pacing,
+                   [&](const wire::DecodedReply& r) { c.on_reply(r); })
+                   .probes_sent;
+  row.interfaces = c.interfaces().size();
+  row.rate_limited = net.stats().rate_limited;
+  return row;
+}
+
+std::string percent(std::uint64_t part, std::uint64_t whole) {
+  if (whole == 0) return "-";
+  char buf[16];
+  std::snprintf(buf, sizeof buf, "%.0f%%",
+                100.0 * static_cast<double>(part) / static_cast<double>(whole));
+  return buf;
+}
+
+void print(const char* method, double pps, const Row& row) {
+  std::printf("%-12s %8.0f %10s %10zu %10s %10s", method, pps,
+              bench::human(static_cast<double>(row.probes)).c_str(), row.interfaces,
+              percent(row.hop1_answered, row.hop1_sent).c_str(),
+              percent(row.rate_limited, row.probes).c_str());
 }
 
 }  // namespace
@@ -34,47 +77,29 @@ int main() {
   for (const double pps : {20.0, 1000.0}) {
     {
       prober::Yarrp6Config cfg;
+      cfg.src = vantage.src;
       cfg.pps = pps;
-      const auto run = bench::run_yarrp(world.topo, vantage, set.set.addrs, cfg);
-      const auto& c = run.collector;
-      std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s\n", "yarrp6", pps,
-                  bench::human(static_cast<double>(run.probe_stats.probes_sent)).c_str(),
-                  c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
-                  bench::human(static_cast<double>(run.net_stats.rate_limited)).c_str());
+      prober::Yarrp6Source src{cfg, set.set.addrs};
+      print("yarrp6", pps, run(world.topo, src, cfg.endpoint(), cfg.pacing()));
+      std::printf("\n");
     }
     {
-      simnet::Network net{world.topo, simnet::NetworkParams{}};
       prober::SequentialConfig cfg;
       cfg.src = vantage.src;
       cfg.pps = pps;
-      topology::TraceCollector c;
       prober::SequentialSource src{cfg, set.set.addrs};
-      const auto st = campaign::CampaignRunner::run_one(
-          net, src, cfg.endpoint(), cfg.pacing(),
-          [&](const wire::DecodedReply& r) { c.on_reply(r); });
-      std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s\n", "sequential", pps,
-                  bench::human(static_cast<double>(st.probes_sent)).c_str(),
-                  c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
-                  bench::human(static_cast<double>(net.stats().rate_limited)).c_str());
+      print("sequential", pps, run(world.topo, src, cfg.endpoint(), cfg.pacing()));
+      std::printf("\n");
     }
     {
-      simnet::Network net{world.topo, simnet::NetworkParams{}};
       prober::DoubletreeConfig cfg;
       cfg.src = vantage.src;
       cfg.pps = pps;
       cfg.start_ttl = 6;
-      topology::TraceCollector c;
       prober::StopSet stop_set;
       prober::DoubletreeSource src{cfg, set.set.addrs, stop_set};
-      const auto st = campaign::CampaignRunner::run_one(
-          net, src, cfg.endpoint(), cfg.pacing(),
-          [&](const wire::DecodedReply& r) { c.on_reply(r); });
-      std::printf("%-12s %8.0f %10s %10zu %9.0f%% %10s  (stop set: %zu)\n",
-                  "doubletree", pps,
-                  bench::human(static_cast<double>(st.probes_sent)).c_str(),
-                  c.interfaces().size(), 100 * hop1_rate(c, set.set.size()),
-                  bench::human(static_cast<double>(net.stats().rate_limited)).c_str(),
-                  stop_set.size());
+      print("doubletree", pps, run(world.topo, src, cfg.endpoint(), cfg.pacing()));
+      std::printf("  (stop set: %zu)\n", stop_set.size());
     }
   }
   bench::rule();

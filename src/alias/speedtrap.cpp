@@ -13,6 +13,9 @@ namespace {
 using wire::Icmp6Header;
 using wire::Ipv6Header;
 
+constexpr std::size_t kEchoPayload = 1300;  // > min MTU: forces fragmentation
+constexpr std::uint64_t kGapUs = 1000;      // virtual pacing between probes
+
 /// Oversized ICMPv6 echo request that forces a fragmented reply.
 simnet::Packet make_big_echo(const Ipv6Addr& src, const Ipv6Addr& dst,
                              std::size_t payload_size, std::uint16_t seq) {
@@ -70,9 +73,9 @@ std::optional<std::uint32_t> SpeedtrapResolver::probe_once(simnet::Network& net,
                                                            const Ipv6Addr& iface) {
   ++probes_sent_;
   const auto replies = net.inject_view(
-      make_big_echo(cfg_.src, iface, cfg_.echo_payload,
+      make_big_echo(cfg_.src, iface, kEchoPayload,
                     static_cast<std::uint16_t>(probes_sent_ & 0xffff)));
-  net.advance_us(cfg_.gap_us);
+  net.advance_us(kGapUs);
   for (const auto& r : replies)
     if (const auto frag = wire::fragment_of(r)) return frag->identification;
   return std::nullopt;

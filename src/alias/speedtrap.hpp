@@ -30,8 +30,6 @@ namespace beholder6::alias {
 struct SpeedtrapConfig {
   Ipv6Addr src;                  // vantage source address
   unsigned rounds = 6;           // interleaved probe rounds per interface
-  std::size_t echo_payload = 1300;  // > min MTU: forces fragmentation
-  std::uint64_t gap_us = 1000;   // virtual pacing between probes
 };
 
 /// One interface's observed identification samples, in probe order.

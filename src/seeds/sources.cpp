@@ -29,7 +29,8 @@ Ipv6Addr random_in(const Prefix& p, Rng& rng) {
 
 }  // namespace
 
-SeedList make_caida(const Topology& topo, const SeedScale& sc, std::uint64_t seed) {
+SeedList make_caida(const Topology& topo, const SeedScale& /*sc*/,
+                    std::uint64_t seed) {
   // BGP-derived: every announced prefix of length <= 48 contributes its ::1
   // address plus random in-prefix addresses (Ark probes both).
   SeedList list;
@@ -38,7 +39,7 @@ SeedList make_caida(const Topology& topo, const SeedScale& sc, std::uint64_t see
   topo.bgp().for_each([&](const Prefix& p, const simnet::Asn&) {
     if (p.len() > 48) return;
     push_addr(list, p.base() | Ipv6Addr::from_halves(0, 1));
-    for (std::size_t i = 0; i < sc.caida_random_per_prefix; ++i)
+    for (std::size_t i = 0; i < kCaidaRandomPerPrefix; ++i)
       push_addr(list, random_in(p, rng));
   });
   return list;
@@ -64,7 +65,7 @@ SeedList make_fiebig(const Topology& topo, const SeedScale& sc, std::uint64_t se
       // hosts (plus the gateway) — which is what makes fiebig-known probing
       // reach live machines (Table 4's port-unreachable signature). /64s
       // that fell out of use leave stale sequential entries behind.
-      const auto run = 2 + rng.below(sc.fiebig_run_len);
+      const auto run = 2 + rng.below(kFiebigRunLen);
       for (std::uint64_t r = 0; r < run; ++r) {
         const auto hi = s.base().hi() + r;
         const auto probe64 = Ipv6Addr::from_halves(hi, 0);
@@ -84,7 +85,7 @@ SeedList make_fiebig(const Topology& topo, const SeedScale& sc, std::uint64_t se
     const auto runs = scaled(sc, 14);
     for (std::size_t q = 0; q < runs; ++q) {
       const auto base = unrouted_hi | (rng.below(200) << 16) | (rng.below(64) << 8);
-      const auto run = 2 + rng.below(sc.fiebig_run_len);
+      const auto run = 2 + rng.below(kFiebigRunLen);
       for (std::uint64_t r = 0; r < run; ++r)
         for (std::uint64_t j = 1; j <= 2; ++j)
           push_addr(list, Ipv6Addr::from_halves(base + r, j));
@@ -99,7 +100,7 @@ SeedList make_fdns_any(const Topology& topo, const SeedScale& sc, std::uint64_t 
   SeedList list;
   list.name = "fdns_any";
   Rng rng{splitmix64(seed ^ 0xfd45)};
-  const auto cap = scaled(sc, sc.fdns_hosts);
+  const auto cap = scaled(sc, kFdnsHosts);
   for (const auto& as : topo.ases()) {
     if (list.entries.size() >= cap) break;
     if (as.type != AsType::kContent && as.type != AsType::kUniversity) continue;
@@ -125,7 +126,7 @@ SeedList make_dnsdb(const Topology& topo, const SeedScale& sc, std::uint64_t see
   SeedList list;
   list.name = "dnsdb";
   Rng rng{splitmix64(seed ^ 0xd45db)};
-  const auto per_as = std::max<std::size_t>(2, scaled(sc, sc.dnsdb_hosts) /
+  const auto per_as = std::max<std::size_t>(2, scaled(sc, kDnsdbHosts) /
                                                    std::max<std::size_t>(1, topo.ases().size()));
   for (const auto& as : topo.ases()) {
     if (as.type == AsType::kTier1) continue;
@@ -154,7 +155,7 @@ SeedList make_cdn(const Topology& topo, const SeedScale& sc, unsigned k,
   // release. Entries are *prefixes* of varying length.
   target::KipAggregator agg{k};
   (void)seed;  // the active-client set is ground truth, not sampled
-  const std::size_t budget = scaled(sc, sc.cdn_client_64s);
+  const std::size_t budget = scaled(sc, kCdnClient64s);
   for (const auto& as : topo.ases()) {
     if (as.type != AsType::kEyeballIsp) continue;
     if (agg.distinct_64s() >= budget) break;
@@ -187,7 +188,7 @@ SeedList make_6gen(const Topology& topo, const SeedScale& sc, std::uint64_t seed
   SeedList list;
   list.name = "6gen";
   Rng rng{splitmix64(seed ^ 0x66e4)};
-  const auto out_budget = scaled(sc, sc.sixgen_out);
+  const auto out_budget = scaled(sc, kSixgenOut);
   for (const auto& [hi48, members] : clusters) {
     if (members.size() < 2) continue;
     // Observed nybble ranges across positions 12..31 (bits 48..128).
@@ -226,7 +227,7 @@ SeedList make_tum(const Topology& topo, const SeedScale& sc, std::uint64_t seed)
   for (const auto& e : make_caida(topo, sc, seed).entries)
     if (rng.chance(0.5)) list.entries.push_back(e);
   // ct-style: residential and content hosts, skewed toward EUI-64 IIDs.
-  std::size_t extra = scaled(sc, sc.tum_extra);
+  std::size_t extra = scaled(sc, kTumExtra);
   for (const auto& as : topo.ases()) {
     if (extra == 0) break;
     if (as.type != AsType::kEyeballIsp && as.type != AsType::kContent) continue;
@@ -258,7 +259,7 @@ SeedList make_random(const Topology& topo, const SeedScale& sc, std::uint64_t se
   topo.bgp().for_each([&](const Prefix& p, const simnet::Asn&) {
     if (p.len() <= 48) prefixes.push_back(p);
   });
-  const auto n = scaled(sc, sc.random_targets);
+  const auto n = scaled(sc, kRandomTargets);
   for (std::size_t i = 0; i < n; ++i)
     push_addr(list, random_in(prefixes[rng.below(prefixes.size())], rng));
   return list;

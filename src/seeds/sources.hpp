@@ -33,18 +33,21 @@
 
 namespace beholder6::seeds {
 
-/// Scale factor over the default sizes below; the paper's lists range from
-/// 105k (caida) to 26.5M (random) — we keep their ratios at bench scale.
+/// Per-source sizes at scale 1. The paper's lists range from 105k (caida)
+/// to 26.5M (random); these keep their ratios at bench scale.
+inline constexpr std::size_t kCaidaRandomPerPrefix = 1;
+inline constexpr std::size_t kFiebigRunLen = 24;  // /64s per rDNS run
+inline constexpr std::size_t kFdnsHosts = 12000;
+inline constexpr std::size_t kDnsdbHosts = 5000;
+inline constexpr std::size_t kCdnClient64s = 240000;  // scanned for activity
+inline constexpr std::size_t kSixgenOut = 9000;
+inline constexpr std::size_t kTumExtra = 4000;
+inline constexpr std::size_t kRandomTargets = 26000;
+
+/// Scale factor over the sizes above (kCaidaRandomPerPrefix and
+/// kFiebigRunLen are per-prefix and per-run shapes, not scaled).
 struct SeedScale {
   double scale = 1.0;
-  std::size_t caida_random_per_prefix = 1;
-  std::size_t fiebig_run_len = 24;        // consecutive /64s per rDNS run
-  std::size_t fdns_hosts = 12000;
-  std::size_t dnsdb_hosts = 5000;
-  std::size_t cdn_client_64s = 240000;    // /64s scanned for client activity
-  std::size_t sixgen_out = 9000;
-  std::size_t tum_extra = 4000;
-  std::size_t random_targets = 26000;
 };
 
 using target::SeedList;

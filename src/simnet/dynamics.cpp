@@ -30,6 +30,13 @@ std::vector<std::uint64_t> churn_candidate_routers(
   return ids;
 }
 
+namespace {
+
+constexpr unsigned kLinkFailures = 2;         // down/up pairs
+constexpr unsigned kScopedReconvergences = 2;  // per-/48 ECMP re-hashes
+
+}  // namespace
+
 DynamicsSchedule make_churn_schedule(const Topology& topo,
                                      const VantageInfo& vantage,
                                      std::span<const Ipv6Addr> sample_targets,
@@ -46,7 +53,7 @@ DynamicsSchedule make_churn_schedule(const Topology& topo,
   };
 
   const auto routers = churn_candidate_routers(topo, vantage, sample_targets);
-  for (unsigned i = 0; i < params.link_failures && !routers.empty(); ++i) {
+  for (unsigned i = 0; i < kLinkFailures && !routers.empty(); ++i) {
     DynamicsEvent down;
     down.kind = DynamicsKind::kLinkDown;
     down.router_id = routers[rng.below(routers.size())];
@@ -62,20 +69,17 @@ DynamicsSchedule make_churn_schedule(const Topology& topo,
     schedule.add(up);
   }
 
-  if (params.global_reconvergences) {
-    for (const double frac : {0.35, 0.7}) {
-      DynamicsEvent ev;
-      ev.kind = DynamicsKind::kEcmpReconverge;
-      ev.cell_base = 0;
-      ev.cell_mask = 0;  // every cell
-      ev.bump = 1;
-      ev.at_us = 1 + static_cast<std::uint64_t>(
-                         frac * static_cast<double>(horizon));
-      schedule.add(ev);
-    }
+  for (const double frac : {0.35, 0.7}) {
+    DynamicsEvent ev;
+    ev.kind = DynamicsKind::kEcmpReconverge;
+    ev.cell_base = 0;
+    ev.cell_mask = 0;  // every cell
+    ev.bump = 1;
+    ev.at_us =
+        1 + static_cast<std::uint64_t>(frac * static_cast<double>(horizon));
+    schedule.add(ev);
   }
-  for (unsigned i = 0; i < params.scoped_reconvergences && !sample_targets.empty();
-       ++i) {
+  for (unsigned i = 0; i < kScopedReconvergences && !sample_targets.empty(); ++i) {
     DynamicsEvent ev;
     ev.kind = DynamicsKind::kEcmpReconverge;
     // One PoP's /48 worth of /64 cells: the bits below /48 in the upper
@@ -88,27 +92,24 @@ DynamicsSchedule make_churn_schedule(const Topology& topo,
     schedule.add(ev);
   }
 
-  if (params.rate_change) {
-    DynamicsEvent ev;
-    ev.kind = DynamicsKind::kRateLimitScale;
-    ev.rate_scale = 0.5;
-    ev.at_us = at(0.4, 0.6);
-    schedule.add(ev);
-  }
-  if (params.loss_swap) {
-    DynamicsEvent on;
-    on.kind = DynamicsKind::kLossModel;
-    on.reply_loss = 0.05;
-    on.reply_dup = 0.03;
-    on.at_us = at(0.5, 0.6);
-    schedule.add(on);
-    DynamicsEvent off;
-    off.kind = DynamicsKind::kLossModel;
-    off.reply_loss = 0.0;
-    off.reply_dup = 0.0;
-    off.at_us = at(0.8, 0.9);
-    schedule.add(off);
-  }
+  DynamicsEvent rate;
+  rate.kind = DynamicsKind::kRateLimitScale;
+  rate.rate_scale = 0.5;
+  rate.at_us = at(0.4, 0.6);
+  schedule.add(rate);
+
+  DynamicsEvent on;
+  on.kind = DynamicsKind::kLossModel;
+  on.reply_loss = 0.05;
+  on.reply_dup = 0.03;
+  on.at_us = at(0.5, 0.6);
+  schedule.add(on);
+  DynamicsEvent off;
+  off.kind = DynamicsKind::kLossModel;
+  off.reply_loss = 0.0;
+  off.reply_dup = 0.0;
+  off.at_us = at(0.8, 0.9);
+  schedule.add(off);
   return schedule;
 }
 

@@ -39,7 +39,10 @@
 //                   by rate_scale and the limiters re-initialize at the new
 //                   budgets (buckets are derived state, rebuilt on demand).
 //   kLossModel      swap the in-flight reply loss probability and the reply
-//                   duplication probability. (Reorder is not modelled: the
+//                   duplication probability. This is the only source of
+//                   either: both are 0 until the first such event (an
+//                   event at at_us 0 applies before the first probe).
+//                   (Reorder is not modelled: the
 //                   simulator is synchronous, replies arrive within their
 //                   probe's inject call, so there is no inter-reply
 //                   timeline to permute.)
@@ -123,14 +126,6 @@ struct ChurnParams {
   /// than the shortest work unit's virtual duration so every replica
   /// experiences the full schedule.
   std::uint64_t horizon_us = 1000000;
-  unsigned link_failures = 2;       ///< down/up pairs over mid-path routers
-  unsigned scoped_reconvergences = 2;  ///< per-/48 ECMP re-hashes
-  /// Two whole-table ECMP re-hashes (at ~0.35 and ~0.7 of the horizon).
-  /// The second one guarantees nonzero scoped-invalidation work even when
-  /// a warmed shared snapshot keeps private caches empty until the first.
-  bool global_reconvergences = true;
-  bool rate_change = true;   ///< halve limiter budgets mid-campaign
-  bool loss_swap = true;     ///< loss/dup on at ~0.55, off at ~0.85
 };
 
 /// Mid-path routers (past the vantage's premise chain) harvested from the
@@ -141,11 +136,15 @@ struct ChurnParams {
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets);
 
-/// Generate a seeded churn schedule over the given horizon: link
-/// failure/recovery pairs on harvested mid-path routers, scoped and global
-/// ECMP re-convergences, a rate-limiter budget change, and a loss-model
-/// swap. A pure function of (topology, vantage, sample_targets, params) —
-/// the campaign churn tests and benchmark/'s doubletree_churn share it.
+/// Generate a seeded churn schedule over the given horizon: two link
+/// failure/recovery pairs on harvested mid-path routers (one loud, one
+/// silent), two whole-table ECMP re-convergences (at ~0.35 and ~0.7 of the
+/// horizon; the second guarantees scoped-invalidation work even when a
+/// warmed shared snapshot keeps private caches empty until the first), two
+/// per-/48 re-convergences, a halving of every limiter budget, and a
+/// loss-model swap (loss/dup on at ~0.55, off at ~0.85). A pure function
+/// of (topology, vantage, sample_targets, params) — the campaign churn
+/// tests and benchmark/'s doubletree_churn share it.
 [[nodiscard]] DynamicsSchedule make_churn_schedule(
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets, const ChurnParams& params);

@@ -13,6 +13,23 @@ using wire::Icmp6Type;
 using wire::Ipv6Header;
 using wire::Proto;
 
+namespace {
+
+// Per-router ICMPv6 error budgets (paper §4): a router's bucket refills at
+// a rate in [kBaseRate, kBaseRate + kRateSpread) tokens/s and holds a
+// burst in [kBaseBurst, kBaseBurst + kBurstSpread), both drawn from its id;
+// about one router in kAggressiveModulus limits much harder instead. Every
+// paper golden is calibrated against these values.
+constexpr double kBaseRate = 150.0;
+constexpr double kRateSpread = 500.0;
+constexpr double kBaseBurst = 4.0;
+constexpr double kBurstSpread = 12.0;
+constexpr unsigned kAggressiveModulus = 7;
+constexpr double kAggressiveRate = 25.0;
+constexpr double kAggressiveBurst = 8.0;
+
+}  // namespace
+
 TokenBucket& Network::bucket_for(std::uint64_t router_id) {
   auto it = buckets_.find(router_id);
   if (it != buckets_.end()) return it->second;
@@ -21,14 +38,13 @@ TokenBucket& Network::bucket_for(std::uint64_t router_id) {
   }
   const auto hv = splitmix64(router_id ^ 0x6b7c);
   double rate, burst;
-  if (params_->aggressive_modulus && hv % params_->aggressive_modulus == 0) {
-    rate = params_->aggressive_rate;
-    burst = params_->aggressive_burst;
+  if (hv % kAggressiveModulus == 0) {
+    rate = kAggressiveRate;
+    burst = kAggressiveBurst;
   } else {
-    rate = params_->base_rate +
-           static_cast<double>(hv % 1000) / 1000.0 * params_->rate_spread;
-    burst = params_->base_burst +
-            static_cast<double>((hv >> 10) % 1000) / 1000.0 * params_->burst_spread;
+    rate = kBaseRate + static_cast<double>(hv % 1000) / 1000.0 * kRateSpread;
+    burst = kBaseBurst +
+            static_cast<double>((hv >> 10) % 1000) / 1000.0 * kBurstSpread;
   }
   // kRateLimitScale events multiply every budget; the event handler clears
   // buckets_ so existing limiters re-derive here at the scaled rate.
@@ -226,15 +242,13 @@ std::span<const Packet> Network::inject_view(const Packet& probe) {
 
 void Network::inject_impl(const Packet& probe, PacketPool& out) {
   ++stats_.probes;
-  // Failure injection: lose this probe's reply with the configured
-  // probability, keyed deterministically off content and time. A kLossModel
-  // dynamics event overrides the configured probability until the next one.
-  const double loss =
-      loss_override_ >= 0.0 ? loss_override_ : params_->reply_loss;
-  if (loss > 0.0) {
+  // Failure injection: lose this probe's reply with the probability the
+  // last kLossModel dynamics event set (0 before any), keyed
+  // deterministically off content and time.
+  if (reply_loss_ > 0.0) {
     std::uint64_t key = splitmix64(now_us_ ^ 0x10c355);
     for (std::size_t i = 0; i < probe.size(); i += 7) key = splitmix64(key ^ probe[i]);
-    if (static_cast<double>(key % 1000000) < loss * 1000000.0) {
+    if (static_cast<double>(key % 1000000) < reply_loss_ * 1000000.0) {
       ++stats_.lost_replies;
       return;
     }
@@ -303,6 +317,13 @@ void Network::inject_impl(const Packet& probe, PacketPool& out) {
       ++stats_.silent_drops;
       return;
     }
+    // The expiry, not the reply, teaches the interface: it is learned
+    // before the bucket is consulted, so a Time Exceeded the bucket
+    // suppresses still lets the interface answer echoes later. The bucket
+    // limits the errors a router originates (RFC 4443 §2.4(f)), not
+    // whether its interfaces are reachable, and a real interface answers
+    // echoes whether or not any prober has seen it yet. Pinned by
+    // network_test's RateLimitedTimeExceededStillTeachesTheInterface.
     iface_router_.emplace(hop.iface, hop.router_id);
     if (!consume_token(hop.router_id)) return;
     ++stats_.time_exceeded;
@@ -482,7 +503,7 @@ void Network::apply_dynamics_event(const DynamicsEvent& ev) {
       buckets_.clear();
       return;
     case DynamicsKind::kLossModel:
-      loss_override_ = ev.reply_loss;
+      reply_loss_ = ev.reply_loss;
       dup_prob_ = ev.reply_dup;
       return;
   }

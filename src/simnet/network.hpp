@@ -51,21 +51,9 @@
 namespace beholder6::simnet {
 
 struct NetworkParams {
-  /// Default bucket parameters: rate in [base_rate, base_rate+rate_spread)
-  /// tokens/s, burst in [base_burst, base_burst+burst_spread).
-  double base_rate = 150.0;
-  double rate_spread = 500.0;
-  double base_burst = 4.0;
-  double burst_spread = 12.0;
-  /// Roughly one router in `aggressive_modulus` rate-limits much harder.
-  unsigned aggressive_modulus = 7;
-  double aggressive_rate = 25.0;
-  double aggressive_burst = 8.0;
-  /// Disable rate limiting entirely (for discovery-only experiments).
+  /// Disable rate limiting entirely (for discovery-only experiments). The
+  /// per-router budgets themselves are model constants (bucket_for).
   bool unlimited = false;
-  /// Failure injection: probability that a reply is lost in flight
-  /// (deterministic in probe content + virtual time, so runs reproduce).
-  double reply_loss = 0.0;
   /// ICMPv6-silent routers: this fraction of routers never originate
   /// ICMPv6 errors (a common real-Internet behaviour; it is what stalls the
   /// paper's fill mode at unresponsive hops). Deterministic in router id.
@@ -92,7 +80,8 @@ struct NetworkParams {
   /// Mid-campaign network dynamics: a schedule of virtual-time-stamped
   /// events (link failure/recovery, ECMP re-convergence, rate-limiter
   /// budget changes, loss-model swaps) the network applies on its
-  /// virtual-clock boundary inside inject_view. Shared
+  /// virtual-clock boundary inside inject_view. A kLossModel event is the
+  /// only source of in-flight reply loss and duplication. Shared
   /// and immutable like the rest of this block: every replica of a
   /// parallel campaign replays the identical event stream against its own
   /// clock, so churn is part of the campaign spec and the bit-identical
@@ -120,10 +109,11 @@ struct NetworkStats {
   // compare behaviour alone; operator+= still sums them for reporting.
   std::uint64_t route_cache_hits = 0;
   std::uint64_t route_cache_misses = 0;
-  /// Replica-style constructions paid (the shared-params constructor and
-  /// Network::replica()). An arena that reset()s between work units
-  /// reports 1 however many units it ran, so a parallel merge shows the
-  /// number of Network builds actually constructed, not work units run.
+  /// Replica-style constructions paid (the shared-params constructor, which
+  /// the parallel backend's arenas and the reactor use). An arena that
+  /// reset()s between work units reports 1 however many units it ran, so a
+  /// parallel merge shows the number of Network builds actually
+  /// constructed, not work units run.
   std::uint64_t replica_builds = 0;
   /// Dynamics events applied so far (a mechanism counter: each replica of
   /// a parallel run replays the schedule, so the total scales with work
@@ -190,9 +180,12 @@ class Network {
   /// Replica-style construction: share an existing immutable parameter
   /// block instead of copying one (NetworkParams carries a silent-router
   /// set, so per-replica copies are real cost at high shard counts). This
-  /// is the constructor Network::replica() and the parallel backend's
-  /// per-worker arenas use; it counts itself in
-  /// NetworkStats::replica_builds.
+  /// is the constructor the parallel backend's per-worker arenas and the
+  /// reactor's tenants use; it counts itself in
+  /// NetworkStats::replica_builds. A replica shares nothing mutable with
+  /// its siblings: each has its own clock, token buckets, caches and
+  /// counters, matching vantage points that never share a router's
+  /// rate-limit budget with themselves.
   Network(const Topology& topo, std::shared_ptr<const NetworkParams> params)
       : topo_(topo), params_(std::move(params)) {
     B6_DCHECK(params_ != nullptr, "Network needs a parameter block");
@@ -251,35 +244,9 @@ class Network {
     down_routers_.clear();
     ecmp_scopes_.clear();
     rate_scale_ = 1.0;
-    loss_override_ = -1.0;
+    reply_loss_ = 0.0;
     dup_prob_ = 0.0;
   }
-
-  [[nodiscard]] const NetworkParams& params() const { return *params_; }
-
-  /// The shared immutable parameter block itself — what replica-style
-  /// construction shares instead of copying (see the shared-params
-  /// constructor).
-  [[nodiscard]] const std::shared_ptr<const NetworkParams>& params_ptr() const {
-    return params_;
-  }
-
-  /// A fresh Network over the same topology and parameters with pristine
-  /// dynamic state (route cache included) — the per-shard replica parallel
-  /// campaign backends run on. Replicas share nothing mutable: each has its
-  /// own clock, token buckets, caches, and counters, matching the semantics
-  /// of vantage points that never share a router's rate-limit budget with
-  /// themselves. What they do share is immutable: the Topology, the
-  /// parameter block (by shared_ptr — no copy), and, when attached, the
-  /// read-only route snapshot (set_shared_routes). The replica also
-  /// inherits this network's snapshot attachment.
-  [[nodiscard]] Network replica() const {
-    Network r{topo_, params_};
-    r.shared_routes_ = shared_routes_;
-    return r;
-  }
-
-  [[nodiscard]] const Topology& topology() const { return topo_; }
 
   /// Router interfaces learned from Time Exceeded responses so far (address
   /// → router identity). Alias probing targets these directly.
@@ -315,13 +282,9 @@ class Network {
   /// Topology::path would return, so attaching (or not attaching, or
   /// attaching a partial one) never changes any reply. The snapshot is
   /// immutable configuration, like the Topology and params: it survives
-  /// reset() (which restores *dynamic* state only) and is inherited by
-  /// replica().
+  /// reset() (which restores *dynamic* state only).
   void set_shared_routes(std::shared_ptr<const RouteCache> snapshot) {
     shared_routes_ = std::move(snapshot);
-  }
-  [[nodiscard]] const std::shared_ptr<const RouteCache>& shared_routes() const {
-    return shared_routes_;
   }
 
   /// Everything the route cache keys a probe on, recovered from the wire
@@ -394,7 +357,7 @@ class Network {
                        const Packet& probe, Packet& out) const;
 
   const Topology& topo_;
-  // Immutable tier: shared, read-only, replica-inherited. Everything below
+  // Immutable tier: shared and read-only. Everything below
   // these two is private mutable state wiped by reset().
   std::shared_ptr<const NetworkParams> params_;
   std::shared_ptr<const RouteCache> shared_routes_;
@@ -428,7 +391,7 @@ class Network {
   };
   std::vector<EcmpScope> ecmp_scopes_;
   double rate_scale_ = 1.0;      // kRateLimitScale multiplier on bucket rates
-  double loss_override_ = -1.0;  // kLossModel reply loss; <0 = use params
+  double reply_loss_ = 0.0;      // kLossModel reply loss probability
   double dup_prob_ = 0.0;        // kLossModel reply duplication probability
   // Scratch for path resolution on a miss or with caching disabled
   // (capacity reused across probes).

@@ -275,9 +275,12 @@ class RouteCache {
   using SlotVec = std::vector<Slot, netbase::HugePageAllocator<Slot>>;
   using HopVec = std::vector<CompactHop, netbase::HugePageAllocator<CompactHop>>;
 
+  // A private cache starts at 16 slots (1 KiB), like FlatTable, so a
+  // reactor tenant whose routes miss the shared snapshot pays only for the
+  // routes it resolves.
   B6_COLDPATH void grow() {
     SlotVec old = std::move(slots_);
-    slots_.assign(old.empty() ? 1024 : old.size() * 2, Slot{});
+    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
     for (const auto& s : old)
       if (s.meta != kVacant) place(s);
   }

@@ -32,12 +32,6 @@ class TokenBucket {
     return false;
   }
 
-  /// Current token count after refilling to `now_us` (observation only).
-  [[nodiscard]] double peek(std::uint64_t now_us) {
-    refill(now_us);
-    return tokens_;
-  }
-
   /// Unconditionally take `n` tokens at virtual time `now_us`, letting the
   /// balance go negative (token debt). Debt models work that has already
   /// been committed — a whole burst window emitted at one send instant —
@@ -53,10 +47,10 @@ class TokenBucket {
   /// Earliest virtual time at or after `now_us` when one whole token will
   /// be available. Pure scheduling arithmetic — nothing is consumed — so a
   /// scheduler can sleep a throttled consumer until exactly this instant
-  /// instead of polling try_consume(). Requires rate() > 0 when the bucket
-  /// is in deficit. Deterministic: a pure function of (state, now_us), and
-  /// like refill() it never rewinds — a `now_us` before the last refill
-  /// just reads the current balance.
+  /// instead of polling try_consume(). Requires a positive rate when the
+  /// bucket is in deficit. Deterministic: a pure function of (state,
+  /// now_us), and like refill() it never rewinds — a `now_us` before the
+  /// last refill just reads the current balance.
   [[nodiscard]] std::uint64_t ready_at_us(std::uint64_t now_us) {
     refill(now_us);
     if (tokens_ >= 1.0) return now_us;
@@ -66,9 +60,6 @@ class TokenBucket {
     const double deficit_us = (1.0 - tokens_) * 1e6 / rate_;
     return now_us + static_cast<std::uint64_t>(deficit_us) + 1;
   }
-
-  [[nodiscard]] double rate() const { return rate_; }
-  [[nodiscard]] double burst() const { return burst_; }
 
  private:
   void refill(std::uint64_t now_us) {

@@ -13,6 +13,7 @@ constexpr std::uint64_t kInfraRegion = 0xffULL;  // region byte reserved for inf
 // Per-target hops after the destination border: region, PoP, aggregation,
 // gateway.
 constexpr std::size_t kMaxTargetHops = 4;
+constexpr unsigned kExtraPrefixMax = 3;  // extra /48 announcements per edge AS
 
 /// Primary /32 of AS index i: 2001:(0100+i)::/32.
 std::uint64_t primary_hi(unsigned i) { return (0x20010100ULL + i) << 32; }
@@ -145,7 +146,7 @@ void Topology::build_ases() {
     auto& as = ases_[i];
     if (as.type == AsType::kTier1 || as.type == AsType::kTransit) continue;
     const unsigned extra =
-        static_cast<unsigned>(h(as.asn, 0xe7) % (params_.extra_prefix_max + 1));
+        static_cast<unsigned>(h(as.asn, 0xe7) % (kExtraPrefixMax + 1));
     for (unsigned j = 0; j < extra; ++j)
       as.prefixes.emplace_back(Ipv6Addr::from_halves(extra48_hi(i, j), 0), 48);
   }

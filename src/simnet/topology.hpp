@@ -87,7 +87,6 @@ struct TopologyParams {
   unsigned num_content = 10;
   unsigned num_university = 8;
   unsigned num_small_edge = 40;
-  unsigned extra_prefix_max = 3;  // extra /48 announcements per edge AS
 };
 
 /// One hop of a router-level path.

@@ -24,12 +24,6 @@ class Writer {
   }
   void bytes(std::span<const std::uint8_t> b) { out_.insert(out_.end(), b.begin(), b.end()); }
 
-  /// Patch a u16 at an absolute offset (e.g. a checksum computed later).
-  void patch_u16(std::size_t off, std::uint16_t v) {
-    out_[off] = static_cast<std::uint8_t>(v >> 8);
-    out_[off + 1] = static_cast<std::uint8_t>(v);
-  }
-
   [[nodiscard]] std::size_t size() const { return out_.size(); }
 
  private:

@@ -193,9 +193,9 @@ TEST_F(DynamicsDeterminismTest, ParallelEqualsSerialReplicaRunsUnderChurn) {
   EXPECT_GT(parallel.net_stats.dynamics_events, 0u);
 
   auto serial_set = make_shards(t, 4);
-  const simnet::Network prototype{topo_, params};
+  const auto shared = std::make_shared<const simnet::NetworkParams>(params);
   for (std::size_t i = 0; i < serial_set.shards.size(); ++i) {
-    auto net = prototype.replica();
+    simnet::Network net{topo_, shared};
     const auto& shard = serial_set.shards[i];
     const auto stats = CampaignRunner::run_one(net, *shard.source,
                                                shard.endpoint, shard.pacing);

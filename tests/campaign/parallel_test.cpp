@@ -258,9 +258,9 @@ TEST_F(ParallelCampaignTest, ParallelEqualsSerialReplicaRuns) {
   const auto parallel = runner.run(parallel_set.shards);
 
   auto serial_set = make_shards(t, 4);
-  const simnet::Network prototype{topo_, simnet::NetworkParams{}};
+  const auto params = std::make_shared<const simnet::NetworkParams>();
   for (std::size_t i = 0; i < serial_set.shards.size(); ++i) {
-    auto net = prototype.replica();
+    simnet::Network net{topo_, params};
     const auto& shard = serial_set.shards[i];
     const auto stats = CampaignRunner::run_one(net, *shard.source, shard.endpoint,
                                                shard.pacing);

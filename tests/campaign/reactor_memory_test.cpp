@@ -1,7 +1,9 @@
 // The reactor's memory follows its live tenants. A settled campaign keeps
 // only a small shell (handle state, ledger fields, frozen stats), not the
-// Network replica and Pacer it ran on, and a yarrp6 source
-// outside neighborhood mode allocates no per-TTL tables. The check
+// Network replica and Pacer it ran on; a live tenant whose routes miss the
+// shared snapshot pays for the routes it resolves, not for a large first
+// route table; and a yarrp6 source outside neighborhood mode allocates no
+// per-TTL tables. The check
 // replaces the global operator new/delete with versions that count live
 // bytes, which is why it is a test binary of its own.
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -82,6 +85,29 @@ std::int64_t live_bytes() {
          static_cast<std::int64_t>(netbase::mapped_bytes());
 }
 
+/// A yarrp6 source that names no warm targets: every route its tenant
+/// needs misses the reactor's shared snapshot and is resolved into the
+/// tenant replica's private route cache.
+class ColdSource final : public ProbeSource {
+ public:
+  ColdSource(const prober::Yarrp6Config& cfg, std::span<const Ipv6Addr> targets)
+      : inner_(cfg, targets) {}
+  void begin(std::uint64_t now_us) override { inner_.begin(now_us); }
+  Poll next(std::uint64_t now_us) override { return inner_.next(now_us); }
+  void on_reply(const Probe& probe, const wire::DecodedReply& reply,
+                std::uint64_t now_us) override {
+    inner_.on_reply(probe, reply, now_us);
+  }
+  void on_probe_done(const Probe& probe, bool answered,
+                     std::uint64_t now_us) override {
+    inner_.on_probe_done(probe, answered, now_us);
+  }
+  void finish(ProbeStats& stats) const override { inner_.finish(stats); }
+
+ private:
+  prober::Yarrp6Source inner_;
+};
+
 class ReactorMemoryTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kCampaigns = 1000;
@@ -141,6 +167,39 @@ class ReactorMemoryTest : public ::testing::Test {
     return static_cast<double>(after - before) / kCampaigns;
   }
 
+  /// Submits kCampaigns four-target yarrp6 campaigns and runs four slots
+  /// per campaign, so every tenant has resolved routes and none has
+  /// finished; returns the live bytes per campaign at that point. `cold`
+  /// sources name no warm targets.
+  double live_per_campaign(CampaignReactor& reactor, bool cold) {
+    std::vector<std::unique_ptr<ProbeSource>> sources;
+    std::vector<CampaignSpec> specs;
+    for (std::size_t i = 0; i < kCampaigns; ++i) {
+      const auto cfg = config(i);
+      const std::span<const Ipv6Addr> targets{targets_.data() + i * kTargets,
+                                              kTargets};
+      if (cold)
+        sources.push_back(std::make_unique<ColdSource>(cfg, targets));
+      else
+        sources.push_back(std::make_unique<prober::Yarrp6Source>(cfg, targets));
+      CampaignSpec spec;
+      spec.tenant = 1 + i;
+      spec.source = sources.back().get();
+      spec.endpoint = cfg.endpoint();
+      spec.pacing = cfg.pacing();
+      specs.push_back(spec);
+    }
+    handles_.clear();
+    const auto before = live_bytes();
+    for (const auto& spec : specs) handles_.push_back(reactor.submit(spec).handle);
+    for (std::size_t i = 0; i < kCampaigns * 4; ++i) EXPECT_TRUE(reactor.step());
+    const auto during = live_bytes();
+    for (const auto& h : handles_)
+      EXPECT_EQ(reactor.state(h), CampaignState::kRunning) << "tenant " << h.tenant;
+    (void)reactor.drain();
+    return static_cast<double>(during - before) / kCampaigns;
+  }
+
   simnet::Topology topo_;
   std::vector<Ipv6Addr> targets_;
   std::vector<CampaignHandle> handles_;
@@ -163,6 +222,22 @@ TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
   std::uint64_t probes = 0;
   for (const auto& h : handles_) probes += reactor.stats(h)->probes_sent;
   EXPECT_EQ(probes, kCampaigns * kTargets * 16);
+}
+
+TEST_F(ReactorMemoryTest, TenantsThatMissTheSnapshotStaySmallWhileLive) {
+  // Warm tenants resolve every route out of the shared snapshot; cold ones
+  // resolve theirs into a private route cache, whose first table holds 16
+  // slots (1 KiB). A cold tenant holds about 3 KiB more than a warm one
+  // (the table, the interned hop chains and the path scratch); with a
+  // first table of 1,024 slots (64 KiB) it held about 66 KiB more.
+  CampaignReactor warm{topo_, simnet::NetworkParams{}, {.collect_merged = false}};
+  (void)live_per_campaign(warm, false);  // grows the snapshot, which reset() keeps
+  warm.reset();
+  const double warm_live = live_per_campaign(warm, false);
+  CampaignReactor cold{topo_, simnet::NetworkParams{}, {.collect_merged = false}};
+  const double cold_live = live_per_campaign(cold, true);
+  std::printf("live bytes per tenant: warm %.0f, cold %.0f\n", warm_live, cold_live);
+  EXPECT_LT(cold_live - warm_live, 8192.0);
 }
 
 TEST_F(ReactorMemoryTest, Yarrp6BeginAllocatesTablesOnlyForNeighborhood) {

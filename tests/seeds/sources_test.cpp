@@ -185,7 +185,7 @@ TEST(Seeds, TumIsEuiHeavySuperset) {
 
 TEST(Seeds, RandomIsRoutedAndUnstructured) {
   const auto l = make_random(topo(), SeedScale{}, 1);
-  EXPECT_EQ(l.size(), SeedScale{}.random_targets);
+  EXPECT_EQ(l.size(), kRandomTargets);
   EXPECT_DOUBLE_EQ(routed_fraction(l), 1.0);
   const auto mix = classify_all(addrs_of(l));
   EXPECT_GT(mix.frac_random(), 0.95);

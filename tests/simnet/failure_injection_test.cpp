@@ -41,9 +41,16 @@ class FailureInjectionTest : public ::testing::Test {
   }
 
   topology::TraceCollector run(double loss, prober::ProbeStats* stats_out = nullptr) {
+    // Reply loss comes only from a kLossModel event; at at_us 0 it applies
+    // before the first probe.
+    DynamicsSchedule schedule;
+    DynamicsEvent ev;
+    ev.kind = DynamicsKind::kLossModel;
+    ev.reply_loss = loss;
+    schedule.add(ev);
     NetworkParams np;
     np.unlimited = true;
-    np.reply_loss = loss;
+    np.dynamics = std::make_shared<const DynamicsSchedule>(std::move(schedule));
     Network net{topo_, np};
     prober::Yarrp6Config cfg;
     cfg.src = topo_.vantages()[0].src;
@@ -58,6 +65,7 @@ class FailureInjectionTest : public ::testing::Test {
     if (stats_out) *stats_out = stats;
     last_net_stats_ = net.stats();
     test_support::expect_campaign_conserved(stats, last_net_stats_);
+    test_support::expect_collector_conserved(c, stats.replies);
     return c;
   }
 

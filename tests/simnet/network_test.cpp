@@ -352,6 +352,66 @@ TEST_F(NetworkTest, SilentHopsLeaveGapsButDeeperHopsStillAnswer) {
   EXPECT_EQ(answered, path.hops.size() - 1);
 }
 
+TEST_F(NetworkTest, RateLimitedTimeExceededStillTeachesTheInterface) {
+  // What teaches the network a router interface is the hop limit expiring
+  // there, not the Time Exceeded getting out: a reply the router's bucket
+  // suppresses still makes the interface answer echoes afterwards. Every
+  // golden assumes this order (inject_impl records before consume_token).
+  auto np = NetworkParams{};
+  np.noroute_silent_frac = 0.0;  // the core answers every unrouted target
+  auto dead = [](std::uint64_t iid) {
+    return Ipv6Addr::from_halves(0x2a10deadULL << 32, iid);
+  };
+  auto first_reply = [&](Network& net, const Ipv6Addr& target, std::uint8_t ttl) {
+    const auto replies = net.inject_view(wire::encode_probe(spec_for(target, ttl)));
+    return replies.empty() ? std::nullopt : wire::decode_reply(replies[0], 0);
+  };
+
+  // Find the core router that answers "no route" for the unrouted space,
+  // and the hop limit at which a probe to dead(1) expires there.
+  auto discovery_params = np;
+  discovery_params.unlimited = true;
+  Network discovery{topo_, discovery_params};
+  const auto du = first_reply(discovery, dead(1), 40);
+  ASSERT_TRUE(du);
+  ASSERT_EQ(du->code, static_cast<std::uint8_t>(wire::UnreachCode::kNoRoute));
+  const Ipv6Addr iface = du->responder;
+  std::uint8_t expire_ttl = 0;
+  for (std::uint8_t ttl = 1; ttl < 40 && expire_ttl == 0; ++ttl) {
+    const auto r = first_reply(discovery, dead(1), ttl);
+    if (r && r->type == Icmp6Type::kTimeExceeded && r->responder == iface)
+      expire_ttl = ttl;
+  }
+  ASSERT_NE(expire_ttl, 0) << "the no-route router never expired a probe";
+
+  // Before anything expires there, the interface does not answer echoes.
+  {
+    Network fresh{topo_, np};
+    const auto r = first_reply(fresh, iface, 64);
+    EXPECT_FALSE(r && r->type == Icmp6Type::kEchoReply);
+  }
+
+  // Drain that router's bucket with no-route unreachables for other
+  // unrouted targets (the clock never moves). Unreachables teach nothing.
+  Network net{topo_, np};
+  for (std::uint64_t i = 0; i < 64; ++i) (void)first_reply(net, dead(0x1000 + i), 40);
+  ASSERT_GT(net.stats().rate_limited, 0u);
+  ASSERT_FALSE(net.learned_interfaces().contains(iface));
+
+  // The expiry at the interface is rate-limited: no Time Exceeded leaves.
+  const auto limited_before = net.stats().rate_limited;
+  EXPECT_FALSE(first_reply(net, dead(1), expire_ttl));
+  EXPECT_EQ(net.stats().rate_limited, limited_before + 1);
+  EXPECT_EQ(net.stats().time_exceeded, 0u);
+
+  // ...and yet the interface is learned, and answers an echo.
+  EXPECT_TRUE(net.learned_interfaces().contains(iface));
+  const auto echo = first_reply(net, iface, 64);
+  ASSERT_TRUE(echo);
+  EXPECT_EQ(echo->type, Icmp6Type::kEchoReply);
+  EXPECT_EQ(echo->responder, iface);
+}
+
 TEST_F(NetworkTest, ResetClearsLearnedInterfacesAndFragmentCounters) {
   // Regression: reset() claimed to clear "all dynamic state" but left the
   // learned-interface map and the per-router fragment-Identification

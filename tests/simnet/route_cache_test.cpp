@@ -1,7 +1,7 @@
 // Determinism suite for the zero-allocation fast path: the route cache (on,
 // off, or thrashing a tiny capacity) must never change a single reply byte
 // or campaign counter — only the hit/miss performance counters — across
-// yarrp6, sequential and Doubletree campaigns, run → reset → run, replica()
+// yarrp6, sequential and Doubletree campaigns, run → reset → run, replica
 // shards, and 1/2/8-thread parallel campaigns. Also pins the contract the
 // cache key is built on: Topology::path is a pure function of (vantage,
 // target /64 cell, flow_hash % kEcmpVariantPeriod, proto).
@@ -204,16 +204,18 @@ TEST_F(RouteCacheTest, ReplicaStartsWithPristineCache) {
   cfg.max_ttl = 8;
   source_endpoint_ = cfg.endpoint();
 
-  Network warm{topo_};
+  const auto params = std::make_shared<const NetworkParams>();
+  Network warm{topo_, params};
   {
     prober::Yarrp6Source source{cfg, t};
     campaign::CampaignRunner::run_one(warm, source, cfg.endpoint(), cfg.pacing());
   }
   ASSERT_GT(warm.stats().route_cache_hits, 0u);
 
-  // The replica shares nothing: same campaign on it equals the same
-  // campaign on a brand-new Network, misses and all.
-  auto replica = warm.replica();
+  // A replica over the same parameter block shares nothing with the warm
+  // one: the same campaign on it equals the same campaign on a brand-new
+  // Network, misses and all.
+  Network replica{topo_, params};
   Network fresh{topo_};
   for (Network* net : {&replica, &fresh}) {
     prober::Yarrp6Source source{cfg, t};
@@ -338,14 +340,15 @@ TEST_F(RouteCacheTest, TerminalUnreachablesSuppressPerFullAddress) {
 }
 
 TEST(RouteCacheTable, ScopedInvalidationKeepsWrappedClustersFindable) {
-  // 700 keys stay under the 3/4 load bound of the first 1,024-slot table.
-  // A fifth of them hash into its last 24 slots, so the cluster there
-  // wraps past the end into the keys homed at its start. Cells of group g
-  // are (g << 32 | i), and each invalidation drops one group out of every
-  // cluster, which forces survivors back along their probe paths. Which
-  // third of the keys lands in which group rotates: a re-placement walk
-  // that starts inside the wrapped cluster, at slot 0 or just after a
-  // dropped slot, loses survivors under the rotations 1 and 2.
+  // 700 keys grow the table to 1,024 slots (at the 385th insert) and stay
+  // under its 3/4 load bound. A fifth of them hash into its last 24
+  // slots, so the cluster there wraps past the end into the keys homed at
+  // its start. Cells of group g are (g << 32 | i), and each invalidation
+  // drops one group out of every cluster, which forces survivors back
+  // along their probe paths. Which third of the keys lands in which group
+  // rotates: a re-placement walk that starts inside the wrapped cluster,
+  // at slot 0 or just after a dropped slot, loses survivors under the
+  // rotations 1 and 2.
   constexpr std::size_t kSlots = 1024;
   constexpr std::uint64_t kGroupMask = ~std::uint64_t{0} << 32;
   auto path_of = [](const RouteKey& key) {

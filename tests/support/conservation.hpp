@@ -1,10 +1,11 @@
 // tests/support/conservation.hpp — conservation identities over the
 // network's and the campaign front ends' counters. Every probe the
 // network takes ends in exactly one outcome, every reply a source sees is
-// a response the network built or a duplicate it injected, and every
-// merge emits each recorded reply exactly once. A counter that drops or
-// double-counts an outcome breaks one of these sums even while every
-// run-against-run equality gate still holds.
+// a response the network built or a duplicate it injected, every merge
+// emits each recorded reply exactly once, and a collector counts every
+// reply it is fed. A counter that drops or double-counts an outcome breaks
+// one of these sums even while every run-against-run equality gate still
+// holds.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "campaign/parallel.hpp"
 #include "campaign/reactor.hpp"
 #include "simnet/network.hpp"
+#include "topology/collector.hpp"
 
 namespace beholder6::test_support {
 
@@ -52,6 +54,18 @@ inline void expect_parallel_conserved(const campaign::ParallelResult& r,
   if (!collect_replies) return;
   EXPECT_EQ(r.replies.size(), r.probe_stats.replies);
   EXPECT_EQ(r.merge_perf.replies_merged, r.probe_stats.replies);
+}
+
+/// A collector counted every reply it was fed once, as Time Exceeded or
+/// not, and every interface it learned is among its responders.
+inline void expect_collector_conserved(const topology::TraceCollector& c,
+                                       std::uint64_t fed) {
+  EXPECT_EQ(c.te_responses() + c.non_te_responses(), fed)
+      << "te " << c.te_responses() << " + non_te " << c.non_te_responses()
+      << " = fed " << fed;
+  std::size_t missing = 0;
+  for (const auto& iface : c.interfaces()) missing += !c.responders().contains(iface);
+  EXPECT_EQ(missing, 0u) << "interfaces that are not responders";
 }
 
 /// With ReactorOptions::collect_merged on, the merged stream holds every
