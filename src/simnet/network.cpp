@@ -65,25 +65,29 @@ bool Network::consume_token(std::uint64_t router_id) {
   return false;
 }
 
-std::uint64_t Network::flow_hash_of(const Ipv6Header& ip,
-                                    std::span<const std::uint8_t> transport) {
+std::uint64_t Network::flow_variant_of(const Ipv6Header& ip,
+                                       std::span<const std::uint8_t> transport) {
   // Per-flow ECMP key. Routers hash addresses, the flow label, and the
   // leading transport bytes. Crucially for ICMPv6 the checksum (transport
   // bytes 2..4) participates — the behaviour the paper's checksum fudge is
-  // designed to neutralize.
-  std::uint64_t hsh = 1469598103934665603ULL;
-  auto mix = [&hsh](std::uint8_t b) { hsh ^= b; hsh *= 1099511628211ULL; };
-  for (auto b : ip.src.bytes()) mix(b);
-  for (auto b : ip.dst.bytes()) mix(b);
-  mix(static_cast<std::uint8_t>(ip.flow_label >> 16));
-  mix(static_cast<std::uint8_t>(ip.flow_label >> 8));
-  mix(static_cast<std::uint8_t>(ip.flow_label));
-  mix(ip.next_header);
+  // designed to neutralize. The hash is byte-wise 64-bit FNV-1a, read only
+  // modulo kEcmpVariantPeriod = 2. FNV-1a XORs each byte in and multiplies
+  // by an odd prime, which keeps the low bit, and its offset basis is odd,
+  // so fnv1a(bytes) % 2 == 1 ^ (low bit of the XOR of the bytes): the
+  // variant is the parity of the bytes' low bits, taken here one 64-bit
+  // lane at a time instead of through a 44-multiply chain.
+  static_assert(kEcmpVariantPeriod == 2,
+                "wider ECMP groups need the full byte-wise flow hash back");
+  std::uint64_t lanes = ip.src.hi() ^ ip.src.lo() ^ ip.dst.hi() ^ ip.dst.lo() ^
+                        ip.flow_label ^ ip.next_header;  // label bytes: lanes 0-2
   const std::size_t n = static_cast<Proto>(ip.next_header) == Proto::kIcmp6
                             ? 8   // type, code, checksum, id, seq
                             : 4;  // ports
-  for (std::size_t i = 0; i < n && i < transport.size(); ++i) mix(transport[i]);
-  return hsh;
+  for (std::size_t i = 0; i < n && i < transport.size(); ++i) lanes ^= transport[i];
+  lanes ^= lanes >> 32;
+  lanes ^= lanes >> 16;
+  lanes ^= lanes >> 8;
+  return 1 ^ (lanes & 1);
 }
 
 std::optional<Network::ProbeRouteKey> Network::probe_route_key(
@@ -94,9 +98,7 @@ std::optional<Network::ProbeRouteKey> Network::probe_route_key(
   const auto* vantage = topo.vantage_by_src(ip->src);
   if (!vantage) return std::nullopt;
   const auto vidx = static_cast<std::uint64_t>(*topo.vantage_index(*vantage));
-  const auto flow_hash =
-      flow_hash_of(*ip, probe.subspan(Ipv6Header::kSize));
-  const auto variant = flow_hash % kEcmpVariantPeriod;
+  const auto variant = flow_variant_of(*ip, probe.subspan(Ipv6Header::kSize));
   return ProbeRouteKey{
       RouteKey{ip->dst.hi(),
                (vidx << 16) |
@@ -107,13 +109,13 @@ std::optional<Network::ProbeRouteKey> Network::probe_route_key(
 
 RouteCache::Resolved Network::resolve_path(const VantageInfo& vantage,
                                            const Ipv6Header& ip,
-                                           std::uint64_t flow_hash) {
+                                           std::uint64_t flow_variant) {
   const auto vidx = topo_.vantage_index(vantage);
   B6_DCHECK(vidx.has_value(), "resolve_path: vantage is not in topology().vantages()");
   const RouteKey key{ip.dst.hi(),
                      (static_cast<std::uint64_t>(*vidx) << 16) |
                          (static_cast<std::uint64_t>(ip.next_header) << 8) |
-                         (flow_hash % kEcmpVariantPeriod)};
+                         flow_variant};
   // ECMP re-convergence bump for this cell. The key stays bump-free on
   // purpose: re-convergence makes the *old* entries for a cell stale, so
   // apply_dynamics_event invalidates them from the private cache, and new
@@ -121,7 +123,7 @@ RouteCache::Resolved Network::resolve_path(const VantageInfo& vantage,
   // entry is therefore resolved under its cell's current cumulative bump.
   const std::uint64_t bump =
       ecmp_scopes_.empty() ? 0 : ecmp_bump_for(ip.dst.hi());
-  const std::uint64_t eff_flow = flow_hash + bump;
+  const std::uint64_t eff_flow = flow_variant + bump;
   // Shared immutable tier: a warmed snapshot hit is the cheapest resolution
   // there is — one lock-free probe sequence over read-only memory, shared
   // by every replica. Results are identical to resolving fresh (the
@@ -268,7 +270,7 @@ void Network::inject_impl(const Packet& probe, PacketPool& out) {
   }
   const auto transport = std::span(probe).subspan(Ipv6Header::kSize);
 
-  const auto path = resolve_path(*vantage, *ip, flow_hash_of(*ip, transport));
+  const auto path = resolve_path(*vantage, *ip, flow_variant_of(*ip, transport));
   const unsigned ttl = ip->hop_limit;
 
   // Dynamics: a probe whose forwarding walk reaches a failed router dies
@@ -442,7 +444,9 @@ void Network::inject_impl(const Packet& probe, PacketPool& out) {
   }
   switch (proto) {
     case Proto::kIcmp6:
-      if (host->echo_responder) {
+      // An echo reply copies the request's id and seq, so a message too
+      // short to carry them gets none.
+      if (host->echo_responder && transport.size() >= Icmp6Header::kSize) {
         ++stats_.echo_replies;
         make_echo_reply(host->addr, ip->src, probe, out.acquire());
         return;

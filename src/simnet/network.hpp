@@ -295,7 +295,7 @@ class Network {
     std::uint32_t vantage_index;  ///< index into topology().vantages()
     Ipv6Addr dst;                 ///< full destination (path resolution needs it)
     std::uint8_t next_header;     ///< wire::Proto of the probe
-    std::uint64_t flow_variant;   ///< flow_hash % kEcmpVariantPeriod
+    std::uint64_t flow_variant;   ///< flow_variant_of: the ECMP variant, 0 or 1
   };
 
   /// Decode the route-cache key a probe would resolve under, without
@@ -324,7 +324,7 @@ class Network {
   B6_COLDPATH void apply_dynamics_event(const DynamicsEvent& ev);
   /// Flow-hash bump accumulated by ECMP re-convergence events over `cell`
   /// (0 when no event matched it). Part of resolve_path's key→path contract
-  /// under dynamics: the effective flow hash is flow_hash + bump.
+  /// under dynamics: the effective flow hash is flow_variant + bump.
   [[nodiscard]] std::uint64_t ecmp_bump_for(std::uint64_t cell) const {
     std::uint64_t bump = 0;
     for (const auto& sc : ecmp_scopes_)
@@ -340,16 +340,20 @@ class Network {
                                PacketPool& out);
   TokenBucket& bucket_for(std::uint64_t router_id);
   [[nodiscard]] bool consume_token(std::uint64_t router_id);
-  /// Per-flow ECMP key over the already-decoded header and transport bytes
-  /// (the header is decoded exactly once per probe, in inject_impl).
-  [[nodiscard]] static std::uint64_t flow_hash_of(
+  /// The probe's ECMP flow variant, 0 or 1: what byte-wise FNV-1a over
+  /// the addresses, flow label, next header and leading transport bytes
+  /// gives modulo kEcmpVariantPeriod, computed without the hash (it
+  /// replaces flow_hash_of; see the identity at its definition). Reads the
+  /// already-decoded header: the header is decoded exactly once per probe,
+  /// in inject_impl.
+  [[nodiscard]] static std::uint64_t flow_variant_of(
       const wire::Ipv6Header& ip, std::span<const std::uint8_t> transport);
   /// The resolved path for this probe: route-cache lookup, falling back to
   /// Topology::path_into on a miss (or always, when caching is disabled).
   /// The view is valid until the next resolve_path call.
   RouteCache::Resolved resolve_path(const VantageInfo& vantage,
                                     const wire::Ipv6Header& ip,
-                                    std::uint64_t flow_hash);
+                                    std::uint64_t flow_variant);
   void make_icmp_error(const Ipv6Addr& from, const Ipv6Addr& to,
                        std::uint8_t type, std::uint8_t code, const Packet& quoted,
                        Packet& out) const;

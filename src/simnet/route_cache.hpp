@@ -41,8 +41,8 @@
 namespace beholder6::simnet {
 
 /// Route-cache key: the complete functional dependencies of
-/// Topology::path. `meta` packs (vantage index, protocol, flow_hash %
-/// kEcmpVariantPeriod).
+/// Topology::path. `meta` packs (vantage index, protocol, ECMP flow
+/// variant = flow hash % kEcmpVariantPeriod).
 struct RouteKey {
   std::uint64_t cell = 0;  // target's upper 64 bits (/64 routing cell)
   std::uint64_t meta = 0;

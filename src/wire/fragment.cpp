@@ -7,24 +7,22 @@
 namespace beholder6::wire {
 
 void FragmentHeader::encode(std::vector<std::uint8_t>& out) const {
-  Writer w{out};
-  w.u8(next_header);
-  w.u8(0);  // reserved
-  w.u16(static_cast<std::uint16_t>((offset << 3) | (more_fragments ? 1 : 0)));
-  w.u32(identification);
+  auto* p = append(out, kSize);
+  p[0] = next_header;
+  p[1] = 0;  // reserved
+  store_be16(p + 2, static_cast<std::uint16_t>((offset << 3) | (more_fragments ? 1 : 0)));
+  store_be32(p + 4, identification);
 }
 
 std::optional<FragmentHeader> FragmentHeader::decode(
     std::span<const std::uint8_t> data) {
-  Reader r{data};
+  if (data.size() < kSize) return std::nullopt;
   FragmentHeader h;
-  h.next_header = r.u8();
-  (void)r.u8();
-  const auto off = r.u16();
+  h.next_header = data[0];
+  const auto off = load_be16(data.data() + 2);
   h.offset = static_cast<std::uint16_t>(off >> 3);
   h.more_fragments = off & 1;
-  h.identification = r.u32();
-  if (!r.ok()) return std::nullopt;
+  h.identification = load_be32(data.data() + 4);
   return h;
 }
 

@@ -6,105 +6,96 @@
 namespace beholder6::wire {
 
 void Ipv6Header::encode(std::vector<std::uint8_t>& out) const {
-  Writer w{out};
-  w.u32((6u << 28) | (static_cast<std::uint32_t>(traffic_class) << 20) |
-        (flow_label & 0xfffff));
-  w.u16(payload_length);
-  w.u8(next_header);
-  w.u8(hop_limit);
-  w.bytes(src.bytes());
-  w.bytes(dst.bytes());
+  auto* p = append(out, kSize);
+  store_be32(p, (6u << 28) | (static_cast<std::uint32_t>(traffic_class) << 20) |
+                    (flow_label & 0xfffff));
+  store_be16(p + 4, payload_length);
+  p[6] = next_header;
+  p[7] = hop_limit;
+  store_addr(p + 8, src);
+  store_addr(p + 24, dst);
 }
 
 std::optional<Ipv6Header> Ipv6Header::decode(std::span<const std::uint8_t> data) {
-  Reader r{data};
+  if (data.size() < kSize || (data[0] >> 4) != 6) return std::nullopt;
+  const auto* p = data.data();
   Ipv6Header h;
-  const auto vcf = r.u32();
-  if (!r.ok() || (vcf >> 28) != 6) return std::nullopt;
+  const auto vcf = load_be32(p);
   h.traffic_class = static_cast<std::uint8_t>((vcf >> 20) & 0xff);
   h.flow_label = vcf & 0xfffff;
-  h.payload_length = r.u16();
-  h.next_header = r.u8();
-  h.hop_limit = r.u8();
-  const auto s = r.bytes(16), d = r.bytes(16);
-  if (!r.ok()) return std::nullopt;
-  std::array<std::uint8_t, 16> tmp{};
-  std::copy(s.begin(), s.end(), tmp.begin());
-  h.src = Ipv6Addr{tmp};
-  std::copy(d.begin(), d.end(), tmp.begin());
-  h.dst = Ipv6Addr{tmp};
+  h.payload_length = load_be16(p + 4);
+  h.next_header = p[6];
+  h.hop_limit = p[7];
+  h.src = load_addr(p + 8);
+  h.dst = load_addr(p + 24);
   return h;
 }
 
 void Icmp6Header::encode(std::vector<std::uint8_t>& out) const {
-  Writer w{out};
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(code);
-  w.u16(checksum);
-  w.u16(id);
-  w.u16(seq);
+  auto* p = append(out, kSize);
+  p[0] = static_cast<std::uint8_t>(type);
+  p[1] = code;
+  store_be16(p + 2, checksum);
+  store_be16(p + 4, id);
+  store_be16(p + 6, seq);
 }
 
 std::optional<Icmp6Header> Icmp6Header::decode(std::span<const std::uint8_t> data) {
-  Reader r{data};
+  if (data.size() < kSize) return std::nullopt;
+  const auto* p = data.data();
   Icmp6Header h;
-  h.type = static_cast<Icmp6Type>(r.u8());
-  h.code = r.u8();
-  h.checksum = r.u16();
-  h.id = r.u16();
-  h.seq = r.u16();
-  if (!r.ok()) return std::nullopt;
+  h.type = static_cast<Icmp6Type>(p[0]);
+  h.code = p[1];
+  h.checksum = load_be16(p + 2);
+  h.id = load_be16(p + 4);
+  h.seq = load_be16(p + 6);
   return h;
 }
 
 void UdpHeader::encode(std::vector<std::uint8_t>& out) const {
-  Writer w{out};
-  w.u16(src_port);
-  w.u16(dst_port);
-  w.u16(length);
-  w.u16(checksum);
+  auto* p = append(out, kSize);
+  store_be16(p, src_port);
+  store_be16(p + 2, dst_port);
+  store_be16(p + 4, length);
+  store_be16(p + 6, checksum);
 }
 
 std::optional<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> data) {
-  Reader r{data};
+  if (data.size() < kSize) return std::nullopt;
+  const auto* p = data.data();
   UdpHeader h;
-  h.src_port = r.u16();
-  h.dst_port = r.u16();
-  h.length = r.u16();
-  h.checksum = r.u16();
-  if (!r.ok()) return std::nullopt;
+  h.src_port = load_be16(p);
+  h.dst_port = load_be16(p + 2);
+  h.length = load_be16(p + 4);
+  h.checksum = load_be16(p + 6);
   return h;
 }
 
 void TcpHeader::encode(std::vector<std::uint8_t>& out) const {
-  Writer w{out};
-  w.u16(src_port);
-  w.u16(dst_port);
-  w.u32(seq);
-  w.u32(ack);
-  w.u8(5u << 4);  // data offset 5 words, no options
-  w.u8(flags);
-  w.u16(window);
-  w.u16(checksum);
-  w.u16(0);  // urgent pointer
+  auto* p = append(out, kSize);  // zeroed: the urgent pointer stays 0
+  store_be16(p, src_port);
+  store_be16(p + 2, dst_port);
+  store_be32(p + 4, seq);
+  store_be32(p + 8, ack);
+  p[12] = 5u << 4;  // data offset 5 words, no options
+  p[13] = flags;
+  store_be16(p + 14, window);
+  store_be16(p + 16, checksum);
 }
 
 std::optional<TcpHeader> TcpHeader::decode(std::span<const std::uint8_t> data) {
-  Reader r{data};
+  if (data.size() < kSize || (data[12] >> 4) < 5) return std::nullopt;
+  const auto* p = data.data();
   TcpHeader h;
-  h.src_port = r.u16();
-  h.dst_port = r.u16();
-  h.seq = r.u32();
-  h.ack = r.u32();
-  const auto off = r.u8();
-  h.flags = r.u8();
-  h.window = r.u16();
-  h.checksum = r.u16();
-  (void)r.u16();  // urgent pointer
-  if (!r.ok() || (off >> 4) < 5) return std::nullopt;
+  h.src_port = load_be16(p);
+  h.dst_port = load_be16(p + 2);
+  h.seq = load_be32(p + 4);
+  h.ack = load_be32(p + 8);
+  h.flags = p[13];
+  h.window = load_be16(p + 14);
+  h.checksum = load_be16(p + 16);
   return h;
 }
-
 namespace {
 
 /// Locate the transport checksum field offset within the transport section.

@@ -72,11 +72,6 @@ struct Icmp6Header {
 
   void encode(std::vector<std::uint8_t>& out) const;
   static std::optional<Icmp6Header> decode(std::span<const std::uint8_t> data);
-
-  [[nodiscard]] bool is_error() const {
-    return type == Icmp6Type::kDestUnreachable || type == Icmp6Type::kPacketTooBig ||
-           type == Icmp6Type::kTimeExceeded;
-  }
 };
 
 /// UDP header (8 bytes).

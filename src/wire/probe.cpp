@@ -21,18 +21,70 @@ std::uint16_t payload_partial_sum(std::uint32_t magic, std::uint8_t instance,
 }
 
 void encode_yarrp_payload(std::vector<std::uint8_t>& out, const ProbeSpec& s) {
-  Writer w{out};
-  w.u32(kYarrpMagic);
-  w.u8(s.instance);
-  w.u8(s.ttl);
-  w.u32(s.elapsed_us);
-  w.u16(payload_fudge(kYarrpMagic, s.instance, s.ttl, s.elapsed_us));
+  auto* p = append(out, kYarrpPayloadSize);
+  store_be32(p, kYarrpMagic);
+  p[4] = s.instance;
+  p[5] = s.ttl;
+  store_be32(p + 6, s.elapsed_us);
+  store_be16(p + 10, payload_fudge(kYarrpMagic, s.instance, s.ttl, s.elapsed_us));
 }
 
-/// Flow label derived from the target only: constant across the probes of
-/// one trace so flow-label-keyed balancers keep the path stable.
-std::uint32_t flow_label_for(const Ipv6Addr& target) {
-  return (static_cast<std::uint32_t>(target_checksum(target)) * 2654435761u) & 0xfffff;
+/// Flow label derived from the target only (via its checksum): constant
+/// across the probes of one trace so flow-label-keyed balancers keep the
+/// path stable.
+std::uint32_t flow_label_for(std::uint16_t target_cksum) {
+  return (static_cast<std::uint32_t>(target_cksum) * 2654435761u) & 0xfffff;
+}
+
+/// A yarrp6 probe parsed from the front of a packet, and the target
+/// checksum its ICMPv6 id or source port carries.
+struct ParsedProbe {
+  ProbeSpec spec;
+  std::uint16_t carried;
+};
+
+/// The one probe parser: decode_probe returns its spec, and decode_reply
+/// runs it once over an error's quotation. One length check per protocol,
+/// then fixed-offset loads; it accepts exactly what decoding the IPv6,
+/// transport and payload fields one by one accepts (wire/fuzz_test.cpp
+/// pins that).
+std::optional<ParsedProbe> parse_probe(std::span<const std::uint8_t> packet) {
+  if (packet.size() < Ipv6Header::kSize || (packet[0] >> 4) != 6) return std::nullopt;
+  const auto* t = packet.data() + Ipv6Header::kSize;
+  const std::size_t transport = packet.size() - Ipv6Header::kSize;
+  ParsedProbe out{};
+  ProbeSpec& s = out.spec;
+  s.proto = static_cast<Proto>(packet[6]);
+  std::size_t header = 0;
+  switch (s.proto) {
+    case Proto::kIcmp6: header = Icmp6Header::kSize; break;
+    case Proto::kUdp: header = UdpHeader::kSize; break;
+    case Proto::kTcp: header = TcpHeader::kSize; break;
+    default: return std::nullopt;
+  }
+  if (transport < header + kYarrpPayloadSize) return std::nullopt;
+  if (s.proto == Proto::kIcmp6) {
+    if (static_cast<Icmp6Type>(t[0]) != Icmp6Type::kEchoRequest) return std::nullopt;
+    out.carried = load_be16(t + 4);  // echo id
+  } else {
+    out.carried = load_be16(t);  // source port
+  }
+  if (s.proto == Proto::kTcp) {
+    if ((t[12] >> 4) < 5) return std::nullopt;  // data offset
+    s.tcp_flags = t[13];
+  }
+  const auto* y = t + header;
+  if (load_be32(y) != kYarrpMagic) return std::nullopt;
+  s.src = load_addr(packet.data() + 8);
+  s.target = load_addr(packet.data() + 24);
+  s.instance = y[4];
+  // On the outbound wire the header hop limit equals the payload TTL; after
+  // forwarding the header field is decremented while the payload keeps the
+  // originating value — which is exactly the state yarrp6 relies on. Always
+  // report the payload's originating TTL.
+  s.ttl = y[5];
+  s.elapsed_us = load_be32(y + 6);
+  return out;
 }
 
 }  // namespace
@@ -55,8 +107,9 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
     case Proto::kTcp: transport_size += TcpHeader::kSize; break;
   }
 
+  const std::uint16_t tcksum = target_checksum(spec.target);
   Ipv6Header ip;
-  ip.flow_label = flow_label_for(spec.target);
+  ip.flow_label = flow_label_for(tcksum);
   ip.payload_length = static_cast<std::uint16_t>(transport_size);
   ip.next_header = static_cast<std::uint8_t>(spec.proto);
   ip.hop_limit = spec.ttl;
@@ -64,7 +117,6 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
   ip.dst = spec.target;
   ip.encode(pkt);
 
-  const std::uint16_t tcksum = target_checksum(spec.target);
   switch (spec.proto) {
     case Proto::kIcmp6: {
       Icmp6Header h;
@@ -103,121 +155,59 @@ std::vector<std::uint8_t> encode_probe(const ProbeSpec& spec) {
 }
 
 std::optional<ProbeSpec> decode_probe(std::span<const std::uint8_t> packet) {
-  const auto ip = Ipv6Header::decode(packet);
-  if (!ip) return std::nullopt;
-  if (packet.size() < Ipv6Header::kSize) return std::nullopt;
-  auto transport = packet.subspan(Ipv6Header::kSize);
+  const auto parsed = parse_probe(packet);
+  if (!parsed) return std::nullopt;
+  return parsed->spec;
+}
 
-  ProbeSpec s;
-  s.src = ip->src;
-  s.target = ip->dst;
-  s.ttl = ip->hop_limit;
-
-  std::span<const std::uint8_t> payload;
-  switch (static_cast<Proto>(ip->next_header)) {
-    case Proto::kIcmp6: {
-      const auto h = Icmp6Header::decode(transport);
-      if (!h || h->type != Icmp6Type::kEchoRequest) return std::nullopt;
-      if (transport.size() < Icmp6Header::kSize + kYarrpPayloadSize) return std::nullopt;
-      payload = transport.subspan(Icmp6Header::kSize);
-      s.proto = Proto::kIcmp6;
+std::optional<DecodedReply> decode_reply(std::span<const std::uint8_t> packet,
+                                         std::uint32_t now_elapsed_us) {
+  constexpr std::size_t kBody = Ipv6Header::kSize + Icmp6Header::kSize;
+  if (packet.size() < kBody || (packet[0] >> 4) != 6 ||
+      static_cast<Proto>(packet[6]) != Proto::kIcmp6)
+    return std::nullopt;
+  const auto* icmp = packet.data() + Ipv6Header::kSize;
+  const auto body = packet.subspan(kBody);
+  DecodedReply reply;
+  reply.responder = load_addr(packet.data() + 8);
+  reply.type = static_cast<Icmp6Type>(icmp[0]);
+  std::uint16_t carried = 0;
+  switch (reply.type) {
+    case Icmp6Type::kEchoReply: {
+      // An echo reply from the target itself: no quotation, but the reply
+      // data echoes our 12B state block verbatim (RFC 4443 §4.2), so the
+      // stateless recovery works the same way. The responder *is* the
+      // target, and the echoed id carries the checksum of the address we
+      // targeted; if it no longer matches, the reply came from elsewhere.
+      if (body.size() < 10 || load_be32(body.data()) != kYarrpMagic) return std::nullopt;
+      reply.probe.target = reply.responder;
+      reply.probe.proto = Proto::kIcmp6;
+      reply.probe.instance = body[4];
+      reply.probe.ttl = body[5];
+      reply.probe.elapsed_us = load_be32(body.data() + 6);
+      carried = load_be16(icmp + 4);
       break;
     }
-    case Proto::kUdp: {
-      if (!UdpHeader::decode(transport)) return std::nullopt;
-      if (transport.size() < UdpHeader::kSize + kYarrpPayloadSize) return std::nullopt;
-      payload = transport.subspan(UdpHeader::kSize);
-      s.proto = Proto::kUdp;
-      break;
-    }
-    case Proto::kTcp: {
-      const auto h = TcpHeader::decode(transport);
-      if (!h) return std::nullopt;
-      if (transport.size() < TcpHeader::kSize + kYarrpPayloadSize) return std::nullopt;
-      payload = transport.subspan(TcpHeader::kSize);
-      s.proto = Proto::kTcp;
-      s.tcp_flags = h->flags;
+    case Icmp6Type::kDestUnreachable:
+    case Icmp6Type::kPacketTooBig:
+    case Icmp6Type::kTimeExceeded: {
+      // The quotation begins after the 8-byte ICMPv6 error header.
+      const auto quoted = parse_probe(body);
+      if (!quoted) return std::nullopt;
+      reply.code = icmp[1];
+      reply.probe.target = quoted->spec.target;
+      reply.probe.proto = quoted->spec.proto;
+      reply.probe.ttl = quoted->spec.ttl;
+      reply.probe.elapsed_us = quoted->spec.elapsed_us;
+      reply.probe.instance = quoted->spec.instance;
+      carried = quoted->carried;
       break;
     }
     default:
       return std::nullopt;
   }
-
-  Reader r{payload};
-  if (r.u32() != kYarrpMagic) return std::nullopt;
-  s.instance = r.u8();
-  const auto payload_ttl = r.u8();
-  s.elapsed_us = r.u32();
-  if (!r.ok()) return std::nullopt;
-  // On the outbound wire the header hop limit equals the payload TTL; after
-  // forwarding the header field is decremented while the payload keeps the
-  // originating value — which is exactly the state yarrp6 relies on. Always
-  // report the payload's originating TTL.
-  s.ttl = payload_ttl;
-  return s;
-}
-
-std::optional<DecodedReply> decode_reply(std::span<const std::uint8_t> packet,
-                                         std::uint32_t now_elapsed_us) {
-  const auto ip = Ipv6Header::decode(packet);
-  if (!ip || static_cast<Proto>(ip->next_header) != Proto::kIcmp6) return std::nullopt;
-  if (packet.size() < Ipv6Header::kSize + Icmp6Header::kSize) return std::nullopt;
-  auto transport = packet.subspan(Ipv6Header::kSize);
-  const auto icmp = Icmp6Header::decode(transport);
-  if (!icmp) return std::nullopt;
-
-  if (icmp->type == Icmp6Type::kEchoReply) {
-    // An echo reply from the target itself: no quotation, but the reply data
-    // echoes our 12B state block verbatim (RFC 4443 §4.2), so the stateless
-    // recovery works the same way. The responder *is* the target.
-    Reader r{transport.subspan(Icmp6Header::kSize)};
-    if (r.u32() != kYarrpMagic) return std::nullopt;
-    DecodedReply reply;
-    reply.responder = ip->src;
-    reply.type = Icmp6Type::kEchoReply;
-    reply.code = 0;
-    reply.probe.target = ip->src;
-    reply.probe.proto = Proto::kIcmp6;
-    reply.probe.instance = r.u8();
-    reply.probe.ttl = r.u8();
-    reply.probe.elapsed_us = r.u32();
-    if (!r.ok()) return std::nullopt;
-    reply.rtt_us = now_elapsed_us - reply.probe.elapsed_us;
-    // The echoed id carries the checksum of the address we targeted; if it
-    // no longer matches the responder, the reply came from somewhere else.
-    reply.probe.target_checksum_ok = icmp->id == target_checksum(ip->src);
-    return reply;
-  }
-
-  if (!icmp->is_error()) return std::nullopt;
-
-  // The quotation begins after the 8-byte ICMPv6 error header.
-  const auto quote = transport.subspan(Icmp6Header::kSize);
-  const auto probe = decode_probe(quote);
-  if (!probe) return std::nullopt;
-
-  DecodedReply reply;
-  reply.responder = ip->src;
-  reply.type = icmp->type;
-  reply.code = icmp->code;
-  reply.probe.target = probe->target;
-  reply.probe.proto = probe->proto;
-  reply.probe.ttl = probe->ttl;
-  reply.probe.elapsed_us = probe->elapsed_us;
-  reply.probe.instance = probe->instance;
-  reply.rtt_us = now_elapsed_us - probe->elapsed_us;
-
-  // Validate the target checksum riding in the quoted source port / id.
-  // decode_probe already parsed (and vouched for) the quotation, so its
-  // proto stands in for re-decoding the quoted header.
-  const auto quoted_transport = quote.subspan(Ipv6Header::kSize);
-  std::uint16_t carried = 0;
-  switch (probe->proto) {
-    case Proto::kIcmp6: carried = Icmp6Header::decode(quoted_transport)->id; break;
-    case Proto::kUdp: carried = UdpHeader::decode(quoted_transport)->src_port; break;
-    case Proto::kTcp: carried = TcpHeader::decode(quoted_transport)->src_port; break;
-  }
-  reply.probe.target_checksum_ok = carried == target_checksum(probe->target);
+  reply.rtt_us = now_elapsed_us - reply.probe.elapsed_us;
+  reply.probe.target_checksum_ok = carried == target_checksum(reply.probe.target);
   return reply;
 }
 

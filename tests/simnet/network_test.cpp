@@ -96,6 +96,30 @@ TEST_F(NetworkTest, EchoReplyFromLiveHost) {
   FAIL() << "no live host reachable";
 }
 
+TEST_F(NetworkTest, IcmpTooShortForAnEchoIdGetsNoEchoReply) {
+  // An echo reply copies the request's id and seq; an ICMPv6 message too
+  // short to hold them is dropped by a live echo host, not answered.
+  for (const auto& as : topo_.ases()) {
+    if (as.type != AsType::kContent) continue;
+    for (const auto& s : topo_.enumerate_subnets(as, 50)) {
+      for (const auto& host : topo_.hosts_in(as, s)) {
+        if (!host.echo_responder || host.du_port_responder) continue;
+        const auto p = topo_.path(topo_.vantages()[0], host.addr, 0, 58);
+        if (p.end != PathEnd::kDelivered) continue;
+        auto pkt = wire::encode_probe(spec_for(host.addr, 64));
+        pkt.resize(wire::Ipv6Header::kSize + 4);
+        pkt[4] = 0;  // payload length 4
+        pkt[5] = 4;
+        EXPECT_TRUE(net_.inject_view(pkt).empty());
+        EXPECT_EQ(net_.stats().echo_replies, 0u);
+        EXPECT_EQ(net_.stats().silent_drops, 1u);
+        return;
+      }
+    }
+  }
+  FAIL() << "no live host reachable";
+}
+
 TEST_F(NetworkTest, MissingHostYieldsOneAddressUnreachableThenSilence) {
   const auto s = some_subnet(AsType::kUniversity);
   const auto& as = *topo_.as(*topo_.origin(s.base()));

@@ -70,19 +70,6 @@ TEST(Icmp6HeaderCodec, RoundTrip) {
   EXPECT_EQ(d->seq, 80);
 }
 
-TEST(Icmp6HeaderCodec, ErrorClassification) {
-  Icmp6Header h;
-  for (auto t : {Icmp6Type::kDestUnreachable, Icmp6Type::kTimeExceeded,
-                 Icmp6Type::kPacketTooBig}) {
-    h.type = t;
-    EXPECT_TRUE(h.is_error());
-  }
-  for (auto t : {Icmp6Type::kEchoRequest, Icmp6Type::kEchoReply}) {
-    h.type = t;
-    EXPECT_FALSE(h.is_error());
-  }
-}
-
 TEST(UdpHeaderCodec, RoundTrip) {
   UdpHeader h;
   h.src_port = 53211;

@@ -143,6 +143,22 @@ TEST(ProbeCodec, RewrittenTargetDetected) {
   EXPECT_FALSE(dec->probe.target_checksum_ok);
 }
 
+TEST(ProbeCodec, OnlyErrorTypesCarryAQuotation) {
+  // Destination Unreachable, Packet Too Big and Time Exceeded quote the
+  // probe; any other type in front of the same quotation is not a reply.
+  const auto probe = encode_probe(sample_spec(Proto::kUdp));
+  const auto from = Ipv6Addr::must_parse("2001:db8::fe");
+  for (auto t : {Icmp6Type::kDestUnreachable, Icmp6Type::kPacketTooBig,
+                 Icmp6Type::kTimeExceeded}) {
+    const auto dec = decode_reply(make_error_reply(from, probe, t, 0), 0);
+    ASSERT_TRUE(dec);
+    EXPECT_EQ(dec->type, t);
+  }
+  for (auto t : {Icmp6Type::kEchoRequest, static_cast<Icmp6Type>(4),
+                 static_cast<Icmp6Type>(0)})
+    EXPECT_FALSE(decode_reply(make_error_reply(from, probe, t, 0), 0));
+}
+
 TEST(ProbeCodec, NonErrorIcmpRejectedByReplyDecoder) {
   // An echo reply is not an error and carries no quotation.
   std::vector<std::uint8_t> pkt;

@@ -16,21 +16,32 @@ and `![alt](target)` whose target is not an absolute URL:
 It also checks every backticked source line reference, `path:line` or
 `path:first-last` (`src/campaign/reactor.cpp:120`): the path, relative
 to the repo root or to the Markdown file's directory, must name a file
-with at least that many lines. CHANGES.md describes earlier trees, so
-its line references are not checked, and neither is a reference quoted
-as an example inside a double-backtick span (`` `file.cpp:12` ``).
+with at least that many lines. When the reference directly follows a
+backticked C++ name, even across a line break (`` `Pacer`
+(`src/campaign/runner.hpp:91`) ``, `` `Name` at `path:line` ``,
+`` (`name`, `path:line`) ``), the cited lines or the SYMBOL_SLACK lines
+after them must also contain that name's last component as a word, so a
+reference that code moved out from under is caught, not only one past
+the end of the file. CHANGES.md describes earlier trees, so its line
+references are not checked, and neither is a reference quoted as an
+example inside a double-backtick span (`` `file.cpp:12` ``).
 
 Fenced code blocks are skipped, so quoted/quarantined content cannot
 trip it.
+
+`--self-test` checks tools/lint_corpus/md_links/fixture.md against the
+source file beside it: every line ending in `<!-- expect: KIND -->` must
+be reported as that kind of breakage, and no other line may be.
 """
 
+import argparse
 import re
 import sys
 from pathlib import Path
 
 LINK_RE = re.compile(r"!?\[[^\]]*\]\(\s*([^)\s]+)(?:\s+\"[^\"]*\")?\s*\)")
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
-SKIP_DIRS = ("build", ".git", ".claude")
+SKIP_DIRS = ("build", ".git", ".claude", "lint_corpus")
 HEADING_RE = re.compile(r"^ {0,3}(#{1,6})\s+(.*?)\s*#*\s*$")
 # Markdown syntax stripped from heading text before slugging (GitHub
 # slugs the *rendered* text): inline code/emphasis markers and the
@@ -45,6 +56,16 @@ LINE_REF_RE = re.compile(
 LINE_REF_SKIP = ("CHANGES.md",)
 # A double-backtick span quotes backticked text literally: an example.
 QUOTED_SPAN_RE = re.compile(r"``.*?``")
+# A backticked C++ name (`Pacer`, `Network::inject_view`, `step()`)
+# ending the text in front of a line reference, separated from it by at
+# most an opening parenthesis, a comma or the word "at".
+SYMBOL_BEFORE_RE = re.compile(
+    r"`((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)(?:\(\))?`\s*(?:\(|,|\bat\b)?\s*$")
+# Lines after the cited ones that may hold the name: a reference may cite
+# the doc comment above a declaration.
+SYMBOL_SLACK = 3
+CORPUS = Path(__file__).resolve().parent / "lint_corpus" / "md_links"
+EXPECT_RE = re.compile(r"<!-- expect: (\w+) -->\s*$")
 
 
 def body_lines(md: Path):
@@ -69,11 +90,18 @@ def links_in(md: Path):
 
 
 def line_refs_in(md: Path):
-    """Yield (line number, reference, path, last cited line)."""
+    """Yield (line number, reference, path, first and last cited line,
+    the backticked name directly in front of it or None)."""
+    prev = ""
     for lineno, line in body_lines(md):
-        for match in LINE_REF_RE.finditer(QUOTED_SPAN_RE.sub("", line)):
-            last = int(match.group(3) or match.group(2))
-            yield lineno, match.group(0), match.group(1), last
+        text = QUOTED_SPAN_RE.sub("", line)
+        for match in LINE_REF_RE.finditer(text):
+            first = int(match.group(2))
+            last = int(match.group(3) or first)
+            symbol = SYMBOL_BEFORE_RE.search(prev + "\n" + text[:match.start()])
+            name = symbol.group(1).split("::")[-1].lstrip("~") if symbol else None
+            yield lineno, match.group(0), match.group(1), first, last, name
+        prev = text
 
 
 def slugify(heading: str) -> str:
@@ -99,7 +127,93 @@ def anchors_in(md: Path) -> set:
     return anchors
 
 
-def main() -> int:
+def check_md(md: Path, root: Path, anchors_of) -> tuple:
+    """Every breakage in one Markdown file as (line, kind, message), kind
+    one of link, anchor, line, symbol; and how many links, anchors and
+    line references were checked."""
+    broken = []
+    checked = 0
+    for lineno, target in links_in(md):
+        if target.startswith(EXTERNAL):
+            continue
+        path, _, fragment = target.partition("#")
+        dest = md if not path else md.parent / path
+        if path:
+            checked += 1
+            if not dest.exists():
+                broken.append((lineno, "link",
+                               f"broken relative link '{target}'"))
+                continue
+        if fragment and (not path or dest.suffix == ".md"):
+            checked += 1
+            if fragment not in anchors_of(dest):
+                broken.append((lineno, "anchor",
+                               f"broken anchor '{target}' (no heading slugs "
+                               f"to '#{fragment}' in "
+                               f"{dest.relative_to(root)})"))
+    if md.name in LINE_REF_SKIP:
+        return broken, checked
+    for lineno, ref, path, first, last, name in line_refs_in(md):
+        checked += 1
+        dest = next((d for d in (root / path, md.parent / path)
+                     if d.is_file()), None)
+        if dest is None:
+            broken.append((lineno, "line", f"line reference {ref} names no "
+                                           f"file"))
+            continue
+        with dest.open("rb") as f:
+            lines = [line.decode("utf-8", "replace") for line in f]
+        if last > len(lines):
+            broken.append((lineno, "line",
+                           f"line reference {ref} is past the end of {path} "
+                           f"({len(lines)} lines)"))
+            continue
+        if name is None:
+            continue
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        cited = lines[first - 1:last + SYMBOL_SLACK]
+        if not any(word.search(line) for line in cited):
+            broken.append((lineno, "symbol",
+                           f"line reference {ref} follows `{name}`, which "
+                           f"is not on lines {first}-{last + SYMBOL_SLACK} "
+                           f"of {path}"))
+    return broken, checked
+
+
+def run_self_test() -> int:
+    fixture = CORPUS / "fixture.md"
+    if not fixture.is_file():
+        print(f"self-test: fixture missing: {fixture}", file=sys.stderr)
+        return 1
+    expected = set()
+    for lineno, line in enumerate(
+            fixture.read_text(encoding="utf-8").splitlines(), start=1):
+        match = EXPECT_RE.search(line)
+        if match:
+            expected.add((lineno, match.group(1)))
+    broken, checked = check_md(fixture, CORPUS, anchors_in)
+    got = {(lineno, kind) for lineno, kind, _ in broken}
+    for lineno, kind in sorted(expected - got):
+        print(f"self-test: MISSED   fixture.md:{lineno} expected [{kind}]")
+    for lineno, kind in sorted(got - expected):
+        print(f"self-test: SPURIOUS fixture.md:{lineno} flagged [{kind}]")
+    if got != expected or not expected:
+        print("self-test: FAIL", file=sys.stderr)
+        return 1
+    print(f"self-test: {checked} references checked, {len(got)} expected "
+          f"breakages flagged")
+    return 0
+
+
+def main(argv: list) -> int:
+    ap = argparse.ArgumentParser(
+        description="check Markdown links, anchors and line references "
+                    "(see module docstring)")
+    ap.add_argument("--self-test", action="store_true",
+                    help="verify the checker against "
+                         "tools/lint_corpus/md_links/")
+    if ap.parse_args(argv).self_test:
+        return run_self_test()
     root = Path(__file__).resolve().parent.parent
     broken = []
     checked = 0
@@ -115,41 +229,9 @@ def main() -> int:
         rel = md.relative_to(root)
         if any(part.startswith(SKIP_DIRS) for part in rel.parts[:-1]):
             continue
-        for lineno, target in links_in(md):
-            if target.startswith(EXTERNAL):
-                continue
-            path, _, fragment = target.partition("#")
-            dest = md if not path else md.parent / path
-            if path:
-                checked += 1
-                if not dest.exists():
-                    broken.append(
-                        f"{rel}:{lineno}: broken relative link '{target}'"
-                    )
-                    continue
-            if fragment and (not path or dest.suffix == ".md"):
-                checked += 1
-                if fragment not in anchors_of(dest):
-                    broken.append(
-                        f"{rel}:{lineno}: broken anchor '{target}' "
-                        f"(no heading slugs to '#{fragment}' in "
-                        f"{dest.relative_to(root)})"
-                    )
-        if rel.name in LINE_REF_SKIP:
-            continue
-        for lineno, ref, path, last in line_refs_in(md):
-            checked += 1
-            dest = next((d for d in (root / path, md.parent / path)
-                         if d.is_file()), None)
-            if dest is None:
-                broken.append(f"{rel}:{lineno}: line reference {ref} "
-                              f"names no file")
-                continue
-            with dest.open("rb") as f:
-                lines = sum(1 for _ in f)
-            if last > lines:
-                broken.append(f"{rel}:{lineno}: line reference {ref} is "
-                              f"past the end of {path} ({lines} lines)")
+        found, n = check_md(md, root, anchors_of)
+        checked += n
+        broken += [f"{rel}:{lineno}: {message}" for lineno, _, message in found]
     for line in broken:
         print(line)
     print(f"checked {checked} relative links/anchors/line references, "
@@ -158,4 +240,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
