@@ -57,9 +57,7 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   c.index = static_cast<std::uint32_t>(campaigns_.size());
   c.start_us = now_us_;
   c.throttled = spec.rate_limit_pps > 0.0;
-  if (c.throttled)
-    c.bucket = simnet::TokenBucket{spec.rate_limit_pps,
-                                   std::max(1.0, spec.rate_limit_burst)};
+  if (c.throttled) c.bucket = simnet::TokenBucket{c.budget().burst};
 
   // Build a fresh replica, whose clock starts at 0, and the Pacer driving
   // the source over it, then seed the first global slot.
@@ -167,7 +165,7 @@ void CampaignReactor::reschedule(Campaign& c) {
   std::uint64_t due = c.start_us + pacer.due_us();
   // The service throttle defers the *global* slot only; the local clock
   // (and with it every reply) is untouched — per-tenant byte-identity.
-  if (c.throttled) due = std::max(due, c.bucket.ready_at_us(due));
+  if (c.throttled) due = std::max(due, c.bucket.ready_at_us(c.budget(), due));
   push_global(c, due);
 }
 
@@ -186,7 +184,7 @@ void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
   // keeps every tenant's timeline equal to its solo run.
   const std::uint64_t probes = l.pacer.stats().probes_sent;
   if (c.throttled && probes != sent)
-    c.bucket.debit(static_cast<double>(probes - sent), slot_due);
+    c.bucket.debit(c.budget(), static_cast<double>(probes - sent), slot_due);
   if (c.spec.probe_budget != 0 && probes >= c.spec.probe_budget)
     retire(c, CampaignState::kBudgetExhausted);
   else if (exhausted)

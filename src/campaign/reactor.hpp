@@ -48,6 +48,7 @@
 // reactor_property_test.cpp hold the solo-run and submission-order gates.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -276,13 +277,18 @@ class CampaignReactor {
     std::uint64_t due_global = 0;  // next slot's due (saved across pause)
     std::uint64_t gen = 0;         // slot generation; mismatches are stale
     std::uint64_t start_us = 0;    // global admission offset
-    simnet::TokenBucket bucket;
+    simnet::TokenBucket bucket;  // the service throttle's balance
     ProbeStats totals;  // the Pacer's stats, frozen at settle
     std::uint32_t index = 0;
     CampaignState state = CampaignState::kRunning;
     bool throttled = false;
     bool in_heap = false;    // a live slot sits in the heap
     bool executing = false;  // its slot is running (the step-boundary DCHECKs)
+
+    /// The service throttle's budget, derived from the spec at each use.
+    [[nodiscard]] simnet::TokenBucket::Budget budget() const {
+      return {spec.rate_limit_pps, std::max(1.0, spec.rate_limit_burst)};
+    }
   };
 
   /// A heap entry. Ordering is the fair-share policy: (due, tenant) —

@@ -30,12 +30,8 @@ constexpr double kAggressiveBurst = 8.0;
 
 }  // namespace
 
-TokenBucket& Network::bucket_for(std::uint64_t router_id) {
-  auto it = buckets_.find(router_id);
-  if (it != buckets_.end()) return it->second;
-  if (params_->unlimited) {
-    return buckets_.emplace(router_id, TokenBucket{}).first->second;
-  }
+TokenBucket::Budget Network::budget_of(std::uint64_t router_id) const {
+  if (params_->unlimited) return TokenBucket::kUnlimited;
   const auto hv = splitmix64(router_id ^ 0x6b7c);
   double rate, burst;
   if (hv % kAggressiveModulus == 0) {
@@ -46,10 +42,9 @@ TokenBucket& Network::bucket_for(std::uint64_t router_id) {
     burst = kBaseBurst +
             static_cast<double>((hv >> 10) % 1000) / 1000.0 * kBurstSpread;
   }
-  // kRateLimitScale events multiply every budget; the event handler clears
-  // buckets_ so existing limiters re-derive here at the scaled rate.
-  return buckets_.emplace(router_id, TokenBucket{rate * rate_scale_, burst})
-      .first->second;
+  // kRateLimitScale events multiply every rate; the event handler clears
+  // buckets_, so every live balance was opened under the current scale.
+  return {rate * rate_scale_, burst};
 }
 
 bool Network::router_silent(std::uint64_t router_id) const {
@@ -60,7 +55,10 @@ bool Network::router_silent(std::uint64_t router_id) const {
 }
 
 bool Network::consume_token(std::uint64_t router_id) {
-  if (bucket_for(router_id).try_consume(now_us_)) return true;
+  const auto budget = budget_of(router_id);
+  auto it = buckets_.find(router_id);
+  if (it == buckets_.end()) it = buckets_.emplace(router_id, budget.burst).first;
+  if (it->second.try_consume(budget, now_us_)) return true;
   ++stats_.rate_limited;
   return false;
 }
@@ -502,8 +500,8 @@ void Network::apply_dynamics_event(const DynamicsEvent& ev) {
     }
     case DynamicsKind::kRateLimitScale:
       rate_scale_ = ev.rate_scale;
-      // Budgets are derived state: drop them all and let bucket_for
-      // re-derive at the scaled rate on next use.
+      // Every balance was opened under the old rate: drop them all, so
+      // each reopens full under the scaled budget on next use.
       buckets_.clear();
       return;
     case DynamicsKind::kLossModel:

@@ -52,7 +52,7 @@ namespace beholder6::simnet {
 
 struct NetworkParams {
   /// Disable rate limiting entirely (for discovery-only experiments). The
-  /// per-router budgets themselves are model constants (bucket_for).
+  /// per-router budgets themselves are model constants (budget_of).
   bool unlimited = false;
   /// ICMPv6-silent routers: this fraction of routers never originate
   /// ICMPv6 errors (a common real-Internet behaviour; it is what stalls the
@@ -338,7 +338,9 @@ class Network {
   void reply_to_interface_echo(const wire::Ipv6Header& ip,
                                std::uint64_t router_id, const Packet& probe,
                                PacketPool& out);
-  TokenBucket& bucket_for(std::uint64_t router_id);
+  /// A router's ICMPv6 error budget: a function of its id and the current
+  /// rate scale.
+  [[nodiscard]] TokenBucket::Budget budget_of(std::uint64_t router_id) const;
   [[nodiscard]] bool consume_token(std::uint64_t router_id);
   /// The probe's ECMP flow variant, 0 or 1: what byte-wise FNV-1a over
   /// the addresses, flow label, next header and leading transport bytes
@@ -368,7 +370,10 @@ class Network {
   ProbeObserver observer_;
   std::uint64_t now_us_ = 0;
   NetworkStats stats_;
+  // Per-router balances; each budget is derived from the id (budget_of).
   netbase::FlatMap<std::uint64_t, TokenBucket> buckets_;
+  static_assert(sizeof(std::pair<std::uint64_t, TokenBucket>) == 24,
+                "a buckets_ entry is a router id and a balance");
   // Negative caches keyed by the *full* target address. (They were keyed by
   // a 64-bit hash once, which let two distinct targets collide and wrongly
   // suppress a Destination Unreachable.)

@@ -6,6 +6,13 @@
 // probing stays under every router's refill rate. We model the canonical
 // token-bucket implementation: capacity `burst`, refilled continuously at
 // `rate` tokens per second of virtual time.
+//
+// The bucket holds state only: its balance and the time of its last
+// refill, 16 bytes. Its owner supplies the budget (rate and burst) on each
+// call and derives it rather than storing it: a router's budget is a
+// function of its id and the rate scale (Network::budget_of), a tenant's
+// service throttle comes from its CampaignSpec. The owner must pass one
+// budget for the whole life of a balance; a new budget needs a new bucket.
 #pragma once
 
 #include <cstdint>
@@ -15,16 +22,23 @@ namespace beholder6::simnet {
 /// A token bucket over a microsecond virtual clock.
 class TokenBucket {
  public:
+  /// What one bucket may spend: tokens per second, and the capacity.
+  struct Budget {
+    double rate_per_s;
+    double burst;
+  };
+  /// Effectively unlimited; the default bucket starts full under it.
+  static constexpr Budget kUnlimited{1e12, 1e12};
+
   TokenBucket() = default;
 
-  /// rate: tokens per second; burst: bucket capacity (initial fill = full).
-  TokenBucket(double rate_per_s, double burst)
-      : rate_(rate_per_s), burst_(burst), tokens_(burst) {}
+  /// A full bucket of a budget with capacity `burst`.
+  explicit TokenBucket(double burst) : tokens_(burst) {}
 
   /// Try to take one token at virtual time `now_us`. Returns true (and
   /// consumes) if a token is available after refill.
-  bool try_consume(std::uint64_t now_us) {
-    refill(now_us);
+  bool try_consume(const Budget& b, std::uint64_t now_us) {
+    refill(b, now_us);
     if (tokens_ >= 1.0) {
       tokens_ -= 1.0;
       return true;
@@ -39,8 +53,8 @@ class TokenBucket {
   /// bucket. The campaign reactor's per-tenant service buckets are the
   /// client: they debit one token per probe after a scheduling step emits,
   /// then park the tenant until the debt clears.
-  void debit(double n, std::uint64_t now_us) {
-    refill(now_us);
+  void debit(const Budget& b, double n, std::uint64_t now_us) {
+    refill(b, now_us);
     tokens_ -= n;
   }
 
@@ -49,29 +63,27 @@ class TokenBucket {
   /// scheduler can sleep a throttled consumer until exactly this instant
   /// instead of polling try_consume(). Requires a positive rate when the
   /// bucket is in deficit. Deterministic: a pure function of (state,
-  /// now_us), and like refill() it never rewinds — a `now_us` before the
-  /// last refill just reads the current balance.
-  [[nodiscard]] std::uint64_t ready_at_us(std::uint64_t now_us) {
-    refill(now_us);
+  /// budget, now_us), and like refill() it never rewinds — a `now_us`
+  /// before the last refill just reads the current balance.
+  [[nodiscard]] std::uint64_t ready_at_us(const Budget& b, std::uint64_t now_us) {
+    refill(b, now_us);
     if (tokens_ >= 1.0) return now_us;
     // Ceiling via truncate-plus-one: the slot must not land a fraction of a
     // microsecond early, and an exact integral deficit waiting one extra
     // microsecond costs nothing (the refill covers it either way).
-    const double deficit_us = (1.0 - tokens_) * 1e6 / rate_;
+    const double deficit_us = (1.0 - tokens_) * 1e6 / b.rate_per_s;
     return now_us + static_cast<std::uint64_t>(deficit_us) + 1;
   }
 
  private:
-  void refill(std::uint64_t now_us) {
+  void refill(const Budget& b, std::uint64_t now_us) {
     if (now_us <= last_us_) return;
-    tokens_ += rate_ * static_cast<double>(now_us - last_us_) / 1e6;
-    if (tokens_ > burst_) tokens_ = burst_;
+    tokens_ += b.rate_per_s * static_cast<double>(now_us - last_us_) / 1e6;
+    if (tokens_ > b.burst) tokens_ = b.burst;
     last_us_ = now_us;
   }
 
-  double rate_ = 1e12;   // effectively unlimited by default
-  double burst_ = 1e12;
-  double tokens_ = 1e12;
+  double tokens_ = kUnlimited.burst;
   std::uint64_t last_us_ = 0;
 };
 

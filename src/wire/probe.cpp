@@ -36,6 +36,34 @@ std::uint32_t flow_label_for(std::uint16_t target_cksum) {
   return (static_cast<std::uint32_t>(target_cksum) * 2654435761u) & 0xfffff;
 }
 
+/// The probe's transport checksum, summed from its fields, not re-read
+/// from the encoded packet. The payload adds nothing: payload_fudge makes
+/// its words sum to 0xffff, the one's-complement zero, and the rest of the
+/// sum is never zero (it holds kProbePort). What remains is the
+/// pseudo-header and the transport header's nonzero words.
+std::uint16_t probe_checksum(const ProbeSpec& s, std::uint16_t tcksum,
+                             std::size_t transport_size) {
+  ChecksumAccumulator acc;
+  acc.add(s.src.bytes());
+  acc.add(s.target.bytes());
+  acc.add_u32(static_cast<std::uint32_t>(transport_size));
+  acc.add_u16(static_cast<std::uint8_t>(s.proto));
+  acc.add_u16(tcksum);      // echo id or source port
+  acc.add_u16(kProbePort);  // echo seq or destination port
+  switch (s.proto) {
+    case Proto::kIcmp6:  // type and code
+      acc.add_u16(static_cast<std::uint16_t>(Icmp6Type::kEchoRequest) << 8);
+      break;
+    case Proto::kUdp:  // length
+      acc.add_u16(UdpHeader::kSize + kYarrpPayloadSize);
+      break;
+    case Proto::kTcp:  // data offset and flags; the 0xffff window adds nothing
+      acc.add_u16(static_cast<std::uint16_t>(5u << 12 | s.tcp_flags));
+      break;
+  }
+  return acc.finish();
+}
+
 /// A yarrp6 probe parsed from the front of a packet, and the target
 /// checksum its ICMPv6 id or source port carries.
 struct ParsedProbe {
@@ -108,6 +136,7 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
   }
 
   const std::uint16_t tcksum = target_checksum(spec.target);
+  const std::uint16_t cksum = probe_checksum(spec, tcksum, transport_size);
   Ipv6Header ip;
   ip.flow_label = flow_label_for(tcksum);
   ip.payload_length = static_cast<std::uint16_t>(transport_size);
@@ -124,6 +153,7 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
       h.code = 0;
       h.id = tcksum;
       h.seq = kProbePort;
+      h.checksum = cksum;
       h.encode(pkt);
       break;
     }
@@ -132,6 +162,7 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
       h.src_port = tcksum;
       h.dst_port = kProbePort;
       h.length = static_cast<std::uint16_t>(UdpHeader::kSize + kYarrpPayloadSize);
+      h.checksum = cksum;
       h.encode(pkt);
       break;
     }
@@ -140,12 +171,12 @@ void encode_probe_into(const ProbeSpec& spec, std::vector<std::uint8_t>& pkt) {
       h.src_port = tcksum;
       h.dst_port = kProbePort;
       h.flags = spec.tcp_flags;
+      h.checksum = cksum;
       h.encode(pkt);
       break;
     }
   }
   encode_yarrp_payload(pkt, spec);
-  finalize_transport_checksum(pkt);
 }
 
 std::vector<std::uint8_t> encode_probe(const ProbeSpec& spec) {

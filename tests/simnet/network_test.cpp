@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <optional>
+#include <vector>
+
+#include "netbase/rng.hpp"
 #include "simnet/token_bucket.hpp"
 #include "support/big_echo.hpp"
 #include "wire/probe.hpp"
@@ -232,27 +238,130 @@ TEST_F(NetworkTest, StatsAccumulateAndReset) {
 }
 
 TEST(TokenBucket, BurstThenStarveThenRefill) {
-  TokenBucket b{10.0, 3.0};  // 10 tokens/s, burst 3
-  EXPECT_TRUE(b.try_consume(0));
-  EXPECT_TRUE(b.try_consume(0));
-  EXPECT_TRUE(b.try_consume(0));
-  EXPECT_FALSE(b.try_consume(0)) << "burst exhausted";
-  EXPECT_FALSE(b.try_consume(50'000)) << "only 0.5 tokens refilled";
-  EXPECT_TRUE(b.try_consume(100'000)) << "1 token refilled after 100ms";
-  EXPECT_FALSE(b.try_consume(100'000));
+  const TokenBucket::Budget budget{10.0, 3.0};  // 10 tokens/s, burst 3
+  TokenBucket b{budget.burst};
+  EXPECT_TRUE(b.try_consume(budget, 0));
+  EXPECT_TRUE(b.try_consume(budget, 0));
+  EXPECT_TRUE(b.try_consume(budget, 0));
+  EXPECT_FALSE(b.try_consume(budget, 0)) << "burst exhausted";
+  EXPECT_FALSE(b.try_consume(budget, 50'000)) << "only 0.5 tokens refilled";
+  EXPECT_TRUE(b.try_consume(budget, 100'000)) << "1 token refilled after 100ms";
+  EXPECT_FALSE(b.try_consume(budget, 100'000));
 }
 
 TEST(TokenBucket, CapsAtBurst) {
-  TokenBucket b{1000.0, 5.0};
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(b.try_consume(0));
+  const TokenBucket::Budget budget{1000.0, 5.0};
+  TokenBucket b{budget.burst};
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(b.try_consume(budget, 0));
   // A long idle period must not accumulate more than `burst` tokens.
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(b.try_consume(10'000'000));
-  EXPECT_FALSE(b.try_consume(10'000'000));
+  for (int i = 0; i < 5; ++i) EXPECT_TRUE(b.try_consume(budget, 10'000'000));
+  EXPECT_FALSE(b.try_consume(budget, 10'000'000));
 }
 
 TEST(TokenBucket, DefaultIsUnlimited) {
   TokenBucket b;
-  for (int i = 0; i < 100000; ++i) ASSERT_TRUE(b.try_consume(0));
+  for (int i = 0; i < 100000; ++i)
+    ASSERT_TRUE(b.try_consume(TokenBucket::kUnlimited, 0));
+}
+
+/// The bucket as it was when it stored its own rate and burst beside the
+/// balance: the reference the state-only bucket must match bit for bit.
+class StoredBudgetBucket {
+ public:
+  StoredBudgetBucket() = default;
+  StoredBudgetBucket(double rate_per_s, double burst)
+      : rate_(rate_per_s), burst_(burst), tokens_(burst) {}
+
+  bool try_consume(std::uint64_t now_us) {
+    refill(now_us);
+    if (tokens_ >= 1.0) {
+      tokens_ -= 1.0;
+      return true;
+    }
+    return false;
+  }
+  void debit(double n, std::uint64_t now_us) {
+    refill(now_us);
+    tokens_ -= n;
+  }
+  std::uint64_t ready_at_us(std::uint64_t now_us) {
+    refill(now_us);
+    if (tokens_ >= 1.0) return now_us;
+    const double deficit_us = (1.0 - tokens_) * 1e6 / rate_;
+    return now_us + static_cast<std::uint64_t>(deficit_us) + 1;
+  }
+
+  double rate_ = 1e12;
+  double burst_ = 1e12;
+  double tokens_ = 1e12;
+  std::uint64_t last_us_ = 0;
+
+ private:
+  void refill(std::uint64_t now_us) {
+    if (now_us <= last_us_) return;
+    tokens_ += rate_ * static_cast<double>(now_us - last_us_) / 1e6;
+    if (tokens_ > burst_) tokens_ = burst_;
+    last_us_ = now_us;
+  }
+};
+
+TEST(TokenBucket, StateOnlyBucketMatchesStoredBudgetBitForBit) {
+  // The bucket is exactly its balance and last refill time.
+  struct State {
+    double tokens;
+    std::uint64_t last_us;
+  };
+  static_assert(sizeof(TokenBucket) == sizeof(State));
+  const auto same_state = [](const TokenBucket& b, const StoredBudgetBucket& ref) {
+    const auto s = std::bit_cast<State>(b);
+    return std::bit_cast<std::uint64_t>(s.tokens) ==
+               std::bit_cast<std::uint64_t>(ref.tokens_) &&
+           s.last_us == ref.last_us_;
+  };
+  // Fixed budgets (the unlimited default, bursts below 1, the reactor's
+  // burst-1 throttle, the network's aggressive and base routers, a halved
+  // rate) and seeded ones drawn like the network's.
+  std::vector<std::optional<TokenBucket::Budget>> budgets = {
+      std::nullopt, TokenBucket::Budget{10.0, 0.25}, TokenBucket::Budget{0.5, 0.75},
+      TokenBucket::Budget{800.0, 1.0}, TokenBucket::Budget{25.0, 8.0},
+      TokenBucket::Budget{150.0 * 0.5, 4.0}, TokenBucket::Budget{1e6, 3.0}};
+  Rng rng{splitmix64(0xb0c7)};
+  for (int i = 0; i < 64; ++i) {
+    const double rate = 150.0 + static_cast<double>(rng() % 1000) / 1000.0 * 500.0;
+    const double burst = static_cast<double>(rng() % 16'000) / 1000.0;
+    const double scale = i % 4 == 0 ? 0.5 : 1.0;
+    budgets.push_back(TokenBucket::Budget{rate * scale, burst});
+  }
+  for (const auto& budget : budgets) {
+    const auto b = budget.value_or(TokenBucket::kUnlimited);
+    TokenBucket bucket = budget ? TokenBucket{b.burst} : TokenBucket{};
+    StoredBudgetBucket ref = budget ? StoredBudgetBucket{b.rate_per_s, b.burst}
+                                    : StoredBudgetBucket{};
+    std::uint64_t now_us = 0;
+    for (int op = 0; op < 4000; ++op) {
+      const auto r = rng();
+      if (r % 8 == 0)
+        now_us -= std::min<std::uint64_t>(now_us, (r >> 8) % 50'000);  // backwards
+      else
+        now_us += (r >> 8) % 20'000;
+      switch ((r >> 4) % 3) {
+        case 0:
+          ASSERT_EQ(bucket.try_consume(b, now_us), ref.try_consume(now_us));
+          break;
+        case 1: {
+          const double n = static_cast<double>((r >> 32) % 9) / 2.0;
+          bucket.debit(b, n, now_us);
+          ref.debit(n, now_us);
+          break;
+        }
+        default:
+          ASSERT_EQ(bucket.ready_at_us(b, now_us), ref.ready_at_us(now_us));
+          break;
+      }
+      ASSERT_TRUE(same_state(bucket, ref))
+          << "rate " << b.rate_per_s << " burst " << b.burst << " op " << op;
+    }
+  }
 }
 
 TEST_F(NetworkTest, RateLimitingStarvesBackToBackProbes) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "netbase/checksum.hpp"
+#include "netbase/rng.hpp"
 
 namespace beholder6::wire {
 namespace {
@@ -195,6 +198,26 @@ TEST(ProbeCodec, FudgeCancelsPayloadSum) {
       acc.add_u16(payload_fudge(kYarrpMagic, 7, ttl, t));
       EXPECT_EQ(acc.folded_sum(), 0xffff);
     }
+  }
+}
+
+TEST(ProbeCodec, ChecksumFromFieldsMatchesOneOverTheBytes) {
+  // encode_probe_into sums the fields, not the packet; re-checksumming the
+  // packet's bytes must find nothing to change.
+  Rng rng{splitmix64(0xc5)};
+  for (int i = 0; i < 3000; ++i) {
+    ProbeSpec s;
+    s.src = Ipv6Addr::from_halves(rng(), rng());
+    s.target = Ipv6Addr::from_halves(rng(), i % 5 == 0 ? 0 : rng());
+    s.proto = std::array{Proto::kIcmp6, Proto::kUdp, Proto::kTcp}[i % 3];
+    s.ttl = static_cast<std::uint8_t>(rng());
+    s.elapsed_us = static_cast<std::uint32_t>(rng());
+    s.instance = static_cast<std::uint8_t>(rng());
+    s.tcp_flags = i % 2 ? TcpHeader::kSyn : TcpHeader::kAck;
+    const auto pkt = encode_probe(s);
+    auto refinished = pkt;
+    ASSERT_TRUE(finalize_transport_checksum(refinished));
+    ASSERT_EQ(pkt, refinished) << "probe " << i;
   }
 }
 

@@ -19,12 +19,17 @@ to the repo root or to the Markdown file's directory, must name a file
 with at least that many lines. When the reference directly follows a
 backticked C++ name, even across a line break (`` `Pacer`
 (`src/campaign/runner.hpp:91`) ``, `` `Name` at `path:line` ``,
-`` (`name`, `path:line`) ``), the cited lines or the SYMBOL_SLACK lines
-after them must also contain that name's last component as a word, so a
+`` (`name`, `path:line`) ``), the cited lines themselves must also
+contain that name's last component as a word (SYMBOL_SLACK is 0: a
+reference to a doc comment cites a range that runs on to the name), so a
 reference that code moved out from under is caught, not only one past
-the end of the file. CHANGES.md describes earlier trees, so its line
-references are not checked, and neither is a reference quoted as an
-example inside a double-backtick span (`` `file.cpp:12` ``).
+the end of the file. The check reads words, not declarations: a
+reference shifted onto another use of the same name still passes (an
+`iface_router_` reference that lands on a line which writes
+`iface_router_` rather than on its declaration, say). CHANGES.md
+describes earlier trees, so its line references are not checked, and
+neither is a reference quoted as an example inside a double-backtick
+span (`` `file.cpp:12` ``).
 
 Fenced code blocks are skipped, so quoted/quarantined content cannot
 trip it.
@@ -61,9 +66,9 @@ QUOTED_SPAN_RE = re.compile(r"``.*?``")
 # most an opening parenthesis, a comma or the word "at".
 SYMBOL_BEFORE_RE = re.compile(
     r"`((?:[A-Za-z_]\w*::)*~?[A-Za-z_]\w*)(?:\(\))?`\s*(?:\(|,|\bat\b)?\s*$")
-# Lines after the cited ones that may hold the name: a reference may cite
-# the doc comment above a declaration.
-SYMBOL_SLACK = 3
+# Lines after the cited ones that may hold the name. None: a reference
+# off its name by even one line is reported.
+SYMBOL_SLACK = 0
 CORPUS = Path(__file__).resolve().parent / "lint_corpus" / "md_links"
 EXPECT_RE = re.compile(r"<!-- expect: (\w+) -->\s*$")
 
