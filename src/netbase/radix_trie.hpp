@@ -1,109 +1,123 @@
-// netbase/radix_trie.hpp — binary trie over IPv6 prefixes with
-// longest-prefix match. Used for the simulated BGP table, routed-space
-// checks during target characterization, and ground-truth subnet lookup.
+// netbase/radix_trie.hpp — IPv6 prefix table with longest-prefix match.
+// Used for the simulated BGP table (Topology::origin sits on the per-probe
+// path), routed-space checks during target characterization, and
+// ground-truth subnet lookup.
+//
+// Layout: the prefixes sorted by (base, length), which is a binary trie's
+// pre-order, so for_each and subtree read contiguous runs of it; plus one
+// open-addressing index from (masked address, length) to value. lpm probes
+// the index once per distinct prefix length present, longest first: a few
+// hash lookups instead of a walk of up to 128 nodes. The index mixes the
+// masked 64-bit halves with splitmix64, not Ipv6AddrHash: that hash's
+// byte-wise FNV costs more than a bit-per-level trie walk.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
+#include <functional>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "netbase/flat_map.hpp"
 #include "netbase/ipv6.hpp"
 #include "netbase/prefix.hpp"
+#include "netbase/rng.hpp"
 
 namespace beholder6 {
 
-/// A binary (one bit per level) trie mapping IPv6 prefixes to values of type
-/// V. Supports exact insert/lookup, longest-prefix match, covering test and
-/// in-order enumeration. Not thread-safe for concurrent mutation.
+/// A table mapping IPv6 prefixes to values of type V. Supports exact
+/// insert/lookup, longest-prefix match, covering test and in-order
+/// enumeration. Const members are safe to call from any number of threads;
+/// insert is not, and it invalidates the value pointers handed out before.
 template <typename V>
 class RadixTrie {
  public:
-  RadixTrie() : root_(std::make_unique<Node>()) {}
-
   /// Insert (or overwrite) the value at `p`. Returns true if a new entry was
   /// created, false if an existing entry was overwritten.
   bool insert(const Prefix& p, V value) {
-    Node* n = descend_create(p);
-    const bool fresh = !n->value.has_value();
-    n->value = std::move(value);
-    if (fresh) ++size_;
+    auto [it, fresh] = index_.emplace(key_of(p.base(), p.len()));
+    it->second = std::move(value);
+    if (fresh) {
+      sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), p), p);
+      // Most lpm probes miss (every length longer than the match); at a
+      // load of 1/4 or less a miss usually ends at its first slot.
+      index_.reserve(3 * sorted_.size());
+      const auto at = std::lower_bound(lens_.begin(), lens_.end(), p.len(),
+                                       std::greater<>{});
+      if (at == lens_.end() || *at != p.len()) lens_.insert(at, p.len());
+    }
     return fresh;
   }
 
   /// Exact-match lookup.
   [[nodiscard]] const V* find(const Prefix& p) const {
-    const Node* n = root_.get();
-    for (unsigned i = 0; i < p.len() && n; ++i)
-      n = n->child[p.base().bit(i) ? 1 : 0].get();
-    return (n && n->value) ? &*n->value : nullptr;
+    const auto it = index_.find(key_of(p.base(), p.len()));
+    return it == index_.end() ? nullptr : &it->second;
   }
 
   /// Longest-prefix match for an address: the most specific inserted prefix
-  /// containing `a`, or nullopt if none.
+  /// containing `a`, or nullopt if none. Allocation-free.
   [[nodiscard]] std::optional<std::pair<Prefix, const V*>> lpm(const Ipv6Addr& a) const {
-    const Node* n = root_.get();
-    const Node* best = n->value ? n : nullptr;
-    unsigned best_len = 0;
-    for (unsigned i = 0; i < 128 && n; ++i) {
-      n = n->child[a.bit(i) ? 1 : 0].get();
-      if (n && n->value) { best = n; best_len = i + 1; }
+    for (const unsigned len : lens_) {  // longest first
+      const auto it = index_.find(key_of(a, len));
+      if (it != index_.end()) return std::make_pair(Prefix{a, len}, &it->second);
     }
-    if (!best) return std::nullopt;
-    return std::make_pair(Prefix{a.masked(best_len), best_len}, &*best->value);
+    return std::nullopt;
   }
 
   /// True iff some inserted prefix contains `a`.
   [[nodiscard]] bool covers(const Ipv6Addr& a) const { return lpm(a).has_value(); }
 
-  /// Visit every (prefix, value) pair in address order.
+  /// Visit every (prefix, value) pair in address order, a covering prefix
+  /// before the prefixes it covers.
   template <typename F>
   void for_each(F f) const {
-    walk(root_.get(), Ipv6Addr{}, 0, f);
+    for (const auto& p : sorted_) f(p, *find(p));
   }
 
-  /// All entries whose prefix is covered by `p` (including `p` itself).
+  /// All entries whose prefix is covered by `p` (including `p` itself), in
+  /// for_each order.
   [[nodiscard]] std::vector<std::pair<Prefix, V>> subtree(const Prefix& p) const {
     std::vector<std::pair<Prefix, V>> out;
-    const Node* n = root_.get();
-    for (unsigned i = 0; i < p.len() && n; ++i)
-      n = n->child[p.base().bit(i) ? 1 : 0].get();
-    if (n) {
-      auto collect = [&](const Prefix& q, const V& v) { out.emplace_back(q, v); };
-      walk(n, p.base(), p.len(), collect);
-    }
+    // Pre-order puts exactly the covered entries in one run from `p` on.
+    for (auto it = std::lower_bound(sorted_.begin(), sorted_.end(), p);
+         it != sorted_.end() && p.covers(*it); ++it)
+      out.emplace_back(*it, *find(*it));
     return out;
   }
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return sorted_.size(); }
+  [[nodiscard]] bool empty() const { return sorted_.empty(); }
 
  private:
-  struct Node {
-    std::optional<V> value;
-    std::unique_ptr<Node> child[2];
+  struct Key {
+    std::uint64_t hi = 0;
+    std::uint64_t lo = 0;
+    std::uint64_t len = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      return static_cast<std::size_t>(
+          splitmix64(k.hi ^ (k.lo * 0x9e3779b97f4a7c15ULL) ^ k.len));
+    }
   };
 
-  Node* descend_create(const Prefix& p) {
-    Node* n = root_.get();
-    for (unsigned i = 0; i < p.len(); ++i) {
-      auto& c = n->child[p.base().bit(i) ? 1 : 0];
-      if (!c) c = std::make_unique<Node>();
-      n = c.get();
-    }
-    return n;
+  /// `a` masked to its first `len` bits, as index key.
+  static Key key_of(const Ipv6Addr& a, unsigned len) {
+    // The leading `bits` bits of a half; a shift by 64 would be undefined.
+    const auto keep = [](unsigned bits) {
+      return bits == 0 ? std::uint64_t{0} : ~std::uint64_t{0} << (64 - bits);
+    };
+    return {a.hi() & keep(std::min(len, 64u)),
+            a.lo() & keep(len > 64 ? len - 64 : 0), len};
   }
 
-  template <typename F>
-  static void walk(const Node* n, Ipv6Addr acc, unsigned depth, F& f) {
-    if (n->value) f(Prefix{acc, depth}, *n->value);
-    if (n->child[0]) walk(n->child[0].get(), acc, depth + 1, f);
-    if (n->child[1]) walk(n->child[1].get(), acc.with_bit(depth, true), depth + 1, f);
-  }
-
-  std::unique_ptr<Node> root_;
-  std::size_t size_ = 0;
+  std::vector<Prefix> sorted_;  // every prefix, in (base, length) order
+  std::vector<unsigned> lens_;  // distinct prefix lengths, longest first
+  netbase::FlatMap<Key, V, KeyHash> index_;
 };
 
 }  // namespace beholder6

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "netbase/flat_map.hpp"
 #include "netbase/rng.hpp"
 #include "wire/headers.hpp"
 
@@ -10,10 +11,15 @@ namespace beholder6::simnet {
 std::vector<std::uint64_t> churn_candidate_routers(
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets) {
-  std::vector<std::uint64_t> ids;
+  // A path is a function of the target's /64 cell (Topology::path), so
+  // each cell is resolved once, from the first target in it.
+  netbase::FlatSet<std::uint64_t> cells;
+  netbase::FlatSet<std::uint64_t> found;
+  cells.reserve(sample_targets.size());
   const auto proto = static_cast<std::uint8_t>(wire::Proto::kIcmp6);
   Path path;
   for (const auto& target : sample_targets) {
+    if (!cells.insert(target.hi()).second) continue;
     // Both ECMP variants: a width-2 hop exposes a different sibling per
     // variant, and failing either is a legitimate scenario.
     for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
@@ -22,11 +28,12 @@ std::vector<std::uint64_t> churn_candidate_routers(
       // failing it silences the whole campaign — a degenerate scenario)
       // and keep genuinely mid-path infrastructure.
       for (std::size_t i = vantage.premise_hops; i < path.hops.size(); ++i)
-        ids.push_back(path.hops[i].router_id);
+        found.insert(path.hops[i].router_id);
     }
   }
+  // beholder6: lint-allow(unordered-iter): copied out, then sorted
+  std::vector<std::uint64_t> ids(found.begin(), found.end());
   std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 

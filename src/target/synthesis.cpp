@@ -1,6 +1,6 @@
 #include "target/synthesis.hpp"
 
-#include <unordered_set>
+#include "netbase/flat_map.hpp"
 
 namespace beholder6::target {
 
@@ -11,7 +11,7 @@ TargetSet synthesize_iid(const SeedList& zn_list, std::uint64_t iid,
   TargetSet set;
   set.name = zn_list.name + suffix;
   set.addrs.reserve(zn_list.entries.size());
-  std::unordered_set<Ipv6Addr, Ipv6AddrHash> seen;
+  netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> seen;
   seen.reserve(zn_list.entries.size());
   for (const auto& e : zn_list.entries) {
     const auto a = e.base() | Ipv6Addr::from_halves(0, iid);
@@ -37,10 +37,10 @@ TargetSet synthesize_known(const SeedList& zn_list,
   // All entries of a transformed list share one length; membership is a
   // hash lookup on the masked address.
   const unsigned zn = zn_list.entries.empty() ? 64 : zn_list.entries[0].len();
-  std::unordered_set<Ipv6Addr, Ipv6AddrHash> bases;
+  netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> bases;
   bases.reserve(zn_list.entries.size());
   for (const auto& e : zn_list.entries) bases.insert(e.base());
-  std::unordered_set<Ipv6Addr, Ipv6AddrHash> seen;
+  netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> seen;
   for (const auto& a : known)
     if (bases.contains(a.masked(zn)) && seen.insert(a).second)
       set.addrs.push_back(a);
@@ -51,7 +51,7 @@ TargetSet combine(const std::vector<const TargetSet*>& parts,
                   const std::string& name) {
   TargetSet set;
   set.name = name;
-  std::unordered_set<Ipv6Addr, Ipv6AddrHash> seen;
+  netbase::FlatSet<Ipv6Addr, Ipv6AddrHash> seen;
   for (const auto* part : parts)
     for (const auto& a : part->addrs)
       if (seen.insert(a).second) set.addrs.push_back(a);

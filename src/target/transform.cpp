@@ -1,7 +1,8 @@
 #include "target/transform.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+
+#include "netbase/flat_map.hpp"
 
 namespace beholder6::target {
 
@@ -10,11 +11,12 @@ SeedList transform_zn(const SeedList& in, unsigned zn) {
   if (zn > 64) zn = 64;
   SeedList out;
   out.name = in.name + "-z" + std::to_string(zn);
-  std::unordered_set<Ipv6Addr, Ipv6AddrHash> seen;
+  // zn <= 64, so a /zn base is told apart by its high half alone.
+  netbase::FlatSet<std::uint64_t> seen;
   seen.reserve(in.entries.size());
   auto push = [&](const Ipv6Addr& base) {
     const Prefix p{base, zn};
-    if (seen.insert(p.base()).second) out.entries.push_back(p);
+    if (seen.insert(p.base().hi()).second) out.entries.push_back(p);
   };
   for (const auto& e : in.entries) {
     if (e.len() >= zn) {

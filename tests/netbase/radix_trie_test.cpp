@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <vector>
 
 namespace beholder6 {
 namespace {
@@ -16,6 +18,13 @@ TEST(RadixTrie, InsertAndExactFind) {
   EXPECT_EQ(*t.find(Prefix::must_parse("2001:db8::/32")), 2);
   EXPECT_EQ(t.find(Prefix::must_parse("2001:db8::/33")), nullptr);
   EXPECT_EQ(t.size(), 1u);
+  // Every read serves the overwritten value.
+  const auto m = t.lpm(Ipv6Addr::must_parse("2001:db8::1"));
+  ASSERT_TRUE(m);
+  EXPECT_EQ(*m->second, 2);
+  std::vector<int> values;
+  t.for_each([&](const Prefix&, int v) { values.push_back(v); });
+  EXPECT_EQ(values, std::vector<int>{2});
 }
 
 TEST(RadixTrie, LongestPrefixMatchPicksMostSpecific) {
@@ -92,30 +101,65 @@ TEST(RadixTrie, EmptyTrieBehaves) {
 
 TEST(RadixTrie, ManyRandomPrefixesLpmAgreesWithLinearScan) {
   RadixTrie<unsigned> t;
-  std::vector<Prefix> prefixes;
-  // Deterministic pseudo-random prefix population.
+  // Reference table: later inserts of an equal prefix overwrite, and
+  // std::map order is (base, length), the order for_each promises.
+  std::map<Prefix, unsigned> ref;
+  // Deterministic pseudo-random prefix population over every length.
   std::uint64_t x = 42;
   auto next = [&x] { x = x * 6364136223846793005ULL + 1442695040888963407ULL; return x; };
-  for (unsigned i = 0; i < 300; ++i) {
-    const auto hi = next();
-    const unsigned len = 16 + static_cast<unsigned>(next() % 49);  // 16..64
-    Prefix p{Ipv6Addr::from_halves(hi, 0), len};
-    prefixes.push_back(p);
-    t.insert(p, i);
+  for (unsigned i = 0; i < 600; ++i) {
+    const auto base = Ipv6Addr::from_halves(next(), next());
+    const unsigned len = static_cast<unsigned>(next() % 129);  // 0..128
+    // Cluster half the population inside 2001::/22 so prefixes nest.
+    const Prefix p{i % 2 ? base : Ipv6Addr::from_halves(
+                                      (0x20010ULL << 44) | ((next() % 4) << 40) |
+                                          (base.hi() >> 24), base.lo()),
+                   len};
+    EXPECT_EQ(t.insert(p, i), ref.find(p) == ref.end());
+    ref[p] = i;
   }
-  for (unsigned i = 0; i < 300; ++i) {
-    const auto probe = Ipv6Addr::from_halves(next(), next());
+  EXPECT_EQ(t.size(), ref.size());
+
+  auto check = [&](const Ipv6Addr& probe) {
     // Linear-scan reference: most specific containing prefix.
-    const Prefix* best = nullptr;
-    for (const auto& p : prefixes)
-      if (p.contains(probe) && (!best || p.len() > best->len())) best = &p;
+    const std::pair<const Prefix, unsigned>* best = nullptr;
+    for (const auto& e : ref)
+      if (e.first.contains(probe) && (!best || e.first.len() > best->first.len()))
+        best = &e;
     const auto got = t.lpm(probe);
     if (!best) {
-      EXPECT_FALSE(got);
-    } else {
-      ASSERT_TRUE(got);
-      EXPECT_EQ(got->first.len(), best->len());
+      EXPECT_FALSE(got) << probe.to_string();
+      return;
     }
+    ASSERT_TRUE(got) << probe.to_string();
+    EXPECT_EQ(got->first, best->first) << probe.to_string();
+    EXPECT_EQ(*got->second, best->second) << probe.to_string();
+  };
+  for (const auto& [p, v] : ref) {
+    check(p.base());  // first address
+    const auto last_lo = p.len() >= 128 ? 0 : ~std::uint64_t{0} >> (p.len() > 64 ? p.len() - 64 : 0);
+    const auto last_hi = p.len() >= 64 ? 0 : ~std::uint64_t{0} >> p.len();
+    check(Ipv6Addr::from_halves(p.base().hi() | last_hi, p.base().lo() | last_lo));
+    // Just outside: the sibling prefix differs from `p` in its last bit only.
+    if (p.len() > 0) check(p.base().with_bit(p.len() - 1, !p.base().bit(p.len() - 1)));
+  }
+  for (unsigned i = 0; i < 2000; ++i) {
+    const auto r = Ipv6Addr::from_halves(next(), next());
+    check(r);
+    check(Ipv6Addr::from_halves((0x20010ULL << 44) | ((next() % 4) << 40) | (r.hi() >> 24),
+                                r.lo()));
+  }
+
+  std::vector<std::pair<Prefix, unsigned>> seen;
+  t.for_each([&](const Prefix& p, unsigned v) { seen.emplace_back(p, v); });
+  EXPECT_EQ(seen, (std::vector<std::pair<Prefix, unsigned>>(ref.begin(), ref.end())));
+  for (const auto& [p, v] : ref) {
+    ASSERT_NE(t.find(p), nullptr);
+    EXPECT_EQ(*t.find(p), v);
+    std::vector<std::pair<Prefix, unsigned>> covered;
+    for (const auto& e : ref)
+      if (p.covers(e.first)) covered.emplace_back(e);
+    EXPECT_EQ(t.subtree(p), covered) << p.to_string();
   }
 }
 

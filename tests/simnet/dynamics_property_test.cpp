@@ -8,9 +8,13 @@
 //     ties in insertion order and last-writer-wins for model swaps;
 //   * replicas replay the schedule identically: a schedule in the shared
 //     params block yields byte-identical sweeps from any number of
-//     replicas, and from run → reset → run on one.
+//     replicas, and from run → reset → run on one;
+//   * churn_candidate_routers, which resolves each /64 cell once, equals
+//     resolving every target, and the churn schedules drawn from it are
+//     the ones the per-target harvest gave.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -105,6 +109,48 @@ class DynamicsPropertyTest : public ::testing::Test {
       s.add(ev);
     }
     return s;
+  }
+
+  /// Targets in existing, missing and unrouted cells, with several IIDs
+  /// per /64 and repeats, so a cell's first target is not always its
+  /// lowest or its only one.
+  std::vector<Ipv6Addr> mixed_targets() {
+    std::vector<Ipv6Addr> targets;
+    Rng rng{splitmix64(7)};
+    for (const auto& as : topo_.ases()) {
+      for (const auto& s : topo_.enumerate_subnets(as, 3)) {
+        const auto hi = s.base().hi();
+        targets.push_back(Ipv6Addr::from_halves(hi, 0x42));
+        targets.push_back(Ipv6Addr::from_halves(hi, 1));
+        targets.push_back(Ipv6Addr::from_halves(hi, rng()));
+      }
+      // Cells that may not exist, and one outside every announcement.
+      const auto& p = as.prefixes.back();
+      targets.push_back(Ipv6Addr::from_halves(
+          p.base().hi() | (rng() >> std::min(p.len(), 63u)), rng()));
+      targets.push_back(Ipv6Addr::from_halves((0xfc00ULL << 48) | (rng() >> 16), 1));
+    }
+    const auto n = targets.size();
+    for (std::size_t i = 0; i < n; i += 5) targets.push_back(targets[n - 1 - i]);
+    return targets;
+  }
+
+  /// Reference harvest: resolve every target, not every cell, at both
+  /// ECMP variants, then sort and unique the router ids.
+  std::vector<std::uint64_t> per_target_harvest(
+      const VantageInfo& vantage, const std::vector<Ipv6Addr>& targets) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& target : targets) {
+      for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
+        const auto path = topo_.path(vantage, target, variant,
+                                     static_cast<std::uint8_t>(wire::Proto::kIcmp6));
+        for (std::size_t i = vantage.premise_hops; i < path.hops.size(); ++i)
+          ids.push_back(path.hops[i].router_id);
+      }
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    return ids;
   }
 
   static NetworkParams with_schedule(DynamicsSchedule schedule) {
@@ -234,6 +280,63 @@ TEST_F(DynamicsPropertyTest, ReplicasReplayTheScheduleIdentically) {
   EXPECT_EQ(from_net, from_r1);
   r1.reset();
   EXPECT_EQ(sweep(r1, targets), from_r1);
+}
+
+TEST_F(DynamicsPropertyTest, CellHarvestEqualsPerTargetHarvest) {
+  const auto targets = mixed_targets();
+  ASSERT_GT(targets.size(), 1000u);
+  for (const auto& v : topo_.vantages()) {
+    const auto want = per_target_harvest(v, targets);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(churn_candidate_routers(topo_, v, targets), want) << v.name;
+    // Only the set of cells matters, not their order or multiplicity.
+    auto shuffled = targets;
+    std::reverse(shuffled.begin(), shuffled.end());
+    EXPECT_EQ(churn_candidate_routers(topo_, v, shuffled), want) << v.name;
+  }
+  EXPECT_TRUE(churn_candidate_routers(topo_, topo_.vantages()[0], {}).empty());
+}
+
+TEST_F(DynamicsPropertyTest, ChurnSchedulesMatchThePerTargetHarvest) {
+  // FNV-1a over every event field. The pins were computed with the
+  // per-target harvest; the cell harvest must leave every schedule
+  // bit-identical.
+  auto digest = [](const DynamicsSchedule& s) {
+    std::uint64_t h = 1469598103934665603ULL;
+    auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+    for (const auto& ev : s.events()) {
+      mix(ev.at_us);
+      mix(static_cast<std::uint64_t>(ev.kind));
+      mix(ev.router_id);
+      mix(ev.silent);
+      mix(ev.cell_base);
+      mix(ev.cell_mask);
+      mix(ev.bump);
+      mix(static_cast<std::uint64_t>(ev.rate_scale * 1000));
+      mix(static_cast<std::uint64_t>(ev.reply_loss * 1000));
+      mix(static_cast<std::uint64_t>(ev.reply_dup * 1000));
+    }
+    return h;
+  };
+  const std::uint64_t pinned[] = {17001004273204331559ULL, 10030475780153179544ULL,
+                                  13088748173991851747ULL, 12254536432933910785ULL};
+  const auto targets = mixed_targets();
+  const auto& v = topo_.vantages()[0];
+  const auto reference = per_target_harvest(v, targets);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ChurnParams cp;
+    cp.seed = seed;
+    const auto s = make_churn_schedule(topo_, v, targets, cp);
+    EXPECT_EQ(digest(s), pinned[seed - 1]) << "seed " << seed;
+    unsigned downs = 0;
+    for (const auto& ev : s.events()) {
+      if (ev.kind != DynamicsKind::kLinkDown) continue;
+      ++downs;
+      EXPECT_TRUE(std::binary_search(reference.begin(), reference.end(), ev.router_id))
+          << "seed " << seed;
+    }
+    EXPECT_EQ(downs, 2u) << "seed " << seed;
+  }
 }
 
 }  // namespace

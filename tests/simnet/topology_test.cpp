@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "netbase/eui64.hpp"
+#include "netbase/rng.hpp"
 
 namespace beholder6::simnet {
 namespace {
@@ -64,6 +67,46 @@ TEST(Topology, SixToFourPrefixAnnounced) {
 TEST(Topology, UnroutedSpaceHasNoOrigin) {
   EXPECT_FALSE(topo().origin(Ipv6Addr::must_parse("2a10:dead::1")));
   EXPECT_FALSE(topo().origin(Ipv6Addr::must_parse("fc00::1")));
+}
+
+TEST(Topology, OriginAgreesWithLinearScanOfBgp) {
+  std::vector<std::pair<Prefix, Asn>> table;
+  topo().bgp().for_each([&](const Prefix& p, const Asn& asn) { table.emplace_back(p, asn); });
+  ASSERT_EQ(table.size(), topo().bgp().size());
+  auto expect_origin = [&](const Ipv6Addr& a) {
+    const std::pair<Prefix, Asn>* best = nullptr;
+    for (const auto& e : table)
+      if (e.first.contains(a) && (!best || e.first.len() > best->first.len())) best = &e;
+    const auto got = topo().origin(a);
+    if (best) {
+      EXPECT_EQ(got, best->second) << a.to_string();
+    } else {
+      EXPECT_FALSE(got) << a.to_string();
+    }
+  };
+  // The high-half bits below a prefix of `len` <= 64 bits, kept from `bits`.
+  auto below = [](unsigned len, std::uint64_t bits) {
+    return len >= 64 ? std::uint64_t{0} : bits >> len;
+  };
+  for (const auto& [p, asn] : table) {
+    ASSERT_LE(p.len(), 64u);  // every announcement is at most a /64
+    expect_origin(p.base());
+    expect_origin(Ipv6Addr::from_halves(p.base().hi() | below(p.len(), ~std::uint64_t{0}),
+                                        ~std::uint64_t{0}));
+  }
+  Rng rng{splitmix64(99)};
+  for (unsigned i = 0; i < 10000; ++i) {
+    // Half uniform (almost always unrouted), half inside an announcement
+    // with random low bits, where more-specifics may take over.
+    const auto r = Ipv6Addr::from_halves(rng(), rng());
+    if (i % 2 == 0) {
+      expect_origin(r);
+      continue;
+    }
+    const auto& p = table[rng.below(table.size())].first;
+    expect_origin(Ipv6Addr::from_halves(
+        p.base().hi() | below(p.len(), r.hi()), r.lo()));
+  }
 }
 
 TEST(Topology, ThreeVantagesWithDistinctSources) {

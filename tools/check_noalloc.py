@@ -62,7 +62,8 @@ because the allocator itself is always an external symbol.
 Entry points (demangled-name regex, `--entry` to extend):
     Network::inject_view, Network::inject_impl, RouteCache::find,
     Network::resolve_path, wire::encode_probe_into, wire::decode_reply,
-    Topology::host_at, Topology::path_into, and the prefetch hints —
+    Topology::host_at, Topology::path_into, Topology::origin (the BGP
+    longest-prefix match), and the prefetch hints —
     CampaignReactor::warm_lookahead, Network::prefetch_state,
     PacketPool::prefetch, FlatTable::prefetch
     (hints run on every step and must stay as free as the path they warm)
@@ -193,6 +194,7 @@ DEFAULT_ENTRIES: list[str] = [
     r"beholder6::wire::decode_reply\(",
     r"beholder6::simnet::Topology::host_at\(",
     r"beholder6::simnet::Topology::path_into\(",
+    r"beholder6::simnet::Topology::origin\(",
     r"beholder6::campaign::CampaignReactor::warm_lookahead\(",
     r"beholder6::simnet::Network::prefetch_state\(",
     r"beholder6::simnet::PacketPool::prefetch\(",
