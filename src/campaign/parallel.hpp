@@ -113,13 +113,16 @@ struct Shard {
   ResponseSink sink;              ///< shard-confined observer; may be empty
 };
 
-/// One reply tagged with its deterministic merge key.
+/// One reply tagged with its deterministic merge key. Exactly one 64-byte
+/// cache line: the per-unit runs and the merged stream hold one per
+/// recorded reply, so its size is most of a merged campaign's memory.
 struct ShardReply {
   std::uint64_t virtual_us = 0;  ///< delivery time on the subshard's clock
   std::uint32_t shard = 0;       ///< parent shard: first tie-break
   std::uint32_t subshard = 0;    ///< subshard within it: second tie-break
   wire::DecodedReply reply;      ///< the decoded reply itself
 };
+static_assert(sizeof(ShardReply) == 64);
 
 /// Wall-clock telemetry for one worker thread of a parallel run. Pure
 /// cost reporting (never part of any determinism comparison): benches emit

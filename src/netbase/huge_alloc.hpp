@@ -23,6 +23,8 @@
 //
 // Stateless std-allocator; small allocations fall through to operator new,
 // and non-Linux builds compile to exactly that fallback plus alignment.
+// release_pages() hands part of a live block's pages back early, for a
+// buffer consumed front to back (the parallel runner's reply runs).
 #pragma once
 
 #include <atomic>
@@ -101,6 +103,20 @@ inline void unmap_huge(void* p, std::size_t bytes) noexcept {
 
 }  // namespace detail
 
+/// Hand the whole pages inside [p, p + bytes) back to the kernel
+/// (madvise MADV_DONTNEED). They stay mapped and read back as zeros when
+/// touched again; the partial pages at either end are left alone, so every
+/// byte outside the range keeps its value. Does nothing off Linux.
+inline void release_pages(void* p, std::size_t bytes) noexcept {
+#ifdef __linux__
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  if (std::align(page, page, p, bytes)) ::madvise(p, bytes / page * page, MADV_DONTNEED);
+#else
+  (void)p;
+  (void)bytes;
+#endif
+}
+
 /// Std-allocator for the large hot tables: a block of kHugeThreshold
 /// bytes or more is a 2 MB-aligned mapping of its own with MADV_HUGEPAGE,
 /// unmapped on deallocate; smaller blocks come from operator new.
@@ -156,13 +172,7 @@ struct PageReleasingAllocator {
   T* allocate(std::size_t n) { return static_cast<T*>(::operator new(n * sizeof(T))); }
 
   void deallocate(T* p, std::size_t n) noexcept {
-#ifdef __linux__
-    static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    void* first = p;
-    std::size_t bytes = n * sizeof(T);
-    if (std::align(page, page, first, bytes))
-      ::madvise(first, bytes / page * page, MADV_DONTNEED);
-#endif
+    release_pages(p, n * sizeof(T));
     ::operator delete(p);
   }
 

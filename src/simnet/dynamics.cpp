@@ -12,24 +12,29 @@ std::vector<std::uint64_t> churn_candidate_routers(
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets) {
   // A path is a function of the target's /64 cell (Topology::path), so
-  // each cell is resolved once, from the first target in it.
+  // each cell is resolved once, from the first target in it. Its descent
+  // reads no flow hash, so one serves both ECMP variants, and the variants'
+  // heads depend only on the destination AS, so each AS's are read once.
   netbase::FlatSet<std::uint64_t> cells;
+  netbase::FlatSet<std::uint64_t> dest_ases;  // 0: the unrouted head
   netbase::FlatSet<std::uint64_t> found;
   cells.reserve(sample_targets.size());
   const auto proto = static_cast<std::uint8_t>(wire::Proto::kIcmp6);
-  Path path;
+  Path descent;
   for (const auto& target : sample_targets) {
     if (!cells.insert(target.hi()).second) continue;
+    const auto heads = topo.path_parts(vantage, target, proto, descent);
+    // The descent follows the premise chain, so all of it is mid-path.
+    for (const Hop& hop : descent.hops) found.insert(hop.router_id);
+    if (!dest_ases.insert(descent.dest_asn).second) continue;
     // Both ECMP variants: a width-2 hop exposes a different sibling per
-    // variant, and failing either is a legitimate scenario.
-    for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant) {
-      topo.path_into(vantage, target, variant, proto, path);
-      // Skip the premise chain (every probe of this vantage crosses it, so
-      // failing it silences the whole campaign — a degenerate scenario)
-      // and keep genuinely mid-path infrastructure.
-      for (std::size_t i = vantage.premise_hops; i < path.hops.size(); ++i)
-        found.insert(path.hops[i].router_id);
-    }
+    // variant, and failing either is a legitimate scenario. Skip the
+    // premise chain (every probe of this vantage crosses it, so failing it
+    // silences the whole campaign — a degenerate scenario) and keep
+    // genuinely mid-path infrastructure.
+    for (const auto head : heads)
+      for (std::size_t i = vantage.premise_hops; i < head.size(); ++i)
+        found.insert(head[i].router_id);
   }
   // beholder6: lint-allow(unordered-iter): copied out, then sorted
   std::vector<std::uint64_t> ids(found.begin(), found.end());

@@ -131,7 +131,8 @@ struct ChurnParams {
 /// Mid-path routers (past the vantage's premise chain) harvested from the
 /// resolved paths toward `sample_targets` — the deterministic candidate
 /// pool link-failure events draw from. Sorted and deduplicated so the
-/// result is a pure function of (topology, vantage, targets).
+/// result is a pure function of (topology, vantage, targets). `vantage`
+/// must be an element of topo.vantages() (Topology::path_parts).
 [[nodiscard]] std::vector<std::uint64_t> churn_candidate_routers(
     const Topology& topo, const VantageInfo& vantage,
     std::span<const Ipv6Addr> sample_targets);

@@ -631,6 +631,17 @@ void Topology::direct_path_into(const VantageInfo& vantage, const Ipv6Addr& targ
   finish_path(dest_asn, target, proto, out);
 }
 
+std::span<const Hop> Topology::head_chain(std::size_t vi,
+                                          std::optional<Asn> dest_asn,
+                                          std::uint64_t variant) const {
+  const ChainRef chain =
+      dest_asn ? route_chains_[(vi * ases_.size() + (*dest_asn - kBaseAsn)) *
+                                   kEcmpVariantPeriod +
+                               variant]
+               : unrouted_chains_[vi];
+  return {chain_hops_.data() + chain.offset, chain.len};
+}
+
 void Topology::path_into(const VantageInfo& vantage, const Ipv6Addr& target,
                          std::uint64_t flow_hash, std::uint8_t proto,
                          Path& out) const {
@@ -640,15 +651,27 @@ void Topology::path_into(const VantageInfo& vantage, const Ipv6Addr& target,
     return;
   }
   const auto dest_asn = origin(target);
-  const ChainRef chain =
-      dest_asn ? route_chains_[(*vi * ases_.size() + (*dest_asn - kBaseAsn)) *
-                                   kEcmpVariantPeriod +
-                               flow_hash % kEcmpVariantPeriod]
-               : unrouted_chains_[*vi];
-  const Hop* head = chain_hops_.data() + chain.offset;
-  out.hops.reserve(chain.len + kMaxTargetHops);
-  out.hops.assign(head, head + chain.len);
+  const auto head = head_chain(*vi, dest_asn, flow_hash % kEcmpVariantPeriod);
+  out.hops.reserve(head.size() + kMaxTargetHops);
+  out.hops.assign(head.begin(), head.end());
   finish_path(dest_asn, target, proto, out);
+}
+
+Topology::PathHeads Topology::path_parts(const VantageInfo& vantage,
+                                         const Ipv6Addr& target,
+                                         std::uint8_t proto,
+                                         Path& descent) const {
+  const auto vi = vantage_index(vantage);
+  if (!vi)
+    throw std::invalid_argument("Topology::path_parts: vantage " + vantage.name +
+                                " is not an element of vantages()");
+  const auto dest_asn = origin(target);
+  PathHeads heads;
+  for (std::uint64_t variant = 0; variant < kEcmpVariantPeriod; ++variant)
+    heads[variant] = head_chain(*vi, dest_asn, variant);
+  descent.hops.clear();
+  finish_path(dest_asn, target, proto, descent);
+  return heads;
 }
 
 Path Topology::path(const VantageInfo& vantage, const Ipv6Addr& target,

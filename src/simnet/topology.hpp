@@ -21,6 +21,7 @@
 // transit AS announces the 6to4 relay prefix 2002::/16.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -235,6 +236,22 @@ class Topology {
   void path_into(const VantageInfo& vantage, const Ipv6Addr& target,
                  std::uint64_t flow_hash, std::uint8_t proto, Path& out) const;
 
+  /// One precomputed head per ECMP variant (see path_parts).
+  using PathHeads = std::array<std::span<const Hop>, kEcmpVariantPeriod>;
+
+  /// path_into() in its two parts, for callers that visit many cells of
+  /// one vantage: heads[v] is the precomputed chain of ECMP variant v (the
+  /// hops up to and including the destination border, shared by every
+  /// cell of the destination AS), and `descent` receives the rest — the
+  /// per-target hops (its hops cleared first), dest_asn, end and
+  /// firewall_code. The descent reads no flow hash, so path_into(vantage,
+  /// target, f, proto) is heads[f % kEcmpVariantPeriod] followed by
+  /// descent.hops. `vantage` must be an element of vantages(); any other
+  /// throws std::invalid_argument.
+  [[nodiscard]] PathHeads path_parts(const VantageInfo& vantage,
+                                     const Ipv6Addr& target, std::uint8_t proto,
+                                     Path& descent) const;
+
   /// AS-level path (BFS shortest, deterministic tie-break), including both
   /// endpoints. Empty if disconnected (the constructor rejects worlds
   /// where a vantage cannot reach some AS).
@@ -282,6 +299,11 @@ class Topology {
   /// per-target region/PoP/aggregation/gateway descent and the end state.
   void finish_path(std::optional<Asn> dest_asn, const Ipv6Addr& target,
                    std::uint8_t proto, Path& out) const;
+  /// The precomputed head toward `dest_asn` (nullopt: unrouted) of ECMP
+  /// variant `variant` from vantages()[vi].
+  [[nodiscard]] std::span<const Hop> head_chain(std::size_t vi,
+                                                std::optional<Asn> dest_asn,
+                                                std::uint64_t variant) const;
   /// path_into for a VantageInfo that is not an element of vantages().
   B6_COLDPATH void direct_path_into(const VantageInfo& vantage,
                                     const Ipv6Addr& target,

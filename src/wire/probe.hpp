@@ -50,11 +50,13 @@ struct ProbeSpec {
 
 /// Everything recoverable from a reply's quotation — the reconstructed
 /// per-probe state that a stateful prober would have had to remember.
+/// The one-byte fields sit together after elapsed_us so the struct has no
+/// padding: 24 bytes, which keeps DecodedReply at 48.
 struct ProbeState {
   Ipv6Addr target;
+  std::uint32_t elapsed_us = 0;
   Proto proto = Proto::kIcmp6;
   std::uint8_t ttl = 0;
-  std::uint32_t elapsed_us = 0;
   std::uint8_t instance = 0;
   /// False if the quoted destination no longer matches the target checksum
   /// carried in the source port / ICMPv6 id (in-path rewriting).
@@ -73,6 +75,9 @@ struct DecodedReply {
 
   friend bool operator==(const DecodedReply&, const DecodedReply&) = default;
 };
+// The parallel runner's merge record (campaign::ShardReply) is a 16-byte
+// key plus this, one 64-byte cache line.
+static_assert(sizeof(DecodedReply) == 48);
 
 /// Serialize a probe to wire bytes (IPv6 + transport + 12B yarrp payload),
 /// with transport checksum finalized and fudge applied so the checksum is a

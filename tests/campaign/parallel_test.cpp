@@ -7,19 +7,34 @@
 // throwing mid-run, alone or inside an epoch family parked at its barrier —
 // must surface from run() at every thread count. The pool claims the
 // largest units first, and only a split family whose members share their
-// warm targets is warmed into the route snapshot.
+// warm targets is warmed into the route snapshot. The post-join merge
+// hands each run's drained pages back as it goes: the merged stream must
+// still equal a reference merge for runs of every size, a merge-delivered
+// sink that throws must leave no mapping behind, and resident memory must
+// not grow by the merged stream's size while the merge runs.
 #include "campaign/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
 
+#ifdef __linux__
+#include <fcntl.h>
+#include <unistd.h>
+#endif
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "prober/doubletree.hpp"
+#include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
 #include "support/conservation.hpp"
@@ -32,10 +47,10 @@ class ParallelCampaignTest : public ::testing::Test {
  protected:
   ParallelCampaignTest() : topo_(simnet::TopologyParams{}) {}
 
-  std::vector<Ipv6Addr> targets(std::size_t n) {
+  std::vector<Ipv6Addr> targets(std::size_t n, std::size_t per_as = 6) {
     std::vector<Ipv6Addr> out;
     for (const auto& as : topo_.ases()) {
-      for (const auto& s : topo_.enumerate_subnets(as, 6))
+      for (const auto& s : topo_.enumerate_subnets(as, per_as))
         out.push_back(s.base() | Ipv6Addr::from_halves(0, 0x1234));
       if (out.size() >= n) break;
     }
@@ -433,6 +448,207 @@ TEST_F(ParallelCampaignTest, ThrowingEpochFamilyMemberFailsTheRun) {
                  std::runtime_error)
         << threads << " threads";
   }
+}
+
+#ifdef __linux__
+/// Resident set size from /proc/self/statm, read through one descriptor
+/// opened up front, so a sample allocates nothing.
+class ResidentMemory {
+ public:
+  ResidentMemory() : fd_(::open("/proc/self/statm", O_RDONLY)) {}
+  ~ResidentMemory() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ResidentMemory(const ResidentMemory&) = delete;
+  ResidentMemory& operator=(const ResidentMemory&) = delete;
+
+  [[nodiscard]] bool ok() const { return fd_ >= 0; }
+  /// Resident bytes now (0 if the read fails).
+  [[nodiscard]] std::size_t bytes() const {
+    std::array<char, 128> buf{};
+    const auto n = ::pread(fd_, buf.data(), buf.size() - 1, 0);
+    if (n <= 0) return 0;
+    char* rest = nullptr;
+    (void)std::strtoull(buf.data(), &rest, 10);  // total program size
+    return std::strtoull(rest, nullptr, 10) * page_;
+  }
+
+ private:
+  int fd_;
+  std::size_t page_ = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+};
+#endif
+
+/// A yarrp6 shard over `t` (which must outlive it) whose sink the runner
+/// must deliver from the post-join merge once it splits: the runs the
+/// memory tests drain.
+struct MergeFamily {
+  MergeFamily(const std::vector<Ipv6Addr>& t, const Ipv6Addr& src) {
+    prober::Yarrp6Config cfg;
+    cfg.src = src;
+    cfg.pps = 1000;
+    cfg.max_ttl = 12;
+    cfg.fill_mode = true;
+    source = std::make_unique<prober::Yarrp6Source>(cfg, t);
+    shard = {source.get(), cfg.endpoint(), cfg.pacing(), {}};
+  }
+  std::unique_ptr<prober::Yarrp6Source> source;
+  Shard shard;
+};
+
+constexpr std::uint64_t kMergeSplit = 4;
+
+/// The canonical merged stream of `shards`, built without the runner's
+/// merge: every work unit (the children of split(kMergeSplit), or the
+/// shard's source whole) runs alone on a fresh replica, its replies are
+/// tagged in (shard, subshard, arrival) order, and a stable sort by
+/// virtual time yields (virtual time, shard, subshard, arrival).
+std::vector<ShardReply> reference_stream(const simnet::Topology& topo,
+                                         const std::vector<Shard>& shards) {
+  std::vector<ShardReply> want;
+  const auto params = std::make_shared<const simnet::NetworkParams>();
+  for (std::uint32_t i = 0; i < shards.size(); ++i) {
+    const Shard& shard = shards[i];
+    auto children = shard.source->split(kMergeSplit);
+    std::vector<ProbeSource*> units;
+    for (const auto& c : children) units.push_back(c.get());
+    if (units.empty()) units.push_back(shard.source);
+    for (std::uint32_t j = 0; j < units.size(); ++j) {
+      simnet::Network net{topo, params};
+      (void)CampaignRunner::run_one(
+          net, *units[j], shard.endpoint, shard.pacing,
+          [&](const wire::DecodedReply& r) {
+            want.push_back({net.now_us(), i, j, r});
+          });
+    }
+  }
+  std::ranges::stable_sort(want, {}, &ShardReply::virtual_us);
+  return want;
+}
+
+TEST_F(ParallelCampaignTest, MergeReleasesRunsOfEverySize) {
+  // The merge hands each run's drained front back in 64 KiB steps, so it
+  // must cope with runs of every size: mapped runs of over 1 MB (the split
+  // yarrp6 family), heap runs longer than one step, heap runs shorter than
+  // one, and an empty run (a source that never probes). The merged stream
+  // must equal the reference merge reply for reply at any thread count.
+  const auto t = targets(7000, 300);
+  const Ipv6Addr src = topo_.vantages()[0].src;
+  const auto build = [&](MergeFamily& family,
+                         std::vector<std::unique_ptr<ProbeSource>>& owned) {
+    owned.clear();
+    std::vector<Shard> shards{family.shard};
+    for (const std::uint64_t probes : {12'000u, 300u, 0u}) {
+      owned.push_back(std::make_unique<test_support::ThrowingSource>(
+          t[owned.size()], probes, 0));
+      shards.push_back({owned.back().get(), {src}, PacingPolicy::uniform(1000), {}});
+    }
+    return shards;
+  };
+  MergeFamily ref_family{t, src};
+  std::vector<std::unique_ptr<ProbeSource>> ref_owned;
+  const auto want = reference_stream(topo_, build(ref_family, ref_owned));
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    MergeFamily family{t, src};
+    std::size_t merged_sink = 0;
+    family.shard.sink = [&](const wire::DecodedReply&) { ++merged_sink; };
+    std::vector<std::unique_ptr<ProbeSource>> owned;
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    const auto result = runner.run(build(family, owned),
+                                   {.collect_replies = true, .split_factor = kMergeSplit});
+    test_support::expect_parallel_conserved(result, true);
+    ASSERT_EQ(result.replies.size(), want.size());
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      const ShardReply& got = result.replies[r];
+      ASSERT_EQ(got.virtual_us, want[r].virtual_us) << "reply " << r;
+      ASSERT_EQ(got.shard, want[r].shard) << "reply " << r;
+      ASSERT_EQ(got.subshard, want[r].subshard) << "reply " << r;
+      ASSERT_EQ(got.reply, want[r].reply) << "reply " << r;
+    }
+    // Every run size the test means to cover really occurred.
+    std::array<std::size_t, 7> per_unit{};  // 4 subshards, then shards 1-3
+    for (const ShardReply& r : result.replies)
+      ++per_unit[r.shard == 0 ? r.subshard : kMergeSplit + r.shard - 1];
+    const std::size_t per_step = (std::size_t{64} << 10) / sizeof(ShardReply);
+    const std::size_t per_mapping = netbase::kHugeThreshold / sizeof(ShardReply);
+    for (std::size_t j = 0; j < kMergeSplit; ++j)
+      EXPECT_GE(per_unit[j], per_mapping) << "subshard " << j << " run not mapped";
+    EXPECT_GT(per_unit[4], per_step);
+    EXPECT_LT(per_unit[4], per_mapping);
+    EXPECT_GT(per_unit[5], 0u);
+    EXPECT_LT(per_unit[5], per_step);
+    EXPECT_EQ(per_unit[6], 0u);
+    EXPECT_EQ(merged_sink, per_unit[0] + per_unit[1] + per_unit[2] + per_unit[3]);
+  }
+}
+
+TEST_F(ParallelCampaignTest, ThrowingMergeSinkLeavesNoMappingBehind) {
+  // A split shard's sink runs from the merge; if it throws partway, the
+  // partly released runs are destroyed with the rest of the run's state,
+  // and every run mapping goes back.
+  const auto t = targets(7000, 300);
+  for (const unsigned threads : {1u, 2u}) {
+    MergeFamily family{t, topo_.vantages()[0].src};
+    std::size_t delivered = 0;
+    family.shard.sink = [&](const wire::DecodedReply&) {
+      if (++delivered == 60'000) throw std::runtime_error{"sink failed"};
+    };
+    const auto mapped_before = netbase::mapped_bytes();
+    const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
+    EXPECT_THROW((void)runner.run({family.shard}, {.collect_replies = true,
+                                                   .split_factor = kMergeSplit}),
+                 std::runtime_error)
+        << threads << " threads";
+    EXPECT_EQ(delivered, 60'000u);
+    EXPECT_EQ(netbase::mapped_bytes(), mapped_before) << threads << " threads";
+  }
+}
+
+TEST_F(ParallelCampaignTest, MergeHoldsEachReplyOnce) {
+  // Memory gate: while the merge moves replies from the runs into the
+  // merged stream, resident memory must not grow by the stream's size —
+  // each run hands its drained pages back as the stream takes them over.
+  // A sink delivered from the merge samples RSS at every merged reply.
+  // Without the release the runs stay resident to their last reply, so
+  // RSS climbs by about the whole stream and falls back only in the last
+  // few replies, as the runs empty and are unmapped: the gate reads the
+  // peak, not the last sample.
+#ifndef __linux__
+  GTEST_SKIP() << "reads /proc/self/statm";
+#elif defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan shadows every merged write, so RSS grows with the "
+                  "stream whatever the runs give back";
+#else
+  const ResidentMemory rss;
+  ASSERT_TRUE(rss.ok());
+  const auto t = targets(7000, 300);
+  MergeFamily family{t, topo_.vantages()[0].src};
+  // The merged stream's reservation may reuse a free heap block that an
+  // earlier test left resident, which would hide a second copy: hand the
+  // free heap pages back first, so the stream's pages are fresh.
+#ifdef __GLIBC__
+  ::malloc_trim(0);
+#endif
+  std::size_t delivered = 0, first = 0, peak = 0;
+  family.shard.sink = [&](const wire::DecodedReply&) {
+    const std::size_t now = rss.bytes();
+    if (delivered++ == 0) first = now;
+    peak = std::max(peak, now);
+  };
+  const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, 2};
+  const auto result =
+      runner.run({family.shard}, {.collect_replies = true, .split_factor = kMergeSplit});
+  ASSERT_EQ(delivered, result.replies.size());
+  const std::size_t stream = result.replies.size() * sizeof(ShardReply);
+  ASSERT_GE(stream, std::size_t{4} << 20) << "too few replies to measure";
+  // Up to one 64 KiB step per run may stay resident past the merge front;
+  // a second copy of the replies shows as about the whole stream.
+  EXPECT_LT(peak - first, stream / 4)
+      << "merged " << stream << " B, RSS peaked " << peak - first
+      << " B above its first sample";
+#endif
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // own, returned to the kernel on deallocate. LeakSanitizer cannot see
 // mappings, so the leak checks here read netbase::mapped_bytes() instead:
 // after growing, rehashing, invalidating and destroying the containers
-// that use the allocator, it must be back where it started.
+// that use the allocator, it must be back where it started. release_pages
+// must hand back only the whole pages inside its range.
 #include "netbase/huge_alloc.hpp"
 
 #include <gtest/gtest.h>
@@ -96,6 +97,36 @@ TEST_F(HugeAllocTest, TablesLeaveNoMappingBehind) {
   }
   EXPECT_GT(mappings(), maps_before);
   EXPECT_EQ(mapped_bytes(), start);
+}
+
+TEST_F(HugeAllocTest, ReleasePagesKeepsThePartialPagesAtBothEnds) {
+#ifdef __linux__
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  HugePageAllocator<unsigned char> alloc;
+  const std::size_t bytes = kHugeThreshold;  // a mapping: pages from its start
+  unsigned char* p = alloc.allocate(bytes);
+  std::memset(p, 0xa5, bytes);
+  // Half a page into page 1 up to half a page into page 5: only pages 2-4
+  // lie wholly inside, so only they go back (and read back as zeros).
+  release_pages(p + page + page / 2, 4 * page);
+  std::size_t kept_wrong = 0, zero_wrong = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    if (i >= 2 * page && i < 5 * page)
+      zero_wrong += p[i] != 0;
+    else
+      kept_wrong += p[i] != 0xa5;
+  }
+  EXPECT_EQ(kept_wrong, 0u) << "a byte outside the whole pages changed";
+  EXPECT_EQ(zero_wrong, 0u) << "a whole page inside the range was kept";
+  // A range that holds no whole page releases nothing.
+  std::memset(p, 0x5a, 2 * page);
+  release_pages(p + 1, page);
+  release_pages(p, page - 1);
+  EXPECT_EQ(p[0], 0x5a);
+  EXPECT_EQ(p[page], 0x5a);
+  EXPECT_EQ(p[page - 1], 0x5a);
+  alloc.deallocate(p, bytes);
+#endif
 }
 
 }  // namespace
