@@ -21,9 +21,9 @@ int main() {
       // The CDN lists are anonymized *prefixes*: individual client
       // addresses are withheld, exactly as in the paper ("N/A ... All
       // client addresses are SLAAC privacy, i.e. random").
-      std::printf("%-10s %10s %21s%% %21s%% %21s%%\n", list.name.c_str(),
+      std::printf("%-10s %10s %22s %21s%% %21s%%\n", list.name.c_str(),
                   bench::human(static_cast<double>(list.size())).c_str(),
-                  "(100 random)", "0.0", "0.0");
+                  "(100% random)", "0.0", "0.0");
       continue;
     }
     std::printf("%-10s %10s %15s %4.1f%% %16s %4.1f%% %16s %4.1f%%\n",

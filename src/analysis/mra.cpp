@@ -41,25 +41,6 @@ std::vector<Aggregate> MraAnalysis::densest(unsigned plen, std::size_t n) const 
   return all;
 }
 
-std::map<std::size_t, std::size_t> MraAnalysis::population_histogram(
-    unsigned plen) const {
-  std::map<std::size_t, std::size_t> hist;
-  for (const auto& agg : aggregates(plen)) ++hist[agg.count];
-  return hist;
-}
-
-std::vector<SpatialClass> MraAnalysis::classify(unsigned plen) const {
-  std::vector<SpatialClass> out;
-  out.reserve(addrs_.size());
-  for (const auto& agg : aggregates(plen)) {
-    const auto cls = agg.count == 1    ? SpatialClass::kIsolated
-                     : agg.count < 16u ? SpatialClass::kSparse
-                                       : SpatialClass::kDense;
-    out.insert(out.end(), agg.count, cls);
-  }
-  return out;
-}
-
 MraAnalysis::ClassCounts MraAnalysis::class_counts(unsigned plen) const {
   ClassCounts c;
   for (const auto& agg : aggregates(plen)) {

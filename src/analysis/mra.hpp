@@ -6,16 +6,14 @@
 // resolution. This module provides that analysis for seed lists, target
 // sets and discovered-interface sets:
 //
-//   * per-resolution aggregate counts and population histograms,
+//   * per-resolution aggregate counts,
 //   * densest aggregates at a resolution (the "clusters" that both 6Gen
 //     and the paper's DPL discussion revolve around),
-//   * a spatial classification of each address (isolated / clustered /
-//     dense-cluster member) echoing the temporal-spatial classification
-//     of the original work.
+//   * counts per spatial class (isolated / sparse / dense) echoing the
+//     temporal-spatial classification of the original work.
 #pragma once
 
-#include <cstdint>
-#include <map>
+#include <cstddef>
 #include <vector>
 
 #include "netbase/ipv6.hpp"
@@ -31,23 +29,6 @@ struct Aggregate {
 
   friend bool operator==(const Aggregate&, const Aggregate&) = default;
 };
-
-/// Spatial class of an address relative to its covering aggregate at the
-/// classification resolution (default /64, the Internet's subnet unit).
-enum class SpatialClass : std::uint8_t {
-  kIsolated,  // alone in its aggregate
-  kSparse,    // 2..15 addresses in the aggregate
-  kDense,     // 16+ addresses in the aggregate
-};
-
-[[nodiscard]] constexpr const char* to_string(SpatialClass c) {
-  switch (c) {
-    case SpatialClass::kIsolated: return "isolated";
-    case SpatialClass::kSparse: return "sparse";
-    case SpatialClass::kDense: return "dense";
-  }
-  return "?";
-}
 
 /// Multi-resolution aggregation over a fixed address set.
 class MraAnalysis {
@@ -70,16 +51,10 @@ class MraAnalysis {
   /// address order.
   [[nodiscard]] std::vector<Aggregate> densest(unsigned plen, std::size_t n) const;
 
-  /// Histogram of aggregate populations at a resolution: map from
-  /// population to number of aggregates holding exactly that population.
-  [[nodiscard]] std::map<std::size_t, std::size_t> population_histogram(
-      unsigned plen) const;
-
-  /// Spatial classification of every input address at a resolution.
-  /// Returned in the same order as `addresses()`.
-  [[nodiscard]] std::vector<SpatialClass> classify(unsigned plen = 64) const;
-
-  /// Counts per spatial class at a resolution.
+  /// Addresses per spatial class at a resolution (default /64, the
+  /// Internet's subnet unit): an address is isolated when alone in its
+  /// aggregate, sparse when it shares it with 1..14 others, and dense in
+  /// an aggregate of 16 or more.
   struct ClassCounts {
     std::size_t isolated = 0;
     std::size_t sparse = 0;

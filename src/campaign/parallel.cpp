@@ -444,6 +444,9 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
 
   result.worker_perf.reserve(workers);
   for (const auto& arena : arenas) result.worker_perf.push_back(arena.perf);
+  // The merge reads no arena: free every worker's replica, route cache and
+  // buckets before it runs.
+  std::vector<WorkerArena>().swap(arenas);
 
   // ---- The post-join k-way merge (caller thread) --------------------------
   // Every recording unit left one run, sorted by virtual_us. Units are

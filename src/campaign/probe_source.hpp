@@ -37,15 +37,21 @@ using ResponseSink = std::function<void(const wire::DecodedReply&)>;
 /// What a probing campaign reports about itself.
 struct ProbeStats {
   std::uint64_t probes_sent = 0;
-  std::uint64_t replies = 0;
+  std::uint64_t replies = 0;  // decoded, with this campaign's instance id
   std::uint64_t fills = 0;               // yarrp6 fill-mode probes
   std::uint64_t neighborhood_skips = 0;  // yarrp6 neighborhood-mode skips
   std::uint64_t traces = 0;              // number of distinct targets probed
   std::uint64_t elapsed_virtual_us = 0;
+  // Reply packets the Pacer dropped: ones decode_reply rejects (a fragment
+  // does not decode), and ones carrying another campaign's instance id.
+  std::uint64_t undecodable_replies = 0;
+  std::uint64_t foreign_replies = 0;
 
   ProbeStats& operator+=(const ProbeStats& o) {
     probes_sent += o.probes_sent;
     replies += o.replies;
+    undecodable_replies += o.undecodable_replies;
+    foreign_replies += o.foreign_replies;
     fills += o.fills;
     neighborhood_skips += o.neighborhood_skips;
     traces += o.traces;

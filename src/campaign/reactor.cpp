@@ -10,19 +10,6 @@
 
 namespace beholder6::campaign {
 
-namespace {
-
-/// Canonical merged-stream order: (slot_us, tenant, seq). The key is
-/// unique — seq is monotone per tenant — so this is a strict total order
-/// and sorting by it yields one stream.
-bool merged_less(const ReactorReply& a, const ReactorReply& b) {
-  if (a.slot_us != b.slot_us) return a.slot_us < b.slot_us;
-  if (a.tenant != b.tenant) return a.tenant < b.tenant;
-  return a.seq < b.seq;
-}
-
-}  // namespace
-
 CampaignReactor::CampaignReactor(const simnet::Topology& topo,
                                  simnet::NetworkParams params,
                                  ReactorOptions options)
@@ -39,9 +26,9 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   if (spec.source == nullptr || !std::isfinite(spec.pacing.pps) ||
       spec.pacing.pps <= 0.0)
     return {AdmitResult::kRejectedBadSpec, {}};
-  if (tenant_index_.find(spec.tenant) != tenant_index_.end())
+  if (in_flight_.contains(spec.tenant))
     return {AdmitResult::kRejectedDuplicateTenant, {}};
-  if (active_ + 1 > options_.max_campaigns)
+  if (in_flight_.size() >= options_.max_campaigns)
     return {AdmitResult::kRejectedCampaignLimit, {}};
   if (spec.probe_budget > options_.max_reserved_probes - reserved_)
     return {AdmitResult::kRejectedBudgetLimit, {}};
@@ -54,7 +41,6 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
 
   auto owner = std::make_unique<Campaign>(spec);
   Campaign& c = *owner;
-  c.index = static_cast<std::uint32_t>(campaigns_.size());
   c.start_us = now_us_;
   c.throttled = spec.rate_limit_pps > 0.0;
   if (c.throttled) c.bucket = simnet::TokenBucket{c.budget().burst};
@@ -77,72 +63,24 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   c.live->out = options_.collect_merged ? &merged_ : nullptr;
   reschedule(c);
 
-  tenant_index_.emplace(spec.tenant, c.index);
-  ++active_;
+  in_flight_.insert(spec.tenant);
   reserved_ += spec.probe_budget;
   campaigns_.push_back(std::move(owner));
-  return {AdmitResult::kAdmitted, {spec.tenant, nonce_base_ + c.index + 1}};
+  return {AdmitResult::kAdmitted, {spec.tenant, campaigns_.size()}};
 }
 
-// ---- Handle lookup and control ops ------------------------------------------
+// ---- Handle lookup ----------------------------------------------------------
 
 CampaignReactor::Campaign* CampaignReactor::find(CampaignHandle h) const {
-  if (h.nonce <= nonce_base_ || h.nonce - nonce_base_ > campaigns_.size())
-    return nullptr;
-  Campaign* c = campaigns_[h.nonce - nonce_base_ - 1].get();
+  if (h.nonce == 0 || h.nonce > campaigns_.size()) return nullptr;
+  Campaign* c = campaigns_[h.nonce - 1].get();
   return c->spec.tenant == h.tenant ? c : nullptr;
 }
 
-bool CampaignReactor::pause(CampaignHandle h) {
-  Campaign* c = find(h);
-  if (c == nullptr || c->state != CampaignState::kRunning) return false;
-  // Mid-slot, run_slot would reschedule the campaign right after this.
-  B6_DCHECK(!c->executing, "pausing a campaign mid-slot (pause from a sink?)");
-  // retire()'s heap pull without the settle that would make it final:
-  // due_global keeps the slot's due, and the heap copy goes stale.
-  retire(*c, CampaignState::kPaused);
-  return true;
-}
-
-bool CampaignReactor::resume(CampaignHandle h) {
-  Campaign* c = find(h);
-  if (c == nullptr || c->state != CampaignState::kPaused) return false;
-  c->state = CampaignState::kRunning;
-  // The saved due: a global-time shift only.
-  push_global(*c, c->due_global);
-  return true;
-}
-
-bool CampaignReactor::cancel(CampaignHandle h) {
-  Campaign* c = find(h);
-  if (c == nullptr || (c->state != CampaignState::kRunning &&
-                       c->state != CampaignState::kPaused))
-    return false;
-  retire(*c, CampaignState::kCancelled);
-  settle(*c);
-  return true;
-}
-
-void CampaignReactor::retire(Campaign& c, CampaignState state) {
-  c.state = state;
-  if (c.in_heap) {
-    c.in_heap = false;
-    --pending_;
-  }
-  ++c.gen;  // stale-out any heap copy
-}
-
 void CampaignReactor::settle(Campaign& c) {
-  if (!c.live) return;  // settled already
-  if (c.state == CampaignState::kRunning || c.state == CampaignState::kPaused)
-    return;
-  B6_DCHECK(!c.executing, "settling a campaign mid-slot (cancel from a sink?)");
-  B6_DCHECK(active_ > 0, "settling a campaign the ledger never admitted");
-  --active_;
-  reserved_ -= c.spec.probe_budget;  // cancel refunds the in-flight remainder
-  const auto it = tenant_index_.find(c.spec.tenant);
-  if (it != tenant_index_.end() && it->second == c.index)
-    tenant_index_.erase(it);
+  if (c.state == CampaignState::kRunning) return;
+  in_flight_.erase(c.spec.tenant);
+  reserved_ -= c.spec.probe_budget;
   // Freeze the totals, then free what only a live campaign reads.
   c.totals = c.live->pacer.stats();
   c.live.reset();
@@ -151,14 +89,6 @@ void CampaignReactor::settle(Campaign& c) {
 
 // ---- The scheduling core ----------------------------------------------------
 
-void CampaignReactor::push_global(Campaign& c, std::uint64_t due) {
-  c.due_global = due;
-  heap_.push_back(GSlot{due, c.spec.tenant, c.gen, &c});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
-  c.in_heap = true;
-  ++pending_;
-}
-
 void CampaignReactor::reschedule(Campaign& c) {
   const Pacer& pacer = c.live->pacer;
   B6_DCHECK(!pacer.done(), "rescheduling an exhausted campaign");
@@ -166,16 +96,13 @@ void CampaignReactor::reschedule(Campaign& c) {
   // The service throttle defers the *global* slot only; the local clock
   // (and with it every reply) is untouched — per-tenant byte-identity.
   if (c.throttled) due = std::max(due, c.bucket.ready_at_us(c.budget(), due));
-  push_global(c, due);
+  heap_.push_back(GSlot{due, c.spec.tenant, &c});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
 }
 
 void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
   Live& l = *c.live;
   l.slot_due = slot_due;
-  // The step-boundary DCHECKs (pause, settle) read the flag; a throwing
-  // step clears it too.
-  struct Clear { bool& flag; ~Clear() { flag = false; } } clear{c.executing};
-  c.executing = true;
   const std::uint64_t sent = l.pacer.stats().probes_sent;
   const bool exhausted = !l.pacer.step(l.net, probe_buf_);
 
@@ -186,9 +113,9 @@ void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
   if (c.throttled && probes != sent)
     c.bucket.debit(c.budget(), static_cast<double>(probes - sent), slot_due);
   if (c.spec.probe_budget != 0 && probes >= c.spec.probe_budget)
-    retire(c, CampaignState::kBudgetExhausted);
+    c.state = CampaignState::kBudgetExhausted;
   else if (exhausted)
-    retire(c, CampaignState::kFinished);
+    c.state = CampaignState::kFinished;
   else
     reschedule(c);
 }
@@ -205,9 +132,8 @@ void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
 //   C (slot k+1, whose Live block stage B warmed): the replica's reply
 //     pool and table headers.
 // A guess is wrong only when a reschedule lands ahead of a predicted
-// slot, and then the hints cost a few wasted line fills. Stale slots are
-// warmed like live ones: their Campaigns are alive until reset(), and a
-// settled campaign's null Live pointer hints nothing.
+// slot, and then the hints cost a few wasted line fills. Every slot in
+// the heap belongs to a live campaign, so each Live pointer is set.
 void CampaignReactor::warm_lookahead() const {
   const std::size_t n = heap_.size();
   if (n == 0) return;
@@ -221,32 +147,20 @@ void CampaignReactor::warm_lookahead() const {
   const std::size_t k3 = earlier(3 - k2, earlier(2 * k2 + 1, 2 * k2 + 2));
   if (k3 < n) netbase::prefetch_object(heap_[k3].loc);
   if (k2 < n) netbase::prefetch_object(heap_[k2].loc->live.get());
-  if (const Live* c = heap_[0].loc->live.get()) c->net.prefetch_state();
+  heap_[0].loc->live->net.prefetch_state();
 }
 
 bool CampaignReactor::step() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
-    const GSlot s = heap_.back();
-    heap_.pop_back();
-    Campaign& c = *s.loc;
-    if (s.gen != c.gen) continue;  // paused, cancelled, or retired: stale
-    c.in_heap = false;
-    --pending_;
-    if (s.due_us > now_us_) now_us_ = s.due_us;
-    warm_lookahead();
-    run_slot(c, s.due_us);
-    merged_dirty_ = true;
-    settle(c);
-    return true;
-  }
-  return false;
-}
-
-std::size_t CampaignReactor::drain() {
-  std::size_t n = 0;
-  while (step()) ++n;
-  return n;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<GSlot>{});
+  const GSlot s = heap_.back();
+  heap_.pop_back();
+  if (s.due_us > now_us_) now_us_ = s.due_us;
+  warm_lookahead();
+  run_slot(*s.loc, s.due_us);
+  merged_dirty_ = true;
+  settle(*s.loc);
+  return true;
 }
 
 // ---- Observation ------------------------------------------------------------
@@ -263,12 +177,20 @@ std::optional<ProbeStats> CampaignReactor::stats(CampaignHandle h) const {
   return c->live ? c->live->pacer.stats() : c->totals;
 }
 
-void CampaignReactor::sort_merged() {
-  if (!merged_dirty_) return;
+const std::vector<ReactorReply>& CampaignReactor::merged() {
+  if (!merged_dirty_) return merged_;
   merged_dirty_ = false;
-  // Appends follow execution order, which is not canonical: resume()
-  // pushes dues earlier than slots that already ran.
-  std::sort(merged_.begin(), merged_.end(), merged_less);
+  // Appends follow execution order, which is not canonical: a submit
+  // between steps pushes its first slot at the current instant, tied with
+  // a slot that already ran and perhaps of a lower tenant id. The key is
+  // unique (seq is monotone per tenant), so the order is strict and
+  // sorting by it yields one stream.
+  std::sort(merged_.begin(), merged_.end(),
+            [](const ReactorReply& a, const ReactorReply& b) {
+              if (a.slot_us != b.slot_us) return a.slot_us < b.slot_us;
+              if (a.tenant != b.tenant) return a.tenant < b.tenant;
+              return a.seq < b.seq;
+            });
 #if BEHOLDER6_DCHECK_LEVEL >= 2
   // Expensive sweep: per-tenant seq must be strictly increasing in
   // canonical order — a violation means a tenant's slots ran out of due
@@ -280,26 +202,7 @@ void CampaignReactor::sort_merged() {
       B6_DCHECK2(a.seq < b.seq, "merged stream: non-monotone per-tenant seq");
   }
 #endif
-}
-
-const std::vector<ReactorReply>& CampaignReactor::merged() {
-  sort_merged();
   return merged_;
-}
-
-void CampaignReactor::reset() {
-  nonce_base_ += campaigns_.size();  // keeps every older handle stale
-  campaigns_.clear();
-  tenant_index_.clear();
-  heap_ = {};
-  pending_ = 0;
-  now_us_ = 0;
-  active_ = 0;
-  reserved_ = 0;
-  merged_.clear();
-  merged_dirty_ = false;
-  // The warmed snapshot, its dedup set, and warmed_routes_ survive: the
-  // immutable perf tier carries across runs, exactly like Network::reset().
 }
 
 }  // namespace beholder6::campaign

@@ -4,12 +4,13 @@
 // CampaignRunner drives one campaign; the ROADMAP's north star is a
 // long-running service interleaving thousands of them. The CampaignReactor
 // is that service core: it owns one *global* virtual clock and one min-heap
-// of per-tenant send slots, admits campaigns at runtime
-// (submit/pause/resume/cancel), shapes each tenant's share of the service
-// with a per-tenant token bucket, and streams results incrementally per
-// tenant — while keeping the repo's One Rule: results are a pure function
-// of the submitted specs, never of wall-clock or submission order among
-// simultaneous submits.
+// of per-tenant send slots, admits campaigns at runtime (submit), shapes
+// each tenant's share of the service with a per-tenant token bucket, and
+// streams results incrementally per tenant — while keeping the repo's One
+// Rule: results are a pure function of the submitted specs, never of
+// wall-clock or submission order among simultaneous submits. Like
+// netsim's Sim, it has no control plane: a campaign runs from its submit
+// until its source exhausts or its probe budget is spent.
 //
 // Architecture: every campaign is one source with its own Network replica
 // (shared immutable tier — Topology, params block, warmed read-only route
@@ -53,7 +54,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "campaign/probe_source.hpp"
@@ -88,15 +89,14 @@ struct CampaignSpec {
   double rate_limit_burst = 1.0;
   /// Probes this campaign may send, 0 = unlimited. Reserved against
   /// ReactorOptions::max_reserved_probes at admission, released at
-  /// retirement (cancel refunds the in-flight remainder), and enforced as
-  /// a hard cap: reaching it retires the campaign deterministically.
+  /// retirement, and enforced as a hard cap: reaching it retires the
+  /// campaign deterministically.
   std::uint64_t probe_budget = 0;
 };
 
-/// Ticket for one admitted campaign. `nonce` is the admission generation,
-/// counted across reset(): a handle stays dead after its campaign retires
-/// even if the tenant id is reused, so stale handles never alias a newer
-/// campaign.
+/// Ticket for one admitted campaign. `nonce` is the admission index plus
+/// one, so a handle names its own campaign even after the tenant id is
+/// reused by a later submit.
 struct CampaignHandle {
   std::uint64_t tenant = 0;
   std::uint64_t nonce = 0;  // 0 = invalid
@@ -122,23 +122,21 @@ struct Admission {
   [[nodiscard]] bool admitted() const { return result == AdmitResult::kAdmitted; }
 };
 
-/// Campaign lifecycle. Running/paused are live; the rest are terminal
-/// (budget reservation released, slots retired, stats frozen, Pacers and
-/// replicas freed).
+/// Campaign lifecycle. Running is live; the rest are terminal (budget
+/// reservation released, stats frozen, Pacers and replicas freed).
 enum class CampaignState : std::uint8_t {
   kRunning,
-  kPaused,
   kFinished,          // the source exhausted
   kBudgetExhausted,   // probe_budget cap hit: deterministic forced retirement
-  kCancelled,
 };
 
 /// One merged-stream element. `slot_us` is the *scheduled* global send
 /// slot (not the clamped execution instant), which is what lets merged()
-/// restore canonical order by sort after resume() re-pushes dues earlier
-/// than slots that already ran; `local_us` is the tenant replica's own
-/// virtual time at delivery. Canonical order — and the
-/// bit-identical gate's comparison key — is (slot_us, tenant, seq).
+/// restore canonical order by sort: a submit between steps pushes its
+/// first slot at the current instant, which can tie a slot that already
+/// ran and carry a lower tenant id. `local_us` is the tenant replica's own
+/// virtual time at delivery. Canonical order — and the bit-identical
+/// gate's comparison key — is (slot_us, tenant, seq).
 struct ReactorReply {
   std::uint64_t slot_us = 0;
   std::uint64_t tenant = 0;
@@ -159,11 +157,10 @@ struct ReactorOptions {
   bool collect_merged = true;
 };
 
-/// The multi-tenant campaign service core: one serial event loop. Control
-/// plane (submit, pause, resume, cancel, accessors), step() and drain() all
-/// run on the caller and need external synchronization, like every driver
-/// in this repo; ParallelCampaignRunner is the repo's one multi-threaded
-/// front end.
+/// The multi-tenant campaign service core: one serial event loop. submit(),
+/// step() and the accessors all run on the caller and need external
+/// synchronization, like every driver in this repo;
+/// ParallelCampaignRunner is the repo's one multi-threaded front end.
 ///
 /// Scheduling contract (the documented fair-share policy):
 ///   * Slots execute in (global due, tenant id) order — earliest virtual
@@ -198,56 +195,30 @@ class CampaignReactor {
   /// scheduled immediately.
   Admission submit(const CampaignSpec& spec);
 
-  /// Park a running campaign at its next step boundary: its pending slot
-  /// is pulled from the heap, its due saved. Returns false for stale
-  /// handles or non-running campaigns. Pause/resume move the campaign in
-  /// *global* time only — its local timeline, and therefore its results,
-  /// are unchanged (reactor_test pins the byte-identity). A step boundary
-  /// op: never call it from the campaign's own sink.
-  bool pause(CampaignHandle h);
-
-  /// Reschedule a paused campaign at its saved due.
-  bool resume(CampaignHandle h);
-
-  /// Retire a campaign immediately and refund its in-flight probe-budget
-  /// reservation (admission reopens at once). A step boundary op: never
-  /// call it from the campaign's own sink.
-  bool cancel(CampaignHandle h);
-
   /// Serial drive: pop and run the earliest due slot. Returns false when
-  /// no slot is runnable (all campaigns terminal or paused). Control ops
-  /// may interleave at any step boundary.
+  /// every campaign has retired. submit() may interleave at any step
+  /// boundary.
   bool step();
-
-  /// step() until no slot is runnable; returns the number of slots run.
-  std::size_t drain();
-
-  /// Forget every campaign and rewind the global clock to 0. The warmed
-  /// route snapshot (immutable perf tier) survives, exactly like
-  /// Network::reset(). Submitted sources are caller-owned and by now
-  /// consumed; a replay needs fresh sources with identical specs —
-  /// reactor_test pins that such a replay is byte-identical.
-  void reset();
 
   [[nodiscard]] std::uint64_t now_us() const { return now_us_; }
   /// True when step() would return false.
-  [[nodiscard]] bool idle() const { return pending_ == 0; }
-  [[nodiscard]] std::size_t active_campaigns() const { return active_; }
+  [[nodiscard]] bool idle() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t active_campaigns() const { return in_flight_.size(); }
   [[nodiscard]] std::uint64_t reserved_probes() const { return reserved_; }
   /// Routes resolved into the shared snapshot so far.
   [[nodiscard]] std::uint64_t warmed_routes() const { return warmed_routes_; }
 
-  /// Lifecycle of a campaign, or nullopt for a stale/unknown handle.
+  /// Lifecycle of a campaign, or nullopt for an unknown handle.
   [[nodiscard]] std::optional<CampaignState> state(CampaignHandle h) const;
 
   /// The campaign's stats (complete, and frozen at retirement, once
   /// terminal; partial — probes so far — while live).
-  /// Nullopt for stale handles.
+  /// Nullopt for unknown handles.
   [[nodiscard]] std::optional<ProbeStats> stats(CampaignHandle h) const;
 
   /// The canonical merged stream, sorted by (slot_us, tenant, seq). Empty
   /// when ReactorOptions::collect_merged is off. Valid until the next
-  /// step()/drain()/reset().
+  /// step().
   [[nodiscard]] const std::vector<ReactorReply>& merged();
 
  private:
@@ -265,25 +236,19 @@ class CampaignReactor {
     std::uint64_t next_seq = 0;  // per-tenant reply arrival index
   };
 
-  /// A campaign's scheduling and ledger state. Once settled it keeps only
-  /// what handles and stale heap slots read (a GSlot::loc must not dangle
-  /// before reset()): the state and ledger fields and the frozen totals.
+  /// A campaign's scheduling and ledger state. Once retired it keeps only
+  /// what handles read: the state and ledger fields and the frozen totals.
   /// settle() frees the Live block and the sink copy; a null `live` marks
   /// a settled campaign.
   struct Campaign {
     explicit Campaign(const CampaignSpec& s) : spec(s) {}
     CampaignSpec spec;
     std::unique_ptr<Live> live;
-    std::uint64_t due_global = 0;  // next slot's due (saved across pause)
-    std::uint64_t gen = 0;         // slot generation; mismatches are stale
     std::uint64_t start_us = 0;    // global admission offset
     simnet::TokenBucket bucket;  // the service throttle's balance
     ProbeStats totals;  // the Pacer's stats, frozen at settle
-    std::uint32_t index = 0;
     CampaignState state = CampaignState::kRunning;
     bool throttled = false;
-    bool in_heap = false;    // a live slot sits in the heap
-    bool executing = false;  // its slot is running (the step-boundary DCHECKs)
 
     /// The service throttle's budget, derived from the spec at each use.
     [[nodiscard]] simnet::TokenBucket::Budget budget() const {
@@ -294,12 +259,12 @@ class CampaignReactor {
   /// A heap entry. Ordering is the fair-share policy: (due, tenant) —
   /// never a submission sequence number. `loc` locates the campaign
   /// directly, so the lookahead can warm it without first loading anything
-  /// else. Campaigns live until reset(), which empties the heap, so `loc`
-  /// never dangles.
+  /// else. A live campaign has exactly one slot in the heap, and it
+  /// retires only after step() has popped that slot, so no slot is ever
+  /// stale and `loc` always names a live campaign.
   struct GSlot {
     std::uint64_t due_us = 0;
     std::uint64_t tenant = 0;
-    std::uint64_t gen = 0;
     Campaign* loc = nullptr;
     bool operator>(const GSlot& o) const {
       if (due_us != o.due_us) return due_us > o.due_us;
@@ -309,29 +274,21 @@ class CampaignReactor {
 
   void run_slot(Campaign& c, std::uint64_t slot_due);
   void reschedule(Campaign& c);
-  void retire(Campaign& c, CampaignState state);
   void settle(Campaign& c);
-  void push_global(Campaign& c, std::uint64_t due);
   void warm_lookahead() const;
   Campaign* find(CampaignHandle h) const;
-  void sort_merged();
 
   const simnet::Topology& topo_;
   std::shared_ptr<const simnet::NetworkParams> params_;
   ReactorOptions options_;
 
-  std::vector<std::unique_ptr<Campaign>> campaigns_;
-  // Handles issued before the last reset(): campaign i of this run has
-  // nonce nonce_base_ + i + 1, so an older handle never resolves.
-  std::uint64_t nonce_base_ = 0;
-  std::unordered_map<std::uint64_t, std::uint32_t> tenant_index_;  // active only
-  // A binary min-heap under std::greater<GSlot> (push_global, step). An
+  std::vector<std::unique_ptr<Campaign>> campaigns_;  // campaign i: nonce i + 1
+  std::unordered_set<std::uint64_t> in_flight_;  // running campaigns' tenant ids
+  // A binary min-heap under std::greater<GSlot> (reschedule, step). An
   // explicit vector rather than a priority_queue so the lookahead can read
   // h[0..2], the next slots to run.
   std::vector<GSlot> heap_;
-  std::size_t pending_ = 0;  // live (non-stale) slots in the heap
   std::uint64_t now_us_ = 0;
-  std::size_t active_ = 0;
   std::uint64_t reserved_ = 0;
 
   std::vector<ReactorReply> merged_;
@@ -340,8 +297,8 @@ class CampaignReactor {
   // Every campaign's probes are encoded into this one reused buffer.
   simnet::Packet probe_buf_;
 
-  // The shared immutable tier: one read-only route snapshot, grown on the
-  // control plane at submit (never concurrently with probe traffic) and
+  // The shared immutable tier: one read-only route snapshot, grown at
+  // submit, between steps (never concurrently with probe traffic), and
   // read lock-free by every replica. Entries are exactly Topology::path
   // results, so growth never changes any tenant's replies — only hit
   // rates. The warmer dedups keys across submits.

@@ -48,13 +48,21 @@ void Pacer::emit(simnet::Network& net, simnet::Packet& probe_buf,
       probe_spec_at(endpoint_, probe.target, probe.ttl, net.now_us()),
       probe_buf);
   // Decode each reply, filter on the endpoint's instance id and dispatch
-  // the survivors. The replies view the network's reply pool, so neither
-  // the sink nor the source may inject into `net` from here.
+  // the survivors; count what is dropped. The replies view the network's
+  // reply pool, so neither the sink nor the source may inject into `net`
+  // from here.
   bool answered = false;
   for (const auto& r : net.inject_view(probe_buf)) {
     const auto dec =
         wire::decode_reply(r, static_cast<std::uint32_t>(net.now_us()));
-    if (!dec || dec->probe.instance != endpoint_.instance) continue;
+    if (!dec) {
+      ++stats_.undecodable_replies;
+      continue;
+    }
+    if (dec->probe.instance != endpoint_.instance) {
+      ++stats_.foreign_replies;
+      continue;
+    }
     answered = true;
     ++stats_.replies;
     if (sink_) sink_(*dec);

@@ -167,13 +167,6 @@ std::optional<TraceRecord> get_record(std::istream& in) {
 
 }  // namespace
 
-void write_binary(std::ostream& out, const std::vector<TraceRecord>& records) {
-  put_u32(out, kBinaryMagic);
-  put_u32(out, kBinaryVersion);
-  put_u32(out, static_cast<std::uint32_t>(records.size()));
-  for (const auto& rec : records) put_record(out, rec);
-}
-
 std::optional<std::vector<TraceRecord>> read_binary(std::istream& in) {
   const auto magic = get_u32(in);
   const auto version = get_u32(in);
@@ -215,7 +208,6 @@ BinaryStreamWriter::BinaryStreamWriter(std::ostream& out) : out_(out) {
 void BinaryStreamWriter::write(const TraceRecord& rec) {
   put_record(out_, rec);
   check_written(out_);
-  ++count_;
 }
 
 StreamingTraceSink::StreamingTraceSink(std::ostream& out, Format format) {
@@ -231,10 +223,6 @@ void StreamingTraceSink::operator()(const wire::DecodedReply& reply) {
     text_->write(rec);
   else
     binary_->write(rec);
-}
-
-std::size_t StreamingTraceSink::written() const {
-  return text_ ? text_->written() : binary_->written();
 }
 
 }  // namespace beholder6::io

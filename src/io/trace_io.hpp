@@ -104,11 +104,10 @@ inline constexpr std::uint16_t kBinaryVersion = 1;
 /// this framing; read_binary accepts both.
 inline constexpr std::uint32_t kBinaryStreamCount = 0xffffffffu;
 
-/// Write a whole campaign: header + fixed-width records.
-void write_binary(std::ostream& out, const std::vector<TraceRecord>& records);
-
 /// Read a whole campaign; nullopt on bad magic/version/truncation. Accepts
-/// both the counted framing and the kBinaryStreamCount open-ended framing.
+/// both the kBinaryStreamCount open-ended framing, which is all this
+/// library writes, and a counted framing whose header states the record
+/// count, as a trace from elsewhere may.
 [[nodiscard]] std::optional<std::vector<TraceRecord>> read_binary(std::istream& in);
 
 /// Incremental binary writer: header up front (open-ended framing), one
@@ -121,11 +120,9 @@ class BinaryStreamWriter {
  public:
   explicit BinaryStreamWriter(std::ostream& out);
   void write(const TraceRecord& rec);
-  [[nodiscard]] std::size_t written() const { return count_; }
 
  private:
   std::ostream& out_;
-  std::size_t count_ = 0;
 };
 
 /// ResponseSink-shaped adapter over either incremental writer: converts
@@ -144,7 +141,6 @@ class StreamingTraceSink {
 
   StreamingTraceSink(std::ostream& out, Format format);
   void operator()(const wire::DecodedReply& reply);
-  [[nodiscard]] std::size_t written() const;
 
  private:
   std::optional<TextWriter> text_;

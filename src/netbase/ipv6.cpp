@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cstdio>
-#include <stdexcept>
 #include <vector>
 
 namespace beholder6 {
@@ -80,12 +79,6 @@ std::optional<Ipv6Addr> Ipv6Addr::parse(std::string_view text) {
     b[2 * i + 1] = static_cast<std::uint8_t>(groups[i] & 0xff);
   }
   return Ipv6Addr{b};
-}
-
-Ipv6Addr Ipv6Addr::must_parse(std::string_view text) {
-  auto a = parse(text);
-  if (!a) throw std::invalid_argument("bad IPv6 address: " + std::string(text));
-  return *a;
 }
 
 std::string Ipv6Addr::to_string() const {

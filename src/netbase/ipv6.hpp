@@ -42,9 +42,6 @@ class Ipv6Addr {
   /// quads (the datasets in this work are pure IPv6).
   static std::optional<Ipv6Addr> parse(std::string_view text);
 
-  /// Parse or throw std::invalid_argument; convenience for literals in tests.
-  static Ipv6Addr must_parse(std::string_view text);
-
   /// Canonical RFC 5952 text: lowercase hex, longest zero run compressed
   /// (leftmost on tie, never a single group).
   [[nodiscard]] std::string to_string() const;

@@ -2,9 +2,7 @@
 #pragma once
 
 #include <compare>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "netbase/ipv6.hpp"
 
@@ -19,13 +17,6 @@ class Prefix {
 
   Prefix(const Ipv6Addr& base, unsigned len)
       : base_(base.masked(len)), len_(len > 128 ? 128u : len) {}
-
-  /// Parse "addr/len"; a bare address parses as a /128. Returns nullopt on
-  /// malformed input.
-  static std::optional<Prefix> parse(std::string_view text);
-
-  /// Parse or throw std::invalid_argument.
-  static Prefix must_parse(std::string_view text);
 
   [[nodiscard]] const Ipv6Addr& base() const { return base_; }
   [[nodiscard]] unsigned len() const { return len_; }

@@ -28,12 +28,6 @@ bool SnapshotStopSet::insert(std::size_t child, const Ipv6Addr& addr) {
   return !deltas_[child].inserts.insert(addr).second;
 }
 
-bool SnapshotStopSet::contains(std::size_t child, const Ipv6Addr& addr) const {
-  B6_DCHECK(child < deltas_.size(),
-            "SnapshotStopSet read from a child outside the family");
-  return frozen_.contains(addr) || deltas_[child].inserts.contains(addr);
-}
-
 void SnapshotStopSet::mark_exhausted(std::size_t child) {
   deltas_[child].exhausted = true;
 }

@@ -107,9 +107,6 @@ class SnapshotStopSet final : public campaign::EpochBarrier {
   /// own delta) — the exact "was known" answer the serial stop set gives.
   bool insert(std::size_t child, const Ipv6Addr& addr);
 
-  /// Child-side read: is `addr` visible to `child` this epoch?
-  [[nodiscard]] bool contains(std::size_t child, const Ipv6Addr& addr) const;
-
   /// Child `child` has exhausted its slice; once every child has, the next
   /// merge_epoch() publishes the union into the serial StopSet.
   void mark_exhausted(std::size_t child);
@@ -158,6 +155,8 @@ class DoubletreeSource final : public campaign::ProbeSource {
   DoubletreeSource(const DoubletreeConfig& cfg, std::span<const Ipv6Addr> targets,
                    StopSet& stop_set)
       : cfg_(cfg), targets_(targets), legacy_(&stop_set) {}
+  /// A temporary target list would dangle: the source keeps only a span.
+  DoubletreeSource(const DoubletreeConfig&, std::vector<Ipv6Addr>&&, StopSet&) = delete;
 
   void begin(std::uint64_t now_us) override;
   campaign::Poll next(std::uint64_t now_us) override;
@@ -206,6 +205,8 @@ class DoubletreeSource final : public campaign::ProbeSource {
   DoubletreeSource(const DoubletreeConfig& cfg, std::span<const Ipv6Addr> targets,
                    std::shared_ptr<SnapshotStopSet> snap, std::size_t child)
       : cfg_(cfg), targets_(targets), snap_(std::move(snap)), child_(child) {}
+  DoubletreeSource(const DoubletreeConfig&, std::vector<Ipv6Addr>&&,
+                   std::shared_ptr<SnapshotStopSet>, std::size_t) = delete;
 
   void start_window();
   /// Record `addr` in the stop set (serial or snapshot view); returns true

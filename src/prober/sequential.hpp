@@ -34,6 +34,8 @@ class SequentialSource final : public campaign::ProbeSource {
  public:
   SequentialSource(const SequentialConfig& cfg, std::span<const Ipv6Addr> targets)
       : cfg_(cfg), targets_(targets) {}
+  /// A temporary target list would dangle: the source keeps only a span.
+  SequentialSource(const SequentialConfig&, std::vector<Ipv6Addr>&&) = delete;
 
   void begin(std::uint64_t now_us) override;
   campaign::Poll next(std::uint64_t now_us) override;

@@ -54,6 +54,8 @@ class Yarrp6Source final : public campaign::ProbeSource {
  public:
   Yarrp6Source(const Yarrp6Config& cfg, std::span<const Ipv6Addr> targets)
       : cfg_(cfg), targets_(targets) {}
+  /// A temporary target list would dangle: the source keeps only a span.
+  Yarrp6Source(const Yarrp6Config&, std::vector<Ipv6Addr>&&) = delete;
 
   void begin(std::uint64_t now_us) override;
   campaign::Poll next(std::uint64_t now_us) override;

@@ -332,14 +332,6 @@ std::vector<HostInfo> Topology::hosts_in(const AsInfo& as, const Prefix& slash64
   return out;
 }
 
-std::optional<HostInfo> Topology::host_at(const Ipv6Addr& a) const {
-  const auto asn = origin(a);
-  if (!asn) return std::nullopt;
-  const auto* as_info = as(*asn);
-  if (!as_info) return std::nullopt;
-  return host_at(*as_info, a);
-}
-
 std::optional<HostInfo> Topology::host_at(const AsInfo& as, const Ipv6Addr& a) const {
   const Prefix p64{a, 64};
   if (!subnet_exists(as, a)) return std::nullopt;

@@ -195,12 +195,10 @@ class Topology {
 
   /// Live hosts within an existing /64 (deterministic, at most 8).
   [[nodiscard]] std::vector<HostInfo> hosts_in(const AsInfo& as, const Prefix& slash64) const;
-  /// Liveness + response style of one concrete address (nullopt = no host).
-  /// Allocation-free: sits on the steady-state inject path for every
-  /// delivered probe.
-  [[nodiscard]] std::optional<HostInfo> host_at(const Ipv6Addr& a) const;
-  /// host_at with the originating AS already known (e.g. from a cached
-  /// route's dest_asn), skipping the per-probe BGP longest-prefix walk.
+  /// Liveness + response style of one concrete address in `as` (nullopt =
+  /// no host). The caller knows the originating AS (a cached route's
+  /// dest_asn), so no BGP longest-prefix match runs. Allocation-free: sits
+  /// on the steady-state inject path for every delivered probe.
   [[nodiscard]] std::optional<HostInfo> host_at(const AsInfo& as,
                                                 const Ipv6Addr& a) const;
   /// Gateway interface address of an existing /64 (depends on convention).

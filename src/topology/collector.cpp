@@ -33,13 +33,6 @@ void TraceCollector::grow_log() {
   log_.emplace_back().reserve(n < 6 ? std::size_t{64} << n : kChunk);
 }
 
-TraceCollector::Folded::Folded(const Folded& o) : traces(o.traces), hops(o.hops) {
-  // beholder6: lint-allow(unordered-iter): each view is re-pointed in
-  // place; no order reaches a result
-  for (auto& [target, tr] : traces)
-    tr.hops.first_ = hops.data() + (tr.hops.first_ - o.hops.data());
-}
-
 void TraceCollector::fold() const {
   if (log_.empty()) return;
   std::size_t pending = 0;

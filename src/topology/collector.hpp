@@ -181,16 +181,15 @@ class TraceCollector {
   using ReplyBuffer = std::vector<LoggedReply, netbase::PageReleasingAllocator<LoggedReply>>;
 
   /// The folded traces. Each trace's hops are a slice of `hops`, one array
-  /// for the whole collector: a move keeps it, and a copy re-points the
-  /// copied views at the copy's own array.
+  /// for the whole collector, which a move keeps. A copy would leave the
+  /// views pointing into the original, so a collector moves but never
+  /// copies.
   struct Folded {
     netbase::FlatMap<Ipv6Addr, Trace, Ipv6AddrHash> traces;
     std::vector<TtlHopMap::value_type> hops;
 
     Folded() = default;
-    Folded(const Folded& o);
     Folded(Folded&&) noexcept = default;
-    Folded& operator=(const Folded& o) { return *this = Folded{o}; }
     Folded& operator=(Folded&&) noexcept = default;
   };
 

@@ -65,12 +65,6 @@ std::map<Ipv6Addr, std::vector<Ipv6Addr>> LinkGraph::adjacency() const {
   return adj;
 }
 
-std::map<std::size_t, std::size_t> LinkGraph::degree_histogram() const {
-  std::map<std::size_t, std::size_t> hist;
-  for (const auto& [a, d] : degree_) ++hist[d];
-  return hist;
-}
-
 std::size_t LinkGraph::component_count() const {
   const auto adj = adjacency();
   std::set<Ipv6Addr> seen;

@@ -51,11 +51,6 @@ class LinkGraph {
   [[nodiscard]] std::size_t router_level_links(
       const std::map<Ipv6Addr, std::size_t>& aliases) const;
 
-  /// Degree histogram: map from degree to number of interfaces with that
-  /// degree. Interface graphs from traces are tree-heavy with a handful of
-  /// high-degree near-vantage nodes.
-  [[nodiscard]] std::map<std::size_t, std::size_t> degree_histogram() const;
-
   /// Number of connected components (isolated nodes cannot occur: every
   /// node enters via a link).
   [[nodiscard]] std::size_t component_count() const;

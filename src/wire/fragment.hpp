@@ -88,9 +88,4 @@ std::size_t fragment_packet_into(std::span<const std::uint8_t> packet,
 [[nodiscard]] std::optional<FragmentHeader> fragment_of(
     std::span<const std::uint8_t> packet);
 
-/// Reassemble fragments (same identification, contiguous) into the original
-/// packet. Returns nullopt on gaps or mismatched ids.
-[[nodiscard]] std::optional<std::vector<std::uint8_t>> reassemble(
-    const std::vector<std::vector<std::uint8_t>>& fragments);
-
 }  // namespace beholder6::wire

@@ -60,17 +60,6 @@ void UdpHeader::encode(std::vector<std::uint8_t>& out) const {
   store_be16(p + 6, checksum);
 }
 
-std::optional<UdpHeader> UdpHeader::decode(std::span<const std::uint8_t> data) {
-  if (data.size() < kSize) return std::nullopt;
-  const auto* p = data.data();
-  UdpHeader h;
-  h.src_port = load_be16(p);
-  h.dst_port = load_be16(p + 2);
-  h.length = load_be16(p + 4);
-  h.checksum = load_be16(p + 6);
-  return h;
-}
-
 void TcpHeader::encode(std::vector<std::uint8_t>& out) const {
   auto* p = append(out, kSize);  // zeroed: the urgent pointer stays 0
   store_be16(p, src_port);
@@ -83,19 +72,6 @@ void TcpHeader::encode(std::vector<std::uint8_t>& out) const {
   store_be16(p + 16, checksum);
 }
 
-std::optional<TcpHeader> TcpHeader::decode(std::span<const std::uint8_t> data) {
-  if (data.size() < kSize || (data[12] >> 4) < 5) return std::nullopt;
-  const auto* p = data.data();
-  TcpHeader h;
-  h.src_port = load_be16(p);
-  h.dst_port = load_be16(p + 2);
-  h.seq = load_be32(p + 4);
-  h.ack = load_be32(p + 8);
-  h.flags = p[13];
-  h.window = load_be16(p + 14);
-  h.checksum = load_be16(p + 16);
-  return h;
-}
 namespace {
 
 /// Locate the transport checksum field offset within the transport section.
@@ -131,22 +107,6 @@ bool finalize_transport_checksum(std::vector<std::uint8_t>& packet) {
   transport[off] = static_cast<std::uint8_t>(c >> 8);
   transport[off + 1] = static_cast<std::uint8_t>(c);
   return true;
-}
-
-bool verify_transport_checksum(std::span<const std::uint8_t> packet) {
-  auto ip = Ipv6Header::decode(packet);
-  if (!ip) return false;
-  const auto off = checksum_offset(ip->next_header);
-  if (off == SIZE_MAX) return false;
-  auto transport = packet.subspan(Ipv6Header::kSize);
-  if (transport.size() < off + 2) return false;
-  ChecksumAccumulator acc;
-  acc.add(ip->src.bytes());
-  acc.add(ip->dst.bytes());
-  acc.add_u32(static_cast<std::uint32_t>(transport.size()));
-  acc.add_u16(ip->next_header);
-  acc.add(transport);
-  return acc.folded_sum() == 0xffff;
 }
 
 }  // namespace beholder6::wire

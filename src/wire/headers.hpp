@@ -84,7 +84,6 @@ struct UdpHeader {
   static constexpr std::size_t kSize = 8;
 
   void encode(std::vector<std::uint8_t>& out) const;
-  static std::optional<UdpHeader> decode(std::span<const std::uint8_t> data);
 };
 
 /// TCP header (20 bytes, no options). Yarrp6 probes are SYN or ACK segments
@@ -103,14 +102,10 @@ struct TcpHeader {
   static constexpr std::uint8_t kAck = 0x10;
 
   void encode(std::vector<std::uint8_t>& out) const;
-  static std::optional<TcpHeader> decode(std::span<const std::uint8_t> data);
 };
 
 /// Compute and install the transport checksum in a fully-assembled IPv6
 /// packet (40B header + transport). Returns false if the packet is malformed.
 bool finalize_transport_checksum(std::vector<std::uint8_t>& packet);
-
-/// Verify the transport checksum of an assembled packet.
-[[nodiscard]] bool verify_transport_checksum(std::span<const std::uint8_t> packet);
 
 }  // namespace beholder6::wire

@@ -6,6 +6,7 @@
 #include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
 #include "simnet/network.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::alias {
 namespace {
@@ -13,7 +14,7 @@ namespace {
 IdSeries series(const char* iface,
                 std::initializer_list<std::pair<std::uint64_t, std::uint32_t>> s) {
   IdSeries out;
-  out.iface = Ipv6Addr::must_parse(iface);
+  out.iface = test_support::addr(iface);
   out.samples.assign(s.begin(), s.end());
   return out;
 }

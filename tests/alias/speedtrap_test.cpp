@@ -5,6 +5,7 @@
 
 #include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/literals.hpp"
 #include "wire/fragment.hpp"
 
 namespace beholder6::alias {
@@ -110,15 +111,15 @@ TEST_F(SpeedtrapTest, UnknownInterfacesAreUnresponsive) {
   cfg.src = topo_.vantages()[0].src;
   SpeedtrapResolver resolver{cfg};
   const auto routers =
-      resolver.resolve(net_, {Ipv6Addr::must_parse("2001:db8:aaaa::77")});
+      resolver.resolve(net_, {test_support::addr("2001:db8:aaaa::77")});
   EXPECT_TRUE(routers.empty());
   EXPECT_EQ(resolver.unresponsive(), 1u);
 }
 
 TEST(SharesCounter, MonotoneInterleaveDetection) {
   IdSeries a, b;
-  a.iface = Ipv6Addr::must_parse("::1");
-  b.iface = Ipv6Addr::must_parse("::2");
+  a.iface = test_support::addr("::1");
+  b.iface = test_support::addr("::2");
   // Shared counter: ids strictly increase across the interleaving.
   a.samples = {{0, 100}, {2, 102}, {4, 104}};
   b.samples = {{1, 101}, {3, 103}, {5, 105}};

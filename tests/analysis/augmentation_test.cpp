@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/pathdiv.hpp"
+#include "support/literals.hpp"
 #include "topology/collector.hpp"
 
 namespace beholder6::analysis {
@@ -66,10 +67,10 @@ TEST_F(AugmentationTest, BaselinePairIsDivergent) {
 TEST_F(AugmentationTest, UnannouncedRouterSpaceFailsWithoutRirAugmentation) {
   // The same pair, but every in-AS hop is numbered from space that no BGP
   // announcement covers (2a0f::/32 is unrouted in the simulation).
-  const auto r1 = Ipv6Addr::must_parse("2a0f:beef::1");
-  const auto r2 = Ipv6Addr::must_parse("2a0f:beef::2");
-  const auto r3 = Ipv6Addr::must_parse("2a0f:beef::3");
-  const auto r4 = Ipv6Addr::must_parse("2a0f:beef::4");
+  const auto r1 = test_support::addr("2a0f:beef::1");
+  const auto r2 = test_support::addr("2a0f:beef::2");
+  const auto r3 = test_support::addr("2a0f:beef::3");
+  const auto r4 = test_support::addr("2a0f:beef::4");
   ASSERT_FALSE(topo_.origin(r1).has_value());
 
   TraceCollector c;
@@ -80,21 +81,21 @@ TEST_F(AugmentationTest, UnannouncedRouterSpaceFailsWithoutRirAugmentation) {
 
   // With the RIR prefix mapped to the destination ASN, the pair passes.
   PathDivParams params;
-  params.rir_prefixes.emplace_back(Prefix::must_parse("2a0f:beef::/32"),
+  params.rir_prefixes.emplace_back(test_support::prefix("2a0f:beef::", 32),
                                    dest_as().asn);
   EXPECT_EQ(run(c, params).pairs_divergent, 1u);
 }
 
 TEST_F(AugmentationTest, RirLongestMatchWins) {
   PathDivParams params;
-  params.rir_prefixes.emplace_back(Prefix::must_parse("2a0f::/16"), 65000);
-  params.rir_prefixes.emplace_back(Prefix::must_parse("2a0f:beef::/32"),
+  params.rir_prefixes.emplace_back(test_support::prefix("2a0f::", 16), 65000);
+  params.rir_prefixes.emplace_back(test_support::prefix("2a0f:beef::", 32),
                                    dest_as().asn);
-  const auto r1 = Ipv6Addr::must_parse("2a0f:beef::1");
-  const auto r2 = Ipv6Addr::must_parse("2a0f:beef::2");
+  const auto r1 = test_support::addr("2a0f:beef::1");
+  const auto r2 = test_support::addr("2a0f:beef::2");
   TraceCollector c;
-  add_trace(c, t1_, {r1, r2, Ipv6Addr::must_parse("2a0f:beef::3")});
-  add_trace(c, t2_, {r1, r2, Ipv6Addr::must_parse("2a0f:beef::4")});
+  add_trace(c, t1_, {r1, r2, test_support::addr("2a0f:beef::3")});
+  add_trace(c, t2_, {r1, r2, test_support::addr("2a0f:beef::4")});
   // The /32 (destination ASN) must win over the covering /16 (foreign ASN).
   EXPECT_EQ(run(c, params).pairs_divergent, 1u);
 }

@@ -7,6 +7,7 @@
 #include "analysis/validate.hpp"
 #include "campaign/runner.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/literals.hpp"
 #include "target/synthesis.hpp"
 
 namespace beholder6::analysis {
@@ -190,9 +191,9 @@ TEST(PathDivUnit, IaHackIsSortedAndInsertionOrderIndependent) {
 }
 
 TEST(PathDivUnit, LengthHistogram) {
-  std::set<Prefix> prefixes{Prefix::must_parse("2001:db8::/48"),
-                            Prefix::must_parse("2001:db8:1::/48"),
-                            Prefix::must_parse("2001:db8::/64")};
+  std::set<Prefix> prefixes{test_support::prefix("2001:db8::", 48),
+                            test_support::prefix("2001:db8:1::", 48),
+                            test_support::prefix("2001:db8::", 64)};
   const auto h = length_histogram(prefixes);
   ASSERT_EQ(h.size(), 65u);
   EXPECT_EQ(h[48], 2u);

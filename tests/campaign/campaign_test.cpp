@@ -257,12 +257,15 @@ TEST_F(CampaignTest, ProbeStatsAccumulate) {
   a.fills = 1;
   a.traces = 2;
   a.elapsed_virtual_us = 1000;
+  a.undecodable_replies = 2;
   ProbeStats b;
   b.probes_sent = 5;
   b.replies = 2;
   b.neighborhood_skips = 3;
   b.traces = 1;
   b.elapsed_virtual_us = 500;
+  b.undecodable_replies = 1;
+  b.foreign_replies = 4;
   a += b;
   EXPECT_EQ(a.probes_sent, 15u);
   EXPECT_EQ(a.replies, 6u);
@@ -270,6 +273,8 @@ TEST_F(CampaignTest, ProbeStatsAccumulate) {
   EXPECT_EQ(a.neighborhood_skips, 3u);
   EXPECT_EQ(a.traces, 3u);
   EXPECT_EQ(a.elapsed_virtual_us, 1500u);
+  EXPECT_EQ(a.undecodable_replies, 3u);
+  EXPECT_EQ(a.foreign_replies, 4u);
 
   simnet::NetworkStats n1;
   n1.probes = 7;

@@ -19,6 +19,7 @@
 #include "campaign/parallel.hpp"
 #include "campaign/runner.hpp"
 #include "prober/doubletree.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::campaign {
 namespace {
@@ -183,30 +184,28 @@ TEST_F(DoubletreeSplitTest, FixedSplitFactorIsThreadCountInvariant) {
 // barrier merge; insert answers per-child visibility; the union publishes
 // into the legacy StopSet only once every child has exhausted.
 TEST_F(DoubletreeSplitTest, SnapshotStopSetEpochAndPublishSemantics) {
-  const Ipv6Addr a = Ipv6Addr::must_parse("2001:db8::a");
-  const Ipv6Addr b = Ipv6Addr::must_parse("2001:db8::b");
+  const Ipv6Addr a = test_support::addr("2001:db8::a");
+  const Ipv6Addr b = test_support::addr("2001:db8::b");
   prober::StopSet seed{a};
   prober::StopSet out;
   prober::SnapshotStopSet snap{seed, 2, &out};
   EXPECT_EQ(snap.children(), 2u);
   EXPECT_EQ(snap.frozen_size(), 1u);
 
-  // Epoch 0: the seed is visible to everyone, writes are private.
-  EXPECT_TRUE(snap.contains(0, a));
-  EXPECT_TRUE(snap.contains(1, a));
+  // Epoch 0: the seed is visible to everyone, writes are private. insert
+  // answers whether the address was already visible to that child.
   EXPECT_TRUE(snap.insert(0, a)) << "seed membership already known";
+  EXPECT_TRUE(snap.insert(1, a)) << "seed membership already known";
   EXPECT_FALSE(snap.insert(0, b)) << "fresh discovery for child 0";
   EXPECT_TRUE(snap.insert(0, b)) << "now known to child 0 itself";
-  EXPECT_FALSE(snap.contains(1, b)) << "invisible to the sibling this epoch";
-  EXPECT_FALSE(snap.insert(1, b)) << "still a fresh discovery for child 1";
+  EXPECT_FALSE(snap.insert(1, b)) << "invisible to the sibling this epoch";
   EXPECT_EQ(snap.frozen_size(), 1u) << "frozen set immutable mid-epoch";
 
   // Barrier: deltas fold canonically, next epoch sees the union.
   snap.merge_epoch();
   EXPECT_EQ(snap.epoch(), 1u);
   EXPECT_EQ(snap.frozen_size(), 2u);
-  EXPECT_TRUE(snap.contains(1, b));
-  EXPECT_TRUE(snap.insert(1, b));
+  EXPECT_TRUE(snap.insert(1, b)) << "the merged union is visible to all";
   EXPECT_TRUE(out.empty()) << "no publish before every child exhausts";
 
   // Publish once the family is done.

@@ -22,6 +22,7 @@
 #include "campaign/reactor.hpp"
 #include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/drain.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -161,7 +162,7 @@ class ReactorMemoryTest : public ::testing::Test {
       EXPECT_TRUE(adm.admitted());
       handles_.push_back(adm.handle);
     }
-    EXPECT_GT(reactor.drain(), 0u);
+    EXPECT_GT(test_support::drain(reactor), 0u);
     const auto after = live_bytes();
     for (const auto& h : handles_)
       EXPECT_EQ(reactor.state(h), CampaignState::kFinished);
@@ -197,7 +198,7 @@ class ReactorMemoryTest : public ::testing::Test {
     const auto during = live_bytes();
     for (const auto& h : handles_)
       EXPECT_EQ(reactor.state(h), CampaignState::kRunning) << "tenant " << h.tenant;
-    (void)reactor.drain();
+    (void)test_support::drain(reactor);
     return static_cast<double>(during - before) / kCampaigns;
   }
 
@@ -207,17 +208,17 @@ class ReactorMemoryTest : public ::testing::Test {
 };
 
 TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
-  // A settled campaign keeps its Campaign shell: 232 bytes per campaign
-  // here, the reactor's high-water heap capacity included. Kept replicas
-  // and Pacers would leave several KiB per campaign, and yarrp6's per-TTL
-  // tables outside neighborhood mode about 1.1 KiB more.
+  // A settled campaign keeps its Campaign shell and its slot in the
+  // reactor's campaign table: 242 bytes per campaign here, the table's
+  // growth in the second round included. Kept replicas and Pacers would
+  // leave several KiB per campaign, and yarrp6's per-TTL tables outside
+  // neighborhood mode about 1.1 KiB more.
   CampaignReactor reactor{topo_, simnet::NetworkParams{},
                           {.collect_merged = false}};
-  // The first round grows the shared route snapshot and the reactor's
-  // campaign and tenant tables, which reset() keeps; the second round
-  // then retains only what its settled campaigns hold.
+  // The first round grows the shared route snapshot, the heap and the
+  // tenant table; the second round (its tenant ids free again once the
+  // first retired) then retains only what its settled campaigns hold.
   (void)retained_per_campaign(reactor);
-  reactor.reset();
   const double retained = retained_per_campaign(reactor);
   std::printf("retained bytes per settled campaign: %.0f\n", retained);
   EXPECT_LT(retained, 768.0);
@@ -233,8 +234,7 @@ TEST_F(ReactorMemoryTest, TenantsThatMissTheSnapshotStaySmallWhileLive) {
   // (the table, the interned hop chains and the path scratch); with a
   // first table of 1,024 slots (64 KiB) it held about 66 KiB more.
   CampaignReactor warm{topo_, simnet::NetworkParams{}, {.collect_merged = false}};
-  (void)live_per_campaign(warm, false);  // grows the snapshot, which reset() keeps
-  warm.reset();
+  (void)live_per_campaign(warm, false);  // grows the snapshot for the second round
   const double warm_live = live_per_campaign(warm, false);
   CampaignReactor cold{topo_, simnet::NetworkParams{}, {.collect_merged = false}};
   const double cold_live = live_per_campaign(cold, true);
@@ -248,7 +248,6 @@ TEST_F(ReactorMemoryTest, TenantsThatMissTheSnapshotStaySmallWhileLive) {
   params.dynamics = schedule;
   CampaignReactor reconverged{topo_, params, {.collect_merged = false}};
   (void)live_per_campaign(reconverged, false);
-  reconverged.reset();
   const double reconverged_live = live_per_campaign(reconverged, false);
   std::printf("live bytes per tenant: warm %.0f, cold %.0f, reconverged %.0f\n",
               warm_live, cold_live, reconverged_live);

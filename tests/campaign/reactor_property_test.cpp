@@ -17,6 +17,7 @@
 
 #include "netbase/rng.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/drain.hpp"
 
 namespace beholder6::campaign {
 namespace {
@@ -142,12 +143,12 @@ TEST_F(ReactorPropertyTest, NoTenantIsEverStarved) {
 
     CampaignReactor mixed{topo_};
     for (const auto& s : shapes) ASSERT_TRUE(mixed.submit(make_spec(s)).admitted());
-    mixed.drain();
+    test_support::drain(mixed);
 
     for (const auto& s : shapes) {
       CampaignReactor solo{topo_};
       ASSERT_TRUE(solo.submit(make_spec(s)).admitted());
-      solo.drain();
+      test_support::drain(solo);
       const auto under_load = tenant_records(mixed.merged(), s.tenant);
       ASSERT_GT(under_load.size(), 0u) << "seed " << seed;
       expect_identical(under_load, solo.merged(), "seed/tenant timeline");
@@ -197,7 +198,7 @@ TEST_F(ReactorPropertyTest, ElephantNeverDelaysMice) {
     std::vector<CampaignHandle> mouse_handles;
     for (const auto& m : mice)
       mouse_handles.push_back(reactor.submit(make_spec(m)).handle);
-    reactor.drain();
+    test_support::drain(reactor);
     ASSERT_EQ(reactor.state(eh), CampaignState::kFinished);
 
     std::uint64_t last_mouse_slot = 0;
@@ -205,7 +206,7 @@ TEST_F(ReactorPropertyTest, ElephantNeverDelaysMice) {
       ASSERT_EQ(reactor.state(mouse_handles[i]), CampaignState::kFinished);
       CampaignReactor solo{topo_};
       ASSERT_TRUE(solo.submit(make_spec(mice[i])).admitted());
-      solo.drain();
+      test_support::drain(solo);
       const auto under_load = tenant_records(reactor.merged(), mice[i].tenant);
       expect_identical(under_load, solo.merged(), "mouse timeline");
       if (!under_load.empty())
@@ -242,7 +243,7 @@ TEST_F(ReactorPropertyTest, AdmissionOutcomesAreAPureFunctionOfTheBatch) {
         spec.probe_budget = 40 + 20 * rng.below(6);
         outcomes.push_back(reactor.submit(spec).result);
       }
-      reactor.drain();
+      test_support::drain(reactor);
       return std::make_pair(outcomes, reactor.merged());
     };
     const auto first = run_batch();
@@ -276,7 +277,7 @@ TEST_F(ReactorPropertyTest, SimultaneousSubmitOrderNeverMatters) {
         EXPECT_TRUE(adm.admitted());
         handles[i] = adm.handle;
       }
-      reactor.drain();
+      test_support::drain(reactor);
       std::vector<ProbeStats> stats;
       for (std::size_t i = 0; i < shapes.size(); ++i)
         stats.push_back(*reactor.stats(handles[i]));

@@ -12,6 +12,7 @@
 #include "prober/yarrp6.hpp"
 #include "seeds/classify.hpp"
 #include "seeds/sources.hpp"
+#include "support/counted_binary.hpp"
 #include "target/characterize.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
@@ -72,7 +73,7 @@ TEST_F(EndToEndTest, FullPipelineProducesConsistentArtifacts) {
 
   // Persistence round-trip reproduces the collector's state.
   std::stringstream buf;
-  io::write_binary(buf, persisted);
+  buf << test_support::counted_binary(persisted);
   topology::TraceCollector replayed;
   const auto reread = io::read_binary(buf);
   ASSERT_TRUE(reread.has_value());

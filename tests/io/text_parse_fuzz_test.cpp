@@ -1,5 +1,5 @@
 // Robustness fuzzing for the parsers that read untrusted input:
-// Ipv6Addr::parse, Prefix::parse, io::from_text_line (which calls the
+// Ipv6Addr::parse, io::from_text_line (which calls the
 // first on every trace line it reads), and the two whole-trace readers,
 // io::read_text and io::read_binary (both framings). Deterministic
 // mutational fuzz over fixed Rng seeds, like tests/wire/fuzz_test.cpp:
@@ -28,8 +28,8 @@
 
 #include "io/trace_io.hpp"
 #include "netbase/ipv6.hpp"
-#include "netbase/prefix.hpp"
 #include "netbase/rng.hpp"
+#include "support/counted_binary.hpp"
 
 namespace beholder6::io {
 namespace {
@@ -57,17 +57,6 @@ std::optional<std::uint64_t> oracle_decimal(std::string_view text,
     if (v > max) return std::nullopt;
   }
   return v;
-}
-
-/// The oracle's reading of `text` as a prefix: "addr" or "addr/len".
-std::optional<Prefix> oracle_prefix(std::string_view text) {
-  const auto slash = text.find('/');
-  const auto addr = oracle_addr(text.substr(0, slash));
-  if (!addr) return std::nullopt;
-  if (slash == std::string_view::npos) return Prefix{*addr, 128};
-  const auto len = oracle_decimal(text.substr(slash + 1), 128);
-  if (!len) return std::nullopt;
-  return Prefix{*addr, static_cast<unsigned>(*len)};
 }
 
 /// The oracle's reading of a trace line: exactly seven whitespace-separated
@@ -236,30 +225,6 @@ TEST_P(TextParseFuzz, AddressParseMatchesOracleAndRoundTrips) {
   EXPECT_LT(accepted, static_cast<std::size_t>(kRounds));
 }
 
-TEST_P(TextParseFuzz, PrefixParseMatchesOracleAndRoundTrips) {
-  Rng rng{GetParam()};
-  std::size_t accepted = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    std::string seed = addr_seeds()[rng.below(addr_seeds().size())];
-    if (rng.below(4) != 0) {
-      seed += '/';
-      seed += std::to_string(rng.below(129));
-    }
-    const auto text = mutate(seed, rng);
-    const auto got = Prefix::parse(text);
-    const auto want = oracle_prefix(text);
-    ASSERT_EQ(got.has_value(), want.has_value()) << '"' << text << '"';
-    if (!got) continue;
-    ++accepted;
-    EXPECT_EQ(*got, *want) << '"' << text << '"';
-    const auto again = Prefix::parse(got->to_string());
-    ASSERT_TRUE(again.has_value()) << got->to_string();
-    EXPECT_EQ(*again, *got) << '"' << text << '"';
-  }
-  EXPECT_GT(accepted, 0u);
-  EXPECT_LT(accepted, static_cast<std::size_t>(kRounds));
-}
-
 TEST_P(TextParseFuzz, TraceLineParseMatchesOracleAndRoundTrips) {
   Rng rng{GetParam()};
   std::size_t accepted = 0;
@@ -318,7 +283,7 @@ TEST_P(TextParseFuzz, ReadBinaryMatchesFramingOracleAndReencodes) {
     std::vector<TraceRecord> records(rng.below(5));
     for (auto& rec : records) rec = random_record(rng);
     std::ostringstream out;
-    write_binary(out, records);
+    out << test_support::counted_binary(records);
     std::string bytes = out.str();
     // Header count: honest, the open-ended sentinel, or hostile.
     auto count = static_cast<std::uint32_t>(records.size());
@@ -338,7 +303,7 @@ TEST_P(TextParseFuzz, ReadBinaryMatchesFramingOracleAndReencodes) {
     ++accepted;
     ASSERT_EQ(got->size(), *want) << "round " << round;
     std::ostringstream again;
-    write_binary(again, *got);
+    again << test_support::counted_binary(*got);
     EXPECT_EQ(again.str().substr(0, 8), bytes.substr(0, 8));
     EXPECT_EQ(again.str().substr(12), bytes.substr(12, 40 * got->size()))
         << "round " << round;

@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "support/counted_binary.hpp"
 #include "topology/collector.hpp"
 
 namespace beholder6::io {
@@ -61,7 +62,7 @@ TEST(BinaryFormat, RoundTrip) {
   std::vector<TraceRecord> records;
   for (unsigned i = 0; i < 100; ++i) records.push_back(sample(i));
   std::stringstream buf;
-  write_binary(buf, records);
+  buf << test_support::counted_binary(records);
   const auto got = read_binary(buf);
   ASSERT_TRUE(got);
   EXPECT_EQ(*got, records);
@@ -69,7 +70,7 @@ TEST(BinaryFormat, RoundTrip) {
 
 TEST(BinaryFormat, EmptyCampaign) {
   std::stringstream buf;
-  write_binary(buf, {});
+  buf << test_support::counted_binary({});
   const auto got = read_binary(buf);
   ASSERT_TRUE(got);
   EXPECT_TRUE(got->empty());
@@ -78,7 +79,7 @@ TEST(BinaryFormat, EmptyCampaign) {
 TEST(BinaryFormat, RejectsBadMagicVersionTruncation) {
   std::vector<TraceRecord> records{sample(1)};
   std::stringstream buf;
-  write_binary(buf, records);
+  buf << test_support::counted_binary(records);
   auto bytes = buf.str();
 
   {
@@ -112,7 +113,7 @@ TEST(Replay, PersistedCampaignFeedsCollector) {
     EXPECT_EQ(store.back(), rec) << "from_reply(to_reply) must be identity";
   }
   std::stringstream buf;
-  write_binary(buf, store);
+  buf << test_support::counted_binary(store);
   const auto reread = read_binary(buf);
   ASSERT_TRUE(reread.has_value());
   for (const auto& rec : *reread) replayed.on_reply(rec.to_reply());

@@ -5,6 +5,8 @@
 
 #include <vector>
 
+#include "support/literals.hpp"
+
 namespace beholder6 {
 namespace {
 
@@ -40,8 +42,8 @@ TEST(InternetChecksum, ChunkingInvariance) {
 TEST(PseudoHeader, ChecksumValidatesRoundTrip) {
   // Build an ICMPv6 echo with the checksum field set so the overall
   // verification sum is 0xffff (i.e., valid).
-  const auto src = Ipv6Addr::must_parse("2001:db8::1");
-  const auto dst = Ipv6Addr::must_parse("2001:db8::2");
+  const auto src = test_support::addr("2001:db8::1");
+  const auto dst = test_support::addr("2001:db8::2");
   std::vector<std::uint8_t> icmp = {128, 0, 0, 0, 0x12, 0x34, 0x00, 0x01};
   const auto c = pseudo_header_checksum(src, dst, 58, icmp);
   icmp[2] = static_cast<std::uint8_t>(c >> 8);
@@ -59,11 +61,11 @@ TEST(PseudoHeader, ChecksumValidatesRoundTrip) {
 
 TEST(PseudoHeader, DependsOnAddresses) {
   const std::uint8_t payload[] = {1, 2, 3, 4};
-  const auto a = pseudo_header_checksum(Ipv6Addr::must_parse("2001:db8::1"),
-                                        Ipv6Addr::must_parse("2001:db8::2"), 58,
+  const auto a = pseudo_header_checksum(test_support::addr("2001:db8::1"),
+                                        test_support::addr("2001:db8::2"), 58,
                                         payload);
-  const auto b = pseudo_header_checksum(Ipv6Addr::must_parse("2001:db8::1"),
-                                        Ipv6Addr::must_parse("2001:db8::3"), 58,
+  const auto b = pseudo_header_checksum(test_support::addr("2001:db8::1"),
+                                        test_support::addr("2001:db8::3"), 58,
                                         payload);
   EXPECT_NE(a, b);
 }
@@ -71,8 +73,8 @@ TEST(PseudoHeader, DependsOnAddresses) {
 TEST(TargetChecksum, DetectsRewriting) {
   // The yarrp6 use case: checksum stored at send time over the target;
   // a middlebox rewriting the destination is detectable.
-  const auto t1 = Ipv6Addr::must_parse("2001:db8::1");
-  const auto t2 = Ipv6Addr::must_parse("2001:db8::2");
+  const auto t1 = test_support::addr("2001:db8::1");
+  const auto t2 = test_support::addr("2001:db8::2");
   EXPECT_NE(target_checksum(t1), target_checksum(t2));
   EXPECT_EQ(target_checksum(t1), target_checksum(t1));
 }

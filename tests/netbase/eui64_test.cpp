@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/literals.hpp"
+
 namespace beholder6 {
 namespace {
 
@@ -24,8 +26,8 @@ TEST(Eui64, ExtractInvertsBuild) {
 }
 
 TEST(Eui64, NonEui64Rejected) {
-  EXPECT_FALSE(is_eui64(Ipv6Addr::must_parse("2001:db8::1")));
-  EXPECT_FALSE(eui64_extract(Ipv6Addr::must_parse("2001:db8::1")));
+  EXPECT_FALSE(is_eui64(test_support::addr("2001:db8::1")));
+  EXPECT_FALSE(eui64_extract(test_support::addr("2001:db8::1")));
   // Random IID that happens not to contain ff:fe at bits 24..39.
   EXPECT_FALSE(is_eui64(Ipv6Addr::from_halves(0, 0xdeadbeef12345678ULL)));
 }

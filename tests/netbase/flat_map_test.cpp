@@ -15,6 +15,7 @@
 
 #include "netbase/ipv6.hpp"
 #include "netbase/rng.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::netbase {
 namespace {
@@ -168,8 +169,8 @@ TEST(FlatSetTest, FullAddressKeysDoNotCollide) {
   // must never suppress each other, which 64-bit hashed keys cannot
   // guarantee but full-width keys can.
   FlatSet<Ipv6Addr, Ipv6AddrHash> s;
-  const auto a = Ipv6Addr::must_parse("2001:db8::1");
-  const auto b = Ipv6Addr::must_parse("2001:db8::2");
+  const auto a = test_support::addr("2001:db8::1");
+  const auto b = test_support::addr("2001:db8::2");
   s.insert(a);
   EXPECT_TRUE(s.contains(a));
   EXPECT_FALSE(s.contains(b));

@@ -5,6 +5,8 @@
 
 #include <set>
 
+#include "support/literals.hpp"
+
 namespace beholder6 {
 namespace {
 
@@ -60,25 +62,20 @@ TEST(Ipv6Parse, RejectsMalformed) {
   EXPECT_FALSE(Ipv6Addr::parse("1:2:3:4:5:6:7:8::"));    // :: covering 0 groups
 }
 
-TEST(Ipv6Parse, MustParseThrows) {
-  EXPECT_THROW(Ipv6Addr::must_parse("nonsense"), std::invalid_argument);
-  EXPECT_NO_THROW(Ipv6Addr::must_parse("fe80::1"));
-}
-
 TEST(Ipv6Format, Rfc5952LongestRunWins) {
   // Zero runs of length 1 and 3: the length-3 run is compressed.
-  EXPECT_EQ(Ipv6Addr::must_parse("2001:0:1:0:0:0:2:3").to_string(),
+  EXPECT_EQ(test_support::addr("2001:0:1:0:0:0:2:3").to_string(),
             "2001:0:1::2:3");
 }
 
 TEST(Ipv6Format, Rfc5952LeftmostTie) {
   // Two runs of length 2: leftmost compressed.
-  EXPECT_EQ(Ipv6Addr::must_parse("2001:0:0:1:0:0:2:3").to_string(),
+  EXPECT_EQ(test_support::addr("2001:0:0:1:0:0:2:3").to_string(),
             "2001::1:0:0:2:3");
 }
 
 TEST(Ipv6Format, SingleZeroGroupNotCompressed) {
-  EXPECT_EQ(Ipv6Addr::must_parse("2001:db8:0:1:1:1:1:1").to_string(),
+  EXPECT_EQ(test_support::addr("2001:db8:0:1:1:1:1:1").to_string(),
             "2001:db8:0:1:1:1:1:1");
 }
 
@@ -87,8 +84,8 @@ TEST(Ipv6Format, RoundTripIsStable) {
                          "2001:db8:0:1:1:1:1:1", "ff02::2",
                          "2001:db8:a:b:c:d:e:f"};
   for (auto* c : cases) {
-    const auto a = Ipv6Addr::must_parse(c);
-    EXPECT_EQ(Ipv6Addr::must_parse(a.to_string()), a) << c;
+    const auto a = test_support::addr(c);
+    EXPECT_EQ(test_support::addr(a.to_string()), a) << c;
     EXPECT_EQ(a.to_string(), c) << "canonical form should be stable";
   }
 }
@@ -97,7 +94,7 @@ TEST(Ipv6Halves, RoundTrip) {
   const auto a = Ipv6Addr::from_halves(0x20010db812345678ULL, 0xdeadbeefcafef00dULL);
   EXPECT_EQ(a.hi(), 0x20010db812345678ULL);
   EXPECT_EQ(a.lo(), 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(Ipv6Addr::must_parse(a.to_string()), a);
+  EXPECT_EQ(test_support::addr(a.to_string()), a);
 }
 
 TEST(Ipv6Bits, BitAccessMsbFirst) {
@@ -117,7 +114,7 @@ TEST(Ipv6Bits, WithBitSetsAndClears) {
 }
 
 TEST(Ipv6Mask, MaskZeroesTail) {
-  const auto a = Ipv6Addr::must_parse("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff");
+  const auto a = test_support::addr("2001:db8:ffff:ffff:ffff:ffff:ffff:ffff");
   EXPECT_EQ(a.masked(32).to_string(), "2001:db8::");
   EXPECT_EQ(a.masked(48).to_string(), "2001:db8:ffff::");
   EXPECT_EQ(a.masked(33).hi(), 0x20010db880000000ULL);
@@ -126,21 +123,21 @@ TEST(Ipv6Mask, MaskZeroesTail) {
 }
 
 TEST(Ipv6Or, InstallsIid) {
-  const auto pfx = Ipv6Addr::must_parse("2001:db8:1:2::");
+  const auto pfx = test_support::addr("2001:db8:1:2::");
   const auto iid = Ipv6Addr::from_halves(0, 0x1234567812345678ULL);
   EXPECT_EQ((pfx | iid).to_string(), "2001:db8:1:2:1234:5678:1234:5678");
 }
 
 TEST(Ipv6CommonPrefix, Lengths) {
-  const auto a = Ipv6Addr::must_parse("2001:db8::1");
+  const auto a = test_support::addr("2001:db8::1");
   EXPECT_EQ(a.common_prefix_len(a), 128u);
-  EXPECT_EQ(a.common_prefix_len(Ipv6Addr::must_parse("2001:db8::2")), 126u);
-  EXPECT_EQ(a.common_prefix_len(Ipv6Addr::must_parse("2001:db9::1")), 31u);
-  EXPECT_EQ(a.common_prefix_len(Ipv6Addr::must_parse("a001:db8::1")), 0u);
+  EXPECT_EQ(a.common_prefix_len(test_support::addr("2001:db8::2")), 126u);
+  EXPECT_EQ(a.common_prefix_len(test_support::addr("2001:db9::1")), 31u);
+  EXPECT_EQ(a.common_prefix_len(test_support::addr("a001:db8::1")), 0u);
 }
 
 TEST(Ipv6Nybble, GetAndSet) {
-  const auto a = Ipv6Addr::must_parse("2001:db8::");
+  const auto a = test_support::addr("2001:db8::");
   EXPECT_EQ(a.nybble(0), 0x2);
   EXPECT_EQ(a.nybble(1), 0x0);
   EXPECT_EQ(a.nybble(3), 0x1);
@@ -151,9 +148,9 @@ TEST(Ipv6Nybble, GetAndSet) {
 }
 
 TEST(Ipv6Order, LexicographicByBytes) {
-  std::set<Ipv6Addr> s{Ipv6Addr::must_parse("2001:db8::2"),
-                       Ipv6Addr::must_parse("2001:db8::1"),
-                       Ipv6Addr::must_parse("::1")};
+  std::set<Ipv6Addr> s{test_support::addr("2001:db8::2"),
+                       test_support::addr("2001:db8::1"),
+                       test_support::addr("::1")};
   auto it = s.begin();
   EXPECT_EQ(it->to_string(), "::1");
   ++it;
@@ -162,8 +159,8 @@ TEST(Ipv6Order, LexicographicByBytes) {
 
 TEST(Ipv6Hash, DistinctAddressesDistinctHashes) {
   Ipv6AddrHash h;
-  EXPECT_NE(h(Ipv6Addr::must_parse("2001:db8::1")),
-            h(Ipv6Addr::must_parse("2001:db8::2")));
+  EXPECT_NE(h(test_support::addr("2001:db8::1")),
+            h(test_support::addr("2001:db8::2")));
 }
 
 }  // namespace

@@ -1,65 +1,46 @@
-// Tests for Prefix: parsing, canonicalization, containment.
+// Tests for Prefix: canonicalization, containment, order.
 #include "netbase/prefix.hpp"
 
 #include <gtest/gtest.h>
 
+#include "support/literals.hpp"
+
 namespace beholder6 {
 namespace {
 
-TEST(PrefixParse, AddrSlashLen) {
-  auto p = Prefix::parse("2001:db8::/32");
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->len(), 32u);
-  EXPECT_EQ(p->to_string(), "2001:db8::/32");
-}
-
-TEST(PrefixParse, BareAddressIsSlash128) {
-  auto p = Prefix::parse("2001:db8::1");
-  ASSERT_TRUE(p);
-  EXPECT_EQ(p->len(), 128u);
-}
-
-TEST(PrefixParse, RejectsBadInput) {
-  EXPECT_FALSE(Prefix::parse("2001:db8::/129"));
-  EXPECT_FALSE(Prefix::parse("2001:db8::/"));
-  EXPECT_FALSE(Prefix::parse("2001:db8::/3x"));
-  EXPECT_FALSE(Prefix::parse("zzzz::/32"));
-  EXPECT_FALSE(Prefix::parse("/32"));
-}
-
 TEST(PrefixCanon, BaseIsMasked) {
   // Stray host bits are dropped at construction.
-  const Prefix p{Ipv6Addr::must_parse("2001:db8:ffff::1"), 32};
+  const Prefix p{test_support::addr("2001:db8:ffff::1"), 32};
   EXPECT_EQ(p.base().to_string(), "2001:db8::");
-  EXPECT_EQ(p, Prefix::must_parse("2001:db8::/32"));
+  EXPECT_EQ(p, test_support::prefix("2001:db8::", 32));
 }
 
 TEST(PrefixContains, AddressMembership) {
-  const auto p = Prefix::must_parse("2001:db8::/32");
-  EXPECT_TRUE(p.contains(Ipv6Addr::must_parse("2001:db8::1")));
-  EXPECT_TRUE(p.contains(Ipv6Addr::must_parse("2001:db8:ffff:ffff::")));
-  EXPECT_FALSE(p.contains(Ipv6Addr::must_parse("2001:db9::1")));
+  const auto p = test_support::prefix("2001:db8::", 32);
+  EXPECT_TRUE(p.contains(test_support::addr("2001:db8::1")));
+  EXPECT_TRUE(p.contains(test_support::addr("2001:db8:ffff:ffff::")));
+  EXPECT_FALSE(p.contains(test_support::addr("2001:db9::1")));
 }
 
 TEST(PrefixCovers, NestingRelation) {
-  const auto p32 = Prefix::must_parse("2001:db8::/32");
-  const auto p48 = Prefix::must_parse("2001:db8:1::/48");
+  const auto p32 = test_support::prefix("2001:db8::", 32);
+  const auto p48 = test_support::prefix("2001:db8:1::", 48);
   EXPECT_TRUE(p32.covers(p48));
   EXPECT_TRUE(p32.covers(p32));
   EXPECT_FALSE(p48.covers(p32));
-  EXPECT_FALSE(p32.covers(Prefix::must_parse("2001:db9::/48")));
+  EXPECT_FALSE(p32.covers(test_support::prefix("2001:db9::", 48)));
 }
 
 TEST(PrefixCovers, ZeroLengthCoversEverything) {
   const Prefix all{Ipv6Addr{}, 0};
-  EXPECT_TRUE(all.contains(Ipv6Addr::must_parse("ffff::1")));
-  EXPECT_TRUE(all.covers(Prefix::must_parse("::/0")));
+  EXPECT_TRUE(all.contains(test_support::addr("ffff::1")));
+  EXPECT_TRUE(all.covers(test_support::prefix("::", 0)));
 }
 
 TEST(PrefixOrder, SortsByBaseThenLen) {
-  const auto a = Prefix::must_parse("2001:db8::/32");
-  const auto b = Prefix::must_parse("2001:db8::/48");
-  const auto c = Prefix::must_parse("2001:db9::/32");
+  const auto a = test_support::prefix("2001:db8::", 32);
+  const auto b = test_support::prefix("2001:db8::", 48);
+  const auto c = test_support::prefix("2001:db9::", 32);
   EXPECT_LT(a, b);
   EXPECT_LT(b, c);
 }

@@ -88,16 +88,6 @@ TEST_P(NetbaseProperties, PrefixContainmentConsistency) {
   }
 }
 
-TEST_P(NetbaseProperties, PrefixParseRoundTrip) {
-  auto r = rng();
-  for (int i = 0; i < 100; ++i) {
-    const Prefix p{random_addr(r), static_cast<unsigned>(r.below(129))};
-    const auto parsed = Prefix::parse(p.to_string());
-    ASSERT_TRUE(parsed) << p.to_string();
-    EXPECT_EQ(*parsed, p);
-  }
-}
-
 TEST_P(NetbaseProperties, ChecksumDetectsSingleBitFlips) {
   auto r = rng();
   std::vector<std::uint8_t> data(64);

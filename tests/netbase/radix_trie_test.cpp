@@ -7,19 +7,21 @@
 #include <string>
 #include <vector>
 
+#include "support/literals.hpp"
+
 namespace beholder6 {
 namespace {
 
 TEST(RadixTrie, InsertAndExactFind) {
   RadixTrie<int> t;
-  EXPECT_TRUE(t.insert(Prefix::must_parse("2001:db8::/32"), 1));
-  EXPECT_FALSE(t.insert(Prefix::must_parse("2001:db8::/32"), 2));  // overwrite
-  ASSERT_NE(t.find(Prefix::must_parse("2001:db8::/32")), nullptr);
-  EXPECT_EQ(*t.find(Prefix::must_parse("2001:db8::/32")), 2);
-  EXPECT_EQ(t.find(Prefix::must_parse("2001:db8::/33")), nullptr);
+  EXPECT_TRUE(t.insert(test_support::prefix("2001:db8::", 32), 1));
+  EXPECT_FALSE(t.insert(test_support::prefix("2001:db8::", 32), 2));  // overwrite
+  ASSERT_NE(t.find(test_support::prefix("2001:db8::", 32)), nullptr);
+  EXPECT_EQ(*t.find(test_support::prefix("2001:db8::", 32)), 2);
+  EXPECT_EQ(t.find(test_support::prefix("2001:db8::", 33)), nullptr);
   EXPECT_EQ(t.size(), 1u);
   // Every read serves the overwritten value.
-  const auto m = t.lpm(Ipv6Addr::must_parse("2001:db8::1"));
+  const auto m = t.lpm(test_support::addr("2001:db8::1"));
   ASSERT_TRUE(m);
   EXPECT_EQ(*m->second, 2);
   std::vector<int> values;
@@ -29,30 +31,30 @@ TEST(RadixTrie, InsertAndExactFind) {
 
 TEST(RadixTrie, LongestPrefixMatchPicksMostSpecific) {
   RadixTrie<std::string> t;
-  t.insert(Prefix::must_parse("2001:db8::/32"), "coarse");
-  t.insert(Prefix::must_parse("2001:db8:1::/48"), "mid");
-  t.insert(Prefix::must_parse("2001:db8:1:2::/64"), "fine");
+  t.insert(test_support::prefix("2001:db8::", 32), "coarse");
+  t.insert(test_support::prefix("2001:db8:1::", 48), "mid");
+  t.insert(test_support::prefix("2001:db8:1:2::", 64), "fine");
 
-  auto m = t.lpm(Ipv6Addr::must_parse("2001:db8:1:2::99"));
+  auto m = t.lpm(test_support::addr("2001:db8:1:2::99"));
   ASSERT_TRUE(m);
   EXPECT_EQ(*m->second, "fine");
-  EXPECT_EQ(m->first, Prefix::must_parse("2001:db8:1:2::/64"));
+  EXPECT_EQ(m->first, test_support::prefix("2001:db8:1:2::", 64));
 
-  m = t.lpm(Ipv6Addr::must_parse("2001:db8:1:3::99"));
+  m = t.lpm(test_support::addr("2001:db8:1:3::99"));
   ASSERT_TRUE(m);
   EXPECT_EQ(*m->second, "mid");
 
-  m = t.lpm(Ipv6Addr::must_parse("2001:db8:ffff::1"));
+  m = t.lpm(test_support::addr("2001:db8:ffff::1"));
   ASSERT_TRUE(m);
   EXPECT_EQ(*m->second, "coarse");
 
-  EXPECT_FALSE(t.lpm(Ipv6Addr::must_parse("2001:db9::1")));
+  EXPECT_FALSE(t.lpm(test_support::addr("2001:db9::1")));
 }
 
 TEST(RadixTrie, DefaultRouteMatchesAll) {
   RadixTrie<int> t;
-  t.insert(Prefix::must_parse("::/0"), 7);
-  auto m = t.lpm(Ipv6Addr::must_parse("ffff:ffff::1"));
+  t.insert(test_support::prefix("::", 0), 7);
+  auto m = t.lpm(test_support::addr("ffff:ffff::1"));
   ASSERT_TRUE(m);
   EXPECT_EQ(*m->second, 7);
   EXPECT_EQ(m->first.len(), 0u);
@@ -60,32 +62,32 @@ TEST(RadixTrie, DefaultRouteMatchesAll) {
 
 TEST(RadixTrie, CoversMatchesContainment) {
   RadixTrie<int> t;
-  t.insert(Prefix::must_parse("2001:db8::/32"), 0);
-  EXPECT_TRUE(t.covers(Ipv6Addr::must_parse("2001:db8:abcd::1")));
-  EXPECT_FALSE(t.covers(Ipv6Addr::must_parse("2002::1")));
+  t.insert(test_support::prefix("2001:db8::", 32), 0);
+  EXPECT_TRUE(t.covers(test_support::addr("2001:db8:abcd::1")));
+  EXPECT_FALSE(t.covers(test_support::addr("2002::1")));
 }
 
 TEST(RadixTrie, ForEachVisitsInAddressOrder) {
   RadixTrie<int> t;
-  t.insert(Prefix::must_parse("2001:db9::/32"), 3);
-  t.insert(Prefix::must_parse("2001:db8::/32"), 1);
-  t.insert(Prefix::must_parse("2001:db8:1::/48"), 2);
+  t.insert(test_support::prefix("2001:db9::", 32), 3);
+  t.insert(test_support::prefix("2001:db8::", 32), 1);
+  t.insert(test_support::prefix("2001:db8:1::", 48), 2);
   std::vector<Prefix> seen;
   t.for_each([&](const Prefix& p, int) { seen.push_back(p); });
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], Prefix::must_parse("2001:db8::/32"));
-  EXPECT_EQ(seen[1], Prefix::must_parse("2001:db8:1::/48"));
-  EXPECT_EQ(seen[2], Prefix::must_parse("2001:db9::/32"));
+  EXPECT_EQ(seen[0], test_support::prefix("2001:db8::", 32));
+  EXPECT_EQ(seen[1], test_support::prefix("2001:db8:1::", 48));
+  EXPECT_EQ(seen[2], test_support::prefix("2001:db9::", 32));
 }
 
 TEST(RadixTrie, SubtreeEnumeratesCoveredEntries) {
   RadixTrie<int> t;
-  t.insert(Prefix::must_parse("2001:db8::/32"), 1);
-  t.insert(Prefix::must_parse("2001:db8:1::/48"), 2);
-  t.insert(Prefix::must_parse("2001:db8:1:2::/64"), 3);
-  t.insert(Prefix::must_parse("2001:db9::/32"), 4);
+  t.insert(test_support::prefix("2001:db8::", 32), 1);
+  t.insert(test_support::prefix("2001:db8:1::", 48), 2);
+  t.insert(test_support::prefix("2001:db8:1:2::", 64), 3);
+  t.insert(test_support::prefix("2001:db9::", 32), 4);
 
-  const auto sub = t.subtree(Prefix::must_parse("2001:db8:1::/48"));
+  const auto sub = t.subtree(test_support::prefix("2001:db8:1::", 48));
   ASSERT_EQ(sub.size(), 2u);
   EXPECT_EQ(sub[0].second, 2);
   EXPECT_EQ(sub[1].second, 3);
@@ -94,9 +96,9 @@ TEST(RadixTrie, SubtreeEnumeratesCoveredEntries) {
 TEST(RadixTrie, EmptyTrieBehaves) {
   RadixTrie<int> t;
   EXPECT_TRUE(t.empty());
-  EXPECT_FALSE(t.lpm(Ipv6Addr::must_parse("::1")));
-  EXPECT_EQ(t.find(Prefix::must_parse("::/0")), nullptr);
-  EXPECT_TRUE(t.subtree(Prefix::must_parse("2001::/16")).empty());
+  EXPECT_FALSE(t.lpm(test_support::addr("::1")));
+  EXPECT_EQ(t.find(test_support::prefix("::", 0)), nullptr);
+  EXPECT_TRUE(t.subtree(test_support::prefix("2001::", 16)).empty());
 }
 
 TEST(RadixTrie, ManyRandomPrefixesLpmAgreesWithLinearScan) {

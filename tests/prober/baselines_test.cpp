@@ -9,6 +9,7 @@
 #include "prober/doubletree.hpp"
 #include "prober/sequential.hpp"
 #include "prober/yarrp6.hpp"
+#include "support/literals.hpp"
 #include "topology/collector.hpp"
 
 namespace beholder6::prober {
@@ -108,8 +109,8 @@ TEST_F(BaselineTest, SequentialGapLimitEndsDeadTraces) {
   // Unrouted targets stop after gap_limit silent hops past the last
   // responsive router, not at max_ttl.
   simnet::Network net{topo_, simnet::NetworkParams{}};
-  std::vector<Ipv6Addr> dead{Ipv6Addr::must_parse("2a10:dead::1"),
-                             Ipv6Addr::must_parse("2a10:beef::1")};
+  std::vector<Ipv6Addr> dead{test_support::addr("2a10:dead::1"),
+                             test_support::addr("2a10:beef::1")};
   SequentialConfig cfg;
   cfg.src = topo_.vantages()[0].src;
   cfg.pps = 20;

@@ -106,7 +106,7 @@ class ProberEdge : public ::testing::Test {
 TEST_F(ProberEdge, EmptyTargetsSendNothing) {
   Yarrp6Config cfg;
   cfg.src = topo_.vantages()[0].src;
-  Yarrp6Source source{cfg, {}};
+  Yarrp6Source source{cfg, std::span<const Ipv6Addr>{}};
   const auto stats = campaign::CampaignRunner::run_one(
       net_, source, cfg.endpoint(), cfg.pacing());
   EXPECT_EQ(stats.probes_sent, 0u);

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <set>
 
+#include "support/literals.hpp"
+
 namespace beholder6::seeds {
 namespace {
 
@@ -16,7 +18,7 @@ std::vector<Ipv6Addr> structured_list(std::size_t n, std::uint64_t seed) {
   std::vector<Ipv6Addr> out;
   const std::uint8_t choices[3] = {0x1, 0x4, 0xa};
   for (std::size_t i = 0; i < n; ++i) {
-    auto a = Ipv6Addr::must_parse("2001:db8::");
+    auto a = test_support::addr("2001:db8::");
     a = a.with_nybble(8, choices[rng.below(3)]);
     for (unsigned p = 16; p < 32; ++p)
       a = a.with_nybble(p, static_cast<std::uint8_t>(rng.below(16)));
@@ -64,7 +66,7 @@ TEST(EntropyModel, GeneratedAddressesRespectStructure) {
   const auto model = EntropyModel::fit(input);
   const auto gen = model.generate(500, Rng{99});
   ASSERT_EQ(gen.size(), 500u);
-  const auto prefix = Ipv6Addr::must_parse("2001:db8::").masked(32);
+  const auto prefix = test_support::addr("2001:db8::").masked(32);
   for (const auto& a : gen) {
     EXPECT_EQ(a.masked(32), prefix) << a.to_string();
     const auto n8 = a.nybble(8);

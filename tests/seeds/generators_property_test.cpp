@@ -6,6 +6,7 @@
 
 #include "seeds/classify.hpp"
 #include "seeds/sources.hpp"
+#include "support/literals.hpp"
 #include "target/transform.hpp"
 
 namespace beholder6::seeds {
@@ -114,22 +115,22 @@ TEST(GeneratorContract, TumContainsMostOfFdns) {
 
 TEST(ClassifierEdge, Eui64RequiresFffeInfix) {
   // ff:fe at bytes 11-12 marks an EUI-64 expansion.
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::0211:22ff:fe33:4455")),
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::0211:22ff:fe33:4455")),
             IidClass::kEui64);
   // Same bytes without the infix: not EUI-64.
-  EXPECT_NE(classify_iid(Ipv6Addr::must_parse("2001:db8::0211:22fa:fa33:4455")),
+  EXPECT_NE(classify_iid(test_support::addr("2001:db8::0211:22fa:fa33:4455")),
             IidClass::kEui64);
 }
 
 TEST(ClassifierEdge, LowByteBoundary) {
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::")), IidClass::kLowByte);
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::ffff")), IidClass::kLowByte);
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::1:0000")), IidClass::kRandom);
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::")), IidClass::kLowByte);
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::ffff")), IidClass::kLowByte);
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::1:0000")), IidClass::kRandom);
 }
 
 TEST(ClassifierEdge, PrefixBitsDoNotAffectIidClass) {
   for (const char* prefix : {"2001:db8:ffff:ffff", "0:0:0:1", "2610:99:0:1"}) {
-    const auto a = Ipv6Addr::must_parse((std::string(prefix) + "::7").c_str());
+    const auto a = test_support::addr((std::string(prefix) + "::7").c_str());
     EXPECT_EQ(classify_iid(a), IidClass::kLowByte) << prefix;
   }
 }

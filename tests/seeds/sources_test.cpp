@@ -7,6 +7,7 @@
 #include <set>
 
 #include "seeds/classify.hpp"
+#include "support/literals.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
 
@@ -35,18 +36,18 @@ double routed_fraction(const SeedList& l) {
 }
 
 TEST(Classifier, RecognizesAllThreeClasses) {
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::1")), IidClass::kLowByte);
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::42ff")), IidClass::kLowByte);
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::211:22ff:fe33:4455")),
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::1")), IidClass::kLowByte);
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::42ff")), IidClass::kLowByte);
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::211:22ff:fe33:4455")),
             IidClass::kEui64);
-  EXPECT_EQ(classify_iid(Ipv6Addr::must_parse("2001:db8::d1d7:be01:9a2f:11aa")),
+  EXPECT_EQ(classify_iid(test_support::addr("2001:db8::d1d7:be01:9a2f:11aa")),
             IidClass::kRandom);
 }
 
 TEST(Classifier, MixSumsToTotal) {
   const auto mix = classify_all(std::vector<Ipv6Addr>{
-      Ipv6Addr::must_parse("::1"), Ipv6Addr::must_parse("::211:22ff:fe33:4455"),
-      Ipv6Addr::must_parse("::dead:beef:1234:5678")});
+      test_support::addr("::1"), test_support::addr("::211:22ff:fe33:4455"),
+      test_support::addr("::dead:beef:1234:5678")});
   EXPECT_EQ(mix.total(), 3u);
   EXPECT_EQ(mix.eui64, 1u);
   EXPECT_EQ(mix.lowbyte, 1u);

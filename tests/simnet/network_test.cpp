@@ -12,6 +12,7 @@
 #include "netbase/rng.hpp"
 #include "simnet/token_bucket.hpp"
 #include "support/big_echo.hpp"
+#include "support/literals.hpp"
 #include "wire/probe.hpp"
 
 namespace beholder6::simnet {
@@ -131,7 +132,7 @@ TEST_F(NetworkTest, MissingHostYieldsOneAddressUnreachableThenSilence) {
   const auto& as = *topo_.as(*topo_.origin(s.base()));
   // Choose an IID that is not the gateway and not a host.
   const auto ghost = Ipv6Addr::from_halves(s.base().hi(), 0x4242424242424242ULL);
-  ASSERT_FALSE(topo_.host_at(ghost));
+  ASSERT_FALSE(topo_.host_at(as, ghost));
   const auto p = topo_.path(topo_.vantages()[0], ghost, 0, 58);
   ASSERT_EQ(p.end, PathEnd::kDelivered);
   const auto r1 = probe(ghost, 40);
@@ -190,7 +191,7 @@ TEST_F(NetworkTest, UnroutedTargetYieldsNoRouteFromCore) {
   auto np = unlimited_params();
   np.noroute_silent_frac = 0.0;
   Network net{topo_, np};
-  const auto target = Ipv6Addr::must_parse("2a10:dead::1");
+  const auto target = test_support::addr("2a10:dead::1");
   const auto replies = net.inject_view(wire::encode_probe(spec_for(target, 40)));
   ASSERT_FALSE(replies.empty());
   const auto r = wire::decode_reply(replies[0], 0);
@@ -203,7 +204,7 @@ TEST_F(NetworkTest, TerminalUnreachablesAnswerOncePerTarget) {
   auto np = unlimited_params();
   np.noroute_silent_frac = 0.0;
   Network net{topo_, np};
-  const auto target = Ipv6Addr::must_parse("2a10:dead::1");
+  const auto target = test_support::addr("2a10:dead::1");
   std::size_t answered = 0;
   for (std::uint8_t ttl = 30; ttl < 40; ++ttl)
     answered += !net.inject_view(wire::encode_probe(spec_for(target, ttl))).empty();
@@ -214,15 +215,15 @@ TEST_F(NetworkTest, NoRouteSuppressionIsDeterministicPerRouter) {
   auto np = unlimited_params();
   np.noroute_silent_frac = 1.0;  // every no-route silent
   Network net{topo_, np};
-  const auto target = Ipv6Addr::must_parse("2a10:dead::1");
+  const auto target = test_support::addr("2a10:dead::1");
   EXPECT_TRUE(net.inject_view(wire::encode_probe(spec_for(target, 40))).empty());
   EXPECT_GT(net.stats().silent_drops, 0u);
 }
 
 TEST_F(NetworkTest, MalformedAndForeignPacketsCounted) {
   EXPECT_TRUE(net_.inject_view({1, 2, 3}).empty());
-  auto spec = spec_for(Ipv6Addr::must_parse("2001:db8::1"), 4);
-  spec.src = Ipv6Addr::must_parse("9999::9");  // not a vantage
+  auto spec = spec_for(test_support::addr("2001:db8::1"), 4);
+  spec.src = test_support::addr("9999::9");  // not a vantage
   EXPECT_TRUE(net_.inject_view(wire::encode_probe(spec)).empty());
   EXPECT_EQ(net_.stats().malformed, 2u);
 }

@@ -46,7 +46,7 @@ TEST_P(OracleProperty, HostsAreInsideTheirSubnetAndFindable) {
     for (const auto& s : topo_.enumerate_subnets(as, 6)) {
       for (const auto& host : topo_.hosts_in(as, s)) {
         EXPECT_TRUE(s.contains(host.addr));
-        const auto back = topo_.host_at(host.addr);
+        const auto back = topo_.host_at(as, host.addr);
         ASSERT_TRUE(back) << host.addr.to_string();
         EXPECT_EQ(back->addr, host.addr);
         EXPECT_EQ(back->echo_responder, host.echo_responder);

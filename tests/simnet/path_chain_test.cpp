@@ -15,6 +15,7 @@
 
 #include "netbase/rng.hpp"
 #include "simnet/topology.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::simnet {
 namespace {
@@ -174,7 +175,7 @@ TEST(PathChainValidation, RejectsWorldsWithoutCoreOrVantageAses) {
                                      .num_content = 0, .num_university = 2,
                                      .num_small_edge = 1}};
   for (const auto& v : tiny.vantages())
-    EXPECT_EQ(tiny.path(v, Ipv6Addr::must_parse("2a10:dead::1"), 0, 58).end,
+    EXPECT_EQ(tiny.path(v, test_support::addr("2a10:dead::1"), 0, 58).end,
               PathEnd::kUnrouted);
 }
 
@@ -183,7 +184,7 @@ TEST(PathChainValidation, ForeignVantageOutsideEveryAsThrows) {
   VantageInfo nowhere = topo.vantages()[0];
   nowhere.asn = 1;
   Path out;
-  EXPECT_THROW(topo.path_into(nowhere, Ipv6Addr::must_parse("2a10:dead::1"), 0, 58, out),
+  EXPECT_THROW(topo.path_into(nowhere, test_support::addr("2a10:dead::1"), 0, 58, out),
                std::invalid_argument);
 }
 

@@ -14,6 +14,7 @@
 #include "netbase/rng.hpp"
 #include "simnet/network.hpp"
 #include "support/big_echo.hpp"
+#include "support/wire_oracles.hpp"
 #include "wire/fragment.hpp"
 #include "wire/probe.hpp"
 
@@ -74,7 +75,7 @@ class ReplyBytesTest : public ::testing::Test {
         ++fragments_;
         continue;
       }
-      EXPECT_TRUE(wire::verify_transport_checksum(r)) << "reply " << replies_;
+      EXPECT_TRUE(test_support::verify_transport_checksum(r)) << "reply " << replies_;
     }
   }
 

@@ -309,7 +309,7 @@ TEST_F(RouteCacheTest, TerminalUnreachablesSuppressPerFullAddress) {
       std::vector<Ipv6Addr> dead;
       for (std::uint64_t iid = 0x4000; iid < 0x4040 && dead.size() < 2; ++iid) {
         const auto addr = s.base() | Ipv6Addr::from_halves(0, iid);
-        if (!topo_.host_at(addr) &&
+        if (!topo_.host_at(as, addr) &&
             topo_.path(topo_.vantages()[0], addr, 0, 58).end == PathEnd::kDelivered)
           dead.push_back(addr);
       }

@@ -10,6 +10,7 @@
 
 #include "netbase/eui64.hpp"
 #include "netbase/rng.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::simnet {
 namespace {
@@ -60,13 +61,13 @@ TEST(Topology, BgpHasMorePrefixesThanAsns) {
 }
 
 TEST(Topology, SixToFourPrefixAnnounced) {
-  const auto o = topo().origin(Ipv6Addr::must_parse("2002:c000:201::1"));
+  const auto o = topo().origin(test_support::addr("2002:c000:201::1"));
   ASSERT_TRUE(o);
 }
 
 TEST(Topology, UnroutedSpaceHasNoOrigin) {
-  EXPECT_FALSE(topo().origin(Ipv6Addr::must_parse("2a10:dead::1")));
-  EXPECT_FALSE(topo().origin(Ipv6Addr::must_parse("fc00::1")));
+  EXPECT_FALSE(topo().origin(test_support::addr("2a10:dead::1")));
+  EXPECT_FALSE(topo().origin(test_support::addr("fc00::1")));
 }
 
 TEST(Topology, OriginAgreesWithLinearScanOfBgp) {
@@ -194,7 +195,7 @@ TEST(Topology, HostsLiveWhereTheOracleSaysTheyDo) {
     if (as.type != AsType::kContent) continue;
     for (const auto& s : t.enumerate_subnets(as, 30)) {
       for (const auto& host : t.hosts_in(as, s)) {
-        const auto got = t.host_at(host.addr);
+        const auto got = t.host_at(as, host.addr);
         ASSERT_TRUE(got) << host.addr.to_string();
         EXPECT_EQ(got->addr, host.addr);
         EXPECT_EQ(got->du_port_responder, host.du_port_responder);
@@ -202,7 +203,7 @@ TEST(Topology, HostsLiveWhereTheOracleSaysTheyDo) {
       }
       // A random IID in the same subnet is (almost surely) not a host.
       const auto ghost = Ipv6Addr::from_halves(s.base().hi(), 0xdeadbeef12345678ULL);
-      EXPECT_FALSE(t.host_at(ghost));
+      EXPECT_FALSE(t.host_at(as, ghost));
     }
   }
   EXPECT_GT(live_checked, 20u);
@@ -219,7 +220,7 @@ TEST(Topology, TrueSubnetReturnsMostSpecificExistingLevel) {
     EXPECT_EQ(ts->len(), 64u);
     break;
   }
-  EXPECT_FALSE(t.true_subnet(Ipv6Addr::must_parse("2a10:dead::1")));
+  EXPECT_FALSE(t.true_subnet(test_support::addr("2a10:dead::1")));
 }
 
 TEST(Topology, PathsEndAtGatewayForExistingSubnets) {
@@ -281,7 +282,7 @@ TEST(Topology, EcmpResolvesByFlowHashSomewhere) {
 TEST(Topology, UnroutedTargetsYieldUnroutedEnd) {
   const auto& t = topo();
   const auto p =
-      t.path(t.vantages()[0], Ipv6Addr::must_parse("2a10:dead::1"), 0, 58);
+      t.path(t.vantages()[0], test_support::addr("2a10:dead::1"), 0, 58);
   EXPECT_EQ(p.end, PathEnd::kUnrouted);
   EXPECT_EQ(p.dest_asn, 0u);
   EXPECT_FALSE(p.hops.empty());

@@ -1,7 +1,7 @@
 // tests/support/conservation.hpp — conservation identities over the
 // network's and the campaign front ends' counters. Every probe the
-// network takes ends in exactly one outcome, every reply a source sees is
-// a response the network built or a duplicate it injected, every merge
+// network takes ends in exactly one outcome, every reply packet it returns
+// reaches a source or is counted as dropped, every merge
 // emits each recorded reply exactly once, and a collector counts every
 // reply it is fed. A counter that drops or double-counts an outcome breaks
 // one of these sums even while every run-against-run equality gate still
@@ -31,11 +31,23 @@ inline void expect_network_conserved(const simnet::NetworkStats& n) {
       << " + malformed " << n.malformed;
 }
 
-/// The network identity, plus: a campaign's sources saw every response
-/// once and every injected duplicate once more.
+/// The network identity, plus the Pacer's: every reply packet the network
+/// returned to a campaign (each response once, each injected duplicate
+/// once more) was either dispatched to its source or counted as dropped.
+/// A response fragmented into several packets would count once per
+/// fragment; no Pacer probe is large enough for its reply to fragment.
+/// The simulator never returns a reply the Pacer may drop (every reply is
+/// ICMPv6 and echoes or quotes the probe's instance id), so the sources
+/// must also have seen every reply: a decoder or Pacer fault that sorted
+/// good replies into a reject counter would still satisfy the first sum.
 inline void expect_campaign_conserved(const campaign::ProbeStats& p,
                                       const simnet::NetworkStats& n) {
   expect_network_conserved(n);
+  EXPECT_EQ(n.responses() + n.dup_replies,
+            p.replies + p.undecodable_replies + p.foreign_replies)
+      << "responses " << n.responses() << " + dup_replies " << n.dup_replies
+      << " = replies " << p.replies << " + undecodable "
+      << p.undecodable_replies << " + foreign " << p.foreign_replies;
   EXPECT_EQ(p.replies, n.responses() + n.dup_replies)
       << "replies " << p.replies << " = responses " << n.responses()
       << " + dup_replies " << n.dup_replies;
@@ -69,8 +81,8 @@ inline void expect_collector_conserved(const topology::TraceCollector& c,
 }
 
 /// With ReactorOptions::collect_merged on, the merged stream holds every
-/// reply of `handles` exactly once; they must be every campaign admitted
-/// since the reactor's last reset().
+/// reply of `handles` exactly once; they must be every campaign the
+/// reactor admitted.
 inline void expect_reactor_conserved(
     campaign::CampaignReactor& reactor,
     std::span<const campaign::CampaignHandle> handles) {

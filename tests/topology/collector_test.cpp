@@ -10,6 +10,7 @@
 
 #include "netbase/eui64.hpp"
 #include "netbase/rng.hpp"
+#include "support/literals.hpp"
 
 namespace beholder6::topology {
 namespace {
@@ -19,10 +20,10 @@ wire::DecodedReply reply(const char* responder, const char* target,
                          wire::Icmp6Type type = wire::Icmp6Type::kTimeExceeded,
                          std::uint8_t code = 0) {
   wire::DecodedReply r;
-  r.responder = Ipv6Addr::must_parse(responder);
+  r.responder = test_support::addr(responder);
   r.type = type;
   r.code = code;
-  r.probe.target = Ipv6Addr::must_parse(target);
+  r.probe.target = test_support::addr(target);
   r.probe.ttl = ttl;
   return r;
 }
@@ -63,8 +64,8 @@ TEST(Collector, ReachedDetection) {
   TraceCollector c;
   c.on_reply(reply("2001:db8:1::1", "2001:db8:1::1", 9, wire::Icmp6Type::kEchoReply));
   c.on_reply(reply("2001:db8:f::1", "2001:db8:2::1", 1));
-  EXPECT_EQ(c.traces().at(Ipv6Addr::must_parse("2001:db8:1::1")).reached, true);
-  EXPECT_EQ(c.traces().at(Ipv6Addr::must_parse("2001:db8:2::1")).reached, false);
+  EXPECT_EQ(c.traces().at(test_support::addr("2001:db8:1::1")).reached, true);
+  EXPECT_EQ(c.traces().at(test_support::addr("2001:db8:2::1")).reached, false);
   EXPECT_NEAR(c.reached_fraction(), 0.5, 1e-9);
 }
 
@@ -124,7 +125,7 @@ TEST(Collector, Eui64ReportCountsAndOffsets) {
     wire::DecodedReply r;
     r.responder = eui_iface;
     r.type = wire::Icmp6Type::kTimeExceeded;
-    r.probe.target = Ipv6Addr::must_parse("2001:db8:1::1");
+    r.probe.target = test_support::addr("2001:db8:1::1");
     r.probe.ttl = 3;
     c.on_reply(r);
   }
@@ -142,7 +143,7 @@ TEST(Collector, Eui64OffsetNegativeWhenMidPath) {
   wire::DecodedReply r;
   r.responder = eui_iface;
   r.type = wire::Icmp6Type::kTimeExceeded;
-  r.probe.target = Ipv6Addr::must_parse("2001:db8:1::1");
+  r.probe.target = test_support::addr("2001:db8:1::1");
   r.probe.ttl = 2;
   c.on_reply(r);
   c.on_reply(reply("2001:db8:f::5", "2001:db8:1::1", 5));
@@ -263,11 +264,11 @@ TEST(CollectorLog, DuplicateTtlKeepsFirstArrivalAcrossInterleavedTargets) {
   c.on_reply(reply("2001:db8:f::2", "2001:db8:1::1", 4));
   c.on_reply(reply("2001:db8:f::d", "2001:db8:2::1", 4));
   const auto& t = c.traces();
-  EXPECT_EQ(t.at(Ipv6Addr::must_parse("2001:db8:1::1")).hops.at(4).iface.to_string(),
+  EXPECT_EQ(t.at(test_support::addr("2001:db8:1::1")).hops.at(4).iface.to_string(),
             "2001:db8:f::1");
-  EXPECT_EQ(t.at(Ipv6Addr::must_parse("2001:db8:2::1")).hops.at(4).iface.to_string(),
+  EXPECT_EQ(t.at(test_support::addr("2001:db8:2::1")).hops.at(4).iface.to_string(),
             "2001:db8:f::b");
-  EXPECT_EQ(t.at(Ipv6Addr::must_parse("2001:db8:3::1")).hops.at(4).iface.to_string(),
+  EXPECT_EQ(t.at(test_support::addr("2001:db8:3::1")).hops.at(4).iface.to_string(),
             "2001:db8:f::9");
   for (const auto& [target, tr] : t) EXPECT_EQ(tr.hops.size(), 1u);
 }
@@ -278,18 +279,18 @@ TEST(CollectorLog, DuplicateTtlAfterAReadKeepsFirstArrival) {
   ASSERT_EQ(c.traces().size(), 1u);
   c.on_reply(reply("2001:db8:f::ee", "2001:db8:1::1", 2));
   c.on_reply(reply("2001:db8:f::3", "2001:db8:1::1", 3));
-  const auto& tr = c.traces().at(Ipv6Addr::must_parse("2001:db8:1::1"));
+  const auto& tr = c.traces().at(test_support::addr("2001:db8:1::1"));
   ASSERT_EQ(tr.hops.size(), 2u);
   EXPECT_EQ(tr.hops.at(2).iface.to_string(), "2001:db8:f::1");
   EXPECT_EQ(tr.hops.at(3).iface.to_string(), "2001:db8:f::3");
-  EXPECT_TRUE(c.responders().contains(Ipv6Addr::must_parse("2001:db8:f::ee")));
+  EXPECT_TRUE(c.responders().contains(test_support::addr("2001:db8:f::ee")));
 }
 
 TEST(CollectorLog, ReachedIsSetByALosingDuplicate) {
   TraceCollector c;
   c.on_reply(reply("2001:db8:f::5", "2001:db8:1::1", 5));
   c.on_reply(reply("2001:db8:1::1", "2001:db8:1::1", 5, wire::Icmp6Type::kEchoReply));
-  const auto& tr = c.traces().at(Ipv6Addr::must_parse("2001:db8:1::1"));
+  const auto& tr = c.traces().at(test_support::addr("2001:db8:1::1"));
   EXPECT_EQ(tr.hops.at(5).iface.to_string(), "2001:db8:f::5");
   EXPECT_TRUE(tr.reached);
   EXPECT_EQ(c.reached_fraction(), 1.0);
@@ -299,7 +300,7 @@ TEST(CollectorLog, RespondersIncludeTheSourceOfALosingDuplicate) {
   TraceCollector c;
   c.on_reply(reply("2001:db8:f::1", "2001:db8:1::1", 3));
   c.on_reply(reply("2001:db8:f::2", "2001:db8:1::1", 3, wire::Icmp6Type::kDestUnreachable, 1));
-  EXPECT_TRUE(c.responders().contains(Ipv6Addr::must_parse("2001:db8:f::2")));
+  EXPECT_TRUE(c.responders().contains(test_support::addr("2001:db8:f::2")));
   EXPECT_EQ(c.responders().size(), 2u);
   EXPECT_EQ(c.interfaces().size(), 1u);
 }
@@ -341,10 +342,6 @@ TEST(CollectorLog, TracesReadCorrectlyAfterAMove) {
   TraceCollector moved_read;
   moved_read = std::move(read);
   expect_same(snapshot(moved_read), want);
-
-  const TraceCollector copied = moved_read;  // a copy reads on its own
-  moved_read = TraceCollector{};
-  expect_same(snapshot(copied), want);
 }
 
 TEST(CollectorLog, TracesReadCorrectlyAfterTheirVectorGrows) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "support/literals.hpp"
+#include "support/wire_oracles.hpp"
+
 namespace beholder6::wire {
 namespace {
 
@@ -11,8 +14,8 @@ std::vector<std::uint8_t> make_packet(std::size_t payload) {
   Ipv6Header ip;
   ip.next_header = static_cast<std::uint8_t>(Proto::kIcmp6);
   ip.hop_limit = 64;
-  ip.src = Ipv6Addr::must_parse("2001:db8::1");
-  ip.dst = Ipv6Addr::must_parse("2001:db8::2");
+  ip.src = test_support::addr("2001:db8::1");
+  ip.dst = test_support::addr("2001:db8::2");
   ip.payload_length = static_cast<std::uint16_t>(payload);
   ip.encode(pkt);
   for (std::size_t i = 0; i < payload; ++i)
@@ -80,7 +83,7 @@ TEST(Fragmentation, ReassemblyRestoresOriginal) {
   auto frags = fragments(pkt, 9);
   // Shuffle to prove order-independence.
   std::rotate(frags.begin(), frags.begin() + 1, frags.end());
-  const auto whole = reassemble(frags);
+  const auto whole = test_support::reassemble(frags);
   ASSERT_TRUE(whole);
   EXPECT_EQ(*whole, pkt);
 }
@@ -92,15 +95,15 @@ TEST(Fragmentation, ReassemblyRejectsGapsAndMixedIds) {
   {
     auto missing = frags;
     missing.erase(missing.begin() + 1);
-    EXPECT_FALSE(reassemble(missing));
+    EXPECT_FALSE(test_support::reassemble(missing));
   }
   {
     auto mixed = frags;
     auto other = fragments(pkt, 10);
     mixed[1] = other[1];
-    EXPECT_FALSE(reassemble(mixed));
+    EXPECT_FALSE(test_support::reassemble(mixed));
   }
-  EXPECT_FALSE(reassemble({}));
+  EXPECT_FALSE(test_support::reassemble({}));
 }
 
 // The simnet reply path encodes fragments into reused pool slots: reused
@@ -158,7 +161,7 @@ TEST(Fragmentation, ParametrizedSizesRoundTrip) {
   for (std::size_t payload : {1241u, 1500u, 2459u, 4096u, 9000u}) {
     const auto pkt = make_packet(payload);
     const auto frags = fragments(pkt, 5);
-    const auto whole = reassemble(frags);
+    const auto whole = test_support::reassemble(frags);
     ASSERT_TRUE(whole) << payload;
     EXPECT_EQ(*whole, pkt) << payload;
   }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "netbase/checksum.hpp"
+#include "support/literals.hpp"
+#include "support/wire_oracles.hpp"
 
 namespace beholder6::wire {
 namespace {
@@ -16,8 +18,8 @@ TEST(Ipv6HeaderCodec, RoundTrip) {
   h.payload_length = 20;
   h.next_header = 58;
   h.hop_limit = 7;
-  h.src = Ipv6Addr::must_parse("2001:db8::1");
-  h.dst = Ipv6Addr::must_parse("2001:db8::2");
+  h.src = test_support::addr("2001:db8::1");
+  h.dst = test_support::addr("2001:db8::2");
 
   std::vector<std::uint8_t> buf;
   h.encode(buf);
@@ -79,7 +81,7 @@ TEST(UdpHeaderCodec, RoundTrip) {
   std::vector<std::uint8_t> buf;
   h.encode(buf);
   ASSERT_EQ(buf.size(), UdpHeader::kSize);
-  const auto d = UdpHeader::decode(buf);
+  const auto d = test_support::decode_udp(buf);
   ASSERT_TRUE(d);
   EXPECT_EQ(d->src_port, 53211);
   EXPECT_EQ(d->dst_port, 80);
@@ -99,7 +101,7 @@ TEST(TcpHeaderCodec, RoundTrip) {
   std::vector<std::uint8_t> buf;
   h.encode(buf);
   ASSERT_EQ(buf.size(), TcpHeader::kSize);
-  const auto d = TcpHeader::decode(buf);
+  const auto d = test_support::decode_tcp(buf);
   ASSERT_TRUE(d);
   EXPECT_EQ(d->src_port, 4242);
   EXPECT_EQ(d->seq, 0xdeadbeefu);
@@ -112,8 +114,8 @@ TEST(TransportChecksum, InstallAndVerifyIcmp6) {
   Ipv6Header ip;
   ip.next_header = static_cast<std::uint8_t>(Proto::kIcmp6);
   ip.hop_limit = 64;
-  ip.src = Ipv6Addr::must_parse("2001:db8::1");
-  ip.dst = Ipv6Addr::must_parse("2001:db8::2");
+  ip.src = test_support::addr("2001:db8::1");
+  ip.dst = test_support::addr("2001:db8::2");
   Icmp6Header icmp;
   icmp.type = Icmp6Type::kEchoRequest;
   icmp.id = 1;
@@ -123,17 +125,17 @@ TEST(TransportChecksum, InstallAndVerifyIcmp6) {
   ip.encode(pkt);
   icmp.encode(pkt);
   ASSERT_TRUE(finalize_transport_checksum(pkt));
-  EXPECT_TRUE(verify_transport_checksum(pkt));
+  EXPECT_TRUE(test_support::verify_transport_checksum(pkt));
   pkt.back() ^= 0xff;  // corrupt
-  EXPECT_FALSE(verify_transport_checksum(pkt));
+  EXPECT_FALSE(test_support::verify_transport_checksum(pkt));
 }
 
 TEST(TransportChecksum, CoversAllThreeProtocols) {
   for (auto proto : {Proto::kIcmp6, Proto::kUdp, Proto::kTcp}) {
     Ipv6Header ip;
     ip.next_header = static_cast<std::uint8_t>(proto);
-    ip.src = Ipv6Addr::must_parse("fd00::1");
-    ip.dst = Ipv6Addr::must_parse("fd00::2");
+    ip.src = test_support::addr("fd00::1");
+    ip.dst = test_support::addr("fd00::2");
     std::vector<std::uint8_t> pkt;
     std::size_t tsize = proto == Proto::kTcp   ? TcpHeader::kSize
                         : proto == Proto::kUdp ? UdpHeader::kSize
@@ -142,7 +144,7 @@ TEST(TransportChecksum, CoversAllThreeProtocols) {
     ip.encode(pkt);
     pkt.resize(Ipv6Header::kSize + tsize, 0);
     ASSERT_TRUE(finalize_transport_checksum(pkt));
-    EXPECT_TRUE(verify_transport_checksum(pkt))
+    EXPECT_TRUE(test_support::verify_transport_checksum(pkt))
         << "proto " << static_cast<int>(proto);
   }
 }
@@ -154,7 +156,7 @@ TEST(TransportChecksum, RejectsUnknownProtocol) {
   ip.encode(pkt);
   pkt.resize(60, 0);
   EXPECT_FALSE(finalize_transport_checksum(pkt));
-  EXPECT_FALSE(verify_transport_checksum(pkt));
+  EXPECT_FALSE(test_support::verify_transport_checksum(pkt));
 }
 
 }  // namespace

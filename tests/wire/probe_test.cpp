@@ -8,6 +8,8 @@
 
 #include "netbase/checksum.hpp"
 #include "netbase/rng.hpp"
+#include "support/literals.hpp"
+#include "support/wire_oracles.hpp"
 
 namespace beholder6::wire {
 namespace {
@@ -15,8 +17,8 @@ namespace {
 ProbeSpec sample_spec(Proto proto, std::uint8_t ttl = 9,
                       std::uint32_t elapsed = 123456) {
   ProbeSpec s;
-  s.src = Ipv6Addr::must_parse("2001:db8:ffff::100");
-  s.target = Ipv6Addr::must_parse("2001:db8:1:2:1234:5678:1234:5678");
+  s.src = test_support::addr("2001:db8:ffff::100");
+  s.target = test_support::addr("2001:db8:1:2:1234:5678:1234:5678");
   s.proto = proto;
   s.ttl = ttl;
   s.elapsed_us = elapsed;
@@ -64,7 +66,7 @@ TEST_P(ProbeCodecAllProtocols, EncodeDecodeRoundTrip) {
 }
 
 TEST_P(ProbeCodecAllProtocols, TransportChecksumValid) {
-  EXPECT_TRUE(verify_transport_checksum(encode_probe(sample_spec(GetParam()))));
+  EXPECT_TRUE(test_support::verify_transport_checksum(encode_probe(sample_spec(GetParam()))));
 }
 
 TEST_P(ProbeCodecAllProtocols, ChecksumConstantAcrossTtlAndTime) {
@@ -80,7 +82,7 @@ TEST_P(ProbeCodecAllProtocols, ChecksumConstantAcrossTtlAndTime) {
   for (std::uint8_t ttl : {2, 9, 16, 31}) {
     for (std::uint32_t t : {1u, 77777u, 4000000000u}) {
       const auto pkt = encode_probe(sample_spec(proto, ttl, t));
-      EXPECT_TRUE(verify_transport_checksum(pkt));
+      EXPECT_TRUE(test_support::verify_transport_checksum(pkt));
       // Headers (including checksum field inside first 8 transport bytes,
       // except the hop limit byte at offset 7) must match.
       auto a = checksum_of(base), b = checksum_of(pkt);
@@ -92,12 +94,12 @@ TEST_P(ProbeCodecAllProtocols, ChecksumConstantAcrossTtlAndTime) {
 
 TEST_P(ProbeCodecAllProtocols, ReplyRecoversFullState) {
   const auto spec = sample_spec(GetParam(), 13, 5555);
-  const auto reply = make_error_reply(Ipv6Addr::must_parse("2001:db8:42::1"),
+  const auto reply = make_error_reply(test_support::addr("2001:db8:42::1"),
                                       encode_probe(spec),
                                       Icmp6Type::kTimeExceeded, 0);
   const auto dec = decode_reply(reply, 7777);
   ASSERT_TRUE(dec);
-  EXPECT_EQ(dec->responder, Ipv6Addr::must_parse("2001:db8:42::1"));
+  EXPECT_EQ(dec->responder, test_support::addr("2001:db8:42::1"));
   EXPECT_EQ(dec->type, Icmp6Type::kTimeExceeded);
   EXPECT_EQ(dec->probe.target, spec.target);
   EXPECT_EQ(dec->probe.ttl, 13);  // originating TTL, not the decremented one
@@ -113,7 +115,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, ProbeCodecAllProtocols,
 TEST(ProbeCodec, DestUnreachableCodesSurvive) {
   const auto spec = sample_spec(Proto::kIcmp6);
   for (std::uint8_t code : {0, 1, 3, 4, 6}) {
-    const auto reply = make_error_reply(Ipv6Addr::must_parse("2001:db8::fe"),
+    const auto reply = make_error_reply(test_support::addr("2001:db8::fe"),
                                         encode_probe(spec),
                                         Icmp6Type::kDestUnreachable, code);
     const auto dec = decode_reply(reply, 0);
@@ -129,7 +131,7 @@ TEST(ProbeCodec, WrongMagicRejected) {
   // Corrupt the magic (first payload byte after IPv6 + ICMPv6 headers).
   pkt[Ipv6Header::kSize + Icmp6Header::kSize] ^= 0xff;
   EXPECT_FALSE(decode_probe(pkt));
-  const auto reply = make_error_reply(Ipv6Addr::must_parse("::1"), pkt,
+  const auto reply = make_error_reply(test_support::addr("::1"), pkt,
                                       Icmp6Type::kTimeExceeded, 0);
   EXPECT_FALSE(decode_reply(reply, 0));
 }
@@ -139,7 +141,7 @@ TEST(ProbeCodec, RewrittenTargetDetected) {
   auto pkt = encode_probe(spec);
   // A middlebox rewrites the destination address in flight (byte 24..39).
   pkt[39] ^= 0x5a;
-  const auto reply = make_error_reply(Ipv6Addr::must_parse("2001:db8::fe"), pkt,
+  const auto reply = make_error_reply(test_support::addr("2001:db8::fe"), pkt,
                                       Icmp6Type::kTimeExceeded, 0);
   const auto dec = decode_reply(reply, 0);
   ASSERT_TRUE(dec);
@@ -150,7 +152,7 @@ TEST(ProbeCodec, OnlyErrorTypesCarryAQuotation) {
   // Destination Unreachable, Packet Too Big and Time Exceeded quote the
   // probe; any other type in front of the same quotation is not a reply.
   const auto probe = encode_probe(sample_spec(Proto::kUdp));
-  const auto from = Ipv6Addr::must_parse("2001:db8::fe");
+  const auto from = test_support::addr("2001:db8::fe");
   for (auto t : {Icmp6Type::kDestUnreachable, Icmp6Type::kPacketTooBig,
                  Icmp6Type::kTimeExceeded}) {
     const auto dec = decode_reply(make_error_reply(from, probe, t, 0), 0);
@@ -167,8 +169,8 @@ TEST(ProbeCodec, NonErrorIcmpRejectedByReplyDecoder) {
   std::vector<std::uint8_t> pkt;
   Ipv6Header ip;
   ip.next_header = static_cast<std::uint8_t>(Proto::kIcmp6);
-  ip.src = Ipv6Addr::must_parse("2001:db8::1");
-  ip.dst = Ipv6Addr::must_parse("2001:db8::2");
+  ip.src = test_support::addr("2001:db8::1");
+  ip.dst = test_support::addr("2001:db8::2");
   ip.payload_length = Icmp6Header::kSize;
   ip.encode(pkt);
   Icmp6Header icmp;
@@ -182,7 +184,7 @@ TEST(ProbeCodec, TruncatedQuotationRejected) {
   const auto spec = sample_spec(Proto::kIcmp6);
   auto quoted = encode_probe(spec);
   quoted.resize(Ipv6Header::kSize + 4);  // not enough for state recovery
-  const auto reply = make_error_reply(Ipv6Addr::must_parse("2001:db8::fe"),
+  const auto reply = make_error_reply(test_support::addr("2001:db8::fe"),
                                       quoted, Icmp6Type::kTimeExceeded, 0);
   EXPECT_FALSE(decode_reply(reply, 0));
 }

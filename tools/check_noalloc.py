@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Static no-alloc checker for the beholder6 hot path.
+"""Static no-alloc checker for the beholder6 hot path, and (--unreached)
+a gate on library functions that no non-test program reaches.
 
 tests/simnet/steady_state_alloc_test.cpp proves at *runtime* — via a
 counting `operator new` hook — that the steady-state inject→resolve→reply
@@ -33,7 +34,9 @@ How it works
 2. `objdump -dr` each object; record every defined function and its
    direct call/tail-call targets (both resolver-annotated `call <sym>`
    text and `R_X86_64_PLT32/PC32` relocations, so intra- and inter-object
-   edges are seen).
+   edges are seen), plus the functions whose address it takes (a
+   rip-relative `lea`, a GOTPCREL load). `objdump -tr` gives the symbol
+   table and the relocations that store a function's address in data.
 3. Demangle everything through `c++filt`, pick the entry points by
    demangled-name pattern, and BFS outward.
 4. A walk that reaches `operator new` / `malloc` & friends, or a page
@@ -84,6 +87,42 @@ function objdump labels its unpatched displacement with; a jump into a function'
 that function; a call relocation that no function covers must be reported
 as unresolved (a reachable one fails the real check, since the
 walk cannot follow it).
+
+Unreached library functions (--unreached)
+-----------------------------------------
+The same call graph, walked from every non-test program instead of from
+the hot-path entries: every function the objects of each `bench_*`,
+`example_*` and `b6-*` target of --build-dir define, every function of
+b6bench (built from benchmark/CMakeLists.txt into --b6bench-dir), and
+every function whose address any object's data holds (vtables,
+.init_array). Tests are never roots. Any out-of-line function of
+namespace beholder6 that a library object defines and the walk does not
+reach fails the gate, unless UNREACHED_ALLOWLIST names it; every allowed
+function is printed with its reason, and an entry that matches nothing
+fails as stale. The canonical trees, Release and -fno-inline like the
+hot-path analysis, with benches on:
+
+    cmake -B build-noalloc -DCMAKE_BUILD_TYPE=Release \
+          -DBEHOLDER6_BUILD_TESTS=OFF -DCMAKE_CXX_FLAGS=-fno-inline
+    cmake --build build-noalloc -j
+    cmake -S benchmark -B build-b6bench -DCMAKE_CXX_FLAGS=-fno-inline
+    cmake --build build-b6bench --target b6bench -j
+    python3 tools/check_noalloc.py --unreached \
+          --build-dir build-noalloc --b6bench-dir build-b6bench
+
+What it cannot see: header-only inline functions and template
+instantiations (GCC emits them as COMDAT copies named after themselves,
+`.text._Z...`, only where an object instantiates them, so the gate skips
+them rather than judge a copy), and whether a virtual override is ever
+called (its vtable holds its address, so it always counts as reached).
+A compiler that drops a call to a pure function whose result is unused
+can make its callee read as unreached. `--unreached --self-test`
+compiles tools/lint_corpus/unreached/ (a library, a program and a test
+object) and checks that a function only the test object calls is
+reported (also when its own switch table in data points into its body:
+data relocations count only at a function's exact start), that one only
+a vtable holds passes, and that an allowlisted one passes with its
+reason while a stale entry is reported.
 
 Exit codes: 0 clean (or self-test pass, or graceful skip when objdump is
 missing), 1 findings (or self-test fail), 2 usage/setup error.
@@ -212,13 +251,28 @@ SYMTAB_RE = re.compile(
 # `call 12ab <sym+0x10>` / `jmp 0 <sym>` — same-object resolved targets.
 CALL_RE = re.compile(
     r"\b(?:call|jmp)[a-z]*\s+[0-9a-f]+\s+<([^>+]+)(?:\+0x[0-9a-f]+)?>")
+# `lea 0x976(%rip),%rax  # 1110 <sym>` — a same-section address taken
+# (a std::function storing its lambda's invoker), resolved like a call.
+LEA_RE = re.compile(
+    r"\blea\s+\S+\(%rip\),\S+\s+#\s+[0-9a-f]+\s+<([^>+]+)(?:\+0x[0-9a-f]+)?>")
 # Interleaved relocation lines — cross-object / external targets. The
 # operand is either `symbol-0x4` (target = symbol) or, for calls to local
 # functions in another section, `.text+0x1a0` (target = the function that
 # starts at, or else contains, section offset addend+4, resolved via the
-# symbol table).
+# symbol table). GOTPCREL forms load a function's address through the GOT
+# (position-independent code taking `&f`); they end an edge like a call.
 RELOC_RE = re.compile(
-    r"^\s+[0-9a-f]+:\s+R_X86_64_(?:PLT32|PC32)\s+(\S+?)(?:([+-])0x([0-9a-f]+))?$")
+    r"^\s+[0-9a-f]+:\s+R_X86_64_(?:PLT32|PC32|REX_GOTPCRELX|GOTPCRELX|GOTPCREL)"
+    r"\s+(\S+?)(?:([+-])0x([0-9a-f]+))?$")
+# `objdump -r` output: a section's relocation records, and an absolute
+# 64-bit address stored in data (a vtable slot, a function pointer in a
+# table, an .init_array entry).
+RELOC_SECTION_RE = re.compile(r"^RELOCATION RECORDS FOR \[(.+)\]:$")
+DATA_RELOC_RE = re.compile(
+    r"^[0-9a-f]+\s+R_X86_64_64\s+(\S+?)(?:([+-])0x([0-9a-f]+))?$")
+# Sections whose relocations are not data holding a function's address:
+# code (walked through `objdump -dr`), unwind tables and debug info.
+NOT_DATA = (".text", ".eh_frame", ".debug", ".gcc_except_table")
 
 
 def run(cmd: list[str]) -> str:
@@ -231,12 +285,15 @@ class CallGraph:
         self.edges: dict[str, set[str]] = {}   # mangled -> mangled callees
         self.defined: set[str] = set()
         self.alias: dict[str, str] = {}        # co-located symbol -> primary
+        self.section: dict[str, str] = {}      # function symbol -> section
         # Section-relative call relocations that name no function symbol:
         # mangled caller -> relocation operands. An edge the walk cannot
         # follow could hide an allocation, so reachable ones are reported.
         self.unresolved: dict[str, list[str]] = {}
 
-    def add_object(self, obj: Path) -> None:
+    def add_object(self, obj: Path) -> tuple[set[str], set[str]]:
+        """Add one object's functions and edges. Returns the functions it
+        defines and the symbols whose address its data holds."""
         # Symbol table first: group function symbols by (section, address)
         # so that when the disassembly names one symbol of a co-located
         # pair (C1/C2 ctors, D1/D2 dtors), references to the other still
@@ -244,14 +301,27 @@ class CallGraph:
         colocated: dict[tuple[str, str], list[str]] = {}
         by_offset: dict[tuple[str, int], str] = {}
         spans: dict[str, list[tuple[int, int, str]]] = {}
-        for line in run(["objdump", "-t", str(obj)]).splitlines():
+        data_relocs: list[tuple[str, int]] = []  # (symbol or section, addend)
+        section: str | None = None
+        for line in run(["objdump", "-tr", str(obj)]).splitlines():
             sm = SYMTAB_RE.match(line)
             if sm:
-                addr, section, size, name = sm.groups()
-                colocated.setdefault((section, addr), []).append(name)
-                by_offset.setdefault((section, int(addr, 16)), name)
-                spans.setdefault(section, []).append(
+                addr, sect, size, name = sm.groups()
+                self.section.setdefault(name, sect)
+                colocated.setdefault((sect, addr), []).append(name)
+                by_offset.setdefault((sect, int(addr, 16)), name)
+                spans.setdefault(sect, []).append(
                     (int(addr, 16), int(size, 16), name))
+                continue
+            hm = RELOC_SECTION_RE.match(line)
+            if hm:
+                section = hm.group(1)
+                continue
+            dm = DATA_RELOC_RE.match(line)
+            if dm and section is not None and not section.startswith(NOT_DATA):
+                base, sign, addend = dm.groups()
+                off = int(addend or "0", 16) * (-1 if sign == "-" else 1)
+                data_relocs.append((base, off))
 
         def function_at(section: str, off: int) -> str | None:
             if (section, off) in by_offset:
@@ -263,23 +333,36 @@ class CallGraph:
                     return name
             return None
 
+        # A vtable slot or function pointer holds a function's start. An
+        # address inside a function's body (a non-PIC jump table in
+        # .rodata) is control flow within it, not a reference, so data
+        # relocations resolve through exact starts only.
+        data_refs: set[str] = set()
+        for base, off in data_relocs:
+            target = by_offset.get((base, off)) if base.startswith(".") else base
+            if target is not None:
+                data_refs.add(target)
+
         out = run(["objdump", "-dr", "--no-show-raw-insn", str(obj)])
+        defined: set[str] = set()
         current: str | None = None
         # A call's displayed target is only real if no relocation follows
         # it: an unrelocated call shows its placeholder displacement, which
         # objdump labels with whatever symbol sits at that offset (often
         # some unrelated `.cold` clone) — a phantom edge.
         pending: str | None = None
+        pending_call = False  # only a call's relocation can go unresolved
         for line in out.splitlines():
             rm = RELOC_RE.match(line)
             if pending is not None and not rm and not pending.startswith(".L"):
                 self.edges[current].add(pending)
-            after_call = pending is not None
+            after_call = pending is not None and pending_call
             pending = None
             dm = DEFINE_RE.match(line)
             if dm:
                 current = dm.group(1)
                 self.defined.add(current)
+                defined.add(current)
                 # Weak/template symbols recur across objects; union edges.
                 self.edges.setdefault(current, set())
                 continue
@@ -302,8 +385,10 @@ class CallGraph:
                     self.edges[current].add(base)
                 continue
             cm = CALL_RE.search(line)
-            if cm:
-                pending = cm.group(1)
+            lm = None if cm else LEA_RE.search(line)
+            if cm or lm:
+                pending = (cm or lm).group(1)
+                pending_call = cm is not None
         if pending is not None and not pending.startswith(".L"):
             self.edges[current].add(pending)
         for group in colocated.values():
@@ -312,6 +397,7 @@ class CallGraph:
                 for name in group:
                     if name not in self.defined:
                         self.alias.setdefault(name, primaries[0])
+        return defined, data_refs
 
     def canon(self, sym: str) -> str:
         return self.alias.get(sym, sym)
@@ -422,6 +508,11 @@ def analyze(objects: list[Path], entry_patterns: list[str],
     }
 
 
+def resolve(path: str) -> Path:
+    p = Path(path)
+    return p if p.is_absolute() else REPO_ROOT / p
+
+
 def find_objects(build_dir: Path) -> list[Path]:
     lib_dir = build_dir / "CMakeFiles" / "beholder6.dir"
     if not lib_dir.is_dir():
@@ -455,6 +546,236 @@ def print_report(rep: dict, verbose: bool) -> None:
               f"function symbol; the walk cannot follow it from:")
         for i, frame in enumerate(u["chain"]):
             print(f"    {'  ' * min(i, 8)}{frame}")
+
+
+# ---- Unreached library functions (--unreached) ----------------------------
+
+UNREACHED_CORPUS = REPO_ROOT / "tools" / "lint_corpus" / "unreached"
+
+# The non-test programs of the main tree: CMake target directories whose
+# objects root the walk. b6bench comes from its own tree (--b6bench-dir).
+PROGRAM_GLOBS = ("bench_*", "example_*", "b6-*")
+
+# Library functions that no non-test program reaches and that stay anyway:
+# a demangled-name regex and the reason, printed on every run. An entry
+# that matches no unreached function is stale and fails the gate.
+UNREACHED_ALLOWLIST: list[tuple[str, str]] = [
+    (r"^beholder6::wire::decode_probe\(",
+     "test oracle for the probe encoder; it shares the private parse_probe "
+     "with decode_reply, so moving it into tests/support would export that "
+     "parser"),
+    (r"^beholder6::campaign::CampaignReactor::merged\(\)",
+     "the reactor's canonical merged stream (and its sort): the result "
+     "surface its determinism gates compare; b6bench names "
+     "ReactorOptions::collect_merged and turns it off"),
+]
+
+# GCC gives each function of vague linkage (inline, implicitly defined or a
+# template instantiation: header code) a COMDAT section named after it,
+# `.text._ZN...` (or `.text.unlikely._ZN...` for its cold part); a clone
+# of one gets `.text._ZN....constprop.0`. Functions defined in a .cpp go
+# to `.text`, `.text.unlikely`, `.text.startup` or `.text.hot`.
+VAGUE_LINKAGE_RE = re.compile(r"^\.text(?:\.unlikely|\.hot|\.startup)?\._Z")
+# GCC clone suffixes as c++filt prints them: `f(int) [clone .constprop.0]`.
+CLONE_RE = re.compile(r" \[clone [^\]]+\]")
+
+
+def namespace_symbol_re(namespace: str) -> re.Pattern[str]:
+    """Mangled names of functions in `namespace`: Itanium mangling opens
+    with the nested name (`N`, after `Z` for an entity local to a function,
+    with any K/V/R/O qualifiers), whose first component is the namespace."""
+    return re.compile(rf"^_ZZ?N[KVRO]*{len(namespace)}{namespace}")
+
+
+def find_unreached(library: list[Path], programs: list[Path], namespace: str,
+                   allowlist: list[tuple[str, str]],
+                   others: tuple[Path, ...] = ()) -> dict:
+    """Walk the call graph from every function the program objects define
+    and every function whose address any data holds (vtables included).
+    Report each function of `namespace` that a library object defines and
+    the walk does not reach. `others` (test objects, in the self-test) add
+    their edges but root nothing."""
+    graph = CallGraph()
+    library_defined: set[str] = set()
+    roots: set[str] = set()
+    for obj in library:
+        defined, data_refs = graph.add_object(obj)
+        library_defined |= defined
+        roots |= data_refs
+    for obj in programs:
+        defined, data_refs = graph.add_object(obj)
+        roots |= defined | data_refs
+    for obj in others:
+        graph.add_object(obj)
+
+    reached: set[str] = set()
+    queue = deque(graph.canon(r) for r in roots)
+    while queue:
+        sym = queue.popleft()
+        if sym in reached:
+            continue
+        reached.add(sym)
+        queue.extend(graph.canon(c) for c in graph.edges.get(sym, ()))
+
+    ns_re = namespace_symbol_re(namespace)
+    ours = sorted(s for s in library_defined if ns_re.match(s)
+                  and not VAGUE_LINKAGE_RE.match(graph.section.get(s, "")))
+    dem = demangle(ours)
+    # One source function, many symbols: C1/C2 constructors, D0/D1/D2
+    # destructors and .constprop/.isra/.part/.cold clones demangle alike
+    # once the clone suffix is gone. Reaching any of them reaches it.
+    functions: dict[str, bool] = {}
+    for sym in ours:
+        name = CLONE_RE.sub("", dem.get(sym, sym))
+        functions[name] = functions.get(name, False) or sym in reached
+    unreached = sorted(n for n, hit in functions.items() if not hit)
+
+    allow_res = [(re.compile(pat), pat, why) for pat, why in allowlist]
+    allowed: list[dict] = []
+    used: set[str] = set()
+    findings: list[str] = []
+    for name in unreached:
+        entry = next(((pat, why) for cre, pat, why in allow_res
+                      if cre.search(name)), None)
+        if entry is None:
+            findings.append(name)
+        else:
+            used.add(entry[0])
+            allowed.append({"function": name, "reason": entry[1]})
+    return {
+        "library_objects": len(library),
+        "program_objects": len(programs),
+        "library_functions": len(functions),
+        "reached": len(functions) - len(unreached),
+        "allowed": allowed,
+        "stale_allowlist": [pat for pat, _ in allowlist if pat not in used],
+        "findings": findings,
+    }
+
+
+def find_program_objects(build_dir: Path, b6bench_dir: Path
+                         ) -> tuple[list[Path], list[str]]:
+    """Objects of every non-test program, and what is missing."""
+    objects: list[Path] = []
+    missing: list[str] = []
+    targets = [(build_dir, pattern) for pattern in PROGRAM_GLOBS]
+    targets.append((b6bench_dir, "b6bench"))
+    for tree, pattern in targets:
+        found = sorted(o for d in (tree / "CMakeFiles").glob(pattern + ".dir")
+                       for o in d.rglob("*.o"))
+        if not found:
+            missing.append(f"{tree}/CMakeFiles/{pattern}.dir")
+        objects += found
+    return objects, missing
+
+
+def print_unreached_report(rep: dict) -> None:
+    print(f"check_noalloc --unreached: {rep['library_objects']} library and "
+          f"{rep['program_objects']} program object(s), "
+          f"{rep['library_functions']} library function(s), "
+          f"{rep['reached']} reached")
+    for a in rep["allowed"]:
+        print(f"  allowed: {a['function']}")
+        print(f"           reason: {a['reason']}")
+    for pat in rep["stale_allowlist"]:
+        print(f"  STALE ALLOWLIST ENTRY: {pat!r} matches no unreached "
+              f"function; delete it")
+    for name in rep["findings"]:
+        print(f"  UNREACHED: {name}")
+
+
+def run_unreached_self_test() -> int:
+    cxx = shutil.which("g++") or shutil.which("c++") or shutil.which("clang++")
+    if cxx is None:
+        print("self-test: no C++ compiler on PATH", file=sys.stderr)
+        return 1
+    objs: dict[str, Path] = {}
+    with tempfile.TemporaryDirectory() as td:
+        for part in ("library", "program", "test"):
+            src = UNREACHED_CORPUS / f"{part}.cpp"
+            if not src.exists():
+                print(f"self-test: fixture missing: {src}", file=sys.stderr)
+                return 1
+            objs[part] = Path(td) / f"{part}.o"
+            # -fno-pic: jump_table()'s switch then becomes a .rodata table
+            # of absolute addresses into its own body.
+            subprocess.run([cxx, "-O2", "-fno-inline", "-fno-pic",
+                            "-std=c++20", "-c", str(src), "-o",
+                            str(objs[part])], check=True)
+        rep = find_unreached(
+            [objs["library"]], [objs["program"]], "unreached_fixture",
+            [(r"unreached_fixture::allowlisted\(",
+              "fixture allowlist: kept on purpose"),
+             (r"unreached_fixture::gone\(", "fixture allowlist: stale")],
+            others=(objs["test"],))
+    print_unreached_report(rep)
+    failures = 0
+    if rep["findings"] != ["unreached_fixture::jump_table(int, int)",
+                           "unreached_fixture::test_only(int)"]:
+        print(f"self-test: FAIL — expected exactly jump_table(int, int) and "
+              f"test_only(int) reported, got {rep['findings']}")
+        failures += 1
+    else:
+        print("self-test: a function only a test object calls is reported, "
+              "also when a jump table in data points into its body [ok]")
+    if rep["allowed"] != [{"function": "unreached_fixture::allowlisted(int)",
+                           "reason": "fixture allowlist: kept on purpose"}]:
+        print(f"self-test: FAIL — the allowlisted function did not pass with "
+              f"its reason: {rep['allowed']}")
+        failures += 1
+    else:
+        print("self-test: the allowlisted function passes with its reason "
+              "[ok]")
+    if rep["stale_allowlist"] != [r"unreached_fixture::gone\("]:
+        print(f"self-test: FAIL — expected the entry for gone() reported "
+              f"stale, got {rep['stale_allowlist']}")
+        failures += 1
+    else:
+        print("self-test: an allowlist entry that matches nothing is stale "
+              "[ok]")
+    # No code calls Square::area; the program dispatches through the vtable.
+    if "unreached_fixture::Square::area() const" in rep["findings"]:
+        print("self-test: FAIL — the override that only a vtable holds was "
+              "reported")
+        failures += 1
+    else:
+        print("self-test: a function reached only through a vtable passes "
+              "[ok]")
+    if failures:
+        print(f"self-test: {failures} mismatch(es)", file=sys.stderr)
+        return 1
+    print("self-test: fixture verified")
+    return 0
+
+
+def run_unreached(args: argparse.Namespace) -> int:
+    build_dir = resolve(args.build_dir)
+    b6bench_dir = resolve(args.b6bench_dir)
+    library = find_objects(build_dir)
+    programs, missing = find_program_objects(build_dir, b6bench_dir)
+    if not library or missing:
+        for what in missing or [f"{build_dir}/CMakeFiles/beholder6.dir"]:
+            print(f"check_noalloc --unreached: no objects under {what}",
+                  file=sys.stderr)
+        print("  build every target of a tree configured with benches on, "
+              "and b6bench from benchmark/CMakeLists.txt (see the module "
+              "docstring)", file=sys.stderr)
+        return 2
+    rep = find_unreached(library, programs, "beholder6", UNREACHED_ALLOWLIST)
+    print_unreached_report(rep)
+    if args.report:
+        args.report.write_text(json.dumps(rep, indent=1) + "\n")
+        print(f"  report: {args.report}")
+    if rep["findings"] or rep["stale_allowlist"]:
+        print(f"\ncheck_noalloc --unreached: {len(rep['findings'])} library "
+              f"function(s) that no non-test program reaches and "
+              f"{len(rep['stale_allowlist'])} stale allowlist entry(ies). "
+              f"Delete the function, move it into tests/support if it is a "
+              f"test oracle, or allowlist it with a reason.")
+        return 1
+    print("check_noalloc --unreached: every library function is reached by "
+          "a non-test program or allowlisted")
+    return 0
 
 
 def run_self_test() -> int:
@@ -563,6 +884,13 @@ def main(argv: list[str]) -> int:
                     help="additional entry-point regex (demangled)")
     ap.add_argument("--self-test", action="store_true",
                     help="verify the analysis on the seeded fixture")
+    ap.add_argument("--unreached", action="store_true",
+                    help="report library functions that no non-test "
+                         "program reaches, instead of the hot-path walk")
+    ap.add_argument("--b6bench-dir", default="build-b6bench",
+                    help="with --unreached: the benchmark/CMakeLists.txt "
+                         "tree holding b6bench's objects "
+                         "(default: build-b6bench)")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
 
@@ -573,12 +901,13 @@ def main(argv: list[str]) -> int:
                   f"real)")
             return 0
 
+    if args.unreached:
+        return run_unreached_self_test() if args.self_test \
+            else run_unreached(args)
     if args.self_test:
         return run_self_test()
 
-    build_dir = Path(args.build_dir)
-    if not build_dir.is_absolute():
-        build_dir = REPO_ROOT / build_dir
+    build_dir = resolve(args.build_dir)
     cache = build_dir / "CMakeCache.txt"
     if cache.exists() and "-fno-inline" not in cache.read_text():
         print("check_noalloc: note — this build tree was not configured "

@@ -1,0 +1,8 @@
+// The fixture's one "program" (see fixture.hpp): it reaches used()
+// directly and Square::area() only through Shape's vtable.
+#include "fixture.hpp"
+
+int main(int argc, char**) {
+  const auto shape = unreached_fixture::make_square(argc);
+  return unreached_fixture::used(argc) + shape->area();
+}
