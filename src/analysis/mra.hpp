@@ -36,9 +36,6 @@ class MraAnalysis {
   /// Build from any address collection. Duplicates count once.
   explicit MraAnalysis(std::vector<Ipv6Addr> addrs);
 
-  /// Number of distinct input addresses.
-  [[nodiscard]] std::size_t size() const { return addrs_.size(); }
-
   /// All aggregates at a resolution (prefix length 0..128), in address
   /// order. O(n) over the sorted input.
   [[nodiscard]] std::vector<Aggregate> aggregates(unsigned plen) const;
@@ -59,12 +56,8 @@ class MraAnalysis {
     std::size_t isolated = 0;
     std::size_t sparse = 0;
     std::size_t dense = 0;
-    [[nodiscard]] std::size_t total() const { return isolated + sparse + dense; }
   };
   [[nodiscard]] ClassCounts class_counts(unsigned plen = 64) const;
-
-  /// The deduplicated, sorted input.
-  [[nodiscard]] const std::vector<Ipv6Addr>& addresses() const { return addrs_; }
 
  private:
   std::vector<Ipv6Addr> addrs_;  // sorted, unique

@@ -8,6 +8,10 @@ namespace {
 
 using beholder6::topology::Trace;
 
+// The §6 rules no caller varies, at the paper's values.
+constexpr unsigned kLcsTargetAsnHops = 1;  // C: LCS hops in the target's ASN
+constexpr unsigned kDsTargetAsnHops = 1;   // S: DS hops in the target's ASN
+
 /// Hop ASN via BGP origin of the hop's interface address, augmented with
 /// the RIR-registered prefixes for router space that is not announced
 /// (paper §6 complication (b)). Longest RIR match wins where BGP has none.
@@ -83,9 +87,9 @@ PathDivResult discover_by_path_div(
     auto asn_a = topo.origin(a.target), asn_b = topo.origin(b.target);
     if (asn_a) asn_a = params.canonical(*asn_a);
     if (asn_b) asn_b = params.canonical(*asn_b);
-    if (params.require_same_target_asn && (!asn_a || !asn_b || *asn_a != *asn_b))
-      continue;
-    const auto target_asn = asn_a;
+    // T: both targets in one ASN.
+    if (!asn_a || !asn_b || *asn_a != *asn_b) continue;
+    const simnet::Asn target_asn = *asn_a;
 
     const auto ha = a.router_hops(), hb = b.router_hops();
     if (ha.empty() || hb.empty()) continue;
@@ -96,45 +100,37 @@ PathDivResult discover_by_path_div(
     if (lcs < params.min_lcs_len) continue;
 
     // The LCS must be TTL-contiguous in both traces (no silent hops inside).
-    if (params.forbid_missing_in_lcs) {
-      const auto first_a = a.hops.begin()->first, first_b = b.hops.begin()->first;
-      if (!contiguous(a, first_a, static_cast<unsigned>(lcs)) ||
-          !contiguous(b, first_b, static_cast<unsigned>(lcs)) || first_a != first_b)
-        continue;
-    }
+    const auto first_a = a.hops.begin()->first, first_b = b.hops.begin()->first;
+    if (!contiguous(a, first_a, static_cast<unsigned>(lcs)) ||
+        !contiguous(b, first_b, static_cast<unsigned>(lcs)) || first_a != first_b)
+      continue;
 
     // C: at least this many LCS hops inside the target's ASN.
-    if (target_asn) {
-      unsigned in_asn = 0;
-      for (std::size_t k = 0; k < lcs; ++k)
-        in_asn += hop_asn(topo, params, ha[k]) == target_asn;
-      if (in_asn < params.lcs_target_asn_hops) continue;
-    }
+    unsigned in_asn = 0;
+    for (std::size_t k = 0; k < lcs; ++k)
+      in_asn += hop_asn(topo, params, ha[k]) == target_asn;
+    if (in_asn < kLcsTargetAsnHops) continue;
 
-    // Divergent suffixes.
+    // Divergent suffixes; z = 0: neither may be empty.
     const std::size_t dsa = ha.size() - lcs, dsb = hb.size() - lcs;
-    if (params.forbid_empty_ds && (dsa == 0 || dsb == 0)) continue;
+    if (dsa == 0 || dsb == 0) continue;
     if (dsa < params.min_ds_len || dsb < params.min_ds_len) continue;
 
     // S: DS hops in the target's ASN.
-    if (target_asn) {
-      unsigned sa = 0, sb = 0;
-      for (std::size_t k = lcs; k < ha.size(); ++k)
-        sa += hop_asn(topo, params, ha[k]) == target_asn;
-      for (std::size_t k = lcs; k < hb.size(); ++k)
-        sb += hop_asn(topo, params, hb[k]) == target_asn;
-      if (sa < params.ds_target_asn_hops || sb < params.ds_target_asn_hops) continue;
-    }
+    unsigned sa = 0, sb = 0;
+    for (std::size_t k = lcs; k < ha.size(); ++k)
+      sa += hop_asn(topo, params, ha[k]) == target_asn;
+    for (std::size_t k = lcs; k < hb.size(); ++k)
+      sb += hop_asn(topo, params, hb[k]) == target_asn;
+    if (sa < kDsTargetAsnHops || sb < kDsTargetAsnHops) continue;
 
     // A: last hops must have left the vantage ASN (canonicalized, so a
     // vantage homed in one sibling of an equivalent-ASN family is treated
     // as inside the whole family).
-    if (params.last_hop_not_vantage_asn) {
-      const auto vasn = params.canonical(vantage.asn);
-      if (hop_asn(topo, params, ha.back()) == vasn ||
-          hop_asn(topo, params, hb.back()) == vasn)
-        continue;
-    }
+    const auto vasn = params.canonical(vantage.asn);
+    if (hop_asn(topo, params, ha.back()) == vasn ||
+        hop_asn(topo, params, hb.back()) == vasn)
+      continue;
 
     ++result.pairs_divergent;
     const unsigned dpl = a.target.common_prefix_len(b.target) + 1;

@@ -32,16 +32,14 @@
 
 namespace beholder6::analysis {
 
-/// The paper's §6 parameter block, defaults as published.
+/// The settable part of the paper's §6 rules, defaults as published. The
+/// rest hold at their published values in discover_by_path_div: C = 1 and
+/// S = 1 target-ASN hops in the LCS and in each DS, no gaps inside the
+/// LCS, A (last hops outside the vantage ASN), z = 0 (no empty DS) and T
+/// (both targets in one ASN).
 struct PathDivParams {
   unsigned min_lcs_len = 2;        // c: LCS must have at least this many hops
-  unsigned lcs_target_asn_hops = 1;  // C: LCS hops whose ASN matches target's
-  bool forbid_missing_in_lcs = true;  // no gaps inside the LCS
-  unsigned last_hop_not_vantage_asn = 1;  // A: last hop ASN != vantage ASN
   unsigned min_ds_len = 1;         // s: each divergent suffix length
-  unsigned ds_target_asn_hops = 1;  // S: DS hops whose ASN matches target's
-  bool forbid_empty_ds = true;     // z = 0: no zero-length DS
-  bool require_same_target_asn = true;  // T: both targets in one ASN
 
   // §6 complications the paper works around by augmenting BGP data:
   //

@@ -28,10 +28,6 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
     return {AdmitResult::kRejectedBadSpec, {}};
   if (in_flight_.contains(spec.tenant))
     return {AdmitResult::kRejectedDuplicateTenant, {}};
-  if (in_flight_.size() >= options_.max_campaigns)
-    return {AdmitResult::kRejectedCampaignLimit, {}};
-  if (spec.probe_budget > options_.max_reserved_probes - reserved_)
-    return {AdmitResult::kRejectedBudgetLimit, {}};
 
   // Grow the shared snapshot before the replica exists: every replica of
   // this (and any later) campaign starts with these routes hot.
@@ -64,7 +60,6 @@ Admission CampaignReactor::submit(const CampaignSpec& spec) {
   reschedule(c);
 
   in_flight_.insert(spec.tenant);
-  reserved_ += spec.probe_budget;
   campaigns_.push_back(std::move(owner));
   return {AdmitResult::kAdmitted, {spec.tenant, campaigns_.size()}};
 }
@@ -80,7 +75,6 @@ CampaignReactor::Campaign* CampaignReactor::find(CampaignHandle h) const {
 void CampaignReactor::settle(Campaign& c) {
   if (c.state == CampaignState::kRunning) return;
   in_flight_.erase(c.spec.tenant);
-  reserved_ -= c.spec.probe_budget;
   // Freeze the totals, then free what only a live campaign reads.
   c.totals = c.live->pacer.stats();
   c.live.reset();
@@ -106,15 +100,13 @@ void CampaignReactor::run_slot(Campaign& c, std::uint64_t slot_due) {
   const std::uint64_t sent = l.pacer.stats().probes_sent;
   const bool exhausted = !l.pacer.step(l.net, probe_buf_);
 
-  // Account this step's probes against the tenant's bucket and budget, at
-  // the slot's own due time — tenant-local arithmetic only, which is what
-  // keeps every tenant's timeline equal to its solo run.
+  // Debit this step's probes from the tenant's bucket at the slot's own due
+  // time — tenant-local arithmetic only, which is what keeps every
+  // tenant's timeline equal to its solo run.
   const std::uint64_t probes = l.pacer.stats().probes_sent;
   if (c.throttled && probes != sent)
     c.bucket.debit(c.budget(), static_cast<double>(probes - sent), slot_due);
-  if (c.spec.probe_budget != 0 && probes >= c.spec.probe_budget)
-    c.state = CampaignState::kBudgetExhausted;
-  else if (exhausted)
+  if (exhausted)
     c.state = CampaignState::kFinished;
   else
     reschedule(c);

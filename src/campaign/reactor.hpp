@@ -9,8 +9,9 @@
 // streams results incrementally per tenant — while keeping the repo's One
 // Rule: results are a pure function of the submitted specs, never of
 // wall-clock or submission order among simultaneous submits. Like
-// netsim's Sim, it has no control plane: a campaign runs from its submit
-// until its source exhausts or its probe budget is spent.
+// netsim's Sim, it has no control plane and no second policy layer: a
+// campaign runs from its submit until its source exhausts, and admission
+// only checks that the spec is well formed and its tenant id is free.
 //
 // Architecture: every campaign is one source with its own Network replica
 // (shared immutable tier — Topology, params block, warmed read-only route
@@ -49,9 +50,7 @@
 // reactor_property_test.cpp hold the solo-run and submission-order gates.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -65,9 +64,9 @@
 
 namespace beholder6::campaign {
 
-/// One tenant's campaign submission: identity, work, pacing, service-level
-/// throttle and probe budget. The source must be pristine (constructed,
-/// never begun) and, like the sink, outlive the campaign.
+/// One tenant's campaign submission: identity, work, pacing and
+/// service-level throttle. The source must be pristine (constructed, never
+/// begun) and, like the sink, outlive the campaign.
 struct CampaignSpec {
   /// Caller-chosen tenant identity. Ties in the schedule resolve on it, so
   /// it must be unique among in-flight campaigns (submit rejects
@@ -81,17 +80,11 @@ struct CampaignSpec {
   /// usual sink contract applies — observe and record, never inject.
   ResponseSink sink;
   /// Service-level throttle: this tenant's share of the *global* virtual
-  /// clock, as a token bucket (tokens/s, capacity). <= 0 disables. The
-  /// throttle defers the tenant's global slots only; its local virtual
-  /// timeline — and therefore its replies — stay byte-identical to an
-  /// unthrottled solo run.
+  /// clock, as a token bucket of `rate_limit_pps` tokens/s and capacity 1.
+  /// <= 0 disables. The throttle defers the tenant's global slots only;
+  /// its local virtual timeline — and therefore its replies — stay
+  /// byte-identical to an unthrottled solo run.
   double rate_limit_pps = 0.0;
-  double rate_limit_burst = 1.0;
-  /// Probes this campaign may send, 0 = unlimited. Reserved against
-  /// ReactorOptions::max_reserved_probes at admission, released at
-  /// retirement, and enforced as a hard cap: reaching it retires the
-  /// campaign deterministically.
-  std::uint64_t probe_budget = 0;
 };
 
 /// Ticket for one admitted campaign. `nonce` is the admission index plus
@@ -100,19 +93,16 @@ struct CampaignSpec {
 struct CampaignHandle {
   std::uint64_t tenant = 0;
   std::uint64_t nonce = 0;  // 0 = invalid
-  [[nodiscard]] bool valid() const { return nonce != 0; }
   friend bool operator==(const CampaignHandle&, const CampaignHandle&) = default;
 };
 
 /// Why submit() answered as it did. Rejections are deterministic: a pure
-/// function of the admission ledger (active campaigns, reserved probes) at
-/// the submit — never of wall-clock or heap state.
+/// function of the spec and the tenant ids in flight at the submit — never
+/// of wall-clock or heap state.
 enum class AdmitResult : std::uint8_t {
   kAdmitted,
   kRejectedBadSpec,          // null source, non-finite or non-positive pps
   kRejectedDuplicateTenant,  // tenant id already in flight
-  kRejectedCampaignLimit,    // would exceed max_campaigns
-  kRejectedBudgetLimit,      // would exceed max_reserved_probes
 };
 
 /// submit()'s answer: the outcome plus a handle valid iff admitted.
@@ -122,12 +112,11 @@ struct Admission {
   [[nodiscard]] bool admitted() const { return result == AdmitResult::kAdmitted; }
 };
 
-/// Campaign lifecycle. Running is live; the rest are terminal (budget
-/// reservation released, stats frozen, Pacers and replicas freed).
+/// Campaign lifecycle. Running is live; finished is terminal (the source
+/// exhausted: stats frozen, Pacer and replica freed).
 enum class CampaignState : std::uint8_t {
   kRunning,
-  kFinished,          // the source exhausted
-  kBudgetExhausted,   // probe_budget cap hit: deterministic forced retirement
+  kFinished,
 };
 
 /// One merged-stream element. `slot_us` is the *scheduled* global send
@@ -145,12 +134,8 @@ struct ReactorReply {
   wire::DecodedReply reply;
 };
 
-/// Service configuration: admission ceilings and merged-stream collection.
+/// Service configuration.
 struct ReactorOptions {
-  /// Admission control: campaigns in flight.
-  std::size_t max_campaigns = std::numeric_limits<std::size_t>::max();
-  /// Admission control: sum of in-flight probe_budget reservations.
-  std::uint64_t max_reserved_probes = std::numeric_limits<std::uint64_t>::max();
   /// Keep the canonical merged stream in memory (merged()). Per-tenant
   /// sinks fire either way; large services stream per tenant and turn
   /// this off.
@@ -200,11 +185,6 @@ class CampaignReactor {
   /// boundary.
   bool step();
 
-  [[nodiscard]] std::uint64_t now_us() const { return now_us_; }
-  /// True when step() would return false.
-  [[nodiscard]] bool idle() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t active_campaigns() const { return in_flight_.size(); }
-  [[nodiscard]] std::uint64_t reserved_probes() const { return reserved_; }
   /// Routes resolved into the shared snapshot so far.
   [[nodiscard]] std::uint64_t warmed_routes() const { return warmed_routes_; }
 
@@ -236,8 +216,9 @@ class CampaignReactor {
     std::uint64_t next_seq = 0;  // per-tenant reply arrival index
   };
 
-  /// A campaign's scheduling and ledger state. Once retired it keeps only
-  /// what handles read: the state and ledger fields and the frozen totals.
+  /// A campaign's scheduling state. Once retired it keeps only what
+  /// handles read: the spec without its sink, the state and the frozen
+  /// totals.
   /// settle() frees the Live block and the sink copy; a null `live` marks
   /// a settled campaign.
   struct Campaign {
@@ -252,7 +233,7 @@ class CampaignReactor {
 
     /// The service throttle's budget, derived from the spec at each use.
     [[nodiscard]] simnet::TokenBucket::Budget budget() const {
-      return {spec.rate_limit_pps, std::max(1.0, spec.rate_limit_burst)};
+      return {spec.rate_limit_pps, 1.0};
     }
   };
 
@@ -289,7 +270,6 @@ class CampaignReactor {
   // h[0..2], the next slots to run.
   std::vector<GSlot> heap_;
   std::uint64_t now_us_ = 0;
-  std::uint64_t reserved_ = 0;
 
   std::vector<ReactorReply> merged_;
   bool merged_dirty_ = false;

@@ -70,31 +70,20 @@ namespace beholder6::netbase {
 /// std::mutex carrying the `capability` attribute.
 class B6_CAPABILITY("mutex") Mutex {
  public:
-  void lock() B6_ACQUIRE() { mu_.lock(); }
-  void unlock() B6_RELEASE() { mu_.unlock(); }
-  bool try_lock() B6_THREAD_ANNOTATION(try_acquire_capability(true)) {
-    return mu_.try_lock();
-  }
-
-  /// The wrapped mutex, for APIs that need the native handle. Calls made
-  /// through it are invisible to the analysis — prefer the wrappers.
+  /// The wrapped mutex, for MutexLock. Calls made through it are invisible
+  /// to the analysis — lock with MutexLock.
   std::mutex& native() { return mu_; }
 
  private:
   std::mutex mu_;
 };
 
-/// Scoped exclusive lock over Mutex, relockable (lock()/unlock() pairs mid
-/// scope) — the shape the condition-variable wait protocol needs.
+/// Scoped exclusive lock over Mutex, held for the whole scope; CondVar::wait
+/// releases and re-takes it internally.
 class B6_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mu) B6_ACQUIRE(mu) : lock_(mu.native()) {}
   ~MutexLock() B6_RELEASE() = default;
-
-  /// Drop the lock mid-scope (e.g. to run a work unit outside it).
-  void unlock() B6_RELEASE() { lock_.unlock(); }
-  /// Re-take it before touching guarded state again.
-  void lock() B6_ACQUIRE() { lock_.lock(); }
 
   /// The wrapped lock, for std::condition_variable::wait. The analysis
   /// treats the wait as a no-op on the capability, which matches the
@@ -112,7 +101,6 @@ class B6_SCOPED_CAPABILITY MutexLock {
 class CondVar {
  public:
   void wait(MutexLock& lock) { cv_.wait(lock.native()); }
-  void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }
 
  private:

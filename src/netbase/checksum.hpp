@@ -1,5 +1,5 @@
-// netbase/checksum.hpp — RFC 1071 Internet checksum and the ICMPv6 / TCP /
-// UDP pseudo-header checksum over IPv6 (RFC 8200 §8.1).
+// netbase/checksum.hpp — RFC 1071 Internet checksum, accumulated over the
+// ICMPv6 / TCP / UDP pseudo-header by the wire encoders (RFC 8200 §8.1).
 //
 // Yarrp6 depends on checksums twice: (1) transport checksums must stay
 // constant per target so per-flow load balancers see one flow — achieved via
@@ -74,20 +74,6 @@ class ChecksumAccumulator {
 [[nodiscard]] inline std::uint16_t internet_checksum(std::span<const std::uint8_t> data) {
   ChecksumAccumulator acc;
   acc.add(data);
-  return acc.finish();
-}
-
-/// Transport checksum over the IPv6 pseudo-header (src, dst, length,
-/// next-header) plus the transport payload. Used for ICMPv6, TCP and UDP.
-[[nodiscard]] inline std::uint16_t pseudo_header_checksum(
-    const Ipv6Addr& src, const Ipv6Addr& dst, std::uint8_t next_header,
-    std::span<const std::uint8_t> transport) {
-  ChecksumAccumulator acc;
-  acc.add(src.bytes());
-  acc.add(dst.bytes());
-  acc.add_u32(static_cast<std::uint32_t>(transport.size()));
-  acc.add_u16(next_header);
-  acc.add(transport);
   return acc.finish();
 }
 

@@ -19,7 +19,7 @@
 // A block mapped here goes back to the kernel on deallocate, at once.
 //
 // Mapped blocks bypass operator new, so allocation-counting hooks do not
-// see them; mapped_bytes() and mappings() count them instead.
+// see them; detail::g_mapped_bytes and g_mappings count them instead.
 //
 // Stateless std-allocator; small allocations fall through to operator new,
 // and non-Linux builds compile to exactly that fallback plus alignment.
@@ -45,22 +45,11 @@ inline constexpr std::size_t kHugeThreshold = std::size_t{1} << 20;  // 1 MB
 inline constexpr std::size_t kHugeAlign = std::size_t{2} << 20;      // 2 MB
 
 namespace detail {
+
+// Bytes held in mappings made by HugePageAllocator right now (whole 2 MB-
+// padded extents), and mappings it has ever made. Both stay 0 off Linux.
 inline std::atomic<std::size_t> g_mapped_bytes{0};
 inline std::atomic<std::uint64_t> g_mappings{0};
-}  // namespace detail
-
-/// Bytes held in mappings made by HugePageAllocator right now (whole
-/// 2 MB-padded extents). Always 0 off Linux.
-inline std::size_t mapped_bytes() {
-  return detail::g_mapped_bytes.load(std::memory_order_relaxed);
-}
-
-/// Mappings HugePageAllocator has ever made. Always 0 off Linux.
-inline std::uint64_t mappings() {
-  return detail::g_mappings.load(std::memory_order_relaxed);
-}
-
-namespace detail {
 
 inline std::size_t huge_extent(std::size_t bytes) {
   return (bytes + kHugeAlign - 1) & ~(kHugeAlign - 1);

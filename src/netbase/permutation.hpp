@@ -4,8 +4,7 @@
 // pseudo-random order without storing it. We implement a balanced Feistel
 // network over the smallest even-bit-width domain covering n, and
 // cycle-walk values that land outside [0, n). Every value in [0, n) is
-// visited exactly once, and the permutation is invertible, so the prober
-// needs no per-probe state at all.
+// visited exactly once, so the prober needs no per-probe state at all.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +37,6 @@ class Permutation {
     return v;
   }
 
-  /// Inverse of map().
-  [[nodiscard]] std::uint64_t unmap(std::uint64_t v) const {
-    if (v >= n_) throw std::out_of_range("Permutation::unmap");
-    std::uint64_t i = decrypt(v);
-    while (i >= n_) i = decrypt(i);
-    return i;
-  }
-
  private:
   static constexpr unsigned kRounds = 4;
 
@@ -61,16 +52,6 @@ class Permutation {
       const std::uint64_t nl = r;
       r = l ^ feistel_f(r, i);
       l = nl;
-    }
-    return (l << half_bits_) | r;
-  }
-
-  [[nodiscard]] std::uint64_t decrypt(std::uint64_t x) const {
-    std::uint64_t l = x >> half_bits_, r = x & mask();
-    for (unsigned i = kRounds; i-- > 0;) {
-      const std::uint64_t nr = l;
-      l = r ^ feistel_f(l, i);
-      r = nr;
     }
     return (l << half_bits_) | r;
   }

@@ -26,11 +26,6 @@ class Prefix {
     return a.common_prefix_len(base_) >= len_;
   }
 
-  /// True iff `o` is equal to or more specific than this prefix.
-  [[nodiscard]] bool covers(const Prefix& o) const {
-    return o.len_ >= len_ && contains(o.base_);
-  }
-
   [[nodiscard]] std::string to_string() const {
     return base_.to_string() + "/" + std::to_string(len_);
   }
@@ -40,12 +35,6 @@ class Prefix {
  private:
   Ipv6Addr base_;
   unsigned len_;
-};
-
-struct PrefixHash {
-  std::size_t operator()(const Prefix& p) const noexcept {
-    return Ipv6AddrHash{}(p.base()) * 131 + p.len();
-  }
 };
 
 }  // namespace beholder6

@@ -4,12 +4,12 @@
 // ground-truth subnet lookup.
 //
 // Layout: the prefixes sorted by (base, length), which is a binary trie's
-// pre-order, so for_each and subtree read contiguous runs of it; plus one
-// open-addressing index from (masked address, length) to value. lpm probes
-// the index once per distinct prefix length present, longest first: a few
-// hash lookups instead of a walk of up to 128 nodes. The index mixes the
-// masked 64-bit halves with splitmix64, not Ipv6AddrHash: that hash's
-// byte-wise FNV costs more than a bit-per-level trie walk.
+// pre-order, so for_each visits a covering prefix before what it covers;
+// plus one open-addressing index from (masked address, length) to value.
+// lpm probes the index once per distinct prefix length present, longest
+// first: a few hash lookups instead of a walk of up to 128 nodes. The
+// index mixes the masked 64-bit halves with splitmix64, not Ipv6AddrHash:
+// that hash's byte-wise FNV costs more than a bit-per-level trie walk.
 #pragma once
 
 #include <algorithm>
@@ -75,17 +75,6 @@ class RadixTrie {
   template <typename F>
   void for_each(F f) const {
     for (const auto& p : sorted_) f(p, *find(p));
-  }
-
-  /// All entries whose prefix is covered by `p` (including `p` itself), in
-  /// for_each order.
-  [[nodiscard]] std::vector<std::pair<Prefix, V>> subtree(const Prefix& p) const {
-    std::vector<std::pair<Prefix, V>> out;
-    // Pre-order puts exactly the covered entries in one run from `p` on.
-    for (auto it = std::lower_bound(sorted_.begin(), sorted_.end(), p);
-         it != sorted_.end() && p.covers(*it); ++it)
-      out.emplace_back(*it, *find(*it));
-    return out;
   }
 
   [[nodiscard]] std::size_t size() const { return sorted_.size(); }

@@ -1,4 +1,4 @@
-// netbase/rng.hpp — deterministic, splittable PRNG used across the library.
+// netbase/rng.hpp — deterministic PRNG used across the library.
 //
 // All stochastic behaviour in beholder6 (topology generation, seed sampling,
 // permutation keys) is driven by SplitMix64/Xoshiro256** so campaigns are
@@ -59,12 +59,6 @@ class Rng {
 
   /// True with probability p.
   constexpr bool chance(double p) { return uniform() < p; }
-
-  /// Derive an independent child generator; children with distinct tags are
-  /// statistically independent of each other and the parent.
-  [[nodiscard]] constexpr Rng split(std::uint64_t tag) const {
-    return Rng{splitmix64(s_[0] ^ splitmix64(tag ^ s_[3]))};
-  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

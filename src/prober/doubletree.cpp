@@ -42,7 +42,6 @@ void SnapshotStopSet::merge_epoch() {
     for (const auto& addr : delta.inserts) frozen_.insert(addr);
     delta.inserts.clear();  // keeps capacity: next epoch inserts allocate-free
   }
-  ++epoch_no_;
   if (publish_ != nullptr && !published_ &&
       std::all_of(deltas_.begin(), deltas_.end(),
                   [](const Delta& d) { return d.exhausted; })) {

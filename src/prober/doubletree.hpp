@@ -115,13 +115,6 @@ class SnapshotStopSet final : public campaign::EpochBarrier {
   /// frozen set in canonical child order, clear them, open the next epoch.
   void merge_epoch() override;
 
-  /// Completed barrier merges so far (the current epoch number).
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_no_; }
-  /// Size of the frozen epoch set (excludes unmerged deltas).
-  [[nodiscard]] std::size_t frozen_size() const { return frozen_.size(); }
-  /// Number of child deltas in the family.
-  [[nodiscard]] std::size_t children() const { return deltas_.size(); }
-
  private:
   using Flat = netbase::FlatSet<Ipv6Addr, Ipv6AddrHash>;
   /// One child's private epoch delta. Cache-line aligned so concurrent
@@ -134,7 +127,6 @@ class SnapshotStopSet final : public campaign::EpochBarrier {
   Flat frozen_;                // immutable during an epoch
   std::vector<Delta> deltas_;  // delta j written only by child j
   StopSet* publish_;           // serial set to fold into at the end
-  std::uint64_t epoch_no_ = 0;
   bool published_ = false;
 };
 

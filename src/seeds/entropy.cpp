@@ -24,6 +24,10 @@ std::uint64_t NybbleStats::total() const {
 
 namespace {
 
+// Thresholds (bits/nybble) separating the three segment kinds.
+constexpr double kConstantBelow = 0.05;
+constexpr double kRandomAbove = 3.0;
+
 /// Pack the nybbles [first, last] of `a` into a u64 key (<= 16 nybbles per
 /// segment; longer runs are split by the segmentation pass).
 std::uint64_t pack_segment(const Ipv6Addr& a, unsigned first, unsigned last) {
@@ -34,28 +38,29 @@ std::uint64_t pack_segment(const Ipv6Addr& a, unsigned first, unsigned last) {
 
 }  // namespace
 
-EntropyModel EntropyModel::fit(const std::vector<Ipv6Addr>& addrs, Params params) {
+EntropyModel EntropyModel::fit(const std::vector<Ipv6Addr>& addrs) {
   EntropyModel model;
   model.n_ = addrs.size();
   if (addrs.empty()) return model;
 
+  std::array<NybbleStats, 32> stats{};
   for (const auto& a : addrs)
-    for (unsigned i = 0; i < 32; ++i) ++model.stats_[i].counts[a.nybble(i)];
+    for (unsigned i = 0; i < 32; ++i) ++stats[i].counts[a.nybble(i)];
 
-  auto kind_of = [&](double h) {
-    if (h <= params.constant_below) return Segment::Kind::kConstant;
-    if (h >= params.random_above) return Segment::Kind::kRandom;
+  auto kind_of = [](double h) {
+    if (h <= kConstantBelow) return Segment::Kind::kConstant;
+    if (h >= kRandomAbove) return Segment::Kind::kRandom;
     return Segment::Kind::kValueSet;
   };
 
   // Segment nybbles into runs of one kind, capped at 16 nybbles so joint
   // values pack into a u64.
   for (unsigned i = 0; i < 32;) {
-    const auto kind = kind_of(model.stats_[i].entropy());
+    const auto kind = kind_of(stats[i].entropy());
     unsigned j = i;
     double sum = 0;
-    while (j < 32 && kind_of(model.stats_[j].entropy()) == kind && j - i < 16) {
-      sum += model.stats_[j].entropy();
+    while (j < 32 && kind_of(stats[j].entropy()) == kind && j - i < 16) {
+      sum += stats[j].entropy();
       ++j;
     }
     Segment seg;

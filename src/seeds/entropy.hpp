@@ -45,22 +45,11 @@ struct Segment {
 
 class EntropyModel {
  public:
-  /// Thresholds (bits/nybble) separating the three segment kinds.
-  struct Params {
-    double constant_below = 0.05;
-    double random_above = 3.0;
-  };
-
   /// Fit the model to a list of addresses. Empty input yields an empty
   /// model that generates nothing.
-  static EntropyModel fit(const std::vector<Ipv6Addr>& addrs, Params params);
-  static EntropyModel fit(const std::vector<Ipv6Addr>& addrs) {
-    return fit(addrs, Params{});
-  }
+  static EntropyModel fit(const std::vector<Ipv6Addr>& addrs);
 
-  [[nodiscard]] const std::array<NybbleStats, 32>& nybbles() const { return stats_; }
   [[nodiscard]] const std::vector<Segment>& segments() const { return segments_; }
-  [[nodiscard]] std::size_t fitted_on() const { return n_; }
 
   /// Generate `count` candidate addresses: constant segments reproduce
   /// their value, value-set segments sample *joint* observed segment values
@@ -73,7 +62,6 @@ class EntropyModel {
                                                 const std::string& name) const;
 
  private:
-  std::array<NybbleStats, 32> stats_{};
   std::vector<Segment> segments_;
   // Joint observed values per segment (by segment index): each entry is the
   // segment's nybble string packed into a u64 with its observation weight.

@@ -105,8 +105,6 @@ class DynamicsSchedule {
   [[nodiscard]] const std::vector<DynamicsEvent>& events() const {
     return events_;
   }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
 
   /// Oracle knob for the property suite: when true, every kEcmpReconverge
   /// flushes the Network's whole private route cache instead of only the

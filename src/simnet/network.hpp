@@ -125,15 +125,6 @@ struct NetworkStats {
   /// oracle drops more — with byte-identical replies either way.
   std::uint64_t route_invalidations = 0;
 
-  [[nodiscard]] std::uint64_t dest_unreach_total() const {
-    std::uint64_t s = 0;
-    for (auto v : dest_unreach) s += v;
-    return s;
-  }
-  [[nodiscard]] std::uint64_t responses() const {
-    return time_exceeded + echo_replies + dest_unreach_total();
-  }
-
   /// Accumulate another campaign's counters (cross-campaign reporting).
   NetworkStats& operator+=(const NetworkStats& o) {
     probes += o.probes;

@@ -50,7 +50,6 @@ class PacketPool {
   }
 
   [[nodiscard]] std::size_t size() const { return live_; }
-  [[nodiscard]] bool empty() const { return live_ == 0; }
 
   /// Forget the live packets but keep every slot's storage for reuse.
   void clear() { live_ = 0; }

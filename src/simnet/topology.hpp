@@ -157,7 +157,6 @@ class Topology {
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
-  [[nodiscard]] const TopologyParams& params() const { return params_; }
   [[nodiscard]] const std::vector<AsInfo>& ases() const { return ases_; }
   [[nodiscard]] const AsInfo* as(Asn asn) const;
   [[nodiscard]] const RadixTrie<Asn>& bgp() const { return bgp_; }

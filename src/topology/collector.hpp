@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -50,11 +49,6 @@ class TtlHopMap {
     return it != end() && it->first == ttl ? it : end();
   }
   [[nodiscard]] bool contains(std::uint8_t ttl) const { return find(ttl) != end(); }
-  [[nodiscard]] const TraceHop& at(std::uint8_t ttl) const {
-    const auto it = find(ttl);
-    if (it == end()) throw std::out_of_range("TtlHopMap::at");
-    return it->second;
-  }
 
   [[nodiscard]] const_iterator begin() const { return first_; }
   [[nodiscard]] const_iterator end() const { return first_ + n_; }

@@ -31,15 +31,8 @@ class LinkGraph {
 
   void add_link(const Ipv6Addr& a, const Ipv6Addr& b);
 
-  [[nodiscard]] const std::set<Link>& links() const { return links_; }
   [[nodiscard]] std::size_t node_count() const { return degree_.size(); }
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
-
-  /// Degree of one interface (0 if unseen).
-  [[nodiscard]] std::size_t degree(const Ipv6Addr& a) const {
-    const auto it = degree_.find(a);
-    return it == degree_.end() ? 0 : it->second;
-  }
 
   /// Maximum degree across the graph — high-degree nodes are the shared
   /// near-vantage and core routers.

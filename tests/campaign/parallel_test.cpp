@@ -38,6 +38,7 @@
 #include "prober/yarrp6.hpp"
 #include "support/big_echo.hpp"
 #include "support/conservation.hpp"
+#include "support/mapped.hpp"
 #include "support/throwing_source.hpp"
 
 namespace beholder6::campaign {
@@ -595,14 +596,15 @@ TEST_F(ParallelCampaignTest, ThrowingMergeSinkLeavesNoMappingBehind) {
     family.shard.sink = [&](const wire::DecodedReply&) {
       if (++delivered == 60'000) throw std::runtime_error{"sink failed"};
     };
-    const auto mapped_before = netbase::mapped_bytes();
+    const auto mapped_before = test_support::mapped_bytes();
     const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, threads};
     EXPECT_THROW((void)runner.run({family.shard}, {.collect_replies = true,
                                                    .split_factor = kMergeSplit}),
                  std::runtime_error)
         << threads << " threads";
     EXPECT_EQ(delivered, 60'000u);
-    EXPECT_EQ(netbase::mapped_bytes(), mapped_before) << threads << " threads";
+    EXPECT_EQ(test_support::mapped_bytes(), mapped_before)
+        << threads << " threads";
   }
 }
 

@@ -1,5 +1,5 @@
 // The reactor's memory follows its live tenants. A settled campaign keeps
-// only a small shell (handle state, ledger fields, frozen stats), not the
+// only a small shell (handle state, spec, frozen stats), not the
 // Network replica and Pacer it ran on; a live tenant whose routes miss the
 // shared snapshot (its source names no warm targets, or a re-convergence
 // bumped its cells) pays for the routes it resolves, not for a large first
@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "campaign/reactor.hpp"
-#include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
 #include "support/drain.hpp"
+#include "support/mapped.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocs{0};
@@ -60,7 +60,8 @@ void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 // Over-aligned forms: the route cache's alignas(64) slots allocate
 // through these. Tables of 1 MB or more are mappings of their own
-// (netbase::HugePageAllocator); live_bytes() adds netbase::mapped_bytes().
+// (netbase::HugePageAllocator); live_bytes() adds
+// test_support::mapped_bytes().
 void* operator new(std::size_t n, std::align_val_t al) {
   const auto a = static_cast<std::size_t>(al);
   return counted(std::aligned_alloc(a, (n + a - 1) & ~(a - 1)));
@@ -84,7 +85,7 @@ namespace {
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed) +
-         static_cast<std::int64_t>(netbase::mapped_bytes());
+         static_cast<std::int64_t>(test_support::mapped_bytes());
 }
 
 /// A yarrp6 source that names no warm targets: every route its tenant
@@ -209,7 +210,7 @@ class ReactorMemoryTest : public ::testing::Test {
 
 TEST_F(ReactorMemoryTest, SettledCampaignsRetainOnlyTheirShells) {
   // A settled campaign keeps its Campaign shell and its slot in the
-  // reactor's campaign table: 242 bytes per campaign here, the table's
+  // reactor's campaign table: 224 bytes per campaign here, the table's
   // growth in the second round included. Kept replicas and Pacers would
   // leave several KiB per campaign, and yarrp6's per-TTL tables outside
   // neighborhood mode about 1.1 KiB more.

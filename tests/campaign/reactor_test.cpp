@@ -117,10 +117,9 @@ TEST_F(ReactorTest, RunsManyTenantsToCompletion) {
     ASSERT_TRUE(adm.admitted());
     handles.push_back(adm.handle);
   }
-  EXPECT_EQ(reactor.active_campaigns(), 5u);
+  for (const auto& h : handles)
+    EXPECT_EQ(reactor.state(h), CampaignState::kRunning);
   EXPECT_GT(test_support::drain(reactor), 0u);
-  EXPECT_TRUE(reactor.idle());
-  EXPECT_EQ(reactor.active_campaigns(), 0u);
   for (const auto& h : handles) {
     EXPECT_EQ(reactor.state(h), CampaignState::kFinished);
     const auto stats = reactor.stats(h);
@@ -181,47 +180,20 @@ TEST_F(ReactorTest, ReactorRunEqualsSerialRunnersPerTenant) {
   }
 }
 
-TEST_F(ReactorTest, BudgetCapRetiresDeterministically) {
-  auto run = [&](std::uint64_t tenant) {
-    CampaignReactor reactor{topo_};
-    auto spec = make_spec(tenant, 12);
-    spec.probe_budget = 25;
-    const auto h = reactor.submit(spec).handle;
-    test_support::drain(reactor);
-    EXPECT_EQ(reactor.state(h), CampaignState::kBudgetExhausted);
-    const auto stats = reactor.stats(h);
-    EXPECT_GE(stats->probes_sent, 25u);
-    return std::make_pair(stats->probes_sent, reactor.merged().size());
-  };
-  // Same spec twice: the forced retirement happens at the same probe.
-  EXPECT_EQ(run(3), run(3));
-}
-
 TEST_F(ReactorTest, ReleasedCampaignsKeepTheirStatsAndState) {
   // Retirement frees a campaign's runners and replicas; what stats() and
-  // state() answer must not change with it. The references are computed
+  // state() answer must not change with it. The reference is computed
   // outside the reactor: a finished tenant's stats are its CampaignRunner
-  // run, and a budget-capped one's are a runner stepped to the cap.
+  // run.
   ProbeStats ref_finish;
-  ProbeStats ref_budget;
   {
     const auto spec = make_spec(1, 10);
     simnet::Network net{topo_};
     ref_finish =
         CampaignRunner::run_one(net, *spec.source, spec.endpoint, spec.pacing);
   }
-  {
-    const auto spec = make_spec(2, 10);
-    simnet::Network net{topo_};
-    CampaignRunner runner{net};
-    runner.add(*spec.source, spec.endpoint, spec.pacing);
-    while (runner.stats()[0].probes_sent < 25) ASSERT_TRUE(runner.step());
-    ref_budget = runner.stats()[0];
-  }
 
   auto spec_finish = make_spec(1, 10);
-  auto spec_budget = make_spec(2, 10);
-  spec_budget.probe_budget = 25;
   CampaignReactor reactor{topo_};
   // The reactor's copy of a sink goes with the rest: once retired, only
   // the test holds the token.
@@ -229,15 +201,12 @@ TEST_F(ReactorTest, ReleasedCampaignsKeepTheirStatsAndState) {
   spec_finish.sink = [token](const wire::DecodedReply&) {};
   const auto finish = reactor.submit(spec_finish).handle;
   spec_finish.sink = nullptr;
-  const auto budget = reactor.submit(spec_budget).handle;
   EXPECT_EQ(token.use_count(), 2);
   test_support::drain(reactor);
 
   EXPECT_EQ(token.use_count(), 1);
   EXPECT_EQ(reactor.state(finish), CampaignState::kFinished);
-  EXPECT_EQ(reactor.state(budget), CampaignState::kBudgetExhausted);
   EXPECT_EQ(reactor.stats(finish), ref_finish);
-  EXPECT_EQ(reactor.stats(budget), ref_budget);
 }
 
 TEST_F(ReactorTest, SubmitBetweenStepsKeepsTheMergedStreamCanonical) {
@@ -248,7 +217,6 @@ TEST_F(ReactorTest, SubmitBetweenStepsKeepsTheMergedStreamCanonical) {
   CampaignReactor reactor{topo_};
   ASSERT_TRUE(reactor.submit(make_spec(9, 8)).admitted());
   ASSERT_TRUE(reactor.step());
-  ASSERT_EQ(reactor.now_us(), 0u);
   ASSERT_TRUE(reactor.submit(make_spec(1, 8)).admitted());
   test_support::drain(reactor);
   const auto& merged = reactor.merged();
@@ -276,18 +244,13 @@ TEST_F(ReactorTest, SubmitBetweenStepsKeepsTheMergedStreamCanonical) {
 }
 
 TEST_F(ReactorTest, DeterministicAdmissionRejections) {
-  ReactorOptions options;
-  options.max_campaigns = 2;
-  CampaignReactor reactor{topo_, {}, options};
+  CampaignReactor reactor{topo_};
   ASSERT_TRUE(reactor.submit(make_spec(1, 6)).admitted());
   // Duplicate in-flight tenant id.
   EXPECT_EQ(reactor.submit(make_spec(1, 6)).result,
             AdmitResult::kRejectedDuplicateTenant);
   ASSERT_TRUE(reactor.submit(make_spec(2, 6)).admitted());
-  // Campaign ceiling.
-  EXPECT_EQ(reactor.submit(make_spec(3, 6)).result,
-            AdmitResult::kRejectedCampaignLimit);
-  // Bad specs are rejected before any ledger touch.
+  // Bad specs are rejected before the tenant id is taken.
   CampaignSpec null_source;
   null_source.tenant = 9;
   EXPECT_EQ(reactor.submit(null_source).result, AdmitResult::kRejectedBadSpec);
@@ -298,7 +261,7 @@ TEST_F(ReactorTest, DeterministicAdmissionRejections) {
     EXPECT_EQ(reactor.submit(make_spec(9, 6, pps)).result,
               AdmitResult::kRejectedBadSpec)
         << "pps " << pps;
-  // Retirement reopens both the tenant id and the campaign slot.
+  // Retirement reopens the tenant id.
   test_support::drain(reactor);
   EXPECT_TRUE(reactor.submit(make_spec(1, 6)).admitted());
 }
@@ -314,7 +277,6 @@ TEST_F(ReactorTest, ThrottleShapesGlobalTimeOnly) {
   CampaignReactor throttled{topo_};
   auto spec = make_spec(5, 8, 4000);
   spec.rate_limit_pps = 1000;  // a quarter of the pacing rate
-  spec.rate_limit_burst = 1;
   ASSERT_TRUE(throttled.submit(spec).admitted());
   test_support::drain(throttled);
 
@@ -331,7 +293,7 @@ TEST_F(ReactorTest, ThrottleShapesGlobalTimeOnly) {
   }
   EXPECT_TRUE(deferred) << "a 4x-over-rate tenant was never deferred";
   // The throttled campaign finishes later on the service clock.
-  EXPECT_GT(throttled.now_us(), free_reactor.now_us());
+  EXPECT_GT(slow.back().slot_us, fast.back().slot_us);
 }
 
 TEST_F(ReactorTest, StreamsIncrementallyThroughTraceIoSinks) {

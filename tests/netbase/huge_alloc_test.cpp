@@ -1,10 +1,10 @@
 // Unit tests for netbase::HugePageAllocator's mapped path: a block of
 // kHugeThreshold bytes or more is a 2 MB-aligned anonymous mapping of its
 // own, returned to the kernel on deallocate. LeakSanitizer cannot see
-// mappings, so the leak checks here read netbase::mapped_bytes() instead:
-// after growing, rehashing, invalidating and destroying the containers
-// that use the allocator, it must be back where it started. release_pages
-// must hand back only the whole pages inside its range.
+// mappings, so the leak checks here read test_support::mapped_bytes()
+// instead: after growing, rehashing, invalidating and destroying the
+// containers that use the allocator, it must be back where it started.
+// release_pages must hand back only the whole pages inside its range.
 #include "netbase/huge_alloc.hpp"
 
 #include <gtest/gtest.h>
@@ -15,9 +15,13 @@
 
 #include "netbase/flat_map.hpp"
 #include "simnet/route_cache.hpp"
+#include "support/mapped.hpp"
 
 namespace beholder6::netbase {
 namespace {
+
+using test_support::mapped_bytes;
+using test_support::mappings;
 
 std::size_t extent_of(std::size_t bytes) {
   return (bytes + kHugeAlign - 1) / kHugeAlign * kHugeAlign;

@@ -1,9 +1,10 @@
-// Tests for the Feistel cycle-walking permutation: bijectivity, inversion,
-// key sensitivity, and coverage of awkward domain sizes.
+// Tests for the Feistel cycle-walking permutation: bijectivity, key
+// sensitivity, and coverage of awkward domain sizes.
 #include "netbase/permutation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -22,12 +23,6 @@ TEST_P(PermutationDomains, IsABijection) {
     ASSERT_FALSE(hit[v]) << "value " << v << " produced twice";
     hit[v] = true;
   }
-}
-
-TEST_P(PermutationDomains, UnmapInvertsMap) {
-  const std::uint64_t n = GetParam();
-  Permutation perm{n, 0xabad1dea};
-  for (std::uint64_t i = 0; i < n; ++i) EXPECT_EQ(perm.unmap(perm.map(i)), i);
 }
 
 INSTANTIATE_TEST_SUITE_P(AwkwardSizes, PermutationDomains,
@@ -64,25 +59,27 @@ TEST(Permutation, ScattersNeighbors) {
 TEST(Permutation, RejectsOutOfRange) {
   Permutation p{10, 0};
   EXPECT_THROW((void)p.map(10), std::out_of_range);
-  EXPECT_THROW((void)p.unmap(10), std::out_of_range);
   EXPECT_THROW(Permutation(0, 0), std::invalid_argument);
 }
 
 TEST(Permutation, SingletonDomain) {
   Permutation p{1, 123};
   EXPECT_EQ(p.map(0), 0u);
-  EXPECT_EQ(p.unmap(0), 0u);
 }
 
 TEST(Permutation, LargeDomainProbeSpace) {
-  // A realistic probe space: 1M targets x 16 TTLs. Spot-check inversion.
+  // A realistic probe space: 1M targets x 16 TTLs. Spot-check that
+  // distinct indices land on distinct values inside the domain.
   const std::uint64_t n = 16ULL * 1000000ULL;
   Permutation p{n, 0xc0ffee};
+  std::vector<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < n; i += 1048573) {
     const auto v = p.map(i);
     ASSERT_LT(v, n);
-    EXPECT_EQ(p.unmap(v), i);
+    seen.push_back(v);
   }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
 }  // namespace

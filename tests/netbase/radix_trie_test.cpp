@@ -1,4 +1,4 @@
-// Tests for RadixTrie: insert/find/LPM/subtree semantics.
+// Tests for RadixTrie: insert/find/LPM semantics.
 #include "netbase/radix_trie.hpp"
 
 #include <gtest/gtest.h>
@@ -80,25 +80,11 @@ TEST(RadixTrie, ForEachVisitsInAddressOrder) {
   EXPECT_EQ(seen[2], test_support::prefix("2001:db9::", 32));
 }
 
-TEST(RadixTrie, SubtreeEnumeratesCoveredEntries) {
-  RadixTrie<int> t;
-  t.insert(test_support::prefix("2001:db8::", 32), 1);
-  t.insert(test_support::prefix("2001:db8:1::", 48), 2);
-  t.insert(test_support::prefix("2001:db8:1:2::", 64), 3);
-  t.insert(test_support::prefix("2001:db9::", 32), 4);
-
-  const auto sub = t.subtree(test_support::prefix("2001:db8:1::", 48));
-  ASSERT_EQ(sub.size(), 2u);
-  EXPECT_EQ(sub[0].second, 2);
-  EXPECT_EQ(sub[1].second, 3);
-}
-
 TEST(RadixTrie, EmptyTrieBehaves) {
   RadixTrie<int> t;
   EXPECT_TRUE(t.empty());
   EXPECT_FALSE(t.lpm(test_support::addr("::1")));
   EXPECT_EQ(t.find(test_support::prefix("::", 0)), nullptr);
-  EXPECT_TRUE(t.subtree(test_support::prefix("2001::", 16)).empty());
 }
 
 TEST(RadixTrie, ManyRandomPrefixesLpmAgreesWithLinearScan) {
@@ -158,10 +144,6 @@ TEST(RadixTrie, ManyRandomPrefixesLpmAgreesWithLinearScan) {
   for (const auto& [p, v] : ref) {
     ASSERT_NE(t.find(p), nullptr);
     EXPECT_EQ(*t.find(p), v);
-    std::vector<std::pair<Prefix, unsigned>> covered;
-    for (const auto& e : ref)
-      if (p.covers(e.first)) covered.emplace_back(e);
-    EXPECT_EQ(t.subtree(p), covered) << p.to_string();
   }
 }
 

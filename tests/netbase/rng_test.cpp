@@ -51,15 +51,5 @@ TEST(Rng, ChanceMatchesProbability) {
   EXPECT_NEAR(hits / 10000.0, 0.25, 0.02);
 }
 
-TEST(Rng, SplitIsIndependentAndStable) {
-  const Rng parent{55};
-  Rng c1 = parent.split(1), c1b = parent.split(1), c2 = parent.split(2);
-  EXPECT_EQ(c1(), c1b());
-  Rng c1c = parent.split(1);
-  int same = 0;
-  for (int i = 0; i < 100; ++i) same += c1c() == c2();
-  EXPECT_LT(same, 3);
-}
-
 }  // namespace
 }  // namespace beholder6

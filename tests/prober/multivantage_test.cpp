@@ -109,7 +109,8 @@ TEST_F(MultiVantageTest, MergedTracesCarryMultipleVantagePerspectives) {
   // premise (different vantages' first hops differ).
   std::set<Ipv6Addr> hop1;
   for (const auto& [target, tr] : result.collector.traces())
-    if (tr.hops.contains(1)) hop1.insert(tr.hops.at(1).iface);
+    if (const auto hop = tr.hops.find(1); hop != tr.hops.end())
+      hop1.insert(hop->second.iface);
   EXPECT_GT(hop1.size(), 1u);
 }
 

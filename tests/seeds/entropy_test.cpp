@@ -43,15 +43,24 @@ TEST(NybbleStats, EntropyExtremes) {
 TEST(EntropyModel, SegmentsMatchStructure) {
   const auto model = EntropyModel::fit(structured_list(2000, 42));
   ASSERT_FALSE(model.segments().empty());
-  // Nybble 8 must be classified low-entropy value-set (~log2(3) bits).
-  EXPECT_NEAR(model.nybbles()[8].entropy(), std::log2(3.0), 0.1);
+  const auto segment_at = [&](unsigned nybble) {
+    for (const auto& s : model.segments())
+      if (s.first <= nybble && nybble <= s.last) return s;
+    ADD_FAILURE() << "no segment covers nybble " << nybble;
+    return Segment{};
+  };
+  // Nybble 8, between constant neighbours, is a low-entropy value-set
+  // segment of its own (~log2(3) bits).
+  const auto n8 = segment_at(8);
+  EXPECT_EQ(n8.kind, Segment::Kind::kValueSet);
+  EXPECT_EQ(n8.first, 8u);
+  EXPECT_EQ(n8.last, 8u);
+  EXPECT_NEAR(n8.mean_entropy, std::log2(3.0), 0.1);
   // Nybbles 0..7 constant; 16+ random.
   for (unsigned i = 0; i < 8; ++i)
-    if (i != 3 && i != 5) {  // "2001:db8" has fixed nonzero nybbles too
-      EXPECT_LT(model.nybbles()[i].entropy(), 0.01) << i;
-    }
+    EXPECT_EQ(segment_at(i).kind, Segment::Kind::kConstant) << i;
   for (unsigned i = 20; i < 32; ++i)
-    EXPECT_GT(model.nybbles()[i].entropy(), 3.5) << i;
+    EXPECT_EQ(segment_at(i).kind, Segment::Kind::kRandom) << i;
 
   // Segment kinds cover the three classes.
   std::set<Segment::Kind> kinds;
@@ -99,7 +108,6 @@ TEST(EntropyModel, DeterministicGivenRng) {
 TEST(EntropyModel, EmptyInputGeneratesNothing) {
   const auto model = EntropyModel::fit({});
   EXPECT_TRUE(model.generate(10, Rng{1}).empty());
-  EXPECT_EQ(model.fitted_on(), 0u);
 }
 
 TEST(EntropyModel, SeedListAdapter) {

@@ -175,7 +175,7 @@ TEST_F(DynamicsPropertyTest, ScheduleSortsByTimestampStably) {
   s.add(ev(500, 3));  // tie with the first: must stay after it
   s.add(ev(300, 4));
   s.add(ev(100, 5));  // tie: after router 2
-  ASSERT_EQ(s.size(), 5u);
+  ASSERT_EQ(s.events().size(), 5u);
   const auto& evs = s.events();
   for (std::size_t i = 1; i < evs.size(); ++i)
     EXPECT_LE(evs[i - 1].at_us, evs[i].at_us) << "sorted by timestamp";

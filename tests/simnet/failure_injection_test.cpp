@@ -220,7 +220,7 @@ TEST_F(ChurnTest, LinkDownYieldsOneNoRouteUnreachableThenSilence) {
   EXPECT_EQ(net.stats().dest_unreach[static_cast<unsigned>(
                 wire::UnreachCode::kNoRoute)],
             1u);
-  EXPECT_EQ(net.stats().dest_unreach_total(), 1u);
+  EXPECT_EQ(test_support::dest_unreach_total(net.stats()), 1u);
   // ...and everything deeper is silence (once-per-target DU suppression).
   EXPECT_EQ(net.stats().echo_replies, 0u);
   EXPECT_EQ(replies.size(), pp.mid_hop + 1);
@@ -248,7 +248,7 @@ TEST_F(ChurnTest, SilentLinkDownDropsWithoutUnreachables) {
 
   const auto replies = sweep(net, targets, 12);
   EXPECT_EQ(net.stats().time_exceeded, pp.mid_hop);
-  EXPECT_EQ(net.stats().dest_unreach_total(), 0u);
+  EXPECT_EQ(test_support::dest_unreach_total(net.stats()), 0u);
   EXPECT_EQ(replies.size(), pp.mid_hop);
   EXPECT_GE(net.stats().silent_drops, 12u - pp.mid_hop);
 }
@@ -307,7 +307,7 @@ TEST_F(ChurnTest, RunResetRunWithScheduleIsByteIdentical) {
   auto schedule = make_churn_schedule(
       topo_, topo_.vantages()[0],
       std::span<const Ipv6Addr>(targets.data(), targets.size()), cp);
-  const auto n_events = schedule.size();
+  const auto n_events = schedule.events().size();
   ASSERT_GT(n_events, 0u);
   Network net{topo_, with_schedule(std::move(schedule))};
 

@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
-#include "netbase/huge_alloc.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/sources.hpp"
 #include "simnet/network.hpp"
+#include "support/mapped.hpp"
 #include "target/synthesis.hpp"
 #include "target/transform.hpp"
 
@@ -46,7 +46,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 // Over-aligned forms: the route cache's alignas(64) slots allocate
 // through these. Tables of 1 MB or more are mappings of their own
-// (netbase::HugePageAllocator) and are counted by netbase::mappings().
+// (netbase::HugePageAllocator) and are counted by test_support::mappings().
 void* operator new(std::size_t n, std::align_val_t al) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
@@ -103,11 +103,11 @@ TEST(SteadyStateAlloc, WarmInjectViewSweepAllocatesNothing) {
   };
   sweep();  // warm-up: every cache, pool and table reaches steady state
   const auto before = g_allocs.load(std::memory_order_relaxed);
-  const auto mappings_before = netbase::mappings();
+  const auto mappings_before = test_support::mappings();
   sweep();
   const auto allocations = g_allocs.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(allocations, 0u) << "over " << probes.size() << " warm probes";
-  EXPECT_EQ(netbase::mappings(), mappings_before)
+  EXPECT_EQ(test_support::mappings(), mappings_before)
       << "a table of 1 MB or more grew during the warm sweep";
   EXPECT_GT(replies, 0u);
 }

@@ -20,12 +20,25 @@
 
 namespace beholder6::test_support {
 
+/// Destination Unreachable replies, over every ICMPv6 code.
+inline std::uint64_t dest_unreach_total(const simnet::NetworkStats& n) {
+  std::uint64_t s = 0;
+  for (const auto v : n.dest_unreach) s += v;
+  return s;
+}
+
+/// Replies the network generated: Time Exceeded, Echo Reply and
+/// Destination Unreachable.
+inline std::uint64_t responses(const simnet::NetworkStats& n) {
+  return n.time_exceeded + n.echo_replies + dest_unreach_total(n);
+}
+
 /// Every probe ends as a response, a rate-limited response, a silent
 /// drop, an in-flight loss or a malformed packet.
 inline void expect_network_conserved(const simnet::NetworkStats& n) {
-  EXPECT_EQ(n.probes, n.responses() + n.rate_limited + n.silent_drops +
+  EXPECT_EQ(n.probes, responses(n) + n.rate_limited + n.silent_drops +
                           n.lost_replies + n.malformed)
-      << "probes " << n.probes << " = responses " << n.responses()
+      << "probes " << n.probes << " = responses " << responses(n)
       << " + rate_limited " << n.rate_limited << " + silent_drops "
       << n.silent_drops << " + lost_replies " << n.lost_replies
       << " + malformed " << n.malformed;
@@ -43,13 +56,13 @@ inline void expect_network_conserved(const simnet::NetworkStats& n) {
 inline void expect_campaign_conserved(const campaign::ProbeStats& p,
                                       const simnet::NetworkStats& n) {
   expect_network_conserved(n);
-  EXPECT_EQ(n.responses() + n.dup_replies,
+  EXPECT_EQ(responses(n) + n.dup_replies,
             p.replies + p.undecodable_replies + p.foreign_replies)
-      << "responses " << n.responses() << " + dup_replies " << n.dup_replies
+      << "responses " << responses(n) << " + dup_replies " << n.dup_replies
       << " = replies " << p.replies << " + undecodable "
       << p.undecodable_replies << " + foreign " << p.foreign_replies;
-  EXPECT_EQ(p.replies, n.responses() + n.dup_replies)
-      << "replies " << p.replies << " = responses " << n.responses()
+  EXPECT_EQ(p.replies, responses(n) + n.dup_replies)
+      << "replies " << p.replies << " = responses " << responses(n)
       << " + dup_replies " << n.dup_replies;
 }
 

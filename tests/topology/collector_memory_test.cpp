@@ -13,7 +13,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "netbase/huge_alloc.hpp"
+#include "support/mapped.hpp"
 #include "topology/collector.hpp"
 
 namespace {
@@ -49,7 +49,8 @@ void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
 void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
 
 // Over-aligned forms. Tables of 1 MB or more are mappings of their own
-// (netbase::HugePageAllocator); live_bytes() adds netbase::mapped_bytes().
+// (netbase::HugePageAllocator); live_bytes() adds
+// test_support::mapped_bytes().
 void* operator new(std::size_t n, std::align_val_t al) {
   const auto a = static_cast<std::size_t>(al);
   return counted(std::aligned_alloc(a, (n + a - 1) & ~(a - 1)));
@@ -73,7 +74,7 @@ namespace {
 
 std::int64_t live_bytes() {
   return g_live_bytes.load(std::memory_order_relaxed) +
-         static_cast<std::int64_t>(netbase::mapped_bytes());
+         static_cast<std::int64_t>(test_support::mapped_bytes());
 }
 
 constexpr std::uint64_t kTargets = 8000;

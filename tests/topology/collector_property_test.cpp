@@ -44,7 +44,7 @@ TEST_P(CollectorCampaign, ConservationAcrossProberNetworkCollector) {
       [&](const wire::DecodedReply& r) { c.on_reply(r); });
 
   EXPECT_EQ(stats.probes_sent, net.stats().probes);
-  EXPECT_EQ(stats.replies, net.stats().responses());
+  EXPECT_EQ(stats.replies, test_support::responses(net.stats()));
   test_support::expect_collector_conserved(c, stats.replies);
   EXPECT_EQ(c.te_responses(), net.stats().time_exceeded);
   // Interfaces are exactly the distinct Time Exceeded sources, and a

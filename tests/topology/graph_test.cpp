@@ -25,8 +25,17 @@ TEST(LinkGraph, AdjacentHopsWitnessLinks) {
   const auto g = LinkGraph::from_traces(c);
   EXPECT_EQ(g.link_count(), 2u);
   EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.degree(test_support::addr("2001:db8:f::2")), 2u);
-  EXPECT_EQ(g.degree(test_support::addr("2001:db8:f::1")), 1u);
+  EXPECT_EQ(g.max_degree(), 2u) << "the middle hop links both neighbours";
+
+  // Pin which hop is in the middle: a second trace through f::2 alone adds
+  // one node and one link only if f::2 is already a node, and raises the
+  // maximum degree to 3 only if f::2 already had two links.
+  c.on_reply(te("2001:db8:f::2", "2001:db8:2::1", 1));
+  c.on_reply(te("2001:db8:f::4", "2001:db8:2::1", 2));
+  const auto g2 = LinkGraph::from_traces(c);
+  EXPECT_EQ(g2.node_count(), 4u);
+  EXPECT_EQ(g2.link_count(), 3u);
+  EXPECT_EQ(g2.max_degree(), 3u) << "f::2 links f::1, f::3 and f::4";
 }
 
 TEST(LinkGraph, SilentHopBreaksAdjacency) {

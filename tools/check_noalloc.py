@@ -95,12 +95,12 @@ the hot-path entries: every function the objects of each `bench_*`,
 `example_*` and `b6-*` target of --build-dir define, every function of
 b6bench (built from benchmark/CMakeLists.txt into --b6bench-dir), and
 every function whose address any object's data holds (vtables,
-.init_array). Tests are never roots. Any out-of-line function of
-namespace beholder6 that a library object defines and the walk does not
-reach fails the gate, unless UNREACHED_ALLOWLIST names it; every allowed
-function is printed with its reason, and an entry that matches nothing
-fails as stale. The canonical trees, Release and -fno-inline like the
-hot-path analysis, with benches on:
+.init_array). Tests are never roots. Any function of namespace beholder6
+that a library object defines and the walk does not reach fails the gate,
+unless UNREACHED_ALLOWLIST names it; every allowed function is printed
+with its reason, and an entry that matches nothing fails as stale. The
+canonical trees, Release and -fno-inline like the hot-path analysis, with
+benches on:
 
     cmake -B build-noalloc -DCMAKE_BUILD_TYPE=Release \
           -DBEHOLDER6_BUILD_TESTS=OFF -DCMAKE_CXX_FLAGS=-fno-inline
@@ -110,19 +110,44 @@ hot-path analysis, with benches on:
     python3 tools/check_noalloc.py --unreached \
           --build-dir build-noalloc --b6bench-dir build-b6bench
 
-What it cannot see: header-only inline functions and template
-instantiations (GCC emits them as COMDAT copies named after themselves,
-`.text._Z...`, only where an object instantiates them, so the gate skips
-them rather than judge a copy), and whether a virtual override is ever
-called (its vtable holds its address, so it always counts as reached).
-A compiler that drops a call to a pure function whose result is unused
-can make its callee read as unreached. `--unreached --self-test`
-compiles tools/lint_corpus/unreached/ (a library, a program and a test
-object) and checks that a function only the test object calls is
-reported (also when its own switch table in data points into its body:
-data relocations count only at a function's exact start), that one only
-a vtable holds passes, and that an allowlisted one passes with its
-reason while a stale entry is reported.
+Header code is judged too. The gate compiles the library's sources again,
+from the tree's compile_commands.json with -fkeep-inline-functions added,
+into a temporary directory, so every inline function a library source
+sees gets a body in a library object; the programs' objects are read as
+built, so they hold only what they call. A program's copy of a header
+function may be a local clone (`f() [clone .isra.0]`) rather than the
+function's own symbol, so a function counts as reached when the walk
+reaches any symbol whose demangled name, clone suffix removed, is its
+name.
+
+What it cannot see (blind spots, stated rather than hidden):
+  * header constructors, destructors and operator=: an implicitly
+    defined one reads like a written one, so none of vague linkage is
+    judged (one defined in a .cpp sits in `.text`, not in a COMDAT
+    section, and is judged); nor are those of a class private to one
+    source file (anonymous namespace, function-local), whose implicit
+    ones are local `.text` symbols too: tests cannot reach such a class,
+    so what goes unjudged there is dead code, not test-only code;
+  * a captureless lambda's static invoker (`_FUN`) and its conversion to a
+    function pointer, emitted beside every such lambda: not judged;
+  * template instantiations (one per use, not per source function): not
+    judged;
+  * a `constexpr` function that only constant expressions use has no call
+    in any object, so it reads as unreached (allowlist it);
+  * whether a virtual override is ever called: its vtable holds its
+    address, so it always counts as reached;
+  * a compiler that drops a call to a pure function whose result is unused
+    can make its callee read as unreached.
+`--unreached --self-test` compiles tools/lint_corpus/unreached/ (a library,
+a program and a test object; the library with -fkeep-inline-functions) and
+checks that a function only the test object calls is reported (also when
+its own switch table in data points into its body: data relocations count
+only at a function's exact start, and also when it is a header-inline
+accessor, and also when it is a constructor written in a .cpp), that an
+accessor the program reaches only through a local clone passes, that
+implicit constructors (of a header class and of a class in an anonymous
+namespace) and a lambda's invoker are emitted but not judged, that one only a vtable holds passes, and that an
+allowlisted one passes with its reason while a stale entry is reported.
 
 Exit codes: 0 clean (or self-test pass, or graceful skip when objdump is
 missing), 1 findings (or self-test fail), 2 usage/setup error.
@@ -134,11 +159,13 @@ import argparse
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -307,8 +334,8 @@ class CallGraph:
             sm = SYMTAB_RE.match(line)
             if sm:
                 addr, sect, size, name = sm.groups()
-                self.section.setdefault(name, sect)
                 colocated.setdefault((sect, addr), []).append(name)
+                self.section.setdefault(name, sect)
                 by_offset.setdefault((sect, int(addr, 16)), name)
                 spans.setdefault(sect, []).append(
                     (int(addr, 16), int(size, 16), name))
@@ -568,6 +595,9 @@ UNREACHED_ALLOWLIST: list[tuple[str, str]] = [
      "the reactor's canonical merged stream (and its sort): the result "
      "surface its determinism gates compare; b6bench names "
      "ReactorOptions::collect_merged and turns it off"),
+    (r"^beholder6::Rng::min\(\)",
+     "a UniformRandomBitGenerator member: <random> distributions and the "
+     "concept check read it, only in constant expressions"),
 ]
 
 # GCC gives each function of vague linkage (inline, implicitly defined or a
@@ -578,6 +608,78 @@ UNREACHED_ALLOWLIST: list[tuple[str, str]] = [
 VAGUE_LINKAGE_RE = re.compile(r"^\.text(?:\.unlikely|\.hot|\.startup)?\._Z")
 # GCC clone suffixes as c++filt prints them: `f(int) [clone .constprop.0]`.
 CLONE_RE = re.compile(r" \[clone [^\]]+\]")
+# Operator names whose brackets would unbalance a scan of `<>` or `()`.
+OPERATOR_RE = re.compile(r"operator(?:<<=|>>=|<=>|<<|>>|<=|>=|->\*|->|<|>|\(\))")
+# Trailing cv- and ref-qualifiers of a member function.
+QUALIFIER_RE = re.compile(r"(?: const| volatile| &&| &)+$")
+
+
+def name_components(demangled: str) -> list[str]:
+    """The `::` components of a demangled function's qualified name,
+    without its parameter list, qualifiers or clone suffix:
+    `ns::Foo<int>::get(int) const` -> ["ns", "Foo<int>", "get"]. A
+    template function's return type stays on the first component."""
+    s = QUALIFIER_RE.sub("", CLONE_RE.sub("", demangled))
+    s = OPERATOR_RE.sub("operator@", s)
+    depth = 0
+    for i in range(len(s) - 1, -1, -1) if s.endswith(")") else ():
+        depth += {")": 1, "(": -1}.get(s[i], 0)
+        if depth == 0:  # the parameter list's open paren
+            s = s[:i]
+            break
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(s):
+        if ch in "(<{[":
+            depth += 1
+        elif ch in ")>}]":
+            depth -= 1
+        elif depth == 0 and s.startswith("::", i) \
+                and not s.startswith("operator ", start):
+            parts.append(s[start:i])
+            start = i + 2
+    parts.append(s[start:])  # a conversion operator's type stays whole
+    return parts
+
+
+def strip_groups(component: str) -> str:
+    """A component without its bracketed groups (an enclosing function's
+    parameters, a lambda's signature), so only its own name remains."""
+    out, depth = [], 0
+    for ch in component:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        elif depth == 0:
+            out.append(ch)
+    return "".join(out)
+
+
+def unjudged(demangled: str, vague: bool) -> bool:
+    """Functions whose symbols cannot say whether source code asked for
+    them: a captureless lambda's static invoker (`_FUN`) and its
+    conversion to a function pointer (emitted beside every such lambda);
+    constructors, destructors and operator= (an implicit one reads like a
+    written one) of vague linkage (`vague`: header code) or of a class
+    private to one source file (in an anonymous namespace or local to a
+    function, whose implicit ones are local `.text` symbols); and template
+    instantiations of vague linkage (one per use, not per source
+    function). An implicit special member of any other class always has
+    vague linkage, so one such defined in a .cpp was written there and is
+    judged."""
+    parts = name_components(demangled)
+    last = parts[-1]
+    owner = parts[-2] if len(parts) > 1 else ""
+    if owner.startswith("{lambda") and (last == "_FUN"
+                                        or last.startswith("operator ")):
+        return True
+    # `(anonymous namespace)`, or an enclosing function's parameter list.
+    private = any("(" in p.split("<", 1)[0] for p in parts[:-1])
+    special = (last.startswith("~") or last == "operator="
+               or last == owner.split("<", 1)[0])
+    if special and (vague or private):
+        return True
+    return vague and any("<" in strip_groups(p) for p in parts)
 
 
 def namespace_symbol_re(namespace: str) -> re.Pattern[str]:
@@ -618,17 +720,21 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
         queue.extend(graph.canon(c) for c in graph.edges.get(sym, ()))
 
     ns_re = namespace_symbol_re(namespace)
-    ours = sorted(s for s in library_defined if ns_re.match(s)
-                  and not VAGUE_LINKAGE_RE.match(graph.section.get(s, "")))
-    dem = demangle(ours)
+    ours = sorted(s for s in library_defined if ns_re.match(s))
+    dem = demangle(sorted(set(ours) | reached))
     # One source function, many symbols: C1/C2 constructors, D0/D1/D2
-    # destructors and .constprop/.isra/.part/.cold clones demangle alike
-    # once the clone suffix is gone. Reaching any of them reaches it.
-    functions: dict[str, bool] = {}
+    # destructors, .constprop/.isra/.part/.cold clones, and the copies of
+    # a header function that each object emits (a program's may be a local
+    # clone, named apart from the library's) demangle alike once the clone
+    # suffix is gone. Reaching any of them reaches it.
+    reached_names = {CLONE_RE.sub("", dem.get(s, s)) for s in reached}
+    functions: set[str] = set()
+    skipped: set[str] = set()
     for sym in ours:
         name = CLONE_RE.sub("", dem.get(sym, sym))
-        functions[name] = functions.get(name, False) or sym in reached
-    unreached = sorted(n for n, hit in functions.items() if not hit)
+        vague = bool(VAGUE_LINKAGE_RE.match(graph.section.get(sym, "")))
+        (skipped if unjudged(name, vague) else functions).add(name)
+    unreached = sorted(n for n in functions if n not in reached_names)
 
     allow_res = [(re.compile(pat), pat, why) for pat, why in allowlist]
     allowed: list[dict] = []
@@ -647,6 +753,7 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
         "program_objects": len(programs),
         "library_functions": len(functions),
         "reached": len(functions) - len(unreached),
+        "unjudged": sorted(skipped),
         "allowed": allowed,
         "stale_allowlist": [pat for pat, _ in allowlist if pat not in used],
         "findings": findings,
@@ -698,8 +805,10 @@ def run_unreached_self_test() -> int:
                 return 1
             objs[part] = Path(td) / f"{part}.o"
             # -fno-pic: jump_table()'s switch then becomes a .rodata table
-            # of absolute addresses into its own body.
-            subprocess.run([cxx, "-O2", "-fno-inline", "-fno-pic",
+            # of absolute addresses into its own body. The library keeps
+            # its inline functions, as keep_inline_library() compiles it.
+            keep = ["-fkeep-inline-functions"] if part == "library" else []
+            subprocess.run([cxx, "-O2", "-fno-inline", "-fno-pic", *keep,
                             "-std=c++20", "-c", str(src), "-o",
                             str(objs[part])], check=True)
         rep = find_unreached(
@@ -710,14 +819,39 @@ def run_unreached_self_test() -> int:
             others=(objs["test"],))
     print_unreached_report(rep)
     failures = 0
-    if rep["findings"] != ["unreached_fixture::jump_table(int, int)",
+    if rep["findings"] != ["unreached_fixture::Gauge::Gauge(int)",
+                           "unreached_fixture::Meter::peak() const",
+                           "unreached_fixture::jump_table(int, int)",
                            "unreached_fixture::test_only(int)"]:
-        print(f"self-test: FAIL — expected exactly jump_table(int, int) and "
+        print(f"self-test: FAIL — expected exactly Gauge::Gauge(int), "
+              f"Meter::peak() const, jump_table(int, int) and "
               f"test_only(int) reported, got {rep['findings']}")
         failures += 1
     else:
         print("self-test: a function only a test object calls is reported, "
-              "also when a jump table in data points into its body [ok]")
+              "also when a jump table in data points into its body, also "
+              "when it is header-inline, and also when it is a constructor "
+              "written in a .cpp [ok]")
+    if "unreached_fixture::Meter::reading() const" in rep["findings"]:
+        print("self-test: FAIL — the inline accessor the program reaches "
+              "through its local clone was reported")
+        failures += 1
+    else:
+        print("self-test: an inline accessor a program reaches only "
+              "through a local clone passes [ok]")
+    for what, name in (
+            ("an implicitly defined constructor",
+             "unreached_fixture::Meter::Meter()"),
+            ("the implicit constructor of a class private to a .cpp",
+             "unreached_fixture::(anonymous namespace)::Cell::Cell()"),
+            ("a captureless lambda's static invoker",
+             "unreached_fixture::used(int)::{lambda(int)#1}::_FUN(int)")):
+        if name not in rep["unjudged"] or name in rep["findings"]:
+            print(f"self-test: FAIL — {what} was not emitted and skipped: "
+                  f"{name}")
+            failures += 1
+        else:
+            print(f"self-test: {what} is emitted and not judged [ok]")
     if rep["allowed"] != [{"function": "unreached_fixture::allowlisted(int)",
                            "reason": "fixture allowlist: kept on purpose"}]:
         print(f"self-test: FAIL — the allowlisted function did not pass with "
@@ -748,20 +882,78 @@ def run_unreached_self_test() -> int:
     return 0
 
 
+# Compiler options that make or name a dependency file (`-MF <file>`
+# and `-MT`/`-MQ <target>` take an operand).
+DEPFILE_FLAGS = frozenset({"-MD", "-MMD"})
+DEPFILE_OPERAND_FLAGS = frozenset({"-MF", "-MT", "-MQ"})
+
+
+def keep_inline_library(build_dir: Path, out_dir: Path) -> list[Path] | str:
+    """Recompile the library's sources from the tree's compile commands
+    with -fkeep-inline-functions added, into out_dir, so that every
+    header-inline function a library source sees has a body to judge.
+    Returns the objects, or what went wrong."""
+    database = build_dir / "compile_commands.json"
+    if not database.exists():
+        return f"no {database} (CMAKE_EXPORT_COMPILE_COMMANDS is on in " \
+               f"CMakeLists.txt; configure the tree again)"
+    jobs: list[tuple[list[str], str]] = []
+    for entry in json.loads(database.read_text()):
+        argv = entry.get("arguments") or shlex.split(entry["command"])
+        out = argv[argv.index("-o") + 1]
+        if "beholder6.dir" not in Path(out).parts:
+            continue
+        # Dependency-file options would write beside the tree's own
+        # objects; drop them, with the operand of those that take one.
+        kept: list[str] = []
+        skip_operand = False
+        for arg in argv:
+            if skip_operand:
+                skip_operand = False
+            elif arg in DEPFILE_OPERAND_FLAGS:
+                skip_operand = True
+            elif arg not in DEPFILE_FLAGS:
+                kept.append(arg)
+        argv = kept
+        argv[argv.index("-o") + 1] = str(out_dir / f"{len(jobs)}.o")
+        # Just before -c, so that a compiler launcher (`ccache c++ ...`)
+        # hands the flag to the compiler.
+        argv.insert(argv.index("-c"), "-fkeep-inline-functions")
+        jobs.append((argv, entry["directory"]))
+    if not jobs:
+        return f"no library sources in {database}"
+
+    def compile_one(job: tuple[list[str], str]) -> str:
+        proc = subprocess.run(job[0], cwd=job[1], capture_output=True,
+                              text=True)
+        return proc.stderr if proc.returncode else ""
+
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
+        errors = [e for e in pool.map(compile_one, jobs) if e]
+    if errors:
+        return f"a library source failed to compile:\n{errors[0]}"
+    return sorted(out_dir.glob("*.o"))
+
+
 def run_unreached(args: argparse.Namespace) -> int:
     build_dir = resolve(args.build_dir)
     b6bench_dir = resolve(args.b6bench_dir)
-    library = find_objects(build_dir)
     programs, missing = find_program_objects(build_dir, b6bench_dir)
-    if not library or missing:
-        for what in missing or [f"{build_dir}/CMakeFiles/beholder6.dir"]:
+    if missing:
+        for what in missing:
             print(f"check_noalloc --unreached: no objects under {what}",
                   file=sys.stderr)
         print("  build every target of a tree configured with benches on, "
               "and b6bench from benchmark/CMakeLists.txt (see the module "
               "docstring)", file=sys.stderr)
         return 2
-    rep = find_unreached(library, programs, "beholder6", UNREACHED_ALLOWLIST)
+    with tempfile.TemporaryDirectory() as td:
+        library = keep_inline_library(build_dir, Path(td))
+        if isinstance(library, str):
+            print(f"check_noalloc --unreached: {library}", file=sys.stderr)
+            return 2
+        rep = find_unreached(library, programs, "beholder6",
+                             UNREACHED_ALLOWLIST)
     print_unreached_report(rep)
     if args.report:
         args.report.write_text(json.dumps(rep, indent=1) + "\n")
