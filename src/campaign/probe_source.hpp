@@ -179,30 +179,27 @@ class ProbeSource {
   /// campaign stats once the source is exhausted.
   virtual void finish(ProbeStats& stats) const { (void)stats; }
 
-  /// Best guess at the *next* probe's target, if cheaply known. Purely a
-  /// memory-latency hint for a driver that warms its own state one probe
-  /// ahead, so a wrong (or absent) guess costs nothing and changes
-  /// nothing. Sources whose next target depends on pending feedback may
-  /// simply return their most likely candidate. No driver consumes it: a
-  /// route-cache prefetch one probe ahead bought no step latency and made
-  /// step times spread more from run to run.
+  /// No source answers this and no driver asks: a route-cache prefetch
+  /// one probe ahead bought no step latency and made step times spread
+  /// more from run to run, so it was removed. It stays only because the
+  /// benchmark's timing decorator (benchmark/b6bench.cpp) overrides it;
+  /// delete it with the next change to the benchmark.
   [[nodiscard]] virtual std::optional<Ipv6Addr> next_target_hint() const {
     return std::nullopt;
   }
 
-  /// The whole-campaign analogue of next_target_hint: every target this
-  /// source may ever probe, if cheaply known up front. The parallel backend
-  /// sizes work units by its length (largest claimed first) and warms a
-  /// shared read-only route snapshot, before any worker runs, from split
-  /// families whose members all name the same targets; the reactor warms
-  /// one at every submit. Split children that re-probe their parent's
-  /// targets (yarrp6) name the parent's whole list; children that
-  /// partition the targets (sequential, Doubletree) name only their own
-  /// part. Purely a performance seam with the same contract as the hint —
-  /// an empty span (the default, meaning "not cheaply known"), a partial
-  /// answer, or extra addresses never change any result, only the claim
-  /// order and how much of the campaign runs out of a snapshot. Valid for
-  /// the source's lifetime.
+  /// Every target this source may ever probe, if cheaply known up front.
+  /// The parallel backend sizes work units by its length (largest claimed
+  /// first) and warms a shared read-only route snapshot, before any worker
+  /// runs, from split families whose members all name the same targets;
+  /// the reactor warms one at every submit. Split children that re-probe
+  /// their parent's targets (yarrp6) name the parent's whole list;
+  /// children that partition the targets (sequential, Doubletree) name
+  /// only their own part. Purely a performance seam: an empty span (the
+  /// default, meaning "not cheaply known"), a partial answer, or extra
+  /// addresses never change any result, only the claim order and how much
+  /// of the campaign runs out of a snapshot. Valid for the source's
+  /// lifetime.
   [[nodiscard]] virtual std::span<const Ipv6Addr> route_warm_targets() const {
     return {};
   }

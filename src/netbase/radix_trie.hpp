@@ -77,9 +77,6 @@ class RadixTrie {
     for (const auto& p : sorted_) f(p, *find(p));
   }
 
-  [[nodiscard]] std::size_t size() const { return sorted_.size(); }
-  [[nodiscard]] bool empty() const { return sorted_.empty(); }
-
  private:
   struct Key {
     std::uint64_t hi = 0;

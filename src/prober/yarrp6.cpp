@@ -46,7 +46,6 @@ campaign::Poll Yarrp6Source::next(std::uint64_t now_us) {
       // target line: the permuted walk visits targets in random order over
       // arrays far larger than caches naturally hold, and a prefetch
       // issued a whole probe early is free to complete in the background.
-      // The value also feeds next_target_hint().
       pending_v_ = perm_->map(index_);
       pending_valid_ = true;
       netbase::prefetch_line(&targets_[pending_v_ / cfg_.max_ttl]);
@@ -120,14 +119,6 @@ std::vector<std::unique_ptr<campaign::ProbeSource>> Yarrp6Source::split(
     children.push_back(std::move(child));
   }
   return children;
-}
-
-std::optional<Ipv6Addr> Yarrp6Source::next_target_hint() const {
-  // A pending fill supersedes the permuted walk; otherwise the look-ahead
-  // position already resolved in next() names the likely next target.
-  if (fill_pending_) return fill_target_;
-  if (pending_valid_) return targets_[pending_v_ / cfg_.max_ttl];
-  return std::nullopt;
 }
 
 }  // namespace beholder6::prober

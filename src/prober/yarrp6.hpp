@@ -64,7 +64,6 @@ class Yarrp6Source final : public campaign::ProbeSource {
   void on_probe_done(const campaign::Probe& probe, bool answered,
                      std::uint64_t now_us) override;
   void finish(campaign::ProbeStats& stats) const override;
-  [[nodiscard]] std::optional<Ipv6Addr> next_target_hint() const override;
   /// Every probe targets one of the configured addresses (fill probes
   /// included — they re-walk a target's path), so the target list is the
   /// exact route-warmup set.

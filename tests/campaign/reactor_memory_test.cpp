@@ -3,7 +3,8 @@
 // Network replica and Pacer it ran on; a live tenant whose routes miss the
 // shared snapshot (its source names no warm targets, or a re-convergence
 // bumped its cells) pays for the routes it resolves, not for a large first
-// route table; a tenant's token buckets hold balances, not budgets; and a
+// route table; a tenant's token buckets hold balances, not budgets, in
+// hash tables that stay small late in its life; and a
 // yarrp6 source outside neighborhood mode allocates no per-TTL tables. The
 // check replaces the global operator new/delete with versions that count
 // live bytes, which is why it is a test binary of its own.
@@ -170,11 +171,11 @@ class ReactorMemoryTest : public ::testing::Test {
     return static_cast<double>(after - before) / kCampaigns;
   }
 
-  /// Submits kCampaigns four-target yarrp6 campaigns and runs four slots
-  /// per campaign, so every tenant has resolved routes and none has
-  /// finished; returns the live bytes per campaign at that point. `cold`
-  /// sources name no warm targets.
-  double live_per_campaign(CampaignReactor& reactor, bool cold) {
+  /// Submits kCampaigns four-target yarrp6 campaigns (64 probes each) and
+  /// runs `steps` slots per campaign, so every tenant has resolved routes
+  /// and none has finished; returns the live bytes per campaign at that
+  /// point. `cold` sources name no warm targets.
+  double live_per_campaign(CampaignReactor& reactor, bool cold, std::size_t steps = 4) {
     std::vector<std::unique_ptr<ProbeSource>> sources;
     std::vector<CampaignSpec> specs;
     for (std::size_t i = 0; i < kCampaigns; ++i) {
@@ -195,7 +196,7 @@ class ReactorMemoryTest : public ::testing::Test {
     handles_.clear();
     const auto before = live_bytes();
     for (const auto& spec : specs) handles_.push_back(reactor.submit(spec).handle);
-    for (std::size_t i = 0; i < kCampaigns * 4; ++i) EXPECT_TRUE(reactor.step());
+    for (std::size_t i = 0; i < kCampaigns * steps; ++i) EXPECT_TRUE(reactor.step());
     const auto during = live_bytes();
     for (const auto& h : handles_)
       EXPECT_EQ(reactor.state(h), CampaignState::kRunning) << "tenant " << h.tenant;
@@ -257,9 +258,24 @@ TEST_F(ReactorMemoryTest, TenantsThatMissTheSnapshotStaySmallWhileLive) {
   EXPECT_LT(reconverged_live - warm_live, 8192.0);
   // A warm tenant's replica holds a 16-slot token-bucket table by now. Its
   // entries are a router id and a balance, 24 bytes; they were 40 while
-  // each bucket stored its rate and burst too. Measured: 2,557 live bytes
-  // per warm tenant, against 2,829 with the 40-byte entries.
+  // each bucket stored its rate and burst too. Measured: 2,320 live bytes
+  // per warm tenant; 2,565 while each table kept its entries and slot
+  // states in two arrays, and 2,829 before that with the 40-byte entries.
   EXPECT_LT(warm_live, 2700.0);
+}
+
+TEST_F(ReactorMemoryTest, TenantTablesStaySmallLateInLife) {
+  // After 40 of its 64 probes (no tenant has finished yet) a tenant's
+  // token-bucket and learned-interface tables hold most of the routers on
+  // its paths. Each table is one block, entries then one control byte per
+  // slot, that grows at a load of 7/8, so up to 28 entries stay in 32
+  // slots. Measured live bytes per tenant: 3,497; 3,902 with a 3/4
+  // ceiling; 3,739 with separate entry and state arrays; 4,146 with both.
+  CampaignReactor reactor{topo_, simnet::NetworkParams{}, {.collect_merged = false}};
+  (void)live_per_campaign(reactor, false, 40);  // grows the snapshot for the second round
+  const double late_live = live_per_campaign(reactor, false, 40);
+  std::printf("live bytes per tenant after 40 steps: %.0f\n", late_live);
+  EXPECT_LT(late_live, 3600.0);
 }
 
 TEST_F(ReactorMemoryTest, Yarrp6BeginAllocatesTablesOnlyForNeighborhood) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "netbase/rng.hpp"
+#include "support/flat_rebuild.hpp"
 
 namespace beholder6::netbase {
 namespace {
@@ -55,8 +56,8 @@ TEST(FlatMapFuzz, RandomOpsMatchMapOracle) {
           flat.clear();
           oracle.clear();
           break;
-        case 1:  // rare: explicit tombstone purge
-          flat.rehash();
+        case 1:  // rare: tombstone purge by rebuilding
+          test_support::rebuild(flat);
           break;
         case 2:  // rare: jump capacity ahead of size
           flat.reserve(static_cast<std::size_t>(rng.below(kKeyUniverse)));
@@ -107,7 +108,7 @@ TEST(FlatMapFuzz, EraseReinsertChurnsTombstones) {
 }
 
 TEST(FlatMapFuzz, RehashAtCapacityBoundary) {
-  // Fill to the exact 3/4 load-factor trip point repeatedly: every element
+  // Fill to the exact 7/8 load-factor trip point repeatedly: every element
   // must survive each doubling, including entries displaced far from their
   // home slot by collision chains.
   FlatMap<std::uint64_t, std::uint64_t> flat;
@@ -133,7 +134,7 @@ TEST(FlatSetFuzz, RandomOpsMatchSetOracle) {
       } else {
         ASSERT_EQ(flat.insert(key).second, oracle.insert(key).second);
       }
-      if (op % 97 == 0) flat.rehash();
+      if (op % 97 == 0) test_support::rebuild(flat);
       ASSERT_EQ(flat.size(), oracle.size());
     }
     for (const auto& k : oracle) ASSERT_TRUE(flat.contains(k));

@@ -10,11 +10,14 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "netbase/ipv6.hpp"
 #include "netbase/rng.hpp"
+#include "support/flat_rebuild.hpp"
 #include "support/literals.hpp"
 
 namespace beholder6::netbase {
@@ -91,7 +94,7 @@ TEST(FlatMapTest, RehashPreservesContentsAndPurgesTombstones) {
   FlatMap<std::uint64_t, std::uint64_t> m;
   for (std::uint64_t k = 0; k < 1000; ++k) m.emplace(k, k * k);
   for (std::uint64_t k = 0; k < 1000; k += 2) m.erase(k);
-  m.rehash();
+  test_support::rebuild(m);
   EXPECT_EQ(m.size(), 500u);
   for (std::uint64_t k = 0; k < 1000; ++k) {
     EXPECT_EQ(m.contains(k), k % 2 == 1);
@@ -136,6 +139,166 @@ TEST(FlatMapTest, Ipv6KeysWithAddrHash) {
     seen.insert(addr);
   }
   EXPECT_EQ(seen.size(), addrs.size());
+}
+
+TEST(FlatMapTest, ConstantTopBitsShareOneTag) {
+  // Every key gets the same control-byte tag, so each probe falls back to
+  // comparing keys over the whole run; contents must still match an oracle
+  // through growth, erases and tombstone reuse.
+  struct OneTagHash {
+    std::size_t operator()(std::uint64_t k) const noexcept {
+      return static_cast<std::size_t>(splitmix64(k) >> 7);
+    }
+  };
+  FlatMap<std::uint64_t, std::uint64_t, OneTagHash> flat;
+  std::map<std::uint64_t, std::uint64_t> ref;
+  Rng rng{0x7a9};
+  for (int step = 0; step < 6000; ++step) {
+    const auto key = rng.below(700);
+    if (rng.chance(0.35)) {
+      ASSERT_EQ(flat.erase(key), ref.erase(key));
+    } else {
+      ASSERT_EQ(flat.emplace(key, key * 3).second, ref.emplace(key, key * 3).second);
+    }
+  }
+  ASSERT_EQ(flat.size(), ref.size());
+  for (std::uint64_t k = 0; k < 700; ++k) EXPECT_EQ(flat.contains(k), ref.count(k) == 1);
+  const std::map<std::uint64_t, std::uint64_t> sorted(flat.begin(), flat.end());
+  EXPECT_EQ(sorted, ref);
+}
+
+TEST(FlatMapTest, TombstonesAreReusedWhateverTheTags) {
+  // Every key probes from slot 0: once with one shared tag, once with a
+  // distinct tag per key. Erasing one key and inserting a fresh one reuses
+  // the erased slot, so a thousand such turns never grow the table.
+  struct OneBucketHash {
+    std::size_t operator()(std::uint64_t) const noexcept { return 0; }
+  };
+  struct TaggedBucketHash {
+    std::size_t operator()(std::uint64_t k) const noexcept {
+      return static_cast<std::size_t>(k << 57);
+    }
+  };
+  const auto churn = [](auto& m) {
+    for (std::uint64_t k = 0; k < 10; ++k) m.emplace(k, static_cast<int>(k));
+    const auto cap = m.capacity();
+    for (std::uint64_t turn = 0; turn < 1000; ++turn) {
+      ASSERT_EQ(m.erase(turn), 1u) << "turn " << turn;
+      ASSERT_TRUE(m.emplace(turn + 10, static_cast<int>(turn)).second);
+      ASSERT_EQ(m.size(), 10u);
+    }
+    EXPECT_EQ(m.capacity(), cap) << "an erased slot was not reused";
+    for (std::uint64_t k = 0; k < 1010; ++k) EXPECT_EQ(m.contains(k), k >= 1000);
+  };
+  FlatMap<std::uint64_t, int, OneBucketHash> one_tag;
+  churn(one_tag);
+  FlatMap<std::uint64_t, int, TaggedBucketHash> many_tags;
+  churn(many_tags);
+}
+
+TEST(FlatMapTest, GrowsPastSevenEighthsLoad) {
+  FlatSet<std::uint64_t> s;
+  for (std::uint64_t k = 0; k < 14; ++k) s.insert(k);
+  EXPECT_EQ(s.capacity(), 16u) << "14 entries fit in 16 slots";
+  s.insert(14);
+  EXPECT_EQ(s.capacity(), 32u) << "the 15th grows the table";
+  for (std::uint64_t k = 15; k < 28; ++k) s.insert(k);
+  EXPECT_EQ(s.capacity(), 32u) << "28 entries fit in 32 slots";
+  for (std::size_t n = 1; n <= 300; ++n) {
+    FlatSet<std::uint64_t> r;
+    r.reserve(n);
+    const auto cap = r.capacity();
+    for (std::uint64_t k = 0; k < n; ++k) r.insert(k);
+    ASSERT_EQ(r.capacity(), cap) << "reserve(" << n << ") must make its inserts rehash-free";
+  }
+}
+
+/// Counts live instances, so a test can see that a table constructs an
+/// entry per element, not per slot, and destroys each one it made.
+struct Tracked {
+  static inline int live = 0;
+  std::string payload;  // longer than the small-string buffer: owns heap
+  explicit Tracked(int v = 0) : payload(40, static_cast<char>('a' + v % 26)) { ++live; }
+  Tracked(const Tracked& o) : payload(o.payload) { ++live; }
+  Tracked(Tracked&& o) noexcept : payload(std::move(o.payload)) { ++live; }
+  Tracked& operator=(const Tracked&) = default;
+  Tracked& operator=(Tracked&&) noexcept = default;
+  ~Tracked() { --live; }
+  friend bool operator==(const Tracked&, const Tracked&) = default;
+};
+
+template <typename V>
+V value_of(int i) {
+  if constexpr (std::is_same_v<V, Tracked>)
+    return Tracked{i};
+  else
+    return static_cast<V>(i * 7 + 1);
+}
+
+template <typename V>
+void check_copies_and_moves() {
+  using Map = FlatMap<std::uint64_t, V>;
+  Map a;
+  for (int i = 0; i < 40; ++i) a.emplace(static_cast<std::uint64_t>(i), value_of<V>(i));
+  for (int i = 0; i < 40; i += 3) a.erase(static_cast<std::uint64_t>(i));  // tombstones too
+
+  Map copy{a};
+  EXPECT_EQ(copy, a);
+  EXPECT_EQ(copy.capacity(), a.capacity());
+  copy.erase(1);
+  EXPECT_TRUE(a.contains(1)) << "a copy shares nothing with its source";
+
+  Map assigned;
+  assigned.emplace(999, value_of<V>(9));
+  assigned = a;
+  EXPECT_EQ(assigned, a);
+  EXPECT_FALSE(assigned.contains(999));
+  const Map& same = assigned;
+  assigned = same;  // self-assignment keeps the contents
+  EXPECT_EQ(assigned, a);
+
+  Map moved{std::move(assigned)};
+  EXPECT_EQ(moved, a);
+  EXPECT_TRUE(assigned.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  EXPECT_EQ(assigned.capacity(), 0u);
+  assigned.emplace(5, value_of<V>(5));  // and usable again
+  EXPECT_EQ(assigned.size(), 1u);
+
+  Map target;
+  for (int i = 100; i < 130; ++i) target.emplace(static_cast<std::uint64_t>(i), value_of<V>(i));
+  target = std::move(moved);
+  EXPECT_EQ(target, a);
+  EXPECT_FALSE(target.contains(100));
+  target.clear();
+  EXPECT_TRUE(target.empty());
+  EXPECT_EQ(a.size(), 26u);
+}
+
+TEST(FlatMapTest, CopiesAndMovesTrivialEntries) { check_copies_and_moves<std::uint64_t>(); }
+
+TEST(FlatMapTest, CopiesAndMovesOwningEntries) {
+  Tracked::live = 0;
+  check_copies_and_moves<Tracked>();
+  EXPECT_EQ(Tracked::live, 0) << "every entry a table made was destroyed";
+}
+
+TEST(FlatMapTest, ConstructsAnEntryPerElementNotPerSlot) {
+  Tracked::live = 0;
+  {
+    FlatMap<std::uint64_t, Tracked> m;
+    m.reserve(1000);
+    EXPECT_EQ(Tracked::live, 0) << "empty slots hold no entry";
+    for (int i = 0; i < 500; ++i) m.emplace(static_cast<std::uint64_t>(i), i);
+    EXPECT_EQ(Tracked::live, 500);
+    for (int i = 0; i < 500; i += 2) m.erase(static_cast<std::uint64_t>(i));
+    EXPECT_EQ(Tracked::live, 250) << "erase destroys the entry";
+    for (int i = 500; i < 3000; ++i) m.emplace(static_cast<std::uint64_t>(i), i);
+    EXPECT_EQ(Tracked::live, 2750) << "growth moves entries without leaving copies";
+    m.clear();
+    EXPECT_EQ(Tracked::live, 0);
+    m.emplace(1, 1);
+  }
+  EXPECT_EQ(Tracked::live, 0);
 }
 
 TEST(FlatSetTest, InsertEraseContains) {

@@ -15,6 +15,7 @@
 
 #include "netbase/flat_map.hpp"
 #include "simnet/route_cache.hpp"
+#include "support/flat_rebuild.hpp"
 #include "support/mapped.hpp"
 
 namespace beholder6::netbase {
@@ -82,7 +83,7 @@ TEST_F(HugeAllocTest, TablesLeaveNoMappingBehind) {
     FlatMap<std::uint64_t, std::uint64_t> map;
     for (std::uint64_t i = 0; i < 100'000; ++i) map.emplace(i, i * 3);
     for (std::uint64_t i = 0; i < 100'000; i += 2) map.erase(i);
-    map.rehash();
+    test_support::rebuild(map);
     EXPECT_EQ(map.size(), 50'000u);
     EXPECT_EQ(map.at(99'999), 299'997u);
 

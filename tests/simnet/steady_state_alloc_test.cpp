@@ -5,7 +5,8 @@
 // check replaces the global operator new/delete with counting versions,
 // which is why it is a test binary of its own. tools/check_noalloc.py
 // proves the same property statically over the call graph; this test
-// proves it at runtime.
+// proves it at runtime. The same hook checks that a hash table grows by
+// one allocation at a time.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "netbase/flat_map.hpp"
 #include "prober/yarrp6.hpp"
 #include "seeds/sources.hpp"
 #include "simnet/network.hpp"
@@ -110,6 +112,28 @@ TEST(SteadyStateAlloc, WarmInjectViewSweepAllocatesNothing) {
   EXPECT_EQ(test_support::mappings(), mappings_before)
       << "a table of 1 MB or more grew during the warm sweep";
   EXPECT_GT(replies, 0u);
+}
+
+TEST(SteadyStateAlloc, FlatTableGrowthAllocatesOneBlock) {
+  // A table is one block (entries and control bytes): each growth makes
+  // exactly one operator new, and an insert that does not grow makes none.
+  // 20,000 entries of 16 bytes stay below the 1 MB mapping threshold.
+  netbase::FlatMap<std::uint64_t, std::uint64_t> map;
+  std::uint64_t growths = 0;
+  for (std::uint64_t k = 0; k < 20'000; ++k) {
+    const auto cap = map.capacity();
+    const auto before = g_allocs.load(std::memory_order_relaxed);
+    map.emplace(k, k);
+    const auto allocations = g_allocs.load(std::memory_order_relaxed) - before;
+    const bool grew = map.capacity() != cap;
+    growths += grew;
+    ASSERT_EQ(allocations, grew ? 1u : 0u) << "insert " << k;
+  }
+  EXPECT_EQ(growths, 12u) << "16 slots doubled to 32,768";
+  const auto before = g_allocs.load(std::memory_order_relaxed);
+  netbase::FlatMap<std::uint64_t, std::uint64_t> copy{map};
+  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 1u) << "a copy is one block too";
+  EXPECT_EQ(copy.size(), map.size());
 }
 
 }  // namespace

@@ -57,7 +57,9 @@ TEST(Topology, BgpHasMorePrefixesThanAsns) {
   std::size_t prefixes = 0;
   for (const auto& as : topo().ases()) prefixes += as.prefixes.size();
   EXPECT_GT(prefixes, topo().ases().size());
-  EXPECT_EQ(topo().bgp().size(), prefixes);
+  std::size_t announced = 0;
+  topo().bgp().for_each([&](const Prefix&, const Asn&) { ++announced; });
+  EXPECT_EQ(announced, prefixes);
 }
 
 TEST(Topology, SixToFourPrefixAnnounced) {
@@ -73,7 +75,6 @@ TEST(Topology, UnroutedSpaceHasNoOrigin) {
 TEST(Topology, OriginAgreesWithLinearScanOfBgp) {
   std::vector<std::pair<Prefix, Asn>> table;
   topo().bgp().for_each([&](const Prefix& p, const Asn& asn) { table.emplace_back(p, asn); });
-  ASSERT_EQ(table.size(), topo().bgp().size());
   auto expect_origin = [&](const Ipv6Addr& a) {
     const std::pair<Prefix, Asn>* best = nullptr;
     for (const auto& e : table)

@@ -100,10 +100,10 @@ that a library object defines and the walk does not reach fails the gate,
 unless UNREACHED_ALLOWLIST names it; every allowed function is printed
 with its reason, and an entry that matches nothing fails as stale. The
 canonical trees, Release and -fno-inline like the hot-path analysis, with
-benches on:
+benches and tests on (the gate reads the test objects' templates, below):
 
     cmake -B build-noalloc -DCMAKE_BUILD_TYPE=Release \
-          -DBEHOLDER6_BUILD_TESTS=OFF -DCMAKE_CXX_FLAGS=-fno-inline
+          -DBEHOLDER6_BUILD_TESTS=ON -DCMAKE_CXX_FLAGS=-fno-inline
     cmake --build build-noalloc -j
     cmake -S benchmark -B build-b6bench -DCMAKE_CXX_FLAGS=-fno-inline
     cmake --build build-b6bench --target b6bench -j
@@ -120,6 +120,17 @@ function's own symbol, so a function counts as reached when the walk
 reaches any symbol whose demangled name, clone suffix removed, is its
 name.
 
+Templates are judged by source function. A member of a class template
+has a symbol only where something instantiates it, so one that only
+tests call exists only in test objects: the gate reads each test
+object's symbol table (not its code) for instantiations of the library's
+templates, leaving out test-local ones and those of `test_support`. A
+template function counts as reached when the walk reaches any of its
+instantiations: instantiations share a key, the demangled name without
+template arguments or return type, plus the parameter count and
+qualifiers (template_key). An unreached one is reported under its first
+instantiation's name.
+
 What it cannot see (blind spots, stated rather than hidden):
   * header constructors, destructors and operator=: an implicitly
     defined one reads like a written one, so none of vague linkage is
@@ -130,8 +141,10 @@ What it cannot see (blind spots, stated rather than hidden):
     so what goes unjudged there is dead code, not test-only code;
   * a captureless lambda's static invoker (`_FUN`) and its conversion to a
     function pointer, emitted beside every such lambda: not judged;
-  * template instantiations (one per use, not per source function): not
-    judged;
+  * a template member that nothing instantiates, not even a test, has no
+    symbol to judge; and overloads of a template function with the same
+    parameter count and qualifiers share a key, so reaching one reaches
+    all;
   * a `constexpr` function that only constant expressions use has no call
     in any object, so it reads as unreached (allowlist it);
   * whether a virtual override is ever called: its vtable holds its
@@ -430,6 +443,13 @@ class CallGraph:
         return self.alias.get(sym, sym)
 
 
+def defined_functions(obj: Path) -> set[str]:
+    """The functions an object defines, from its symbol table alone."""
+    return {sm.group(4) for sm in map(SYMTAB_RE.match,
+                                      run(["objdump", "-t", str(obj)]).splitlines())
+            if sm and sm.group(2) != "*UND*"}
+
+
 def demangle(symbols: list[str]) -> dict[str, str]:
     if not symbols:
         return {}
@@ -582,6 +602,10 @@ UNREACHED_CORPUS = REPO_ROOT / "tools" / "lint_corpus" / "unreached"
 # The non-test programs of the main tree: CMake target directories whose
 # objects root the walk. b6bench comes from its own tree (--b6bench-dir).
 PROGRAM_GLOBS = ("bench_*", "example_*", "b6-*")
+# Test binaries, whose template instantiations are judged; and the
+# namespace of their shared helpers (tests/support), which is not.
+TEST_GLOB = "*_test"
+TEST_NAMESPACE = "test_support"
 
 # Library functions that no non-test program reaches and that stay anyway:
 # a demangled-name regex and the reason, printed on every run. An entry
@@ -598,6 +622,9 @@ UNREACHED_ALLOWLIST: list[tuple[str, str]] = [
     (r"^beholder6::Rng::min\(\)",
      "a UniformRandomBitGenerator member: <random> distributions and the "
      "concept check read it, only in constant expressions"),
+    (r"^beholder6::netbase::detail::FlatTable<.*>::capacity\(\) const",
+     "the tests' one view of a hash table's growth: the 7/8 ceiling, "
+     "reserve() and clear() are specified in slots, which no program reads"),
 ]
 
 # GCC gives each function of vague linkage (inline, implicitly defined or a
@@ -655,31 +682,90 @@ def strip_groups(component: str) -> str:
     return "".join(out)
 
 
-def unjudged(demangled: str, vague: bool) -> bool:
-    """Functions whose symbols cannot say whether source code asked for
-    them: a captureless lambda's static invoker (`_FUN`) and its
-    conversion to a function pointer (emitted beside every such lambda);
-    constructors, destructors and operator= (an implicit one reads like a
-    written one) of vague linkage (`vague`: header code) or of a class
-    private to one source file (in an anonymous namespace or local to a
-    function, whose implicit ones are local `.text` symbols); and template
-    instantiations of vague linkage (one per use, not per source
-    function). An implicit special member of any other class always has
+def classify(demangled: str, vague: bool) -> str | None:
+    """How a function is judged. None for functions whose symbols cannot
+    say whether source code asked for them: a captureless lambda's static
+    invoker (`_FUN`) and its conversion to a function pointer (emitted
+    beside every such lambda); constructors, destructors and operator= (an
+    implicit one reads like a written one) of vague linkage (`vague`:
+    header code) or of a class private to one source file (in an anonymous
+    namespace or local to a function, whose implicit ones are local `.text`
+    symbols). An implicit special member of any other class always has
     vague linkage, so one such defined in a .cpp was written there and is
-    judged."""
+    judged. "template" for any other template instantiation of vague
+    linkage, judged by its source function (template_key); "function"
+    for the rest."""
     parts = name_components(demangled)
     last = parts[-1]
     owner = parts[-2] if len(parts) > 1 else ""
     if owner.startswith("{lambda") and (last == "_FUN"
                                         or last.startswith("operator ")):
-        return True
-    # `(anonymous namespace)`, or an enclosing function's parameter list.
-    private = any("(" in p.split("<", 1)[0] for p in parts[:-1])
+        return None
     special = (last.startswith("~") or last == "operator="
                or last == owner.split("<", 1)[0])
-    if special and (vague or private):
-        return True
-    return vague and any("<" in strip_groups(p) for p in parts)
+    if special and (vague or private_to_source(parts)):
+        return None
+    if vague and any("<" in strip_groups(p) for p in parts):
+        return "template"
+    return "function"
+
+
+def private_to_source(parts: list[str]) -> bool:
+    """In an anonymous namespace or local to a function: `(anonymous
+    namespace)`, or an enclosing function's parameter list."""
+    return any("(" in p.split("<", 1)[0] for p in parts[:-1])
+
+
+def split_top(text: str, sep: str) -> list[str]:
+    """`text` split at each `sep` outside brackets."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "(<{[":
+            depth += 1
+        elif ch in ")>}]":
+            depth -= 1
+        elif depth == 0 and text.startswith(sep, i):
+            parts.append(text[start:i])
+            start = i + len(sep)
+    parts.append(text[start:])
+    return parts
+
+
+def template_key(demangled: str) -> str:
+    """One key per source function of a template: the qualified name
+    without template arguments or a function template's return type, then
+    the parameter count and the qualifiers. Every instantiation of
+    `FlatTable<E, K, H, F>::find(K const&) const` keys as
+    `beholder6::netbase::detail::FlatTable::find/1 const`."""
+    s = CLONE_RE.sub("", demangled)
+    quals = QUALIFIER_RE.search(s)
+    qualifiers = quals.group(0) if quals else ""
+    s = s[:len(s) - len(qualifiers)]
+    # Operator names keep their spelling without unbalancing the scans.
+    s = OPERATOR_RE.sub(
+        lambda m: m.group(0).translate(str.maketrans("<>()", "{}[]")), s)
+    params = ""
+    depth = 0
+    for i in range(len(s) - 1, -1, -1) if s.endswith(")") else ():
+        depth += {")": 1, "(": -1}.get(s[i], 0)
+        if depth == 0:
+            s, params = s[:i], s[i + 1:-1]
+            break
+    arity = 0 if params in ("", "void") else len(split_top(params, ","))
+    name, depth = [], 0
+    for ch in s:  # drop every template argument list
+        if ch == "<":
+            depth += 1
+        elif ch == ">":
+            depth -= 1
+        elif depth == 0:
+            name.append(ch)
+    s = "".join(name)
+    head = s.split("operator", 1)[0]
+    words = split_top(head, " ")
+    if len(words) > 1:  # a function template's return type
+        s = s[len(head) - len(words[-1]):]
+    return f"{s}/{arity}{qualifiers}"
 
 
 def namespace_symbol_re(namespace: str) -> re.Pattern[str]:
@@ -689,14 +775,14 @@ def namespace_symbol_re(namespace: str) -> re.Pattern[str]:
     return re.compile(rf"^_ZZ?N[KVRO]*{len(namespace)}{namespace}")
 
 
-def find_unreached(library: list[Path], programs: list[Path], namespace: str,
-                   allowlist: list[tuple[str, str]],
-                   others: tuple[Path, ...] = ()) -> dict:
+def find_unreached(library: list[Path], programs: list[Path], tests: list[Path],
+                   namespace: str, allowlist: list[tuple[str, str]]) -> dict:
     """Walk the call graph from every function the program objects define
     and every function whose address any data holds (vtables included).
     Report each function of `namespace` that a library object defines and
-    the walk does not reach. `others` (test objects, in the self-test) add
-    their edges but root nothing."""
+    the walk does not reach, and each template function of `namespace`
+    that a library or test object instantiates and no program reaches in
+    any instantiation. Test objects root nothing."""
     graph = CallGraph()
     library_defined: set[str] = set()
     roots: set[str] = set()
@@ -707,8 +793,6 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
     for obj in programs:
         defined, data_refs = graph.add_object(obj)
         roots |= defined | data_refs
-    for obj in others:
-        graph.add_object(obj)
 
     reached: set[str] = set()
     queue = deque(graph.canon(r) for r in roots)
@@ -721,7 +805,10 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
 
     ns_re = namespace_symbol_re(namespace)
     ours = sorted(s for s in library_defined if ns_re.match(s))
-    dem = demangle(sorted(set(ours) | reached))
+    test_defined: set[str] = set()
+    for obj in tests:
+        test_defined |= {sym for sym in defined_functions(obj) if ns_re.match(sym)}
+    dem = demangle(sorted(set(ours) | reached | test_defined))
     # One source function, many symbols: C1/C2 constructors, D0/D1/D2
     # destructors, .constprop/.isra/.part/.cold clones, and the copies of
     # a header function that each object emits (a program's may be a local
@@ -729,12 +816,35 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
     # suffix is gone. Reaching any of them reaches it.
     reached_names = {CLONE_RE.sub("", dem.get(s, s)) for s in reached}
     functions: set[str] = set()
+    templates: dict[str, set[str]] = {}
     skipped: set[str] = set()
     for sym in ours:
         name = CLONE_RE.sub("", dem.get(sym, sym))
         vague = bool(VAGUE_LINKAGE_RE.match(graph.section.get(sym, "")))
-        (skipped if unjudged(name, vague) else functions).add(name)
-    unreached = sorted(n for n in functions if n not in reached_names)
+        kind = classify(name, vague)
+        if kind is None:
+            skipped.add(name)
+        elif kind == "template":
+            templates.setdefault(template_key(name), set()).add(name)
+        else:
+            functions.add(name)
+    # A template member only tests call is instantiated only in test
+    # objects: their instantiations of the library's templates are judged
+    # too (not those of test-local code or of test_support). A test's copy
+    # may be a local clone in `.text`, so its section says nothing.
+    for sym in test_defined:
+        name = CLONE_RE.sub("", dem.get(sym, sym))
+        parts = name_components(name)
+        if (classify(name, True) == "template" and not private_to_source(parts)
+                and TEST_NAMESPACE not in parts):
+            templates.setdefault(template_key(name), set()).add(name)
+    # A template's source function is reached when any instantiation is;
+    # an unreached one is named by its first instantiation.
+    reached_keys = {template_key(n) for n in reached_names
+                    if namespace + "::" in n}
+    unreached = sorted([n for n in functions if n not in reached_names]
+                       + [min(names) for key, names in templates.items()
+                          if key not in reached_keys])
 
     allow_res = [(re.compile(pat), pat, why) for pat, why in allowlist]
     allowed: list[dict] = []
@@ -751,8 +861,8 @@ def find_unreached(library: list[Path], programs: list[Path], namespace: str,
     return {
         "library_objects": len(library),
         "program_objects": len(programs),
-        "library_functions": len(functions),
-        "reached": len(functions) - len(unreached),
+        "library_functions": len(functions) + len(templates),
+        "reached": len(functions) + len(templates) - len(unreached),
         "unjudged": sorted(skipped),
         "allowed": allowed,
         "stale_allowlist": [pat for pat, _ in allowlist if pat not in used],
@@ -812,26 +922,38 @@ def run_unreached_self_test() -> int:
                             "-std=c++20", "-c", str(src), "-o",
                             str(objs[part])], check=True)
         rep = find_unreached(
-            [objs["library"]], [objs["program"]], "unreached_fixture",
+            [objs["library"]], [objs["program"]], [objs["test"]],
+            "unreached_fixture",
             [(r"unreached_fixture::allowlisted\(",
               "fixture allowlist: kept on purpose"),
-             (r"unreached_fixture::gone\(", "fixture allowlist: stale")],
-            others=(objs["test"],))
+             (r"unreached_fixture::gone\(", "fixture allowlist: stale")])
     print_unreached_report(rep)
     failures = 0
     if rep["findings"] != ["unreached_fixture::Gauge::Gauge(int)",
                            "unreached_fixture::Meter::peak() const",
+                           "unreached_fixture::Tally<long>::twice() const",
                            "unreached_fixture::jump_table(int, int)",
                            "unreached_fixture::test_only(int)"]:
         print(f"self-test: FAIL — expected exactly Gauge::Gauge(int), "
-              f"Meter::peak() const, jump_table(int, int) and "
-              f"test_only(int) reported, got {rep['findings']}")
+              f"Meter::peak() const, Tally<long>::twice() const, "
+              f"jump_table(int, int) and test_only(int) reported, got "
+              f"{rep['findings']}")
         failures += 1
     else:
         print("self-test: a function only a test object calls is reported, "
               "also when a jump table in data points into its body, also "
-              "when it is header-inline, and also when it is a constructor "
-              "written in a .cpp [ok]")
+              "when it is header-inline, also when it is a constructor "
+              "written in a .cpp, and also when it is a template member "
+              "only a test instantiates [ok]")
+    if any(name in rep["findings"] for name in (
+            "unreached_fixture::Tally<long>::half() const",
+            "long unreached_fixture::scaled<long>(long)")):
+        print("self-test: FAIL — a template function the program reaches "
+              "in another instantiation was reported")
+        failures += 1
+    else:
+        print("self-test: a template member counts as reached when any "
+              "instantiation is [ok]")
     if "unreached_fixture::Meter::reading() const" in rep["findings"]:
         print("self-test: FAIL — the inline accessor the program reaches "
               "through its local clone was reported")
@@ -947,12 +1069,20 @@ def run_unreached(args: argparse.Namespace) -> int:
               "and b6bench from benchmark/CMakeLists.txt (see the module "
               "docstring)", file=sys.stderr)
         return 2
+    tests = sorted(o for d in (build_dir / "CMakeFiles").glob(TEST_GLOB + ".dir")
+                   for o in d.rglob("*.o"))
+    if not tests:
+        print(f"check_noalloc --unreached: no test objects under "
+              f"{build_dir}/CMakeFiles/{TEST_GLOB}.dir; configure the tree "
+              f"with BEHOLDER6_BUILD_TESTS=ON and build it (a template member "
+              f"only tests call is instantiated only there)", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as td:
         library = keep_inline_library(build_dir, Path(td))
         if isinstance(library, str):
             print(f"check_noalloc --unreached: {library}", file=sys.stderr)
             return 2
-        rep = find_unreached(library, programs, "beholder6",
+        rep = find_unreached(library, programs, tests, "beholder6",
                              UNREACHED_ALLOWLIST)
     print_unreached_report(rep)
     if args.report:

@@ -35,6 +35,18 @@
 //   used()'s lambda  its static invoker (_FUN) and its conversion to a
 //                    function pointer, which nothing calls, MUST NOT be
 //                    reported.
+//
+// Templates: a member of a class template exists only where something
+// instantiates it, so the test object's instantiations are judged too, by
+// their source function (the name without template arguments).
+//   Tally<T>::half()  the program calls Tally<int>::half(), the test
+//                     Tally<long>::half() MUST pass: any instantiation
+//                     reached reaches it.
+//   Tally<T>::twice() only the test calls, in Tally<long>, MUST be
+//                     reported.
+//   scaled<T>()       a function template, whose name demangles after its
+//                     return type: the program calls scaled<int>(), the
+//                     test scaled<long>() MUST pass.
 #pragma once
 
 #include <memory>
@@ -71,5 +83,17 @@ struct Meter {
   std::vector<int> samples;  // makes the implicit constructor non-trivial
   int level = 0;
 };
+
+template <typename T>
+struct Tally {
+  T half() const { return total / 2; }
+  T twice() const { return total * 2; }
+  T total{};
+};
+
+template <typename T>
+T scaled(T v) {
+  return v * 3 + 1;
+}
 
 }  // namespace unreached_fixture
