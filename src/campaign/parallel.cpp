@@ -61,10 +61,10 @@ class SplitFamily {
   [[nodiscard]] EpochBarrier* barrier() const { return barrier_; }
 
   /// Member `i` arrives, `exhausted` or parked. The epoch's last arrival
-  /// runs merge_epoch() — even as the last exhaustion, which publishes a
-  /// Doubletree family's final stop set — clears the parked members'
-  /// pauses and returns their indexes in member order, for the caller to
-  /// reschedule; any other arrival returns an empty span.
+  /// runs merge_epoch() — even as the last exhaustion, whose merge leaves a
+  /// Doubletree family's final deltas in the caller's stop set — clears
+  /// the parked members' pauses and returns their indexes in member order,
+  /// for the caller to reschedule; any other arrival returns an empty span.
   std::span<const std::uint32_t> arrive(std::size_t i, bool exhausted) {
     B6_DCHECK(state_[i] == kActive, "split-family member arrived twice in "
                                      "one epoch — the barrier schedule broke");
@@ -106,14 +106,19 @@ class SplitFamily {
 /// and an epoch-family unit one epoch per claim. Units are expanded
 /// deterministically before any worker starts, so the unit list — like the
 /// shard list — is part of the fixed campaign spec, and the claim order
-/// never touches results.
+/// never touches results. A family's members are consecutive units,
+/// member 0 first, and its index in the family list is its parent's.
 struct WorkUnit {
   ProbeSource* source = nullptr;  // a member of the shard's SplitFamily
-  std::size_t parent = 0;         // index into the shard list
+  std::size_t parent = 0;         // index into the shard and family lists
   std::uint32_t subshard = 0;     // canonical index within the parent
+  bool epoch = false;             // its family merges at an epoch barrier
   bool record = false;            // append this unit's replies to its run
   bool live_sink = false;         // deliver the parent sink per reply, inline
   bool sink_on_merge = false;     // the post-join merge delivers it instead
+  /// Estimated work (the parent's warm-target count over its family
+  /// size), which orders the first claims.
+  std::size_t work = 0;
 };
 
 /// What one unit's run produces, keyed by unit index — workers share
@@ -179,16 +184,6 @@ struct alignas(64) WorkerArena {
   WorkerPerf perf;
 };
 
-/// A pool unit's split family: its index in run_pool's `families` (-1: a
-/// free-running unit), its member index, and its estimated work (its parent
-/// shard's warm-target count over the family size), which orders the first
-/// claims. A family's members are consecutive units, member 0 first.
-struct PoolUnit {
-  std::int32_t family = -1;
-  std::uint32_t member = 0;
-  std::size_t work = 0;
-};
-
 /// The warm targets every member of a split family names, compared by
 /// value; empty for a family of one and for members that name different
 /// targets (children that partition their parent's list).
@@ -218,7 +213,7 @@ using UnitDrive = std::function<bool(std::size_t worker, std::size_t unit)>;
 /// express, so the contract lives here in words.
 class Scheduler {
  public:
-  Scheduler(std::span<const PoolUnit> units, std::span<SplitFamily> families)
+  Scheduler(std::span<const WorkUnit> units, std::span<SplitFamily> families)
       : units_(units), families_(families), unfinished_(units.size()) {
     for (std::size_t u = 0; u < units_.size(); ++u) ready_.push_back(u);
     std::ranges::sort(ready_, [this](std::size_t a, std::size_t b) {
@@ -248,11 +243,11 @@ class Scheduler {
   void report(std::size_t u, bool done) B6_EXCLUDES(mu_) {
     netbase::MutexLock lock{mu_};
     if (done) --unfinished_;
-    const PoolUnit& pu = units_[u];
-    if (pu.family >= 0) {
-      SplitFamily& family = families_[static_cast<std::size_t>(pu.family)];
-      for (const std::uint32_t m : family.arrive(pu.member, done))
-        ready_.push_back(u - pu.member + m);
+    const WorkUnit& unit = units_[u];
+    if (unit.epoch) {
+      SplitFamily& family = families_[unit.parent];
+      for (const std::uint32_t m : family.arrive(unit.subshard, done))
+        ready_.push_back(u - unit.subshard + m);
     }
     cv_.notify_all();
   }
@@ -272,7 +267,7 @@ class Scheduler {
   }
 
  private:
-  const std::span<const PoolUnit> units_;  // immutable during the run
+  const std::span<const WorkUnit> units_;  // immutable during the run
 
   netbase::Mutex mu_;
   netbase::CondVar cv_;
@@ -289,7 +284,7 @@ class Scheduler {
 /// Returns once every unit has exhausted, or rethrows the first failure
 /// after the join. The claim order never touches results: free units are
 /// independent, and epoch merges follow the barrier protocol.
-void run_pool(std::span<const PoolUnit> units, std::span<SplitFamily> families,
+void run_pool(std::span<const WorkUnit> units, std::span<SplitFamily> families,
               std::size_t workers, const UnitDrive& drive) {
   Scheduler sched{units, families};
   auto worker = [&](std::size_t w) {
@@ -332,7 +327,6 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
   std::vector<SplitFamily> families;
   families.reserve(shards.size());
   std::vector<WorkUnit> units;
-  std::vector<PoolUnit> pool_units;
   for (std::size_t i = 0; i < shards.size(); ++i) {
     const Shard& shard = shards[i];
     const SplitFamily& family =
@@ -340,16 +334,13 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     // A single-member family is still one unit: its sink stays live.
     const bool split = family.size() > 1;
     const bool merge_sink = split && shard.sink != nullptr;
-    const std::int32_t epoch =
-        family.barrier() != nullptr ? static_cast<std::int32_t>(i) : -1;
+    const bool epoch = family.barrier() != nullptr;
     const std::size_t work =
         shard.source->route_warm_targets().size() / family.size();
-    for (std::uint32_t j = 0; j < family.size(); ++j) {
-      units.push_back({&family.member(j), i, j,
+    for (std::uint32_t j = 0; j < family.size(); ++j)
+      units.push_back({&family.member(j), i, j, epoch,
                        options.collect_replies || merge_sink,
-                       !split && shard.sink != nullptr, merge_sink});
-      pool_units.push_back({epoch, j, work});
-    }
+                       !split && shard.sink != nullptr, merge_sink, work});
   }
   std::vector<UnitResult> unit_results(units.size());
   std::vector<UnitState> states(units.size());
@@ -399,8 +390,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     const Shard& shard = shards[unit.parent];
     UnitState& state = states[u];
     UnitResult& out = unit_results[u];
-    const bool epoch = pool_units[u].family >= 0;
-    auto& replica = epoch ? state.own_net : arena.net;
+    auto& replica = unit.epoch ? state.own_net : arena.net;
     if (!state.pacer) {
       if (replica) {
         replica->reset();  // only an arena replica outlives a unit
@@ -429,7 +419,8 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     while (!pacer.done() && !unit.source->epoch_paused())
       pacer.step(net, arena.probe_buf);
     const bool done = !unit.source->epoch_paused();
-    B6_DCHECK(done || epoch, "a free-running unit paused at an epoch barrier");
+    B6_DCHECK(done || unit.epoch,
+              "a free-running unit paused at an epoch barrier");
     if (done) {
       out.stats = pacer.stats();
       out.net = net.stats();
@@ -440,7 +431,7 @@ ParallelResult ParallelCampaignRunner::run(const std::vector<Shard>& shards,
     arena.perf.busy_seconds += secs_since(unit_t0);
     return done;
   };
-  run_pool(pool_units, families, workers, drive_unit);
+  run_pool(units, families, workers, drive_unit);
 
   result.worker_perf.reserve(workers);
   for (const auto& arena : arenas) result.worker_perf.push_back(arena.perf);

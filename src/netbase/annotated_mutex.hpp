@@ -5,7 +5,7 @@
 //
 // Under Clang, `-Wthread-safety -Werror` (the CI `thread-safety` job)
 // rejects any access to a B6_GUARDED_BY member without its mutex held, any
-// REQUIRES-annotated call on the wrong side of a lock, and any
+// call to a B6_EXCLUDES method with that mutex already held, and any
 // acquire/release imbalance. Under GCC (the local toolchain) every macro
 // expands to nothing and the wrappers are exactly std::mutex /
 // std::condition_variable — zero runtime difference.
@@ -16,18 +16,17 @@
 //     netbase::Mutex mu_;
 //     std::deque<Item> items_ B6_GUARDED_BY(mu_);
 //    public:
-//     void push(Item it) {
+//     void push(Item it) B6_EXCLUDES(mu_) {  // takes mu_ itself
 //       netbase::MutexLock lock(mu_);
-//       items_.push_back(std::move(it));   // OK: lock held
+//       items_.push_back(std::move(it));     // OK: lock held
 //     }
-//     void push_unlocked(Item) B6_REQUIRES(mu_);  // caller must hold mu_
 //   };
 //
 // Known analysis limits, and the conventions that keep us inside them:
 //   * lambda bodies are analyzed as separate functions with no capability
 //     context — so no guarded access inside condition_variable wait
 //     predicates. Use explicit `while (!cond()) cv.wait(lock);` loops in
-//     B6_REQUIRES-annotated methods instead;
+//     the method that holds the MutexLock instead;
 //   * the attributes only attach to data members and globals, not locals —
 //     shared state must live in a class (which is better structure anyway).
 #pragma once
@@ -49,21 +48,9 @@
 #define B6_CAPABILITY(x) B6_THREAD_ANNOTATION(capability(x))
 #define B6_SCOPED_CAPABILITY B6_THREAD_ANNOTATION(scoped_lockable)
 #define B6_GUARDED_BY(x) B6_THREAD_ANNOTATION(guarded_by(x))
-#define B6_PT_GUARDED_BY(x) B6_THREAD_ANNOTATION(pt_guarded_by(x))
-#define B6_REQUIRES(...) \
-  B6_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define B6_REQUIRES_SHARED(...) \
-  B6_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define B6_ACQUIRE(...) B6_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define B6_ACQUIRE_SHARED(...) \
-  B6_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define B6_RELEASE(...) B6_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define B6_RELEASE_SHARED(...) \
-  B6_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define B6_EXCLUDES(...) B6_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-#define B6_RETURN_CAPABILITY(x) B6_THREAD_ANNOTATION(lock_returned(x))
-#define B6_NO_THREAD_SAFETY_ANALYSIS \
-  B6_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 namespace beholder6::netbase {
 
@@ -95,9 +82,9 @@ class B6_SCOPED_CAPABILITY MutexLock {
   std::unique_lock<std::mutex> lock_;
 };
 
-/// Condition variable paired with Mutex/MutexLock. wait() must be called
-/// with the lock held; the B6_REQUIRES annotation on the caller's method
-/// is what proves it.
+/// Condition variable paired with Mutex/MutexLock. wait() takes the held
+/// MutexLock itself, so it can only be called inside the lock's scope;
+/// Scheduler::claim in campaign/parallel.cpp is the one caller.
 class CondVar {
  public:
   void wait(MutexLock& lock) { cv_.wait(lock.native()); }

@@ -8,14 +8,6 @@ namespace beholder6::prober {
 
 // ---- SnapshotStopSet --------------------------------------------------------
 
-SnapshotStopSet::SnapshotStopSet(const StopSet& initial, std::size_t children,
-                                 StopSet* publish)
-    : deltas_(children), publish_(publish) {
-  frozen_.reserve(initial.size());
-  // beholder6: lint-allow(unordered-iter): set-to-set copy, membership only
-  for (const auto& addr : initial) frozen_.insert(addr);
-}
-
 bool SnapshotStopSet::insert(std::size_t child, const Ipv6Addr& addr) {
   // The frozen set is immutable this epoch, so a hit there needs no delta
   // entry; a miss records the discovery privately. Either way the return
@@ -28,10 +20,6 @@ bool SnapshotStopSet::insert(std::size_t child, const Ipv6Addr& addr) {
   return !deltas_[child].inserts.insert(addr).second;
 }
 
-void SnapshotStopSet::mark_exhausted(std::size_t child) {
-  deltas_[child].exhausted = true;
-}
-
 void SnapshotStopSet::merge_epoch() {
   // Canonical order: child 0's delta first. Set membership is insertion
   // order independent, but the canon makes the merge — like every other
@@ -42,21 +30,12 @@ void SnapshotStopSet::merge_epoch() {
     for (const auto& addr : delta.inserts) frozen_.insert(addr);
     delta.inserts.clear();  // keeps capacity: next epoch inserts allocate-free
   }
-  if (publish_ != nullptr && !published_ &&
-      std::all_of(deltas_.begin(), deltas_.end(),
-                  [](const Delta& d) { return d.exhausted; })) {
-    // beholder6: lint-allow(unordered-iter): set-to-set copy; the legacy
-    // StopSet exposes membership only
-    for (const auto& addr : frozen_) publish_->insert(addr);
-    published_ = true;
-  }
 }
 
 // ---- DoubletreeSource -------------------------------------------------------
 
 void DoubletreeSource::begin(std::uint64_t) {
   window_ = cfg_.effective_window();
-  epoch_len_ = cfg_.epoch_traces ? cfg_.epoch_traces : window_;
   base_ = 0;
   start_window();
 }
@@ -78,7 +57,7 @@ void DoubletreeSource::start_window() {
 }
 
 bool DoubletreeSource::stop_insert(const Ipv6Addr& addr) {
-  return snap_ ? snap_->insert(child_, addr) : !legacy_->insert(addr).second;
+  return snap_ ? snap_->insert(child_, addr) : !stop_->insert(addr).second;
 }
 
 campaign::Poll DoubletreeSource::next(std::uint64_t) {
@@ -92,19 +71,11 @@ campaign::Poll DoubletreeSource::next(std::uint64_t) {
         progress_ = false;
       } else {
         // Window batch done: `count_` traces finished together. In family
-        // mode this is the only place an epoch can close — the boundary
-        // where at least epoch_len_ traces completed since it opened — so
-        // epochs always align to whole window batches.
-        const std::size_t completed = count_;
+        // mode an epoch is one window batch: it closes here whenever work
+        // is left, and the backend barriers before the next poll.
         base_ += window_;
         start_window();
-        if (snap_ && !exhausted_) {
-          epoch_done_ += completed;
-          if (epoch_done_ >= epoch_len_) {
-            epoch_done_ = 0;
-            epoch_paused_ = true;  // backend barriers before the next poll
-          }
-        }
+        epoch_paused_ = snap_ && !exhausted_;
       }
       return campaign::Poll::round_end();
     }
@@ -144,10 +115,6 @@ campaign::Poll DoubletreeSource::next(std::uint64_t) {
         ++idx_;
         break;
     }
-  }
-  if (snap_ && !reported_exhausted_) {
-    reported_exhausted_ = true;
-    snap_->mark_exhausted(child_);
   }
   return campaign::Poll::exhausted();
 }
@@ -200,7 +167,7 @@ std::vector<std::unique_ptr<campaign::ProbeSource>> DoubletreeSource::split(
   const std::uint64_t n = targets_.size();
   const std::uint64_t pieces = std::min<std::uint64_t>(k, n);
   auto snap = std::make_shared<SnapshotStopSet>(
-      *legacy_, static_cast<std::size_t>(pieces), legacy_);
+      *stop_, static_cast<std::size_t>(pieces));
   children.reserve(pieces);
   for (std::uint64_t i = 0; i < pieces; ++i) {
     const auto lo = static_cast<std::size_t>(i * n / pieces);

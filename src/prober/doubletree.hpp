@@ -28,7 +28,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "campaign/probe_source.hpp"
@@ -37,57 +36,55 @@
 
 namespace beholder6::prober {
 
-/// Doubletree knobs on top of the shared lockstep (windowed, burst-paced)
-/// configuration: the intermediate start TTL h0 the forward phase opens
-/// at, and the epoch length its split children synchronize on.
+/// Doubletree's knob on top of the shared lockstep (windowed, burst-paced)
+/// configuration: the intermediate start TTL h0 the forward phase opens at.
+/// A split family's epoch is one window batch, so the window sets it.
 struct DoubletreeConfig : LockstepConfig {
   std::uint8_t start_ttl = 6;   // h0: heuristic, per-vantage (paper's gripe)
-  /// Epoch length of a split family, in completed traces per child; 0
-  /// derives it from the effective window (one window batch per epoch).
-  /// Like split_factor it is campaign spec: results are a pure function of
-  /// (config, split k, epoch length) and thread-count invariant at any
-  /// fixed value. Irrelevant to an unsplit source, which has no epochs.
-  std::size_t epoch_traces = 0;
 };
 
-/// Shared stop-set type: interfaces already observed by some trace. This
-/// is the *serial* form — one mutable set read and grown by every trace as
-/// it runs, which the caller may keep across campaigns (Doubletree's
-/// original cooperating-monitor design). Split families use
-/// SnapshotStopSet instead and publish back into this set when they
-/// finish.
-using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
+/// Shared stop-set type: interfaces already observed by some trace, read
+/// and grown by every trace as it runs, which the caller may keep across
+/// campaigns (Doubletree's original cooperating-monitor design). A split
+/// family reads it as its frozen epoch set and its barrier merges grow it
+/// in place (SnapshotStopSet). Rule: within one run a StopSet backs one
+/// source, so nothing else writes it while a family reads it. Only
+/// membership is observable; iteration order depends on the table layout.
+using StopSet = netbase::FlatSet<Ipv6Addr, Ipv6AddrHash>;
 
 /// Epoch-snapshotted stop set: the shared state of a split Doubletree
 /// family, and the campaign::EpochBarrier that merges it.
 ///
 /// Semantics contract (the "defined semantics" the ROADMAP asked for):
 ///
-///   * The set is layered as one immutable *frozen epoch set* plus one
-///     private *write delta* per child. During epoch N, child j reads
-///     "frozen ∪ delta j" and writes only delta j — so siblings never
-///     observe each other's discoveries mid-epoch, and no cross-thread
-///     synchronization happens on the probe path.
+///   * The set is layered as one immutable *frozen epoch set* — the
+///     caller's StopSet itself — plus one private *write delta* per child.
+///     During epoch N, child j reads "frozen ∪ delta j" and writes only
+///     delta j — so siblings never observe each other's discoveries
+///     mid-epoch, and no cross-thread synchronization happens on the probe
+///     path.
 ///   * merge_epoch() — called by the parallel backend's barrier, single
 ///     threaded, with every child paused or exhausted — folds the deltas
-///     into the frozen set in canonical child order (child 0 first),
-///     clears them, and opens epoch N+1.
-///   * Everything is therefore a pure function of (parent config, split k,
-///     epoch length): the probe streams of a family are bit-identical at
-///     any worker-thread count, and changing k or the epoch length is a
+///     into the caller's StopSet in canonical child order (child 0 first),
+///     clears them, and opens epoch N+1. There is no separate publish
+///     step: the merge that follows the last exhaustion leaves the union
+///     in the caller's set, so a set kept across campaigns holds the same
+///     aggregate a serial run would have produced.
+///   * A child closes its epoch after every window batch that leaves work
+///     behind, so everything is a pure function of (parent config,
+///     split k): the probe streams of a family are bit-identical at any
+///     worker-thread count, and changing k or the window is a
 ///     deterministic respecification, exactly like split_factor itself.
 ///   * Serial fixpoint: with k = 1 the sole child reads "frozen ∪ its own
 ///     delta", which is every insertion ever made — so a single-child
-///     family reproduces the serial stop set byte-for-byte at ANY
-///     epoch length, including the degenerate epoch of one trace.
+///     family reproduces the serial stop set byte-for-byte at ANY window,
+///     including the degenerate epoch of one trace (window 1).
 ///   * The paper's rate-limiting pathology is preserved per epoch: a
 ///     rate-limited hop answers nothing, so it enters no delta and no
 ///     frozen set, and backward probing keeps draining it — within an
 ///     epoch by the same trace window, and across epochs forever.
-///   * When the last child exhausts, the final barrier merge publishes the
-///     union into the caller's StopSet the parent was constructed over, so
-///     a set kept across campaigns holds the same aggregate a serial run
-///     would have produced.
+///   * The caller's set must outlive the family and, while the family
+///     runs, nothing else may write it (one source per StopSet per run).
 ///
 /// Storage is netbase::FlatSet (open addressing, no per-node allocations):
 /// reads on the probe path are one hash probe into the frozen table and at
@@ -96,57 +93,47 @@ using StopSet = std::unordered_set<Ipv6Addr, Ipv6AddrHash>;
 /// into results.
 class SnapshotStopSet final : public campaign::EpochBarrier {
  public:
-  /// A family over `children` deltas, frozen-set-seeded from `initial`,
-  /// publishing back into `publish` (may be null) once every child has
-  /// exhausted.
-  SnapshotStopSet(const StopSet& initial, std::size_t children,
-                  StopSet* publish);
+  /// A family over `children` deltas that reads `frozen` as its frozen
+  /// epoch set and grows it at every merge.
+  SnapshotStopSet(StopSet& frozen, std::size_t children)
+      : frozen_(frozen), deltas_(children) {}
 
   /// Child-side write: insert `addr` as child `child`; returns true if the
   /// address was already visible to that child (frozen epoch set or its
   /// own delta) — the exact "was known" answer the serial stop set gives.
   bool insert(std::size_t child, const Ipv6Addr& addr);
 
-  /// Child `child` has exhausted its slice; once every child has, the next
-  /// merge_epoch() publishes the union into the serial StopSet.
-  void mark_exhausted(std::size_t child);
-
   /// The barrier merge (campaign::EpochBarrier): fold deltas into the
   /// frozen set in canonical child order, clear them, open the next epoch.
   void merge_epoch() override;
 
  private:
-  using Flat = netbase::FlatSet<Ipv6Addr, Ipv6AddrHash>;
   /// One child's private epoch delta. Cache-line aligned so concurrent
   /// children never false-share each other's table headers.
   struct alignas(64) Delta {
-    Flat inserts;
-    bool exhausted = false;
+    StopSet inserts;
   };
 
-  Flat frozen_;                // immutable during an epoch
+  StopSet& frozen_;            // the caller's set: immutable during an epoch
   std::vector<Delta> deltas_;  // delta j written only by child j
-  StopSet* publish_;           // serial set to fold into at the end
-  bool published_ = false;
 };
 
 /// Pull-based Doubletree order. The stop set is held by reference so it
-/// can outlive one campaign (and be shared between cooperating sources —
-/// Doubletree's original distributed-monitor design).
+/// can outlive one campaign (and pass between cooperating sources run one
+/// after another — Doubletree's original distributed-monitor design).
 ///
 /// Splitting: split(k) partitions the target list into contiguous,
 /// balanced slices (like SequentialSource) whose children share one
-/// SnapshotStopSet seeded from the parent's current stop set — an
-/// epoch-coupled family under the campaign::EpochBarrier protocol. Each
-/// child pauses at the first window-batch boundary where at least
-/// DoubletreeConfig::epoch_traces of its traces have completed since its
-/// epoch opened, and resumes after the family's canonical delta merge.
-/// See SnapshotStopSet for the full semantics contract.
+/// SnapshotStopSet over the parent's stop set — an epoch-coupled family
+/// under the campaign::EpochBarrier protocol. Each child pauses after every
+/// window batch that leaves work behind, and resumes after the family's
+/// canonical delta merge. See SnapshotStopSet for the full semantics
+/// contract.
 class DoubletreeSource final : public campaign::ProbeSource {
  public:
   DoubletreeSource(const DoubletreeConfig& cfg, std::span<const Ipv6Addr> targets,
                    StopSet& stop_set)
-      : cfg_(cfg), targets_(targets), legacy_(&stop_set) {}
+      : cfg_(cfg), targets_(targets), stop_(&stop_set) {}
   /// A temporary target list would dangle: the source keeps only a span.
   DoubletreeSource(const DoubletreeConfig&, std::vector<Ipv6Addr>&&, StopSet&) = delete;
 
@@ -166,8 +153,8 @@ class DoubletreeSource final : public campaign::ProbeSource {
   /// Deterministic over-decomposition as an epoch-snapshotted family:
   /// child i of k traces the i-th contiguous slice of the target list
   /// (balanced to within one target, clamped to one target per child),
-  /// all children sharing one SnapshotStopSet seeded from the parent's
-  /// stop set. A pure function of (config, k); k = 1 yields one child
+  /// all children sharing one SnapshotStopSet over the parent's stop set.
+  /// A pure function of (config, k); k = 1 yields one child
   /// that reproduces the serial source byte-for-byte. Children are not
   /// themselves splittable, and an empty target list is unsplittable.
   [[nodiscard]] std::vector<std::unique_ptr<campaign::ProbeSource>> split(
@@ -207,7 +194,7 @@ class DoubletreeSource final : public campaign::ProbeSource {
 
   DoubletreeConfig cfg_;
   std::span<const Ipv6Addr> targets_;
-  StopSet* legacy_ = nullptr;             // serial mode: the shared set
+  StopSet* stop_ = nullptr;               // serial mode: the caller's set
   std::shared_ptr<SnapshotStopSet> snap_; // family mode: the epoch view
   std::size_t child_ = 0;                 // this child's delta index
   std::size_t window_ = 1;
@@ -221,10 +208,7 @@ class DoubletreeSource final : public campaign::ProbeSource {
   bool terminal_ = false;
   bool hit_stop_set_ = false;
   bool exhausted_ = false;
-  std::size_t epoch_len_ = 0;     // traces per epoch (family mode)
-  std::size_t epoch_done_ = 0;    // traces completed this epoch
-  bool epoch_paused_ = false;     // at a boundary, awaiting the merge
-  bool reported_exhausted_ = false;
+  bool epoch_paused_ = false;   // at a boundary, awaiting the merge
 };
 
 }  // namespace beholder6::prober

@@ -1,14 +1,14 @@
 // EpochBarrier stress under the ParallelCampaignRunner: heterogeneous
-// Doubletree shards — different epoch lengths, windows, rates, TTL ranges
+// Doubletree shards — different windows (so epoch lengths), rates, TTL ranges
 // and target counts, including a shard with fewer targets than the split
 // factor (the split clamps) and a one-target shard — run as the split
 // families of one run, so their members park and merge on their
 // SnapshotStopSets concurrently across the worker pool. These tests pin
 // the protocol's edges: the thread count never changes a result (stats,
-// merged stream, sink logs, published stop sets), heterogeneous families
+// merged stream, sink logs, final stop sets), heterogeneous families
 // sharing the pool stay isolated from each other (each shard equals its
-// solo run), and the all-exhausted final merge publishes every family's
-// stop set.
+// solo run), and the all-exhausted final merge leaves every family's
+// discoveries in its stop set.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,33 +26,32 @@ namespace {
 struct ShardShape {
   std::uint64_t id = 0;  // picks the vantage, instance and target slice
   std::size_t n_targets = 0;
-  std::size_t epoch_traces = 0;  // 0 = derive from window
-  std::size_t window = 0;        // 0 = derive from pps
+  std::size_t window = 0;  // one epoch per window batch; 0 = derive from pps
   double pps = 2000;
   std::uint8_t start_ttl = 5;
   std::uint8_t max_ttl = 8;
 };
 
-/// The heterogeneous stress population: epoch lengths 1..3 plus
-/// window-derived, explicit and pps-derived windows, a 3-target shard
-/// (which split factor 5 clamps) and a 1-target shard.
+/// The heterogeneous stress population: epochs of 1, 2, 3 and 5 traces
+/// (explicit windows) and pps-derived windows, a 3-target shard (which
+/// split factor 5 clamps) and a 1-target shard.
 std::vector<ShardShape> stress_shapes() {
   return {
-      {.id = 11, .n_targets = 18, .epoch_traces = 2, .window = 2, .pps = 2500},
-      {.id = 12, .n_targets = 24, .epoch_traces = 1, .pps = 4000,
-       .start_ttl = 4, .max_ttl = 7},
-      {.id = 13, .n_targets = 10, .epoch_traces = 3, .window = 5, .pps = 1500},
-      {.id = 14, .n_targets = 3, .epoch_traces = 1, .pps = 2000},
-      {.id = 15, .n_targets = 20, .epoch_traces = 0, .window = 3, .pps = 3000,
-       .start_ttl = 6, .max_ttl = 9},
-      {.id = 16, .n_targets = 1, .epoch_traces = 0, .pps = 2000},
+      {.id = 11, .n_targets = 18, .window = 2, .pps = 2500},
+      {.id = 12, .n_targets = 24, .window = 1, .pps = 4000, .start_ttl = 4,
+       .max_ttl = 7},
+      {.id = 13, .n_targets = 10, .window = 5, .pps = 1500},
+      {.id = 14, .n_targets = 3, .window = 1, .pps = 2000},
+      {.id = 15, .n_targets = 20, .window = 3, .pps = 3000, .start_ttl = 6,
+       .max_ttl = 9},
+      {.id = 16, .n_targets = 1, .pps = 2000},
   };
 }
 
 using SinkLog = std::vector<std::tuple<Ipv6Addr, std::uint8_t, std::uint32_t>>;
 
 /// Everything one run produces: the merged result, each shard's sink log
-/// and each shard's published stop set (sorted, so sets compare by value).
+/// and each shard's final stop set (sorted, so sets compare by value).
 struct StressRun {
   ParallelResult result;
   std::vector<SinkLog> logs;
@@ -80,8 +79,8 @@ class BarrierStressTest : public ::testing::Test {
   }
 
   /// Run `shapes` as the shards of one run at `split` and `threads`. Each
-  /// shard gets a private legacy stop set for its final merge to publish
-  /// into (a shared one would be grown by concurrently finishing families).
+  /// shard gets a private stop set for its family's merges to grow (a
+  /// shared one would be grown by concurrently merging families).
   StressRun run(const std::vector<ShardShape>& shapes, std::uint64_t split,
                 unsigned threads) {
     std::vector<std::vector<Ipv6Addr>> target_lists;
@@ -101,7 +100,6 @@ class BarrierStressTest : public ::testing::Test {
       cfg.window = shape.window;
       cfg.max_ttl = shape.max_ttl;
       cfg.start_ttl = shape.start_ttl;
-      cfg.epoch_traces = shape.epoch_traces;
       cfg.instance = static_cast<std::uint8_t>(1 + shape.id % 200);
       sources.push_back(std::make_unique<prober::DoubletreeSource>(
           cfg, target_lists.back(), stop_sets[i]));
@@ -175,16 +173,16 @@ TEST_F(BarrierStressTest, FamiliesSharingThePoolMatchSoloFamilies) {
   }
 }
 
-TEST_F(BarrierStressTest, FinalMergePublishesEveryFamilyStopSet) {
-  // The all-exhausted final merge publishes each family's discovered
-  // interfaces into its legacy stop set — the clamped and one-target
-  // families included.
+TEST_F(BarrierStressTest, FinalMergeFillsEveryFamilyStopSet) {
+  // The all-exhausted final merge leaves each family's discovered
+  // interfaces in its stop set — the clamped and one-target families
+  // included.
   for (const std::uint64_t split : {2u, 5u}) {
     const auto r = run(stress_shapes(), split, 2);
     ASSERT_EQ(r.stop_sets.size(), stress_shapes().size());
     for (std::size_t i = 0; i < r.stop_sets.size(); ++i)
       EXPECT_GT(r.stop_sets[i].size(), 0u)
-          << "split " << split << ", shard " << i << " published nothing";
+          << "split " << split << ", shard " << i << " stop set is empty";
   }
 }
 

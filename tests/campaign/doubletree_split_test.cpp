@@ -3,17 +3,19 @@
 // split(k) must return k children that jointly cover the target list;
 // results at a fixed split_factor must be bit-identical across 1/2/8
 // worker threads (with epochs actually crossing barriers); a split-1
-// child must reproduce the legacy serial source byte-for-byte (including
-// at epoch length 1, the degenerate fixpoint); SnapshotStopSet must keep
-// sibling deltas invisible until the canonical merge and publish into the
-// legacy StopSet once every child exhausts; the paper's rate-limiting
-// pathology must survive per epoch; and the old unsplittable→whole-shard
-// fallback must be gone (subshards really run, and the slowest work unit
-// really shrinks).
+// child must reproduce the serial source byte-for-byte (including at
+// window 1, the degenerate epoch of one trace); an epoch must be exactly
+// one window batch; SnapshotStopSet must keep sibling deltas invisible
+// until the canonical merge, which grows the caller's StopSet in place;
+// the paper's rate-limiting pathology must survive per epoch; and the old
+// unsplittable→whole-shard fallback must be gone (subshards really run,
+// and the slowest work unit really shrinks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "campaign/parallel.hpp"
@@ -118,12 +120,12 @@ TEST_F(DoubletreeSplitTest, SplitReturnsKChildrenSharingOneBarrier) {
 
 // The serial fixpoint: a split(1) child must reproduce the legacy serial
 // source byte-for-byte — same replies, same stats, same network counters —
-// including with the degenerate epoch length of one trace.
+// including at window 1, the degenerate epoch of one trace.
 TEST_F(DoubletreeSplitTest, SplitOneChildIsByteIdenticalToLegacySerial) {
   const auto t = targets(25);
-  for (const std::size_t epoch_traces : {std::size_t{0}, std::size_t{1}}) {
+  for (const std::size_t window : {std::size_t{4}, std::size_t{1}}) {
     auto cfg = dt_cfg();
-    cfg.epoch_traces = epoch_traces;
+    cfg.window = window;
 
     SinkLog legacy_log;
     simnet::Network legacy_net{topo_, simnet::NetworkParams{}};
@@ -141,9 +143,9 @@ TEST_F(DoubletreeSplitTest, SplitOneChildIsByteIdenticalToLegacySerial) {
     const auto child_stats = CampaignRunner::run_one(
         child_net, *children[0], cfg.endpoint(), cfg.pacing(), log_into(child_log));
 
-    EXPECT_EQ(legacy_stats, child_stats) << "epoch_traces " << epoch_traces;
+    EXPECT_EQ(legacy_stats, child_stats) << "window " << window;
     EXPECT_EQ(legacy_net.stats(), child_net.stats());
-    ASSERT_EQ(legacy_log, child_log) << "epoch_traces " << epoch_traces;
+    ASSERT_EQ(legacy_log, child_log) << "window " << window;
     EXPECT_GT(legacy_log.size(), 0u);
   }
 }
@@ -151,15 +153,15 @@ TEST_F(DoubletreeSplitTest, SplitOneChildIsByteIdenticalToLegacySerial) {
 // The headline contract: a split Doubletree shard at a fixed split_factor
 // is bit-identical across 1/2/8 worker threads — merged stats, the global
 // reply stream, and post-hoc sink delivery — with epochs really crossing
-// barriers mid-run (small window, several batches per child).
+// barriers mid-run (small windows, several batches per child).
 TEST_F(DoubletreeSplitTest, FixedSplitFactorIsThreadCountInvariant) {
   const auto t = targets(60);
-  for (const std::size_t epoch_traces : {std::size_t{0}, std::size_t{3}}) {
+  for (const std::size_t window : {std::size_t{4}, std::size_t{3}}) {
     std::vector<ParallelResult> results;
     std::vector<SinkLog> logs;
     for (const unsigned threads : {1u, 2u, 8u}) {
       auto cfg = dt_cfg();
-      cfg.epoch_traces = epoch_traces;
+      cfg.window = window;
       prober::StopSet stop_set;
       prober::DoubletreeSource source{cfg, t, stop_set};
       SinkLog log;
@@ -180,45 +182,87 @@ TEST_F(DoubletreeSplitTest, FixedSplitFactorIsThreadCountInvariant) {
   }
 }
 
-// SnapshotStopSet unit semantics: sibling deltas stay invisible until the
-// barrier merge; insert answers per-child visibility; the union publishes
-// into the legacy StopSet only once every child has exhausted.
-TEST_F(DoubletreeSplitTest, SnapshotStopSetEpochAndPublishSemantics) {
+// An epoch is one window batch: a split child over n targets at window w,
+// driven by hand with every probe unanswered, pauses after each batch that
+// leaves work behind — ⌈n/w⌉ − 1 times — and never after the last.
+TEST_F(DoubletreeSplitTest, AnEpochIsOneWindowBatch) {
+  const auto t = targets(10);
+  ASSERT_EQ(t.size(), 10u);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {10, 3}, {9, 3}, {7, 1}, {4, 4}, {1, 4}};
+  for (const auto& [n, w] : shapes) {
+    auto cfg = dt_cfg();
+    cfg.window = w;
+    prober::StopSet stop_set;
+    const std::span<const Ipv6Addr> slice{t.data(), n};
+    const prober::DoubletreeSource parent{cfg, slice, stop_set};
+    auto children = parent.split(1);
+    ASSERT_EQ(children.size(), 1u);
+    ProbeSource& child = *children[0];
+    child.begin(0);
+    std::size_t pauses = 0;
+    for (Poll poll = child.next(0); poll.status != Poll::Status::kExhausted;
+         poll = child.next(0)) {
+      if (poll.status == Poll::Status::kProbe)
+        child.on_probe_done(poll.probe, false, 0);
+      if (child.epoch_paused()) {
+        ++pauses;
+        child.epoch_barrier()->merge_epoch();
+        child.epoch_resume();
+      }
+    }
+    EXPECT_FALSE(child.epoch_paused()) << "n " << n << ", w " << w;
+    EXPECT_EQ(pauses, (n + w - 1) / w - 1) << "n " << n << ", w " << w;
+  }
+}
+
+// SnapshotStopSet unit semantics: the caller's set is the frozen epoch set,
+// sibling deltas stay invisible until the barrier merge, insert answers
+// per-child visibility, and every merge (not only the last) folds the
+// deltas into the caller's set.
+TEST_F(DoubletreeSplitTest, SnapshotStopSetMergesIntoTheCallersSet) {
   const Ipv6Addr a = test_support::addr("2001:db8::a");
   const Ipv6Addr b = test_support::addr("2001:db8::b");
   const Ipv6Addr c = test_support::addr("2001:db8::c");
-  prober::StopSet seed{a};
-  prober::StopSet out;
-  prober::SnapshotStopSet snap{seed, 2, &out};
+  const Ipv6Addr d = test_support::addr("2001:db8::d");
+  prober::StopSet stop_set;
+  stop_set.insert(a);
+  prober::SnapshotStopSet snap{stop_set, 2};
 
-  // Epoch 0: the seed is visible to everyone, writes are private. insert
-  // answers whether the address was already visible to that child.
-  EXPECT_TRUE(snap.insert(0, a)) << "seed membership already known";
-  EXPECT_TRUE(snap.insert(1, a)) << "seed membership already known";
+  // Epoch 0: what the caller's set held before the split is visible to
+  // everyone, writes are private. insert answers whether the address was
+  // already visible to that child.
+  EXPECT_TRUE(snap.insert(0, a)) << "pre-split membership already known";
+  EXPECT_TRUE(snap.insert(1, a)) << "pre-split membership already known";
   EXPECT_FALSE(snap.insert(0, b)) << "fresh discovery for child 0";
   EXPECT_TRUE(snap.insert(0, b)) << "now known to child 0 itself";
-  EXPECT_FALSE(snap.insert(1, b)) << "invisible to the sibling this epoch";
-  EXPECT_FALSE(snap.insert(0, c)) << "fresh discovery for child 0";
+  EXPECT_FALSE(snap.insert(1, c)) << "fresh discovery for child 1";
+  EXPECT_FALSE(snap.insert(0, c)) << "invisible to the sibling this epoch";
+  EXPECT_EQ(stop_set.size(), 1u) << "no write reaches the caller mid-epoch";
 
-  // Barrier: deltas fold canonically, next epoch sees the union.
+  // Barrier: the deltas fold into the caller's set, and the next epoch
+  // sees the union.
   snap.merge_epoch();
-  EXPECT_TRUE(snap.insert(1, b)) << "the merged union is visible to all";
-  EXPECT_TRUE(snap.insert(1, c)) << "a sibling's discovery, merged";
-  EXPECT_TRUE(out.empty()) << "no publish before every child exhausts";
+  EXPECT_EQ(stop_set.size(), 3u);
+  EXPECT_TRUE(stop_set.contains(b));
+  EXPECT_TRUE(stop_set.contains(c));
+  EXPECT_TRUE(snap.insert(1, b)) << "a sibling's discovery, merged";
 
-  // Publish once the family is done.
-  snap.mark_exhausted(0);
+  // Epoch 1 works the same way.
+  EXPECT_FALSE(snap.insert(1, d));
+  EXPECT_FALSE(snap.insert(0, d)) << "invisible to the sibling this epoch";
+  EXPECT_FALSE(stop_set.contains(d));
   snap.merge_epoch();
-  EXPECT_TRUE(out.empty()) << "child 1 still running";
-  snap.mark_exhausted(1);
-  snap.merge_epoch();
-  EXPECT_EQ(out, (prober::StopSet{a, b, c}));
+  EXPECT_TRUE(stop_set.contains(d));
+  EXPECT_EQ(stop_set.size(), 4u);
 }
 
-// A parallel split campaign publishes its aggregate stop set back into the
-// StopSet the parent was constructed over (the cross-campaign contract the
-// legacy prober relies on).
-TEST_F(DoubletreeSplitTest, SplitRunPublishesIntoTheParentStopSet) {
+// A parallel split campaign leaves its aggregate stop set in the StopSet
+// the parent was constructed over (the cross-campaign contract the serial
+// source keeps): every responder the family heard from, since each reply
+// enters its child's delta and the merge after the last exhaustion folds
+// the final deltas in.
+TEST_F(DoubletreeSplitTest, SplitRunLeavesEveryResponderInTheParentStopSet) {
   const auto t = targets(40);
   const auto cfg = dt_cfg();
   prober::StopSet stop_set;
@@ -227,7 +271,9 @@ TEST_F(DoubletreeSplitTest, SplitRunPublishesIntoTheParentStopSet) {
   const ParallelCampaignRunner runner{topo_, simnet::NetworkParams{}, 2};
   const auto result = runner.run(shards, {.split_factor = 4});
   EXPECT_GT(result.probe_stats.replies, 0u);
-  EXPECT_FALSE(stop_set.empty()) << "final barrier must publish the union";
+  prober::StopSet responders;
+  for (const auto& r : result.replies) responders.insert(r.reply.responder);
+  EXPECT_EQ(stop_set, responders);
 }
 
 // The paper's rate-limiting pathology survives the epoch construction: a

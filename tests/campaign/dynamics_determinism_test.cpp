@@ -160,7 +160,7 @@ TEST_F(DynamicsDeterminismTest, DoubletreeEpochsUnderChurnAreThreadInvariant) {
   std::vector<SinkLog> logs;
   for (const unsigned threads : {1u, 2u, 8u}) {
     auto cfg = dt_cfg();
-    cfg.epoch_traces = 3;  // several epochs per child: barriers really cross
+    cfg.window = 3;  // 15 targets per child: five epochs, barriers really cross
     prober::StopSet stop_set;
     prober::DoubletreeSource source{cfg, t, stop_set};
     SinkLog log;

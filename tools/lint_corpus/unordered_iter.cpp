@@ -10,6 +10,7 @@
 namespace corpus {
 
 using StopSet = std::unordered_set<int>;  // alias must taint declarations
+using FlatStopSet = beholder6::netbase::FlatSet<int>;  // qualified FlatSet
 
 int feeds_output(const std::unordered_map<int, std::string>& m) {
   std::unordered_map<int, std::string> local = m;
@@ -31,6 +32,13 @@ int through_alias() {
   StopSet stops;
   int acc = 0;
   for (const auto& s : stops) acc += s;  // lint-expect(unordered-iter)
+  return acc;
+}
+
+int through_flat_alias() {
+  FlatStopSet known;  // a name no other declaration taints
+  int acc = 0;
+  for (const auto& k : known) acc += k;  // lint-expect(unordered-iter)
   return acc;
 }
 
